@@ -202,9 +202,15 @@ def rational_roots(a):
     while a and not a[0]:
         roots.append(Fraction(0))
         a = a[1:]
-    ints = clear_denominators(a)
     if pdeg(a) < 1:
         return roots, a
+    if pdeg(a) == 1:
+        # no divisor enumeration: trial division up to sqrt|a0| is slow on big coefficients
+        root = Fraction(-a[0]) / a[1]
+        roots.append(root)
+        a, _ = pdivmod(a, [-root, Fraction(1)])
+        return roots, a
+    ints = clear_denominators(a)
     lead = int(ints[-1])
     tail = int(ints[0])
 

@@ -128,6 +128,24 @@ def _sign(q):
     return (q > 0) - (q < 0)
 
 
+def _collect(pairs):
+    """Merge equal keys of (key, coeff) pairs sorted by key; drop zero sums."""
+    out = []
+    if not pairs:
+        return out
+    last_k, acc = pairs[0]
+    for k, c in pairs[1:]:
+        if k == last_k:
+            acc += c
+        else:
+            if acc:
+                out.append((last_k, acc))
+            last_k, acc = k, c
+    if acc:
+        out.append((last_k, acc))
+    return out
+
+
 class HahnSeries:
     """Finite sum of monomials ``c * t^e`` with strictly ascending exponents.
 
@@ -196,7 +214,6 @@ class HahnSeries:
         if bound is INFINITE:
             return self
         if self.rank == 1:
-            p, q = None, None
             b0 = bound[0]
             p, q = b0.numerator, b0.denominator
             kept = tuple((e, c) for e, c in self.terms if e[0].numerator * q < p * e[0].denominator)
@@ -262,7 +279,11 @@ class HahnSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
+    def __mul__(self, other, *, bound=INFINITE):
+        """Product; with ``bound``, pairs with exponent >= bound are never formed.
+
+        ``a.__mul__(b, bound=p)`` equals ``(a * b).truncate_below(p)``.
+        """
         a, b = self.terms, other.terms
         if not a or not b:
             return HahnSeries.zero(self.rank)
@@ -270,25 +291,29 @@ class HahnSeries:
             a, b = b, a
         if len(a) == 1:
             ea, ca = a[0]
-            return HahnSeries(tuple((ea + eb, ca * cb) for eb, cb in b), self.rank, _clean=False)
+            if bound is INFINITE:
+                return HahnSeries(tuple((ea + eb, ca * cb) for eb, cb in b), self.rank, _clean=False)
+            out = []
+            for eb, cb in b:
+                e = ea + eb
+                if e >= bound:
+                    break
+                out.append((e, ca * cb))
+            return HahnSeries(tuple(out), self.rank, _clean=False)
         if self.rank == 1:
-            return self._mul_rank1(a, b)
-        # hash-free accumulation: exponent comparison is cheap, hashing is not
-        pairs = sorted(((ea + eb, ca * cb) for ea, ca in a for eb, cb in b), key=lambda t: t[0])
-        out = []
-        last_e, acc = pairs[0]
-        for e, c in pairs[1:]:
-            if e == last_e:
-                acc += c
-            else:
-                if acc:
-                    out.append((last_e, acc))
-                last_e, acc = e, c
-        if acc:
-            out.append((last_e, acc))
-        return HahnSeries(tuple(out), self.rank, _clean=False)
+            return self._mul_rank1(a, b, bound)
+        # hash-free accumulation: exponent comparison is cheap, hashing is not;
+        # b ascends, so ea + eb ascends along the inner loop
+        pairs = []
+        for ea, ca in a:
+            for eb, cb in b:
+                e = ea + eb
+                if e >= bound:
+                    break
+                pairs.append((e, ca * cb))
+        return HahnSeries(_collect(sorted(pairs, key=lambda t: t[0])), self.rank, _clean=False)
 
-    def _mul_rank1(self, a, b):
+    def _mul_rank1(self, a, b, bound):
         # put every exponent on one integer grid; int sort keys are cheap
         from math import lcm
 
@@ -299,21 +324,21 @@ class HahnSeries:
             den = lcm(den, e[0].denominator)
         ia = [(e[0].numerator * (den // e[0].denominator), c) for e, c in a]
         ib = [(e[0].numerator * (den // e[0].denominator), c) for e, c in b]
-        pairs = sorted(
-            ((ka + kb, ca * cb) for ka, ca in ia for kb, cb in ib),
-            key=lambda t: t[0],
-        )
-        out = []
-        last_k, acc = pairs[0]
-        for k, c in pairs[1:]:
-            if k == last_k:
-                acc += c
-            else:
-                if acc:
-                    out.append((tuple.__new__(GroupElement, (Fraction(last_k, den),)), acc))
-                last_k, acc = k, c
-        if acc:
-            out.append((tuple.__new__(GroupElement, (Fraction(last_k, den),)), acc))
+        if bound is INFINITE:
+            pairs = [(ka + kb, ca * cb) for ka, ca in ia for kb, cb in ib]
+        else:
+            # k/den >= bound  <=>  k >= ceil(bound * den)
+            b0 = bound[0]
+            k_bound = -((-b0.numerator * den) // b0.denominator)
+            pairs = []
+            for ka, ca in ia:
+                for kb, cb in ib:
+                    k = ka + kb
+                    if k >= k_bound:
+                        break
+                    pairs.append((k, ca * cb))
+        pairs.sort(key=lambda t: t[0])
+        out = [(tuple.__new__(GroupElement, (Fraction(k, den),)), c) for k, c in _collect(pairs)]
         return HahnSeries(tuple(out), 1, _clean=False)
 
     def scale(self, q):
@@ -446,7 +471,7 @@ def field_op(kind, a, b):
             b.prec + a.valuation_lower_bound(),
             a.prec + b.prec,
         )
-        return TruncatedSeries(a.approx * b.approx, prec)
+        return TruncatedSeries(a.approx.__mul__(b.approx, bound=prec), prec)
     raise ValueError(f"unknown field op {kind!r}")
 
 
@@ -504,7 +529,10 @@ def invert(a, target_prec):
     """Multiplicative inverse with residual ``v(a*x - 1) >= target_prec - 2 v(a)``.
 
     Exact monomials invert exactly.  Otherwise the leading term is split
-    off and the unit part is inverted by a truncated geometric series.
+    off and the unit part is inverted by Newton iteration at doubling
+    precision, ``x <- x + x (1 - unit x)``, with every product bounded at
+    the precision of the step.  The inverse truncated at a given precision
+    is unique, so the result does not depend on the iteration schedule.
     """
     if not a.approx.terms:
         raise ZeroOrUncertainLeadingTerm("no determined leading term to invert")
@@ -518,40 +546,24 @@ def invert(a, target_prec):
     rel_have = INFINITE if a.prec is INFINITE else a.prec - g
     if rel_have is not INFINITE and rel_have < rel_needed:
         raise InsufficientPrecision("operand precision cannot support the requested inverse")
-    # u = unit part minus one: exponents strictly positive
     unit = a.approx.shift(-g).scale(1 / c)
-    u = unit - HahnSeries.constant(1, a.rank)
-    neg_u = -u
-    acc = HahnSeries.constant(1, a.rank)
-    power = HahnSeries.constant(1, a.rank)
-    guard = _geometric_guard(u, rel_needed)
-    for _ in range(guard):
-        power = (power * neg_u).truncate_below(rel_needed)
-        if power.is_zero():
-            break
-        acc = acc + power
-    else:
-        raise PrecisionStall("geometric refinement did not reach the requested depth")
-    x = acc.shift(-g).scale(1 / c)
+    one = HahnSeries.constant(1, a.rank)
+    # v(1 - unit) > 0 and each step doubles the valuation of the residual
+    # 1 - unit x.  Doubling never leaves the leading nonzero coordinate, so
+    # in rank > 1 a gap (0, 1) never reaches a target such as (1, 0).
+    reached = (unit - one).valuation()
+    if reached < rel_needed and any(rel_needed[: next(i for i, q in enumerate(reached) if q)]):
+        raise PrecisionStall(
+            "leading gap of the unit part lies in a later coordinate than the target; "
+            "Newton doubling cannot reach the requested depth in lexicographic rank > 1"
+        )
+    x = one
+    while reached < rel_needed:
+        reached = _min_prec(reached + reached, rel_needed)
+        residual = one - unit.__mul__(x, bound=reached)
+        x = x + x.__mul__(residual, bound=reached)
+    x = x.shift(-g).scale(1 / c)
     return TruncatedSeries(x, rel_needed - g)
-
-
-def _geometric_guard(u, rel_needed):
-    """Iteration cap for the geometric series: valuations of u-powers grow by v(u)."""
-    vu = u.valuation()
-    if vu is INFINITE:
-        return 1
-    v1, r1 = vu.first(), rel_needed.first()
-    if v1 <= 0:
-        if r1 > 0:
-            raise PrecisionStall(
-                "leading gap of the unit part has zero first coordinate; "
-                "cannot bound the refinement depth in lexicographic rank > 1"
-            )
-        return 4
-    import math
-
-    return max(2, math.ceil(r1 / v1) + 2)
 
 
 def _integer_nth_root(m, n):
@@ -620,7 +632,10 @@ def nth_root(a, n, target_prec):
         # the iterate may have landed on the exact root plus junk at the
         # precision edge; trim from the top and test by powering back
         terms = x.approx.terms
+        top = a.approx.terms[-1][0]
         for cut in range(len(terms), 0, -1):
+            if terms[cut - 1][0] * n != top:
+                continue  # the top term of cand^n cannot cancel
             cand = TruncatedSeries.exact(HahnSeries(terms[:cut], a.rank, _clean=False))
             if _int_pow(cand, n, INFINITE).approx == a.approx:
                 return cand

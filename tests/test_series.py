@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hahn_forge.errors import (
     NotInValuationRing,
     NotPositive,
+    PrecisionStall,
     UndecidableAtPrecision,
     ZeroOrUncertainLeadingTerm,
 )
@@ -98,6 +99,18 @@ class TestInvert:
             invert(TruncatedSeries.zero(), ge(2))
         with pytest.raises(ZeroOrUncertainLeadingTerm):
             invert(parse_series("0 + O(t^(5))"), ge(2))
+
+    def test_rank_two_zero_first_coordinate(self):
+        # the unit part's gap (0,1) shares the target's leading coordinate
+        out = invert(parse_series("1 + 1*t^(0,1)", rank=2), GroupElement([0, 6]))
+        assert format_series(out) == (
+            "1 - 1*t^(0,1) + 1*t^(0,2) - 1*t^(0,3) + 1*t^(0,4) - 1*t^(0,5) + O(t^(0,6))"
+        )
+
+    def test_rank_two_unreachable_target(self):
+        # 2^k * (0,1) < (1,0) for every k: no finite schedule reaches the target
+        with pytest.raises(PrecisionStall):
+            invert(parse_series("1 + 1*t^(0,1)", rank=2), GroupElement([1, 0]))
 
     def test_negative_valuation_contract(self):
         a = s("1*t^(-2) + 1*t^(-1)")
@@ -299,3 +312,116 @@ class TestNegativeValuationRoots:
         blurry = parse_series("1 + 1*t^(1) + O(t^(2))")
         with pytest.raises(InsufficientPrecision):
             invert(blurry, ge(5))
+
+
+GRIDS = [1, 2, 3, 6]
+
+
+@st.composite
+def grid_series(draw, nonzero=False):
+    """Exact series on the exponent grid (1/d)Z for a drawn d in GRIDS."""
+    grid = draw(st.sampled_from(GRIDS))
+    if nonzero:
+        # a nonzero leading term below every other exponent
+        lead = draw(st.integers(-3, 3))
+        terms = [(lead, draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1])))]
+        terms += [(lead + k, c) for k, c in draw(st.lists(st.tuples(st.integers(1, 8), st.integers(-9, 9)), max_size=4))]
+    else:
+        terms = draw(st.lists(st.tuples(st.integers(-3, 9), st.integers(-9, 9)), max_size=5))
+    return HahnSeries([(ge(Fraction(k, grid)), Fraction(c)) for k, c in terms])
+
+
+@st.composite
+def grid_bound(draw):
+    return ge(Fraction(draw(st.integers(-6, 18)), draw(st.sampled_from(GRIDS))))
+
+
+@st.composite
+def rank2_series(draw):
+    terms = draw(
+        st.lists(st.tuples(st.integers(-2, 4), st.integers(-2, 4), st.integers(-5, 5)), max_size=5)
+    )
+    return HahnSeries([(GroupElement([Fraction(i, 2), Fraction(j, 2)]), Fraction(c)) for i, j, c in terms], rank=2)
+
+
+def _geometric_inverse(a, target):
+    """Truncated inverse by the geometric series of the unit part (test oracle)."""
+    g, c = a.approx.valuation(), a.approx.leading_coeff()
+    if len(a.approx.terms) == 1 and a.is_exact():
+        return TruncatedSeries.monomial(1 / c, -g)
+    rel = target - g - g
+    unit = a.approx.shift(-g).scale(1 / c)
+    neg_u = HahnSeries.constant(1, a.rank) - unit
+    acc = power = HahnSeries.constant(1, a.rank)
+    while True:
+        power = (power * neg_u).truncate_below(rel)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return TruncatedSeries(acc.shift(-g).scale(1 / c), rel - g)
+
+
+def _int_power(x, n):
+    out = x
+    for _ in range(n - 1):
+        out = out * x
+    return out
+
+
+def _positive(approx):
+    b = TruncatedSeries.exact(approx)
+    return b if compare_sign(b) == POSITIVE else -b
+
+
+def _check_bounded_mul(a, b, bound):
+    full = a * b
+    # the drawn bound, and every exponent of the product as a bound
+    for p in [bound] + [e for e, _ in full.terms]:
+        assert a.__mul__(b, bound=p) == full.truncate_below(p)
+
+
+class TestPrecisionBoundedProducts:
+    @given(grid_series(), grid_series(), grid_bound())
+    def test_bounded_mul_rank_one(self, a, b, bound):
+        _check_bounded_mul(a, b, bound)
+
+    @given(rank2_series(), rank2_series(), st.integers(-4, 8), st.integers(-4, 8))
+    def test_bounded_mul_rank_two(self, a, b, i, j):
+        _check_bounded_mul(a, b, GroupElement([Fraction(i, 2), Fraction(j, 2)]))
+
+    @given(grid_series(nonzero=True), grid_bound())
+    def test_newton_invert_matches_geometric_series(self, approx, target):
+        a = TruncatedSeries.exact(approx)
+        assert invert(a, target) == _geometric_inverse(a, target)
+
+    @given(rank2_series(), st.integers(1, 6))
+    def test_newton_invert_rank_two(self, approx, j):
+        # v(a) = (0, 0) and every gap has a positive first coordinate or the
+        # target's leading coordinate, so the geometric series terminates
+        unit = HahnSeries([(e, c) for e, c in approx.terms if e > GroupElement.zero(2)], rank=2)
+        a = TruncatedSeries.exact(HahnSeries.constant(1, 2) + unit)
+        target = GroupElement([0, j])
+        if unit.terms and unit.valuation()[0] > 0:
+            target = GroupElement([j, 0])
+        assert invert(a, target) == _geometric_inverse(a, target)
+
+    @given(grid_series(nonzero=True), st.sampled_from([2, 3]))
+    def test_nth_root_of_exact_power(self, approx, n):
+        b = _positive(approx)
+        power = _int_power(b, n)
+        # the target lies above b's relative span, so the root is determined exactly
+        span = b.approx.terms[-1][0] - b.approx.valuation()
+        root = nth_root(power, n, power.approx.valuation() + span + ge(1))
+        assert root.is_exact() and root == b
+
+    @given(grid_series(nonzero=True), st.sampled_from([2, 3]), grid_bound())
+    def test_nth_root_of_perturbed_power(self, approx, n, target):
+        power = _int_power(_positive(approx), n)
+        a = power + TruncatedSeries.monomial(1, power.approx.terms[-1][0] + ge(1))
+        root = nth_root(a, n, target)
+        residual = _int_power(root, n) - a
+        if root.is_exact():
+            assert residual.is_exact_zero()
+        else:
+            assert root.prec == target - a.approx.valuation() + a.approx.valuation() / n
+            assert residual.approx.is_zero() or residual.approx.valuation() >= target
