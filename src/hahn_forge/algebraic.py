@@ -111,14 +111,6 @@ def peval(a, x):
     return out
 
 
-def squarefree_part(a):
-    g = pgcd(a, pderiv(a))
-    if pdeg(g) < 1:
-        return ptrim(list(a))
-    q, _ = pdivmod(a, g)
-    return q
-
-
 def squarefree_decomposition(a):
     """Yun's algorithm: list of (factor, multiplicity), factors squarefree monic."""
     a = ptrim(list(a))

@@ -3,8 +3,9 @@
 Subcommands delegate to the library operations; every result is printed as
 one JSON object on stdout with a short human summary on stderr.  Exit
 codes: 0 success or passing verification, 1 failing verification, 2 usage
-or parse error, 3 precision or budget exhaustion.  ``HAHN_FORGE_SEED``
-overrides ``--seed``.
+or parse error, 3 precision or budget exhaustion, or a verification that
+checked no sample (verdict ``undecided``).  ``HAHN_FORGE_SEED`` overrides
+``--seed``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .multiseries import format_multiseries, parse_multiseries, strong_split, we
 from .prepare import StrongUnitSpec, jacobian_probe, newton_polygon, puiseux_roots, strong_unit_probe
 from .rv import rv_lambda
 from .series import GroupElement, format_rational, format_series, parse_series
-from .terms import eval_term, parse_term, prepare_term, _poly_of, _trim_poly
+from .terms import eval_term, parse_term, polynomial_coeffs, prepare_term
 
 _USAGE_ERRORS = (TermSyntaxError, UnknownFunction, ArityMismatch)
 _PRECISION_ERRORS = (
@@ -44,6 +45,8 @@ _PRECISION_ERRORS = (
     DepthExhausted,
     UndecidedSign,
 )
+
+_VERDICT_EXIT = {"pass": 0, "fail": 1, "undecided": 3}
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -133,11 +136,10 @@ def _emit(payload, summary):
 
 
 def _poly_coeffs(text, registry, rank):
-    node = parse_term(text, registry, rank)
-    coeffs = _poly_of(node, rank)
+    coeffs = polynomial_coeffs(parse_term(text, registry, rank), rank)
     if coeffs is None:
         raise TermSyntaxError("the input must be polynomial in x")
-    return _trim_poly(coeffs)
+    return coeffs
 
 
 def run_cli(argv):
@@ -235,7 +237,7 @@ def _dispatch(args, prec, lam, registry):
             {"preparing_set": prep.to_dict(), "report": report.to_dict()},
             f"prepared with {len(prep.points)} points: {report.verdict}",
         )
-        return 0 if report.passed() else 1
+        return _VERDICT_EXIT[report.verdict]
 
     if args.command == "verify":
         node = parse_term(args.term, registry, rank)
@@ -243,7 +245,7 @@ def _dispatch(args, prec, lam, registry):
         term_fn = lambda x, p: eval_term(node, x, p, registry, args.inv_zero_is_zero)
         report = preparation.verify_preparation(term_fn, centers, lam, args.trials, args.seed)
         _emit({"report": report.to_dict()}, f"verification: {report.verdict}")
-        return 0 if report.passed() else 1
+        return _VERDICT_EXIT[report.verdict]
 
     if args.command == "jacobian":
         node = parse_term(args.term, registry, rank)
@@ -255,7 +257,7 @@ def _dispatch(args, prec, lam, registry):
         term_fn = lambda x, p: eval_term(node, x, p, registry, args.inv_zero_is_zero)
         report = jacobian_probe(term_fn, centers, args.trials, args.seed)
         _emit({"report": report.to_dict()}, f"jacobian probe: {report.verdict}")
-        return 0 if report.passed() else 1
+        return _VERDICT_EXIT[report.verdict]
 
     if args.command == "probe-unit":
         center = parse_series(args.center, rank)
@@ -273,7 +275,7 @@ def _dispatch(args, prec, lam, registry):
             raise UnknownFunction(f"function {args.h!r} is not registered")
         report = strong_unit_probe(spec, (center, inner, outer), lam, args.trials, args.seed)
         _emit({"report": report.to_dict()}, f"strong-unit probe: {report.verdict}")
-        return 0 if report.passed() else 1
+        return _VERDICT_EXIT[report.verdict]
 
     raise TermSyntaxError(f"unknown command {args.command!r}")
 

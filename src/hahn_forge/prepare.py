@@ -16,9 +16,9 @@ returned.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from . import algebraic as alg
@@ -44,7 +44,9 @@ from .errors import (
 from .rv import (
     VerificationReport,
     ball_mates,
+    near_sample,
     random_point,
+    run_trials,
     rv_lambda,
 )
 from .series import (
@@ -647,6 +649,29 @@ def _term_from_poly(coeffs):
     return term
 
 
+def preparing_set(polys, depth):
+    """Real branch points, to ``depth``, of each polynomial and all its derivatives.
+
+    The first provenance of a repeated point is kept; with no point at all
+    the set is the zero point.
+    """
+    seen = {}
+    for coeffs in polys:
+        chain = list(coeffs)
+        order = 0
+        while len(chain) >= 2:
+            text = poly_text(chain)
+            for root in puiseux_roots(chain, depth):
+                if root.is_real():
+                    series = root.to_series()
+                    seen.setdefault(series, PreparingPoint(series, root.depth, text, order))
+            chain = poly_derivative(chain)
+            order += 1
+    if not seen:
+        return PreparingSet([PreparingPoint(TruncatedSeries.zero(), INFINITE, "0", 0)])
+    return PreparingSet(list(seen.values()))
+
+
 def prepare_polynomial(p, lam, trials=300, rng_seed=0, max_retries=3):
     """Preparing set for a polynomial: branch points of p and all derivatives.
 
@@ -654,29 +679,12 @@ def prepare_polynomial(p, lam, trials=300, rng_seed=0, max_retries=3):
     leading-term class of p is constant on every sampled ball next to it;
     on failure the branch depth is increased and the set rebuilt.
     """
-    if len(p) < 2:
+    if all(c.is_exact_zero() for c in p[1:]):
         raise ValueError("the polynomial must be nonconstant")
-    lam_first = lam.first()
-    depth = lam_first + 4
+    depth = lam.first() + 4
     report = None
     for _ in range(max_retries):
-        points = []
-        chain = list(p)
-        order = 0
-        while len(chain) >= 2:
-            text = poly_text(chain)
-            for root in puiseux_roots(chain, depth):
-                if not root.is_real():
-                    continue
-                points.append(PreparingPoint(root.to_series(), root.depth, text, order))
-            chain = poly_derivative(chain)
-            order += 1
-        seen = {}
-        for pt in points:
-            key = pt.series
-            if key not in seen:
-                seen[key] = pt
-        prep = PreparingSet(list(seen.values()))
+        prep = preparing_set([p], depth)
         report = verify_preparation(_term_from_poly(p), prep, lam, trials, rng_seed)
         if report.passed():
             return prep, report
@@ -706,56 +714,39 @@ def _rv_of_term(term, x, lam, base_prec):
     raise InsufficientPrecision("term value never became sharp enough")
 
 
+def _first_disagreement(value, x0, mates):
+    v0 = value(x0)
+    for y in mates:
+        if value(y) != v0:
+            return x0, y
+    return None
+
+
+def _centers(prep):
+    centers = prep.centers() if isinstance(prep, PreparingSet) else list(prep)
+    if not centers:
+        raise ValueError("the preparing set must be nonempty")
+    return centers
+
+
 def verify_preparation(term, prep, lam, trials=300, rng_seed=0):
     """Sample ball-mates next to the set and compare leading-term classes.
 
     ``term`` is a callable ``term(x, prec)``; the report records witness
     pairs for every sampled disagreement.
     """
-    centers = prep.centers() if isinstance(prep, PreparingSet) else list(prep)
-    if not centers:
-        raise ValueError("the preparing set must be nonempty")
+    centers = _centers(prep)
+    grid = (-4, int(2 * lam.first()) + 4)
+
+    def check(x0, mates, gamma):
+        base_prec = lam + GroupElement.scalar(6)
+        if gamma.first() < 0:
+            base_prec = base_prec + gamma * 6
+        return _first_disagreement(lambda x: _rv_of_term(term, x, lam, base_prec), x0, mates)
+
     report = VerificationReport("verify_preparation", lam, trials, rng_seed)
-    lam_first = lam.first()
-    grid_hi = int(2 * lam_first) + 4
-    for trial in range(trials):
-        rng = random.Random(f"verify:{rng_seed}:{trial}")
-        for _attempt in range(16):
-            anchor = rng.choice(centers)
-            gamma = GroupElement.scalar(Fraction(rng.randint(-4, grid_hi), 2))
-            x0 = anchor + random_point(rng, gamma, steps=2)
-            mates = ball_mates(rng, x0, centers, lam, count=1, steps=2)
-            if mates is None:
-                continue
-            base_prec = lam + GroupElement.scalar(6)
-            if gamma.first() < 0:
-                base_prec = base_prec + gamma * 6
-            try:
-                rv0 = _rv_of_term(term, x0, lam, base_prec)
-                disagree = None
-                for y in mates:
-                    if _rv_of_term(term, y, lam, base_prec) != rv0:
-                        disagree = y
-                        break
-            except _SKIP:
-                continue
-            if disagree is not None:
-                report.violations.append(
-                    {
-                        "ball": _ball_payload(x0, centers, lam),
-                        "x": format_series(x0),
-                        "y": format_series(disagree),
-                    }
-                )
-            break
-    return report
-
-
-def _ball_payload(x0, centers, lam):
-    data = []
-    for c in centers:
-        data.append({"center": format_series(c), "datum": rv_lambda(x0 - c, lam).to_dict()})
-    return {"base": format_series(x0), "data": data}
+    draw = lambda rng: near_sample(rng, centers, lam, grid, steps=2, count=1, mate_steps=2)
+    return run_trials(report, "verify", centers, draw, check, _SKIP)
 
 
 def jacobian_probe(fn, prep, trials=300, rng_seed=0):
@@ -765,60 +756,36 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
     estimates the shift ``v(f(x) - f(y)) - v(x - y)``; the remaining pairs
     must reproduce it exactly.  The per-ball shifts are reported.
     """
-    centers = prep.centers() if isinstance(prep, PreparingSet) else list(prep)
-    if not centers:
-        raise ValueError("the preparing set must be nonempty")
+    centers = _centers(prep)
     lam = GroupElement.scalar(1)
-    report = VerificationReport("jacobian_probe", lam, trials, rng_seed)
-    shifts = []
     base_prec = GroupElement.scalar(10)
-    for trial in range(trials):
-        rng = random.Random(f"jacobian:{rng_seed}:{trial}")
-        for _attempt in range(16):
-            anchor = rng.choice(centers)
-            gamma = GroupElement.scalar(Fraction(rng.randint(-4, 6), 2))
-            x0 = anchor + random_point(rng, gamma, steps=2)
-            mates = ball_mates(rng, x0, centers, lam, count=3)
-            if mates is None:
+    shifts = []
+
+    def check(x0, mates, _gamma):
+        points = [x0, *mates]
+        values = [fn(x, base_prec) for x in points]
+        shift = bad = None
+        for (x, fx), (y, fy) in combinations(zip(points, values), 2):
+            gap = x - y
+            if gap.approx.is_zero():
                 continue
-            points = [x0, *mates]
-            try:
-                values = [fn(x, base_prec) for x in points]
-                shift = None
-                bad = None
-                for i in range(len(points)):
-                    for j in range(i + 1, len(points)):
-                        gap = points[i] - points[j]
-                        image_gap = values[i] - values[j]
-                        if gap.approx.is_zero():
-                            continue
-                        vg = valuation(gap)
-                        vi = valuation(image_gap)
-                        if vi is INFINITE:
-                            raise UndecidableAtPrecision("image gap vanished")
-                        delta = vi - vg
-                        if shift is None:
-                            shift = delta
-                        elif delta != shift:
-                            bad = (points[i], points[j])
-                            break
-                    if bad:
-                        break
-            except _SKIP:
-                continue
-            if shift is not None:
-                shifts.append({"ball": format_series(x0), "shift": format_rational(shift.first())})
-            if bad:
-                report.violations.append(
-                    {
-                        "ball": _ball_payload(x0, centers, lam),
-                        "x": format_series(bad[0]),
-                        "y": format_series(bad[1]),
-                    }
-                )
-            break
-    report.extra["shifts"] = shifts
-    return report
+            vg = valuation(gap)
+            vi = valuation(fx - fy)
+            if vi is INFINITE:
+                raise UndecidableAtPrecision("image gap vanished")
+            delta = vi - vg
+            if shift is None:
+                shift = delta
+            elif delta != shift:
+                bad = (x, y)
+                break
+        if shift is not None:
+            shifts.append({"ball": format_series(x0), "shift": format_rational(shift.first())})
+        return bad
+
+    report = VerificationReport("jacobian_probe", lam, trials, rng_seed, extra={"shifts": shifts})
+    draw = lambda rng: near_sample(rng, centers, lam, (-4, 6), steps=2, count=3)
+    return run_trials(report, "jacobian", centers, draw, check, _SKIP)
 
 
 @dataclass
@@ -845,7 +812,6 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     v_out = valuation(outer)
     if not (v_in > v_out):
         raise DomainViolation("annulus needs v(inner) > v(outer)")
-    report = VerificationReport("strong_unit_probe", lam, trials, rng_seed)
     base_prec = lam + GroupElement.scalar(4)
 
     def unit_value(x):
@@ -867,45 +833,26 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     # inside the annulus when their leading coefficient is small enough
     lo, hi = v_out.first(), v_in.first()
     gammas = [Fraction(k, 4) for k in range(floor(lo * 4), ceil(hi * 4) + 1)]
-    for trial in range(trials):
-        rng = random.Random(f"annulus:{rng_seed}:{trial}")
-        for _attempt in range(16):
-            if gammas:
-                gamma = GroupElement.scalar(rng.choice(gammas))
-            else:
-                gamma = GroupElement.scalar(Fraction(int(lo * 4) + 1, 4))
-            x0 = center + random_point(rng, gamma, steps=2)
-            diff = x0 - center
-            try:
-                if compare_sign(outer - _abs(diff)) <= 0 or compare_sign(_abs(diff) - inner) <= 0:
-                    continue
-            except UndecidableAtPrecision:
-                continue
-            mates = ball_mates(rng, x0, [center], lam, count=2)
-            if mates is None:
-                continue
-            inside = [m for m in mates if _inside_annulus(m, center, inner, outer)]
-            if not inside:
-                continue
-            try:
-                rv0 = rv_lambda(unit_value(x0), lam)
-                disagree = None
-                for y in inside:
-                    if rv_lambda(unit_value(y), lam) != rv0:
-                        disagree = y
-                        break
-            except _SKIP:
-                continue
-            if disagree is not None:
-                report.violations.append(
-                    {
-                        "ball": _ball_payload(x0, [center], lam),
-                        "x": format_series(x0),
-                        "y": format_series(disagree),
-                    }
-                )
-            break
-    return report
+
+    def draw(rng):
+        if gammas:
+            gamma = GroupElement.scalar(rng.choice(gammas))
+        else:
+            gamma = GroupElement.scalar(Fraction(int(lo * 4) + 1, 4))
+        x0 = center + random_point(rng, gamma, steps=2)
+        if not _inside_annulus(x0, center, inner, outer):
+            return None
+        mates = ball_mates(rng, x0, [center], lam, count=2)
+        if mates is None:
+            return None
+        inside = [m for m in mates if _inside_annulus(m, center, inner, outer)]
+        return (x0, inside) if inside else None
+
+    def check(x0, inside):
+        return _first_disagreement(lambda x: rv_lambda(unit_value(x), lam), x0, inside)
+
+    report = VerificationReport("strong_unit_probe", lam, trials, rng_seed)
+    return run_trials(report, "annulus", [center], draw, check, _SKIP)
 
 
 def _abs(x):

@@ -7,8 +7,10 @@ same multiplicative coset ``x (1 + {v > lam})``, so the fibres of
 ``x -> rv_lambda(x - c)`` are the balls lam-next to c.
 
 The sampling utilities below draw reproducible finite-support points from
-these fibres; every verifier in the package routes its randomness through
-them so that a seed pins the whole run.
+these fibres.  ``run_trials`` is the one trial loop of every sampling
+verifier in the package: it seeds each trial from the verifier's tag and
+seed, so that a seed pins the whole run, resamples undecidable draws, counts
+the checked trials and records witnesses.
 """
 
 from __future__ import annotations
@@ -196,7 +198,11 @@ def ball_mates(rng, x0, centers, lam, count=2, steps=3):
 
 @dataclass
 class VerificationReport:
-    """Outcome of a sampled check; serializes to the frozen JSON layout."""
+    """Outcome of a sampled check; serializes to the frozen JSON layout.
+
+    ``checked`` counts the trials whose check ran to the end; it is kept
+    out of the JSON so that the key order stays frozen.
+    """
 
     op: str
     lam: GroupElement
@@ -204,13 +210,16 @@ class VerificationReport:
     seed: int
     violations: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
+    checked: int = 0
 
     @property
     def verdict(self):
-        return "pass" if not self.violations else "fail"
+        if self.violations:
+            return "fail"
+        return "pass" if self.checked else "undecided"
 
     def passed(self):
-        return not self.violations
+        return self.verdict == "pass"
 
     def to_dict(self):
         out = {
@@ -228,16 +237,52 @@ class VerificationReport:
         return json.dumps(self.to_dict())
 
 
-def _ball_key(x0, centers, lam):
-    data = []
-    for c in centers:
-        data.append(
-            {
-                "center": format_series(c),
-                "datum": rv_lambda(x0 - c, lam).to_dict(),
-            }
-        )
+def _ball_payload(x0, centers, lam):
+    data = [{"center": format_series(c), "datum": rv_lambda(x0 - c, lam).to_dict()} for c in centers]
     return {"base": format_series(x0), "data": data}
+
+
+def run_trials(report, tag, centers, draw, check, skip):
+    """The seeded trial loop behind every sampling verifier.
+
+    Trial k draws from ``random.Random(f"{tag}:{seed}:{k}")`` and makes up
+    to 16 attempts.  ``draw(rng)`` returns a sample whose first item is the
+    ball base x0, or None to resample; ``check(*sample)`` returns a
+    disagreeing pair or None, and an exception in ``skip`` resamples.  The
+    first attempt whose check completes ends the trial and counts as
+    checked; a disagreeing pair is recorded with the balls of x0 lam-next
+    to ``centers``.
+    """
+    for trial in range(report.trials):
+        rng = random.Random(f"{tag}:{report.seed}:{trial}")
+        for _attempt in range(16):
+            sample = draw(rng)
+            if sample is None:
+                continue
+            try:
+                pair = check(*sample)
+            except skip:
+                continue
+            report.checked += 1
+            if pair is not None:
+                ball = _ball_payload(sample[0], centers, report.lam)
+                report.violations.append({"ball": ball, "x": format_series(pair[0]), "y": format_series(pair[1])})
+            break
+    return report
+
+
+def near_sample(rng, centers, lam, grid, steps, count, mate_steps=3):
+    """A point x0 near a random center, and its ball-mates.
+
+    ``v(x0 - center)`` is gamma = k/2 with k drawn from the closed range
+    ``grid``.  Returns ``(x0, mates, gamma)``, or None when x0 collides
+    with a center.
+    """
+    anchor = rng.choice(centers)
+    gamma = GroupElement.scalar(Fraction(rng.randint(*grid), 2), anchor.rank)
+    x0 = anchor + random_point(rng, gamma, steps=steps)
+    mates = ball_mates(rng, x0, centers, lam, count=count, steps=mate_steps)
+    return None if mates is None else (x0, mates, gamma)
 
 
 def check_prepares(C, membership, lam, trials=200, rng_seed=0, gamma_span=2):
@@ -249,33 +294,15 @@ def check_prepares(C, membership, lam, trials=200, rng_seed=0, gamma_span=2):
     """
     if not C:
         raise ValueError("the preparing set must be nonempty")
-    rank = C[0].rank
+    grid = (-2 * gamma_span, int(2 * (Fraction(2) + lam.first())) + 1)
+
+    def check(x0, mates, _gamma):
+        flags = [bool(membership(p)) for p in (x0, *mates)]
+        for y, flag in zip(mates, flags[1:]):
+            if flag != flags[0]:
+                return x0, y
+        return None
+
     report = VerificationReport("check_prepares", lam, trials, rng_seed)
-    lam_first = lam.first()
-    grid_hi = int(2 * (Fraction(2) + lam_first)) + 1
-    for trial in range(trials):
-        rng = random.Random(f"prepare:{rng_seed}:{trial}")
-        for _attempt in range(16):
-            anchor = rng.choice(C)
-            gamma = GroupElement.scalar(Fraction(rng.randint(-2 * gamma_span, grid_hi), 2), rank)
-            x0 = anchor + random_point(rng, gamma, steps=3)
-            mates = ball_mates(rng, x0, C, lam, count=2)
-            if mates is None:
-                continue
-            points = [x0, *mates]
-            try:
-                flags = [bool(membership(p)) for p in points]
-            except (UndecidableAtPrecision, InsufficientPrecision):
-                continue
-            for p, flag in zip(points[1:], flags[1:]):
-                if flag != flags[0]:
-                    report.violations.append(
-                        {
-                            "ball": _ball_key(x0, C, lam),
-                            "x": format_series(x0),
-                            "y": format_series(p),
-                        }
-                    )
-                    break
-            break
-    return report
+    draw = lambda rng: near_sample(rng, C, lam, grid, steps=3, count=2)
+    return run_trials(report, "prepare", C, draw, check, (UndecidableAtPrecision, InsufficientPrecision))

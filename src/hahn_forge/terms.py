@@ -31,7 +31,6 @@ from .errors import (
 )
 from .series import (
     GroupElement,
-    INFINITE,
     TruncatedSeries,
     format_exponent,
     format_rational,
@@ -449,7 +448,11 @@ def _poly_of(node, rank):
     return None
 
 
-def _trim_poly(coeffs):
+def polynomial_coeffs(node, rank):
+    """Coefficients of the term as a polynomial in x, top zeros trimmed; None if it is not one."""
+    coeffs = _poly_of(node, rank)
+    if coeffs is None:
+        return None
     while coeffs and coeffs[-1].is_exact_zero():
         coeffs.pop()
     return coeffs
@@ -460,16 +463,12 @@ def candidate_polynomials(node, rank=1):
     out = []
 
     def visit(node):
-        coeffs = _poly_of(node, rank)
+        coeffs = polynomial_coeffs(node, rank)
         if coeffs is not None:
-            coeffs = _trim_poly(coeffs)
             if len(coeffs) >= 2:
                 out.append(coeffs)
             return
-        if isinstance(node, (Add, Sub, Mul)):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, Div):
+        if isinstance(node, (Add, Sub, Mul, Div)):
             visit(node.left)
             visit(node.right)
         elif isinstance(node, Neg):
@@ -492,36 +491,18 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
     is returned only with a passing verification report, deepening within
     the budget otherwise.
     """
-    from .prepare import PreparingPoint, PreparingSet, poly_text, puiseux_roots
-    from .prepare import verify_preparation
+    from .prepare import preparing_set, verify_preparation
 
     registry = registry if registry is not None else default_registry()
     candidates = candidate_polynomials(node, rank=1)
-    lam_first = lam.first()
 
     def term_fn(x, prec):
         return eval_term(node, x, prec, registry)
 
-    depth = lam_first + 4
+    depth = lam.first() + 4
     best = None
     for _ in range(max(1, budget)):
-        points = []
-        for coeffs in candidates:
-            chain = list(coeffs)
-            order = 0
-            while len(chain) >= 2:
-                text = poly_text(chain)
-                for root in puiseux_roots(chain, depth):
-                    if root.is_real():
-                        points.append(PreparingPoint(root.to_series(), root.depth, text, order))
-                chain = [c.scale(k) for k, c in enumerate(chain)][1:]
-                order += 1
-        if not points:
-            points = [PreparingPoint(TruncatedSeries.zero(), INFINITE, "0", 0)]
-        seen = {}
-        for pt in points:
-            seen.setdefault(pt.series, pt)
-        prep = PreparingSet(list(seen.values()))
+        prep = preparing_set(candidates, depth)
         report = verify_preparation(term_fn, prep, lam, trials, rng_seed)
         if report.passed():
             return prep, report

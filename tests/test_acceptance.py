@@ -39,7 +39,7 @@ from hahn_forge.series import (
     parse_series,
     valuation,
 )
-from hahn_forge.terms import _poly_of, _trim_poly, parse_term
+from hahn_forge.terms import parse_term, polynomial_coeffs
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
 s = parse_series
@@ -334,9 +334,9 @@ PREPARATION_CORPUS = [
 
 
 def _corpus_poly(text):
-    coeffs = _poly_of(parse_term(text), 1)
+    coeffs = polynomial_coeffs(parse_term(text), 1)
     assert coeffs is not None
-    return _trim_poly(coeffs)
+    return coeffs
 
 
 def test_criterion_5_preparation_suite():

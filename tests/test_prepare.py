@@ -1,12 +1,13 @@
 """Newton polygon, branch expansion, preparing sets, and the probes."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from hahn_forge.analytic import FunctionRegistry, register_function
-from hahn_forge.errors import UndecidedSign
+from hahn_forge.errors import DivisionByZero, UndecidedSign
 from hahn_forge.prepare import (
     IntervalCoeff,
     StrongUnitSpec,
@@ -245,6 +246,23 @@ class TestJacobianProbe:
         report = jacobian_probe(lambda x, prec: invert(x, prec), [TruncatedSeries.zero()], trials=300, rng_seed=5)
         assert report.passed()
 
+    def test_all_samples_skipped_is_undecided(self):
+        def fn(x, prec):
+            raise DivisionByZero("never defined")
+
+        report = jacobian_probe(fn, [TruncatedSeries.zero()], trials=20, rng_seed=5)
+        assert report.checked == 0 and not report.violations
+        assert report.verdict == "undecided" and not report.passed()
+        assert report.to_dict() == {
+            "op": "jacobian_probe",
+            "lambda": "1",
+            "trials": 20,
+            "seed": 5,
+            "violations": [],
+            "verdict": "undecided",
+            "shifts": [],
+        }
+
 
 class TestStrongUnitProbe:
     def test_scaled_unit_passes(self):
@@ -269,6 +287,9 @@ class TestStrongUnitProbe:
         annulus = (s("1"), s("1*t^(1)"), s("1"))
         report = strong_unit_probe(spec, annulus, ge(0), trials=400, rng_seed=9)
         assert not report.passed()
+        # the whole report, witnesses included, is frozen byte for byte
+        with open(os.path.join(os.path.dirname(__file__), "golden", "strong_unit_idz.json"), "rb") as handle:
+            assert report.to_json().encode() == handle.read()
 
 
 class TestPolyText:

@@ -1,11 +1,12 @@
 """Leading-term classes, balls, and the sampling verifier."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from hahn_forge.errors import SingletonBall, ZeroInverse
+from hahn_forge.errors import InsufficientPrecision, SingletonBall, ZeroInverse
 from hahn_forge.rv import (
     angular_component,
     ball_of,
@@ -188,6 +189,18 @@ class TestCheckPrepares:
         assert not report.passed()
         assert report.violations[0]["x"] != report.violations[0]["y"]
         assert report.to_dict()["verdict"] == "fail"
+        # the whole report, witnesses included, is frozen byte for byte
+        with open(os.path.join(os.path.dirname(__file__), "golden", "check_prepares_interval.json"), "rb") as handle:
+            assert report.to_json().encode() == handle.read()
+
+    def test_all_samples_skipped_is_undecided(self):
+        def member(x):
+            raise InsufficientPrecision("never decidable")
+
+        report = check_prepares([TruncatedSeries.zero()], member, ge(0), trials=20, rng_seed=1)
+        assert report.checked == 0 and not report.violations
+        assert report.verdict == "undecided" and not report.passed()
+        assert report.to_dict()["verdict"] == "undecided"
 
     def test_report_schema(self):
         report = check_prepares([TruncatedSeries.zero()], lambda x: True, ge(0), trials=5, rng_seed=1)
