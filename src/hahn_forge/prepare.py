@@ -677,7 +677,9 @@ def prepare_polynomial(p, lam, trials=300, rng_seed=0, max_retries=3):
 
     The set is returned only after the sampling verifier confirms that the
     leading-term class of p is constant on every sampled ball next to it;
-    on failure the branch depth is increased and the set rebuilt.
+    on failure the branch depth is increased and the set rebuilt.  An
+    ``undecided`` report (no sample checked) ends the search at once:
+    deeper branch points cannot make skipped samples checkable.
     """
     if all(c.is_exact_zero() for c in p[1:]):
         raise ValueError("the polynomial must be nonconstant")
@@ -688,6 +690,8 @@ def prepare_polynomial(p, lam, trials=300, rng_seed=0, max_retries=3):
         report = verify_preparation(_term_from_poly(p), prep, lam, trials, rng_seed)
         if report.passed():
             return prep, report
+        if report.verdict == "undecided":
+            raise DepthExhausted(f"preparation undecided at depth {depth}; report: {report.to_json()}")
         depth += 4
     raise DepthExhausted(f"preparation kept failing at depth {depth}; last report: {report.to_json()}")
 

@@ -9,11 +9,20 @@ precision bound, so arithmetic never has to guess hidden terms.
 
 The order is the one that makes t a positive infinitesimal: the sign of a
 nonzero element is the sign of its lowest-exponent coefficient.
+
+Products run on ints.  Each factor's coefficients are put over the lcm of
+their denominators, so the pair loop multiplies and sums plain ints and
+one ``Fraction`` is built per output term; both denominators are positive,
+so an int sum is zero exactly when the rational sum is (the content and
+primitive part of von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 6).  Rank-1 exponents go on one integer grid the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 from .errors import (
     InsufficientPrecision,
@@ -128,6 +137,9 @@ def _sign(q):
     return (q > 0) - (q < 0)
 
 
+_first = itemgetter(0)
+
+
 def _collect(pairs):
     """Merge equal keys of (key, coeff) pairs sorted by key; drop zero sums."""
     out = []
@@ -144,6 +156,52 @@ def _collect(pairs):
     if acc:
         out.append((last_k, acc))
     return out
+
+
+def _over_common_denominator(terms):
+    """``(d, [(e, c*d), ...])`` with d the lcm of the coefficient denominators.
+
+    Every ``c*d`` is an int.
+    """
+    d = lcm(*(c.denominator for _, c in terms))
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms]
+
+
+def _int_products(a, b, bound):
+    """The product of two ascending ``(key, int)`` lists, keys below ``bound``.
+
+    Forms the pairs ``(ka + kb, ca * cb)``, sorts them by key, sums equal
+    keys and drops zero sums.  ``b`` ascends, so ``ka + kb`` ascends along
+    the inner loop, which stops at the first key at or above ``bound``.
+    """
+    if bound is INFINITE:
+        pairs = [(ka + kb, ca * cb) for ka, ca in a for kb, cb in b]
+    else:
+        pairs = []
+        for ka, ca in a:
+            for kb, cb in b:
+                k = ka + kb
+                if k >= bound:
+                    break
+                pairs.append((k, ca * cb))
+    pairs.sort(key=_first)
+    return _collect(pairs)
+
+
+def _mul_rank1(a, b, bound):
+    """``_int_products`` with rank-1 exponents on one integer grid.
+
+    Int sort keys and int bound tests are cheap; the exponents are rebuilt
+    once per output term.
+    """
+    den = lcm(*(e[0].denominator for e, _ in a), *(e[0].denominator for e, _ in b))
+    ka = [(e[0].numerator * (den // e[0].denominator), c) for e, c in a]
+    kb = [(e[0].numerator * (den // e[0].denominator), c) for e, c in b]
+    if bound is not INFINITE:
+        # k/den >= bound  <=>  k >= ceil(bound * den)
+        b0 = bound[0]
+        bound = -((-b0.numerator * den) // b0.denominator)
+    return [(tuple.__new__(GroupElement, (Fraction(k, den),)), c) for k, c in _int_products(ka, kb, bound)]
 
 
 class HahnSeries:
@@ -283,63 +341,32 @@ class HahnSeries:
         """Product; with ``bound``, pairs with exponent >= bound are never formed.
 
         ``a.__mul__(b, bound=p)`` equals ``(a * b).truncate_below(p)``.
+
+        Coefficients are multiplied as ints: each factor is put over the lcm
+        of its coefficient denominators, ``da`` and ``db``, so every pair
+        product and every sum at an equal exponent is an int operation, and
+        one ``Fraction(n, da*db)`` is built per output term.  As
+        ``da*db > 0``, an int sum is zero exactly when the rational sum is,
+        so the support and the coefficients are those of the rational
+        product.
         """
         a, b = self.terms, other.terms
         if not a or not b:
             return HahnSeries.zero(self.rank)
         if len(a) > len(b):
             a, b = b, a
-        if len(a) == 1:
-            ea, ca = a[0]
-            if bound is INFINITE:
-                return HahnSeries(tuple((ea + eb, ca * cb) for eb, cb in b), self.rank, _clean=False)
-            out = []
-            for eb, cb in b:
-                e = ea + eb
-                if e >= bound:
-                    break
-                out.append((e, ca * cb))
-            return HahnSeries(tuple(out), self.rank, _clean=False)
+        da, ia = _over_common_denominator(a)
+        db, ib = _over_common_denominator(b)
         if self.rank == 1:
-            return self._mul_rank1(a, b, bound)
-        # hash-free accumulation: exponent comparison is cheap, hashing is not;
-        # b ascends, so ea + eb ascends along the inner loop
-        pairs = []
-        for ea, ca in a:
-            for eb, cb in b:
-                e = ea + eb
-                if e >= bound:
-                    break
-                pairs.append((e, ca * cb))
-        return HahnSeries(_collect(sorted(pairs, key=lambda t: t[0])), self.rank, _clean=False)
-
-    def _mul_rank1(self, a, b, bound):
-        # put every exponent on one integer grid; int sort keys are cheap
-        from math import lcm
-
-        den = 1
-        for e, _ in a:
-            den = lcm(den, e[0].denominator)
-        for e, _ in b:
-            den = lcm(den, e[0].denominator)
-        ia = [(e[0].numerator * (den // e[0].denominator), c) for e, c in a]
-        ib = [(e[0].numerator * (den // e[0].denominator), c) for e, c in b]
-        if bound is INFINITE:
-            pairs = [(ka + kb, ca * cb) for ka, ca in ia for kb, cb in ib]
+            merged = _mul_rank1(ia, ib, bound)
         else:
-            # k/den >= bound  <=>  k >= ceil(bound * den)
-            b0 = bound[0]
-            k_bound = -((-b0.numerator * den) // b0.denominator)
-            pairs = []
-            for ka, ca in ia:
-                for kb, cb in ib:
-                    k = ka + kb
-                    if k >= k_bound:
-                        break
-                    pairs.append((k, ca * cb))
-        pairs.sort(key=lambda t: t[0])
-        out = [(tuple.__new__(GroupElement, (Fraction(k, den),)), c) for k, c in _collect(pairs)]
-        return HahnSeries(tuple(out), 1, _clean=False)
+            merged = _int_products(ia, ib, bound)
+        den = da * db
+        if den == 1:
+            out = tuple((e, Fraction(n)) for e, n in merged)
+        else:
+            out = tuple((e, Fraction(n, den)) for e, n in merged)
+        return HahnSeries(out, self.rank, _clean=False)
 
     def scale(self, q):
         q = q if isinstance(q, Fraction) else Fraction(q)

@@ -489,7 +489,9 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
     The candidate set is the union of the polynomial preparing sets of all
     maximal polynomial subterms, denominators, and analytic arguments; it
     is returned only with a passing verification report, deepening within
-    the budget otherwise.
+    the budget otherwise.  An ``undecided`` report (no sample checked) ends
+    the search at once: deeper branch points cannot make skipped samples
+    checkable.
     """
     from .prepare import preparing_set, verify_preparation
 
@@ -507,6 +509,8 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
         if report.passed():
             return prep, report
         best = report
+        if report.verdict == "undecided":
+            break
         depth += 4
     raise BudgetExhausted("preparation budget exhausted", report=best)
 

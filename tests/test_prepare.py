@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from hahn_forge.analytic import FunctionRegistry, register_function
-from hahn_forge.errors import DivisionByZero, UndecidedSign
+import hahn_forge.prepare as preparation
+from hahn_forge.errors import DepthExhausted, DivisionByZero, UndecidedSign
 from hahn_forge.prepare import (
     IntervalCoeff,
     StrongUnitSpec,
@@ -229,6 +230,22 @@ class TestPreparePolynomial:
             lambda x, prec=None: x, [TruncatedSeries.zero()], ge(1), trials=200, rng_seed=7
         )
         assert report.passed()
+
+    def test_undecided_report_ends_the_search(self, monkeypatch):
+        # deeper branch points cannot make skipped samples checkable
+        calls = []
+
+        def never_defined(x, prec=None):
+            raise DivisionByZero("never defined")
+
+        def all_skipped(term, prep, lam, trials, rng_seed):
+            calls.append(lam)
+            return verify_preparation(never_defined, prep, lam, trials, rng_seed)
+
+        monkeypatch.setattr(preparation, "verify_preparation", all_skipped)
+        with pytest.raises(DepthExhausted, match="undecided"):
+            prepare_polynomial(poly("-1*t^(1)", "0", "1"), ge(0), trials=20, rng_seed=2, max_retries=3)
+        assert len(calls) == 1
 
 
 class TestJacobianProbe:

@@ -344,6 +344,72 @@ def rank2_series(draw):
     return HahnSeries([(GroupElement([Fraction(i, 2), Fraction(j, 2)]), Fraction(c)) for i, j, c in terms], rank=2)
 
 
+# coefficient denominators of the rational strategies: small ones, and two
+# large primes that a factor's common denominator must carry side by side
+DENOMINATORS = [1, 2, 3, 7, 12, 10**9 + 7, 2**61 - 1]
+LARGE_PRIMES = [10**9 + 7, 2**61 - 1]
+
+
+@st.composite
+def rational_coeffs(draw, n):
+    """n nonzero rationals with numerators up to 10^40.
+
+    On about half the draws the denominators cycle through the large primes,
+    from a drawn start, so every factor of two or more terms carries both.
+    """
+    nums = draw(st.lists(st.integers(-(10**40), 10**40).filter(bool), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 1))
+        dens = [LARGE_PRIMES[(start + i) % 2] for i in range(n)]
+    else:
+        dens = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=n, max_size=n))
+    return [Fraction(k, d) for k, d in zip(nums, dens)]
+
+
+@st.composite
+def rational_grid_series(draw, min_terms=0, max_terms=5):
+    """Rational-coefficient series on the exponent grid (1/d)Z, d in GRIDS."""
+    grid = draw(st.sampled_from(GRIDS))
+    exps = draw(st.lists(st.integers(-3, 9), min_size=min_terms, max_size=max_terms, unique=True))
+    coeffs = draw(rational_coeffs(len(exps)))
+    return HahnSeries([(ge(Fraction(k, grid)), c) for k, c in zip(exps, coeffs)])
+
+
+@st.composite
+def rational_rank2_series(draw, min_terms=0, max_terms=5):
+    exps = draw(
+        st.lists(st.tuples(st.integers(-2, 4), st.integers(-2, 4)), min_size=min_terms, max_size=max_terms, unique=True)
+    )
+    coeffs = draw(rational_coeffs(len(exps)))
+    return HahnSeries(
+        [(GroupElement([Fraction(i, 2), Fraction(j, 2)]), c) for (i, j), c in zip(exps, coeffs)], rank=2
+    )
+
+
+@st.composite
+def rank2_bound(draw):
+    return GroupElement([Fraction(draw(st.integers(-4, 8)), 2), Fraction(draw(st.integers(-4, 8)), 2)])
+
+
+def _oracle_product(a, b, bound=INFINITE):
+    """Product by a dict of Fraction pair products, truncated at ``bound`` (test oracle)."""
+    acc = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc[e] = acc.get(e, Fraction(0)) + ca * cb
+    return sorted((e, c) for e, c in acc.items() if c and (bound is INFINITE or e < tuple(bound)))
+
+
+def _check_against_oracle(a, b, bound):
+    # the drawn bound, no bound, and every exponent of the product as a bound
+    for p in [bound, INFINITE] + [GroupElement(e) for e, _ in _oracle_product(a, b)]:
+        for x, y in ((a, b), (b, a)):
+            got = x.__mul__(y, bound=p)
+            assert [(tuple(e), c) for e, c in got.terms] == _oracle_product(a, b, p)
+            assert all(type(e) is GroupElement and type(c) is Fraction for e, c in got.terms)
+
+
 def _geometric_inverse(a, target):
     """Truncated inverse by the geometric series of the unit part (test oracle)."""
     g, c = a.approx.valuation(), a.approx.leading_coeff()
@@ -388,6 +454,35 @@ class TestPrecisionBoundedProducts:
     @given(rank2_series(), rank2_series(), st.integers(-4, 8), st.integers(-4, 8))
     def test_bounded_mul_rank_two(self, a, b, i, j):
         _check_bounded_mul(a, b, GroupElement([Fraction(i, 2), Fraction(j, 2)]))
+
+    @given(rational_grid_series(), rational_grid_series(), grid_bound())
+    def test_rational_mul_rank_one_matches_oracle(self, a, b, bound):
+        _check_against_oracle(a, b, bound)
+
+    @given(rational_rank2_series(), rational_rank2_series(), rank2_bound())
+    def test_rational_mul_rank_two_matches_oracle(self, a, b, bound):
+        _check_against_oracle(a, b, bound)
+
+    @given(rational_grid_series(min_terms=1, max_terms=1), rational_grid_series(), grid_bound())
+    def test_rational_mul_single_term_rank_one(self, a, b, bound):
+        _check_against_oracle(a, b, bound)
+
+    @given(rational_rank2_series(min_terms=1, max_terms=1), rational_rank2_series(), rank2_bound())
+    def test_rational_mul_single_term_rank_two(self, a, b, bound):
+        _check_against_oracle(a, b, bound)
+
+    def test_cancelled_exponent_is_absent(self):
+        # (c1 + c2 t^(1/3))(c1 - c2 t^(1/3)) = c1^2 - c2^2 t^(2/3): at t^(1/3)
+        # the pair sums c1(-c2) + c2 c1 vanish, over a denominator of two large primes
+        c1 = Fraction(10**40 + 1, 2**61 - 1)
+        c2 = Fraction(-7, 10**9 + 7)
+        a = HahnSeries([(ge(0), c1), (ge(Fraction(1, 3)), c2)])
+        b = HahnSeries([(ge(0), c1), (ge(Fraction(1, 3)), -c2)])
+        expected = [(ge(0), c1 * c1), (ge(Fraction(2, 3)), -c2 * c2)]
+        assert list((a * b).terms) == expected
+        assert list(a.__mul__(b, bound=ge(Fraction(2, 3))).terms) == expected[:1]
+        assert (a * b).coefficient(ge(Fraction(1, 3))) == 0
+        _check_against_oracle(a, b, ge(1))
 
     @given(grid_series(nonzero=True), grid_bound())
     def test_newton_invert_matches_geometric_series(self, approx, target):

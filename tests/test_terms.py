@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import hahn_forge.prepare as preparation
 from hahn_forge.analytic import default_registry
 from hahn_forge.errors import (
     ArityMismatch,
+    BudgetExhausted,
     DivisionByZero,
     DomainError,
     TermSyntaxError,
@@ -208,6 +210,21 @@ class TestPrepareTerm:
         prep, report = prepare_term(node, ge(0), trials=250, rng_seed=11)
         assert report.passed()
         assert [format_series(p.series) for p in prep.points] == ["0"]
+
+    def test_undecided_report_ends_the_search(self, monkeypatch):
+        # every sample of 1/(x - x) is skipped; deepening cannot change that
+        calls = []
+        verify = preparation.verify_preparation
+
+        def counting(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(preparation, "verify_preparation", counting)
+        with pytest.raises(BudgetExhausted) as info:
+            prepare_term(parse_term("inv(x-x)"), ge(0), budget=3, trials=20, rng_seed=11)
+        assert len(calls) == 1
+        assert info.value.report.verdict == "undecided"
 
 
 class TestLiteralZeroDenominator:
