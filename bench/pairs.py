@@ -11,6 +11,11 @@ in each checkout, in alternating order (parent first on even-numbered
 seeds of the list, change first on odd ones), and reads the record line
 and the result line of each run.  It exits 1, after writing the file, if
 the two output digests of any pair differ or any run failed an operation.
+With ``--trace 1`` each run's record also carries the work counts that
+must repeat exactly (``series.mul.calls``, ``series.mul.pairs``,
+``rv.rv_lambda.insufficient``, ``analytic.hensel_root.newton_steps``);
+every pair whose counts differ is listed under ``count_mismatches``, for
+the report only: it does not change the exit status.
 
 The output holds every run (workload, seed, side, order, digest, attempted,
 failed, metrics) and, per workload and metric declared in the parent's
@@ -101,14 +106,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs, mismatches = [], []
+    runs, mismatches, count_mismatches = [], [], []
     for workload in args.workloads:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            digests = {}
+            digests, counts = {}, {}
             for position, side in enumerate(order):
                 record, result = run_once(checkouts[side], workload, seed, args.seconds, args.trace)
                 digests[side] = record["digest"]
+                counts[side] = record.get("counts", {})
                 runs.append({
                     "workload": workload, "seed": record["seed"], "side": side, "order": position,
                     "digest": record["digest"], "attempted": result["attempted"], "failed": result["failed"],
@@ -118,12 +124,19 @@ def main(argv=None):
                       f"{result['metrics'].get('ops_per_s', {}).get('value')}", file=sys.stderr, flush=True)
             if digests["parent"] != digests["change"]:
                 mismatches.append({"workload": workload, "seed": seed, **digests})
+            for name in sorted(set(counts["parent"]) | set(counts["change"])):
+                parent, change = counts["parent"].get(name), counts["change"].get(name)
+                if parent != change:
+                    count_mismatches.append({"workload": workload, "seed": seed, "count": name,
+                                             "parent": parent, "change": change})
 
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace {args.trace}",
         "order": "per workload, seeds in list order; parent first on even list positions, change first on odd",
         "seeds": args.seeds,
         "digest_mismatches": mismatches,
+        # untraced records carry no counts, so the comparison exists only when traced
+        **({"count_mismatches": count_mismatches} if args.trace else {}),
         "failed_runs": sum(1 for r in runs if r["failed"]),
         "summary": summarize(runs, declared_metrics(checkouts["parent"])),
         "runs": runs,

@@ -390,7 +390,7 @@ def implicit_series(f, d_out, prec_out):
     _, remainder = weierstrass_divide(f, g, yvar, d_out, prec_out)
     r = remainder[0]
     const = r.coefficient((0,) * r.nvars)
-    if const.approx.terms and not (const.approx.valuation() > GroupElement.zero(r.rank)):
+    if not const.approx.is_zero() and not (const.approx.valuation() > GroupElement.zero(r.rank)):
         raise NotRegularDegreeOne("root value at the origin is not infinitesimal")
     return ms_drop_var(r, yvar)
 

@@ -11,6 +11,7 @@ checked no sample (verdict ``undecided``).  ``HAHN_FORGE_SEED`` overrides
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -68,7 +69,9 @@ def _add_common(parser, suppress):
         parser.add_argument("--inv-zero-is-zero", action="store_true")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _CliParser(prog="hahn-forge", description="exact Hahn-series computer algebra")
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -163,7 +163,7 @@ def _clip(coeffs, degree, prec):
             c = c.truncate(prec)
         if c.is_exact_zero():
             continue
-        if not c.approx.terms and c.prec is not INFINITE and prec is not None and not (c.prec < prec):
+        if c.approx.is_zero() and c.prec is not INFINITE and prec is not None and not (c.prec < prec):
             # entirely below the working precision: in the truncation ideal
             continue
         out[idx] = c
@@ -175,7 +175,7 @@ def in_truncation_ideal(f, degree, prec):
     for idx, c in f.coeffs.items():
         if sum(idx) > degree:
             continue
-        if c.approx.terms:
+        if not c.approx.is_zero():
             if c.approx.valuation() < prec:
                 return False
         elif c.prec is not INFINITE and c.prec < prec:
@@ -190,7 +190,7 @@ def gauss_data(f):
     norm = None
     undetermined = []
     for idx, c in f.coeffs.items():
-        if c.approx.terms:
+        if not c.approx.is_zero():
             v = c.approx.valuation()
             if norm is None or v < norm:
                 norm = v
@@ -243,7 +243,7 @@ def _invert_unit(u, degree, prec):
     """Inverse of a norm-zero series with invertible constant coefficient."""
     zero_idx = (0,) * u.nvars
     gamma = u.coeffs.get(zero_idx)
-    if gamma is None or not gamma.approx.terms or not gamma.approx.valuation().is_zero():
+    if gamma is None or gamma.approx.is_zero() or not gamma.approx.valuation().is_zero():
         raise NotAUnit("constant coefficient is not a valuation-zero unit")
     gamma_inv = invert(gamma, prec)
     n = ms_scale(u, gamma_inv)

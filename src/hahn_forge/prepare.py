@@ -225,7 +225,7 @@ def newton_polygon(coeffs):
     for i, c in enumerate(coeffs):
         if c.is_exact_zero():
             continue
-        if not c.approx.terms:
+        if c.approx.is_zero():
             raise InsufficientPrecision(f"coefficient {i} has no determined valuation")
         points.append((i, c.approx.valuation().first()))
     if len(points) < 2:
@@ -683,16 +683,16 @@ def prepare_polynomial(p, lam, trials=300, rng_seed=0, max_retries=3):
     """
     if all(c.is_exact_zero() for c in p[1:]):
         raise ValueError("the polynomial must be nonconstant")
-    depth = lam.first() + 4
-    report = None
-    for _ in range(max_retries):
+    if max_retries < 1:
+        raise ValueError("max_retries must be at least 1")
+    for attempt in range(1, max_retries + 1):
+        depth = lam.first() + 4 * attempt
         prep = preparing_set([p], depth)
         report = verify_preparation(_term_from_poly(p), prep, lam, trials, rng_seed)
         if report.passed():
             return prep, report
         if report.verdict == "undecided":
             raise DepthExhausted(f"preparation undecided at depth {depth}; report: {report.to_json()}")
-        depth += 4
     raise DepthExhausted(f"preparation kept failing at depth {depth}; last report: {report.to_json()}")
 
 

@@ -62,7 +62,7 @@ def rv_lambda(x, lam):
         raise ValueError("depth must be >= 0")
     if x.is_exact_zero():
         return RvElement(lam, None, None)
-    if not x.approx.terms:
+    if x.approx.is_zero():
         raise InsufficientPrecision("valuation of the argument is not determined")
     gamma = x.approx.valuation()
     if x.prec is not INFINITE and not (x.prec > gamma + lam):
@@ -111,7 +111,7 @@ def angular_component(x):
     """
     if x.is_exact_zero():
         return Fraction(0)
-    if not x.approx.terms:
+    if x.approx.is_zero():
         raise InsufficientPrecision("leading coefficient is not determined")
     return x.approx.leading_coeff()
 
@@ -184,7 +184,7 @@ def ball_mates(rng, x0, centers, lam, count=2, steps=3):
     depth = None
     for c in centers:
         diff = x0 - c
-        if not diff.approx.terms:
+        if diff.approx.is_zero():
             return None
         v = diff.approx.valuation()
         if depth is None or v > depth:

@@ -10,18 +10,28 @@ precision bound, so arithmetic never has to guess hidden terms.
 The order is the one that makes t a positive infinitesimal: the sign of a
 nonzero element is the sign of its lowest-exponent coefficient.
 
-Products run on ints.  Each factor's coefficients are put over the lcm of
-their denominators, so the pair loop multiplies and sums plain ints and
-one ``Fraction`` is built per output term; both denominators are positive,
-so an int sum is zero exactly when the rational sum is (the content and
-primitive part of von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 6).  Rank-1 exponents go on one integer grid the same way.
+A rank-1 series is stored as one integer grid ``(eden, keys, cden, nums)``:
+the term ``nums[i]/cden * t^(keys[i]/eden)`` for each i, keys strictly
+ascending, no num zero, and ``eden`` and ``cden`` the least denominators
+of the exponents and of the coefficients (both 1 for zero).  This form is
+canonical, so equal values have equal grids.  Sums, products, truncation,
+shifts and scaling run on the ints and divide out one gcd per result; no
+``Fraction`` is built per term.  ``HahnSeries.terms`` is the same value as
+``(GroupElement, Fraction)`` pairs, built on first read and cached.  Rank
+d > 1 stores the pairs themselves.
+
+Products run on ints in every rank.  Each factor's coefficients are put
+over the lcm of their denominators, so the pair loop multiplies and sums
+plain ints; both denominators are positive, so an int sum is zero exactly
+when the rational sum is (the content and primitive part of von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -158,61 +168,67 @@ def _collect(pairs):
     return out
 
 
-def _over_common_denominator(terms):
-    """``(d, [(e, c*d), ...])`` with d the lcm of the coefficient denominators.
+def _int_products(ka, na, kb, nb, bound):
+    """The product of two ascending series given as keys and int numerators.
 
-    Every ``c*d`` is an int.
-    """
-    d = lcm(*(c.denominator for _, c in terms))
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms]
-
-
-def _int_products(a, b, bound):
-    """The product of two ascending ``(key, int)`` lists, keys below ``bound``.
-
-    Forms the pairs ``(ka + kb, ca * cb)``, sorts them by key, sums equal
-    keys and drops zero sums.  ``b`` ascends, so ``ka + kb`` ascends along
-    the inner loop, which stops at the first key at or above ``bound``.
+    Forms the pairs ``(ka[i] + kb[j], na[i] * nb[j])`` with key below
+    ``bound``, sums equal keys and drops zero sums; returns the ascending
+    ``(keys, nums)``.  ``kb`` ascends, so the key ascends along the inner
+    loop, which stops at the first key at or above ``bound``.
     """
     if bound is INFINITE:
-        pairs = [(ka + kb, ca * cb) for ka, ca in a for kb, cb in b]
+        pairs = [(x + y, ca * cb) for x, ca in zip(ka, na) for y, cb in zip(kb, nb)]
     else:
         pairs = []
-        for ka, ca in a:
-            for kb, cb in b:
-                k = ka + kb
+        append = pairs.append
+        for x, ca in zip(ka, na):
+            for y, cb in zip(kb, nb):
+                k = x + y
                 if k >= bound:
                     break
-                pairs.append((k, ca * cb))
+                append((k, ca * cb))
     pairs.sort(key=_first)
-    return _collect(pairs)
+    merged = _collect(pairs)
+    return tuple(map(_first, merged)), tuple(c for _, c in merged)
 
 
-def _mul_rank1(a, b, bound):
-    """``_int_products`` with rank-1 exponents on one integer grid.
+def _least(den, nums):
+    """``(den, nums)`` divided by ``gcd(den, *nums)``: den becomes least."""
+    if den == 1:
+        return den, nums
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, nums
+    return den // g, tuple(n // g for n in nums)
 
-    Int sort keys and int bound tests are cheap; the exponents are rebuilt
-    once per output term.
-    """
-    den = lcm(*(e[0].denominator for e, _ in a), *(e[0].denominator for e, _ in b))
-    ka = [(e[0].numerator * (den // e[0].denominator), c) for e, c in a]
-    kb = [(e[0].numerator * (den // e[0].denominator), c) for e, c in b]
-    if bound is not INFINITE:
-        # k/den >= bound  <=>  k >= ceil(bound * den)
-        b0 = bound[0]
-        bound = -((-b0.numerator * den) // b0.denominator)
-    return [(tuple.__new__(GroupElement, (Fraction(k, den),)), c) for k, c in _int_products(ka, kb, bound)]
+
+def _over(den, new, nums):
+    """``nums`` over the denominator ``den`` put over the multiple ``new``."""
+    return nums if new == den else tuple(n * (new // den) for n in nums)
+
+
+def _ceil_on_grid(bound, eden):
+    """Least int k with ``k/eden >= bound`` for a rank-1 bound."""
+    b0 = bound[0]
+    return -((-b0.numerator * eden) // b0.denominator)
+
+
+_ZERO_GRID = (1, (), 1, ())
+_set = object.__setattr__
 
 
 class HahnSeries:
     """Finite sum of monomials ``c * t^e`` with strictly ascending exponents.
 
-    Immutable.  Zero is the empty term list.  ``rank`` is the rank of the
-    exponent group and is carried explicitly so that the zero series knows
-    where it lives.
+    Immutable.  Zero has no terms.  ``rank`` is the rank of the exponent
+    group and is carried explicitly so that the zero series knows where it
+    lives.  A rank-1 value is its canonical integer grid (see the module
+    docstring); ``terms`` is a read-only view of it as ``(GroupElement,
+    Fraction)`` pairs, built on first read and cached.  Rank d > 1 stores
+    those pairs directly.
     """
 
-    __slots__ = ("terms", "rank")
+    __slots__ = ("rank", "_grid", "_terms")
 
     def __init__(self, terms, rank=1, _clean=True):
         if _clean:
@@ -225,15 +241,16 @@ class HahnSeries:
             cleaned = tuple(sorted((e, c) for e, c in acc.items() if c))
         else:
             cleaned = tuple(terms)
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "rank", rank)
+        _set(self, "rank", rank)
+        _set(self, "_terms", cleaned)
+        _set(self, "_grid", _grid_of(cleaned) if rank == 1 else None)
 
     def __setattr__(self, *a):
         raise AttributeError("HahnSeries is immutable")
 
     @classmethod
     def zero(cls, rank=1):
-        return cls((), rank, _clean=False)
+        return _on_grid(_ZERO_GRID) if rank == 1 else cls((), rank, _clean=False)
 
     @classmethod
     def constant(cls, q, rank=1):
@@ -249,15 +266,38 @@ class HahnSeries:
             return cls.zero(exponent.rank)
         return cls(((exponent, coeff),), exponent.rank, _clean=False)
 
+    @property
+    def terms(self):
+        """The ``(GroupElement, Fraction)`` pairs in ascending exponent order."""
+        terms = self._terms
+        if terms is None:
+            eden, keys, cden, nums = self._grid
+            terms = tuple(
+                (tuple.__new__(GroupElement, (Fraction(k, eden),)), Fraction(n, cden)) for k, n in zip(keys, nums)
+            )
+            _set(self, "_terms", terms)
+        return terms
+
     def is_zero(self):
-        return not self.terms
+        grid = self._grid
+        return not (self._terms if grid is None else grid[1])
 
     def valuation(self):
         """Least exponent of the support; INFINITE for the zero series."""
-        return self.terms[0][0] if self.terms else INFINITE
+        grid = self._grid
+        if grid is None:
+            terms = self._terms
+            return terms[0][0] if terms else INFINITE
+        eden, keys, _, _ = grid
+        return tuple.__new__(GroupElement, (Fraction(keys[0], eden),)) if keys else INFINITE
 
     def leading_coeff(self):
-        return self.terms[0][1] if self.terms else Fraction(0)
+        grid = self._grid
+        if grid is None:
+            terms = self._terms
+            return terms[0][1] if terms else Fraction(0)
+        _, _, cden, nums = grid
+        return Fraction(nums[0], cden) if nums else Fraction(0)
 
     def coefficient(self, exponent):
         for e, c in self.terms:
@@ -271,68 +311,70 @@ class HahnSeries:
         """Drop all terms with exponent >= bound."""
         if bound is INFINITE:
             return self
-        if self.rank == 1:
-            b0 = bound[0]
-            p, q = b0.numerator, b0.denominator
-            kept = tuple((e, c) for e, c in self.terms if e[0].numerator * q < p * e[0].denominator)
-        else:
-            kept = tuple((e, c) for e, c in self.terms if e < bound)
-        return self if len(kept) == len(self.terms) else HahnSeries(kept, self.rank, _clean=False)
+        grid = self._grid
+        if grid is None:
+            kept = tuple((e, c) for e, c in self._terms if e < bound)
+            return self if len(kept) == len(self._terms) else HahnSeries(kept, self.rank, _clean=False)
+        eden, keys, cden, nums = grid
+        if not keys:
+            return self
+        k = _ceil_on_grid(bound, eden)
+        if keys[-1] < k:
+            return self
+        cut = bisect_left(keys, k)
+        if not cut:
+            return _on_grid(_ZERO_GRID)
+        return _on_grid((*_least(eden, keys[:cut]), *_least(cden, nums[:cut])))
 
     def slice_window(self, lo, hi):
         """Terms with exponent in the closed window [lo, hi]."""
         return tuple((e, c) for e, c in self.terms if lo <= e <= hi)
 
     def __add__(self, other):
-        a, b = self.terms, other.terms
-        if not a:
+        ga, gb = self._grid, other._grid
+        if ga is None:
+            return _add_pairs(self, other)
+        ea, ka, ca, na = ga
+        eb, kb, cb, nb = gb
+        if not ka:
             return other
-        if not b:
+        if not kb:
             return self
-        out = []
+        eden = ea if ea == eb else lcm(ea, eb)
+        cden = ca if ca == cb else lcm(ca, cb)
+        ka, kb = _over(ea, eden, ka), _over(eb, eden, kb)
+        na, nb = _over(ca, cden, na), _over(cb, cden, nb)
+        keys, nums = [], []
         i = j = 0
-        na, nb = len(a), len(b)
-        if self.rank == 1:
-            # integer cross-comparison dodges the Fraction comparison overhead
-            while i < na and j < nb:
-                ea, ca = a[i]
-                eb, cb = b[j]
-                p, q = ea[0], eb[0]
-                key = p.numerator * q.denominator - q.numerator * p.denominator
-                if key < 0:
-                    out.append((ea, ca))
-                    i += 1
-                elif key > 0:
-                    out.append((eb, cb))
-                    j += 1
-                else:
-                    c = ca + cb
-                    if c:
-                        out.append((ea, c))
-                    i += 1
-                    j += 1
-        else:
-            while i < na and j < nb:
-                ea, ca = a[i]
-                eb, cb = b[j]
-                if ea < eb:
-                    out.append((ea, ca))
-                    i += 1
-                elif eb < ea:
-                    out.append((eb, cb))
-                    j += 1
-                else:
-                    c = ca + cb
-                    if c:
-                        out.append((ea, c))
-                    i += 1
-                    j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return HahnSeries(tuple(out), self.rank, _clean=False)
+        la, lb = len(ka), len(kb)
+        while i < la and j < lb:
+            x, y = ka[i], kb[j]
+            if x < y:
+                keys.append(x)
+                nums.append(na[i])
+                i += 1
+            elif y < x:
+                keys.append(y)
+                nums.append(nb[j])
+                j += 1
+            else:
+                n = na[i] + nb[j]
+                if n:
+                    keys.append(x)
+                    nums.append(n)
+                i += 1
+                j += 1
+        keys.extend(ka[i:] if i < la else kb[j:])
+        nums.extend(na[i:] if i < la else nb[j:])
+        # a sum at a shared key may lower a denominator or vanish
+        return _on_grid((*_least(eden, tuple(keys)), *_least(cden, tuple(nums))))
 
     def __neg__(self):
-        return HahnSeries(tuple((e, -c) for e, c in self.terms), self.rank, _clean=False)
+        grid = self._grid
+        if grid is None:
+            return HahnSeries(tuple((e, -c) for e, c in self._terms), self.rank, _clean=False)
+        eden, keys, cden, nums = grid
+        return _on_grid((eden, keys, cden, tuple(-n for n in nums)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -342,50 +384,148 @@ class HahnSeries:
 
         ``a.__mul__(b, bound=p)`` equals ``(a * b).truncate_below(p)``.
 
-        Coefficients are multiplied as ints: each factor is put over the lcm
-        of its coefficient denominators, ``da`` and ``db``, so every pair
-        product and every sum at an equal exponent is an int operation, and
-        one ``Fraction(n, da*db)`` is built per output term.  As
-        ``da*db > 0``, an int sum is zero exactly when the rational sum is,
-        so the support and the coefficients are those of the rational
-        product.
+        Coefficients are multiplied as ints: each factor's numerators sit
+        over its least common coefficient denominator, ``da`` and ``db``, so
+        every pair product and every sum at an equal exponent is an int
+        operation.  As ``da*db > 0``, an int sum is zero exactly when the
+        rational sum is, so the support and the coefficients are those of
+        the rational product.  Rank-1 exponents are put on the lcm of both
+        exponent denominators, and ``bound`` on that grid is rounded up.
         """
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return HahnSeries.zero(self.rank)
-        if len(a) > len(b):
-            a, b = b, a
-        da, ia = _over_common_denominator(a)
-        db, ib = _over_common_denominator(b)
-        if self.rank == 1:
-            merged = _mul_rank1(ia, ib, bound)
-        else:
-            merged = _int_products(ia, ib, bound)
-        den = da * db
-        if den == 1:
-            out = tuple((e, Fraction(n)) for e, n in merged)
-        else:
-            out = tuple((e, Fraction(n, den)) for e, n in merged)
-        return HahnSeries(out, self.rank, _clean=False)
+        ga, gb = self._grid, other._grid
+        if ga is None:
+            return _mul_pairs(self, other, bound)
+        ea, ka, ca, na = ga
+        eb, kb, cb, nb = gb
+        if not ka or not kb:
+            return _on_grid(_ZERO_GRID)
+        eden = ea if ea == eb else lcm(ea, eb)
+        ka, kb = _over(ea, eden, ka), _over(eb, eden, kb)
+        if bound is not INFINITE:
+            bound = _ceil_on_grid(bound, eden)
+        if len(ka) > len(kb):
+            ka, na, kb, nb = kb, nb, ka, na
+        keys, nums = _int_products(ka, na, kb, nb, bound)
+        if not keys:
+            return _on_grid(_ZERO_GRID)
+        return _on_grid((*_least(eden, keys), *_least(ca * cb, nums)))
 
     def scale(self, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
         if not q:
             return HahnSeries.zero(self.rank)
-        return HahnSeries(tuple((e, c * q) for e, c in self.terms), self.rank, _clean=False)
+        grid = self._grid
+        if grid is None:
+            return HahnSeries(tuple((e, c * q) for e, c in self._terms), self.rank, _clean=False)
+        eden, keys, cden, nums = grid
+        if not keys:
+            return self
+        p = q.numerator
+        return _on_grid((eden, keys, *_least(cden * q.denominator, tuple(n * p for n in nums))))
 
     def shift(self, exponent):
         """Multiply by the monomial t^exponent."""
-        return HahnSeries(tuple((e + exponent, c) for e, c in self.terms), self.rank, _clean=False)
+        grid = self._grid
+        if grid is None:
+            return HahnSeries(tuple((e + exponent, c) for e, c in self._terms), self.rank, _clean=False)
+        eden, keys, cden, nums = grid
+        if not keys:
+            return self
+        s = exponent[0]
+        new = lcm(eden, s.denominator)
+        step = s.numerator * (new // s.denominator)
+        keys = tuple(k + step for k in _over(eden, new, keys))
+        return _on_grid((*_least(new, keys), cden, nums))
 
     def __eq__(self, other):
-        return isinstance(other, HahnSeries) and self.terms == other.terms and self.rank == other.rank
+        if not isinstance(other, HahnSeries) or self.rank != other.rank:
+            return False
+        grid = self._grid
+        return self._terms == other._terms if grid is None else grid == other._grid
 
     def __hash__(self):
-        return hash((self.terms, self.rank))
+        grid = self._grid
+        return hash((self._terms if grid is None else grid, self.rank))
 
     def __repr__(self):
         return f"HahnSeries({format_series_body(self.terms, self.rank)!r})"
+
+
+def _grid_of(terms):
+    """The canonical grid of rank-1 terms, ascending with nonzero coefficients."""
+    if not terms:
+        return _ZERO_GRID
+    eden = lcm(*(e[0].denominator for e, _ in terms))
+    cden = lcm(*(c.denominator for _, c in terms))
+    keys = tuple(e[0].numerator * (eden // e[0].denominator) for e, _ in terms)
+    nums = tuple(c.numerator * (cden // c.denominator) for _, c in terms)
+    return eden, keys, cden, nums
+
+
+def _on_grid(grid):
+    """The rank-1 series of a canonical grid."""
+    out = object.__new__(HahnSeries)
+    _set(out, "rank", 1)
+    _set(out, "_grid", grid)
+    _set(out, "_terms", None)
+    return out
+
+
+def _add_pairs(a, b):
+    """Rank d > 1 sum: merge of the two ascending term lists."""
+    ta, tb = a._terms, b._terms
+    if not ta:
+        return b
+    if not tb:
+        return a
+    out = []
+    i = j = 0
+    na, nb = len(ta), len(tb)
+    while i < na and j < nb:
+        ea, ca = ta[i]
+        eb, cb = tb[j]
+        if ea < eb:
+            out.append((ea, ca))
+            i += 1
+        elif eb < ea:
+            out.append((eb, cb))
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    out.extend(ta[i:])
+    out.extend(tb[j:])
+    return HahnSeries(tuple(out), a.rank, _clean=False)
+
+
+def _over_common_denominator(terms):
+    """``(d, exponents, [c*d, ...])`` with d the lcm of the coefficient denominators.
+
+    Every ``c*d`` is an int.
+    """
+    d = lcm(*(c.denominator for _, c in terms))
+    return d, [e for e, _ in terms], [c.numerator * (d // c.denominator) for _, c in terms]
+
+
+def _mul_pairs(a, b, bound):
+    """Rank d > 1 product on int numerators; exponents stay ``GroupElement``."""
+    ta, tb = a._terms, b._terms
+    if not ta or not tb:
+        return HahnSeries.zero(a.rank)
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    da, ka, na = _over_common_denominator(ta)
+    db, kb, nb = _over_common_denominator(tb)
+    keys, nums = _int_products(ka, na, kb, nb, bound)
+    den = da * db
+    if den == 1:
+        out = tuple((e, Fraction(n)) for e, n in zip(keys, nums))
+    else:
+        out = tuple((e, Fraction(n, den)) for e, n in zip(keys, nums))
+    return HahnSeries(out, a.rank, _clean=False)
 
 
 class TruncatedSeries:
@@ -436,7 +576,7 @@ class TruncatedSeries:
 
     def valuation_lower_bound(self):
         """v of the true value is at least this (exactly v(approx) if nonempty)."""
-        return self.approx.valuation() if self.approx.terms else self.prec
+        return self.prec if self.approx.is_zero() else self.approx.valuation()
 
     def truncate(self, prec):
         new = prec if self.prec is INFINITE else min(self.prec, prec)
@@ -518,7 +658,7 @@ def compare_sign(a):
     Zero only for the exact zero series; an all-unknown truncation cannot
     be signed and raises instead of guessing.
     """
-    if a.approx.terms:
+    if not a.approx.is_zero():
         return _sign(a.approx.leading_coeff())
     if a.prec is INFINITE:
         return ZERO
@@ -527,7 +667,7 @@ def compare_sign(a):
 
 def valuation(a):
     """Least exponent of the support; INFINITE for exact zero."""
-    if a.approx.terms:
+    if not a.approx.is_zero():
         return a.approx.valuation()
     if a.prec is INFINITE:
         return INFINITE
@@ -561,11 +701,11 @@ def invert(a, target_prec):
     the precision of the step.  The inverse truncated at a given precision
     is unique, so the result does not depend on the iteration schedule.
     """
-    if not a.approx.terms:
+    if a.approx.is_zero():
         raise ZeroOrUncertainLeadingTerm("no determined leading term to invert")
     g = a.approx.valuation()
     c = a.approx.leading_coeff()
-    if len(a.approx.terms) == 1 and a.prec is INFINITE:
+    if a.prec is INFINITE and len(a.approx.terms) == 1:
         return TruncatedSeries.monomial(1 / c, -g)
     if target_prec is INFINITE:
         raise ValueError("invert needs a finite target precision for non-monomials")

@@ -2,6 +2,7 @@
 
 import json
 
+from hahn_forge import cli
 from hahn_forge.cli import run_cli
 
 
@@ -26,6 +27,16 @@ class TestEval:
     def test_parse_error_exit_code(self, capsys):
         code, payload, _ = run(capsys, "eval", "exp(x", "--at", "t^(1)")
         assert code == 2 and payload is None
+
+    def test_parser_is_reused_after_a_usage_error(self, capsys):
+        valid = ("eval", "--prec", "4", "exp(x)", "--at", "t^(1)")
+        _, _, alone = run(capsys, *valid)
+        for bad in (("eval", "exp(x)"), ("eval", "--prec"), ("frobnicate",)):
+            code, payload, _ = run(capsys, *bad)
+            assert code == 2 and payload is None
+            code, _, out = run(capsys, *valid)
+            assert code == 0 and out == alone
+        assert cli._build_parser() is cli._build_parser()
 
     def test_domain_error_is_usage(self, capsys):
         code, _, _ = run(capsys, "eval", "exp(x)", "--at", "1")

@@ -22,7 +22,7 @@ from hahn_forge.prepare import (
     verify_preparation,
     _term_from_poly,
 )
-from hahn_forge.rv import rv_combine, rv_lambda
+from hahn_forge.rv import VerificationReport, rv_combine, rv_lambda
 from hahn_forge.series import (
     GroupElement,
     HahnSeries,
@@ -246,6 +246,20 @@ class TestPreparePolynomial:
         with pytest.raises(DepthExhausted, match="undecided"):
             prepare_polynomial(poly("-1*t^(1)", "0", "1"), ge(0), trials=20, rng_seed=2, max_retries=3)
         assert len(calls) == 1
+
+    def test_exhausted_search_reports_the_last_depth_tried(self, monkeypatch):
+        calls = []
+
+        def always_fails(term, prep, lam, trials, rng_seed):
+            calls.append(lam)
+            return VerificationReport("verify", lam, trials, rng_seed, violations=[{"witness": "forced"}])
+
+        monkeypatch.setattr(preparation, "verify_preparation", always_fails)
+        with pytest.raises(DepthExhausted, match="kept failing at depth 12;"):
+            prepare_polynomial(poly("-1*t^(1)", "0", "1"), ge(0), trials=20, rng_seed=2, max_retries=3)
+        assert len(calls) == 3
+        with pytest.raises(ValueError, match="max_retries"):
+            prepare_polynomial(poly("-1*t^(1)", "0", "1"), ge(0), trials=20, rng_seed=2, max_retries=0)
 
 
 class TestJacobianProbe:

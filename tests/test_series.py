@@ -520,3 +520,138 @@ class TestPrecisionBoundedProducts:
         else:
             assert root.prec == target - a.approx.valuation() + a.approx.valuation() / n
             assert residual.approx.is_zero() or residual.approx.valuation() >= target
+
+
+# exponent denominators of the grid strategies; shifts and bounds also use
+# denominators off these grids
+EXPONENT_DENOMINATORS = [1, 2, 3, 7, 10**9 + 7]
+OFF_GRID_DENOMINATORS = [5, 11, 10**9 + 9]
+
+
+def _exponent(draw, denominators):
+    return Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from(denominators)))
+
+
+@st.composite
+def grid_dicts(draw, max_terms=5):
+    """A rank-1 value as the dict {exponent: coefficient} (the test oracle's form)."""
+    exps = draw(st.lists(st.builds(Fraction, st.integers(-30, 30), st.sampled_from(EXPONENT_DENOMINATORS)),
+                         max_size=max_terms, unique=True))
+    return dict(zip(exps, draw(rational_coeffs(len(exps)))))
+
+
+@st.composite
+def related_dicts(draw, a):
+    """A second value sharing exponents with ``a``: equal, cancelling or other coefficients there."""
+    out = draw(grid_dicts(max_terms=3))
+    for e, c in a.items():
+        kind = draw(st.sampled_from(["absent", "cancel", "same", "other"]))
+        if kind == "cancel":
+            out[e] = -c
+        elif kind == "same":
+            out[e] = c
+        elif kind == "other":
+            out[e] = draw(rational_coeffs(1))[0]
+    return out
+
+
+@st.composite
+def grid_scalars(draw):
+    return Fraction(draw(st.integers(-(10**30), 10**30).filter(bool)), draw(st.sampled_from([1, 3, 7, 2**61 - 1])))
+
+
+def _series_of(d):
+    # terms in descending order, each coefficient split in two, for the constructor to merge
+    terms = []
+    for e, c in sorted(d.items(), reverse=True):
+        terms += [(ge(e), c / 3), (ge(e), c - c / 3)]
+    return HahnSeries(terms)
+
+
+def _check_value(got, d):
+    """``got`` holds exactly the value ``d`` in canonical form."""
+    expected = [(ge(e), c) for e, c in sorted(d.items()) if c]
+    assert list(got.terms) == expected
+    assert all(type(e) is GroupElement and type(e[0]) is Fraction and type(c) is Fraction for e, c in got.terms)
+    built = HahnSeries(expected, 1, _clean=False)
+    assert got == built and hash(got) == hash(built) and got.terms == built.terms
+    assert got.is_zero() == (not expected) == (got == HahnSeries.zero())
+    assert got.valuation() == (expected[0][0] if expected else INFINITE)
+    assert got.leading_coeff() == (expected[0][1] if expected else 0)
+
+
+def _dict_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return out
+
+
+def _dict_mul(a, b, bound=INFINITE):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if bound is INFINITE or ea + eb < bound:
+                out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+    return out
+
+
+class TestIntegerGrid:
+    @given(grid_dicts(), st.data())
+    def test_sum_difference_and_negation_match_oracle(self, a, data):
+        b = data.draw(related_dicts(a))
+        x, y = _series_of(a), _series_of(b)
+        _check_value(x, a)
+        _check_value(x + y, _dict_add(a, b))
+        _check_value(y + x, _dict_add(a, b))
+        _check_value(-x, {e: -c for e, c in a.items()})
+        _check_value(x - y, _dict_add(a, {e: -c for e, c in b.items()}))
+        _check_value(x - x, {})
+
+    @given(grid_dicts(), grid_scalars(), st.data())
+    def test_scale_and_shift_match_oracle(self, a, q, data):
+        s = data.draw(st.one_of(st.just(Fraction(0)), st.builds(
+            Fraction, st.integers(-30, 30), st.sampled_from(EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS))))
+        x = _series_of(a)
+        _check_value(x.scale(q), {e: c * q for e, c in a.items()})
+        _check_value(x.scale(q).scale(1 / q), a)
+        _check_value(x.scale(0), {})
+        _check_value(x.shift(ge(s)), {e + s: c for e, c in a.items()})
+        _check_value(x.shift(ge(s)).shift(ge(-s)), a)
+
+    @given(grid_dicts(), st.data())
+    def test_truncate_below_matches_oracle(self, a, data):
+        drawn = data.draw(st.builds(Fraction, st.integers(-30, 30),
+                                    st.sampled_from(EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS)))
+        x = _series_of(a)
+        # off the grid, on it at every exponent, and just above each exponent
+        for p in [drawn] + list(a) + [e + Fraction(1, 10**9 + 9) for e in a]:
+            _check_value(x.truncate_below(ge(p)), {e: c for e, c in a.items() if e < p})
+        assert x.truncate_below(INFINITE) is x
+
+    @given(grid_dicts(max_terms=4), st.data())
+    def test_product_matches_oracle(self, a, data):
+        b = data.draw(related_dicts(a))
+        drawn = data.draw(st.builds(Fraction, st.integers(-60, 60),
+                                    st.sampled_from(EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS)))
+        x, y = _series_of(a), _series_of(b)
+        for p in [INFINITE, drawn] + list(_dict_mul(a, b)):
+            bound = p if p is INFINITE else ge(p)
+            for u, v in ((x, y), (y, x)):
+                got = u.__mul__(v, bound=bound)
+                _check_value(got, _dict_mul(a, b, p))
+                assert got == (u * v).truncate_below(bound)
+
+    def test_cancellation_to_exact_zero(self):
+        big = 10**9 + 7
+        a = {Fraction(1, 2): Fraction(3, 7), Fraction(-1, big): Fraction(-5, 2**61 - 1), Fraction(2, 3): Fraction(1)}
+        x = _series_of(a)
+        _check_value(x + (-x), {})
+        _check_value(x.scale(Fraction(-3, 7)) + x.scale(Fraction(3, 7)), {})
+        _check_value(x.shift(ge(Fraction(1, 5))) - x.shift(ge(Fraction(1, 5))), {})
+        # (1 + t^(1/2))(1 - t^(1/2)) = 1 - t: the product leaves the half grid
+        one_plus = HahnSeries([(ge(0), 1), (ge(Fraction(1, 2)), 1)])
+        one_minus = HahnSeries([(ge(0), 1), (ge(Fraction(1, 2)), -1)])
+        _check_value(one_plus * one_minus, {Fraction(0): Fraction(1), Fraction(1): Fraction(-1)})
+        _check_value(one_plus.__mul__(one_minus, bound=ge(Fraction(1, 2))), {Fraction(0): Fraction(1)})
+        _check_value((one_plus * one_minus).truncate_below(ge(0)), {})
