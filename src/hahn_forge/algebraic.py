@@ -24,7 +24,7 @@ _MAX_REFINE = 160
 
 
 def ptrim(p):
-    while p and not p[-1]:
+    while p and number_is_zero(p[-1]):
         p.pop()
     return p
 
@@ -95,8 +95,8 @@ def pgcd(a, b):
         _, r = pdivmod(a, b)
         a, b = b, r
     if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        inv = 1 / a[-1]
+        a = [c * inv for c in a]
     return a
 
 
@@ -118,8 +118,8 @@ def squarefree_decomposition(a):
         return []
     g = pgcd(a, pderiv(a))
     if pdeg(g) < 1:
-        lead = a[-1]
-        return [([c / lead for c in a], 1)]
+        inv = 1 / a[-1]
+        return [([c * inv for c in a], 1)]
     w, _ = pdivmod(a, g)
     y, _ = pdivmod(pderiv(a), g)
     z = psub(y, pderiv(w))
@@ -310,17 +310,7 @@ class AlgebraicContext:
         self.generation += 1
 
     def reduce(self, coords):
-        w = self.witness
-        lead = w[-1]
-        monic = [c / lead for c in w]
-        p = ptrim(list(coords))
-        while pdeg(p) >= pdeg(monic):
-            c = p[-1]
-            k = len(p) - len(monic)
-            for i, mc in enumerate(monic):
-                p[k + i] = p[k + i] - c * mc
-            ptrim(p)
-        return p
+        return pdivmod(coords, self.witness)[1]
 
 
 class RealAlgebraic:
@@ -466,9 +456,9 @@ def _ext_euclid(a, w):
         r0, r1 = r1, r
         u0, u1 = u1, psub(u0, pmul(q, u1))
     if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        u0 = pscale(u0, 1 / lead)
+        inv = 1 / r0[-1]
+        r0 = [c * inv for c in r0]
+        u0 = pscale(u0, inv)
     return r0, u0
 
 
@@ -497,79 +487,19 @@ def as_fraction_or_none(x):
     return None
 
 
-def generic_gcd(a, b, zero):
-    """Monic gcd over any exact field given via duck typing."""
-    a, b = _gtrim(list(a)), _gtrim(list(b))
-    while b:
-        _, r = generic_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = _number_inverse(a[-1])
-        a = [c * inv for c in a]
-    return a
-
-
-def _gtrim(p):
-    while p and number_is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def _number_inverse(x):
-    if isinstance(x, RealAlgebraic):
-        return x.inverse()
-    return 1 / x
-
-
-def generic_divmod(a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = _number_inverse(b[-1])
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        if number_is_zero(a[-1]):
-            a.pop()
-            continue
-        c = a[-1] * inv_lead
-        k = len(a) - len(b)
-        q[k] = q[k] + c
-        for i, bc in enumerate(b):
-            a[k + i] = a[k + i] - c * bc
-        a.pop()
-    return _gtrim(q), _gtrim(a)
-
-
-def generic_deriv(a):
-    return _gtrim([c * k for k, c in enumerate(a)][1:])
-
-
 def generic_real_root_count(a):
     """Number of real roots of a squarefree polynomial over the extension.
 
     Sturm chain with signs at minus and plus infinity read off the leading
     coefficients.
     """
-    a = _gtrim(list(a))
+    a = ptrim(list(a))
     if pdeg(a) < 1:
         return 0
-    chain = [a, generic_deriv(a)]
-    while chain[-1]:
-        _, r = generic_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    chain = [c for c in chain if c]
     at_minus = []
     at_plus = []
-    for c in chain:
+    for c in sturm_chain(a):
         lead = sign_of(c[-1])
-        deg = pdeg(c)
         at_plus.append(lead)
-        at_minus.append(lead if deg % 2 == 0 else -lead)
-    return _sign_changes_int(at_minus) - _sign_changes_int(at_plus)
-
-
-def _sign_changes_int(signs):
-    signs = [s for s in signs if s]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+        at_minus.append(lead if pdeg(c) % 2 == 0 else -lead)
+    return _sign_changes(at_minus) - _sign_changes(at_plus)

@@ -37,6 +37,7 @@ from .series import (
     INFINITE,
     TruncatedSeries,
     invert,
+    poly_eval,
     standard_part,
     valuation,
 )
@@ -320,16 +321,6 @@ def _sum_expansion(fn, args, vals, target_prec, bound, rank, prune):
     return clip(total)
 
 
-def poly_eval(coeffs, x, prec):
-    """Horner evaluation of a polynomial with TruncatedSeries coefficients."""
-    total = TruncatedSeries.zero(x.rank)
-    for c in reversed(coeffs):
-        total = total * x + c
-        if prec is not INFINITE:
-            total = total.truncate(prec)
-    return total
-
-
 def hensel_root(coeffs, target_prec, rank=1, trace=None):
     """Root of ``1 + y + sum a_i y^i`` with standard part -1.
 
@@ -369,7 +360,7 @@ def ms_drop_var(f, var):
     coeffs = {}
     for idx, c in f.coeffs.items():
         coeffs[idx[:var] + idx[var + 1 :]] = c
-    return MultiSeries(f.nvars - 1, f.degree, coeffs, exact=f.exact, rank=f.rank)
+    return MultiSeries(f.nvars - 1, f.degree, coeffs, rank=f.rank)
 
 
 def implicit_series(f, d_out, prec_out):
@@ -410,6 +401,5 @@ def sqrt_shifted(epsilon, d_out):
             (0, 1): TruncatedSeries.constant(-2 * eps, 1),
             (0, 2): TruncatedSeries.constant(Fraction(-1), 1),
         },
-        exact=True,
     )
     return implicit_series(h, d_out, INFINITE)

@@ -34,9 +34,9 @@ _MAX_FIXPOINT_ITERATIONS = 4096
 class MultiSeries:
     """Truncated power series in ``nvars`` variables over Hahn coefficients."""
 
-    __slots__ = ("nvars", "degree", "coeffs", "exact", "rank")
+    __slots__ = ("nvars", "degree", "coeffs", "rank")
 
-    def __init__(self, nvars, degree, coeffs, exact=True, rank=1):
+    def __init__(self, nvars, degree, coeffs, rank=1):
         cleaned = {}
         for idx, c in coeffs.items():
             if sum(idx) > degree:
@@ -48,7 +48,6 @@ class MultiSeries:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "rank", rank)
 
     def __setattr__(self, *a):
@@ -56,16 +55,16 @@ class MultiSeries:
 
     @classmethod
     def zero(cls, nvars, degree, rank=1):
-        return cls(nvars, degree, {}, exact=True, rank=rank)
+        return cls(nvars, degree, {}, rank=rank)
 
     @classmethod
     def constant(cls, value, nvars, degree):
-        return cls(nvars, degree, {(0,) * nvars: value}, exact=True, rank=value.rank)
+        return cls(nvars, degree, {(0,) * nvars: value}, rank=value.rank)
 
     @classmethod
     def variable(cls, var, nvars, degree, rank=1):
         idx = tuple(1 if i == var else 0 for i in range(nvars))
-        return cls(nvars, degree, {idx: TruncatedSeries.one(rank)}, exact=True, rank=rank)
+        return cls(nvars, degree, {idx: TruncatedSeries.one(rank)}, rank=rank)
 
     def is_zero(self):
         return not self.coeffs
@@ -100,7 +99,7 @@ def ms_pad(f, nvars):
     if nvars < f.nvars:
         raise ValueError("cannot drop variables")
     pad = (0,) * (nvars - f.nvars)
-    return MultiSeries(nvars, f.degree, {idx + pad: c for idx, c in f.coeffs.items()}, exact=f.exact, rank=f.rank)
+    return MultiSeries(nvars, f.degree, {idx + pad: c for idx, c in f.coeffs.items()}, rank=f.rank)
 
 
 def ms_add(a, b, degree=None, prec=None):
@@ -111,17 +110,11 @@ def ms_add(a, b, degree=None, prec=None):
     for idx, c in b.coeffs.items():
         cur = out.get(idx)
         out[idx] = c if cur is None else cur + c
-    return MultiSeries(
-        a.nvars,
-        degree,
-        _clip(out, degree, prec),
-        exact=a.exact and b.exact,
-        rank=a.rank,
-    )
+    return MultiSeries(a.nvars, degree, _clip(out, degree, prec), rank=a.rank)
 
 
 def ms_neg(a):
-    return MultiSeries(a.nvars, a.degree, {i: -c for i, c in a.coeffs.items()}, exact=a.exact, rank=a.rank)
+    return MultiSeries(a.nvars, a.degree, {i: -c for i, c in a.coeffs.items()}, rank=a.rank)
 
 
 def ms_sub(a, b, degree=None, prec=None):
@@ -132,9 +125,9 @@ def ms_scale(a, factor):
     """Multiply every coefficient by a TruncatedSeries or rational."""
     if isinstance(factor, Fraction) or isinstance(factor, int):
         out = {i: c.scale(factor) for i, c in a.coeffs.items()}
-        return MultiSeries(a.nvars, a.degree, out, exact=a.exact, rank=a.rank)
+        return MultiSeries(a.nvars, a.degree, out, rank=a.rank)
     out = {i: c * factor for i, c in a.coeffs.items()}
-    return MultiSeries(a.nvars, a.degree, out, exact=a.exact and factor.is_exact(), rank=a.rank)
+    return MultiSeries(a.nvars, a.degree, out, rank=a.rank)
 
 
 def ms_mul(a, b, degree=None, prec=None):
@@ -150,8 +143,7 @@ def ms_mul(a, b, degree=None, prec=None):
             term = ca * cb
             cur = acc.get(idx)
             acc[idx] = term if cur is None else cur + term
-    exact = a.exact and b.exact and a.max_degree() + b.max_degree() <= degree
-    return MultiSeries(a.nvars, degree, _clip(acc, degree, prec), exact=exact, rank=a.rank)
+    return MultiSeries(a.nvars, degree, _clip(acc, degree, prec), rank=a.rank)
 
 
 def _clip(coeffs, degree, prec):
@@ -208,7 +200,7 @@ def gauss_data(f):
         q = c.approx.coefficient(norm)
         if q:
             top[idx] = TruncatedSeries.constant(q, f.rank)
-    return norm, MultiSeries(f.nvars, f.degree, top, exact=True, rank=f.rank)
+    return norm, MultiSeries(f.nvars, f.degree, top, rank=f.rank)
 
 
 def regular_degree(f, var):
@@ -266,12 +258,12 @@ def _extract_high(t, var, s, degree, prec):
         if idx[var] >= s:
             shifted = tuple(e - s if i == var else e for i, e in enumerate(idx))
             high[shifted] = c
-    return MultiSeries(t.nvars, degree, _clip(high, degree, prec), exact=False, rank=t.rank)
+    return MultiSeries(t.nvars, degree, _clip(high, degree, prec), rank=t.rank)
 
 
 def _extract_low(t, var, s, degree, prec):
     low = {i: c for i, c in t.coeffs.items() if i[var] < s}
-    return MultiSeries(t.nvars, degree, _clip(low, degree, prec), exact=False, rank=t.rank)
+    return MultiSeries(t.nvars, degree, _clip(low, degree, prec), rank=t.rank)
 
 
 def weierstrass_divide(f, g, var, d_out, prec_out):
@@ -296,12 +288,12 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
     # so the iteration has to run that much deeper to certify prec_out
     norm_g, _ = gauss_data(g)
     prec_work = prec_out - norm_g if norm_g < GroupElement.zero(norm_g.rank) else prec_out
-    f_w = MultiSeries(f.nvars, d_work, _clip(dict(f.coeffs), d_work, prec_work), exact=f.exact, rank=f.rank)
+    f_w = MultiSeries(f.nvars, d_work, _clip(dict(f.coeffs), d_work, prec_work), rank=f.rank)
     low, unit = _split_for_division(f_w, var, s)
-    w_part = MultiSeries(f.nvars, d_work, low, exact=False, rank=f.rank)
-    u_part = MultiSeries(f.nvars, d_work, unit, exact=False, rank=f.rank)
+    w_part = MultiSeries(f.nvars, d_work, low, rank=f.rank)
+    u_part = MultiSeries(f.nvars, d_work, unit, rank=f.rank)
     v_inv = _invert_unit(u_part, d_work, prec_work)
-    g_w = MultiSeries(g.nvars, d_work, _clip(dict(g.coeffs), d_work, prec_work), exact=g.exact, rank=g.rank)
+    g_w = MultiSeries(g.nvars, d_work, _clip(dict(g.coeffs), d_work, prec_work), rank=g.rank)
 
     q = MultiSeries.zero(f.nvars, d_work, rank=f.rank)
     for _ in range(_MAX_FIXPOINT_ITERATIONS):
@@ -321,8 +313,8 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
         for idx, c in remainder.coeffs.items():
             if idx[var] == i:
                 coeffs[tuple(0 if j == var else e for j, e in enumerate(idx))] = c
-        r_list.append(MultiSeries(f.nvars, d_out, coeffs, exact=False, rank=f.rank))
-    q_out = MultiSeries(f.nvars, d_out, _clip(dict(q.coeffs), d_out, prec_out), exact=False, rank=f.rank)
+        r_list.append(MultiSeries(f.nvars, d_out, coeffs, rank=f.rank))
+    q_out = MultiSeries(f.nvars, d_out, _clip(dict(q.coeffs), d_out, prec_out), rank=f.rank)
     return q_out, r_list
 
 
@@ -370,9 +362,9 @@ def strong_split(f):
             f2[tidx] = c if cur is None else cur + c
     deg = f.degree
     return (
-        MultiSeries(n + 2, deg, f1, exact=f.exact, rank=f.rank),
-        MultiSeries(n + 2, deg, f2, exact=f.exact, rank=f.rank),
-        MultiSeries(n + 3, deg, q, exact=f.exact, rank=f.rank),
+        MultiSeries(n + 2, deg, f1, rank=f.rank),
+        MultiSeries(n + 2, deg, f2, rank=f.rank),
+        MultiSeries(n + 3, deg, q, rank=f.rank),
     )
 
 
@@ -401,7 +393,7 @@ def recenter_rescale(f, center, scale=Fraction(1)):
             term = c.scale(w)
             cur = acc.get(nidx)
             acc[nidx] = term if cur is None else cur + term
-    return MultiSeries(f.nvars, f.degree, acc, exact=f.exact, rank=f.rank)
+    return MultiSeries(f.nvars, f.degree, acc, rank=f.rank)
 
 
 def ms_substitute(f, var, r, degree, prec):
@@ -426,7 +418,7 @@ def ms_substitute(f, var, r, degree, prec):
                 break
         layer = by_power.get(k)
         if layer:
-            part = MultiSeries(f.nvars, degree, layer, exact=False, rank=f.rank)
+            part = MultiSeries(f.nvars, degree, layer, rank=f.rank)
             out = ms_add(out, ms_mul(part, r_power, degree, prec), degree, prec)
     return out
 
@@ -529,4 +521,4 @@ def parse_multiseries(text, nvars=None, degree=None, rank=1):
         coeffs[idx] = c if cur is None else cur + c
     if degree is None:
         degree = max((sum(i) for i in coeffs), default=0)
-    return MultiSeries(nvars, degree, coeffs, exact=True, rank=rank)
+    return MultiSeries(nvars, degree, coeffs, rank=rank)

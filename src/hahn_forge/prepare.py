@@ -17,6 +17,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -26,7 +27,6 @@ from .algebraic import (
     AlgebraicContext,
     RealAlgebraic,
     as_fraction_or_none,
-    generic_real_root_count,
     number_is_zero,
 )
 from .errors import (
@@ -58,6 +58,7 @@ from .series import (
     format_series,
     format_rational,
     invert,
+    poly_eval,
     valuation,
 )
 
@@ -204,13 +205,6 @@ def poly_text(coeffs):
     return " + ".join(parts) if parts else "0"
 
 
-def poly_eval_exact(coeffs, x):
-    total = TruncatedSeries.zero(x.rank)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
 def poly_derivative(coeffs):
     return [c.scale(k) for k, c in enumerate(coeffs)][1:]
 
@@ -228,23 +222,7 @@ def newton_polygon(coeffs):
         if c.approx.is_zero():
             raise InsufficientPrecision(f"coefficient {i} has no determined valuation")
         points.append((i, c.approx.valuation().first()))
-    if len(points) < 2:
-        return []
-    hull = [points[0]]
-    for pt in points[1:]:
-        while len(hull) >= 2:
-            (i1, v1), (i2, v2) = hull[-2], hull[-1]
-            # keep the lower hull: drop the middle point when it lies on or
-            # above the segment to the new point
-            if (v2 - v1) * (pt[0] - i1) >= (pt[1] - v1) * (i2 - i1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    out = []
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        out.append((Fraction(v1 - v2, i2 - i1), i2 - i1))
-    return out
+    return [(nu, i2 - i1) for nu, i1, i2, _ in _hull_edges(points, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +293,19 @@ def _poly_points(coeffs):
 
 
 def _hull_edges(points, floor):
-    """Lower-hull edges with valuation strictly above ``floor``."""
+    """Lower-hull edges ``(nu, i1, i2, v1)`` with valuation nu strictly above ``floor``.
+
+    ``points`` are ``(i, v)`` in ascending i; nu is the negated slope of the
+    edge from ``(i1, v1)`` to ``(i2, v2)``.
+    """
     if len(points) < 2:
         return []
     hull = [points[0]]
     for pt in points[1:]:
         while len(hull) >= 2:
             (i1, v1), (i2, v2) = hull[-2], hull[-1]
+            # keep the lower hull: drop the middle point when it lies on or
+            # above the segment to the new point
             if (v2 - v1) * (pt[0] - i1) >= (pt[1] - v1) * (i2 - i1):
                 hull.pop()
             else:
@@ -387,12 +371,12 @@ def _field_roots(phi, ctx):
         return roots, pairs
 
     # coefficients genuinely involve the generator
-    for factor, mult in _generic_squarefree(phi):
+    for factor, mult in alg.squarefree_decomposition(phi):
         if alg.pdeg(factor) == 1:
             # squarefree factors come back monic
             roots.append((-factor[0], mult, ctx))
             continue
-        real_count = generic_real_root_count(factor)
+        real_count = alg.generic_real_root_count(factor)
         if real_count:
             raise UndecidedSign(
                 "branch needs a second algebraic generator; "
@@ -400,39 +384,6 @@ def _field_roots(phi, ctx):
             )
         pairs.append((alg.pdeg(factor) // 2, mult))
     return roots, pairs
-
-
-def _generic_squarefree(phi):
-    from .algebraic import generic_divmod, generic_deriv, generic_gcd
-
-    p = list(phi)
-    out = []
-    g = generic_gcd(p, generic_deriv(p), None)
-    if alg.pdeg(g) < 1:
-        inv = p[-1].inverse() if isinstance(p[-1], RealAlgebraic) else 1 / p[-1]
-        return [([c * inv for c in p], 1)]
-    w, _ = generic_divmod(p, g)
-    y, _ = generic_divmod(generic_deriv(p), g)
-    z = [a - b for a, b in _pad_pair(y, generic_deriv(w))]
-    k = 1
-    while alg.pdeg(w) >= 1:
-        f = generic_gcd(w, z, None)
-        if alg.pdeg(f) >= 1:
-            out.append((f, k))
-        w, _ = generic_divmod(w, f)
-        y, _ = generic_divmod(z, f)
-        z = [a - b for a, b in _pad_pair(y, generic_deriv(w))]
-        k += 1
-        if k > 80:
-            raise RuntimeError("squarefree decomposition looped")
-    return out
-
-
-def _pad_pair(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
 
 
 def _expand(coeffs, floor, prefix, ctx, depth_target, level, out):
@@ -638,15 +589,8 @@ def puiseux_roots(coeffs, depth=Fraction(4)):
 
 
 def _term_from_poly(coeffs):
-    def term(x, prec=None):
-        if prec is None:
-            return poly_eval_exact(coeffs, x)
-        total = TruncatedSeries.zero(x.rank)
-        for c in reversed(coeffs):
-            total = (total * x + c).truncate(prec)
-        return total
-
-    return term
+    """The callable ``term(x, prec)`` of a polynomial, exact without ``prec``."""
+    return partial(poly_eval, coeffs)
 
 
 def preparing_set(polys, depth):

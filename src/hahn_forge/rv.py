@@ -28,6 +28,7 @@ from .series import (
     TruncatedSeries,
     format_exponent,
     format_series,
+    invert,
 )
 
 
@@ -67,26 +68,20 @@ def rv_lambda(x, lam):
     gamma = x.approx.valuation()
     if x.prec is not INFINITE and not (x.prec > gamma + lam):
         raise InsufficientPrecision("unit jet is not determined to the requested depth")
-    window = x.approx.shift(-gamma).slice_window(GroupElement.zero(x.rank), lam)
-    return RvElement(lam, gamma, HahnSeries(window, x.rank, _clean=False))
-
-
-def _jet_truncate(jet, lam):
-    rank = jet.rank
-    return HahnSeries(jet.slice_window(GroupElement.zero(rank), lam), rank, _clean=False)
+    return RvElement(lam, gamma, x.approx.shift(-gamma).truncate_through(lam))
 
 
 def _jet_invert(jet, lam):
-    c = jet.leading_coeff()
-    u = jet.scale(1 / c) - HahnSeries.constant(1, jet.rank)
-    acc = HahnSeries.constant(1, jet.rank)
-    power = acc
-    while True:
-        power = _jet_truncate(power * (-u), lam)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return _jet_truncate(acc.scale(1 / c), lam)
+    """The jet of ``1/jet`` through lam.
+
+    The truncated inverse is unique, so its terms through lam are those of
+    ``invert`` at any target above lam; the target is lam + (0, ..., 0, 1).
+    In rank > 1, when the gap of the jet lies in a later coordinate than
+    lam, the inverse has infinitely many terms through lam and ``invert``
+    raises ``PrecisionStall``.
+    """
+    step = GroupElement([0] * (lam.rank - 1) + [1])
+    return invert(TruncatedSeries.exact(jet), lam + step).approx.truncate_through(lam)
 
 
 def rv_combine(kind, a, b=None):
@@ -96,7 +91,7 @@ def rv_combine(kind, a, b=None):
             raise ValueError("depth mismatch")
         if a.is_zero() or b.is_zero():
             return RvElement(a.lam, None, None)
-        return RvElement(a.lam, a.gamma + b.gamma, _jet_truncate(a.jet * b.jet, a.lam))
+        return RvElement(a.lam, a.gamma + b.gamma, (a.jet * b.jet).truncate_through(a.lam))
     if kind == "inv":
         if a.is_zero():
             raise ZeroInverse("the zero class has no inverse")

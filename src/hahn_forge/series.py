@@ -20,6 +20,15 @@ shifts and scaling run on the ints and divide out one gcd per result; no
 ``(GroupElement, Fraction)`` pairs, built on first read and cached.  Rank
 d > 1 stores the pairs themselves.
 
+Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
+< p (the open bound of a precision), and ``truncate_through(hi)`` keeps
+those <= hi (the closed window of a leading-term jet).  On the grid both
+are one ``bisect`` at the bound rounded onto the exponent denominator.
+
+``power`` and ``poly_eval`` are the one repeated product and the one
+Horner loop of the package; both truncate every step at an optional
+precision and are exact without one.
+
 Products run on ints in every rank.  Each factor's coefficients are put
 over the lcm of their denominators, so the pair loop multiplies and sums
 plain ints; both denominators are positive, so an int sum is zero exactly
@@ -29,7 +38,7 @@ Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -313,22 +322,29 @@ class HahnSeries:
             return self
         grid = self._grid
         if grid is None:
-            kept = tuple((e, c) for e, c in self._terms if e < bound)
-            return self if len(kept) == len(self._terms) else HahnSeries(kept, self.rank, _clean=False)
+            return self._prefix(bisect_left(self._terms, bound, key=_first))
+        return self._prefix(bisect_left(grid[1], _ceil_on_grid(bound, grid[0])))
+
+    def truncate_through(self, hi):
+        """Drop all terms with exponent > hi."""
+        grid = self._grid
+        if grid is None:
+            return self._prefix(bisect_right(self._terms, hi, key=_first))
+        h0 = hi[0]
+        return self._prefix(bisect_right(grid[1], h0.numerator * grid[0] // h0.denominator))
+
+    def _prefix(self, cut):
+        """The series of the ``cut`` lowest terms."""
+        grid = self._grid
+        if grid is None:
+            terms = self._terms
+            return self if cut == len(terms) else HahnSeries(terms[:cut], self.rank, _clean=False)
         eden, keys, cden, nums = grid
-        if not keys:
+        if cut == len(keys):
             return self
-        k = _ceil_on_grid(bound, eden)
-        if keys[-1] < k:
-            return self
-        cut = bisect_left(keys, k)
         if not cut:
             return _on_grid(_ZERO_GRID)
         return _on_grid((*_least(eden, keys[:cut]), *_least(cden, nums[:cut])))
-
-    def slice_window(self, lo, hi):
-        """Terms with exponent in the closed window [lo, hi]."""
-        return tuple((e, c) for e, c in self.terms if lo <= e <= hi)
 
     def __add__(self, other):
         ga, gb = self._grid, other._grid
@@ -579,6 +595,8 @@ class TruncatedSeries:
         return self.prec if self.approx.is_zero() else self.approx.valuation()
 
     def truncate(self, prec):
+        if prec is INFINITE:
+            return self
         new = prec if self.prec is INFINITE else min(self.prec, prec)
         return TruncatedSeries(self.approx, new)
 
@@ -784,7 +802,7 @@ def nth_root(a, n, target_prec):
     work = res_target
     y = one
     for _ in range(64):
-        yn = _int_pow(y, n, work)
+        yn = power(y, n, work)
         residual = yn - unit
         if residual.approx.is_zero():
             if residual.is_exact() and a.is_exact():
@@ -792,7 +810,7 @@ def nth_root(a, n, target_prec):
             break
         if residual.approx.valuation() >= res_target:
             break
-        deriv = _int_pow(y, n - 1, work).scale(n)
+        deriv = power(y, n - 1, work).scale(n)
         y = (y - residual * invert(deriv, work)).truncate(work)
     x = b * y
     if a.is_exact():
@@ -804,18 +822,29 @@ def nth_root(a, n, target_prec):
             if terms[cut - 1][0] * n != top:
                 continue  # the top term of cand^n cannot cancel
             cand = TruncatedSeries.exact(HahnSeries(terms[:cut], a.rank, _clean=False))
-            if _int_pow(cand, n, INFINITE).approx == a.approx:
+            if power(cand, n).approx == a.approx:
                 return cand
     return x.truncate(res_target + g_over_n)
 
 
-def _int_pow(x, k, prec):
+def power(x, k, prec=INFINITE):
+    """``x^k`` for an int k >= 0 by k products, each truncated at ``prec``.
+
+    Repeated rather than binary powering: on untruncated inputs the
+    squarings of binary powering hold larger intermediate products at once.
+    """
     out = TruncatedSeries.one(x.rank)
     for _ in range(k):
-        out = out * x
-        if prec is not INFINITE:
-            out = out.truncate(prec)
+        out = (out * x).truncate(prec)
     return out
+
+
+def poly_eval(coeffs, x, prec=INFINITE):
+    """Horner evaluation of ``sum coeffs[i] x^i``, each step truncated at ``prec``."""
+    total = TruncatedSeries.zero(x.rank)
+    for c in reversed(coeffs):
+        total = (total * x + c).truncate(prec)
+    return total
 
 
 # ---------------------------------------------------------------------------

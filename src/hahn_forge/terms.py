@@ -35,6 +35,7 @@ from .series import (
     format_exponent,
     format_rational,
     invert,
+    power,
 )
 
 
@@ -354,7 +355,8 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
         if isinstance(node, Div):
             return _divide(ev(node.left), ev(node.right))
         if isinstance(node, Pow):
-            return _power(ev(node.base), node.exponent)
+            value = power(ev(node.base), abs(node.exponent))
+            return value if node.exponent >= 0 else _divide(TruncatedSeries.one(rank), value)
         if isinstance(node, App):
             if node.name == "inv":
                 return _divide(TruncatedSeries.one(rank), ev(node.args[0]))
@@ -374,14 +376,6 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
                 return TruncatedSeries.zero(rank)
             raise DivisionByZero("exact zero denominator")
         return a * invert(b, target_prec)
-
-    def _power(base, n):
-        if n < 0:
-            return _divide(TruncatedSeries.one(rank), _power(base, -n))
-        out = TruncatedSeries.one(rank)
-        for _ in range(n):
-            out = out * base
-        return out
 
     value = ev(node)
     # clip stored data to the target, keeping exact values exact
@@ -423,11 +417,7 @@ def _poly_of(node, rank):
         right = _poly_of(node.right, rank)
         if left is None or right is None:
             return None
-        out = [TruncatedSeries.zero(rank) for _ in range(len(left) + len(right) - 1)]
-        for i, a in enumerate(left):
-            for j, b in enumerate(right):
-                out[i + j] = out[i + j] + a * b
-        return out
+        return _poly_mul(left, right, rank)
     if isinstance(node, Neg):
         inner = _poly_of(node.operand, rank)
         return None if inner is None else [-c for c in inner]
@@ -439,13 +429,18 @@ def _poly_of(node, rank):
             return None
         out = [TruncatedSeries.one(rank)]
         for _ in range(node.exponent):
-            mul = [TruncatedSeries.zero(rank) for _ in range(len(out) + len(base) - 1)]
-            for i, a in enumerate(out):
-                for j, b in enumerate(base):
-                    mul[i + j] = mul[i + j] + a * b
-            out = mul
+            out = _poly_mul(out, base, rank)
         return out
     return None
+
+
+def _poly_mul(left, right, rank):
+    """Product of two dense coefficient lists."""
+    out = [TruncatedSeries.zero(rank) for _ in range(len(left) + len(right) - 1)]
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            out[i + j] = out[i + j] + a * b
+    return out
 
 
 def polynomial_coeffs(node, rank):

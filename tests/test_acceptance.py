@@ -87,7 +87,7 @@ def _division_instance(rng):
         if all(e == 0 for i, e in enumerate(idx) if i != var) and idx[var] < s_deg:
             continue
         coeffs.setdefault(idx, _random_coeff(rng, NONNEG_GRID))
-    f = MultiSeries(nvars, 8, coeffs, exact=True)
+    f = MultiSeries(nvars, 8, coeffs)
 
     gcoeffs = {}
     for _ in range(rng.randint(1, 4)):
@@ -95,7 +95,7 @@ def _division_instance(rng):
         if sum(idx) > 8:
             continue
         gcoeffs[idx] = _random_coeff(rng, QUARTER_GRID)
-    g = MultiSeries(nvars, 8, gcoeffs, exact=True)
+    g = MultiSeries(nvars, 8, gcoeffs)
     return f, g, var, d_out
 
 
@@ -106,7 +106,7 @@ def _division_defect(f, g, var, q, r_list, d_out):
         f.max_degree() + q.max_degree(),
         max((r.max_degree() + i for i, r in enumerate(r_list)), default=0),
     )
-    widen = lambda h: MultiSeries(h.nvars, wide, dict(h.coeffs), exact=h.exact, rank=h.rank)
+    widen = lambda h: MultiSeries(h.nvars, wide, dict(h.coeffs), rank=h.rank)
     defect = ms_sub(widen(g), ms_mul(widen(q), widen(f), wide, None), wide, None)
     for i, r in enumerate(r_list):
         term = widen(r)
@@ -155,7 +155,7 @@ def test_criterion_2_strong_split_suite():
             if sum(idx) > 8:
                 continue
             coeffs[idx] = _random_coeff(rng, NONNEG_GRID)
-        f = MultiSeries(nvars, 8, coeffs, exact=True)
+        f = MultiSeries(nvars, 8, coeffs)
         f1, f2, q = strong_split(f)
         if not _split_defect_zero(f, f1, f2, q, n):
             failures += 1
@@ -174,13 +174,13 @@ def _split_defect_zero(f, f1, f2, q, n):
             for i, e in enumerate(idx):
                 nidx[positions[i]] = e
             coeffs[tuple(nidx)] = c
-        return MultiSeries(big, deg, coeffs, exact=True, rank=h.rank)
+        return MultiSeries(big, deg, coeffs, rank=h.rank)
 
     xi = list(range(n))
     f_b = embed(f, xi + [n, n + 1])
     f1_b = embed(f1, xi + [n, n + 2])
     f2_b = embed(f2, xi + [n + 1, n + 2])
-    q_b = MultiSeries(big, deg, dict(q.coeffs), exact=True, rank=q.rank)
+    q_b = MultiSeries(big, deg, dict(q.coeffs), rank=q.rank)
     eta1 = MultiSeries.variable(n, big, deg)
     eta2 = MultiSeries.variable(n + 1, big, deg)
     eta3 = MultiSeries.variable(n + 2, big, deg)

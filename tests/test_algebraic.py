@@ -1,9 +1,23 @@
-"""Exact rational-polynomial helpers."""
+"""Exact polynomial helpers over Q and over one real algebraic extension."""
 
 import random
 from fractions import Fraction
 
-from hahn_forge.algebraic import peval, rational_roots
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hahn_forge.algebraic import (
+    AlgebraicContext,
+    RealAlgebraic,
+    generic_real_root_count,
+    isolate_real_roots,
+    pdivmod,
+    peval,
+    pgcd,
+    pmul,
+    rational_roots,
+    squarefree_decomposition,
+)
 
 
 class TestRationalRoots:
@@ -34,3 +48,107 @@ class TestRationalRoots:
         assert sorted(roots) == [Fraction(-3), Fraction(1, 2)]
         roots, rest = rational_roots([Fraction(-2), Fraction(0), Fraction(1)])
         assert roots == [] and peval(rest, Fraction(1)) == -1
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy (tests only; the package never imports it)
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def rational_polys(draw):
+    """Products of powers of small factors, so repeated and rational roots are common."""
+    p = [draw(small_rationals.filter(bool))]
+    for _ in range(draw(st.integers(1, 4))):
+        factor = draw(st.lists(small_rationals, min_size=2, max_size=4))
+        if not factor[-1]:
+            factor[-1] = Fraction(1)
+        for _ in range(draw(st.integers(1, 3))):
+            p = pmul(p, factor)
+    return p
+
+
+def _sympy_poly(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x, domain="QQ")
+
+
+def _fractions(poly):
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+class TestAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys())
+    def test_squarefree_decomposition(self, p):
+        _, factors = _sympy_poly(p).sqf_list()
+        expected = sorted((k, _fractions(f.monic())) for f, k in factors if f.degree() >= 1)
+        assert sorted((k, f) for f, k in squarefree_decomposition(p)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys())
+    def test_rational_roots(self, p):
+        _, factors = _sympy_poly(p).factor_list()
+        expected = []
+        for f, k in factors:
+            if f.degree() == 1:
+                c0, c1 = _fractions(f)
+                expected += [-c0 / c1] * k
+        roots, rest = rational_roots(p)
+        assert sorted(roots) == sorted(expected)
+        removed = [Fraction(1)]
+        for r in roots:
+            removed = pmul(removed, [-r, Fraction(1)])
+        assert pmul(rest, removed) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys())
+    def test_isolate_real_roots(self, p):
+        square_free = squarefree_decomposition(p)
+        part = [Fraction(1)]
+        for f, _ in square_free:
+            part = pmul(part, f)
+        poly = _sympy_poly(part)
+        intervals = isolate_real_roots(part)
+        assert len(intervals) == len(poly.real_roots())
+        for lo, hi in intervals:
+            assert lo < hi and peval(part, lo) and peval(part, hi)
+            assert poly.count_roots(lo, hi) == 1
+        for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+            assert hi <= lo
+
+
+class TestOverTheExtension:
+    """The same polynomial helpers with coefficients in Q(sqrt 2)."""
+
+    def _theta(self):
+        ctx = AlgebraicContext([Fraction(-2), Fraction(0), Fraction(1)], Fraction(1), Fraction(2))
+        return RealAlgebraic.generator(ctx)
+
+    def test_squarefree_decomposition(self):
+        theta = self._theta()
+        x_minus, x_plus = [-theta, Fraction(1)], [theta, Fraction(1)]
+        p = pmul(pmul(pmul(x_minus, x_minus), x_plus), [Fraction(3)])
+        out = squarefree_decomposition(p)
+        assert [k for _, k in out] == [1, 2]
+        (f1, _), (f2, _) = out
+        assert len(f1) == 2 and f1[0] == theta and f1[1] == 1
+        assert len(f2) == 2 and f2[0] == -theta and f2[1] == 1
+
+    def test_gcd_and_division(self):
+        theta = self._theta()
+        a = pmul([-theta, Fraction(1)], [Fraction(1), Fraction(0), Fraction(1)])
+        b = pmul([-theta, Fraction(1)], [Fraction(5), Fraction(2)])
+        g = pgcd(a, b)
+        assert len(g) == 2 and g[0] == -theta and g[1] == 1
+        q, r = pdivmod(a, g)
+        assert r == [] and len(q) == 3 and q[0] == 1 and q[1] == 0 and q[2] == 1
+
+    def test_real_root_count(self):
+        theta = self._theta()
+        # x^2 - sqrt 2 has two real roots, x^2 + sqrt 2 none
+        assert generic_real_root_count([-theta, Fraction(0), Fraction(1)]) == 2
+        assert generic_real_root_count([theta, Fraction(0), Fraction(1)]) == 0
+        assert generic_real_root_count([theta * 3, Fraction(1)]) == 1

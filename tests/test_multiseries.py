@@ -37,12 +37,12 @@ def embed(f, positions, nvars):
         for i, e in enumerate(idx):
             nidx[positions[i]] = e
         coeffs[tuple(nidx)] = c
-    return MultiSeries(nvars, f.degree, coeffs, exact=f.exact, rank=f.rank)
+    return MultiSeries(nvars, f.degree, coeffs, rank=f.rank)
 
 
 def division_defect(f, g, var, q, r_list, d_out):
     wide = d_out + f.max_degree() + 1
-    widen = lambda h: MultiSeries(h.nvars, wide, dict(h.coeffs), exact=h.exact, rank=h.rank)
+    widen = lambda h: MultiSeries(h.nvars, wide, dict(h.coeffs), rank=h.rank)
     defect = ms_sub(widen(g), ms_mul(widen(q), widen(f), wide, None), wide, None)
     for i, r in enumerate(r_list):
         mono = MultiSeries.variable(var, f.nvars, wide)
@@ -180,7 +180,7 @@ def _random_division_instance(rng):
         if all(e == 0 for i, e in enumerate(idx) if i != var) and idx[var] < s:
             continue
         coeffs.setdefault(idx, coeff(nonneg))
-    f = MultiSeries(nvars, max(6, s), coeffs, exact=True)
+    f = MultiSeries(nvars, max(6, s), coeffs)
 
     gcoeffs = {}
     for _ in range(rng.randint(1, 4)):
@@ -188,7 +188,7 @@ def _random_division_instance(rng):
         if sum(idx) > 6:
             continue
         gcoeffs[idx] = coeff(exps)
-    g = MultiSeries(nvars, 6, gcoeffs, exact=True)
+    g = MultiSeries(nvars, 6, gcoeffs)
     return f, g, var, d_out
 
 
@@ -197,7 +197,7 @@ class TestStrongSplit:
         f1, f2, q = strong_split(ms("[1]*x1*x2"))
         assert f1 == ms("[1]*x2", nvars=2)  # eta3 sits in the second slot of (eta1, eta3)
         assert f2.is_zero()
-        assert q == MultiSeries(3, 2, {(0, 0, 0): TruncatedSeries.one()}, exact=True)
+        assert q == MultiSeries(3, 2, {(0, 0, 0): TruncatedSeries.one()})
 
     def test_square_pair(self):
         f1, f2, q = strong_split(ms("[1]*x1^2*x2"))
@@ -222,7 +222,7 @@ class TestStrongSplit:
                 if sum(idx) > 6:
                     continue
                 coeffs[idx] = TruncatedSeries.constant(Fraction(rng.randint(-5, 5)))
-            f = MultiSeries(nvars, 6, coeffs, exact=True)
+            f = MultiSeries(nvars, 6, coeffs)
             f1, f2, q = strong_split(f)
             assert _split_defect(f, f1, f2, q, n).is_zero()
 
@@ -230,12 +230,12 @@ class TestStrongSplit:
 def _split_defect(f, f1, f2, q, n):
     big = n + 3
     deg = f.degree + 2
-    widen = lambda h, pos: MultiSeries(big, deg, embed(h, pos, big).coeffs, exact=True, rank=h.rank)
+    widen = lambda h, pos: MultiSeries(big, deg, embed(h, pos, big).coeffs, rank=h.rank)
     xi = list(range(n))
     f_b = widen(f, xi + [n, n + 1])
     f1_b = widen(f1, xi + [n, n + 2])
     f2_b = widen(f2, xi + [n + 1, n + 2])
-    q_b = MultiSeries(big, deg, dict(q.coeffs), exact=True, rank=q.rank)
+    q_b = MultiSeries(big, deg, dict(q.coeffs), rank=q.rank)
     eta2 = MultiSeries.variable(n + 1, big, deg)
     relation = ms_sub(
         ms_mul(MultiSeries.variable(n, big, deg), eta2, deg, None),
@@ -283,7 +283,7 @@ class TestRecenterRescale:
                 if sum(idx) > 4:
                     continue
                 coeffs[idx] = TruncatedSeries.constant(Fraction(rng.randint(-4, 4)))
-            f = MultiSeries(2, 4, coeffs, exact=True)
+            f = MultiSeries(2, 4, coeffs)
             a = [Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))]
             b = [Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))]
             lhs = recenter_rescale(recenter_rescale(f, a, Fraction(1)), b, Fraction(1))
@@ -328,7 +328,6 @@ class TestTruncatedInputs:
                 (2,): parse_series("1"),
                 (0,): parse_series("-1*t^(1) + O(t^(6))"),
             },
-            exact=False,
         )
         g = ms("[1]*x1^3")
         q, r = weierstrass_divide(f, g, 0, 3, ge(5))

@@ -2,11 +2,12 @@
 
 import os
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
-from hahn_forge.errors import InsufficientPrecision, SingletonBall, ZeroInverse
+from hahn_forge.errors import InsufficientPrecision, PrecisionStall, SingletonBall, ZeroInverse
 from hahn_forge.rv import (
     angular_component,
     ball_of,
@@ -61,8 +62,7 @@ class TestRvLambda:
                 continue
             fine = rv_lambda(x, ge(2))
             coarse = rv_lambda(x, ge("1/2"))
-            window = fine.jet.slice_window(GroupElement.zero(1), ge("1/2"))
-            assert HahnSeries(window, 1, _clean=False) == coarse.jet
+            assert fine.jet.truncate_through(ge("1/2")) == coarse.jet
 
 
 class TestRvCombine:
@@ -99,6 +99,33 @@ class TestRvCombine:
             lam = ge(rng.choice([0, 1]))
             inv = invert(x, x.approx.valuation() * 2 + lam + ge(1))
             assert rv_combine("inv", rv_lambda(x, lam)) == rv_lambda(inv, lam)
+
+    def test_inverse_rank_two(self):
+        # the gap of the jet lies in the coordinate of lam: a finite jet
+        cases = [
+            ("1 + 1*t^(0,1)", (0, 3), "1 - 1*t^(0,1) + 1*t^(0,2) - 1*t^(0,3)"),
+            ("2 + 1*t^(1/2,5)", (1, 0), "1/2 - 1/4*t^(1/2,5)"),
+            ("3*t^(1,-1) + 6*t^(3/2,0)", (1, 2), "1/3 - 2/3*t^(1/2,1) + 4/3*t^(1,2)"),
+        ]
+        for text, lam, jet in cases:
+            out = rv_combine("inv", rv_lambda(parse_series(text, rank=2), GroupElement(lam)))
+            assert out.jet == parse_series(jet, rank=2).approx
+
+    def test_inverse_stalls_when_the_gap_is_in_a_later_coordinate(self):
+        # 1/(1 + t^(0,1)) has terms t^(0,k) for every k, all below lam = (1,0):
+        # no finite jet exists, so the inverse raises instead of looping
+        x = rv_lambda(parse_series("1 + 1*t^(0,1)", rank=2), GroupElement([1, 0]))
+        signal.signal(signal.SIGALRM, _timed_out)
+        signal.alarm(10)
+        try:
+            with pytest.raises(PrecisionStall):
+                rv_combine("inv", x)
+        finally:
+            signal.alarm(0)
+
+
+def _timed_out(*_):
+    raise TimeoutError("rv_combine('inv') did not return")
 
 
 class TestAngularComponent:

@@ -27,6 +27,8 @@ from hahn_forge.series import (
     invert,
     nth_root,
     parse_series,
+    poly_eval,
+    power,
     standard_part,
     valuation,
 )
@@ -629,6 +631,24 @@ class TestIntegerGrid:
             _check_value(x.truncate_below(ge(p)), {e: c for e, c in a.items() if e < p})
         assert x.truncate_below(INFINITE) is x
 
+    @given(grid_dicts(), st.data())
+    def test_truncate_through_matches_oracle(self, a, data):
+        drawn = data.draw(st.builds(Fraction, st.integers(-30, 30),
+                                    st.sampled_from(EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS)))
+        x = _series_of(a)
+        # off the grid, on it at every exponent, and just below each exponent
+        for hi in [drawn] + list(a) + [e - Fraction(1, 10**9 + 9) for e in a]:
+            got = x.truncate_through(ge(hi))
+            _check_value(got, {e: c for e, c in a.items() if e <= hi})
+            assert got == HahnSeries([(e, c) for e, c in x.terms if e <= ge(hi)])
+
+    @given(rational_rank2_series(), rank2_bound())
+    def test_truncate_through_rank_two_matches_filter(self, x, bound):
+        for hi in [bound] + [e for e, _ in x.terms]:
+            kept = [(e, c) for e, c in x.terms if e <= hi]
+            got = x.truncate_through(hi)
+            assert list(got.terms) == kept and got == HahnSeries(kept, rank=2) and got.rank == 2
+
     @given(grid_dicts(max_terms=4), st.data())
     def test_product_matches_oracle(self, a, data):
         b = data.draw(related_dicts(a))
@@ -655,3 +675,66 @@ class TestIntegerGrid:
         _check_value(one_plus * one_minus, {Fraction(0): Fraction(1), Fraction(1): Fraction(-1)})
         _check_value(one_plus.__mul__(one_minus, bound=ge(Fraction(1, 2))), {Fraction(0): Fraction(1)})
         _check_value((one_plus * one_minus).truncate_below(ge(0)), {})
+
+
+@st.composite
+def truncated_grid_series(draw):
+    """Rank-1 value, exact or known below a drawn precision; negative valuations included."""
+    approx = draw(grid_series())
+    if draw(st.booleans()):
+        return TruncatedSeries.exact(approx)
+    return TruncatedSeries(approx, draw(grid_bound()))
+
+
+@st.composite
+def truncated_rank2_series(draw):
+    approx = draw(rank2_series())
+    if draw(st.booleans()):
+        return TruncatedSeries.exact(approx)
+    return TruncatedSeries(approx, draw(rank2_bound()))
+
+
+def _fold_product(x, k):
+    """The k-fold product ``1 * x * ... * x`` by ``field_op``, untruncated (test oracle)."""
+    out = TruncatedSeries.one(x.rank)
+    for _ in range(k):
+        out = field_op("mul", out, x)
+    return out
+
+
+def _check_power(x, k, prec):
+    got = power(x, k, prec)
+    full = _fold_product(x, k)
+    if prec is INFINITE or k == 0:
+        assert got == full
+        return
+    # a step truncated at prec can lower the precision of the next product
+    # (by v(x) when v(x) < 0), never raise it; below its own precision the
+    # result is the full product's
+    assert got.prec is not INFINITE and got.prec <= prec
+    assert full.prec is INFINITE or got.prec <= full.prec
+    assert got == full.truncate(got.prec)
+    if x.is_exact() and (x.approx.is_zero() or x.approx.valuation() >= GroupElement.zero(x.rank)):
+        assert got == full.truncate(prec)
+
+
+class TestPower:
+    @given(truncated_grid_series(), st.integers(0, 4), st.one_of(st.just(INFINITE), grid_bound()))
+    def test_power_matches_fold_rank_one(self, x, k, prec):
+        _check_power(x, k, prec)
+
+    @given(truncated_rank2_series(), st.integers(0, 4), st.one_of(st.just(INFINITE), rank2_bound()))
+    def test_power_matches_fold_rank_two(self, x, k, prec):
+        _check_power(x, k, prec)
+
+    @given(st.lists(truncated_grid_series(), max_size=4), truncated_grid_series(),
+           st.one_of(st.just(INFINITE), grid_bound()))
+    def test_poly_eval_is_the_power_sum(self, coeffs, x, prec):
+        got = poly_eval(coeffs, x, prec)
+        full = TruncatedSeries.zero()
+        for i, c in enumerate(coeffs):
+            full = full + c * _fold_product(x, i)
+        if prec is INFINITE:
+            assert got == full
+        else:
+            assert got == full.truncate(got.prec)
