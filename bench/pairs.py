@@ -120,8 +120,10 @@ def main(argv=None):
                     "digest": record["digest"], "attempted": result["attempted"], "failed": result["failed"],
                     "metrics": {name: m["value"] for name, m in result["metrics"].items()},
                 })
-                print(f"{workload} seed {seed} {side}: ops_per_s "
-                      f"{result['metrics'].get('ops_per_s', {}).get('value')}", file=sys.stderr, flush=True)
+                # traced results carry no end-to-end metrics, so no ops_per_s
+                rate = result["metrics"].get("ops_per_s")
+                print(f"{workload} seed {seed} {side}: digest {record['digest'][:12]} failed {result['failed']}"
+                      + (f" ops_per_s {rate['value']}" if rate else ""), file=sys.stderr, flush=True)
             if digests["parent"] != digests["change"]:
                 mismatches.append({"workload": workload, "seed": seed, **digests})
             for name in sorted(set(counts["parent"]) | set(counts["change"])):

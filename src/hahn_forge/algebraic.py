@@ -327,6 +327,20 @@ class RealAlgebraic:
     def generator(cls, ctx):
         return cls(ctx, [Fraction(0), Fraction(1)])
 
+    @classmethod
+    def _reduced(cls, ctx, coords):
+        """The number of trimmed Fraction ``coords`` already reduced modulo the witness.
+
+        Trusted: ``ctx.reduce`` is not called.  Sums, negations and rational
+        multiples of reduced coordinates stay reduced; products of two
+        algebraic numbers do not.
+        """
+        out = object.__new__(cls)
+        out.ctx = ctx
+        out.coords = coords
+        out._generation = ctx.generation
+        return out
+
     def _sync(self):
         if self._generation != self.ctx.generation:
             self.coords = self.ctx.reduce(self.coords)
@@ -346,23 +360,25 @@ class RealAlgebraic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RealAlgebraic(self.ctx, padd(self._sync(), other._sync()))
+        return RealAlgebraic._reduced(self.ctx, padd(self._sync(), other._sync()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RealAlgebraic(self.ctx, pneg(self._sync()))
+        return RealAlgebraic._reduced(self.ctx, pneg(self._sync()))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RealAlgebraic(self.ctx, psub(self._sync(), other._sync()))
+        return RealAlgebraic._reduced(self.ctx, psub(self._sync(), other._sync()))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RealAlgebraic._reduced(self.ctx, pscale(self._sync(), Fraction(other)))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -229,7 +229,8 @@ def newton_polygon(coeffs):
 # exact series plumbing for the expansion engine
 
 # an "xser" is a dict {Fraction exponent: number}; numbers are Fractions or
-# RealAlgebraic elements sharing one context per branch
+# RealAlgebraic elements sharing one context per branch.  No stored number
+# is zero: each is zero-tested once, where _substitute creates it.
 
 
 def _xser_from_truncated(ts):
@@ -238,23 +239,6 @@ def _xser_from_truncated(ts):
     if not ts.is_exact():
         raise InsufficientPrecision("root expansion needs exact coefficients")
     return {e.first(): c for e, c in ts.approx.terms}
-
-
-def _xser_clean(s):
-    dead = [e for e, c in s.items() if number_is_zero(c)]
-    for e in dead:
-        del s[e]
-    return s
-
-
-def _xser_valuation(s):
-    _xser_clean(s)
-    return min(s) if s else None
-
-
-def _xser_lead(s):
-    v = _xser_valuation(s)
-    return (v, s[v]) if v is not None else (None, None)
 
 
 def _xser_add_term(s, e, c):
@@ -278,18 +262,11 @@ def _substitute(coeffs, c, nu):
             factor = powers[i - j] * w
             for e, q in a.items():
                 _xser_add_term(out[j], e + shift, q * factor)
-    for s in out:
-        _xser_clean(s)
-    return out
+    return [{e: q for e, q in s.items() if not number_is_zero(q)} for s in out]
 
 
 def _poly_points(coeffs):
-    pts = []
-    for i, a in enumerate(coeffs):
-        v = _xser_valuation(a)
-        if v is not None:
-            pts.append((i, v))
-    return pts
+    return [(i, min(a)) for i, a in enumerate(coeffs) if a]
 
 
 def _hull_edges(points, floor):
@@ -320,16 +297,11 @@ def _hull_edges(points, floor):
 
 
 def _edge_polynomial(coeffs, nu, i1, i2, v1):
-    """Coefficients of the edge polynomial, z^0 at the left corner."""
-    phi = []
-    for i in range(i1, i2 + 1):
-        target = v1 - nu * (i - i1)
-        a = coeffs[i]
-        c = a.get(target, Fraction(0)) if a else Fraction(0)
-        phi.append(c)
-    while phi and number_is_zero(phi[-1]):
-        phi.pop()
-    return phi
+    """Coefficients of the edge polynomial, z^0 at the left corner.
+
+    Both corners are hull points, so the end coefficients are nonzero.
+    """
+    return [coeffs[i].get(v1 - nu * (i - i1), Fraction(0)) for i in range(i1, i2 + 1)]
 
 
 def _field_roots(phi, ctx):
@@ -389,9 +361,6 @@ def _field_roots(phi, ctx):
 def _expand(coeffs, floor, prefix, ctx, depth_target, level, out):
     if level > _LEVEL_CAP:
         raise RuntimeError("root expansion recursed too deeply")
-    coeffs = [dict(a) for a in coeffs]
-    for a in coeffs:
-        _xser_clean(a)
     if not coeffs[0]:
         # the current center is an exact root; the polygon edges below
         # still enumerate the branches passing nearby
@@ -415,13 +384,9 @@ def _expand(coeffs, floor, prefix, ctx, depth_target, level, out):
 
 def _next_exponent(coeffs):
     """Valuation of the Newton correction for a simple root at the origin."""
-    v0 = _xser_valuation(coeffs[0])
-    v1 = _xser_valuation(coeffs[1]) if len(coeffs) > 1 else None
-    if v0 is None:
+    if not coeffs[0] or len(coeffs) < 2 or not coeffs[1]:
         return None
-    if v1 is None:
-        return None
-    return v0 - v1
+    return min(coeffs[0]) - min(coeffs[1])
 
 
 def _make_root(prefix, depth, tag="real"):

@@ -25,6 +25,16 @@ Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
 those <= hi (the closed window of a leading-term jet).  On the grid both
 are one ``bisect`` at the bound rounded onto the exponent denominator.
 
+A ``TruncatedSeries`` keeps every stored exponent below its precision.
+The public constructor ``TruncatedSeries(approx, prec)`` and
+``truncate(p)`` for ``p`` below the current precision cut the approx at
+``prec``.  The other constructions arrive truncated already and are built
+by the trusted ``_truncated`` without a second cut: bounded products, sums
+and differences of operands with equal precisions, negation, ``scale``
+and ``shift``.  A sum of operands with different precisions still cuts at
+the lower one, and ``truncate(p)`` at or above the precision returns the
+value itself.
+
 ``power`` and ``poly_eval`` are the one repeated product and the one
 Horner loop of the package; both truncate every step at an optional
 precision and are exact without one.
@@ -549,7 +559,10 @@ class TruncatedSeries:
 
     Represents any field element x with ``v(x - approx) >= prec``.  With
     ``prec`` INFINITE the value is exact.  Stored exponents are strictly
-    below ``prec``.
+    below ``prec``: this constructor cuts ``approx`` there, while field
+    operations, ``-``, ``scale`` and ``shift`` build results that already
+    lie below their precision without cutting again (see the module
+    docstring).
     """
 
     __slots__ = ("approx", "prec", "rank")
@@ -595,10 +608,9 @@ class TruncatedSeries:
         return self.prec if self.approx.is_zero() else self.approx.valuation()
 
     def truncate(self, prec):
-        if prec is INFINITE:
+        if prec is INFINITE or (self.prec is not INFINITE and prec >= self.prec):
             return self
-        new = prec if self.prec is INFINITE else min(self.prec, prec)
-        return TruncatedSeries(self.approx, new)
+        return TruncatedSeries(self.approx, prec)
 
     def __add__(self, other):
         return field_op("add", self, other)
@@ -610,14 +622,14 @@ class TruncatedSeries:
         return field_op("mul", self, other)
 
     def __neg__(self):
-        return TruncatedSeries(-self.approx, self.prec)
+        return _truncated(-self.approx, self.prec)
 
     def scale(self, q):
-        return TruncatedSeries(self.approx.scale(q), self.prec)
+        return _truncated(self.approx.scale(q), self.prec)
 
     def shift(self, exponent):
         p = self.prec if self.prec is INFINITE else self.prec + exponent
-        return TruncatedSeries(self.approx.shift(exponent), p)
+        return _truncated(self.approx.shift(exponent), p)
 
     def __eq__(self, other):
         return (
@@ -634,29 +646,50 @@ class TruncatedSeries:
         return f"TruncatedSeries({format_series(self)!r})"
 
 
+def _truncated(approx, prec):
+    """The ``TruncatedSeries`` of an approx whose exponents all lie below ``prec``.
+
+    Trusted: nothing is cut.  For results whose construction already keeps
+    every exponent below the precision.
+    """
+    out = object.__new__(TruncatedSeries)
+    _set(out, "approx", approx)
+    _set(out, "prec", prec)
+    _set(out, "rank", approx.rank)
+    return out
+
+
 def field_op(kind, a, b):
     """Ring operation with precision propagation.
 
-    add/sub: result precision is min of the operand precisions.  mul: the
-    unknown tail of one factor meets the known part of the other at
-    ``prec_a + v(b)`` (and symmetrically), and the two tails meet at
-    ``prec_a + prec_b``; the result precision is the min of the three.
+    add/sub: result precision is min of the operand precisions; with equal
+    precisions both operands, and so their sum, already lie below it.
+    mul: the unknown tail of one factor meets the known part of the other
+    at ``prec_a + v(b)`` (and symmetrically), and the two tails meet at
+    ``prec_a + prec_b``; the result precision is the min of these.  As
+    ``v(b) <= prec_b``, the tail-by-tail sum is never below
+    ``prec_a + v(b)``, so only the sums of inexact factors are formed.  The
+    product is bounded at the result precision and arrives truncated.
     """
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
-    if kind == "add":
-        return TruncatedSeries(a.approx + b.approx, _min_prec(a.prec, b.prec))
-    if kind == "sub":
-        return TruncatedSeries(a.approx - b.approx, _min_prec(a.prec, b.prec))
+    if kind == "add" or kind == "sub":
+        pa, pb = a.prec, b.prec
+        approx = a.approx + b.approx if kind == "add" else a.approx - b.approx
+        if pa is pb or pa == pb:
+            return _truncated(approx, pa)
+        return TruncatedSeries(approx, _min_prec(pa, pb))
     if kind == "mul":
         if a.is_exact_zero() or b.is_exact_zero():
             return TruncatedSeries.zero(a.rank)
-        prec = _min_prec(
-            a.prec + b.valuation_lower_bound(),
-            b.prec + a.valuation_lower_bound(),
-            a.prec + b.prec,
-        )
-        return TruncatedSeries(a.approx.__mul__(b.approx, bound=prec), prec)
+        pa, pb = a.prec, b.prec
+        if pa is INFINITE:
+            prec = pb if pb is INFINITE else pb + a.valuation_lower_bound()
+        elif pb is INFINITE:
+            prec = pa + b.valuation_lower_bound()
+        else:
+            prec = min(pa + b.valuation_lower_bound(), pb + a.valuation_lower_bound())
+        return _truncated(a.approx.__mul__(b.approx, bound=prec), prec)
     raise ValueError(f"unknown field op {kind!r}")
 
 

@@ -388,9 +388,9 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
 # polynomial skeleton extraction and preparation
 
 
-def _poly_pad(a, b):
+def _poly_pad(a, b, rank):
     n = max(len(a), len(b))
-    zero = TruncatedSeries.zero()
+    zero = TruncatedSeries.zero(rank)
     a = list(a) + [zero] * (n - len(a))
     b = list(b) + [zero] * (n - len(b))
     return a, b
@@ -409,7 +409,7 @@ def _poly_of(node, rank):
         right = _poly_of(node.right, rank)
         if left is None or right is None:
             return None
-        left, right = _poly_pad(left, right)
+        left, right = _poly_pad(left, right, rank)
         op = (lambda a, b: a + b) if isinstance(node, Add) else (lambda a, b: a - b)
         return [op(a, b) for a, b in zip(left, right)]
     if isinstance(node, Mul):

@@ -11,10 +11,14 @@ from hahn_forge.algebraic import (
     RealAlgebraic,
     generic_real_root_count,
     isolate_real_roots,
+    padd,
     pdivmod,
     peval,
     pgcd,
     pmul,
+    pneg,
+    pscale,
+    psub,
     rational_roots,
     squarefree_decomposition,
 )
@@ -152,3 +156,51 @@ class TestOverTheExtension:
         assert generic_real_root_count([-theta, Fraction(0), Fraction(1)]) == 2
         assert generic_real_root_count([theta, Fraction(0), Fraction(1)]) == 0
         assert generic_real_root_count([theta * 3, Fraction(1)]) == 1
+
+
+# Q(sqrt 2) and Q(cbrt 2): witnesses of degree 2 and 3 with isolating intervals
+GENERATORS = {
+    "sqrt2": ([-2, 0, 1], 1, 2),
+    "cbrt2": ([-2, 0, 0, 1], 1, 2),
+}
+
+coord_lists = st.lists(st.fractions(max_denominator=12).map(lambda q: q.limit_denominator(10**6)), max_size=5)
+
+
+def _is_reduced(x):
+    return x.coords == x.ctx.reduce(x.coords) and all(type(c) is Fraction for c in x.coords)
+
+
+class TestReducedArithmetic:
+    """Sums, negations and rational multiples skip the reduction; products do not."""
+
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    @given(a=coord_lists, b=coord_lists, q=st.fractions(max_denominator=9))
+    def test_matches_the_reducing_constructor(self, name, a, b, q):
+        ctx = AlgebraicContext(*GENERATORS[name])
+        x, y = RealAlgebraic(ctx, a), RealAlgebraic(ctx, b)
+        cases = [
+            (x + y, padd(x.coords, y.coords)),
+            (x - y, psub(x.coords, y.coords)),
+            (-x, pneg(x.coords)),
+            (x * q, pscale(x.coords, q)),
+            (q * x, pscale(x.coords, q)),
+            (x * q.numerator, pscale(x.coords, q.numerator)),
+            (x + q, padd(x.coords, [q])),
+            (q - x, psub([q], x.coords)),
+            (x * y, pmul(x.coords, y.coords)),
+        ]
+        for got, raw in cases:
+            assert _is_reduced(got)
+            assert got.coords == RealAlgebraic(ctx, raw).coords
+
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    def test_product_of_generators_is_reduced(self, name):
+        ctx = AlgebraicContext(*GENERATORS[name])
+        theta = RealAlgebraic.generator(ctx)
+        power = theta
+        for _ in range(ctx.degree()):
+            power = power * theta
+            assert _is_reduced(power)
+        # theta^(n+1) = 2 theta for both witnesses x^n - 2
+        assert power.coords == [Fraction(0), Fraction(2)]

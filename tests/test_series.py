@@ -738,3 +738,88 @@ class TestPower:
             assert got == full
         else:
             assert got == full.truncate(got.prec)
+
+
+# -- constructions that arrive truncated ------------------------------------
+
+
+def _oracle_min(*precs):
+    finite = [p for p in precs if p is not INFINITE]
+    return min(finite) if finite else INFINITE
+
+
+def _oracle_field_op(kind, a, b):
+    """Three precision sums, their min, then the cutting constructor (test oracle)."""
+    if kind == "add":
+        return TruncatedSeries(a.approx + b.approx, _oracle_min(a.prec, b.prec))
+    if kind == "sub":
+        return TruncatedSeries(a.approx - b.approx, _oracle_min(a.prec, b.prec))
+    if a.is_exact_zero() or b.is_exact_zero():
+        return TruncatedSeries.zero(a.rank)
+    prec = _oracle_min(
+        a.prec + b.valuation_lower_bound(), b.prec + a.valuation_lower_bound(), a.prec + b.prec
+    )
+    return TruncatedSeries(a.approx * b.approx, prec)
+
+
+def _below_prec(x):
+    return x.prec is INFINITE or all(e < x.prec for e, _ in x.approx.terms)
+
+
+@st.composite
+def truncated_pairs(draw, rank):
+    """Two values of one rank: exact, known below a shared precision, or
+    below precisions of their own; approx zero (``0 + O(t^p)``) included."""
+    series = grid_series() if rank == 1 else rank2_series()
+    bound = grid_bound() if rank == 1 else rank2_bound()
+    shared = draw(bound)
+    out = []
+    for _ in range(2):
+        approx = draw(st.one_of(series, st.just(HahnSeries.zero(rank))))
+        prec = draw(st.sampled_from(["exact", "shared", "own"]))
+        if prec == "exact":
+            out.append(TruncatedSeries.exact(approx))
+        else:
+            out.append(TruncatedSeries(approx, shared if prec == "shared" else draw(bound)))
+    return tuple(out)
+
+
+def _check_trusted(a, b, q, e, p):
+    for kind in ("add", "sub", "mul"):
+        for x, y in ((a, b), (b, a)):
+            got = field_op(kind, x, y)
+            assert got == _oracle_field_op(kind, x, y) and _below_prec(got)
+    for x in (a, b):
+        cases = [
+            (-x, TruncatedSeries(-x.approx, x.prec)),
+            (x.scale(q), TruncatedSeries(x.approx.scale(q), x.prec)),
+            (x.shift(e), TruncatedSeries(x.approx.shift(e), x.prec + e)),
+            (x.truncate(p), TruncatedSeries(x.approx, _oracle_min(x.prec, p))),
+            (x.truncate(INFINITE), x),
+        ]
+        for got, want in cases:
+            assert got == want and _below_prec(got)
+
+
+class TestTrustedTruncation:
+    """Results built without a second cut equal the cutting constructor's."""
+
+    @given(truncated_pairs(1), st.fractions(max_denominator=6), grid_bound(), grid_bound())
+    def test_rank_one(self, pair, q, e, p):
+        _check_trusted(*pair, q, e, p)
+
+    @given(truncated_pairs(2), st.fractions(max_denominator=6), rank2_bound(), rank2_bound())
+    def test_rank_two(self, pair, q, e, p):
+        _check_trusted(*pair, q, e, p)
+
+    def test_sum_of_unequal_precisions_is_cut(self):
+        a = parse_series("1 + 1*t^(2) + O(t^(3))")
+        b = parse_series("0 + O(t^(1))")
+        for got in (a + b, b + a, a - b, b - a):
+            assert got.prec == ge(1) and _below_prec(got)
+            assert format_series(got).startswith(("1 + O", "-1 + O"))
+
+    def test_truncate_below_own_precision_cuts(self):
+        a = parse_series("1 + 1*t^(1) + 1*t^(2) + O(t^(3))")
+        assert format_series(a.truncate(ge(2))) == "1 + 1*t^(1) + O(t^(2))"
+        assert a.truncate(ge(3)) is a and a.truncate(ge(5)) is a

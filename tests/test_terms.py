@@ -15,7 +15,7 @@ from hahn_forge.errors import (
     TermSyntaxError,
     UnknownFunction,
 )
-from hahn_forge.series import GroupElement, TruncatedSeries, format_series, parse_series
+from hahn_forge.series import INFINITE, GroupElement, TruncatedSeries, format_series, parse_series, poly_eval
 from hahn_forge.terms import (
     Add,
     App,
@@ -29,6 +29,7 @@ from hahn_forge.terms import (
     candidate_polynomials,
     eval_term,
     parse_term,
+    polynomial_coeffs,
     prepare_term,
     print_term,
 )
@@ -190,6 +191,15 @@ class TestCandidates:
         node = parse_term("exp(x^2 - t^(1))")
         cands = candidate_polynomials(node)
         assert len(cands) == 1
+
+    @pytest.mark.parametrize("text", ["x^2 + 1", "x*x - t^(1,0)", "1 - x^3 + t^(0,1)*x"])
+    def test_rank_two_sum_of_unequal_degrees(self, text):
+        # the shorter operand is padded with zeros of the term's rank
+        coeffs = polynomial_coeffs(parse_term(text, rank=2), 2)
+        assert coeffs and all(c.rank == 2 for c in coeffs)
+        x = parse_series("1*t^(1/3,1) + 2*t^(1,0)", rank=2)
+        value = eval_term(parse_term(text, rank=2), x, INFINITE)
+        assert poly_eval(coeffs, x) == value
 
 
 class TestPrepareTerm:
