@@ -525,27 +525,47 @@ class TestPrecisionBoundedProducts:
 
 
 # exponent denominators of the grid strategies; shifts and bounds also use
-# denominators off these grids
+# denominators off these grids, and rank-2 exponents draw each coordinate
+# from both lists
 EXPONENT_DENOMINATORS = [1, 2, 3, 7, 10**9 + 7]
 OFF_GRID_DENOMINATORS = [5, 11, 10**9 + 9]
+ALL_DENOMINATORS = EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS
+RANKS = (1, 2)
 
 
-def _exponent(draw, denominators):
-    return Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from(denominators)))
-
-
-@st.composite
-def grid_dicts(draw, max_terms=5):
-    """A rank-1 value as the dict {exponent: coefficient} (the test oracle's form)."""
-    exps = draw(st.lists(st.builds(Fraction, st.integers(-30, 30), st.sampled_from(EXPONENT_DENOMINATORS)),
-                         max_size=max_terms, unique=True))
-    return dict(zip(exps, draw(rational_coeffs(len(exps)))))
+def _exponent(draw, denominators, lo=-30, hi=30):
+    return Fraction(draw(st.integers(lo, hi)), draw(st.sampled_from(denominators)))
 
 
 @st.composite
-def related_dicts(draw, a):
+def grid_exponents(draw, rank, lo=-30, hi=30):
+    """An exponent as a tuple of Fractions, each coordinate on its own drawn denominator."""
+    return tuple(_exponent(draw, ALL_DENOMINATORS, lo, hi) for _ in range(rank))
+
+
+@st.composite
+def grid_dicts(draw, rank, max_terms=5):
+    """A value as the dict {exponent tuple: coefficient} (the test oracle's form).
+
+    Rank-2 first coordinates come from a pool of at most three, so equal
+    first coordinates, decided by the second, are common.
+    """
+    if rank == 1:
+        exps = st.builds(lambda e: (e,), st.builds(Fraction, st.integers(-30, 30),
+                                                     st.sampled_from(EXPONENT_DENOMINATORS)))
+    else:
+        pool = draw(st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from(ALL_DENOMINATORS)),
+                             min_size=1, max_size=3))
+        exps = st.tuples(st.sampled_from(pool), st.builds(Fraction, st.integers(-30, 30),
+                                                           st.sampled_from(ALL_DENOMINATORS)))
+    keys = draw(st.lists(exps, max_size=max_terms, unique=True))
+    return dict(zip(keys, draw(rational_coeffs(len(keys)))))
+
+
+@st.composite
+def related_dicts(draw, a, rank):
     """A second value sharing exponents with ``a``: equal, cancelling or other coefficients there."""
-    out = draw(grid_dicts(max_terms=3))
+    out = draw(grid_dicts(rank, max_terms=3))
     for e, c in a.items():
         kind = draw(st.sampled_from(["absent", "cancel", "same", "other"]))
         if kind == "cancel":
@@ -562,24 +582,34 @@ def grid_scalars(draw):
     return Fraction(draw(st.integers(-(10**30), 10**30).filter(bool)), draw(st.sampled_from([1, 3, 7, 2**61 - 1])))
 
 
-def _series_of(d):
+def _series_of(d, rank):
     # terms in descending order, each coefficient split in two, for the constructor to merge
     terms = []
     for e, c in sorted(d.items(), reverse=True):
-        terms += [(ge(e), c / 3), (ge(e), c - c / 3)]
-    return HahnSeries(terms)
+        terms += [(GroupElement(e), c / 3), (GroupElement(e), c - c / 3)]
+    return HahnSeries(terms, rank)
 
 
-def _check_value(got, d):
-    """``got`` holds exactly the value ``d`` in canonical form."""
-    expected = [(ge(e), c) for e, c in sorted(d.items()) if c]
+def _fraction_exponent(e):
+    return type(e) is GroupElement and all(type(q) is Fraction for q in e)
+
+
+def _check_value(got, d, rank):
+    """``got`` holds exactly the value ``d`` of the given rank in canonical form."""
+    expected = [(GroupElement(e), c) for e, c in sorted(d.items()) if c]
+    assert got.rank == rank
     assert list(got.terms) == expected
-    assert all(type(e) is GroupElement and type(e[0]) is Fraction and type(c) is Fraction for e, c in got.terms)
-    built = HahnSeries(expected, 1, _clean=False)
+    assert all(_fraction_exponent(e) and type(c) is Fraction for e, c in got.terms)
+    built = HahnSeries(expected, rank, _clean=False)
     assert got == built and hash(got) == hash(built) and got.terms == built.terms
-    assert got.is_zero() == (not expected) == (got == HahnSeries.zero())
+    assert got.is_zero() == (not expected) == (got == HahnSeries.zero(rank))
     assert got.valuation() == (expected[0][0] if expected else INFINITE)
+    assert got.is_zero() or _fraction_exponent(got.valuation())
     assert got.leading_coeff() == (expected[0][1] if expected else 0)
+
+
+def _vadd(e, f):
+    return tuple(x + y for x, y in zip(e, f))
 
 
 def _dict_add(a, b):
@@ -593,54 +623,74 @@ def _dict_mul(a, b, bound=INFINITE):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            if bound is INFINITE or ea + eb < bound:
-                out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+            e = _vadd(ea, eb)
+            if bound is INFINITE or e < bound:
+                out[e] = out.get(e, Fraction(0)) + ca * cb
     return out
 
 
+def _bounds_near(exponents, drawn):
+    """Bounds to cut ``exponents`` at: ``drawn``, and at each exponent e
+    itself, e just above and just below in its first and in its last
+    coordinate (the later coordinates drawn when the first moves), and e's
+    leading coordinates with the drawn last one."""
+    eps = Fraction(1, 2**89 - 1)
+    out = [drawn]
+    for e in exponents:
+        out += [e, e[:-1] + (e[-1] + eps,), e[:-1] + (e[-1] - eps,), e[:-1] + drawn[-1:],
+                (e[0] + eps,) + drawn[1:], (e[0] - eps,) + drawn[1:]]
+    return list(dict.fromkeys(out))
+
+
 class TestIntegerGrid:
-    @given(grid_dicts(), st.data())
-    def test_sum_difference_and_negation_match_oracle(self, a, data):
-        b = data.draw(related_dicts(a))
-        x, y = _series_of(a), _series_of(b)
-        _check_value(x, a)
-        _check_value(x + y, _dict_add(a, b))
-        _check_value(y + x, _dict_add(a, b))
-        _check_value(-x, {e: -c for e, c in a.items()})
-        _check_value(x - y, _dict_add(a, {e: -c for e, c in b.items()}))
-        _check_value(x - x, {})
+    """The grid arithmetic against the dict oracle, each example in rank 1 and rank 2."""
 
-    @given(grid_dicts(), grid_scalars(), st.data())
-    def test_scale_and_shift_match_oracle(self, a, q, data):
-        s = data.draw(st.one_of(st.just(Fraction(0)), st.builds(
-            Fraction, st.integers(-30, 30), st.sampled_from(EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS))))
-        x = _series_of(a)
-        _check_value(x.scale(q), {e: c * q for e, c in a.items()})
-        _check_value(x.scale(q).scale(1 / q), a)
-        _check_value(x.scale(0), {})
-        _check_value(x.shift(ge(s)), {e + s: c for e, c in a.items()})
-        _check_value(x.shift(ge(s)).shift(ge(-s)), a)
+    @given(st.data())
+    def test_sum_difference_and_negation_match_oracle(self, data):
+        for rank in RANKS:
+            a = data.draw(grid_dicts(rank))
+            b = data.draw(related_dicts(a, rank))
+            x, y = _series_of(a, rank), _series_of(b, rank)
+            _check_value(x, a, rank)
+            _check_value(x + y, _dict_add(a, b), rank)
+            _check_value(y + x, _dict_add(a, b), rank)
+            _check_value(-x, {e: -c for e, c in a.items()}, rank)
+            _check_value(x - y, _dict_add(a, {e: -c for e, c in b.items()}), rank)
+            _check_value(x - x, {}, rank)
 
-    @given(grid_dicts(), st.data())
-    def test_truncate_below_matches_oracle(self, a, data):
-        drawn = data.draw(st.builds(Fraction, st.integers(-30, 30),
-                                    st.sampled_from(EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS)))
-        x = _series_of(a)
-        # off the grid, on it at every exponent, and just above each exponent
-        for p in [drawn] + list(a) + [e + Fraction(1, 10**9 + 9) for e in a]:
-            _check_value(x.truncate_below(ge(p)), {e: c for e, c in a.items() if e < p})
-        assert x.truncate_below(INFINITE) is x
+    @given(grid_scalars(), st.data())
+    def test_scale_and_shift_match_oracle(self, q, data):
+        for rank in RANKS:
+            a = data.draw(grid_dicts(rank))
+            s = data.draw(st.one_of(st.just((Fraction(0),) * rank), grid_exponents(rank)))
+            x = _series_of(a, rank)
+            neg = tuple(-c for c in s)
+            _check_value(x.scale(q), {e: c * q for e, c in a.items()}, rank)
+            _check_value(x.scale(q).scale(1 / q), a, rank)
+            _check_value(x.scale(0), {}, rank)
+            _check_value(x.shift(GroupElement(s)), {_vadd(e, s): c for e, c in a.items()}, rank)
+            _check_value(x.shift(GroupElement(s)).shift(GroupElement(neg)), a, rank)
 
-    @given(grid_dicts(), st.data())
-    def test_truncate_through_matches_oracle(self, a, data):
-        drawn = data.draw(st.builds(Fraction, st.integers(-30, 30),
-                                    st.sampled_from(EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS)))
-        x = _series_of(a)
-        # off the grid, on it at every exponent, and just below each exponent
-        for hi in [drawn] + list(a) + [e - Fraction(1, 10**9 + 9) for e in a]:
-            got = x.truncate_through(ge(hi))
-            _check_value(got, {e: c for e, c in a.items() if e <= hi})
-            assert got == HahnSeries([(e, c) for e, c in x.terms if e <= ge(hi)])
+    @given(st.data())
+    def test_truncate_below_matches_oracle(self, data):
+        for rank in RANKS:
+            a = data.draw(grid_dicts(rank))
+            drawn = data.draw(grid_exponents(rank))
+            x = _series_of(a, rank)
+            for p in _bounds_near(a, drawn):
+                _check_value(x.truncate_below(GroupElement(p)), {e: c for e, c in a.items() if e < p}, rank)
+            assert x.truncate_below(INFINITE) is x
+
+    @given(st.data())
+    def test_truncate_through_matches_oracle(self, data):
+        for rank in RANKS:
+            a = data.draw(grid_dicts(rank))
+            drawn = data.draw(grid_exponents(rank))
+            x = _series_of(a, rank)
+            for hi in _bounds_near(a, drawn):
+                got = x.truncate_through(GroupElement(hi))
+                _check_value(got, {e: c for e, c in a.items() if e <= hi}, rank)
+                assert got == HahnSeries([(e, c) for e, c in x.terms if e <= GroupElement(hi)], rank)
 
     @given(rational_rank2_series(), rank2_bound())
     def test_truncate_through_rank_two_matches_filter(self, x, bound):
@@ -649,32 +699,68 @@ class TestIntegerGrid:
             got = x.truncate_through(hi)
             assert list(got.terms) == kept and got == HahnSeries(kept, rank=2) and got.rank == 2
 
-    @given(grid_dicts(max_terms=4), st.data())
-    def test_product_matches_oracle(self, a, data):
-        b = data.draw(related_dicts(a))
-        drawn = data.draw(st.builds(Fraction, st.integers(-60, 60),
-                                    st.sampled_from(EXPONENT_DENOMINATORS + OFF_GRID_DENOMINATORS)))
-        x, y = _series_of(a), _series_of(b)
-        for p in [INFINITE, drawn] + list(_dict_mul(a, b)):
-            bound = p if p is INFINITE else ge(p)
-            for u, v in ((x, y), (y, x)):
-                got = u.__mul__(v, bound=bound)
-                _check_value(got, _dict_mul(a, b, p))
-                assert got == (u * v).truncate_below(bound)
+    @given(st.data())
+    def test_product_matches_oracle(self, data):
+        for rank in RANKS:
+            a = data.draw(grid_dicts(rank, max_terms=4))
+            b = data.draw(related_dicts(a, rank))
+            drawn = data.draw(grid_exponents(rank, -60, 60))
+            x, y = _series_of(a, rank), _series_of(b, rank)
+            for p in [INFINITE] + _bounds_near(_dict_mul(a, b), drawn):
+                bound = p if p is INFINITE else GroupElement(p)
+                for u, v in ((x, y), (y, x)):
+                    got = u.__mul__(v, bound=bound)
+                    _check_value(got, _dict_mul(a, b, p), rank)
+                    assert got == (u * v).truncate_below(bound)
+
+    def test_integer_first_coordinate_bound_rank_two(self):
+        # bounds whose first coordinate is an integer shared with stored
+        # exponents: the second coordinate alone decides the cut
+        a = {(Fraction(1), Fraction(-5)): Fraction(2), (Fraction(1), Fraction(0)): Fraction(-3, 7),
+             (Fraction(1, 2), Fraction(4, 3)): Fraction(5)}
+        x = _series_of(a, 2)
+        one = HahnSeries.constant(1, 2)
+        for p in [(1, -3), (1, -5), (1, 0), (1, 1), (2, -9), (0, 9), (Fraction(2, 3), 9), (Fraction(4, 3), -9)]:
+            p = tuple(map(Fraction, p))
+            below = {e: c for e, c in a.items() if e < p}
+            _check_value(x.truncate_below(GroupElement(p)), below, 2)
+            _check_value(x.__mul__(one, bound=GroupElement(p)), below, 2)
+            _check_value(x.truncate_through(GroupElement(p)), {e: c for e, c in a.items() if e <= p}, 2)
+        kept = x.truncate_below(GroupElement([1, -3])).terms
+        assert [tuple(e) for e, _ in kept] == [(Fraction(1, 2), Fraction(4, 3)), (1, -5)]
+
+    @given(st.data())
+    def test_exponents_have_fraction_coordinates(self, data):
+        # int coordinates must not leak from the grid: GroupElement / int
+        # would then divide int by int into a float
+        for rank in RANKS:
+            a = data.draw(grid_dicts(rank, max_terms=4))
+            b = data.draw(related_dicts(a, rank))
+            s = GroupElement(data.draw(grid_exponents(rank)))
+            x, y = _series_of(a, rank), _series_of(b, rank)
+            for v in (x, x + y, x - y, x * y, x.shift(s), (x * y).shift(s), x.scale(3), x.truncate_below(s)):
+                assert all(_fraction_exponent(e) for e, _ in v.terms)
+                assert v.is_zero() or _fraction_exponent(v.valuation())
+            for e in [s] + [e for e, _ in (x * y).terms] + [e for e, _ in x.shift(s).terms]:
+                for k in (0, 1, -2, 3):
+                    assert _fraction_exponent(e * k) and _fraction_exponent(k * e)
+                    assert e * k == GroupElement([q * k for q in e])
+                assert _fraction_exponent(e * 3 / 3) and e * 3 / 3 == e
 
     def test_cancellation_to_exact_zero(self):
         big = 10**9 + 7
-        a = {Fraction(1, 2): Fraction(3, 7), Fraction(-1, big): Fraction(-5, 2**61 - 1), Fraction(2, 3): Fraction(1)}
-        x = _series_of(a)
-        _check_value(x + (-x), {})
-        _check_value(x.scale(Fraction(-3, 7)) + x.scale(Fraction(3, 7)), {})
-        _check_value(x.shift(ge(Fraction(1, 5))) - x.shift(ge(Fraction(1, 5))), {})
+        a = {(Fraction(1, 2),): Fraction(3, 7), (Fraction(-1, big),): Fraction(-5, 2**61 - 1),
+             (Fraction(2, 3),): Fraction(1)}
+        x = _series_of(a, 1)
+        _check_value(x + (-x), {}, 1)
+        _check_value(x.scale(Fraction(-3, 7)) + x.scale(Fraction(3, 7)), {}, 1)
+        _check_value(x.shift(ge(Fraction(1, 5))) - x.shift(ge(Fraction(1, 5))), {}, 1)
         # (1 + t^(1/2))(1 - t^(1/2)) = 1 - t: the product leaves the half grid
         one_plus = HahnSeries([(ge(0), 1), (ge(Fraction(1, 2)), 1)])
         one_minus = HahnSeries([(ge(0), 1), (ge(Fraction(1, 2)), -1)])
-        _check_value(one_plus * one_minus, {Fraction(0): Fraction(1), Fraction(1): Fraction(-1)})
-        _check_value(one_plus.__mul__(one_minus, bound=ge(Fraction(1, 2))), {Fraction(0): Fraction(1)})
-        _check_value((one_plus * one_minus).truncate_below(ge(0)), {})
+        _check_value(one_plus * one_minus, {(Fraction(0),): Fraction(1), (Fraction(1),): Fraction(-1)}, 1)
+        _check_value(one_plus.__mul__(one_minus, bound=ge(Fraction(1, 2))), {(Fraction(0),): Fraction(1)}, 1)
+        _check_value((one_plus * one_minus).truncate_below(ge(0)), {}, 1)
 
 
 @st.composite
