@@ -10,20 +10,26 @@ precision bound, so arithmetic never has to guess hidden terms.
 The order is the one that makes t a positive infinitesimal: the sign of a
 nonzero element is the sign of its lowest-exponent coefficient.
 
-A rank-1 series is stored as one integer grid ``(eden, keys, cden, nums)``:
-the term ``nums[i]/cden * t^(keys[i]/eden)`` for each i, keys strictly
-ascending, no num zero, and ``eden`` and ``cden`` the least denominators
-of the exponents and of the coefficients (both 1 for zero).  This form is
-canonical, so equal values have equal grids.  Sums, products, truncation,
-shifts and scaling run on the ints and divide out one gcd per result; no
-``Fraction`` is built per term.  ``HahnSeries.terms`` is the same value as
-``(GroupElement, Fraction)`` pairs, built on first read and cached.  Rank
-d > 1 stores the pairs themselves.
+A series of every rank is stored as one integer grid ``(eden, keys, cden,
+nums)``: the term ``nums[i]/cden * t^(keys[i]/eden)`` for each i, keys
+strictly ascending, no num zero, and ``eden`` and ``cden`` the least
+denominators of the exponents and of the coefficients (both 1 for zero).
+A rank-1 key is an int; a rank-d key is a ``GroupElement`` of ints, every
+coordinate over the one ``eden``, so keys compare and add as their
+exponents do.  This form is canonical, so equal values have equal grids.
+Sums, products, truncation, shifts and scaling run on the ints and divide
+out one gcd per result; no ``Fraction`` is built per term.
+``HahnSeries.terms`` is the same value as ``(GroupElement, Fraction)``
+pairs, built on first read and cached; no int key leaves this module.
+Only the key helpers, from ``_keys_of`` to ``_least``, tell the ranks
+apart, once per call.
 
 Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
 < p (the open bound of a precision), and ``truncate_through(hi)`` keeps
 those <= hi (the closed window of a leading-term jet).  On the grid both
-are one ``bisect`` at the bound rounded onto the exponent denominator.
+are one ``bisect`` at the bound put on the keys: rank 1 rounds it onto the
+ints, and rank d compares keys against its unrounded coordinates
+``q*eden``.
 
 A ``TruncatedSeries`` keeps every stored exponent below its precision.
 The public constructor ``TruncatedSeries(approx, prec)`` and
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -145,7 +152,7 @@ class GroupElement(tuple):
         return tuple.__new__(GroupElement, tuple(-a for a in self))
 
     def __mul__(self, k):
-        return GroupElement(a * k for a in self)
+        return tuple.__new__(GroupElement, tuple(a * k for a in self))
 
     __rmul__ = __mul__
 
@@ -211,25 +218,80 @@ def _int_products(ka, na, kb, nb, bound):
     return tuple(map(_first, merged)), tuple(c for _, c in merged)
 
 
+# -- the rank decision: exponents and bounds on the grid of keys -------------
+
+
+def _keys_of(exponents):
+    """``(eden, keys)``: nonempty exponents as keys over their least common denominator."""
+    if len(exponents[0]) == 1:
+        eden = lcm(*(e[0].denominator for e in exponents))
+        return eden, tuple(e[0].numerator * (eden // e[0].denominator) for e in exponents)
+    eden = lcm(*(q.denominator for e in exponents for q in e))
+    return eden, tuple(
+        tuple.__new__(GroupElement, tuple(q.numerator * (eden // q.denominator) for q in e)) for e in exponents
+    )
+
+
+def _exponent(eden, key):
+    """The exponent, a ``GroupElement`` of Fractions, of ``key`` over ``eden``."""
+    if type(key) is int:
+        return tuple.__new__(GroupElement, (Fraction(key, eden),))
+    return tuple.__new__(GroupElement, tuple(Fraction(q, eden) for q in key))
+
+
+def _terms_of(eden, keys, cden, nums):
+    """The ``(exponent, coefficient)`` pairs of a nonempty grid."""
+    if type(keys[0]) is int:
+        return tuple(
+            (tuple.__new__(GroupElement, (Fraction(k, eden),)), Fraction(n, cden)) for k, n in zip(keys, nums)
+        )
+    return tuple((_exponent(eden, k), Fraction(n, cden)) for k, n in zip(keys, nums))
+
+
+def _below_key(bound, eden):
+    """``bound`` put on the keys over ``eden``: an exponent lies below ``bound``
+    exactly when its key lies below the result.
+
+    Rank 1 rounds up onto the ints.  Rank d keeps the coordinates
+    ``q*eden`` unrounded: rounding one would cut past keys that share the
+    coordinates before it.
+    """
+    if len(bound) == 1:
+        b = bound[0]
+        return -((-b.numerator * eden) // b.denominator)
+    return tuple.__new__(GroupElement, tuple(q * eden for q in bound))
+
+
+def _through_key(hi, eden):
+    """``hi`` put on the keys over ``eden``: an exponent is at most ``hi``
+    exactly when its key is at most the result (rank 1 rounds down)."""
+    if len(hi) == 1:
+        h = hi[0]
+        return h.numerator * eden // h.denominator
+    return tuple.__new__(GroupElement, tuple(q * eden for q in hi))
+
+
 def _least(den, nums):
-    """``(den, nums)`` divided by ``gcd(den, *nums)``: den becomes least."""
+    """``(den, nums)`` divided by ``gcd(den, *nums)``: den becomes least.
+
+    ``nums`` are ints or rank-d keys, which divide in every coordinate.
+    """
     if den == 1:
         return den, nums
-    g = gcd(den, *nums)
+    if not nums or type(nums[0]) is int:
+        g = gcd(den, *nums)
+        if g == 1:
+            return den, nums
+        return den // g, tuple(n // g for n in nums)
+    g = gcd(den, *chain.from_iterable(nums))
     if g == 1:
         return den, nums
-    return den // g, tuple(n // g for n in nums)
+    return den // g, tuple(tuple.__new__(GroupElement, tuple(q // g for q in k)) for k in nums)
 
 
 def _over(den, new, nums):
     """``nums`` over the denominator ``den`` put over the multiple ``new``."""
     return nums if new == den else tuple(n * (new // den) for n in nums)
-
-
-def _ceil_on_grid(bound, eden):
-    """Least int k with ``k/eden >= bound`` for a rank-1 bound."""
-    b0 = bound[0]
-    return -((-b0.numerator * eden) // b0.denominator)
 
 
 _ZERO_GRID = (1, (), 1, ())
@@ -241,10 +303,9 @@ class HahnSeries:
 
     Immutable.  Zero has no terms.  ``rank`` is the rank of the exponent
     group and is carried explicitly so that the zero series knows where it
-    lives.  A rank-1 value is its canonical integer grid (see the module
-    docstring); ``terms`` is a read-only view of it as ``(GroupElement,
-    Fraction)`` pairs, built on first read and cached.  Rank d > 1 stores
-    those pairs directly.
+    lives.  The value is its canonical integer grid in every rank (see the
+    module docstring); ``terms`` is a read-only view of it as
+    ``(GroupElement, Fraction)`` pairs, built on first read and cached.
     """
 
     __slots__ = ("rank", "_grid", "_terms")
@@ -262,14 +323,14 @@ class HahnSeries:
             cleaned = tuple(terms)
         _set(self, "rank", rank)
         _set(self, "_terms", cleaned)
-        _set(self, "_grid", _grid_of(cleaned) if rank == 1 else None)
+        _set(self, "_grid", _grid_of(cleaned))
 
     def __setattr__(self, *a):
         raise AttributeError("HahnSeries is immutable")
 
     @classmethod
     def zero(cls, rank=1):
-        return _on_grid(_ZERO_GRID) if rank == 1 else cls((), rank, _clean=False)
+        return _on_grid(_ZERO_GRID, rank)
 
     @classmethod
     def constant(cls, q, rank=1):
@@ -290,32 +351,20 @@ class HahnSeries:
         """The ``(GroupElement, Fraction)`` pairs in ascending exponent order."""
         terms = self._terms
         if terms is None:
-            eden, keys, cden, nums = self._grid
-            terms = tuple(
-                (tuple.__new__(GroupElement, (Fraction(k, eden),)), Fraction(n, cden)) for k, n in zip(keys, nums)
-            )
+            terms = _terms_of(*self._grid) if self._grid[1] else ()
             _set(self, "_terms", terms)
         return terms
 
     def is_zero(self):
-        grid = self._grid
-        return not (self._terms if grid is None else grid[1])
+        return not self._grid[1]
 
     def valuation(self):
         """Least exponent of the support; INFINITE for the zero series."""
         grid = self._grid
-        if grid is None:
-            terms = self._terms
-            return terms[0][0] if terms else INFINITE
-        eden, keys, _, _ = grid
-        return tuple.__new__(GroupElement, (Fraction(keys[0], eden),)) if keys else INFINITE
+        return _exponent(grid[0], grid[1][0]) if grid[1] else INFINITE
 
     def leading_coeff(self):
-        grid = self._grid
-        if grid is None:
-            terms = self._terms
-            return terms[0][1] if terms else Fraction(0)
-        _, _, cden, nums = grid
+        _, _, cden, nums = self._grid
         return Fraction(nums[0], cden) if nums else Fraction(0)
 
     def coefficient(self, exponent):
@@ -331,37 +380,25 @@ class HahnSeries:
         if bound is INFINITE:
             return self
         grid = self._grid
-        if grid is None:
-            return self._prefix(bisect_left(self._terms, bound, key=_first))
-        return self._prefix(bisect_left(grid[1], _ceil_on_grid(bound, grid[0])))
+        return self._prefix(bisect_left(grid[1], _below_key(bound, grid[0])))
 
     def truncate_through(self, hi):
         """Drop all terms with exponent > hi."""
         grid = self._grid
-        if grid is None:
-            return self._prefix(bisect_right(self._terms, hi, key=_first))
-        h0 = hi[0]
-        return self._prefix(bisect_right(grid[1], h0.numerator * grid[0] // h0.denominator))
+        return self._prefix(bisect_right(grid[1], _through_key(hi, grid[0])))
 
     def _prefix(self, cut):
         """The series of the ``cut`` lowest terms."""
-        grid = self._grid
-        if grid is None:
-            terms = self._terms
-            return self if cut == len(terms) else HahnSeries(terms[:cut], self.rank, _clean=False)
-        eden, keys, cden, nums = grid
+        eden, keys, cden, nums = self._grid
         if cut == len(keys):
             return self
         if not cut:
-            return _on_grid(_ZERO_GRID)
-        return _on_grid((*_least(eden, keys[:cut]), *_least(cden, nums[:cut])))
+            return _on_grid(_ZERO_GRID, self.rank)
+        return _on_grid((*_least(eden, keys[:cut]), *_least(cden, nums[:cut])), self.rank)
 
     def __add__(self, other):
-        ga, gb = self._grid, other._grid
-        if ga is None:
-            return _add_pairs(self, other)
-        ea, ka, ca, na = ga
-        eb, kb, cb, nb = gb
+        ea, ka, ca, na = self._grid
+        eb, kb, cb, nb = other._grid
         if not ka:
             return other
         if not kb:
@@ -393,14 +430,11 @@ class HahnSeries:
         keys.extend(ka[i:] if i < la else kb[j:])
         nums.extend(na[i:] if i < la else nb[j:])
         # a sum at a shared key may lower a denominator or vanish
-        return _on_grid((*_least(eden, tuple(keys)), *_least(cden, tuple(nums))))
+        return _on_grid((*_least(eden, tuple(keys)), *_least(cden, tuple(nums))), self.rank)
 
     def __neg__(self):
-        grid = self._grid
-        if grid is None:
-            return HahnSeries(tuple((e, -c) for e, c in self._terms), self.rank, _clean=False)
-        eden, keys, cden, nums = grid
-        return _on_grid((eden, keys, cden, tuple(-n for n in nums)))
+        eden, keys, cden, nums = self._grid
+        return _on_grid((eden, keys, cden, tuple(-n for n in nums)), self.rank)
 
     def __sub__(self, other):
         return self + (-other)
@@ -415,143 +449,73 @@ class HahnSeries:
         every pair product and every sum at an equal exponent is an int
         operation.  As ``da*db > 0``, an int sum is zero exactly when the
         rational sum is, so the support and the coefficients are those of
-        the rational product.  Rank-1 exponents are put on the lcm of both
-        exponent denominators, and ``bound`` on that grid is rounded up.
+        the rational product.  The keys of both factors are put over the
+        lcm of their exponent denominators, and ``bound`` onto those keys
+        (see ``_below_key``).
         """
-        ga, gb = self._grid, other._grid
-        if ga is None:
-            return _mul_pairs(self, other, bound)
-        ea, ka, ca, na = ga
-        eb, kb, cb, nb = gb
+        ea, ka, ca, na = self._grid
+        eb, kb, cb, nb = other._grid
         if not ka or not kb:
-            return _on_grid(_ZERO_GRID)
+            return _on_grid(_ZERO_GRID, self.rank)
         eden = ea if ea == eb else lcm(ea, eb)
         ka, kb = _over(ea, eden, ka), _over(eb, eden, kb)
         if bound is not INFINITE:
-            bound = _ceil_on_grid(bound, eden)
+            bound = _below_key(bound, eden)
         if len(ka) > len(kb):
             ka, na, kb, nb = kb, nb, ka, na
         keys, nums = _int_products(ka, na, kb, nb, bound)
         if not keys:
-            return _on_grid(_ZERO_GRID)
-        return _on_grid((*_least(eden, keys), *_least(ca * cb, nums)))
+            return _on_grid(_ZERO_GRID, self.rank)
+        return _on_grid((*_least(eden, keys), *_least(ca * cb, nums)), self.rank)
 
     def scale(self, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
         if not q:
             return HahnSeries.zero(self.rank)
-        grid = self._grid
-        if grid is None:
-            return HahnSeries(tuple((e, c * q) for e, c in self._terms), self.rank, _clean=False)
-        eden, keys, cden, nums = grid
+        eden, keys, cden, nums = self._grid
         if not keys:
             return self
         p = q.numerator
-        return _on_grid((eden, keys, *_least(cden * q.denominator, tuple(n * p for n in nums))))
+        return _on_grid((eden, keys, *_least(cden * q.denominator, tuple(n * p for n in nums))), self.rank)
 
     def shift(self, exponent):
         """Multiply by the monomial t^exponent."""
-        grid = self._grid
-        if grid is None:
-            return HahnSeries(tuple((e + exponent, c) for e, c in self._terms), self.rank, _clean=False)
-        eden, keys, cden, nums = grid
+        eden, keys, cden, nums = self._grid
         if not keys:
             return self
-        s = exponent[0]
-        new = lcm(eden, s.denominator)
-        step = s.numerator * (new // s.denominator)
+        sden, (step,) = _keys_of((exponent,))
+        new = lcm(eden, sden)
+        step = step * (new // sden)
         keys = tuple(k + step for k in _over(eden, new, keys))
-        return _on_grid((*_least(new, keys), cden, nums))
+        return _on_grid((*_least(new, keys), cden, nums), self.rank)
 
     def __eq__(self, other):
-        if not isinstance(other, HahnSeries) or self.rank != other.rank:
-            return False
-        grid = self._grid
-        return self._terms == other._terms if grid is None else grid == other._grid
+        return isinstance(other, HahnSeries) and self.rank == other.rank and self._grid == other._grid
 
     def __hash__(self):
-        grid = self._grid
-        return hash((self._terms if grid is None else grid, self.rank))
+        return hash((self._grid, self.rank))
 
     def __repr__(self):
         return f"HahnSeries({format_series_body(self.terms, self.rank)!r})"
 
 
 def _grid_of(terms):
-    """The canonical grid of rank-1 terms, ascending with nonzero coefficients."""
+    """The canonical grid of terms, ascending with nonzero coefficients."""
     if not terms:
         return _ZERO_GRID
-    eden = lcm(*(e[0].denominator for e, _ in terms))
+    eden, keys = _keys_of([e for e, _ in terms])
     cden = lcm(*(c.denominator for _, c in terms))
-    keys = tuple(e[0].numerator * (eden // e[0].denominator) for e, _ in terms)
     nums = tuple(c.numerator * (cden // c.denominator) for _, c in terms)
     return eden, keys, cden, nums
 
 
-def _on_grid(grid):
-    """The rank-1 series of a canonical grid."""
+def _on_grid(grid, rank):
+    """The series of a canonical grid."""
     out = object.__new__(HahnSeries)
-    _set(out, "rank", 1)
+    _set(out, "rank", rank)
     _set(out, "_grid", grid)
     _set(out, "_terms", None)
     return out
-
-
-def _add_pairs(a, b):
-    """Rank d > 1 sum: merge of the two ascending term lists."""
-    ta, tb = a._terms, b._terms
-    if not ta:
-        return b
-    if not tb:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(ta), len(tb)
-    while i < na and j < nb:
-        ea, ca = ta[i]
-        eb, cb = tb[j]
-        if ea < eb:
-            out.append((ea, ca))
-            i += 1
-        elif eb < ea:
-            out.append((eb, cb))
-            j += 1
-        else:
-            c = ca + cb
-            if c:
-                out.append((ea, c))
-            i += 1
-            j += 1
-    out.extend(ta[i:])
-    out.extend(tb[j:])
-    return HahnSeries(tuple(out), a.rank, _clean=False)
-
-
-def _over_common_denominator(terms):
-    """``(d, exponents, [c*d, ...])`` with d the lcm of the coefficient denominators.
-
-    Every ``c*d`` is an int.
-    """
-    d = lcm(*(c.denominator for _, c in terms))
-    return d, [e for e, _ in terms], [c.numerator * (d // c.denominator) for _, c in terms]
-
-
-def _mul_pairs(a, b, bound):
-    """Rank d > 1 product on int numerators; exponents stay ``GroupElement``."""
-    ta, tb = a._terms, b._terms
-    if not ta or not tb:
-        return HahnSeries.zero(a.rank)
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    da, ka, na = _over_common_denominator(ta)
-    db, kb, nb = _over_common_denominator(tb)
-    keys, nums = _int_products(ka, na, kb, nb, bound)
-    den = da * db
-    if den == 1:
-        out = tuple((e, Fraction(n)) for e, n in zip(keys, nums))
-    else:
-        out = tuple((e, Fraction(n, den)) for e, n in zip(keys, nums))
-    return HahnSeries(out, a.rank, _clean=False)
 
 
 class TruncatedSeries:
