@@ -34,7 +34,7 @@ from .errors import (
 from .multiseries import format_multiseries, parse_multiseries, strong_split, weierstrass_divide
 from .prepare import StrongUnitSpec, jacobian_probe, newton_polygon, puiseux_roots, strong_unit_probe
 from .rv import rv_lambda
-from .series import GroupElement, format_rational, format_series, parse_series
+from .series import GroupElement, format_exponent, format_series, parse_series
 from .terms import eval_term, parse_term, polynomial_coeffs, prepare_term
 
 _USAGE_ERRORS = (TermSyntaxError, UnknownFunction, ArityMismatch)
@@ -228,7 +228,7 @@ def _dispatch(args, prec, lam, registry):
         coeffs = _poly_coeffs(args.poly, registry, rank)
         edges = newton_polygon(coeffs)
         _emit(
-            {"polygon": [{"slope": format_rational(v), "multiplicity": m} for v, m in edges]},
+            {"polygon": [{"slope": format_exponent(v), "multiplicity": m} for v, m in edges]},
             f"{len(edges)} polygon edges",
         )
         return 0

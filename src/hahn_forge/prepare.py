@@ -213,7 +213,8 @@ def newton_polygon(coeffs):
     """Candidate root valuations from the lower hull of (i, v(a_i)).
 
     Returns (valuation, multiplicity) pairs, one per hull edge, in hull
-    order; the valuations are the negated edge slopes.
+    order; the valuations are the negated edge slopes, ``GroupElement``s of
+    the coefficients' rank.
     """
     points = []
     for i, c in enumerate(coeffs):
@@ -221,7 +222,7 @@ def newton_polygon(coeffs):
             continue
         if c.approx.is_zero():
             raise InsufficientPrecision(f"coefficient {i} has no determined valuation")
-        points.append((i, c.approx.valuation().first()))
+        points.append((i, c.approx.valuation()))
     return [(nu, i2 - i1) for nu, i1, i2, _ in _hull_edges(points, None)]
 
 
@@ -272,8 +273,9 @@ def _poly_points(coeffs):
 def _hull_edges(points, floor):
     """Lower-hull edges ``(nu, i1, i2, v1)`` with valuation nu strictly above ``floor``.
 
-    ``points`` are ``(i, v)`` in ascending i; nu is the negated slope of the
-    edge from ``(i1, v1)`` to ``(i2, v2)``.
+    ``points`` are ``(i, v)`` in ascending i, with v a Fraction or a
+    ``GroupElement`` (ordered lexicographically); nu is the negated slope of
+    the edge from ``(i1, v1)`` to ``(i2, v2)``.
     """
     if len(points) < 2:
         return []
@@ -290,7 +292,7 @@ def _hull_edges(points, floor):
         hull.append(pt)
     edges = []
     for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        nu = Fraction(v1 - v2, i2 - i1)
+        nu = (v1 - v2) / (i2 - i1)
         if floor is None or nu > floor:
             edges.append((nu, i1, i2, v1))
     return edges

@@ -43,16 +43,25 @@ def poly(*texts):
 
 class TestNewtonPolygon:
     def test_square_root_edge(self):
-        assert newton_polygon(poly("-1*t^(1)", "0", "1")) == [(Fraction(1, 2), 2)]
+        assert newton_polygon(poly("-1*t^(1)", "0", "1")) == [(ge(Fraction(1, 2)), 2)]
 
     def test_two_edges(self):
         assert newton_polygon(poly("1", "1", "1*t^(1)")) == [
-            (Fraction(0), 1),
-            (Fraction(-1), 1),
+            (ge(0), 1),
+            (ge(-1), 1),
         ]
 
     def test_linear(self):
-        assert newton_polygon(poly("-5", "1")) == [(Fraction(0), 1)]
+        assert newton_polygon(poly("-5", "1")) == [(ge(0), 1)]
+
+    def test_rank_two_keeps_every_coordinate(self):
+        # x^2 - t^(0,1) x + t^(1,0): roots of valuation (1,-1) and (0,1),
+        # whose first coordinates alone would read 1 and 0
+        coeffs = [parse_series(text, rank=2) for text in ("1*t^(1,0)", "-1*t^(0,1)", "1")]
+        assert newton_polygon(coeffs) == [(GroupElement([1, -1]), 1), (GroupElement([0, 1]), 1)]
+        # a middle point on the segment between the corners is no vertex
+        coeffs = [parse_series(text, rank=2) for text in ("1*t^(2,-2)", "1*t^(1,-1)", "1")]
+        assert newton_polygon(coeffs) == [(GroupElement([1, -1]), 2)]
 
 
 class TestPuiseuxRoots:
