@@ -23,7 +23,10 @@ failed, metrics) and, per workload and metric declared in the parent's
 over the parent (ties count for neither side), whether the medians differ
 in the better direction by more than the parent's interquartile range,
 and the relative change of the medians next to the metric's regression
-bound.  The script reads
+bound with a verdict: ``within_bound``, ``worse``, or ``unresolved`` when
+the parent's runs spread wider than the bound (IQR over median) and the
+change's runs do not all read better than all of the parent's.  The
+script reads
 ``perfbench/`` and ``BENCHMARK.json`` and writes only the output file; the
 benchmark itself writes to each checkout's ``.bench_out/``.
 """
@@ -57,6 +60,19 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(pairs, sign, bound, worse):
+    """``unresolved`` when the parent's IQR over its median exceeds ``bound``
+    and some change run reads no better than some parent run; else
+    ``worse`` or ``within_bound`` by the median change."""
+    parent, change = [p for p, _ in pairs], [c for _, c in pairs]
+    q1, median, q3 = quartiles(parent)
+    spread = (q3 - q1) / abs(median) if median else (0.0 if q3 == q1 else float("inf"))
+    separated = all(sign * (c - p) > 0 for c in change for p in parent)
+    if spread > bound and not separated:
+        return "unresolved"
+    return "worse" if worse else "within_bound"
+
+
 def summarize(runs, declared):
     """Per workload and metric: side quartiles, wins and the median change."""
     out = {}
@@ -83,6 +99,7 @@ def summarize(runs, declared):
                 entry["bound"] = spec["bound"]
                 worse = entry["median_change"] is not None and -sign * entry["median_change"] > spec["bound"]
                 entry["within_bound"] = not worse
+                entry["verdict"] = verdict(pairs, sign, spec["bound"], worse)
             table[name] = entry
         out[workload] = table
     return out
