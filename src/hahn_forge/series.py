@@ -21,7 +21,7 @@ Sums, products, truncation, shifts and scaling run on the ints and divide
 out one gcd per result; no ``Fraction`` is built per term.
 ``HahnSeries.terms`` is the same value as ``(GroupElement, Fraction)``
 pairs, built on first read and cached; no int key leaves this module.
-Only the key helpers, from ``_keys_of`` to ``_least``, tell the ranks
+Only the key helpers, from ``_key_of`` to ``_least``, tell the ranks
 apart, once per call.
 
 Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
@@ -221,14 +221,23 @@ def _int_products(ka, na, kb, nb, bound):
 # -- the rank decision: exponents and bounds on the grid of keys -------------
 
 
-def _keys_of(exponents):
-    """``(eden, keys)``: nonempty exponents as keys over their least common denominator."""
-    if len(exponents[0]) == 1:
-        eden = lcm(*(e[0].denominator for e in exponents))
-        return eden, tuple(e[0].numerator * (eden // e[0].denominator) for e in exponents)
-    eden = lcm(*(q.denominator for e in exponents for q in e))
+def _key_of(e):
+    """``(den, key)``: the exponent ``e`` as a key over its least denominator."""
+    if len(e) == 1:
+        q = e[0]
+        return q.denominator, q.numerator
+    den = lcm(*(q.denominator for q in e))
+    return den, tuple.__new__(GroupElement, tuple(q.numerator * (den // q.denominator) for q in e))
+
+
+def _keys_of(terms):
+    """``(eden, keys)``: the exponents of nonempty terms as keys over their least common denominator."""
+    if len(terms[0][0]) == 1:
+        eden = lcm(*(e[0].denominator for e, _ in terms))
+        return eden, tuple(e[0].numerator * (eden // e[0].denominator) for e, _ in terms)
+    eden = lcm(*(q.denominator for e, _ in terms for q in e))
     return eden, tuple(
-        tuple.__new__(GroupElement, tuple(q.numerator * (eden // q.denominator) for q in e)) for e in exponents
+        tuple.__new__(GroupElement, tuple(q.numerator * (eden // q.denominator) for q in e)) for e, _ in terms
     )
 
 
@@ -483,7 +492,7 @@ class HahnSeries:
         eden, keys, cden, nums = self._grid
         if not keys:
             return self
-        sden, (step,) = _keys_of((exponent,))
+        sden, step = _key_of(exponent)
         new = lcm(eden, sden)
         step = step * (new // sden)
         keys = tuple(k + step for k in _over(eden, new, keys))
@@ -503,7 +512,7 @@ def _grid_of(terms):
     """The canonical grid of terms, ascending with nonzero coefficients."""
     if not terms:
         return _ZERO_GRID
-    eden, keys = _keys_of([e for e, _ in terms])
+    eden, keys = _keys_of(terms)
     cden = lcm(*(c.denominator for _, c in terms))
     nums = tuple(c.numerator * (cden // c.denominator) for _, c in terms)
     return eden, keys, cden, nums
