@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hahn_forge.errors import (
+    InsufficientPrecision,
+    IrrationalLeadingCoefficient,
     NotInValuationRing,
     NotPositive,
     PrecisionStall,
@@ -909,3 +911,162 @@ class TestTrustedTruncation:
         a = parse_series("1 + 1*t^(1) + 1*t^(2) + O(t^(3))")
         assert format_series(a.truncate(ge(2))) == "1 + 1*t^(1) + O(t^(2))"
         assert a.truncate(ge(3)) is a and a.truncate(ge(5)) is a
+
+
+# -- the n-th root against the full-precision Newton loop --------------------
+
+
+def _int_root(m, n):
+    r = round(m ** (1 / n))
+    return next((x for x in (r - 1, r, r + 1) if x >= 0 and x**n == m), None)
+
+
+def _full_precision_root(a, n, target_prec):
+    """The n-th root by Newton's iteration for y^n = u, every step at the full
+    target precision with one inverse of the derivative (test oracle)."""
+    if compare_sign(a) != POSITIVE:
+        raise NotPositive("n-th root requires a positive element")
+    g = a.approx.valuation()
+    c0 = a.approx.leading_coeff()
+    num, den = _int_root(c0.numerator, n), _int_root(c0.denominator, n)
+    if num is None or den is None:
+        raise IrrationalLeadingCoefficient(f"{c0} has no rational {n}-th root")
+    b = TruncatedSeries.monomial(Fraction(num, den), g / n)
+    unit = TruncatedSeries(a.approx.shift(-g).scale(1 / c0), INFINITE if a.prec is INFINITE else a.prec - g)
+    one = TruncatedSeries.one(a.rank)
+    if unit == one:
+        return b
+    res_target = target_prec - g
+    if a.prec is not INFINITE and a.prec - g < res_target:
+        raise InsufficientPrecision("operand precision cannot support the requested root")
+    y = one
+    for _ in range(64):
+        residual = power(y, n, res_target) - unit
+        if residual.approx.is_zero() or residual.approx.valuation() >= res_target:
+            break
+        deriv = power(y, n - 1, res_target).scale(n)
+        y = (y - residual * invert(deriv, res_target)).truncate(res_target)
+    x = b * y
+    if a.is_exact():
+        terms = x.approx.terms
+        top = a.approx.terms[-1][0]
+        for cut in range(len(terms), 0, -1):
+            if terms[cut - 1][0] * n == top:
+                cand = TruncatedSeries.exact(HahnSeries(terms[:cut], a.rank))
+                if power(cand, n).approx == a.approx:
+                    return cand
+    return x.truncate(res_target + g / n)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the class of the error it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by class against the oracle
+        return type(exc)
+
+
+def _check_root(a, n, target):
+    got, want = _outcome(nth_root, a, n, target), _outcome(_full_precision_root, a, n, target)
+    assert got == want
+    if isinstance(want, TruncatedSeries):
+        assert format_series(got) == format_series(want)
+    return want
+
+
+ROOT_COEFFS = [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 2)]
+
+
+def _rank2_exponent(draw, lo, hi, firsts=(0, 1, 2)):
+    return GroupElement([Fraction(draw(st.sampled_from(firsts)), 2), Fraction(draw(st.integers(lo, hi)), 2)])
+
+
+@st.composite
+def root_cases(draw, rank):
+    """``(a, n, target)``: a positive, its leading coefficient an n-th power.
+
+    The valuation may be negative.  ``a`` is exact, or known exactly up to
+    the target (the least precision the root accepts), or beyond it.
+    """
+    n = draw(st.sampled_from([2, 3, 4, 5]))
+    c0 = draw(st.sampled_from(ROOT_COEFFS)) ** n
+    if rank == 1:
+        grid = draw(st.sampled_from(GRIDS))
+        g = ge(Fraction(draw(st.integers(-6, 4)), grid))
+        tail = [(ge(Fraction(k, grid)), Fraction(c, draw(st.sampled_from([1, 2, 3]))))
+                for k, c in draw(st.lists(st.tuples(st.integers(1, 8), st.integers(-9, 9)), max_size=4))]
+        rel = ge(Fraction(draw(st.integers(1, 10)), draw(st.sampled_from(GRIDS))))
+        above = ge(Fraction(draw(st.integers(1, 4)), draw(st.sampled_from(GRIDS))))
+    else:
+        g = _rank2_exponent(draw, -4, 4, (-2, 0, 1))
+        # tail exponents lie above (0, 0): a first coordinate of 0 needs a positive second
+        tail = [(e, Fraction(draw(st.integers(-9, 9)))) for e in
+                (_rank2_exponent(draw, -4, 6) for _ in range(draw(st.integers(0, 4))))
+                if e > GroupElement.zero(2)]
+        rel = _rank2_exponent(draw, -2, 8)
+        rel = rel if rel > GroupElement.zero(2) else GroupElement([0, 1])
+        above = _rank2_exponent(draw, 1, 4)
+    unit = HahnSeries([(GroupElement.zero(rank), 1)] + tail, rank)
+    approx = unit.shift(g).scale(c0)
+    target = g + rel
+    kind = draw(st.sampled_from(["exact", "at guard", "above"]))
+    if kind == "exact":
+        return TruncatedSeries.exact(approx), n, target
+    return TruncatedSeries(approx, target if kind == "at guard" else target + above), n, target
+
+
+@st.composite
+def perfect_powers(draw, rank):
+    """``(b^n, n, target)`` for a positive exact b; the target lies below or above b^n's top."""
+    n = draw(st.sampled_from([2, 3, 4, 5]))
+    if rank == 1:
+        b = _positive(draw(grid_series(nonzero=True)))
+    else:
+        lead = _rank2_exponent(draw, -4, 4, (-2, 0, 1))
+        tail = [(lead + _rank2_exponent(draw, -4, 4), Fraction(draw(st.integers(-5, 5)))) for _ in range(draw(st.integers(0, 3)))]
+        b = _positive(HahnSeries([(lead, Fraction(draw(st.sampled_from(ROOT_COEFFS))))]
+                                 + [(e, c) for e, c in tail if e > lead], rank))
+    a = _int_power(b, n)
+    top = a.approx.terms[-1][0]
+    rel = draw(st.sampled_from([ge(1), ge(Fraction(1, 2)), ge(3)])) if rank == 1 else _rank2_exponent(draw, 0, 4)
+    target = draw(st.sampled_from([top + rel, a.approx.valuation() + rel]))
+    return a, n, target
+
+
+class TestNthRootAgainstFullPrecisionNewton:
+    """``nth_root`` equals the full-precision Newton loop, outputs and errors alike."""
+
+    @given(root_cases(1))
+    def test_rank_one(self, case):
+        _check_root(*case)
+
+    @given(root_cases(2))
+    def test_rank_two(self, case):
+        _check_root(*case)
+
+    @given(perfect_powers(1))
+    def test_exact_perfect_powers_rank_one(self, case):
+        _check_root(*case)
+
+    @given(perfect_powers(2))
+    def test_exact_perfect_powers_rank_two(self, case):
+        _check_root(*case)
+
+    def test_exact_root_within_target(self):
+        a = s("1 + 2*t^(1/2) + 1*t^(1)")  # (1 + t^(1/2))^2
+        assert _check_root(a, 2, ge(3)) == s("1 + 1*t^(1/2)")
+        a = s("4*t^(-2) + 4*t^(-1) + 1")  # (2 t^(-1) + 1)^2
+        assert _check_root(a, 2, ge(2)) == s("2*t^(-1) + 1")
+
+    def test_truncated_root_deep_target(self):
+        a = s("1 + 1*t^(1/3) + O(t^(9))")
+        root = _check_root(a, 5, ge(9))
+        assert root.prec == ge(9) and len(root.approx.terms) == 27
+
+    def test_rank_two_unreachable_target(self):
+        # the gap t^(0,1) never doubles up to the first coordinate
+        a = parse_series("1 + 1*t^(0,1)", rank=2)
+        target = GroupElement([1, 0])
+        for f in (nth_root, _full_precision_root):
+            with pytest.raises(PrecisionStall):
+                f(a, 2, target)
