@@ -21,15 +21,15 @@ Sums, products, truncation, shifts and scaling run on the ints and divide
 out one gcd per result; no ``Fraction`` is built per term.
 ``HahnSeries.terms`` is the same value as ``(GroupElement, Fraction)``
 pairs, built on first read and cached; no int key leaves this module.
-Only the key helpers, from ``_key_of`` to ``_least``, tell the ranks
-apart, once per call.
+Only the key helpers, from ``_key_of`` to ``_least``, and the row cut of
+a bounded product in ``_int_products`` tell the ranks apart, once per call.
 
 Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
 < p (the open bound of a precision), and ``truncate_through(hi)`` keeps
 those <= hi (the closed window of a leading-term jet).  On the grid both
-are one ``bisect`` at the bound put on the keys: rank 1 rounds it onto the
-ints, and rank d compares keys against its unrounded coordinates
-``q*eden``.
+are one ``bisect`` at the bound put on the keys as ints: rank 1 rounds it
+onto the ints, and rank d cuts it after its first coordinate that is not an
+int, rounded (see ``_int_cut``).
 
 A ``TruncatedSeries`` keeps every stored exponent below its precision.
 The public constructor ``TruncatedSeries(approx, prec)`` and
@@ -45,6 +45,11 @@ value itself.
 Horner loop of the package; both truncate every step at an optional
 precision and are exact without one.
 
+``invert`` and ``nth_root`` share one Newton kernel, ``_inverse_root``:
+the inverse n-th root of a unit at doubling precision, with no division by
+a series.  ``invert`` is its n = 1 case; ``nth_root`` is ``u w^(n-1)`` for
+``w = u^(-1/n)``.
+
 Products run on ints in every rank.  Each factor's coefficients are put
 over the lcm of their denominators, so the pair loop multiplies and sums
 plain ints; both denominators are positive, so an int sum is zero exactly
@@ -58,7 +63,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .errors import (
     InsufficientPrecision,
@@ -199,20 +204,23 @@ def _int_products(ka, na, kb, nb, bound):
 
     Forms the pairs ``(ka[i] + kb[j], na[i] * nb[j])`` with key below
     ``bound``, sums equal keys and drops zero sums; returns the ascending
-    ``(keys, nums)``.  ``kb`` ascends, so the key ascends along the inner
-    loop, which stops at the first key at or above ``bound``.
+    ``(keys, nums)``.  The order is invariant under translation, so
+    ``ka[i] + kb[j]`` lies below ``bound`` exactly when ``kb[j]`` lies
+    below ``bound - ka[i]``: one ``bisect`` per row finds its pairs.  A
+    rank-d ``bound`` is an ``_int_cut`` tuple, which may be shorter than
+    the keys; subtracting ``ka[i]`` in its coordinates keeps it one.  A
+    bound above the top pair cuts nothing and is not looked at again.
     """
-    if bound is INFINITE:
+    if bound is INFINITE or ka[-1] + kb[-1] < bound:
         pairs = [(x + y, ca * cb) for x, ca in zip(ka, na) for y, cb in zip(kb, nb)]
     else:
         pairs = []
-        append = pairs.append
+        rank_one = type(bound) is int
         for x, ca in zip(ka, na):
-            for y, cb in zip(kb, nb):
-                k = x + y
-                if k >= bound:
-                    break
-                append((k, ca * cb))
+            cut = bisect_left(kb, bound - x if rank_one else tuple(map(sub, bound, x)))
+            if not cut:
+                break  # ka ascends, so no later row has a pair below bound
+            pairs += [(x + y, ca * cb) for y, cb in zip(kb[:cut], nb)]
     pairs.sort(key=_first)
     merged = _collect(pairs)
     return tuple(map(_first, merged)), tuple(c for _, c in merged)
@@ -259,25 +267,42 @@ def _terms_of(eden, keys, cden, nums):
 
 def _below_key(bound, eden):
     """``bound`` put on the keys over ``eden``: an exponent lies below ``bound``
-    exactly when its key lies below the result.
-
-    Rank 1 rounds up onto the ints.  Rank d keeps the coordinates
-    ``q*eden`` unrounded: rounding one would cut past keys that share the
-    coordinates before it.
-    """
+    exactly when its key lies below the result (rounded up)."""
     if len(bound) == 1:
         b = bound[0]
         return -((-b.numerator * eden) // b.denominator)
-    return tuple.__new__(GroupElement, tuple(q * eden for q in bound))
+    return _int_cut(bound, eden, up=True)
 
 
 def _through_key(hi, eden):
     """``hi`` put on the keys over ``eden``: an exponent is at most ``hi``
-    exactly when its key is at most the result (rank 1 rounds down)."""
+    exactly when its key is at most the result (rounded down)."""
     if len(hi) == 1:
         h = hi[0]
         return h.numerator * eden // h.denominator
-    return tuple.__new__(GroupElement, tuple(q * eden for q in hi))
+    return _int_cut(hi, eden, up=False)
+
+
+def _int_cut(e, eden, up):
+    """The rank-d exponent ``e`` put on the keys over ``eden`` as a tuple of ints.
+
+    The coordinates ``q*eden`` are ints up to the first that is not.  The
+    last coordinate is rounded in place, ``up`` or down as in rank 1.  An
+    earlier one is rounded up and ends the tuple: a key that matches the
+    ints before it lies below the cut exactly when its own coordinate lies
+    below ``q*eden``, and no key, being longer, equals the cut.  Rounding
+    an earlier coordinate in place would cut past keys that share the
+    coordinates before it.
+    """
+    out = []
+    last = len(e) - 1
+    for i, q in enumerate(e):
+        num, den = q.numerator * eden, q.denominator
+        if i < last and num % den:
+            out.append(num // den + 1)
+            break
+        out.append(-(-num // den) if up else num // den)
+    return tuple(out)
 
 
 def _least(den, nums):
@@ -720,10 +745,10 @@ def invert(a, target_prec):
     """Multiplicative inverse with residual ``v(a*x - 1) >= target_prec - 2 v(a)``.
 
     Exact monomials invert exactly.  Otherwise the leading term is split
-    off and the unit part is inverted by Newton iteration at doubling
-    precision, ``x <- x + x (1 - unit x)``, with every product bounded at
-    the precision of the step.  The inverse truncated at a given precision
-    is unique, so the result does not depend on the iteration schedule.
+    off and the unit part is inverted by ``_inverse_root`` with n = 1, the
+    Newton step ``x <- x + x (1 - unit x)`` at doubling precision.  The
+    inverse truncated at a given precision is unique, so the result does
+    not depend on the iteration schedule.
     """
     if a.approx.is_zero():
         raise ZeroOrUncertainLeadingTerm("no determined leading term to invert")
@@ -737,24 +762,39 @@ def invert(a, target_prec):
     rel_have = INFINITE if a.prec is INFINITE else a.prec - g
     if rel_have is not INFINITE and rel_have < rel_needed:
         raise InsufficientPrecision("operand precision cannot support the requested inverse")
-    unit = a.approx.shift(-g).scale(1 / c)
-    one = HahnSeries.constant(1, a.rank)
-    # v(1 - unit) > 0 and each step doubles the valuation of the residual
-    # 1 - unit x.  Doubling never leaves the leading nonzero coordinate, so
-    # in rank > 1 a gap (0, 1) never reaches a target such as (1, 0).
+    x = _inverse_root(a.approx.shift(-g).scale(1 / c), 1, rel_needed)
+    return TruncatedSeries(x.shift(-g).scale(1 / c), rel_needed - g)
+
+
+def _inverse_root(unit, n, rel_needed):
+    """``w`` with ``v(1 - unit w^n) >= rel_needed``, for a unit ``1 + O(t^e)``, e > 0.
+
+    Newton's step for the inverse n-th root, ``w <- w + w (1 - unit w^n) / n``,
+    needs no division by a series: it doubles the valuation of the residual
+    ``1 - unit w^n``, so each step runs at twice the precision of the last,
+    every product bounded there (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 9).  ``w`` is kept exact and truncated below the precision
+    reached: a truncated iterate would make every residual ``0 + O(...)``.
+    The truncated root is unique, so ``w`` does not depend on the schedule.
+    """
+    one = HahnSeries.constant(1, unit.rank)
+    # Doubling never leaves the leading nonzero coordinate of the gap, so in
+    # rank > 1 a gap (0, 1) never reaches a target such as (1, 0).
     reached = (unit - one).valuation()
     if reached < rel_needed and any(rel_needed[: next(i for i, q in enumerate(reached) if q)]):
         raise PrecisionStall(
             "leading gap of the unit part lies in a later coordinate than the target; "
             "Newton doubling cannot reach the requested depth in lexicographic rank > 1"
         )
-    x = one
+    w = one
     while reached < rel_needed:
         reached = _min_prec(reached + reached, rel_needed)
-        residual = one - unit.__mul__(x, bound=reached)
-        x = x + x.__mul__(residual, bound=reached)
-    x = x.shift(-g).scale(1 / c)
-    return TruncatedSeries(x, rel_needed - g)
+        wn = unit
+        for _ in range(n):
+            wn = wn.__mul__(w, bound=reached)
+        step = w.__mul__(one - wn, bound=reached)
+        w = w + (step if n == 1 else step.scale(Fraction(1, n)))
+    return w
 
 
 def _integer_nth_root(m, n):
@@ -781,9 +821,10 @@ def _rational_nth_root(q, n):
 def nth_root(a, n, target_prec):
     """Unique positive n-th root of a positive element.
 
-    Splits off the monomial carrying v(a)/n, then lifts the unit part by
-    Newton iteration for y^n = u starting at the residue root.  Exact when
-    the iteration lands on an exact finite-support root.
+    Splits off the monomial carrying v(a)/n; the root of the unit part u
+    is ``u w^(n-1)`` for ``w = u^(-1/n)`` from ``_inverse_root``, the Hensel
+    lift of the residue root 1 at doubling precision without a division.
+    Exact when the truncated root, powered back, is the exact input.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -805,22 +846,15 @@ def nth_root(a, n, target_prec):
     res_target = target_prec - g  # v(y^n - u) >= this
     if a.prec is not INFINITE and a.prec - g < res_target:
         raise InsufficientPrecision("operand precision cannot support the requested root")
-    work = res_target
-    y = one
-    for _ in range(64):
-        yn = power(y, n, work)
-        residual = yn - unit
-        if residual.approx.is_zero():
-            if residual.is_exact() and a.is_exact():
-                return b * y
-            break
-        if residual.approx.valuation() >= res_target:
-            break
-        deriv = power(y, n - 1, work).scale(n)
-        y = (y - residual * invert(deriv, work)).truncate(work)
+    y = unit.approx  # the first root of the unit is the unit itself
+    if n > 1:
+        w = _inverse_root(y, n, res_target)
+        for _ in range(n - 1):
+            y = y.__mul__(w, bound=res_target)
+    y = TruncatedSeries(y, res_target)
     x = b * y
     if a.is_exact():
-        # the iterate may have landed on the exact root plus junk at the
+        # the truncated root may be the exact root plus terms at the
         # precision edge; trim from the top and test by powering back
         terms = x.approx.terms
         top = a.approx.terms[-1][0]

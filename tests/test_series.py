@@ -731,6 +731,27 @@ class TestIntegerGrid:
         kept = x.truncate_below(GroupElement([1, -3])).terms
         assert [tuple(e) for e, _ in kept] == [(Fraction(1, 2), Fraction(4, 3)), (1, -5)]
 
+    def test_rank_two_cuts_are_ints(self):
+        # a rank-d bound meets the keys as ints: the last coordinate rounded
+        # in place, an earlier one that is not an int rounded up, ending the cut
+        from hahn_forge.series import _below_key, _through_key
+
+        x = _series_of({(Fraction(0), Fraction(0)): Fraction(1), (Fraction(0), Fraction(1)): Fraction(2),
+                        (Fraction(1, 2), Fraction(-3)): Fraction(5)}, 2)
+        cases = [((0, Fraction(-1, 7)), 0, 0), ((0, 0), 0, 1), ((0, Fraction(1, 2)), 1, 1), ((0, 1), 1, 2),
+                 ((Fraction(1, 3), -9), 2, 2), ((Fraction(1, 2), -3), 2, 3), ((Fraction(1, 2), Fraction(-5, 2)), 3, 3)]
+        for p, below, through in cases:
+            bound = GroupElement(p)
+            assert len(x.truncate_below(bound).terms) == below
+            assert len(x.truncate_through(bound).terms) == through
+            assert len(x.__mul__(HahnSeries.constant(1, 2), bound=bound).terms) == below
+            for key in (_below_key(bound, 6), _through_key(bound, 6)):
+                assert type(key) is tuple and all(type(k) is int for k in key)
+        assert _below_key(GroupElement([Fraction(1, 4), 3]), 2) == (1,)
+        assert _through_key(GroupElement([Fraction(1, 4), 3]), 2) == (1,)
+        assert _below_key(GroupElement([1, Fraction(1, 4)]), 2) == (2, 1)
+        assert _through_key(GroupElement([1, Fraction(1, 4)]), 2) == (2, 0)
+
     @given(st.data())
     def test_exponents_have_fraction_coordinates(self, data):
         # int coordinates must not leak from the grid: GroupElement / int
@@ -1062,6 +1083,13 @@ class TestNthRootAgainstFullPrecisionNewton:
         a = s("1 + 1*t^(1/3) + O(t^(9))")
         root = _check_root(a, 5, ge(9))
         assert root.prec == ge(9) and len(root.approx.terms) == 27
+
+    def test_first_root_is_the_value(self):
+        # no Newton step, so no stall in rank 2 either
+        a = parse_series("1 + 1*t^(0,1)", rank=2)
+        assert _check_root(a, 1, GroupElement([1, 0])) == a
+        assert _check_root(a, 1, GroupElement([0, 1])) == a.truncate(GroupElement([0, 1]))
+        assert _check_root(s("1 + 1*t^(1) + O(t^(3))"), 1, ge(2)) == s("1 + 1*t^(1) + O(t^(2))")
 
     def test_rank_two_unreachable_target(self):
         # the gap t^(0,1) never doubles up to the first coordinate
