@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     NotInfinitesimal,
     TermSyntaxError,
+    UndecidableAtPrecision,
     UnknownFunction,
 )
 from .series import (
@@ -34,6 +35,7 @@ from .series import (
     TruncatedSeries,
     format_exponent,
     format_rational,
+    format_series,
     invert,
     power,
 )
@@ -371,10 +373,12 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
         raise TypeError(f"not a term node: {node!r}")
 
     def _divide(a, b):
-        if b.is_exact_zero():
-            if inv_zero_is_zero:
-                return TruncatedSeries.zero(rank)
-            raise DivisionByZero("exact zero denominator")
+        if b.approx.is_zero():
+            if b.is_exact():
+                if inv_zero_is_zero:
+                    return TruncatedSeries.zero(rank)
+                raise DivisionByZero("exact zero denominator")
+            raise UndecidableAtPrecision(f"denominator {format_series(b)} has no determined leading term")
         return a * invert(b, target_prec)
 
     value = ev(node)

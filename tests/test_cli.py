@@ -152,6 +152,12 @@ class TestMoreSurface:
         code, payload, _ = run(capsys, "eval", "--inv-zero-is-zero", "1/x", "--at", "0")
         assert code == 0 and payload == {"value": "0"}
 
+    def test_undetermined_denominator_exit_code(self, capsys):
+        # a denominator known only as 0 + O(t^(2)) is precision exhaustion, not a usage error
+        for text in ("inv(x)", "1/x"):
+            code, _, _ = run(capsys, "eval", "--prec", "3", text, "--at", "0 + O(t^(2))")
+            assert code == 3
+
     def test_verify_report_schema(self, capsys):
         code, payload, _ = run(capsys, "verify", "x", "--with-C", "0", "--trials", "30")
         assert code == 0

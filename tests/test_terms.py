@@ -13,6 +13,7 @@ from hahn_forge.errors import (
     DivisionByZero,
     DomainError,
     TermSyntaxError,
+    UndecidableAtPrecision,
     UnknownFunction,
 )
 from hahn_forge.series import INFINITE, GroupElement, TruncatedSeries, format_series, parse_series, poly_eval
@@ -151,6 +152,14 @@ class TestEval:
             eval_term(node, TruncatedSeries.zero(), ge(4))
         out = eval_term(node, TruncatedSeries.zero(), ge(4), inv_zero_is_zero=True)
         assert out.is_exact_zero()
+
+    def test_undetermined_denominator_is_undecidable(self):
+        # 0 + O(t^(2)) may be zero or not, whatever the zero-inverse convention
+        blurry = s("0 + O(t^(2))")
+        for text in ("1/x", "inv(x)", "1/(x - x)", "x^-1"):
+            for flag in (False, True):
+                with pytest.raises(UndecidableAtPrecision):
+                    eval_term(parse_term(text), blurry, ge(3), inv_zero_is_zero=flag)
 
     def test_evaluation_homomorphism(self):
         rng = random.Random("homo")
