@@ -21,8 +21,8 @@ Sums, products, truncation, shifts and scaling run on the ints and divide
 out one gcd per result; no ``Fraction`` is built per term.
 ``HahnSeries.terms`` is the same value as ``(GroupElement, Fraction)``
 pairs, built on first read and cached; no int key leaves this module.
-Only the key helpers, from ``_key_of`` to ``_least``, and the row cut of
-a bounded product in ``_int_products`` tell the ranks apart, once per call.
+Only the key helpers, from ``_key_of`` to ``_least``, tell the ranks
+apart, once per call.
 
 Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
 < p (the open bound of a precision), and ``truncate_through(hi)`` keeps
@@ -63,7 +63,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter, sub
+from operator import itemgetter
 
 from .errors import (
     InsufficientPrecision,
@@ -204,23 +204,21 @@ def _int_products(ka, na, kb, nb, bound):
 
     Forms the pairs ``(ka[i] + kb[j], na[i] * nb[j])`` with key below
     ``bound``, sums equal keys and drops zero sums; returns the ascending
-    ``(keys, nums)``.  The order is invariant under translation, so
-    ``ka[i] + kb[j]`` lies below ``bound`` exactly when ``kb[j]`` lies
-    below ``bound - ka[i]``: one ``bisect`` per row finds its pairs.  A
-    rank-d ``bound`` is an ``_int_cut`` tuple, which may be shorter than
-    the keys; subtracting ``ka[i]`` in its coordinates keeps it one.  A
-    bound above the top pair cuts nothing and is not looked at again.
+    ``(keys, nums)``.  A bound above the top pair cuts nothing, so no pair
+    is compared with it.  Otherwise ``kb`` ascends, so the key ascends along
+    the inner loop, which stops at the first key at or above ``bound``.
     """
     if bound is INFINITE or ka[-1] + kb[-1] < bound:
         pairs = [(x + y, ca * cb) for x, ca in zip(ka, na) for y, cb in zip(kb, nb)]
     else:
         pairs = []
-        rank_one = type(bound) is int
+        append = pairs.append
         for x, ca in zip(ka, na):
-            cut = bisect_left(kb, bound - x if rank_one else tuple(map(sub, bound, x)))
-            if not cut:
-                break  # ka ascends, so no later row has a pair below bound
-            pairs += [(x + y, ca * cb) for y, cb in zip(kb[:cut], nb)]
+            for y, cb in zip(kb, nb):
+                k = x + y
+                if k >= bound:
+                    break
+                append((k, ca * cb))
     pairs.sort(key=_first)
     merged = _collect(pairs)
     return tuple(map(_first, merged)), tuple(c for _, c in merged)
