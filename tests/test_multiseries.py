@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from hahn_forge.errors import NonUnitNorm, NotAUnit, NotRegular
+from hahn_forge.errors import NonUnitNorm, NotAUnit, NotRegular, TermSyntaxError
 from hahn_forge.multiseries import (
     MultiSeries,
     format_multiseries,
@@ -23,7 +24,7 @@ from hahn_forge.multiseries import (
     unit_invert,
     weierstrass_divide,
 )
-from hahn_forge.series import GroupElement, TruncatedSeries, parse_series
+from hahn_forge.series import INFINITE, GroupElement, HahnSeries, TruncatedSeries, parse_series
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
 ms = parse_multiseries
@@ -316,6 +317,59 @@ class TestSubstitutionAndEval:
         text = "[1 - 1*t^(1)]*x1^2 + [3/2]*x2"
         assert format_multiseries(ms(text)) == "[3/2]*x2 + [1 - 1*t^(1)]*x1^2"
         assert ms(format_multiseries(ms(text))) == ms(text)
+
+    # accepted spellings, README examples and golden argv, with their canonical form
+    ACCEPTED = [
+        ("[1]*x1^2 + [-1*t^(1)]", "[-1*t^(1)] + [1]*x1^2"),
+        ("[1]*x1^3", "[1]*x1^3"),
+        ("[1]*x2 + [1]*x2^2 + [-1]*x1", "[1]*x2 + [-1]*x1 + [1]*x2^2"),
+        ("[1]*x1*x2", "[1]*x1*x2"),
+        ("[1 + O(t^(2))]*x1 + [0 + O(t^(3))]", "[0 + O(t^(3))] + [1 + O(t^(2))]*x1"),
+        ("[-1]*x1 + [-3/2*t^(1/2)]", "[-3/2*t^(1/2)] + [-1]*x1"),
+        ("[3/ 2]*x1 + [t^( 1 / 2 )]", "[1*t^(1/2)] + [3/2]*x1"),
+    ]
+
+    @pytest.mark.parametrize("text, canonical", ACCEPTED)
+    def test_accepted_corpus(self, text, canonical):
+        f = ms(text)
+        assert format_multiseries(f) == canonical
+        assert ms(canonical) == f
+
+    @pytest.mark.parametrize("text", ["[1]*x1 - [2]", "[1 + O(t^(2)) + 3]", "[O(t^(2))]*x1", "[1]*x1 [2]"])
+    def test_rejected_corpus(self, text):
+        with pytest.raises(TermSyntaxError):
+            ms(text)
+
+    @given(st.data())
+    def test_format_parse_round_trip(self, data):
+        rank = data.draw(st.sampled_from([1, 2]))
+        f = data.draw(multiseries(rank))
+        assert parse_multiseries(format_multiseries(f), nvars=f.nvars, rank=f.rank) == f
+
+
+@st.composite
+def truncated_coefficients(draw, rank):
+    """Exact and truncated series, ``0 + O(t^p)`` included."""
+    exponent = st.builds(
+        lambda num, den: Fraction(num, den), st.integers(-4, 8), st.sampled_from([1, 2, 3])
+    )
+    exps = draw(st.lists(st.tuples(*[exponent] * rank), max_size=4, unique=True))
+    coeffs = [
+        Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4))) for _ in exps
+    ]
+    approx = HahnSeries([(GroupElement(e), c) for e, c in zip(exps, coeffs)], rank=rank)
+    prec = draw(st.one_of(st.just(INFINITE), st.tuples(*[exponent] * rank).map(GroupElement)))
+    return TruncatedSeries(approx, prec)
+
+
+@st.composite
+def multiseries(draw, rank):
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    monomials = st.tuples(*[st.integers(0, degree)] * nvars).filter(lambda idx: sum(idx) <= degree)
+    idxs = draw(st.lists(monomials, max_size=4, unique=True))
+    coeffs = {idx: draw(truncated_coefficients(rank)) for idx in idxs}
+    return MultiSeries(nvars, degree, coeffs, rank=rank)
 
 
 class TestTruncatedInputs:

@@ -12,6 +12,7 @@ from hahn_forge.errors import (
     NotInValuationRing,
     NotPositive,
     PrecisionStall,
+    TermSyntaxError,
     UndecidableAtPrecision,
     ZeroOrUncertainLeadingTerm,
 )
@@ -300,6 +301,41 @@ class TestTextFormat:
         for _ in range(50):
             a = random_exact(rng)
             assert parse_series(format_series(a)) == a
+
+    # accepted spellings, README examples and golden argv, with their canonical form
+    ACCEPTED = [
+        ("3/ 2*t^(1)", 1, "3/2*t^(1)"),
+        ("3 /2", 1, "3/2"),
+        ("t^( 1 / 2 )", 1, "1*t^(1/2)"),
+        ("1+O(t^(2))", 1, "1 + O(t^(2))"),
+        ("-0", 1, "0"),
+        ("0 + O(t^(3))", 1, "0 + O(t^(3))"),
+        ("3/2*t^(-1/2) + 1 - 5*t^(2)", 1, "3/2*t^(-1/2) + 1 - 5*t^(2)"),
+        ("3*t^(2) + 5*t^(3) + 7*t^(4)", 1, "3*t^(2) + 5*t^(3) + 7*t^(4)"),
+        ("1 - 1*t^(1)", 1, "1 - 1*t^(1)"),
+        ("-1*t^(1)", 1, "-1*t^(1)"),
+        ("t^(2)", 1, "1*t^(2)"),
+        ("t^(1/2) + 2*t^(1/3)", 1, "2*t^(1/3) + 1*t^(1/2)"),
+        ("t^(1/2) - 3*t^(1/3)", 1, "-3*t^(1/3) + 1*t^(1/2)"),
+        ("t^(1/2) + t^(2/3)", 1, "1*t^(1/2) + 1*t^(2/3)"),
+        ("1*t^(1) + O(t^(2))", 1, "1*t^(1) + O(t^(2))"),
+        ("t^(1/2,1) + 2*t^(1,-1)", 2, "1*t^(1/2,1) + 2*t^(1,-1)"),
+        ("t^(1/2,1) - 3*t^(1,-1)", 2, "1*t^(1/2,1) - 3*t^(1,-1)"),
+        ("t^(1/2) - 3/5*t^(1/3)", 1, "-3/5*t^(1/3) + 1*t^(1/2)"),
+        ("2*t^(1)-3*t^(3/2)+t^(2)+5*t^(3)", 1, "2*t^(1) - 3*t^(3/2) + 1*t^(2) + 5*t^(3)"),
+        ("t^(1/7) + t^(1/5)", 1, "1*t^(1/7) + 1*t^(1/5)"),
+    ]
+
+    @pytest.mark.parametrize("text, rank, canonical", ACCEPTED)
+    def test_accepted_corpus(self, text, rank, canonical):
+        a = parse_series(text, rank)
+        assert format_series(a) == canonical
+        assert parse_series(canonical, rank) == a
+
+    @pytest.mark.parametrize("text", ["3/-2", "1 + O(t^(2)) + 3", "O(t^(2))", "1 + t ^(1)"])
+    def test_rejected_corpus(self, text):
+        with pytest.raises(TermSyntaxError):
+            parse_series(text)
 
 
 class TestNegativeValuationRoots:

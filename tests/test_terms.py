@@ -24,6 +24,7 @@ from hahn_forge.terms import (
     Lit,
     Mono,
     Mul,
+    Neg,
     Pow,
     Sub,
     Var,
@@ -52,6 +53,11 @@ class TestParse:
         with pytest.raises(TermSyntaxError) as err:
             parse_term("exp(x")
         assert err.value.col == 6
+
+    @pytest.mark.parametrize("text", ["exp(x", "1 + t ^(1)", "x^", "t^(1.5)", "t^(1,2)"])
+    def test_rejected_corpus(self, text):
+        with pytest.raises(TermSyntaxError):
+            parse_term(text)
 
     def test_unknown_function(self):
         with pytest.raises(UnknownFunction):
@@ -94,6 +100,41 @@ class TestPrintRoundTrip:
         printed = print_term(tree)
         assert parse_term(printed) == tree
         assert print_term(parse_term(printed)) == printed
+
+    # accepted spellings, README examples and golden argv, with their rank
+    ACCEPTED = [
+        ("x/-2", 1),
+        ("x\n+1", 1),
+        ("exp(x)", 1),
+        ("inv(x-x)", 1),
+        ("x^2", 1),
+        ("t^(1)*x^2 + x + 1", 1),
+        ("x^2 - 2*t^(1)", 1),
+        ("inv(1 + x)", 1),
+        ("(1 + x)/(1 - x)", 1),
+        ("x/(t^(1) + x^2)", 1),
+        ("inv(x)", 1),
+        ("(x^2-2*t^(1))*(x^2+t^(2)*x+t^(3))", 1),
+        ("(x-t^(1))^3*x-t^(5)", 1),
+        ("(1 + x)^12 - x^5", 1),
+        ("x^3-t^(1)*x+t^(3)", 1),
+        ("(1 + x)^3 - x/7", 1),
+        ("inv(1 + x)", 2),
+        ("(1 + x)^3 - x", 2),
+        ("x*x - t^(1,0)", 2),
+        ("x^2 - t^(0,1)*x + t^(1,0)", 2),
+    ]
+
+    @pytest.mark.parametrize("text, rank", ACCEPTED)
+    def test_accepted_corpus(self, text, rank):
+        tree = parse_term(text, rank=rank)
+        printed = print_term(tree)
+        assert parse_term(printed, rank=rank) == tree
+        assert print_term(parse_term(printed, rank=rank)) == printed
+
+    def test_division_by_a_negative_literal(self):
+        assert parse_term("x/-2") == Div(Var(), Neg(Lit(Fraction(2))))
+        assert parse_term("x\n+1") == Add(Var(), Lit(Fraction(1)))
 
     def test_random_trees(self):
         rng = random.Random("terms")
