@@ -17,6 +17,7 @@ extension).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import UndecidedSign
 
@@ -140,8 +141,6 @@ def squarefree_decomposition(a):
 
 def clear_denominators(a):
     """Primitive integer version of a rational polynomial, positive leading."""
-    from math import gcd, lcm
-
     den = 1
     for c in a:
         den = lcm(den, c.denominator)

@@ -26,7 +26,7 @@ from .errors import (
     NotAUnit,
     NotRegular,
 )
-from .series import GroupElement, INFINITE, TruncatedSeries, invert
+from .series import GroupElement, INFINITE, TruncatedSeries, _Scanner, format_series, invert
 
 _MAX_FIXPOINT_ITERATIONS = 4096
 
@@ -450,8 +450,6 @@ def ms_eval(f, point, prec):
 
 
 def format_multiseries(f):
-    from .series import format_series
-
     if f.is_zero():
         return "[0]"
     parts = []
@@ -468,49 +466,35 @@ def format_multiseries(f):
 
 
 def parse_multiseries(text, nvars=None, degree=None, rank=1):
-    from .errors import TermSyntaxError
-    from .series import parse_series
+    """Parse ``[series]*x<i>^<e>...`` terms joined by ``+``, with i >= 1.
 
-    text = text.strip()
+    The coefficients are read by the series scanner, so errors inside them
+    carry their line and column in the whole text.
+    """
+    sc = _Scanner(text)
     terms = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] != "[":
-            raise TermSyntaxError("expected '[' opening a coefficient", col=pos + 1)
-        close = text.find("]", pos)
-        if close == -1:
-            raise TermSyntaxError("unterminated coefficient bracket", col=pos + 1)
-        coeff = parse_series(text[pos + 1 : close], rank)
-        pos = close + 1
+    while True:
+        sc.take("[")
+        coeff = sc.series(rank)
+        sc.take("]")
         powers = {}
-        while pos < len(text) and text[pos] == "*":
-            pos += 1
-            if pos >= len(text) or text[pos] != "x":
-                raise TermSyntaxError("expected a variable after '*'", col=pos + 1)
-            pos += 1
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            var = int(text[start:pos]) - 1
+        while sc.peek() == "*":
+            sc.pos += 1
+            sc.take("x")
+            var = sc.integer(signed=False) - 1
+            if var < 0:
+                sc.error("variables are numbered from x1")
             e = 1
-            if pos < len(text) and text[pos] == "^":
-                pos += 1
-                start = pos
-                while pos < len(text) and text[pos].isdigit():
-                    pos += 1
-                e = int(text[start:pos])
+            if sc.peek() == "^":
+                sc.pos += 1
+                e = sc.integer(signed=False)
             powers[var] = powers.get(var, 0) + e
         terms.append((powers, coeff))
-        while pos < len(text) and text[pos] == " ":
-            pos += 1
-        if pos < len(text):
-            if text[pos] not in "+-":
-                raise TermSyntaxError("expected '+' or '-' between terms", col=pos + 1)
-            if text[pos] == "-":
-                raise TermSyntaxError("use signed coefficients instead of '-' between terms", col=pos + 1)
-            pos += 1
-            while pos < len(text) and text[pos] == " ":
-                pos += 1
+        if sc.at_end():
+            break
+        if sc.peek() == "-":
+            sc.error("use signed coefficients instead of '-' between terms")
+        sc.take("+")
     if nvars is None:
         nvars = max((max(p, default=-1) for p, _ in terms), default=-1) + 1
         nvars = max(nvars, 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import ceil, comb, floor, lcm
 
 from . import algebraic as alg
 from .algebraic import (
@@ -29,6 +29,7 @@ from .algebraic import (
     as_fraction_or_none,
     number_is_zero,
 )
+from .analytic import evaluate_analytic
 from .errors import (
     DepthExhausted,
     DivisionByZero,
@@ -88,9 +89,6 @@ class IntervalCoeff:
         self.lower, self.upper = lo, hi
         return lo, hi
 
-    def sign(self):
-        return self.value.sign()
-
     def proxy(self):
         """Deterministic rational stand-in, used when a point of the base
         field is needed.
@@ -125,12 +123,6 @@ class PuiseuxRoot:
 
     def is_real(self):
         return self.conjugacy_tag == "real"
-
-    def leading_sign(self):
-        if not self.branch:
-            return 0
-        c = self.branch[0][1]
-        return c.sign() if isinstance(c, IntervalCoeff) else alg.sign_of(c)
 
     def to_series(self):
         """Truncation as an exact point of the base field.
@@ -720,8 +712,6 @@ class StrongUnitSpec:
 
 def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     """Sample annulus points with equal leading data and compare unit values."""
-    from .analytic import evaluate_analytic
-
     center, inner, outer = annulus
     v_in = valuation(inner)
     v_out = valuation(outer)
@@ -741,8 +731,6 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
             part = evaluate_analytic(spec.h, [arg], base_prec)
             total = total + (spec.h_scale * part if spec.h_scale is not None else part)
         return total
-
-    from math import ceil, floor
 
     # include the boundary valuations: points there can still sit strictly
     # inside the annulus when their leading coefficient is small enough

@@ -45,6 +45,14 @@ value itself.
 Horner loop of the package; both truncate every step at an optional
 precision and are exact without one.
 
+Text is read by one tokenizer, ``_Scanner``, for all three grammars of
+the package: its ``series`` method is the series grammar (terms, then an
+optional ``+ O(t^(p))`` whose ``p`` is read like every other exponent),
+the term parser of ``terms`` reads its ``t^(...)`` atoms with its
+``exponent``, and ``multiseries.parse_multiseries`` reads bracketed
+``series`` coefficients with it.  Blanks, tabs and newlines between tokens
+are skipped, and every error carries its line and column.
+
 ``invert`` and ``nth_root`` share one Newton kernel, ``_inverse_root``:
 the inverse n-th root of a unit at doubling precision, with no division by
 a series.  ``invert`` is its n = 1 case; ``nth_root`` is ``u w^(n-1)`` for
@@ -59,6 +67,7 @@ Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
@@ -841,6 +850,8 @@ def nth_root(a, n, target_prec):
     one = TruncatedSeries.one(a.rank)
     if unit == one:
         return b
+    if target_prec is INFINITE:
+        raise ValueError("nth_root needs a finite target precision unless the unit part is 1")
     res_target = target_prec - g  # v(y^n - u) >= this
     if a.prec is not INFINITE and a.prec - g < res_target:
         raise InsufficientPrecision("operand precision cannot support the requested root")
@@ -918,80 +929,92 @@ def format_series(ts):
     return f"{body} + O(t^({format_exponent(ts.prec)}))"
 
 
-def parse_rational(text):
-    text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise TermSyntaxError(f"bad rational {text!r}") from exc
+_INTEGER = re.compile(r"[+-]?\d+")
+_NATURAL = re.compile(r"\d+")
+# a '/' starts a denominator only when digits follow it, so the term
+# grammar still reads ``x/-2`` as a division
+_DENOMINATOR = re.compile(r"[ \t\n]*/[ \t]*(\d+)")
 
 
-def parse_exponent(text, rank=1):
-    parts = [parse_rational(p) for p in text.split(",")]
-    if len(parts) != rank:
-        raise TermSyntaxError(f"exponent {text!r} has rank {len(parts)}, expected {rank}")
-    return GroupElement(parts)
+class _Scanner:
+    """The one tokenizer of the series, term and multiseries grammars.
 
-
-class _SeriesScanner:
-    """Tokenizer for the series grammar; whitespace-insensitive."""
+    Blanks, tabs and newlines between tokens are skipped; errors carry the
+    line and column of the whole text.  ``exponent``, ``term`` and
+    ``series`` read the series grammar; the term parser and
+    ``parse_multiseries`` build theirs on the same methods.
+    """
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
 
+    def error(self, message, pos=None):
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        raise TermSyntaxError(message, line, pos - self.text.rfind("\n", 0, pos))
+
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\n":
             self.pos += 1
 
     def peek(self):
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def error(self, message):
-        raise TermSyntaxError(message, col=self.pos + 1)
-
-    def expect(self, literal):
+    def startswith(self, literal):
         self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
+        return self.text.startswith(literal, self.pos)
+
+    def take(self, literal):
+        if not self.startswith(literal):
             self.error(f"expected {literal!r}")
         self.pos += len(literal)
 
-    def integer(self):
+    def at_end(self):
+        return self.peek() == ""
+
+    def integer(self, signed=True):
+        """A decimal integer; a sign, if allowed, sits right before the digits."""
         self.skip_ws()
-        start = self.pos
-        ch = self.peek()
-        if ch and ch in "+-":
-            self.pos += 1
-        digits_start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits_start:
+        match = (_INTEGER if signed else _NATURAL).match(self.text, self.pos)
+        if match is None:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        self.pos = match.end()
+        return int(match.group())
 
     def rational(self):
         num = self.integer()
-        if self.peek() == "/":
+        match = _DENOMINATOR.match(self.text, self.pos)
+        if match is None:
+            return Fraction(num)
+        self.pos = match.end()
+        den = int(match.group(1))
+        if not den:
+            self.error("denominator must be positive")
+        return Fraction(num, den)
+
+    def ident(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
             self.pos += 1
-            den = self.integer()
-            if den <= 0:
-                self.error("denominator must be positive")
-            return Fraction(num, den)
-        return Fraction(num)
+        return self.text[start : self.pos]
 
     def exponent(self, rank):
-        self.expect("t^(")
+        """``t^(q1,...,qd)`` with one rational per rank."""
+        self.take("t^(")
         coords = [self.rational()]
         while self.peek() == ",":
             self.pos += 1
             coords.append(self.rational())
-        self.expect(")")
+        self.take(")")
         if len(coords) != rank:
             self.error(f"exponent rank {len(coords)}, expected {rank}")
         return GroupElement(coords)
 
     def term(self, rank):
+        """``(exponent, coefficient)`` of ``coeff``, ``coeff*t^(e)`` or ``t^(e)``."""
         if self.peek() == "t":
             return self.exponent(rank), Fraction(1)
         coeff = self.rational()
@@ -1000,38 +1023,27 @@ class _SeriesScanner:
             return self.exponent(rank), coeff
         return GroupElement.zero(rank), coeff
 
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def series(self, rank):
+        """Terms joined by ``+``/``-``, then an optional ``+ O(t^(p))``."""
+        terms = [self.term(rank)]
+        prec = INFINITE
+        while self.peek() in ("+", "-"):
+            op = self.text[self.pos]
+            self.pos += 1
+            if op == "+" and self.startswith("O("):
+                self.pos += 2
+                prec = self.exponent(rank)
+                self.take(")")
+                break
+            e, c = self.term(rank)
+            terms.append((e, -c if op == "-" else c))
+        return TruncatedSeries(HahnSeries(terms, rank), prec)
 
 
 def parse_series(text, rank=1):
-    """Parse the series text grammar, with optional trailing ``+ O(t^(p))``."""
-    text = text.strip()
-    prec = INFINITE
-    marker = text.rfind("O(t^(")
-    if marker != -1:
-        head = text[:marker].rstrip()
-        if not head.endswith("+"):
-            raise TermSyntaxError("precision annotation must be added with '+'", col=marker)
-        tail = text[marker:]
-        if not tail.endswith("))"):
-            raise TermSyntaxError("unterminated precision annotation", col=len(text))
-        prec = parse_exponent(tail[len("O(t^(") : -2], rank)
-        text = head[:-1].strip()
-    sc = _SeriesScanner(text)
-    if sc.peek() == "" and prec is not INFINITE:
-        return TruncatedSeries(HahnSeries.zero(rank), prec)
-    if sc.peek() == "0" and len(text) == 1:
-        return TruncatedSeries(HahnSeries.zero(rank), prec)
-    terms = []
-    e, c = sc.term(rank)
-    terms.append((e, c))
-    while not sc.at_end():
-        op = sc.peek()
-        if op not in "+-":
-            sc.error(f"expected '+' or '-', found {op!r}")
-        sc.pos += 1
-        e, c = sc.term(rank)
-        terms.append((e, -c if op == "-" else c))
-    return TruncatedSeries(HahnSeries(terms, rank), prec)
+    """Parse the series text grammar (``_Scanner.series``) and nothing after it."""
+    sc = _Scanner(text)
+    value = sc.series(rank)
+    if not sc.at_end():
+        sc.error("trailing input after the series")
+    return value

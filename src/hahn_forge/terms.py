@@ -12,6 +12,9 @@ Grammar (sums of products of signed powers of atoms):
 Application arities are checked against the function registry at parse
 time; ``inv`` is the built-in field inversion.  The printer emits a
 canonical spacing that the parser maps back to the identical tree.
+
+Tokens come from the one scanner of the package, ``series._Scanner``;
+``t^(exp)`` atoms are read by its ``exponent``, exactly as in series text.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import prepare as preparation
 from .analytic import default_registry, evaluate_analytic
 from .errors import (
     ArityMismatch,
@@ -26,13 +30,13 @@ from .errors import (
     DivisionByZero,
     DomainError,
     NotInfinitesimal,
-    TermSyntaxError,
     UndecidableAtPrecision,
     UnknownFunction,
 )
 from .series import (
     GroupElement,
     TruncatedSeries,
+    _Scanner,
     format_exponent,
     format_rational,
     format_series,
@@ -101,79 +105,6 @@ class App(Term):
     args: tuple
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _line_col(self, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        start = self.text.rfind("\n", 0, pos) + 1
-        return line, pos - start + 1
-
-    def error(self, message, pos=None):
-        line, col = self._line_col(self.pos if pos is None else pos)
-        raise TermSyntaxError(message, line, col)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n":
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def startswith(self, literal):
-        self.skip_ws()
-        return self.text.startswith(literal, self.pos)
-
-    def take(self, literal):
-        if not self.startswith(literal):
-            self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def integer(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def rational(self):
-        num = self.integer()
-        save = self.pos
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            # a denominator only if digits follow directly
-            probe = self.pos + 1
-            while probe < len(self.text) and self.text[probe] in " \t":
-                probe += 1
-            if probe < len(self.text) and self.text[probe].isdigit():
-                self.pos += 1
-                den = self.integer()
-                if den <= 0:
-                    self.error("denominator must be positive")
-                return Fraction(num, den)
-        self.pos = save
-        return Fraction(num)
-
-    def ident(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
 class _Parser:
     def __init__(self, text, registry, rank):
         self.sc = _Scanner(text)
@@ -238,15 +169,7 @@ class _Parser:
         if ch.isdigit():
             return Lit(self.sc.rational())
         if ch == "t" and self.sc.startswith("t^("):
-            self.sc.take("t^(")
-            coords = [self.sc.rational()]
-            while self.sc.peek() == ",":
-                self.sc.pos += 1
-                coords.append(self.sc.rational())
-            self.sc.take(")")
-            if len(coords) != self.rank:
-                self.sc.error(f"exponent rank {len(coords)}, expected {self.rank}")
-            return Mono(GroupElement(coords))
+            return Mono(self.sc.exponent(self.rank))
         if ch == "x" and not self._ident_continues(1):
             self.sc.pos += 1
             return Var()
@@ -492,8 +415,6 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
     the search at once: deeper branch points cannot make skipped samples
     checkable.
     """
-    from .prepare import preparing_set, verify_preparation
-
     registry = registry if registry is not None else default_registry()
     candidates = candidate_polynomials(node, rank=1)
 
@@ -503,8 +424,8 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
     depth = lam.first() + 4
     best = None
     for _ in range(max(1, budget)):
-        prep = preparing_set(candidates, depth)
-        report = verify_preparation(term_fn, prep, lam, trials, rng_seed)
+        prep = preparation.preparing_set(candidates, depth)
+        report = preparation.verify_preparation(term_fn, prep, lam, trials, rng_seed)
         if report.passed():
             return prep, report
         best = report

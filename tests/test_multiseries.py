@@ -340,6 +340,19 @@ class TestSubstitutionAndEval:
         with pytest.raises(TermSyntaxError):
             ms(text)
 
+    @pytest.mark.parametrize("text", ["[1]*x0", "[1]*x", "[1]*x1^", "[1]*x1^-1", "[1]*x-1", ""])
+    def test_rejected_variables(self, text):
+        with pytest.raises(TermSyntaxError):
+            ms(text)
+
+    def test_blanks_and_newlines_between_tokens(self):
+        assert ms("[1] * x1 ^ 2 +\n[-1*t^(1)]") == ms("[1]*x1^2 + [-1*t^(1)]")
+
+    def test_error_column_in_the_whole_text(self):
+        with pytest.raises(TermSyntaxError) as err:
+            ms("[1]*x1 + [2*t^(1.5)]")
+        assert err.value.col == 17
+
     @given(st.data())
     def test_format_parse_round_trip(self, data):
         rank = data.draw(st.sampled_from([1, 2]))

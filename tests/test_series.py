@@ -112,6 +112,15 @@ class TestInvert:
             "1 - 1*t^(0,1) + 1*t^(0,2) - 1*t^(0,3) + 1*t^(0,4) - 1*t^(0,5) + O(t^(0,6))"
         )
 
+    def test_infinite_target_needs_a_unit_part_of_one(self):
+        assert nth_root(s("4*t^(2)"), 2, INFINITE) == s("2*t^(1)")
+        with pytest.raises(ValueError, match="finite target precision"):
+            nth_root(s("1 + 1*t^(1)"), 2, INFINITE)
+        a = parse_series("4*t^(2,-2)", rank=2)
+        assert nth_root(a, 2, INFINITE) == parse_series("2*t^(1,-1)", rank=2)
+        with pytest.raises(ValueError, match="finite target precision"):
+            nth_root(parse_series("1 + 1*t^(0,1)", rank=2), 1, INFINITE)
+
     def test_rank_two_unreachable_target(self):
         # 2^k * (0,1) < (1,0) for every k: no finite schedule reaches the target
         with pytest.raises(PrecisionStall):
@@ -336,6 +345,18 @@ class TestTextFormat:
     def test_rejected_corpus(self, text):
         with pytest.raises(TermSyntaxError):
             parse_series(text)
+
+    @pytest.mark.parametrize("text", ["1 + O(t^(1.5))", "1 + O(t^(1e1))", "+ O(t^(2))", "", "1 +"])
+    def test_precision_follows_the_exponent_grammar(self, text):
+        # the O(...) exponent is read like every other one, after a term
+        with pytest.raises(TermSyntaxError):
+            parse_series(text)
+
+    def test_newlines_are_whitespace(self):
+        assert parse_series("1\n- 2*t^(1)\n+ O(t^(2))") == parse_series("1 - 2*t^(1) + O(t^(2))")
+        with pytest.raises(TermSyntaxError) as err:
+            parse_series("1 +\n2*t^(1.5)")
+        assert (err.value.line, err.value.col) == (2, 7)
 
 
 class TestNegativeValuationRoots:
