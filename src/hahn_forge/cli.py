@@ -49,6 +49,9 @@ _PRECISION_ERRORS = (
 
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "undecided": 3}
 
+# root expansion and the samplers built on it run over exponent rank 1 only
+_RANK_ONE_COMMANDS = ("roots", "prepare", "verify", "jacobian", "probe-unit")
+
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -174,6 +177,8 @@ def run_cli(argv):
 
 def _dispatch(args, prec, lam, registry):
     rank = args.rank
+    if rank != 1 and args.command in _RANK_ONE_COMMANDS:
+        raise ValueError(f"{args.command} supports rank 1 only, got --rank {rank}")
     if args.command == "eval":
         node = parse_term(args.term, registry, rank)
         x = parse_series(args.at, rank)

@@ -484,6 +484,8 @@ def parse_multiseries(text, nvars=None, degree=None, rank=1):
             var = sc.integer(signed=False) - 1
             if var < 0:
                 sc.error("variables are numbered from x1")
+            if nvars is not None and var >= nvars:
+                sc.error(f"x{var + 1} is beyond the {nvars} variables")
             e = 1
             if sc.peek() == "^":
                 sc.pos += 1

@@ -7,7 +7,11 @@ same multiplicative coset ``x (1 + {v > lam})``, so the fibres of
 ``x -> rv_lambda(x - c)`` are the balls lam-next to c.
 
 The sampling utilities below draw reproducible finite-support points from
-these fibres.  ``run_trials`` is the one trial loop of every sampling
+these fibres, built on the integer grid of ``series``: the exponents
+``base + k/2`` of a random point or tail go straight onto a grid, in the
+same order of random calls, ``ball_mates`` reads ``v(x0 - c)`` at the first
+difference of the two grids, and ``rv_lambda`` compares its depth and cuts
+its jet on the grid keys.  ``run_trials`` is the one trial loop of every sampling
 verifier in the package: it seeds each trial from the verifier's tag and
 seed, so that a seed pins the whole run, resamples undecidable draws, counts
 the checked trials and records witnesses.
@@ -22,10 +26,12 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecision, SingletonBall, UndecidableAtPrecision, ZeroInverse
 from .series import (
-    INFINITE,
     GroupElement,
     HahnSeries,
     TruncatedSeries,
+    _difference_valuation,
+    _half_steps,
+    _unit_jet,
     format_exponent,
     format_series,
     invert,
@@ -59,16 +65,16 @@ class RvElement:
 
 def rv_lambda(x, lam):
     """Class of x in the leading-term structure of depth lam."""
-    if lam < GroupElement.zero(lam.rank):
+    if lam < (0,) * len(lam):
         raise ValueError("depth must be >= 0")
     if x.is_exact_zero():
         return RvElement(lam, None, None)
     if x.approx.is_zero():
         raise InsufficientPrecision("valuation of the argument is not determined")
-    gamma = x.approx.valuation()
-    if x.prec is not INFINITE and not (x.prec > gamma + lam):
+    jet = _unit_jet(x, lam)
+    if jet is None:
         raise InsufficientPrecision("unit jet is not determined to the requested depth")
-    return RvElement(lam, gamma, x.approx.shift(-gamma).truncate_through(lam))
+    return RvElement(lam, x.approx.valuation(), jet)
 
 
 def _jet_invert(jet, lam):
@@ -133,25 +139,23 @@ def ball_of(x, center, lam):
 _COEFF_POOL = [c for c in range(-9, 10) if c]
 
 
+def _tail_steps(rng, steps, prob, force_one):
+    """The ``(k, c)`` of the terms ``c t^(base + k/2)`` of a random tail."""
+    pairs = [(k, rng.choice(_COEFF_POOL)) for k in range(1, steps + 1) if rng.random() < prob]
+    if force_one and not pairs:
+        pairs.append((rng.randint(1, steps), rng.choice(_COEFF_POOL)))
+    return pairs
+
+
 def random_tail(rng, base, steps=4, prob=0.5, force_one=False):
     """Random terms at exponents ``base + {1/2, 1, ...}``; possibly empty."""
-    rank = base.rank
-    terms = []
-    for k in range(1, steps + 1):
-        if rng.random() < prob:
-            e = base + GroupElement.scalar(Fraction(k, 2), rank)
-            terms.append((e, Fraction(rng.choice(_COEFF_POOL))))
-    if force_one and not terms:
-        k = rng.randint(1, steps)
-        e = base + GroupElement.scalar(Fraction(k, 2), rank)
-        terms.append((e, Fraction(rng.choice(_COEFF_POOL))))
-    return HahnSeries(terms, rank, _clean=False)
+    return _half_steps(base, _tail_steps(rng, steps, prob, force_one))
 
 
 def random_point(rng, lead, steps=4, prob=0.5):
     """Random finite-support point with valuation exactly ``lead``."""
-    head = HahnSeries.monomial(Fraction(rng.choice(_COEFF_POOL)), lead)
-    return TruncatedSeries.exact(head + random_tail(rng, lead, steps, prob))
+    head = (0, rng.choice(_COEFF_POOL))
+    return TruncatedSeries.exact(_half_steps(lead, [head, *_tail_steps(rng, steps, prob, False)]))
 
 
 def sample_in_ball(ball, rng_seed, extra_depth=Fraction(2)):
@@ -178,10 +182,9 @@ def ball_mates(rng, x0, centers, lam, count=2, steps=3):
     """
     depth = None
     for c in centers:
-        diff = x0 - c
-        if diff.approx.is_zero():
+        v = _difference_valuation(x0, c)
+        if v is None:
             return None
-        v = diff.approx.valuation()
         if depth is None or v > depth:
             depth = v
     mates = []

@@ -21,8 +21,8 @@ Sums, products, truncation, shifts and scaling run on the ints and divide
 out one gcd per result; no ``Fraction`` is built per term.
 ``HahnSeries.terms`` is the same value as ``(GroupElement, Fraction)``
 pairs, built on first read and cached; no int key leaves this module.
-Only the key helpers, from ``_key_of`` to ``_least``, tell the ranks
-apart, once per call.
+Only the key helpers, from ``_key_of`` to ``_half_steps``, tell the
+ranks apart, once per call.
 
 Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
 < p (the open bound of a precision), and ``truncate_through(hi)`` keeps
@@ -40,6 +40,17 @@ and differences of operands with equal precisions, negation, ``scale``
 and ``shift``.  A sum of operands with different precisions still cuts at
 the lower one, and ``truncate(p)`` at or above the precision returns the
 value itself.
+
+A ``TruncatedSeries`` keeps its precision twice: ``prec``, the public
+``GroupElement``, and its key ``(den, key)`` from ``_key_of``, least like
+a grid and None for INFINITE.  ``field_op``, ``truncate``, ``==`` and
+``hash`` work on the keys: the precision of a product,
+``min(p_a + v(b), p_b + v(a))``, is an int sum and an int comparison, with
+``v`` read off the first key of a grid, and only the result's ``prec`` is
+built as a ``GroupElement``.  The parts of a verifier trial read the grid
+too: ``_half_steps`` puts sample exponents ``base + k/2`` on a grid,
+``_difference_valuation`` reads ``v(a - b)`` at the first difference of
+two grids, and ``_unit_jet`` cuts the jet of ``rv_lambda`` in one pass.
 
 ``power`` and ``poly_eval`` are the one repeated product and the one
 Horner loop of the package; both truncate every step at an optional
@@ -330,6 +341,46 @@ def _least(den, nums):
     return den // g, tuple(tuple.__new__(GroupElement, tuple(q // g for q in k)) for k in nums)
 
 
+def _key_sum(a, b):
+    """The key ``(den, key)`` of the sum of the exponents of two keys, over its least denominator."""
+    (da, ka), (db, kb) = a, b
+    if da == db:
+        den, key = da, ka + kb
+    else:
+        den = lcm(da, db)
+        key = ka * (den // da) + kb * (den // db)
+    if type(key) is int:
+        g = gcd(den, key)
+        return (den, key) if g == 1 else (den // g, key // g)
+    den, (key,) = _least(den, (key,))
+    return den, key
+
+
+def _key_lt(a, b):
+    """Whether the exponent of the key ``a`` lies below that of ``b``."""
+    return a[1] * b[0] < b[1] * a[0]
+
+
+def _half_steps(base, pairs):
+    """The series ``sum c t^(base + k/2)`` of ``(k, c)`` pairs, put on the grid directly.
+
+    The ints ``k >= 0`` ascend and the int coefficients ``c`` are nonzero,
+    so the keys ``base + k/2`` over the lcm of 2 and the denominator of
+    ``base`` ascend too.
+    """
+    rank = len(base)
+    if not pairs:
+        return _on_grid(_ZERO_GRID, rank)
+    bden, bkey = _key_of(base)
+    eden = bden if bden % 2 == 0 else 2 * bden
+    half, bkey = eden // 2, bkey * (eden // bden)
+    if rank == 1:
+        keys = tuple(bkey + k * half for k, _ in pairs)
+    else:
+        keys = tuple(tuple.__new__(GroupElement, (bkey[0] + k * half, *bkey[1:])) for k, _ in pairs)
+    return _on_grid((*_least(eden, keys), 1, tuple(c for _, c in pairs)), rank)
+
+
 def _over(den, new, nums):
     """``nums`` over the denominator ``den`` put over the multiple ``new``."""
     return nums if new == den else tuple(n * (new // den) for n in nums)
@@ -570,14 +621,17 @@ class TruncatedSeries:
     docstring).
     """
 
-    __slots__ = ("approx", "prec", "rank")
+    __slots__ = ("approx", "prec", "rank", "_pkey")
 
     def __init__(self, approx, prec=INFINITE):
+        pkey = None
         if prec is not INFINITE:
             approx = approx.truncate_below(prec)
-        object.__setattr__(self, "approx", approx)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "rank", approx.rank)
+            pkey = _key_of(prec)
+        _set(self, "approx", approx)
+        _set(self, "prec", prec)
+        _set(self, "rank", approx.rank)
+        _set(self, "_pkey", pkey)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncatedSeries is immutable")
@@ -613,9 +667,12 @@ class TruncatedSeries:
         return self.prec if self.approx.is_zero() else self.approx.valuation()
 
     def truncate(self, prec):
-        if prec is INFINITE or (self.prec is not INFINITE and prec >= self.prec):
+        if prec is INFINITE:
             return self
-        return TruncatedSeries(self.approx, prec)
+        key = _key_of(prec)
+        if self._pkey is not None and not _key_lt(key, self._pkey):
+            return self
+        return _truncated(self.approx.truncate_below(prec), prec, key)
 
     def __add__(self, other):
         return field_op("add", self, other)
@@ -627,40 +684,40 @@ class TruncatedSeries:
         return field_op("mul", self, other)
 
     def __neg__(self):
-        return _truncated(-self.approx, self.prec)
+        return _truncated(-self.approx, self.prec, self._pkey)
 
     def scale(self, q):
-        return _truncated(self.approx.scale(q), self.prec)
+        return _truncated(self.approx.scale(q), self.prec, self._pkey)
 
     def shift(self, exponent):
-        p = self.prec if self.prec is INFINITE else self.prec + exponent
-        return _truncated(self.approx.shift(exponent), p)
+        approx = self.approx.shift(exponent)
+        if self.prec is INFINITE:
+            return _truncated(approx, INFINITE, None)
+        p = self.prec + exponent
+        return _truncated(approx, p, _key_of(p))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.approx == other.approx
-            and (self.prec is other.prec or self.prec == other.prec)
-        )
+        return isinstance(other, TruncatedSeries) and self._pkey == other._pkey and self.approx == other.approx
 
     def __hash__(self):
-        key = None if self.prec is INFINITE else self.prec
-        return hash((self.approx, key))
+        return hash((self.approx, self._pkey))
 
     def __repr__(self):
         return f"TruncatedSeries({format_series(self)!r})"
 
 
-def _truncated(approx, prec):
+def _truncated(approx, prec, pkey):
     """The ``TruncatedSeries`` of an approx whose exponents all lie below ``prec``.
 
     Trusted: nothing is cut.  For results whose construction already keeps
-    every exponent below the precision.
+    every exponent below the precision; ``pkey`` is the key of ``prec``,
+    None when it is INFINITE.
     """
     out = object.__new__(TruncatedSeries)
     _set(out, "approx", approx)
     _set(out, "prec", prec)
     _set(out, "rank", approx.rank)
+    _set(out, "_pkey", pkey)
     return out
 
 
@@ -679,33 +736,78 @@ def field_op(kind, a, b):
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
     if kind == "add" or kind == "sub":
-        pa, pb = a.prec, b.prec
+        ka, kb = a._pkey, b._pkey
         approx = a.approx + b.approx if kind == "add" else a.approx - b.approx
-        if pa is pb or pa == pb:
-            return _truncated(approx, pa)
-        return TruncatedSeries(approx, _min_prec(pa, pb))
+        if ka == kb:
+            return _truncated(approx, a.prec, ka)
+        low = a if kb is None or (ka is not None and _key_lt(ka, kb)) else b
+        return _truncated(approx.truncate_below(low.prec), low.prec, low._pkey)
     if kind == "mul":
         if a.is_exact_zero() or b.is_exact_zero():
             return TruncatedSeries.zero(a.rank)
-        pa, pb = a.prec, b.prec
-        if pa is INFINITE:
-            prec = pb if pb is INFINITE else pb + a.valuation_lower_bound()
-        elif pb is INFINITE:
-            prec = pa + b.valuation_lower_bound()
+        ka, kb = a._pkey, b._pkey
+        if ka is None and kb is None:
+            return _truncated(a.approx.__mul__(b.approx, bound=INFINITE), INFINITE, None)
+        if ka is None:
+            key = _key_sum(kb, _lead_key(a))
+        elif kb is None:
+            key = _key_sum(ka, _lead_key(b))
         else:
-            prec = min(pa + b.valuation_lower_bound(), pb + a.valuation_lower_bound())
-        return _truncated(a.approx.__mul__(b.approx, bound=prec), prec)
+            key, other = _key_sum(ka, _lead_key(b)), _key_sum(kb, _lead_key(a))
+            if _key_lt(other, key):
+                key = other
+        prec = _exponent(*key)
+        return _truncated(a.approx.__mul__(b.approx, bound=prec), prec, key)
     raise ValueError(f"unknown field op {kind!r}")
 
 
-def _min_prec(*precs):
-    out = INFINITE
-    for p in precs:
-        if p is INFINITE:
-            continue
-        if out is INFINITE or p < out:
-            out = p
-    return out
+def _lead_key(x):
+    """The key of ``v(x)``, read off the grid; the key of the precision of ``0 + O(...)``."""
+    eden, keys, _, _ = x.approx._grid
+    return (eden, keys[0]) if keys else x._pkey
+
+
+def _difference_valuation(a, b):
+    """``v(a - b)``, read off the two grids at their first difference.
+
+    None when the difference is zero or ``0 + O(...)``: the grids agree, or
+    first differ at or above the lower precision, which cuts ``a - b``.
+    """
+    if a.rank != b.rank:
+        raise ValueError("rank mismatch")
+    ea, ka, ca, na = a.approx._grid
+    eb, kb, cb, nb = b.approx._grid
+    eden = ea if ea == eb else lcm(ea, eb)
+    ka, kb = _over(ea, eden, ka), _over(eb, eden, kb)
+    i, n = 0, min(len(ka), len(kb))
+    while i < n and ka[i] == kb[i] and na[i] * cb == nb[i] * ca:
+        i += 1
+    if i < n:
+        key = min(ka[i], kb[i])
+    elif len(ka) != len(kb):
+        key = max(ka, kb, key=len)[i]
+    else:
+        return None
+    for p in (a._pkey, b._pkey):
+        if p is not None and not _key_lt((eden, key), p):
+            return None
+    return _exponent(eden, key)
+
+
+def _unit_jet(x, lam):
+    """The unit jet of ``x`` through ``lam``, in one pass over the grid.
+
+    The terms of ``t^(-v(x)) x`` at exponents in ``[0, lam]`` for an ``x``
+    with a nonzero approx, or None when the precision of ``x`` does not lie
+    above ``v(x) + lam``.
+    """
+    eden, keys, cden, nums = x.approx._grid
+    lead = keys[0]
+    if x._pkey is not None and not _key_lt(_key_sum((eden, lead), _key_of(lam)), x._pkey):
+        return None
+    shifted = [k - lead for k in keys]
+    cut = bisect_right(shifted, _through_key(lam, eden))
+    return _on_grid((*_least(eden, tuple(shifted[:cut])), *_least(cden, nums[:cut])), x.rank)
 
 
 def compare_sign(a):
@@ -795,7 +897,7 @@ def _inverse_root(unit, n, rel_needed):
         )
     w = one
     while reached < rel_needed:
-        reached = _min_prec(reached + reached, rel_needed)
+        reached = min(reached + reached, rel_needed)
         wn = unit
         for _ in range(n):
             wn = wn.__mul__(w, bound=reached)

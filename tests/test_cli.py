@@ -162,3 +162,29 @@ class TestMoreSurface:
         code, payload, _ = run(capsys, "verify", "x", "--with-C", "0", "--trials", "30")
         assert code == 0
         assert list(payload["report"].keys()) == ["op", "lambda", "trials", "seed", "violations", "verdict"]
+
+
+class TestRankGate:
+    RANK_ONE_ONLY = [
+        ("roots", "x^2 - t^(1,0)"),
+        ("prepare", "x^2 - t^(1,0)", "--trials", "20"),
+        ("verify", "x^2", "--with-C", "0", "--trials", "20"),
+        ("jacobian", "x^2", "--trials", "20"),
+        ("probe-unit", "--center", "0", "--inner", "t^(2,0)", "--outer", "1", "--h", "exp", "--trials", "20"),
+    ]
+
+    def test_rank_one_commands_reject_a_higher_rank_up_front(self, capsys):
+        for argv in self.RANK_ONE_ONLY:
+            for rank in ("2", "3"):
+                code = run_cli(["--rank", rank, *argv])
+                captured = capsys.readouterr()
+                assert code == 2 and captured.out == ""
+                assert captured.err == f"error: {argv[0]} supports rank 1 only, got --rank {rank}\n"
+
+    def test_rank_one_is_unchanged(self, capsys):
+        code, payload, _ = run(capsys, "--rank", "1", "roots", "x^2 - t^(1)", "--depth", "2")
+        assert code == 0 and len(payload["roots"]) == 2
+
+    def test_higher_rank_commands_still_run(self, capsys):
+        code, payload, _ = run(capsys, "--rank", "2", "polygon", "x - t^(0,1)")
+        assert code == 0 and payload["polygon"][0]["slope"] == "0,1"

@@ -345,6 +345,12 @@ class TestSubstitutionAndEval:
         with pytest.raises(TermSyntaxError):
             ms(text)
 
+    def test_variable_beyond_nvars_is_rejected(self):
+        with pytest.raises(TermSyntaxError, match="x3 is beyond the 2 variables"):
+            parse_multiseries("[1]*x3 + [2]", nvars=2)
+        assert parse_multiseries("[1]*x2 + [2]", nvars=2).nvars == 2
+        assert parse_multiseries("[1]*x3 + [2]").nvars == 3
+
     def test_blanks_and_newlines_between_tokens(self):
         assert ms("[1] * x1 ^ 2 +\n[-1*t^(1)]") == ms("[1]*x1^2 + [-1*t^(1)]")
 
