@@ -11,10 +11,12 @@ these fibres, built on the integer grid of ``series``: the exponents
 ``base + k/2`` of a random point or tail go straight onto a grid, in the
 same order of random calls, ``ball_mates`` reads ``v(x0 - c)`` at the first
 difference of the two grids, and ``rv_lambda`` compares its depth and cuts
-its jet on the grid keys.  ``run_trials`` is the one trial loop of every sampling
-verifier in the package: it seeds each trial from the verifier's tag and
-seed, so that a seed pins the whole run, resamples undecidable draws, counts
-the checked trials and records witnesses.
+its jet on the grid keys.
+
+``run_trials`` is the one trial loop of every sampling verifier in the
+package: it seeds each trial from the verifier's tag and seed, so that a
+seed pins the whole run, resamples undecidable draws, counts the checked
+trials and records witnesses.
 """
 
 from __future__ import annotations
