@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hahn_forge.errors import (
     InsufficientPrecision,
@@ -1155,3 +1155,273 @@ class TestNthRootAgainstFullPrecisionNewton:
         for f in (nth_root, _full_precision_root):
             with pytest.raises(PrecisionStall):
                 f(a, 2, target)
+
+
+# -- invert and nth_root against the Newton kernel they replaced --------------
+
+
+def _newton_inverse_root(unit, n, rel_needed):
+    """``w`` with ``v(1 - unit w^n) >= rel_needed`` by Newton doubling (test oracle).
+
+    The division-free step ``w <- w + w (1 - unit w^n) / n`` at doubling
+    precision, every product bounded at the precision reached, with the
+    rank-d stall test in front.
+    """
+    one = HahnSeries.constant(1, unit.rank)
+    reached = (unit - one).valuation()
+    if reached < rel_needed and any(rel_needed[: next(i for i, q in enumerate(reached) if q)]):
+        raise PrecisionStall(
+            "leading gap of the unit part lies in a later coordinate than the target; "
+            "Newton doubling cannot reach the requested depth in lexicographic rank > 1"
+        )
+    w = one
+    while reached < rel_needed:
+        reached = min(reached + reached, rel_needed)
+        wn = unit
+        for _ in range(n):
+            wn = wn.__mul__(w, bound=reached)
+        step = w.__mul__(one - wn, bound=reached)
+        w = w + (step if n == 1 else step.scale(Fraction(1, n)))
+    return w
+
+
+def _newton_invert(a, target_prec):
+    """``invert`` on the Newton kernel (test oracle)."""
+    if a.approx.is_zero():
+        raise ZeroOrUncertainLeadingTerm("no determined leading term to invert")
+    g = a.approx.valuation()
+    c = a.approx.leading_coeff()
+    if a.prec is INFINITE and len(a.approx.terms) == 1:
+        return TruncatedSeries.monomial(1 / c, -g)
+    if target_prec is INFINITE:
+        raise ValueError("invert needs a finite target precision for non-monomials")
+    rel_needed = target_prec - g - g
+    rel_have = INFINITE if a.prec is INFINITE else a.prec - g
+    if rel_have is not INFINITE and rel_have < rel_needed:
+        raise InsufficientPrecision("operand precision cannot support the requested inverse")
+    x = _newton_inverse_root(a.approx.shift(-g).scale(1 / c), 1, rel_needed)
+    return TruncatedSeries(x.shift(-g).scale(1 / c), rel_needed - g)
+
+
+def _newton_nth_root(a, n, target_prec):
+    """``nth_root`` as ``u w^(n-1)`` for ``w = u^(-1/n)`` from the Newton kernel (test oracle)."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if compare_sign(a) != POSITIVE:
+        raise NotPositive("n-th root requires a positive element")
+    g = a.approx.valuation()
+    c0 = a.approx.leading_coeff()
+    num, den = _int_root(c0.numerator, n), _int_root(c0.denominator, n)
+    if num is None or den is None:
+        raise IrrationalLeadingCoefficient(f"{c0} has no rational {n}-th root; rational-coefficient values only")
+    g_over_n = g / n
+    b = TruncatedSeries.monomial(Fraction(num, den), g_over_n)
+    unit = TruncatedSeries(a.approx.shift(-g).scale(1 / c0), INFINITE if a.prec is INFINITE else a.prec - g)
+    if unit == TruncatedSeries.one(a.rank):
+        return b
+    if target_prec is INFINITE:
+        raise ValueError("nth_root needs a finite target precision unless the unit part is 1")
+    res_target = target_prec - g
+    if a.prec is not INFINITE and a.prec - g < res_target:
+        raise InsufficientPrecision("operand precision cannot support the requested root")
+    y = unit.approx
+    if n > 1:
+        w = _newton_inverse_root(y, n, res_target)
+        for _ in range(n - 1):
+            y = y.__mul__(w, bound=res_target)
+    x = b * TruncatedSeries(y, res_target)
+    if a.is_exact():
+        terms = x.approx.terms
+        top = a.approx.terms[-1][0]
+        for cut in range(len(terms), 0, -1):
+            if terms[cut - 1][0] * n != top:
+                continue
+            cand = TruncatedSeries.exact(HahnSeries(terms[:cut], a.rank, _clean=False))
+            if power(cand, n).approx == a.approx:
+                return cand
+    return x.truncate(res_target + g_over_n)
+
+
+def _same_as_newton(f, oracle, *args):
+    """``f(*args)`` equals the oracle's value, or raises its class and message."""
+    try:
+        want = oracle(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by class and message against f
+        with pytest.raises(Exception) as err:
+            f(*args)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return None
+    got = f(*args)
+    assert got.prec == want.prec and got.approx == want.approx and got == want
+    assert hash(got) == hash(want) and format_series(got) == format_series(want)
+    return got
+
+
+def _oracle_exponent(draw, rank, lo, hi, firsts=(-1, 0, 1)):
+    """An exponent whose coordinates have denominators 1 to 7."""
+    last = Fraction(draw(st.integers(lo, hi)), draw(st.integers(1, 7)))
+    if rank == 1:
+        return ge(last)
+    return GroupElement([Fraction(draw(st.sampled_from(firsts)), draw(st.integers(1, 7))), last])
+
+
+# nonzero rationals with numerators up to 9 and denominators 1 to 7
+ORACLE_COEFFS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+
+
+@st.composite
+def unit_operands(draw, rank, lead):
+    """``(a, guard, scale)``: ``a = lead t^g (1 + h)`` for h of 0 to 7 terms.
+
+    Every exponent has coordinate denominators 1 to 7; ``lead`` draws the
+    leading coefficient.  ``guard`` maps the target to the least operand
+    precision that supports it; ``a`` is exact, at that guard, above it or
+    below it.  ``scale`` is the leading gap v(h) (a unit step when h = 0),
+    so the targets built on it stay a few gaps deep and the monoid below
+    them small.
+    """
+    zero = GroupElement.zero(rank)
+    g = _oracle_exponent(draw, rank, -4, 4)
+    gaps = [_oracle_exponent(draw, rank, 1 if rank == 1 else -6, 8 if rank == 1 else 6, (0, 1, 2))
+            for _ in range(draw(st.integers(0, 7)))]
+    gaps = [e for e in gaps if e > zero]
+    unit = HahnSeries([(zero, 1)] + [(e, draw(ORACLE_COEFFS)) for e in gaps], rank)
+    scale = min(gaps) if gaps else (ge(1) if rank == 1 else GroupElement([0, 1]))
+    approx = unit.shift(g).scale(draw(lead))
+    return approx, g, scale
+
+
+def _oracle_target(draw, rank, scale):
+    """A relative target of at most 6 leading gaps, in rank 2 at times one step
+    higher in the first coordinate (a stall when the gap lies in the second)."""
+    rel = scale * Fraction(draw(st.integers(-2, 24)), 4)
+    if rank == 2 and draw(st.booleans()):
+        rel = rel + GroupElement([Fraction(1, draw(st.integers(1, 7))), 0])
+    return rel
+
+
+def _oracle_operand(draw, approx, guard, scale):
+    kind = draw(st.sampled_from(["exact", "at guard", "above", "below"]))
+    if kind == "exact":
+        return TruncatedSeries.exact(approx)
+    step = scale * Fraction(draw(st.integers(1, 4)), 4)
+    return TruncatedSeries(approx, {"at guard": guard, "above": guard + step, "below": guard - step}[kind])
+
+
+@st.composite
+def invert_oracle_cases(draw, rank):
+    """``(a, target)`` for ``invert``: the guard is ``target - v(a)``."""
+    approx, g, scale = draw(unit_operands(rank, ORACLE_COEFFS))
+    target = g + g + _oracle_target(draw, rank, scale)
+    return _oracle_operand(draw, approx, target - g, scale), target
+
+
+@st.composite
+def root_oracle_cases(draw, rank):
+    """``(a, n, target)`` for ``nth_root``: the guard is the target itself.
+
+    The leading coefficient is mostly an n-th power, at times any rational
+    (irrational roots, negative operands).
+    """
+    n = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    powers = st.sampled_from(ROOT_COEFFS).map(lambda r: r**n)
+    lead = st.integers(0, 3).flatmap(lambda k: powers if k else ORACLE_COEFFS)
+    approx, g, scale = draw(unit_operands(rank, lead))
+    target = g + _oracle_target(draw, rank, scale)
+    return _oracle_operand(draw, approx, target, scale), n, target
+
+
+class TestUnitPowersAgainstNewton:
+    """``invert`` and ``nth_root`` equal the Newton kernel they replaced:
+    value, precision, hash and text, or the exception class and message."""
+
+    @settings(max_examples=200)
+    @given(invert_oracle_cases(1))
+    def test_invert_rank_one(self, case):
+        _same_as_newton(invert, _newton_invert, *case)
+
+    @settings(max_examples=200)
+    @given(invert_oracle_cases(2))
+    def test_invert_rank_two(self, case):
+        _same_as_newton(invert, _newton_invert, *case)
+
+    @settings(max_examples=200)
+    @given(root_oracle_cases(1))
+    def test_nth_root_rank_one(self, case):
+        _same_as_newton(nth_root, _newton_nth_root, *case)
+
+    @settings(max_examples=200)
+    @given(root_oracle_cases(2))
+    def test_nth_root_rank_two(self, case):
+        _same_as_newton(nth_root, _newton_nth_root, *case)
+
+    def test_rank_two_stall(self):
+        # gap (0,1), target (1,0): the same PrecisionStall from invert,
+        # nth_root and the rv jet inverse
+        from hahn_forge.rv import _jet_invert
+
+        a = parse_series("1 + 1*t^(0,1)", rank=2)
+        target = GroupElement([1, 0])
+        for f, oracle, args in ((invert, _newton_invert, (a, target)),
+                                (nth_root, _newton_nth_root, (a, 2, target)),
+                                (nth_root, _newton_nth_root, (a, 3, target))):
+            with pytest.raises(PrecisionStall):
+                oracle(*args)
+            _same_as_newton(f, oracle, *args)
+        with pytest.raises(PrecisionStall) as err:
+            _jet_invert(a.approx, target)
+        with pytest.raises(PrecisionStall) as want:
+            _newton_invert(a, target + GroupElement([0, 1]))
+        assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize("text, n, target", [
+        ("1 + 2*t^(1/2) + 1*t^(1)", 2, 3),
+        ("4*t^(-2) + 4*t^(-1) + 1", 2, 2),
+        ("1 + 3*t^(1/3) + 3*t^(2/3) + 1*t^(1)", 3, 2),
+        ("1/4 - 1*t^(1/7) + 1*t^(2/7)", 2, 1),
+        ("8*t^(3) + 12*t^(7/2) + 6*t^(4) + 1*t^(9/2)", 3, 5),
+        ("1 + 2*t^(1/2) + 1*t^(1)", 2, Fraction(1, 2)),
+    ])
+    def test_exact_perfect_powers(self, text, n, target):
+        root = _same_as_newton(nth_root, _newton_nth_root, s(text), n, ge(target))
+        assert root is not None
+
+    @pytest.mark.parametrize("text, rank, target", [
+        ("1 + 1*t^(1/2) - 3*t^(5/7)", 1, 4),
+        ("2*t^(1) + O(t^(3))", 1, 3),
+        ("3*t^(-2) + O(t^(1))", 1, -1),
+        ("5*t^(1,-1) + O(t^(2,0))", 2, (2, 0)),
+        ("1 + 1*t^(0,1) - 1*t^(1,-2)", 2, (0, 5)),
+    ])
+    def test_n_one_and_unit_part_one(self, text, rank, target):
+        a = parse_series(text, rank)
+        target = ge(target) if rank == 1 else GroupElement(list(target))
+        for n in (1, 2, 3):
+            _same_as_newton(nth_root, _newton_nth_root, a, n, target)
+        _same_as_newton(invert, _newton_invert, a, target)
+        _same_as_newton(invert, _newton_invert, a, target + target - a.approx.valuation())
+
+    @pytest.mark.parametrize("text", ["1*t^(-2) + 1*t^(-1)", "4*t^(-3/2) - 1*t^(-1/3) + 1/7*t^(2)",
+                                      "9*t^(-1/7) + 2*t^(1/7) + O(t^(3))"])
+    def test_negative_valuations(self, text):
+        a = s(text)
+        for target in (ge(-3), ge(0), ge(Fraction(5, 2)), ge(4)):
+            _same_as_newton(invert, _newton_invert, a, target)
+            for n in (2, 3):
+                _same_as_newton(nth_root, _newton_nth_root, a, n, target)
+
+    def test_zero_with_precision(self):
+        for rank, text in ((1, "0 + O(t^(5))"), (2, "0 + O(t^(1,0))")):
+            a = parse_series(text, rank)
+            target = a.prec + a.prec
+            _same_as_newton(invert, _newton_invert, a, target)
+            for n in (1, 2):
+                _same_as_newton(nth_root, _newton_nth_root, a, n, target)
+
+    def test_infinite_target(self):
+        for rank, text in ((1, "4*t^(2)"), (1, "4*t^(2) + O(t^(3))"), (1, "1 + 1*t^(1)"),
+                           (2, "4*t^(2,-2)"), (2, "1 + 1*t^(0,1)")):
+            a = parse_series(text, rank)
+            _same_as_newton(invert, _newton_invert, a, INFINITE)
+            for n in (1, 2):
+                _same_as_newton(nth_root, _newton_nth_root, a, n, INFINITE)
