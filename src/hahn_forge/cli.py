@@ -155,6 +155,8 @@ def run_cli(argv):
         seed_env = os.environ.get("HAHN_FORGE_SEED")
         if seed_env is not None:
             args.seed = int(seed_env)
+        if args.rank < 1:
+            raise ValueError(f"the exponent rank must be at least 1, got --rank {args.rank}")
         prec = GroupElement.scalar(Fraction(args.prec), args.rank)
         lam = GroupElement.scalar(Fraction(args.lam), args.rank)
         registry = default_registry()

@@ -64,10 +64,13 @@ the term parser of ``terms`` reads its ``t^(...)`` atoms with its
 ``series`` coefficients with it.  Blanks, tabs and newlines between tokens
 are skipped, and every error carries its line and column.
 
-``invert`` and ``nth_root`` share one Newton kernel, ``_inverse_root``:
-the inverse n-th root of a unit at doubling precision, with no division by
-a series.  ``invert`` is its n = 1 case; ``nth_root`` is ``u w^(n-1)`` for
-``w = u^(-1/n)``.
+``invert`` and ``nth_root`` share one kernel, ``_unit_power``: ``u^(a/b)``
+of a unit ``u = 1 + h`` below a precision, by J. C. P. Miller's
+coefficient recurrence (Knuth, *The Art of Computer Programming*, vol. 2,
+4.7) on the grid's ints.  Each coefficient comes from at most as many
+earlier ones as h has terms, so N output terms cost O(N m) int operations
+for an m-term h, and no series product is formed.  ``invert`` is its
+power -1, long division by u; ``nth_root`` is its power 1/n.
 
 Products run on ints in every rank.  Each factor's coefficients are put
 over the lcm of their denominators, so the pair loop multiplies and sums
@@ -82,7 +85,7 @@ import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -354,6 +357,14 @@ def _key_sum(a, b):
         return (den, key) if g == 1 else (den // g, key // g)
     den, (key,) = _least(den, (key,))
     return den, key
+
+
+def _gap_coordinate(gap):
+    """phi for the positive key ``gap``: a key's coordinate where ``gap`` has
+    its first nonzero one; a rank-1 key is its own coordinate."""
+    if type(gap) is int:
+        return lambda key: key
+    return itemgetter(next(i for i, q in enumerate(gap) if q))
 
 
 def _key_lt(a, b):
@@ -854,16 +865,15 @@ def invert(a, target_prec):
     """Multiplicative inverse with residual ``v(a*x - 1) >= target_prec - 2 v(a)``.
 
     Exact monomials invert exactly.  Otherwise the leading term is split
-    off and the unit part is inverted by ``_inverse_root`` with n = 1, the
-    Newton step ``x <- x + x (1 - unit x)`` at doubling precision.  The
-    inverse truncated at a given precision is unique, so the result does
-    not depend on the iteration schedule.
+    off and the unit part u is raised to the power -1 by ``_unit_power``,
+    long division by u on the grid.  The inverse truncated at a given
+    precision is unique, so the result is that of any other method.
     """
     if a.approx.is_zero():
         raise ZeroOrUncertainLeadingTerm("no determined leading term to invert")
     g = a.approx.valuation()
     c = a.approx.leading_coeff()
-    if a.prec is INFINITE and len(a.approx.terms) == 1:
+    if a.prec is INFINITE and len(a.approx._grid[1]) == 1:
         return TruncatedSeries.monomial(1 / c, -g)
     if target_prec is INFINITE:
         raise ValueError("invert needs a finite target precision for non-monomials")
@@ -871,39 +881,90 @@ def invert(a, target_prec):
     rel_have = INFINITE if a.prec is INFINITE else a.prec - g
     if rel_have is not INFINITE and rel_have < rel_needed:
         raise InsufficientPrecision("operand precision cannot support the requested inverse")
-    x = _inverse_root(a.approx.shift(-g).scale(1 / c), 1, rel_needed)
+    x = _unit_power(a.approx.shift(-g).scale(1 / c), -1, 1, rel_needed)
     return TruncatedSeries(x.shift(-g).scale(1 / c), rel_needed - g)
 
 
-def _inverse_root(unit, n, rel_needed):
-    """``w`` with ``v(1 - unit w^n) >= rel_needed``, for a unit ``1 + O(t^e)``, e > 0.
+def _unit_power(unit, a, b, rel_needed):
+    """``u^(a/b)`` below ``rel_needed`` for a unit ``u = 1 + h`` with v(h) > 0.
 
-    Newton's step for the inverse n-th root, ``w <- w + w (1 - unit w^n) / n``,
-    needs no division by a series: it doubles the valuation of the residual
-    ``1 - unit w^n``, so each step runs at twice the precision of the last,
-    every product bounded there (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 9).  ``w`` is kept exact and truncated below the precision
-    reached: a truncated iterate would make every residual ``0 + O(...)``.
-    The truncated root is unique, so ``w`` does not depend on the schedule.
+    J. C. P. Miller's recurrence for a power series raised to a rational
+    power (Knuth, *The Art of Computer Programming*, vol. 2, 4.7), run on
+    the grid.  Let phi take an exponent to its coordinate where the leading
+    gap v(h) has its first nonzero one (in rank 1, the exponent itself);
+    phi is additive, so ``D(t^e) = phi(e) t^e`` is a derivation, and
+    ``w = u^(a/b)`` solves ``b u D(w) = a w D(u)``.  At the exponent e this
+    reads ``b phi(e) w_e = sum_j (a phi(j) - b phi(e-j)) h_j w_(e-j)``
+    over the support of h.  The support of w lies in the monoid that
+    supp(h) generates, and every element of it below ``rel_needed`` has
+    ``phi >= 1`` (see below), so each coefficient comes from at most m
+    earlier ones, m the number of terms of h: O(N m) int operations for
+    N output terms.  For the inverse, a = -1 and b = 1, the factor is
+    ``-phi(e)`` and cancels, leaving long division by u.
+
+    Every w_e is an int over one denominator: ``cden^top`` for the
+    inverse and ``(cden b)^top top!`` otherwise, top the largest phi
+    below the bound and phi divided by the gcd of the generators' phis.
+    It is a multiple of the denominator each w_e needs, so every step is
+    an exact int division.
+
+    In rank d > 1 a gap in a later coordinate than the target leaves
+    infinitely many exponents below the target, so that case raises
+    ``PrecisionStall``.  Otherwise every exponent of the monoid below the
+    target shares the target's zero coordinates before the gap's, so its
+    phi is positive and there are finitely many of them.
     """
-    one = HahnSeries.constant(1, unit.rank)
-    # Doubling never leaves the leading nonzero coordinate of the gap, so in
-    # rank > 1 a gap (0, 1) never reaches a target such as (1, 0).
-    reached = (unit - one).valuation()
-    if reached < rel_needed and any(rel_needed[: next(i for i, q in enumerate(reached) if q)]):
-        raise PrecisionStall(
-            "leading gap of the unit part lies in a later coordinate than the target; "
-            "Newton doubling cannot reach the requested depth in lexicographic rank > 1"
-        )
-    w = one
-    while reached < rel_needed:
-        reached = min(reached + reached, rel_needed)
-        wn = unit
-        for _ in range(n):
-            wn = wn.__mul__(w, bound=reached)
-        step = w.__mul__(one - wn, bound=reached)
-        w = w + (step if n == 1 else step.scale(Fraction(1, n)))
-    return w
+    eden, keys, cden, nums = unit._grid
+    if len(keys) > 1:
+        reached = _exponent(eden, keys[1])
+        if reached < rel_needed and any(rel_needed[: next(i for i, q in enumerate(reached) if q)]):
+            # the text of this error is part of the package's output and stays as it was
+            raise PrecisionStall(
+                "leading gap of the unit part lies in a later coordinate than the target; "
+                "Newton doubling cannot reach the requested depth in lexicographic rank > 1"
+            )
+    bound = _below_key(rel_needed, eden)
+    gens = [(k, n) for k, n in zip(keys[1:], nums[1:]) if k < bound]
+    if not gens:
+        return HahnSeries.constant(1, unit.rank)
+    phi = _gap_coordinate(gens[0][0])
+    step = gcd(*(phi(k) for k, _ in gens))
+    # the monoid below the bound, each element with the (element, generator)
+    # pairs that sum to it; gens ascend, so a row stops at the bound
+    zero = keys[0]
+    below = {zero: ()}
+    frontier = [zero]
+    while frontier:
+        grown = []
+        for s in frontier:
+            for k, n in gens:
+                e = s + k
+                if e >= bound:
+                    break
+                pairs = below.get(e)
+                if pairs is None:
+                    below[e] = pairs = []
+                    grown.append(e)
+                pairs.append((s, k, n))
+        frontier = grown
+    support = sorted(below)
+    top = phi(support[-1]) // step
+    w = {}
+    if a == -1 and b == 1:
+        den = w[zero] = cden**top
+        for e in support[1:]:
+            w[e] = -sum(n * w[s] for s, _, n in below[e]) // cden
+    else:
+        den = w[zero] = (cden * b) ** top * factorial(top)
+        for e in support[1:]:
+            pe = phi(e) // step
+            total = 0
+            for s, k, n in below[e]:
+                pj = phi(k) // step
+                total += (a * pj - b * (pe - pj)) * n * w[s]
+            w[e] = total // (b * cden * pe)
+    out = [(e, w[e]) for e in support if w[e]]
+    return _on_grid((*_least(eden, tuple(map(_first, out))), *_least(den, tuple(c for _, c in out))), unit.rank)
 
 
 def _integer_nth_root(m, n):
@@ -931,9 +992,9 @@ def nth_root(a, n, target_prec):
     """Unique positive n-th root of a positive element.
 
     Splits off the monomial carrying v(a)/n; the root of the unit part u
-    is ``u w^(n-1)`` for ``w = u^(-1/n)`` from ``_inverse_root``, the Hensel
-    lift of the residue root 1 at doubling precision without a division.
-    Exact when the truncated root, powered back, is the exact input.
+    is ``u^(1/n)`` from ``_unit_power``, Miller's recurrence, whose
+    truncation is unique.  Exact when the truncated root, powered back, is
+    the exact input.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -959,9 +1020,7 @@ def nth_root(a, n, target_prec):
         raise InsufficientPrecision("operand precision cannot support the requested root")
     y = unit.approx  # the first root of the unit is the unit itself
     if n > 1:
-        w = _inverse_root(y, n, res_target)
-        for _ in range(n - 1):
-            y = y.__mul__(w, bound=res_target)
+        y = _unit_power(y, 1, n, res_target)
     y = TruncatedSeries(y, res_target)
     x = b * y
     if a.is_exact():

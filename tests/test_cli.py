@@ -188,3 +188,24 @@ class TestRankGate:
     def test_higher_rank_commands_still_run(self, capsys):
         code, payload, _ = run(capsys, "--rank", "2", "polygon", "x - t^(0,1)")
         assert code == 0 and payload["polygon"][0]["slope"] == "0,1"
+
+    # one argv per subcommand
+    EVERY_COMMAND = [
+        ("eval", "x", "--at", "1"),
+        ("rv", "1"),
+        ("divide", "[1]*x1 + [1]", "[1]"),
+        ("split", "[1]*x1 + [1]"),
+        ("hensel", "t^(1)"),
+        ("implicit", "[1]*x1 + [1]*x2"),
+        ("polygon", "x"),
+        *RANK_ONE_ONLY,
+    ]
+
+    def test_rank_below_one_is_rejected_up_front(self, capsys):
+        for argv in self.EVERY_COMMAND:
+            for rank in ("0", "-1", "-7"):
+                for line in (["--rank", rank, *argv], [*argv, "--rank", rank]):
+                    code = run_cli(line)
+                    captured = capsys.readouterr()
+                    assert code == 2 and captured.out == ""
+                    assert captured.err == f"error: the exponent rank must be at least 1, got --rank {rank}\n"
