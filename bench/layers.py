@@ -2,19 +2,18 @@
 
 Usage (from anywhere)::
 
-    python3 bench/layers.py PARENT_DIR CHANGE_DIR --out BENCH_layers.json --repeats 5 \\
-        [--seed 7] [--rounds 3] [--passes 5]
+    python3 bench/layers.py PARENT_DIR CHANGE_DIR --out BENCH_layers.json --repeats 5
 
 ``PARENT_DIR`` and ``CHANGE_DIR`` are two checkouts of the repository.  The
 calls are the ``invert``, ``nth_root`` and ``hensel_root`` operations (the
-Catalan fixture counts as a ``hensel_root``) of ``--rounds`` rounds of the
-benchmark's ``newton`` workload at ``--seed``, generated by the parent's
+Catalan fixture counts as a ``hensel_root``) of ``ROUNDS`` rounds of the
+benchmark's ``newton`` workload at ``SEED``, generated by the parent's
 ``perfbench/workloads.generate``, so both sides time the same inputs.
 
 Each repeat runs one fresh interpreter per checkout, in alternating order
 (parent first on even repeats, change first on odd ones).  The child
 imports the package from the checkout's ``src``, parses every input, makes
-each call once untimed, then times every call in ``--passes`` passes and
+each call once untimed, then times every call in ``PASSES`` passes and
 keeps each call's median.  Across repeats a call's time is the median of
 its per-process times.  Per layer the file records, for each side, the
 median and quartiles of the per-call times and their sum (one pass over
@@ -43,17 +42,18 @@ sys.dont_write_bytecode = True
 from pairs import quartiles  # noqa: E402 - after the bytecode switch
 
 LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root"}
+SEED, ROUNDS, PASSES = 7, 3, 5
 
 
-def solver_calls(checkout, seed, rounds):
+def solver_calls(checkout):
     """The solver operations of the ``newton`` workload, as generated by the checkout's benchmark."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
 
-    return [spec for ops in workloads.generate("newton", seed, rounds) for spec in ops if spec["kind"] in LAYERS]
+    return [spec for ops in workloads.generate("newton", SEED, ROUNDS) for spec in ops if spec["kind"] in LAYERS]
 
 
-def child(checkout, passes):
+def child(checkout):
     """Time the calls read from stdin with the checkout's package; print per-call times and outputs."""
     import gc
     import time
@@ -79,7 +79,7 @@ def child(checkout, passes):
         except Exception as exc:  # noqa: BLE001 - an error is an output, compared across sides
             outputs.append(f"{type(exc).__name__}: {exc}")
     times = [[] for _ in calls]
-    for _ in range(passes):
+    for _ in range(PASSES):
         gc.collect()
         for i, (f, args) in enumerate(calls):
             start = time.perf_counter_ns()
@@ -91,10 +91,10 @@ def child(checkout, passes):
     json.dump({"outputs": outputs, "ns": [statistics.median(t) for t in times]}, sys.stdout)
 
 
-def run_child(checkout, specs, passes):
+def run_child(checkout, specs):
     with tempfile.TemporaryDirectory(prefix="layers-") as tmp:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout), "--passes", str(passes)]
+        argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout)]
         proc = subprocess.run(argv, cwd=tmp, env=env, input=json.dumps(specs), capture_output=True, text=True,
                               check=False)
     if proc.returncode != 0:
@@ -123,25 +123,22 @@ def main(argv=None):
     parser.add_argument("change", type=Path, nargs="?")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--passes", type=int, default=5)
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child, args.passes)
+        child(args.child)
         return 0
     if args.parent is None or args.change is None or args.out is None:
         parser.error("PARENT_DIR, CHANGE_DIR and --out are required")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    specs = solver_calls(checkouts["parent"], args.seed, args.rounds)
+    specs = solver_calls(checkouts["parent"])
     runs = {"parent": [], "change": []}
     outputs = {}
     for repeat in range(args.repeats):
         order = ("parent", "change") if repeat % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_child(checkouts[side], specs, args.passes)
+            result = run_child(checkouts[side], specs)
             runs[side].append(result["ns"])
             outputs.setdefault(side, result["outputs"])
             print(f"repeat {repeat} {side}: {sum(result['ns']) / 1e6:.1f} ms per pass", file=sys.stderr, flush=True)
@@ -150,10 +147,9 @@ def main(argv=None):
               for i, (p, c) in enumerate(zip(outputs["parent"], outputs["change"])) if p != c]
     per_call = {side: [statistics.median(r[i] for r in runs[side]) for i in range(len(specs))] for side in runs}
     report = {
-        "command": f"python3 bench/layers.py PARENT CHANGE --repeats {args.repeats} --seed {args.seed} "
-                   f"--rounds {args.rounds} --passes {args.passes}",
+        "command": f"python3 bench/layers.py PARENT CHANGE --repeats {args.repeats}",
         "calls": "invert, nth_root and hensel_root (with the Catalan fixture) operations of "
-                 f"workloads.generate('newton', {args.seed}, {args.rounds})",
+                 f"workloads.generate('newton', {SEED}, {ROUNDS})",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",
         "unit": "microseconds per call; per call the median of its passes, then of its repeats",
         "output_mismatches": differ,

@@ -155,12 +155,7 @@ def run_cli(argv):
         seed_env = os.environ.get("HAHN_FORGE_SEED")
         if seed_env is not None:
             args.seed = int(seed_env)
-        if args.rank < 1:
-            raise ValueError(f"the exponent rank must be at least 1, got --rank {args.rank}")
-        prec = GroupElement.scalar(Fraction(args.prec), args.rank)
-        lam = GroupElement.scalar(Fraction(args.lam), args.rank)
-        registry = default_registry()
-        return _dispatch(args, prec, lam, registry)
+        return _dispatch(args, default_registry())
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -177,10 +172,14 @@ def run_cli(argv):
         return 2
 
 
-def _dispatch(args, prec, lam, registry):
+def _dispatch(args, registry):
     rank = args.rank
+    if rank < 1:
+        raise ValueError(f"the exponent rank must be at least 1, got --rank {rank}")
     if rank != 1 and args.command in _RANK_ONE_COMMANDS:
         raise ValueError(f"{args.command} supports rank 1 only, got --rank {rank}")
+    prec = GroupElement.scalar(Fraction(args.prec), rank)
+    lam = GroupElement.scalar(Fraction(args.lam), rank)
     if args.command == "eval":
         node = parse_term(args.term, registry, rank)
         x = parse_series(args.at, rank)

@@ -359,14 +359,6 @@ def _key_sum(a, b):
     return den, key
 
 
-def _gap_coordinate(gap):
-    """phi for the positive key ``gap``: a key's coordinate where ``gap`` has
-    its first nonzero one; a rank-1 key is its own coordinate."""
-    if type(gap) is int:
-        return lambda key: key
-    return itemgetter(next(i for i, q in enumerate(gap) if q))
-
-
 def _key_lt(a, b):
     """Whether the exponent of the key ``a`` lies below that of ``b``."""
     return a[1] * b[0] < b[1] * a[0]
@@ -903,10 +895,12 @@ def _unit_power(unit, a, b, rel_needed):
     ``-phi(e)`` and cancels, leaving long division by u.
 
     Every w_e is an int over one denominator: ``cden^top`` for the
-    inverse and ``(cden b)^top top!`` otherwise, top the largest phi
-    below the bound and phi divided by the gcd of the generators' phis.
-    It is a multiple of the denominator each w_e needs, so every step is
-    an exact int division.
+    inverse and ``(cden b)^top top!`` otherwise.  The term of w_e that
+    takes m generator factors is ``binomial(a/b, m)`` times a product of
+    m coefficients of h, over ``(cden b)^m m!``.  Every generator's phi
+    is at least that of the leading gap, so m is at most top, the largest
+    phi below the bound divided by the gap's, and each step is an exact
+    int division.
 
     In rank d > 1 a gap in a later coordinate than the target leaves
     infinitely many exponents below the target, so that case raises
@@ -927,7 +921,8 @@ def _unit_power(unit, a, b, rel_needed):
     gens = [(k, n) for k, n in zip(keys[1:], nums[1:]) if k < bound]
     if not gens:
         return HahnSeries.constant(1, unit.rank)
-    phi = _gap_coordinate(gens[0][0])
+    gap = gens[0][0]
+    phi = (lambda key: key) if type(gap) is int else itemgetter(next(i for i, q in enumerate(gap) if q))
     step = gcd(*(phi(k) for k, _ in gens))
     # the monoid below the bound, each element with the (element, generator)
     # pairs that sum to it; gens ascend, so a row stops at the bound
@@ -948,7 +943,7 @@ def _unit_power(unit, a, b, rel_needed):
                 pairs.append((s, k, n))
         frontier = grown
     support = sorted(below)
-    top = phi(support[-1]) // step
+    top = phi(support[-1]) // phi(gap)
     w = {}
     if a == -1 and b == 1:
         den = w[zero] = cden**top

@@ -1,6 +1,7 @@
 """Field, order, and valuation behaviour of the series core."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -1385,6 +1386,26 @@ class TestUnitPowersAgainstNewton:
     def test_exact_perfect_powers(self, text, n, target):
         root = _same_as_newton(nth_root, _newton_nth_root, s(text), n, ge(target))
         assert root is not None
+
+    @pytest.mark.parametrize("text, target", [
+        ("1 + 1*t^(1) + 1/3*t^(1001/1000)", 20),
+        ("1 + 1*t^(1) - 2/3*t^(100001/100000)", 12),
+    ])
+    def test_close_gaps_stay_cheap(self, text, target):
+        # gaps whose exponents share a large denominator: a coefficient
+        # takes at most about target/gap generator factors, so the shared
+        # denominator stays small; one sized by the exponent's numerator
+        # over that denominator (about 1.2 million here) takes seconds
+        a, target = s(text), ge(target)
+        calls = ((invert, _newton_invert, (a, target)),
+                 (nth_root, _newton_nth_root, (a, 2, target)),
+                 (nth_root, _newton_nth_root, (a, 3, target)))
+        start = time.perf_counter()
+        for f, _, args in calls:
+            f(*args)
+        assert time.perf_counter() - start < 2.0
+        for f, oracle, args in calls:
+            _same_as_newton(f, oracle, *args)
 
     @pytest.mark.parametrize("text, rank, target", [
         ("1 + 1*t^(1/2) - 3*t^(5/7)", 1, 4),
