@@ -1392,10 +1392,9 @@ class TestUnitPowersAgainstNewton:
         ("1 + 1*t^(1) - 2/3*t^(100001/100000)", 12),
     ])
     def test_close_gaps_stay_cheap(self, text, target):
-        # gaps whose exponents share a large denominator: a coefficient
-        # takes at most about target/gap generator factors, so the shared
-        # denominator stays small; one sized by the exponent's numerator
-        # over that denominator (about 1.2 million here) takes seconds
+        # gaps 1 and 1 + 1/N: a coefficient takes at most about target
+        # generator factors, so the shared denominator must stay that small
+        # however large N is, not grow with N times the target
         a, target = s(text), ge(target)
         calls = ((invert, _newton_invert, (a, target)),
                  (nth_root, _newton_nth_root, (a, 2, target)),
