@@ -1,10 +1,12 @@
 """Analytic evaluation, Hensel lifting, and implicit solving."""
 
+import math
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hahn_forge.analytic import (
     FunctionRegistry,
@@ -21,6 +23,7 @@ from hahn_forge.errors import (
     MalformedRule,
     NotInfinitesimal,
     NotRegularDegreeOne,
+    PrecisionStall,
 )
 from hahn_forge.multiseries import (
     MultiSeries,
@@ -33,9 +36,12 @@ from hahn_forge.multiseries import (
 from hahn_forge.rv import ball_of, rv_lambda, sample_in_ball
 from hahn_forge.series import (
     GroupElement,
+    HahnSeries,
     INFINITE,
     TruncatedSeries,
+    format_series,
     parse_series,
+    valuation,
 )
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
@@ -330,3 +336,170 @@ class TestPrecisionStall:
 
         with pytest.raises(PrecisionStall):
             hensel_root([parse_series("1*t^(1) + O(t^(2))")], ge(6))
+
+
+# -- the term-by-term walk that summed Taylor expansions before the grid
+# kernel, kept here as the oracle of TestTaylorKernelAgainstWalk
+
+
+def _walk_evaluate(fn, args, target_prec):
+    if len(args) != fn.nvars:
+        raise ValueError(f"{fn.name} takes {fn.nvars} arguments")
+    rank = args[0].rank if args else 1
+    vals = []
+    for a in args:
+        v = valuation(a)
+        if not fn.polynomial and not (v is INFINITE or v > GroupElement.zero(rank)):
+            raise NotInfinitesimal(f"{fn.name} needs infinitesimal arguments in exact mode")
+        vals.append(v)
+    if fn.polynomial:
+        bound = len(fn.table) - 1 if fn.nvars == 1 else None
+        if bound is None:
+            raise MalformedRule("polynomial evaluation needs a finite table")
+        return _walk_sum(fn, args, vals, None, bound, rank, prune=False)
+    finite_vals = [v for v in vals if v is not INFINITE]
+    if not finite_vals:
+        c0 = fn.coefficient((0,) * fn.nvars)
+        return TruncatedSeries.constant(c0, rank)
+    min_v = min(finite_vals)
+    if min_v.first() <= 0:
+        raise PrecisionStall(
+            "argument valuation has zero first coordinate; "
+            "the expansion degree cannot be bounded in lexicographic rank > 1"
+        )
+    t1 = target_prec.first()
+    bound = max(0, math.ceil(t1 / min_v.first()))
+    return _walk_sum(fn, args, vals, target_prec, bound, rank, prune=True)
+
+
+def _walk_sum(fn, args, vals, target_prec, bound, rank, prune):
+    total = TruncatedSeries.zero(rank)
+    nvars = fn.nvars
+    one = TruncatedSeries.one(rank)
+
+    def clip(x):
+        return x if target_prec is None else x.truncate(target_prec)
+
+    def walk(i, idx, product, vsum):
+        nonlocal total
+        if i == nvars:
+            c = fn.coefficient(idx)
+            if c:
+                total = total + product.scale(c)
+            return
+        a, va = args[i], vals[i]
+        cur = product
+        for e in range(0, bound - sum(idx) + 1):
+            if e:
+                if va is INFINITE:
+                    break
+                new_v = vsum + va * e
+                if prune and not (new_v < target_prec):
+                    break
+                cur = clip(cur * a)
+                if cur.is_exact_zero():
+                    break
+                walk(i + 1, idx + (e,), cur, new_v)
+            else:
+                walk(i + 1, idx + (e,), cur, vsum)
+
+    walk(0, (), one, GroupElement.zero(rank))
+    return clip(total)
+
+
+def _outcome(evaluate, fn, args, target):
+    """What an evaluation shows a caller: the value in every form, or the error."""
+    try:
+        out = evaluate(fn, args, target)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return out.prec, out.approx, out, hash(out), format_series(out)
+
+
+_POSITIVE = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
+             Fraction(3)]
+# a first coordinate 0 now and then: not infinitesimal in rank 1, a stall in rank 2
+_FIRST = _POSITIVE * 2 + [Fraction(0)]
+_LATER = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+_COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3, 4), Fraction(-5, 3)]
+
+
+def _exponents(rank, first=_FIRST):
+    return st.tuples(st.sampled_from(first), *[st.sampled_from(_LATER)] * (rank - 1)).map(GroupElement)
+
+
+@st.composite
+def _argument(draw, rank, first=_FIRST, exact=False):
+    """An argument of 1 to 3 terms: exact, exact zero, ``0 + O(...)``, or inexact.
+
+    An inexact argument has its precision a step above its top term, or
+    one drawn on its own, which may cut some or all of its terms.
+    """
+    exps = draw(st.lists(_exponents(rank, first), min_size=1, max_size=3, unique=True))
+    approx = HahnSeries([(e, draw(st.sampled_from(_COEFFS))) for e in exps], rank)
+    kind = "exact" if exact else draw(st.sampled_from(["exact"] * 3 + ["above"] * 4 + ["drawn"] * 2 + ["zero", "blur"]))
+    if kind == "exact":
+        return TruncatedSeries.exact(approx)
+    if kind == "zero":
+        return TruncatedSeries.zero(rank)
+    if kind == "blur":
+        return TruncatedSeries(HahnSeries.zero(rank), draw(_exponents(rank)))
+    if kind == "above":
+        step = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]))
+        return TruncatedSeries(approx, max(exps) + GroupElement.scalar(step, rank))
+    return TruncatedSeries(approx, draw(_exponents(rank)))
+
+
+@st.composite
+def _target(draw, rank, args):
+    """A target at, below or above some argument's precision, or drawn on its own."""
+    precs = [a.prec for a in args if a.prec is not INFINITE]
+    target = draw(st.sampled_from(precs) if precs and draw(st.booleans()) else _exponents(rank))
+    moves = [Fraction(0), Fraction(-1, 3), Fraction(-1, 2), Fraction(-1)] + [Fraction(1), Fraction(2)] * 2
+    move = draw(st.sampled_from(moves))
+    return target + GroupElement.scalar(move, rank)
+
+
+@st.composite
+def _rule_function(draw):
+    """A 1-, 2- or 3-variable rule whose coefficients vanish on runs of degrees and first indices."""
+    nvars = draw(st.integers(1, 3))
+    zero_degrees = draw(st.frozensets(st.integers(0, 6)))
+    zero_first = draw(st.frozensets(st.integers(0, 4)))
+
+    def rule(idx):
+        if sum(idx) in zero_degrees or idx[0] in zero_first:
+            return Fraction(0)
+        return Fraction((-1) ** sum(idx), 1 + idx[0] + 2 * idx[-1])
+
+    return register_function({"name": "zeroruns", "vars": nvars, "radius": 2, "rule": rule}, FunctionRegistry())
+
+
+class TestTaylorKernelAgainstWalk:
+    """``evaluate_analytic`` against the term-by-term walk, value and precision alike."""
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["exp", "sin", "cos", "log1p"]), st.integers(1, 2), st.data())
+    def test_builtins(self, name, rank, data):
+        fn = default_registry().get(name)
+        args = [data.draw(_argument(rank))]
+        target = data.draw(_target(rank, args))
+        assert _outcome(evaluate_analytic, fn, args, target) == _outcome(_walk_evaluate, fn, args, target)
+
+    @settings(max_examples=200)
+    @given(_rule_function(), st.integers(1, 2), st.data())
+    def test_rule_functions(self, fn, rank, data):
+        args = [data.draw(_argument(rank)) for _ in range(fn.nvars)]
+        target = data.draw(_target(rank, args))
+        assert _outcome(evaluate_analytic, fn, args, target) == _outcome(_walk_evaluate, fn, args, target)
+
+    @settings(max_examples=150)
+    @given(st.lists(st.sampled_from(_COEFFS + [Fraction(0)] * 3), min_size=1, max_size=5), st.integers(1, 2),
+           st.booleans(), st.data())
+    def test_polynomial_tables(self, table, rank, exact, data):
+        fn = register_function({"name": "table", "vars": 1, "radius": 2, "table": table}, FunctionRegistry())
+        # exact arguments of valuation <= 0, or any argument
+        first = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0)] if exact else _FIRST
+        args = [data.draw(_argument(rank, first, exact))]
+        target = data.draw(_target(rank, args))
+        assert _outcome(evaluate_analytic, fn, args, target) == _outcome(_walk_evaluate, fn, args, target)
