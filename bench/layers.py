@@ -7,8 +7,13 @@ Usage (from anywhere)::
 ``PARENT_DIR`` and ``CHANGE_DIR`` are two checkouts of the repository.  The
 calls are the ``invert``, ``nth_root`` and ``hensel_root`` operations (the
 Catalan fixture counts as a ``hensel_root``) of ``ROUNDS`` rounds of the
-benchmark's ``newton`` workload at ``SEED``, generated by the parent's
-``perfbench/workloads.generate``, so both sides time the same inputs.
+benchmark's ``newton`` workload at ``SEED``, and the ``evaluate_analytic``
+call of each ``exp``/``sin``/``cos``/``log1p`` ``eval`` command of
+``ROUNDS`` rounds of its ``cli`` workload at ``SEED``, all generated by the
+parent's ``perfbench/workloads.generate``, so both sides time the same
+inputs.  The child finds an ``evaluate_analytic`` call's arguments by
+running the ``eval`` command once through ``run_cli`` and recording the
+call it makes.
 
 Each repeat runs one fresh interpreter per checkout, in alternating order
 (parent first on even repeats, change first on odd ones).  The child
@@ -41,16 +46,44 @@ from pathlib import Path
 sys.dont_write_bytecode = True
 from pairs import quartiles  # noqa: E402 - after the bytecode switch
 
-LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root"}
+LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root",
+          "evaluate_analytic": "evaluate_analytic"}
 SEED, ROUNDS, PASSES = 7, 3, 5
 
 
 def solver_calls(checkout):
-    """The solver operations of the ``newton`` workload, as generated by the checkout's benchmark."""
+    """The solver operations of the ``newton`` workload and the analytic ``eval`` commands of the
+    ``cli`` workload, as generated by the checkout's benchmark."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
 
-    return [spec for ops in workloads.generate("newton", SEED, ROUNDS) for spec in ops if spec["kind"] in LAYERS]
+    specs = [spec for ops in workloads.generate("newton", SEED, ROUNDS) for spec in ops if spec["kind"] in LAYERS]
+    for ops in workloads.generate("cli", SEED, ROUNDS):
+        for spec in ops:
+            check = spec["check"]
+            if check["type"] == "eval" and check["expr"][0] == "fn":
+                specs.append({"kind": "evaluate_analytic", "argv": spec["argv"]})
+    return specs
+
+
+def analytic_call(argv):
+    """The arguments of the one ``evaluate_analytic`` call that ``run_cli(argv)`` makes, recorded from a run."""
+    import contextlib
+    import io
+
+    from hahn_forge import cli, terms
+
+    recorded = []
+    evaluate = terms.evaluate_analytic
+    terms.evaluate_analytic = lambda *args: recorded.append(args) or evaluate(*args)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.run_cli(list(argv))
+    finally:
+        terms.evaluate_analytic = evaluate
+    if len(recorded) != 1:
+        raise RuntimeError(f"{argv} made {len(recorded)} evaluate_analytic calls, expected 1")
+    return recorded[0]
 
 
 def child(checkout):
@@ -69,6 +102,8 @@ def child(checkout):
             calls.append((series.invert, (series.parse_series(spec["a"]), ge(spec["prec"]))))
         elif spec["kind"] == "nth_root":
             calls.append((series.nth_root, (series.parse_series(spec["a"]), spec["n"], ge(spec["prec"]))))
+        elif spec["kind"] == "evaluate_analytic":
+            calls.append((analytic.evaluate_analytic, analytic_call(spec["argv"])))
         else:
             calls.append((analytic.hensel_root, ([series.parse_series(c) for c in spec["coeffs"]], ge(spec["prec"]))))
 
@@ -149,7 +184,8 @@ def main(argv=None):
     report = {
         "command": f"python3 bench/layers.py PARENT CHANGE --repeats {args.repeats}",
         "calls": "invert, nth_root and hensel_root (with the Catalan fixture) operations of "
-                 f"workloads.generate('newton', {SEED}, {ROUNDS})",
+                 f"workloads.generate('newton', {SEED}, {ROUNDS}); the evaluate_analytic call of each "
+                 f"exp/sin/cos/log1p eval command of workloads.generate('cli', {SEED}, {ROUNDS})",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",
         "unit": "microseconds per call; per call the median of its passes, then of its repeats",
         "output_mismatches": differ,

@@ -36,6 +36,7 @@ from .series import (
     GroupElement,
     INFINITE,
     TruncatedSeries,
+    _taylor_sum,
     invert,
     poly_eval,
     standard_part,
@@ -270,7 +271,7 @@ def evaluate_analytic(fn, args, target_prec):
         bound = len(fn.table) - 1 if fn.nvars == 1 else None
         if bound is None:
             raise MalformedRule("polynomial evaluation needs a finite table")
-        return _sum_expansion(fn, args, vals, None, bound, rank, prune=False)
+        return _taylor_sum(fn.coefficient, args, None, bound)
     finite_vals = [v for v in vals if v is not INFINITE]
     if not finite_vals:
         c0 = fn.coefficient((0,) * fn.nvars)
@@ -283,42 +284,7 @@ def evaluate_analytic(fn, args, target_prec):
         )
     t1 = target_prec.first()
     bound = max(0, math.ceil(t1 / min_v.first()))
-    return _sum_expansion(fn, args, vals, target_prec, bound, rank, prune=True)
-
-
-def _sum_expansion(fn, args, vals, target_prec, bound, rank, prune):
-    total = TruncatedSeries.zero(rank)
-    nvars = fn.nvars
-    one = TruncatedSeries.one(rank)
-
-    def clip(x):
-        return x if target_prec is None else x.truncate(target_prec)
-
-    def walk(i, idx, product, vsum):
-        nonlocal total
-        if i == nvars:
-            c = fn.coefficient(idx)
-            if c:
-                total = total + product.scale(c)
-            return
-        a, va = args[i], vals[i]
-        cur = product
-        for e in range(0, bound - sum(idx) + 1):
-            if e:
-                if va is INFINITE:
-                    break
-                new_v = vsum + va * e
-                if prune and not (new_v < target_prec):
-                    break
-                cur = clip(cur * a)
-                if cur.is_exact_zero():
-                    break
-                walk(i + 1, idx + (e,), cur, new_v)
-            else:
-                walk(i + 1, idx + (e,), cur, vsum)
-
-    walk(0, (), one, GroupElement.zero(rank))
-    return clip(total)
+    return _taylor_sum(fn.coefficient, args, target_prec, bound)
 
 
 def hensel_root(coeffs, target_prec, rank=1, trace=None):

@@ -17,7 +17,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, floor, lcm
@@ -714,10 +714,18 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     """Sample annulus points with equal leading data and compare unit values."""
     center, inner, outer = annulus
     v_in = valuation(inner)
+    if v_in is INFINITE:
+        raise DomainViolation("annulus needs a nonzero inner radius")
     v_out = valuation(outer)
     if not (v_in > v_out):
         raise DomainViolation("annulus needs v(inner) > v(outer)")
     base_prec = lam + GroupElement.scalar(4)
+
+    # one inverse per probe; a failed inverse is not cached, so every point
+    # still raises it, as when each point inverted the outer radius itself
+    @cache
+    def outer_inverse():
+        return invert(outer, base_prec + base_prec)
 
     def unit_value(x):
         total = TruncatedSeries.one(x.rank)
@@ -727,7 +735,7 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
             part = evaluate_analytic(spec.g, [arg], base_prec)
             total = total + (spec.g_scale * part if spec.g_scale is not None else part)
         if spec.h is not None:
-            arg = diff * invert(outer, base_prec + base_prec)
+            arg = diff * outer_inverse()
             part = evaluate_analytic(spec.h, [arg], base_prec)
             total = total + (spec.h_scale * part if spec.h_scale is not None else part)
         return total

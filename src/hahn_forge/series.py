@@ -84,7 +84,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import factorial, gcd, lcm
 from operator import itemgetter
 
@@ -962,6 +962,121 @@ def _unit_power(unit, a, b, rel_needed):
     return _on_grid((*_least(eden, tuple(map(_first, out))), *_least(den, tuple(c for _, c in out))), unit.rank)
 
 
+def _taylor_sum(coefficient, args, target_prec, bound):
+    """``sum c_idx a^idx`` over the monomials an expansion reaches, in one int pass.
+
+    ``coefficient(idx)`` is the Taylor coefficient of a multi-index and
+    ``args`` are the nonzero-or-exact arguments a_i, with valuations v_i
+    and precisions p_i (INFINITE when exact).
+
+    Which terms: the monomials of total degree at most ``bound``; with a
+    ``target_prec`` T (infinitesimal arguments, every v_i > 0) only the
+    constant and those whose valuation ``V(idx) = sum e_i v_i`` lies below
+    T.  An exact zero argument takes no power above 0.
+
+    Their precision, in closed form.  A product ``X a_i`` of a factor X of
+    valuation V and precision q is known below ``min(q + v_i, p_i + V)``
+    (``field_op``), and its leading term, the product of the two leading
+    terms, lies below that.  So every power keeps its leading term, and by
+    induction ``a^idx`` is known below ``min over i with e_i >= 1 of
+    p_i + V(idx) - v_i``; cutting a factor at T, then multiplying by a
+    factor of positive valuation, stays at or above T.  A sum is known
+    below the least precision of its terms, so the sum is known below
+
+        P = min(T, min over idx != 0 with c_idx != 0 of
+                   min over i with e_i >= 1 of p_i + V(idx) - v_i).
+
+    For each i, ``p_i - v_i`` is fixed, so its part of the min is
+    ``p_i - v_i`` plus the least V(idx) of a summed monomial with
+    e_i >= 1; with one variable, ``P = min(T, p + (k0 - 1) v)``, k0 the
+    first index >= 1 with a nonzero coefficient.  An exact argument adds no
+    term.  Without a target (a polynomial table) T is dropped.
+
+    The sum.  The arguments sit over one exponent denominator and one
+    coefficient denominator C, so ``A_i^e`` has int numerators over
+    ``C^e``, formed by ``_int_products`` with no gcd per step.  With a
+    target, every v_i > 0, so a term of an argument at or above P reaches
+    only products at or above P: each argument is cut below P once and
+    every product is bounded there.  A table may take arguments of
+    valuation <= 0, where a term above P can reach below it, so there
+    nothing is cut before the sum.  The numerators of each
+    ``c_idx A^idx`` are added into one dict over ``L C^N``, L the lcm of
+    the coefficient denominators and N the largest degree summed; the sum
+    is cut below P and put on the grid with one ``_least``.
+    """
+    rank = args[0].rank
+    grids = [a.approx._grid for a in args]
+    eden = lcm(*(g[0] for g in grids))
+    cden = lcm(*(g[2] for g in grids))
+    keys = [_over(g[0], eden, g[1]) for g in grids]
+    nums = [_over(g[2], cden, g[3]) for g in grids]
+    leads = [k[0] if k else None for k in keys]
+    zero = _key_of(GroupElement.zero(rank))[1]
+    reach = INFINITE if target_prec is None else _below_key(target_prec, eden)
+
+    def top(lead):
+        """The highest power of one argument within the bound and below the target."""
+        e, key = 0, zero
+        while lead is not None and e < bound and key + lead < reach:
+            e, key = e + 1, key + lead
+        return e
+
+    summed = []  # (idx, coefficient, key of V(idx), degree)
+    for idx in product(*(range(top(lead) + 1) for lead in leads)):
+        degree = sum(idx)
+        if degree > bound:
+            continue
+        key = zero
+        for e, lead in zip(idx, leads):
+            if e:
+                key = key + lead * e
+        if degree and not key < reach:
+            continue
+        c = coefficient(idx)
+        if c:
+            summed.append((idx, c, key, degree))
+
+    prec = INFINITE if target_prec is None else target_prec
+    for i, a in enumerate(args):
+        least = None if a.prec is INFINITE else min((key for idx, _, key, _ in summed if idx[i]), default=None)
+        if least is not None:
+            p = a.prec + _exponent(eden, least - leads[i])
+            if p < prec:
+                prec = p
+    below = INFINITE if prec is INFINITE else _below_key(prec, eden)
+    cut = INFINITE if target_prec is None else below
+    if cut is not INFINITE:
+        for i, k in enumerate(keys):
+            n = bisect_left(k, cut)
+            keys[i], nums[i] = k[:n], nums[i][:n]
+
+    one = ((zero,), (1,))
+    powers = [[one, (k, n)] for k, n in zip(keys, nums)]
+
+    def power(i, e):
+        pw = powers[i]
+        while len(pw) <= e:
+            k, n = pw[-1]
+            pw.append(_int_products(keys[i], nums[i], k, n, cut) if k else ((), ()))
+        return pw[e]
+
+    lden = lcm(*(c.denominator for _, c, _, _ in summed))
+    most = max((degree for *_, degree in summed), default=0)
+    acc = {}
+    for idx, c, _, degree in summed:
+        factors = [power(i, e) for i, e in enumerate(idx) if e] or [one]
+        k, n = factors[0]
+        for fkeys, fnums in factors[1:]:
+            k, n = _int_products(fkeys, fnums, k, n, cut) if k and fkeys else ((), ())
+        scale = c.numerator * (lden // c.denominator) * cden ** (most - degree)
+        for key, num in zip(k, n):
+            acc[key] = acc.get(key, 0) + scale * num
+    out = sorted(key for key, num in acc.items() if num)
+    out = tuple(out[: bisect_left(out, below)])
+    grid = (*_least(eden, out), *_least(lden * cden**most, tuple(acc[k] for k in out)))
+    return _truncated(_on_grid(grid, rank), prec, None if prec is INFINITE else _key_of(prec))
+
+
 def _integer_nth_root(m, n):
     """Exact integer n-th root, or None."""
     if m == 0:
@@ -1020,13 +1135,16 @@ def nth_root(a, n, target_prec):
     x = b * y
     if a.is_exact():
         # the truncated root may be the exact root plus terms at the
-        # precision edge; trim from the top and test by powering back
-        terms = x.approx.terms
-        top = a.approx.terms[-1][0]
-        for cut in range(len(terms), 0, -1):
-            if terms[cut - 1][0] * n != top:
+        # precision edge; trim from the top and test by powering back,
+        # with the keys of x and the top key of a over one eden
+        xe, xkeys, _, _ = x.approx._grid
+        ae, akeys, _, _ = a.approx._grid
+        eden = lcm(xe, ae)
+        top, step = akeys[-1] * (eden // ae), eden // xe * n
+        for cut in range(len(xkeys), 0, -1):
+            if xkeys[cut - 1] * step != top:
                 continue  # the top term of cand^n cannot cancel
-            cand = TruncatedSeries.exact(HahnSeries(terms[:cut], a.rank, _clean=False))
+            cand = TruncatedSeries.exact(x.approx._prefix(cut))
             if power(cand, n).approx == a.approx:
                 return cand
     return x.truncate(res_target + g_over_n)

@@ -8,7 +8,7 @@ import pytest
 
 from hahn_forge.analytic import FunctionRegistry, register_function
 import hahn_forge.prepare as preparation
-from hahn_forge.errors import DepthExhausted, DivisionByZero, UndecidedSign
+from hahn_forge.errors import DepthExhausted, DivisionByZero, DomainViolation, UndecidedSign
 from hahn_forge.prepare import (
     IntervalCoeff,
     StrongUnitSpec,
@@ -311,6 +311,12 @@ class TestStrongUnitProbe:
         annulus = (TruncatedSeries.zero(), s("1*t^(2)"), s("1"))
         report = strong_unit_probe(spec, annulus, ge(1), trials=150, rng_seed=8)
         assert report.passed()
+
+    def test_zero_inner_radius_is_a_domain_violation(self):
+        spec = StrongUnitSpec(h=FunctionRegistry().get("exp"))
+        annulus = (TruncatedSeries.zero(), TruncatedSeries.zero(), s("1"))
+        with pytest.raises(DomainViolation, match="annulus needs a nonzero inner radius"):
+            strong_unit_probe(spec, annulus, ge(0), trials=10, rng_seed=0)
 
     def test_trivial_unit(self):
         spec = StrongUnitSpec()
