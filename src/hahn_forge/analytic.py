@@ -4,7 +4,11 @@ Functions are stored as Taylor rules (multi-index to rational coefficient)
 with a declared convergence radius.  In exact mode a function with an
 infinite tail is only evaluated at infinitesimal arguments, where the
 expansion is finite within any precision window; finite tables are
-polynomials and evaluate anywhere.
+polynomials and evaluate anywhere.  Either way the expansion is summed by
+one kernel on the integer grid, ``series._taylor_sum``: the powers of the
+arguments are int products, every term is added into one dict of int
+numerators, and the precision of the sum is found in closed form from
+the precisions and valuations of the arguments.
 
 The solvers are the workhorses built on top: a Newton lift for roots of
 ``1 + y + a_2 y^2 + ... + a_d y^d`` with infinitesimal higher coefficients,
@@ -257,6 +261,14 @@ def evaluate_analytic(fn, args, target_prec):
     Exact mode: arguments must be infinitesimal unless the function is a
     polynomial.  Termination comes from the argument valuations; the tail
     beyond the computed degree sits strictly above the target.
+
+    The sum is ``series._taylor_sum``, one int pass on the grid.  Its
+    precision is ``P = min(T, min of p_i + V(idx) - v_i)`` over the summed
+    monomials idx != 0 with a nonzero coefficient and their variables i
+    with e_i >= 1, where ``V(idx) = sum e_i v_i`` and a_i has valuation
+    v_i and precision p_i; an exact argument adds no term.  With one
+    argument this is ``min(T, p + (k0 - 1) v)``, k0 the first index >= 1
+    with a nonzero coefficient.  A polynomial table has no T.
     """
     if len(args) != fn.nvars:
         raise ValueError(f"{fn.name} takes {fn.nvars} arguments")

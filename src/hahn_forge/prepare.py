@@ -721,8 +721,8 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
         raise DomainViolation("annulus needs v(inner) > v(outer)")
     base_prec = lam + GroupElement.scalar(4)
 
-    # one inverse per probe; a failed inverse is not cached, so every point
-    # still raises it, as when each point inverted the outer radius itself
+    # the same for every point; a failed inverse is not cached, so each
+    # point raises it again and is skipped
     @cache
     def outer_inverse():
         return invert(outer, base_prec + base_prec)

@@ -72,6 +72,13 @@ earlier ones as h has terms, so N output terms cost O(N m) int operations
 for an m-term h, and no series product is formed.  ``invert`` is its
 power -1, long division by u; ``nth_root`` is its power 1/n.
 
+``_taylor_sum`` sums a Taylor expansion ``sum c_idx a^idx`` at series
+arguments in one pass on the grid: the monomials are enumerated on the
+arguments' leading keys, the precision of the sum is found in closed form
+from the arguments' precisions and valuations, the arguments are cut
+there once, their powers are int products under one bound, and every
+term is added into one dict of int numerators over one denominator.
+
 Products run on ints in every rank.  Each factor's coefficients are put
 over the lcm of their denominators, so the pair loop multiplies and sums
 plain ints; both denominators are positive, so an int sum is zero exactly
@@ -965,9 +972,9 @@ def _unit_power(unit, a, b, rel_needed):
 def _taylor_sum(coefficient, args, target_prec, bound):
     """``sum c_idx a^idx`` over the monomials an expansion reaches, in one int pass.
 
-    ``coefficient(idx)`` is the Taylor coefficient of a multi-index and
-    ``args`` are the nonzero-or-exact arguments a_i, with valuations v_i
-    and precisions p_i (INFINITE when exact).
+    ``coefficient(idx)`` is the Taylor coefficient of a multi-index, and
+    each argument a_i is exact or has a nonzero approx, with valuation v_i
+    and precision p_i (INFINITE when exact).
 
     Which terms: the monomials of total degree at most ``bound``; with a
     ``target_prec`` T (infinitesimal arguments, every v_i > 0) only the

@@ -318,6 +318,14 @@ class TestStrongUnitProbe:
         with pytest.raises(DomainViolation, match="annulus needs a nonzero inner radius"):
             strong_unit_probe(spec, annulus, ge(0), trials=10, rng_seed=0)
 
+    def test_failed_outer_inverse_skips_every_point(self):
+        # the outer radius is too blurred to invert at the probe's precision,
+        # so each point is skipped
+        spec = StrongUnitSpec(h=FunctionRegistry().get("exp"))
+        annulus = (TruncatedSeries.zero(), s("1*t^(2)"), s("1 + O(t^(1))"))
+        report = strong_unit_probe(spec, annulus, ge(0), trials=5, rng_seed=0)
+        assert report.verdict == "undecided"
+
     def test_trivial_unit(self):
         spec = StrongUnitSpec()
         annulus = (TruncatedSeries.zero(), s("1*t^(2)"), s("1"))
