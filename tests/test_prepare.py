@@ -3,8 +3,10 @@
 import os
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hahn_forge.analytic import FunctionRegistry, register_function
 import hahn_forge.prepare as preparation
@@ -146,6 +148,89 @@ def _poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
+
+
+# ---------------------------------------------------------------------------
+# squarefree part against sympy (tests only; the package never imports it)
+
+def monomials(d):
+    return st.tuples(st.builds(Fraction, st.integers(0, 6), st.just(d)), st.integers(-3, 3).filter(bool))
+
+
+@st.composite
+def series_factors(draw, d):
+    """A factor of x-degree 1 or 2 whose coefficients are sums of monomials c*t^(j/d).
+
+    A lower coefficient is zero half the time: x^2 - c*t^e and c*t^e*x make the pseudo-remainders
+    skip degrees, where a missing power of the leading coefficient leaves a division inexact.
+    """
+    degree = draw(st.integers(1, 2))
+    lower = st.one_of(st.just([]), st.lists(monomials(d), min_size=1, max_size=2))
+    factor = [HahnSeries(draw(lower)) for _ in range(degree)]
+    factor.append(HahnSeries([draw(monomials(d))]))
+    return [TruncatedSeries.exact(h) for h in factor]
+
+
+@st.composite
+def series_products(draw):
+    """Products of one or two factors with exponent denominator d <= 6, half of them times a
+    factor again.
+
+    One d per product keeps the degrees in s = t^(1/d) small; products whose factors mix
+    denominators are the golden ``roots_three_quadratics`` entry.
+    """
+    d = draw(st.integers(1, 6))
+    factors = draw(st.lists(series_factors(d), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        factors.append(draw(st.sampled_from(factors)))
+    p = factors[0]
+    for f in factors[1:]:
+        p = _poly_mul(p, f)
+    return p
+
+
+def _squarefree_part(coeffs):
+    """The squarefree part as exponent dicts, and whether the input came back as it was."""
+    out = preparation._squarefree_series_poly(coeffs)
+    return [preparation._xser_from_truncated(c) for c in out], out is coeffs
+
+
+def _exponent_lcm(*polys):
+    n = 1
+    for xsers in polys:
+        for a in xsers:
+            for e in a:
+                n = lcm(n, e.denominator)
+    return n
+
+
+def _sympy_poly_in_x(xsers, n, s, x):
+    """The polynomial over Q(s) with s = t^(1/n); n is a multiple of every exponent denominator."""
+    sympy = pytest.importorskip("sympy")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * s ** int(e * n) * x**i
+        for i, a in enumerate(xsers)
+        for e, c in a.items()
+    )
+    return sympy.Poly(expr, x, domain=sympy.QQ.frac_field(s))
+
+
+class TestSquarefreeAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(series_products())
+    def test_squarefree_part(self, coeffs):
+        sympy = pytest.importorskip("sympy")
+        s, x = sympy.symbols("s x")
+        xsers = [preparation._xser_from_truncated(c) for c in coeffs]
+        part, unchanged = _squarefree_part(coeffs)
+        n = _exponent_lcm(xsers, part)
+        p = _sympy_poly_in_x(xsers, n, s, x)
+        q = _sympy_poly_in_x(part, n, s, x)
+        assert p.rem(q).is_zero
+        assert q.gcd(q.diff(x)).degree() == 0
+        assert q.degree() == p.sqf_part().degree()
+        if p.gcd(p.diff(x)).degree() == 0:
+            assert unchanged
 
 
 class TestRvProductLaw:
