@@ -1,4 +1,4 @@
-"""Per-call times of the solver layer in two checkouts, written to one JSON file.
+"""Per-call times of the solver and root-expansion layers in two checkouts, written to one JSON file.
 
 Usage (from anywhere)::
 
@@ -9,11 +9,16 @@ calls are the ``invert``, ``nth_root`` and ``hensel_root`` operations (the
 Catalan fixture counts as a ``hensel_root``) of ``ROUNDS`` rounds of the
 benchmark's ``newton`` workload at ``SEED``, and the ``evaluate_analytic``
 call of each ``exp``/``sin``/``cos``/``log1p`` ``eval`` command of
-``ROUNDS`` rounds of its ``cli`` workload at ``SEED``, all generated by the
-parent's ``perfbench/workloads.generate``, so both sides time the same
-inputs.  The child finds an ``evaluate_analytic`` call's arguments by
-running the ``eval`` command once through ``run_cli`` and recording the
-call it makes.
+``ROUNDS`` rounds of its ``cli`` workload at ``SEED``, and the
+``puiseux_roots`` calls of root expansion: for each ``prepare_polynomial``
+operation of ``ROUNDS`` rounds of the ``prepare`` workload at ``SEED``, one
+call per member of the polynomial's derivative chain at depth lam + 4, as
+``preparing_set`` makes them, and the call of each ``roots`` command of the
+``cli`` rounds.  All are generated by the parent's
+``perfbench/workloads.generate``, so both sides time the same inputs.  The
+child finds the arguments of an ``evaluate_analytic`` or ``roots`` call by
+running the command once through ``run_cli`` and recording the call it
+makes.
 
 Each repeat runs one fresh interpreter per checkout, in alternating order
 (parent first on even repeats, change first on odd ones).  The child
@@ -26,8 +31,8 @@ all calls), and the median over calls of the change's time over the
 parent's.
 
 It exits 1, after writing the file, if the two sides' outputs differ: the
-``format_series`` text of each result, or the class and message of the
-error it raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a
+``format_series`` text of each result (for ``puiseux_roots`` the JSON of
+the roots' ``to_dict``), or the class and message of the error it raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a
 temporary directory and the parent's ``perfbench`` is imported without
 writing bytecode, so nothing is written into either checkout.
 """
@@ -47,13 +52,14 @@ sys.dont_write_bytecode = True
 from pairs import quartiles  # noqa: E402 - after the bytecode switch
 
 LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root",
-          "evaluate_analytic": "evaluate_analytic"}
+          "evaluate_analytic": "evaluate_analytic", "puiseux_roots": "puiseux_roots"}
 SEED, ROUNDS, PASSES = 7, 3, 5
 
 
 def solver_calls(checkout):
-    """The solver operations of the ``newton`` workload and the analytic ``eval`` commands of the
-    ``cli`` workload, as generated by the checkout's benchmark."""
+    """The solver operations of the ``newton`` workload, the analytic ``eval`` and the ``roots`` commands
+    of the ``cli`` workload, and the derivative chains of the ``prepare`` workload's polynomials, as
+    generated by the checkout's benchmark."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
 
@@ -63,26 +69,34 @@ def solver_calls(checkout):
             check = spec["check"]
             if check["type"] == "eval" and check["expr"][0] == "fn":
                 specs.append({"kind": "evaluate_analytic", "argv": spec["argv"]})
+            elif check["type"] == "roots":
+                specs.append({"kind": "puiseux_roots", "argv": spec["argv"]})
+    for ops in workloads.generate("prepare", SEED, ROUNDS):
+        for spec in ops:
+            if spec["kind"] == "prepare_polynomial":
+                coeffs = spec["poly"]["coeffs"]
+                specs += [{"kind": "puiseux_roots", "coeffs": coeffs, "order": k, "depth": spec["lam"] + 4}
+                          for k in range(len(coeffs) - 1)]
     return specs
 
 
-def analytic_call(argv):
-    """The arguments of the one ``evaluate_analytic`` call that ``run_cli(argv)`` makes, recorded from a run."""
+def recorded_call(argv, module, name):
+    """The arguments of the one call of ``module.name`` that ``run_cli(argv)`` makes, recorded from a run."""
     import contextlib
     import io
 
-    from hahn_forge import cli, terms
+    from hahn_forge import cli
 
     recorded = []
-    evaluate = terms.evaluate_analytic
-    terms.evaluate_analytic = lambda *args: recorded.append(args) or evaluate(*args)
+    fn = getattr(module, name)
+    setattr(module, name, lambda *args: recorded.append(args) or fn(*args))
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.run_cli(list(argv))
     finally:
-        terms.evaluate_analytic = evaluate
+        setattr(module, name, fn)
     if len(recorded) != 1:
-        raise RuntimeError(f"{argv} made {len(recorded)} evaluate_analytic calls, expected 1")
+        raise RuntimeError(f"{argv} made {len(recorded)} {name} calls, expected 1")
     return recorded[0]
 
 
@@ -93,7 +107,7 @@ def child(checkout):
     from fractions import Fraction
 
     sys.path.insert(0, str(checkout / "src"))
-    from hahn_forge import analytic, series
+    from hahn_forge import analytic, cli, prepare, series, terms
 
     ge = lambda q: series.GroupElement.scalar(Fraction(q))  # noqa: E731
     calls = []
@@ -103,14 +117,26 @@ def child(checkout):
         elif spec["kind"] == "nth_root":
             calls.append((series.nth_root, (series.parse_series(spec["a"]), spec["n"], ge(spec["prec"]))))
         elif spec["kind"] == "evaluate_analytic":
-            calls.append((analytic.evaluate_analytic, analytic_call(spec["argv"])))
+            calls.append((analytic.evaluate_analytic, recorded_call(spec["argv"], terms, "evaluate_analytic")))
+        elif spec["kind"] == "puiseux_roots" and "argv" in spec:
+            calls.append((prepare.puiseux_roots, recorded_call(spec["argv"], cli, "puiseux_roots")))
+        elif spec["kind"] == "puiseux_roots":
+            coeffs = [series.parse_series(c) for c in spec["coeffs"]]
+            for _ in range(spec["order"]):
+                coeffs = prepare.poly_derivative(coeffs)
+            calls.append((prepare.puiseux_roots, (coeffs, Fraction(spec["depth"]))))
         else:
             calls.append((analytic.hensel_root, ([series.parse_series(c) for c in spec["coeffs"]], ge(spec["prec"]))))
+
+    def show(f, out):
+        if f is prepare.puiseux_roots:
+            return json.dumps([root.to_dict() for root in out])
+        return series.format_series(out)
 
     outputs = []
     for f, args in calls:
         try:
-            outputs.append(series.format_series(f(*args)))
+            outputs.append(show(f, f(*args)))
         except Exception as exc:  # noqa: BLE001 - an error is an output, compared across sides
             outputs.append(f"{type(exc).__name__}: {exc}")
     times = [[] for _ in calls]
@@ -185,7 +211,10 @@ def main(argv=None):
         "command": f"python3 bench/layers.py PARENT CHANGE --repeats {args.repeats}",
         "calls": "invert, nth_root and hensel_root (with the Catalan fixture) operations of "
                  f"workloads.generate('newton', {SEED}, {ROUNDS}); the evaluate_analytic call of each "
-                 f"exp/sin/cos/log1p eval command of workloads.generate('cli', {SEED}, {ROUNDS})",
+                 f"exp/sin/cos/log1p eval command and the puiseux_roots call of each roots command of "
+                 f"workloads.generate('cli', {SEED}, {ROUNDS}); puiseux_roots on the derivative chain, at "
+                 "depth lam + 4, of each prepare_polynomial operation of "
+                 f"workloads.generate('prepare', {SEED}, {ROUNDS})",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",
         "unit": "microseconds per call; per call the median of its passes, then of its repeats",
         "output_mismatches": differ,

@@ -11,7 +11,9 @@ theta, so the representation sharpens as it is used.
 Polynomials here are dense coefficient lists, lowest degree first.  The
 helpers are generic over the coefficient field: plain rationals or the
 algebraic numbers themselves (for resultant-free Sturm counting in an
-extension).
+extension).  The ring operations ``padd``, ``psub``, ``pneg`` and ``pmul``
+start from int 0, so they also serve int lists, the ring Z[s] of the
+subresultant sequence in ``prepare``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def pdeg(p):
 
 def padd(a, b):
     n = max(len(a), len(b))
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, c in enumerate(a):
         out[i] = out[i] + c
     for i, c in enumerate(b):
@@ -55,7 +57,7 @@ def psub(a, b):
 def pmul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue

@@ -288,6 +288,8 @@ def evaluate_analytic(fn, args, target_prec):
     if not finite_vals:
         c0 = fn.coefficient((0,) * fn.nvars)
         return TruncatedSeries.constant(c0, rank)
+    if target_prec is INFINITE:
+        raise ValueError(f"{fn.name} needs a finite target precision for a nonzero argument")
     min_v = min(finite_vals)
     if min_v.first() <= 0:
         raise PrecisionStall(

@@ -122,10 +122,7 @@ def ms_sub(a, b, degree=None, prec=None):
 
 
 def ms_scale(a, factor):
-    """Multiply every coefficient by a TruncatedSeries or rational."""
-    if isinstance(factor, Fraction) or isinstance(factor, int):
-        out = {i: c.scale(factor) for i, c in a.coeffs.items()}
-        return MultiSeries(a.nvars, a.degree, out, rank=a.rank)
+    """Multiply every coefficient by a TruncatedSeries."""
     out = {i: c * factor for i, c in a.coeffs.items()}
     return MultiSeries(a.nvars, a.degree, out, rank=a.rank)
 
@@ -218,19 +215,6 @@ def regular_degree(f, var):
     return best
 
 
-def _split_for_division(f, var, s):
-    """Split f into the low part (var-degree < s) and the shifted unit part."""
-    low = {}
-    unit = {}
-    for idx, c in f.coeffs.items():
-        if idx[var] < s:
-            low[idx] = c
-        else:
-            shifted = tuple(e - s if i == var else e for i, e in enumerate(idx))
-            unit[shifted] = c
-    return low, unit
-
-
 def _invert_unit(u, degree, prec):
     """Inverse of a norm-zero series with invertible constant coefficient."""
     zero_idx = (0,) * u.nvars
@@ -289,9 +273,8 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
     norm_g, _ = gauss_data(g)
     prec_work = prec_out - norm_g if norm_g < GroupElement.zero(norm_g.rank) else prec_out
     f_w = MultiSeries(f.nvars, d_work, _clip(dict(f.coeffs), d_work, prec_work), rank=f.rank)
-    low, unit = _split_for_division(f_w, var, s)
-    w_part = MultiSeries(f.nvars, d_work, low, rank=f.rank)
-    u_part = MultiSeries(f.nvars, d_work, unit, rank=f.rank)
+    w_part = _extract_low(f_w, var, s, d_work, prec_work)
+    u_part = _extract_high(f_w, var, s, d_work, prec_work)
     v_inv = _invert_unit(u_part, d_work, prec_work)
     g_w = MultiSeries(g.nvars, d_work, _clip(dict(g.coeffs), d_work, prec_work), rank=g.rank)
 
@@ -421,28 +404,6 @@ def ms_substitute(f, var, r, degree, prec):
             part = MultiSeries(f.nvars, degree, layer, rank=f.rank)
             out = ms_add(out, ms_mul(part, r_power, degree, prec), degree, prec)
     return out
-
-
-def ms_eval(f, point, prec):
-    """Evaluate at a vector of TruncatedSeries by direct substitution."""
-    if len(point) != f.nvars:
-        raise ValueError("point length must match the number of variables")
-    total = TruncatedSeries.zero(f.rank)
-    powers = [{0: TruncatedSeries.one(f.rank)} for _ in range(f.nvars)]
-
-    def power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = (power(i, e - 1) * point[i]).truncate(prec) if prec is not INFINITE else power(i, e - 1) * point[i]
-        return cache[e]
-
-    for idx, c in f.coeffs.items():
-        term = c
-        for i, e in enumerate(idx):
-            if e:
-                term = term * power(i, e)
-        total = total + term
-    return total.truncate(prec) if prec is not INFINITE else total
 
 
 # ---------------------------------------------------------------------------

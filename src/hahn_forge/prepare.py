@@ -5,7 +5,9 @@ candidate root valuation, the edge polynomial names the possible leading
 coefficients, and substitution recurses until every branch is separated.
 Coefficients stay exact: rational when the branch is rational, otherwise
 elements of a single real-algebraic extension carried per branch (nested
-extensions are rejected; see puiseux_roots).
+extensions are rejected; see puiseux_roots).  The expansion starts from the
+squarefree part, taken by one subresultant sequence over Z[s] with s a root
+of t (see _squarefree_series_poly).
 
 A preparing set for a one-variable term is the truncated branch set of the
 polynomial together with the whole derivative chain.  Its defining
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, floor, lcm
+from math import ceil, comb, floor, gcd, lcm
 
 from . import algebraic as alg
 from .algebraic import (
@@ -367,13 +369,12 @@ def _expand(coeffs, floor, prefix, ctx, depth_target, level, out):
                 out.append(_make_root(prefix, nu, tag="complex-pair"))
         for value, mult, root_ctx in roots:
             new_prefix = prefix + ((nu, value),)
+            shifted = _substitute(coeffs, value, nu)
             if mult == 1 and nu >= depth_target:
-                shifted = _substitute(coeffs, value, nu)
                 nxt = _next_exponent(shifted)
                 out.append(_make_root(new_prefix, nxt if nxt is not None else INFINITE))
-                continue
-            shifted = _substitute(coeffs, value, nu)
-            _expand(shifted, nu, new_prefix, root_ctx, depth_target, level + 1, out)
+            else:
+                _expand(shifted, nu, new_prefix, root_ctx, depth_target, level + 1, out)
 
 
 def _next_exponent(coeffs):
@@ -401,124 +402,110 @@ def _make_root(prefix, depth, tag="real"):
     return PuiseuxRoot(lcm(*denominators), tuple(branch), depth_val, tag)
 
 
-def _squarefree_series_poly(coeffs):
-    """Squarefree part of a polynomial with exact finite-support coefficients."""
-    hs = [c.approx for c in coeffs]
-    while hs and hs[-1].is_zero():
-        hs.pop()
-    if len(hs) <= 2:
-        return coeffs
-    dhs = [h.scale(k) for k, h in enumerate(hs)][1:]
-    g = _hahn_poly_gcd(hs, dhs)
-    if len(g) <= 1:
-        return coeffs
-    q = _hahn_poly_divexact(hs, g)
-    return [TruncatedSeries.exact(h) for h in q]
+def _squarefree_series_poly(xsers):
+    """Squarefree part of a polynomial whose coefficients are xsers of rank 1.
 
+    With s = t^(1/N), N the lcm of the exponent denominators, and m the least
+    exponent, the polynomial is c*t^m*P(s, x) with P in Z[s][x], stored as a
+    list over x of int lists over s.  G, the last nonzero term of the
+    subresultant sequence of P and P_x (Collins), is their gcd up to a factor
+    in Z[s]; every division in the sequence is exact in Z[s], so no content is
+    taken along the way.  When G has x-degree 0 the input list is returned as
+    it is.  Otherwise the result is P / pp(G), mapped back by s^k -> t^(k/N + m).
 
-def _hahn_poly_gcd(a, b):
-    """Primitive-part Euclidean loop with pseudo-remainders."""
-    a, b = _hp_trim(list(a)), _hp_trim(list(b))
-    a, b = _hp_primitive(a), _hp_primitive(b)
-    guard = 0
-    while b and len(b) > 1:
-        r = _hp_prem(a, b)
-        a, b = b, _hp_primitive(_hp_trim(r))
-        guard += 1
-        if guard > 64:
-            raise RuntimeError("gcd chain did not terminate")
-    if b:  # nonzero constant gcd
-        return [HahnSeries.constant(1)]
-    return a
-
-
-def _hp_trim(p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _hp_prem(a, b):
-    """Pseudo-remainder: lc(b)^k * a reduced by b, staying in finite support."""
-    a = list(a)
-    lead_b = b[-1]
-    while len(a) >= len(b) and _hp_trim(a):
-        ca = a[-1]
-        k = len(a) - len(b)
-        a = [x * lead_b for x in a]
-        for i, bc in enumerate(b):
-            a[k + i] = a[k + i] - ca * bc
-        _hp_trim(a)
-    return a
-
-
-def _hp_primitive(p):
-    """Divide out the content: a common monomial times a rational-poly gcd."""
-    if not p:
-        return p
-    support = [h for h in p if not h.is_zero()]
-    if not support:
-        return []
-    n = 1
-    for h in support:
-        for e, _ in h.terms:
-            n = lcm(n, e.first().denominator)
-    shift = min(h.valuation().first() for h in support)
-    dense = []
-    for h in support:
-        coeffs = {}
-        for e, c in h.terms:
-            coeffs[int((e.first() - shift) * n)] = c
-        dense.append(coeffs)
+    The result is fixed only up to a factor c*t^k (c rational), and the branch
+    expansion does not see such a factor: the hull slopes and the exponent of
+    the Newton correction are the same, and each edge polynomial is scaled by
+    c, which the monic squarefree factors and ``clear_denominators`` remove.
+    """
+    if len(xsers) <= 2:
+        return xsers
+    n, m, den = 1, None, 1
+    for a in xsers:
+        for e, c in a.items():
+            n, den = lcm(n, e.denominator), lcm(den, c.denominator)
+            m = e if m is None or e < m else m
+    p = []
+    for a in xsers:
+        dense = [0] * (max((int((e - m) * n) for e in a), default=-1) + 1)
+        for e, c in a.items():
+            dense[int((e - m) * n)] = int(c * den)
+        p.append(dense)
+    g = _last_subresultant(p, [[k * c for c in a] for k, a in enumerate(p)][1:])
+    if len(g) == 1:
+        return xsers
     content = []
-    for coeffs in dense:
-        poly = [Fraction(0)] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            poly[k] = c
-        content = alg.pgcd(content, poly) if content else alg.ptrim(poly)
-        if alg.pdeg(content) == 0:
-            content = [Fraction(1)]
-            break
-    ge_shift = GroupElement.scalar(shift)
-    content_series = HahnSeries(
-        [(GroupElement.scalar(Fraction(k, n) + shift), c) for k, c in enumerate(content) if c]
-    )
-    return [_hahn_divexact(h, content_series) for h in p]
+    for c in g:
+        if c:
+            content = alg.pgcd(content, [Fraction(x) for x in c])
+    content = [int(x) for x in alg.clear_denominators(content)]
+    g = [_divexact(c, content) for c in g]
+    whole = gcd(*(x for c in g for x in c))
+    g = [[x // whole for x in c] for c in g]
+    # long division of p by the primitive g; Gauss's lemma keeps it in Z[s][x]
+    top = len(g) - 1
+    q = [[] for _ in range(len(p) - top)]
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = _divexact(p[k + top], g[-1])
+        for i in range(top):
+            p[k + i] = alg.psub(p[k + i], alg.pmul(c, g[i]))
+    if any(p[:top]):
+        raise ArithmeticError("the gcd does not divide the polynomial")
+    return [{Fraction(k, n) + m: Fraction(c) for k, c in enumerate(a) if c} for a in q]
 
 
-def _hahn_divexact(a, b):
-    """Exact division of finite-support series; raises when not divisible."""
-    if a.is_zero():
-        return a
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero series")
-    max_q = a.terms[-1][0] - b.terms[-1][0]
-    rem = a
-    out = []
-    while not rem.is_zero():
-        e = rem.valuation() - b.valuation()
-        if e > max_q:
-            raise ArithmeticError("series division is not exact")
-        c = rem.leading_coeff() / b.leading_coeff()
-        out.append((e, c))
-        rem = rem - b.shift(e).scale(c)
-    return HahnSeries(out)
+def _last_subresultant(a, b):
+    """Last nonzero term of the subresultant sequence of a and b, lists over x of Z[s] lists."""
+    g = h = [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _prem(a, b)
+        if not r:
+            return b
+        scale = alg.pmul(g, _ppow(h, delta))
+        a, b = b, [_divexact(c, scale) for c in r]
+        g = a[-1]
+        h = _divexact(_ppow(g, delta), _ppow(h, delta - 1))
+    return b
 
 
-def _hahn_poly_divexact(a, b):
-    """Exact polynomial division in the series ring (Gauss: quotient stays there)."""
-    a = list(a)
-    out = [HahnSeries.zero()] * (len(a) - len(b) + 1)
-    while _hp_trim(a) and len(a) >= len(b):
-        c = _hahn_divexact(a[-1], b[-1])
-        k = len(a) - len(b)
-        out[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = a[k + i] - bc * c
-        _hp_trim(a)
-    if _hp_trim(a):
-        raise ArithmeticError("polynomial division is not exact")
+def _prem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a modulo b: one multiplication by lc(b) per quotient degree."""
+    lead, top = b[-1], len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + top]
+        a = [alg.pmul(x, lead) for x in a[: k + top]]
+        if c:
+            for i in range(top):
+                a[k + i] = alg.psub(a[k + i], alg.pmul(c, b[i]))
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _ppow(a, k):
+    out = [1]
+    for _ in range(k):
+        out = alg.pmul(out, a)
     return out
+
+
+def _divexact(a, b):
+    """a / b for int lists over s; raises ArithmeticError on a remainder."""
+    a = list(a)
+    top = len(b) - 1
+    q = [0] * max(0, len(a) - top)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + top], b[-1])
+        if r:
+            raise ArithmeticError("inexact division in Z[s]")
+        q[k] = c
+        if c:
+            for i, x in enumerate(b):
+                a[k + i] -= c * x
+    if any(a):
+        raise ArithmeticError("inexact division in Z[s]")
+    return alg.ptrim(q)
 
 
 def puiseux_roots(coeffs, depth=Fraction(4)):
@@ -536,8 +523,7 @@ def puiseux_roots(coeffs, depth=Fraction(4)):
         coeffs.pop()
     if len(coeffs) < 2:
         return []
-    coeffs = _squarefree_series_poly(coeffs)
-    xsers = [_xser_from_truncated(c) for c in coeffs]
+    xsers = _squarefree_series_poly([_xser_from_truncated(c) for c in coeffs])
     out = []
     _expand(xsers, None, (), None, depth, 0, out)
     return out
@@ -580,23 +566,36 @@ def prepare_polynomial(p, lam, trials=300, rng_seed=0, max_retries=3):
 
     The set is returned only after the sampling verifier confirms that the
     leading-term class of p is constant on every sampled ball next to it;
-    on failure the branch depth is increased and the set rebuilt.  An
-    ``undecided`` report (no sample checked) ends the search at once:
-    deeper branch points cannot make skipped samples checkable.
+    on failure the branch depth is increased and the set rebuilt (see
+    ``deepen``).
     """
     if all(c.is_exact_zero() for c in p[1:]):
         raise ValueError("the polynomial must be nonconstant")
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    for attempt in range(1, max_retries + 1):
-        depth = lam.first() + 4 * attempt
-        prep = preparing_set([p], depth)
-        report = verify_preparation(_term_from_poly(p), prep, lam, trials, rng_seed)
-        if report.passed():
-            return prep, report
-        if report.verdict == "undecided":
-            raise DepthExhausted(f"preparation undecided at depth {depth}; report: {report.to_json()}")
+    prep, report, depth = deepen([p], _term_from_poly(p), lam, max_retries, trials, rng_seed)
+    if report.passed():
+        return prep, report
+    if report.verdict == "undecided":
+        raise DepthExhausted(f"preparation undecided at depth {depth}; report: {report.to_json()}")
     raise DepthExhausted(f"preparation kept failing at depth {depth}; last report: {report.to_json()}")
+
+
+def deepen(polys, term, lam, attempts, trials, rng_seed):
+    """Build and verify the preparing set of ``polys`` at depths lam + 4, lam + 8, ...
+
+    Returns ``(prep, report, depth)`` of the first attempt whose report does
+    not fail, or of the last of ``attempts`` attempts.  An ``undecided``
+    report (no sample checked) ends the search at once: deeper branch points
+    cannot make skipped samples checkable.
+    """
+    for attempt in range(1, attempts + 1):
+        depth = lam.first() + 4 * attempt
+        prep = preparing_set(polys, depth)
+        report = verify_preparation(term, prep, lam, trials, rng_seed)
+        if report.verdict != "fail":
+            break
+    return prep, report, depth
 
 
 _SKIP = (

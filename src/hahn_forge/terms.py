@@ -421,16 +421,8 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
     def term_fn(x, prec):
         return eval_term(node, x, prec, registry)
 
-    depth = lam.first() + 4
-    best = None
-    for _ in range(max(1, budget)):
-        prep = preparation.preparing_set(candidates, depth)
-        report = preparation.verify_preparation(term_fn, prep, lam, trials, rng_seed)
-        if report.passed():
-            return prep, report
-        best = report
-        if report.verdict == "undecided":
-            break
-        depth += 4
-    raise BudgetExhausted("preparation budget exhausted", report=best)
+    prep, report, _ = preparation.deepen(candidates, term_fn, lam, max(1, budget), trials, rng_seed)
+    if report.passed():
+        return prep, report
+    raise BudgetExhausted("preparation budget exhausted", report=report)
 

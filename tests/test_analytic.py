@@ -125,6 +125,12 @@ class TestEvaluate:
         with pytest.raises(NotInfinitesimal):
             evaluate_analytic(fn, [s("1")], ge(4))
 
+    def test_infinite_target_needs_a_zero_argument(self):
+        fn = default_registry().get("exp")
+        with pytest.raises(ValueError, match="finite target precision"):
+            evaluate_analytic(fn, [s("1*t^(1)")], INFINITE)
+        assert evaluate_analytic(fn, [TruncatedSeries.zero()], INFINITE) == s("1")
+
     def test_automatic_continuity_sampled(self):
         # norm-bounded functions take valuation-ring values at infinitesimals
         rng = random.Random("cont")

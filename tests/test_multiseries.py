@@ -13,7 +13,6 @@ from hahn_forge.multiseries import (
     gauss_data,
     in_truncation_ideal,
     ms_add,
-    ms_eval,
     ms_mul,
     ms_sub,
     ms_substitute,
@@ -305,13 +304,6 @@ class TestSubstitutionAndEval:
         out = ms_substitute(f, 1, r, 4, ge(6))
         # (x1 + x1^2)^2 + x1
         assert out == ms("[1]*x1 + [1]*x1^2 + [2]*x1^3 + [1]*x1^4", nvars=2)
-
-    def test_eval_matches_substitute(self):
-        f = ms("[1]*x1^2 + [t^(1)]*x1 + [2]")
-        x = parse_series("1*t^(1) + 1*t^(2)")
-        out = ms_eval(f, [x], ge(8))
-        expected = x * x + parse_series("t^(1)") * x + parse_series("2")
-        assert out.approx == expected.approx
 
     def test_text_round_trip(self):
         text = "[1 - 1*t^(1)]*x1^2 + [3/2]*x2"

@@ -191,8 +191,9 @@ def series_products(draw):
 
 def _squarefree_part(coeffs):
     """The squarefree part as exponent dicts, and whether the input came back as it was."""
-    out = preparation._squarefree_series_poly(coeffs)
-    return [preparation._xser_from_truncated(c) for c in out], out is coeffs
+    xsers = [preparation._xser_from_truncated(c) for c in coeffs]
+    out = preparation._squarefree_series_poly(xsers)
+    return out, out is xsers
 
 
 def _exponent_lcm(*polys):
