@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hahn_forge.errors import (
     InsufficientPrecision,
@@ -905,6 +905,63 @@ class TestPower:
             assert got == full
         else:
             assert got == full.truncate(got.prec)
+
+
+@st.composite
+def power_bases(draw, rank):
+    """A base for ``power``: exact or inexact, exact zero and ``0 + O(t^p)`` included."""
+    if rank == 1:
+        approx, bound = draw(grid_series()), draw(grid_bound())
+    else:
+        approx = draw(st.one_of(rank2_series().filter(lambda a: len(a.terms) <= 3), st.just(GAP_BASE)))
+        bound = draw(rank2_bound())
+    kind = draw(st.sampled_from(["exact", "inexact", "exact zero", "zero below"]))
+    if kind == "exact":
+        return TruncatedSeries.exact(approx)
+    if kind == "inexact":
+        return TruncatedSeries(approx, bound)
+    if kind == "exact zero":
+        return TruncatedSeries.zero(rank)
+    return TruncatedSeries(HahnSeries.zero(rank), bound)
+
+
+# a rank-2 base whose leading gap (0,1) lies in a later coordinate than
+# that of the generator (1,0)
+GAP_BASE = parse_series("1*t^(1,0) + 1*t^(1,1) + 1*t^(2,0)", rank=2).approx
+
+
+def _check_power_is_cut_fold(x, k, prec):
+    got = power(x, k, prec)
+    want = TruncatedSeries.one(x.rank) if k == 0 else _fold_product(x, k).truncate(prec)
+    assert got == want
+    assert got.prec == want.prec
+    assert format_series(got) == format_series(want)
+
+
+class TestPowerIsTheCutFold:
+    """``power(x, k, prec)`` is the k-fold ``field_op`` product cut at ``prec``; ``x^0`` is the exact 1."""
+
+    @given(power_bases(1), st.integers(0, 12), st.one_of(st.just(INFINITE), grid_bound()))
+    def test_rank_one(self, x, k, prec):
+        # the step-wise cut of the repeated product lowers the precision by v(x) < 0 per step
+        assume(prec is INFINITE or x.valuation_lower_bound() >= GroupElement.zero(x.rank))
+        _check_power_is_cut_fold(x, k, prec)
+
+    @given(power_bases(2), st.integers(0, 12), st.one_of(st.just(INFINITE), rank2_bound()))
+    def test_rank_two(self, x, k, prec):
+        # the step-wise cut of the repeated product lowers the precision by v(x) < 0 per step
+        assume(prec is INFINITE or x.valuation_lower_bound() >= GroupElement.zero(x.rank))
+        _check_power_is_cut_fold(x, k, prec)
+
+    @pytest.mark.parametrize("k", range(13))
+    @pytest.mark.parametrize("prec", [INFINITE, "2,0", "2,1", "3,0", "5,-1", "13,0"])
+    def test_gap_in_a_later_coordinate(self, k, prec):
+        prec = prec if prec is INFINITE else GroupElement([Fraction(q) for q in prec.split(",")])
+        _check_power_is_cut_fold(TruncatedSeries.exact(GAP_BASE), k, prec)
+
+    def test_square_of_the_gap_base(self):
+        got = power(TruncatedSeries.exact(GAP_BASE), 2, GroupElement([Fraction(3), Fraction(0)]))
+        assert format_series(got) == "1*t^(2,0) + 2*t^(2,1) + 1*t^(2,2) + O(t^(3,0))"
 
 
 # -- constructions that arrive truncated ------------------------------------

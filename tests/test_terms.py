@@ -4,19 +4,31 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import hahn_forge.prepare as preparation
-from hahn_forge.analytic import default_registry
+from hahn_forge.analytic import default_registry, evaluate_analytic
 from hahn_forge.errors import (
     ArityMismatch,
     BudgetExhausted,
     DivisionByZero,
     DomainError,
+    NotInfinitesimal,
     TermSyntaxError,
     UndecidableAtPrecision,
     UnknownFunction,
 )
-from hahn_forge.series import INFINITE, GroupElement, TruncatedSeries, format_series, parse_series, poly_eval
+from hahn_forge.series import (
+    INFINITE,
+    GroupElement,
+    HahnSeries,
+    TruncatedSeries,
+    field_op,
+    format_series,
+    invert,
+    parse_series,
+    poly_eval,
+)
 from hahn_forge.terms import (
     Add,
     App,
@@ -224,6 +236,139 @@ class TestEval:
         node = parse_term("x^-1")
         out = eval_term(node, s("2*t^(1)"), ge(3))
         assert out.approx.coefficient(ge(-1)) == Fraction(1, 2)
+
+
+def _reference_eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
+    """``eval_term`` as it was before powers were cut at the target (test oracle).
+
+    Every ``Pow`` is the exact repeated product, and the value is clipped
+    at the target only at the end.
+    """
+    registry = registry if registry is not None else default_registry()
+    rank = x.rank
+
+    def repeated_product(base, k):
+        out = TruncatedSeries.one(rank)
+        for _ in range(k):
+            out = field_op("mul", out, base)
+        return out
+
+    def ev(node):
+        if isinstance(node, Lit):
+            return TruncatedSeries.constant(node.value, rank)
+        if isinstance(node, Mono):
+            return TruncatedSeries.monomial(Fraction(1), node.exponent)
+        if isinstance(node, Var):
+            return x
+        if isinstance(node, Add):
+            return ev(node.left) + ev(node.right)
+        if isinstance(node, Sub):
+            return ev(node.left) - ev(node.right)
+        if isinstance(node, Mul):
+            return ev(node.left) * ev(node.right)
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Div):
+            return divide(ev(node.left), ev(node.right))
+        if isinstance(node, Pow):
+            value = repeated_product(ev(node.base), abs(node.exponent))
+            return value if node.exponent >= 0 else divide(TruncatedSeries.one(rank), value)
+        if isinstance(node, App):
+            if node.name == "inv":
+                return divide(TruncatedSeries.one(rank), ev(node.args[0]))
+            fn = registry.get(node.name)
+            if fn is None:
+                raise UnknownFunction(f"function {node.name!r} is not registered")
+            args = [ev(a) for a in node.args]
+            try:
+                return evaluate_analytic(fn, args, target_prec)
+            except NotInfinitesimal as exc:
+                raise DomainError(str(exc)) from exc
+        raise TypeError(f"not a term node: {node!r}")
+
+    def divide(a, b):
+        if b.approx.is_zero():
+            if b.is_exact():
+                if inv_zero_is_zero:
+                    return TruncatedSeries.zero(rank)
+                raise DivisionByZero("exact zero denominator")
+            raise UndecidableAtPrecision(f"denominator {format_series(b)} has no determined leading term")
+        return a * invert(b, target_prec)
+
+    value = ev(node)
+    if any(e >= target_prec for e, _ in value.approx.terms):
+        value = value.truncate(target_prec)
+    return value
+
+
+def _outcome(evaluate, *args):
+    try:
+        return format_series(evaluate(*args))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def eval_points(draw, rank):
+    """A point of rank 1 or 2, exact or inexact, with small terms of either sign of valuation."""
+    den = draw(st.sampled_from([1, 2, 3, 5]))
+    terms = draw(st.lists(st.tuples(st.lists(st.integers(-2, 6), min_size=rank, max_size=rank),
+                                    st.integers(-3, 3)), max_size=3))
+    approx = HahnSeries([(GroupElement([Fraction(q, den) for q in e]), c) for e, c in terms], rank)
+    if draw(st.booleans()):
+        return TruncatedSeries.exact(approx)
+    return TruncatedSeries(approx, GroupElement([Fraction(draw(st.integers(-2, 10)), den)] + [0] * (rank - 1)))
+
+
+@st.composite
+def term_trees(draw, rank, depth=3):
+    """A tree of Add/Sub/Mul/Neg/Div/Pow over literals, monomials and x; sums that cancel included."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaf = draw(st.sampled_from(["var", "lit", "mono"]))
+        if leaf == "var":
+            return Var()
+        if leaf == "lit":
+            return Lit(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+        return Mono(GroupElement([Fraction(draw(st.integers(-2, 4)), 2)] + [0] * (rank - 1)))
+    sub = term_trees(rank, depth - 1)
+    kind = draw(st.sampled_from(["add", "sub", "mul", "neg", "div", "pow", "pow", "cancel"]))
+    if kind == "neg":
+        return Neg(draw(sub))
+    if kind == "pow":
+        return Pow(draw(sub), draw(st.integers(-3, 8)))
+    if kind == "cancel":
+        # (a + b) - a, with a a power whose top terms cancel
+        a = Pow(draw(sub), draw(st.integers(1, 6)))
+        return Sub(Add(a, draw(sub)), a)
+    node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind]
+    return node(draw(sub), draw(sub))
+
+
+class TestEvalAgainstRepeatedProducts:
+    """``eval_term`` prints what the exact repeated product clipped at the end prints, or raises alike."""
+
+    @given(st.data(), st.sampled_from([1, 2]), st.booleans())
+    def test_random_terms(self, data, rank, inv_zero_is_zero):
+        node = data.draw(term_trees(rank))
+        x = data.draw(eval_points(rank))
+        prec = GroupElement([Fraction(data.draw(st.integers(-4, 12)), data.draw(st.sampled_from([1, 2, 3])))]
+                            + [0] * (rank - 1))
+        args = (node, x, prec, None, inv_zero_is_zero)
+        assert _outcome(eval_term, *args) == _outcome(_reference_eval_term, *args)
+
+    @pytest.mark.parametrize("text, at, prec", [
+        ("(1 + x)^40", "t^(1/7) + t^(1/5)", "3"),
+        ("(1 + x)^2 - x^2 - 2*x", "t^(2)", "1"),
+        ("x^2", "t^(1) + O(t^(5))", "3"),
+        ("x^7", "t^(-1) + 2*t^(1)", "-2"),
+        ("(x - x + 1)^5", "t^(1)", "0"),
+        ("(t^(1) - t^(1))^3", "t^(1)", "2"),
+        ("x^0", "t^(1)", "-1"),
+        ("(1 + x)^-5", "t^(1/7) + t^(1/5)", "1"),
+    ])
+    def test_fixed_terms(self, text, at, prec):
+        args = (parse_term(text), s(at), ge(prec))
+        assert _outcome(eval_term, *args) == _outcome(_reference_eval_term, *args)
 
 
 class TestCandidates:
