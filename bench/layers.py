@@ -9,16 +9,17 @@ calls are the ``invert``, ``nth_root`` and ``hensel_root`` operations (the
 Catalan fixture counts as a ``hensel_root``) of ``ROUNDS`` rounds of the
 benchmark's ``newton`` workload at ``SEED``, and the ``evaluate_analytic``
 call of each ``exp``/``sin``/``cos``/``log1p`` ``eval`` command of
-``ROUNDS`` rounds of its ``cli`` workload at ``SEED``, and the
+``ROUNDS`` rounds of its ``cli`` workload at ``SEED``, the ``eval_term``
+call of each power ``eval`` command of those rounds, and the
 ``puiseux_roots`` calls of root expansion: for each ``prepare_polynomial``
 operation of ``ROUNDS`` rounds of the ``prepare`` workload at ``SEED``, one
 call per member of the polynomial's derivative chain at depth lam + 4, as
 ``preparing_set`` makes them, and the call of each ``roots`` command of the
 ``cli`` rounds.  All are generated by the parent's
 ``perfbench/workloads.generate``, so both sides time the same inputs.  The
-child finds the arguments of an ``evaluate_analytic`` or ``roots`` call by
-running the command once through ``run_cli`` and recording the call it
-makes.
+child finds the arguments of an ``evaluate_analytic``, ``eval_term`` or
+``roots`` call by running the command once through ``run_cli`` and
+recording the call it makes (``eval_term`` as ``cli`` calls it).
 
 Each repeat runs one fresh interpreter per checkout, in alternating order
 (parent first on even repeats, change first on odd ones).  The child
@@ -52,13 +53,13 @@ sys.dont_write_bytecode = True
 from pairs import quartiles  # noqa: E402 - after the bytecode switch
 
 LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root",
-          "evaluate_analytic": "evaluate_analytic", "puiseux_roots": "puiseux_roots"}
+          "evaluate_analytic": "evaluate_analytic", "eval_term": "eval_term", "puiseux_roots": "puiseux_roots"}
 SEED, ROUNDS, PASSES = 7, 3, 5
 
 
 def solver_calls(checkout):
-    """The solver operations of the ``newton`` workload, the analytic ``eval`` and the ``roots`` commands
-    of the ``cli`` workload, and the derivative chains of the ``prepare`` workload's polynomials, as
+    """The solver operations of the ``newton`` workload, the analytic and power ``eval`` and the ``roots``
+    commands of the ``cli`` workload, and the derivative chains of the ``prepare`` workload's polynomials, as
     generated by the checkout's benchmark."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
@@ -69,6 +70,8 @@ def solver_calls(checkout):
             check = spec["check"]
             if check["type"] == "eval" and check["expr"][0] == "fn":
                 specs.append({"kind": "evaluate_analytic", "argv": spec["argv"]})
+            elif check["type"] == "eval" and check["expr"][0] == "pow":
+                specs.append({"kind": "eval_term", "argv": spec["argv"]})
             elif check["type"] == "roots":
                 specs.append({"kind": "puiseux_roots", "argv": spec["argv"]})
     for ops in workloads.generate("prepare", SEED, ROUNDS):
@@ -118,6 +121,8 @@ def child(checkout):
             calls.append((series.nth_root, (series.parse_series(spec["a"]), spec["n"], ge(spec["prec"]))))
         elif spec["kind"] == "evaluate_analytic":
             calls.append((analytic.evaluate_analytic, recorded_call(spec["argv"], terms, "evaluate_analytic")))
+        elif spec["kind"] == "eval_term":
+            calls.append((terms.eval_term, recorded_call(spec["argv"], cli, "eval_term")))
         elif spec["kind"] == "puiseux_roots" and "argv" in spec:
             calls.append((prepare.puiseux_roots, recorded_call(spec["argv"], cli, "puiseux_roots")))
         elif spec["kind"] == "puiseux_roots":
@@ -211,7 +216,8 @@ def main(argv=None):
         "command": f"python3 bench/layers.py PARENT CHANGE --repeats {args.repeats}",
         "calls": "invert, nth_root and hensel_root (with the Catalan fixture) operations of "
                  f"workloads.generate('newton', {SEED}, {ROUNDS}); the evaluate_analytic call of each "
-                 f"exp/sin/cos/log1p eval command and the puiseux_roots call of each roots command of "
+                 f"exp/sin/cos/log1p eval command, the eval_term call of each power eval command and the "
+                 f"puiseux_roots call of each roots command of "
                  f"workloads.generate('cli', {SEED}, {ROUNDS}); puiseux_roots on the derivative chain, at "
                  "depth lam + 4, of each prepare_polynomial operation of "
                  f"workloads.generate('prepare', {SEED}, {ROUNDS})",

@@ -18,6 +18,7 @@ shifted square root used to turn order statements into square witnesses.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -94,10 +95,12 @@ class AnalyticFunction:
         )
 
 
+@functools.cache
 def _exp_rule(idx):
     return Fraction(1, math.factorial(idx[0]))
 
 
+@functools.cache
 def _sin_rule(idx):
     k = idx[0]
     if k % 2 == 0:
@@ -105,6 +108,7 @@ def _sin_rule(idx):
     return Fraction((-1) ** (k // 2), math.factorial(k))
 
 
+@functools.cache
 def _cos_rule(idx):
     k = idx[0]
     if k % 2 == 1:
@@ -112,6 +116,7 @@ def _cos_rule(idx):
     return Fraction((-1) ** (k // 2), math.factorial(k))
 
 
+@functools.cache
 def _log1p_rule(idx):
     k = idx[0]
     if k == 0:

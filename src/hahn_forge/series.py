@@ -52,9 +52,8 @@ too: ``_half_steps`` puts sample exponents ``base + k/2`` on a grid,
 ``_difference_valuation`` reads ``v(a - b)`` at the first difference of
 two grids, and ``_unit_jet`` cuts the jet of ``rv_lambda`` in one pass.
 
-``power`` and ``poly_eval`` are the one repeated product and the one
-Horner loop of the package; both truncate every step at an optional
-precision and are exact without one.
+``poly_eval`` is the one Horner loop of the package; it truncates every
+step at an optional precision and is exact without one.
 
 Text is read by one tokenizer, ``_Scanner``, for all three grammars of
 the package: its ``series`` method is the series grammar (terms, then an
@@ -64,13 +63,14 @@ the term parser of ``terms`` reads its ``t^(...)`` atoms with its
 ``series`` coefficients with it.  Blanks, tabs and newlines between tokens
 are skipped, and every error carries its line and column.
 
-``invert`` and ``nth_root`` share one kernel, ``_unit_power``: ``u^(a/b)``
+``invert``, ``nth_root`` and ``power`` share one kernel, ``_unit_power``: ``u^(a/b)``
 of a unit ``u = 1 + h`` below a precision, by J. C. P. Miller's
 coefficient recurrence (Knuth, *The Art of Computer Programming*, vol. 2,
 4.7) on the grid's ints.  Each coefficient comes from at most as many
 earlier ones as h has terms, so N output terms cost O(N m) int operations
 for an m-term h, and no series product is formed.  ``invert`` is its
-power -1, long division by u; ``nth_root`` is its power 1/n.
+power -1, long division by u; ``nth_root`` is its power 1/n; ``power`` is
+its whole power k, with the precision of the k-fold product in closed form.
 
 ``_taylor_sum`` sums a Taylor expansion ``sum c_idx a^idx`` at series
 arguments in one pass on the grid: the monomials are enumerated on the
@@ -464,6 +464,11 @@ class HahnSeries:
         """Least exponent of the support; INFINITE for the zero series."""
         grid = self._grid
         return _exponent(grid[0], grid[1][0]) if grid[1] else INFINITE
+
+    def top_exponent(self):
+        """Greatest exponent of the support; None for the zero series."""
+        grid = self._grid
+        return _exponent(grid[0], grid[1][-1]) if grid[1] else None
 
     def leading_coeff(self):
         _, _, cden, nums = self._grid
@@ -889,34 +894,44 @@ def _unit_power(unit, a, b, rel_needed):
 
     J. C. P. Miller's recurrence for a power series raised to a rational
     power (Knuth, *The Art of Computer Programming*, vol. 2, 4.7), run on
-    the grid.  Let phi take an exponent to its coordinate where the leading
-    gap v(h) has its first nonzero one (in rank 1, the exponent itself);
-    phi is additive, so ``D(t^e) = phi(e) t^e`` is a derivation, and
-    ``w = u^(a/b)`` solves ``b u D(w) = a w D(u)``.  At the exponent e this
-    reads ``b phi(e) w_e = sum_j (a phi(j) - b phi(e-j)) h_j w_(e-j)``
-    over the support of h.  The support of w lies in the monoid that
-    supp(h) generates, and every element of it below ``rel_needed`` has
-    ``phi >= 1`` (see below), so each coefficient comes from at most m
-    earlier ones, m the number of terms of h: O(N m) int operations for
-    N output terms.  For the inverse, a = -1 and b = 1, the factor is
-    ``-phi(e)`` and cancels, leaving long division by u.
+    the grid.  Let phi be an additive map from exponents to the ints, so
+    ``D(t^e) = phi(e) t^e`` is a derivation, and ``w = u^(a/b)`` solves
+    ``b u D(w) = a w D(u)``.  At the exponent e this reads
+    ``b phi(e) w_e = sum_j (a phi(j) - b phi(e-j)) h_j w_(e-j)`` over the
+    support of h.  The support of w lies in the monoid that supp(h)
+    generates, and every element of it that is summed has ``phi >= 1``
+    (see below), so each coefficient comes from at most m earlier ones, m
+    the number of terms of h: O(N m) int operations for N output terms.
+    For the inverse, a = -1 and b = 1, the factor is ``-phi(e)`` and
+    cancels, leaving long division by u.
 
     Every w_e is an int over one denominator: ``cden^top`` for the
-    inverse and ``(cden b)^top top!`` otherwise.  The term of w_e that
-    takes m generator factors is ``binomial(a/b, m)`` times a product of
-    m coefficients of h, over ``(cden b)^m m!``.  Every generator's phi
-    is at least that of the leading gap, so m is at most top, the largest
-    phi below the bound divided by the gap's, and each step is an exact
-    int division.
+    inverse and for a whole power (b = 1, a >= 0), and ``(cden b)^top top!``
+    otherwise.  The term of w_e that takes m generator factors is
+    ``binomial(a/b, m)`` times a product of m coefficients of h, over
+    ``(cden b)^m m!`` (over ``cden^m`` when the binomial is an int).  Every
+    generator's phi is at least that of the leading gap, so m is at most
+    top, the largest phi below the bound divided by the gap's, and each
+    step is an exact int division.
 
-    In rank d > 1 a gap in a later coordinate than the target leaves
-    infinitely many exponents below the target, so that case raises
-    ``PrecisionStall``.  Otherwise every exponent of the monoid below the
-    target shares the target's zero coordinates before the gap's, so its
-    phi is positive and there are finitely many of them.
+    A whole power ``u^a`` is a polynomial in h: its support is the sums of
+    at most a generators, so the enumeration stops there and m is at most
+    a.  Its phi is the weight ``sum e_i W^(d-1-i)`` with W above twice the
+    largest |coordinate| of a generator, positive on every generator and so
+    on every sum of them; in rank 1 it is the exponent itself.  That set is
+    finite in every rank.
+
+    Otherwise phi takes an exponent to its coordinate where the leading gap
+    v(h) has its first nonzero one.  In rank d > 1 a gap in a later
+    coordinate than the target leaves infinitely many exponents below the
+    target, so that case raises ``PrecisionStall``.  Otherwise every
+    exponent of the monoid below the target shares the target's zero
+    coordinates before the gap's, so its phi is positive and there are
+    finitely many of them.
     """
     eden, keys, cden, nums = unit._grid
-    if len(keys) > 1:
+    whole = b == 1 and a >= 0
+    if not whole and len(keys) > 1:
         reached = _exponent(eden, keys[1])
         if reached < rel_needed and any(rel_needed[: next(i for i, q in enumerate(reached) if q)]):
             # the text of this error is part of the package's output and stays as it was
@@ -929,14 +944,24 @@ def _unit_power(unit, a, b, rel_needed):
     if not gens:
         return HahnSeries.constant(1, unit.rank)
     gap = gens[0][0]
-    phi = (lambda key: key) if type(gap) is int else itemgetter(next(i for i, q in enumerate(gap) if q))
+    if type(gap) is int:
+        phi = lambda key: key  # noqa: E731
+    elif whole:
+        width = 2 * max(abs(q) for k, _ in gens for q in k) + 1
+        weights = [width**i for i in reversed(range(len(gap)))]
+        phi = lambda key: sum(q * w for q, w in zip(key, weights))  # noqa: E731
+    else:
+        phi = itemgetter(next(i for i, q in enumerate(gap) if q))
     step = gcd(*(phi(k) for k, _ in gens))
-    # the monoid below the bound, each element with the (element, generator)
-    # pairs that sum to it; gens ascend, so a row stops at the bound
+    # the monoid below the bound (sums of at most a generators for a whole
+    # power), each element with the (element, generator) pairs that sum to
+    # it; gens ascend, so a row stops at the bound
     zero = keys[0]
     below = {zero: ()}
     frontier = [zero]
+    factors = 0
     while frontier:
+        factors += 1
         grown = []
         for s in frontier:
             for k, n in gens:
@@ -945,6 +970,8 @@ def _unit_power(unit, a, b, rel_needed):
                     break
                 pairs = below.get(e)
                 if pairs is None:
+                    if whole and factors > a:
+                        continue
                     below[e] = pairs = []
                     grown.append(e)
                 pairs.append((s, k, n))
@@ -957,7 +984,7 @@ def _unit_power(unit, a, b, rel_needed):
         for e in support[1:]:
             w[e] = -sum(n * w[s] for s, _, n in below[e]) // cden
     else:
-        den = w[zero] = (cden * b) ** top * factorial(top)
+        den = w[zero] = cden ** min(top, a) if whole else (cden * b) ** top * factorial(top)
         for e in support[1:]:
             pe = phi(e) // step
             total = 0
@@ -1158,15 +1185,37 @@ def nth_root(a, n, target_prec):
 
 
 def power(x, k, prec=INFINITE):
-    """``x^k`` for an int k >= 0 by k products, each truncated at ``prec``.
+    """``x^k`` for an int k >= 0: the k-fold ``field_op`` product, cut at ``prec``.
 
-    Repeated rather than binary powering: on untruncated inputs the
-    squarings of binary powering hold larger intermediate products at once.
+    With ``x = c t^v u`` for a unit ``u = 1 + h``, ``x^k = c^k t^(kv) u^k``,
+    and ``_unit_power`` raises u to the power k by Miller's recurrence, so
+    no series product is formed.  The precision is the product's in closed
+    form: a factor known below p leaves its unknown tail at
+    ``p + (k-1) v`` (see ``field_op``), ``0 + O(t^p)`` gives ``k p``, and an
+    exact x an exact power; the result is cut at ``prec``.  When ``k v``
+    lies at or above that precision the power is ``0 + O(...)`` at once.
+    ``x^0`` is the exact 1.
     """
-    out = TruncatedSeries.one(x.rank)
-    for _ in range(k):
-        out = (out * x).truncate(prec)
-    return out
+    if k == 0:
+        return TruncatedSeries.one(x.rank)
+    approx = x.approx
+    if approx.is_zero():
+        return TruncatedSeries(approx, x.prec if x.prec is INFINITE else x.prec * k).truncate(prec)
+    eden, keys, _, _ = approx._grid
+    v = _exponent(eden, keys[0])
+    top = INFINITE if x.prec is INFINITE else x.prec + v * (k - 1)
+    if prec < top:
+        top = prec
+    if top is INFINITE:
+        # every term of u^k lies at or below k times the top exponent of u
+        rel = (_exponent(eden, keys[-1]) - v) * k + GroupElement.scalar(1, x.rank)
+    else:
+        rel = top - v * k
+        if not rel > GroupElement.zero(x.rank):
+            return TruncatedSeries(HahnSeries.zero(x.rank), top)
+    c = approx.leading_coeff()
+    w = _unit_power(approx.shift(-v).scale(1 / c), k, 1, rel)
+    return TruncatedSeries(w.scale(c**k).shift(v * k), top)
 
 
 def poly_eval(coeffs, x, prec=INFINITE):

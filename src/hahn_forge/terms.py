@@ -34,6 +34,7 @@ from .errors import (
     UnknownFunction,
 )
 from .series import (
+    INFINITE,
     GroupElement,
     TruncatedSeries,
     _Scanner,
@@ -304,9 +305,20 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
             raise UndecidableAtPrecision(f"denominator {format_series(b)} has no determined leading term")
         return a * invert(b, target_prec)
 
-    value = ev(node)
+    if isinstance(node, Pow) and node.exponent >= 0:
+        # at the root, the top term of an exact base^k is top(base)^k: when it
+        # lies at or above the target the clip below cuts there anyway, so the
+        # power is cut as it is formed.  Above the root a sum may cancel that
+        # term and leave an exact value, so no other power is cut.
+        base = ev(node.base)
+        top = base.approx.top_exponent() if base.is_exact() else None
+        cut = target_prec if top is not None and top * node.exponent >= target_prec else INFINITE
+        value = power(base, node.exponent, cut)
+    else:
+        value = ev(node)
     # clip stored data to the target, keeping exact values exact
-    if any(e >= target_prec for e, _ in value.approx.terms):
+    top = value.approx.top_exponent()
+    if top is not None and top >= target_prec:
         value = value.truncate(target_prec)
     return value
 

@@ -1,6 +1,9 @@
 """Command-line surface: payloads, exit codes, determinism."""
 
 import json
+import time
+
+import pytest
 
 from hahn_forge import cli
 from hahn_forge.cli import run_cli
@@ -37,6 +40,17 @@ class TestEval:
             code, _, out = run(capsys, *valid)
             assert code == 0 and out == alone
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("term, value", [
+        ("x^100000000", "0 + O(t^(3))"),
+        ("(1 + x)^400", "1 + 400*t^(1/7) + 400*t^(1/5) + 79800*t^(2/7) + "),
+    ])
+    def test_powers_cut_at_the_target_are_fast(self, capsys, term, value):
+        start = time.perf_counter()
+        code, payload, _ = run(capsys, "eval", "--prec", "3", term, "--at", "t^(1/7) + t^(1/5)")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and payload["value"].startswith(value)
+        assert elapsed < 1.0, f"{term} took {elapsed:.2f} s"
 
     def test_domain_error_is_usage(self, capsys):
         code, _, _ = run(capsys, "eval", "exp(x)", "--at", "1")

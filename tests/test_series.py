@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hahn_forge.errors import (
     InsufficientPrecision,
@@ -943,14 +943,10 @@ class TestPowerIsTheCutFold:
 
     @given(power_bases(1), st.integers(0, 12), st.one_of(st.just(INFINITE), grid_bound()))
     def test_rank_one(self, x, k, prec):
-        # the step-wise cut of the repeated product lowers the precision by v(x) < 0 per step
-        assume(prec is INFINITE or x.valuation_lower_bound() >= GroupElement.zero(x.rank))
         _check_power_is_cut_fold(x, k, prec)
 
     @given(power_bases(2), st.integers(0, 12), st.one_of(st.just(INFINITE), rank2_bound()))
     def test_rank_two(self, x, k, prec):
-        # the step-wise cut of the repeated product lowers the precision by v(x) < 0 per step
-        assume(prec is INFINITE or x.valuation_lower_bound() >= GroupElement.zero(x.rank))
         _check_power_is_cut_fold(x, k, prec)
 
     @pytest.mark.parametrize("k", range(13))
@@ -958,6 +954,26 @@ class TestPowerIsTheCutFold:
     def test_gap_in_a_later_coordinate(self, k, prec):
         prec = prec if prec is INFINITE else GroupElement([Fraction(q) for q in prec.split(",")])
         _check_power_is_cut_fold(TruncatedSeries.exact(GAP_BASE), k, prec)
+
+    @pytest.mark.parametrize("text, rank, prec", [
+        ("1*t^(1/7) + 1*t^(1/5)", 1, "3"),
+        ("3*t^(1) + O(t^(4))", 1, "5"),
+        ("0 + O(t^(1/2))", 1, "7"),
+        ("-3*t^(1,-5) + 1*t^(2,0)", 2, "3,0"),
+    ])
+    def test_huge_exponent_beyond_the_target(self, text, rank, prec):
+        # k v lies far above the target: the power is 0 + O(t^prec) at once,
+        # with no coefficient raised to the power k
+        prec = GroupElement([Fraction(q) for q in prec.split(",")])
+        start = time.perf_counter()
+        got = power(parse_series(text, rank), 10**8, prec)
+        assert time.perf_counter() - start < 1.0
+        assert got.approx.is_zero() and got.prec == prec
+
+    def test_huge_exponent_in_a_later_coordinate(self):
+        # k v = (0, 10^8) still lies below (1, 0); the rest of x^k does not
+        got = power(parse_series("1*t^(0,1) - 3*t^(1,-2)", 2), 10**8, GroupElement([Fraction(1), Fraction(0)]))
+        assert format_series(got) == "1*t^(0,100000000) + O(t^(1,0))"
 
     def test_square_of_the_gap_base(self):
         got = power(TruncatedSeries.exact(GAP_BASE), 2, GroupElement([Fraction(3), Fraction(0)]))

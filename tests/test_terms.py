@@ -360,6 +360,7 @@ class TestEvalAgainstRepeatedProducts:
         ("(1 + x)^40", "t^(1/7) + t^(1/5)", "3"),
         ("(1 + x)^2 - x^2 - 2*x", "t^(2)", "1"),
         ("x^2", "t^(1) + O(t^(5))", "3"),
+        ("x^2", "1 + t^(2) + O(t^(3))", "5/2"),
         ("x^7", "t^(-1) + 2*t^(1)", "-2"),
         ("(x - x + 1)^5", "t^(1)", "0"),
         ("(t^(1) - t^(1))^3", "t^(1)", "2"),
