@@ -939,7 +939,8 @@ def _unit_power(unit, a, b, rel_needed):
                 "leading gap of the unit part lies in a later coordinate than the target; "
                 "Newton doubling cannot reach the requested depth in lexicographic rank > 1"
             )
-    bound = _below_key(rel_needed, eden)
+    # with no target, a whole power u^a reaches no key above a times the top one
+    bound = keys[-1] * (a + 1) if rel_needed is INFINITE else _below_key(rel_needed, eden)
     gens = [(k, n) for k, n in zip(keys[1:], nums[1:]) if k < bound]
     if not gens:
         return HahnSeries.constant(1, unit.rank)
@@ -953,9 +954,11 @@ def _unit_power(unit, a, b, rel_needed):
     else:
         phi = itemgetter(next(i for i, q in enumerate(gap) if q))
     step = gcd(*(phi(k) for k, _ in gens))
+    gens = [(k, n, phi(k) // step) for k, n in gens]
     # the monoid below the bound (sums of at most a generators for a whole
     # power), each element with the (element, generator) pairs that sum to
-    # it; gens ascend, so a row stops at the bound
+    # it, a generator as its numerator and phi over step; gens ascend, so a
+    # row stops at the bound
     zero = keys[0]
     below = {zero: ()}
     frontier = [zero]
@@ -964,7 +967,7 @@ def _unit_power(unit, a, b, rel_needed):
         factors += 1
         grown = []
         for s in frontier:
-            for k, n in gens:
+            for k, n, pj in gens:
                 e = s + k
                 if e >= bound:
                     break
@@ -974,7 +977,7 @@ def _unit_power(unit, a, b, rel_needed):
                         continue
                     below[e] = pairs = []
                     grown.append(e)
-                pairs.append((s, k, n))
+                pairs.append((s, n, pj))
         frontier = grown
     support = sorted(below)
     top = phi(support[-1]) // phi(gap)
@@ -982,14 +985,13 @@ def _unit_power(unit, a, b, rel_needed):
     if a == -1 and b == 1:
         den = w[zero] = cden**top
         for e in support[1:]:
-            w[e] = -sum(n * w[s] for s, _, n in below[e]) // cden
+            w[e] = -sum(n * w[s] for s, n, _ in below[e]) // cden
     else:
         den = w[zero] = cden ** min(top, a) if whole else (cden * b) ** top * factorial(top)
         for e in support[1:]:
             pe = phi(e) // step
             total = 0
-            for s, k, n in below[e]:
-                pj = phi(k) // step
+            for s, n, pj in below[e]:
                 total += (a * pj - b * (pe - pj)) * n * w[s]
             w[e] = total // (b * cden * pe)
     out = [(e, w[e]) for e in support if w[e]]
@@ -1201,21 +1203,27 @@ def power(x, k, prec=INFINITE):
     approx = x.approx
     if approx.is_zero():
         return TruncatedSeries(approx, x.prec if x.prec is INFINITE else x.prec * k).truncate(prec)
-    eden, keys, _, _ = approx._grid
-    v = _exponent(eden, keys[0])
-    top = INFINITE if x.prec is INFINITE else x.prec + v * (k - 1)
-    if prec < top:
-        top = prec
-    if top is INFINITE:
-        # every term of u^k lies at or below k times the top exponent of u
-        rel = (_exponent(eden, keys[-1]) - v) * k + GroupElement.scalar(1, x.rank)
-    else:
+    eden, keys, cden, nums = approx._grid
+    top = rel = INFINITE
+    if x.prec is not INFINITE or prec is not INFINITE:
+        v = _exponent(eden, keys[0])
+        top = INFINITE if x.prec is INFINITE else x.prec + v * (k - 1)
+        if prec < top:
+            top = prec
         rel = top - v * k
         if not rel > GroupElement.zero(x.rank):
             return TruncatedSeries(HahnSeries.zero(x.rank), top)
-    c = approx.leading_coeff()
-    w = _unit_power(approx.shift(-v).scale(1 / c), k, 1, rel)
-    return TruncatedSeries(w.scale(c**k).shift(v * k), top)
+    # u = x / (c t^v) and x^k = c^k t^(kv) u^k, on the grid: the exponents
+    # of u^k are sums of those of x less v, so their keys sit over eden
+    lead, n0 = keys[0], nums[0]
+    sign = 1 if n0 > 0 else -1
+    unit = _on_grid((*_least(eden, tuple(key - lead for key in keys)), *_least(sign * n0, tuple(sign * n for n in nums))),
+                    x.rank)
+    wden, wkeys, wcden, wnums = _unit_power(unit, k, 1, rel)._grid
+    shift, scale = lead * k, n0**k
+    wkeys = tuple(key + shift for key in _over(wden, eden, wkeys))
+    grid = (*_least(eden, wkeys), *_least(wcden * cden**k, tuple(n * scale for n in wnums)))
+    return _truncated(_on_grid(grid, x.rank), top, None if top is INFINITE else _key_of(top))
 
 
 def poly_eval(coeffs, x, prec=INFINITE):
