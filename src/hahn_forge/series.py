@@ -892,6 +892,9 @@ def invert(a, target_prec):
 def _unit_power(unit, a, b, rel_needed):
     """``u^(a/b)`` below ``rel_needed`` for a unit ``u = 1 + h`` with v(h) > 0.
 
+    ``rel_needed`` may be INFINITE for a whole power (b = 1, a >= 0), which
+    is then exact.
+
     J. C. P. Miller's recurrence for a power series raised to a rational
     power (Knuth, *The Art of Computer Programming*, vol. 2, 4.7), run on
     the grid.  Let phi be an additive map from exponents to the ints, so
@@ -956,9 +959,9 @@ def _unit_power(unit, a, b, rel_needed):
     step = gcd(*(phi(k) for k, _ in gens))
     gens = [(k, n, phi(k) // step) for k, n in gens]
     # the monoid below the bound (sums of at most a generators for a whole
-    # power), each element with the (element, generator) pairs that sum to
-    # it, a generator as its numerator and phi over step; gens ascend, so a
-    # row stops at the bound
+    # power), each element with the pairs (element s, generator) that sum
+    # to it, kept as s, the generator's numerator and its phi over step;
+    # gens ascend, so a row stops at the bound
     zero = keys[0]
     below = {zero: ()}
     frontier = [zero]
