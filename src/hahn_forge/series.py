@@ -914,7 +914,7 @@ def _unit_power(unit, a, b, rel_needed):
     ``binomial(a/b, m)`` times a product of m coefficients of h, over
     ``(cden b)^m m!`` (over ``cden^m`` when the binomial is an int).  Every
     generator's phi is at least that of the leading gap, so m is at most
-    top, the largest phi below the bound divided by the gap's, and each
+    top, the largest phi over the support divided by the gap's, and each
     step is an exact int division.
 
     A whole power ``u^a`` is a polynomial in h: its support is the sums of
@@ -983,7 +983,9 @@ def _unit_power(unit, a, b, rel_needed):
                 pairs.append((s, n, pj))
         frontier = grown
     support = sorted(below)
-    top = phi(support[-1]) // phi(gap)
+    # the weight of a whole power follows lexicographic order on the
+    # generators but not on their sums, so the largest phi is searched for
+    top = max(map(phi, support)) // phi(gap)
     w = {}
     if a == -1 and b == 1:
         den = w[zero] = cden**top

@@ -263,7 +263,7 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
     registry = registry if registry is not None else default_registry()
     rank = x.rank
 
-    def ev(node):
+    def ev(node, root=False):
         if isinstance(node, Lit):
             return TruncatedSeries.constant(node.value, rank)
         if isinstance(node, Mono):
@@ -281,7 +281,18 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
         if isinstance(node, Div):
             return _divide(ev(node.left), ev(node.right))
         if isinstance(node, Pow):
-            value = power(ev(node.base), abs(node.exponent))
+            base = ev(node.base)
+            cut = INFINITE
+            if root and node.exponent >= 0 and base.is_exact():
+                # at the root, the top term of an exact base^k is top(base)^k:
+                # when it lies at or above the target the clip below cuts there
+                # anyway, so the power is cut as it is formed.  Above the root a
+                # sum may cancel that term and leave an exact value, so no other
+                # power is cut.
+                top = base.approx.top_exponent()
+                if top is not None and top * node.exponent >= target_prec:
+                    cut = target_prec
+            value = power(base, abs(node.exponent), cut)
             return value if node.exponent >= 0 else _divide(TruncatedSeries.one(rank), value)
         if isinstance(node, App):
             if node.name == "inv":
@@ -305,17 +316,7 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
             raise UndecidableAtPrecision(f"denominator {format_series(b)} has no determined leading term")
         return a * invert(b, target_prec)
 
-    if isinstance(node, Pow) and node.exponent >= 0:
-        # at the root, the top term of an exact base^k is top(base)^k: when it
-        # lies at or above the target the clip below cuts there anyway, so the
-        # power is cut as it is formed.  Above the root a sum may cancel that
-        # term and leave an exact value, so no other power is cut.
-        base = ev(node.base)
-        top = base.approx.top_exponent() if base.is_exact() else None
-        cut = target_prec if top is not None and top * node.exponent >= target_prec else INFINITE
-        value = power(base, node.exponent, cut)
-    else:
-        value = ev(node)
+    value = ev(node, True)
     # clip stored data to the target, keeping exact values exact
     top = value.approx.top_exponent()
     if top is not None and top >= target_prec:

@@ -913,7 +913,8 @@ def power_bases(draw, rank):
     if rank == 1:
         approx, bound = draw(grid_series()), draw(grid_bound())
     else:
-        approx = draw(st.one_of(rank2_series().filter(lambda a: len(a.terms) <= 3), st.just(GAP_BASE)))
+        approx = draw(st.one_of(rank2_series().filter(lambda a: len(a.terms) <= 3), st.just(GAP_BASE),
+                                spread_rank2_series()))
         bound = draw(rank2_bound())
     kind = draw(st.sampled_from(["exact", "inexact", "exact zero", "zero below"]))
     if kind == "exact":
@@ -928,6 +929,18 @@ def power_bases(draw, rank):
 # a rank-2 base whose leading gap (0,1) lies in a later coordinate than
 # that of the generator (1,0)
 GAP_BASE = parse_series("1*t^(1,0) + 1*t^(1,1) + 1*t^(2,0)", rank=2).approx
+
+
+@st.composite
+def spread_rank2_series(draw):
+    """``c0 t^l + c1 t^(l + (0,a)) + c2 t^(l + (b,-c))``: a lexicographically larger
+    sum of the two generators can weigh less than one of many small factors."""
+    lead = GroupElement([Fraction(draw(st.integers(-1, 1)), 2), Fraction(draw(st.integers(-2, 2)), 2)])
+    small = GroupElement([Fraction(0), Fraction(draw(st.integers(1, 2)), 2)])
+    large = GroupElement([Fraction(draw(st.integers(1, 2)), 2), Fraction(-draw(st.integers(1, 10)), 2)])
+    coeffs = [Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, 3)))
+              for _ in range(3)]
+    return HahnSeries(list(zip([lead, lead + small, lead + large], coeffs)), rank=2)
 
 
 def _check_power_is_cut_fold(x, k, prec):
@@ -948,6 +961,10 @@ class TestPowerIsTheCutFold:
     @given(power_bases(2), st.integers(0, 12), st.one_of(st.just(INFINITE), rank2_bound()))
     def test_rank_two(self, x, k, prec):
         _check_power_is_cut_fold(x, k, prec)
+
+    @given(spread_rank2_series(), st.integers(2, 12), rank2_bound())
+    def test_rank_two_out_of_lexicographic_order(self, approx, k, prec):
+        _check_power_is_cut_fold(TruncatedSeries.exact(approx), k, prec)
 
     @pytest.mark.parametrize("k", range(13))
     @pytest.mark.parametrize("prec", [INFINITE, "2,0", "2,1", "3,0", "5,-1", "13,0"])
@@ -974,6 +991,21 @@ class TestPowerIsTheCutFold:
         # k v = (0, 10^8) still lies below (1, 0); the rest of x^k does not
         got = power(parse_series("1*t^(0,1) - 3*t^(1,-2)", 2), 10**8, GroupElement([Fraction(1), Fraction(0)]))
         assert format_series(got) == "1*t^(0,100000000) + O(t^(1,0))"
+
+    @pytest.mark.parametrize("text, k, prec", [
+        ("2 + 1*t^(0,1/2) + 1*t^(1/2,0)", 5, "1/2,1/2"),
+        ("2 + 1*t^(0,1) + 1*t^(1,-5)", 12, "1,0"),
+        ("2 + 1*t^(0,1) + 1*t^(1,-5)", 12, "1,-2"),
+        ("2*t^(1,0) + 1*t^(1,1) + 3*t^(2,0)", 7, "9,2"),
+        ("2*t^(0,-1) + 1*t^(0,1) - 1/3*t^(1,-4)", 9, "2,-3"),
+        ("2 + 1*t^(0,1) + 1*t^(1,-5) + O(t^(2,0))", 12, "1,3"),
+    ])
+    def test_sums_out_of_lexicographic_order(self, text, k, prec):
+        # the lexicographically largest exponent of the unit power is not
+        # the one of most generator factors, and the leading coefficient is
+        # not 1, so the shared denominator must be sized by the latter
+        prec = GroupElement([Fraction(q) for q in prec.split(",")])
+        _check_power_is_cut_fold(parse_series(text, 2), k, prec)
 
     def test_square_of_the_gap_base(self):
         got = power(TruncatedSeries.exact(GAP_BASE), 2, GroupElement([Fraction(3), Fraction(0)]))

@@ -352,7 +352,7 @@ class TestEvalAgainstRepeatedProducts:
         node = data.draw(term_trees(rank))
         x = data.draw(eval_points(rank))
         prec = GroupElement([Fraction(data.draw(st.integers(-4, 12)), data.draw(st.sampled_from([1, 2, 3])))]
-                            + [0] * (rank - 1))
+                            + [Fraction(data.draw(st.integers(-4, 4)), 2) for _ in range(rank - 1)])
         args = (node, x, prec, None, inv_zero_is_zero)
         assert _outcome(eval_term, *args) == _outcome(_reference_eval_term, *args)
 
@@ -369,6 +369,17 @@ class TestEvalAgainstRepeatedProducts:
     ])
     def test_fixed_terms(self, text, at, prec):
         args = (parse_term(text), s(at), ge(prec))
+        assert _outcome(eval_term, *args) == _outcome(_reference_eval_term, *args)
+
+    @pytest.mark.parametrize("text, at, prec", [
+        ("x^12", "2 + t^(0,1) + t^(1,-5)", "1,0"),
+        ("x^5", "2 + t^(0,1/2) + t^(1/2,0)", "1/2,1/2"),
+        ("x^5", "2 + t^(0,1/2) + t^(1/2,0) + O(t^(1,0))", "1/2,1/2"),
+    ])
+    def test_fixed_terms_rank_two(self, text, at, prec):
+        at = parse_series(at, rank=2)
+        prec = GroupElement([Fraction(q) for q in prec.split(",")])
+        args = (parse_term(text, rank=2), at, prec)
         assert _outcome(eval_term, *args) == _outcome(_reference_eval_term, *args)
 
 
