@@ -983,9 +983,10 @@ def _unit_power(unit, a, b, rel_needed):
                 pairs.append((s, n, pj))
         frontier = grown
     support = sorted(below)
-    # the weight of a whole power follows lexicographic order on the
-    # generators but not on their sums, so the largest phi is searched for
-    top = max(map(phi, support)) // phi(gap)
+    # the weight of a whole power in rank > 1 follows lexicographic order on
+    # the generators but not on their sums, so its largest value is searched
+    # for; every other phi is largest on the last exponent
+    top = (max(map(phi, support)) if whole and type(gap) is not int else phi(support[-1])) // phi(gap)
     w = {}
     if a == -1 and b == 1:
         den = w[zero] = cden**top
