@@ -15,11 +15,15 @@ call of each power ``eval`` command of those rounds, and the
 operation of ``ROUNDS`` rounds of the ``prepare`` workload at ``SEED``, one
 call per member of the polynomial's derivative chain at depth lam + 4, as
 ``preparing_set`` makes them, and the call of each ``roots`` command of the
-``cli`` rounds.  All are generated by the parent's
+``cli`` rounds.  The ``poly_eval`` layer times, as one call per
+``prepare_polynomial`` operation of those ``prepare`` rounds, every Horner
+call that the operation makes.  All are generated by the parent's
 ``perfbench/workloads.generate``, so both sides time the same inputs.  The
 child finds the arguments of an ``evaluate_analytic``, ``eval_term`` or
 ``roots`` call by running the command once through ``run_cli`` and
-recording the call it makes (``eval_term`` as ``cli`` calls it).
+recording the call it makes (``eval_term`` as ``cli`` calls it), and those
+of the Horner calls by running the operation once with ``prepare.poly_eval``
+patched to record them.
 
 Each repeat runs one fresh interpreter per checkout, in alternating order
 (parent first on even repeats, change first on odd ones).  The child
@@ -30,6 +34,17 @@ its per-process times.  Per layer the file records, for each side, the
 median and quartiles of the per-call times and their sum (one pass over
 all calls), and the median over calls of the change's time over the
 parent's.
+
+A whole child can run faster or slower than the next on a shared host, so
+each child also times the parent's ``perfbench/calibrate.kernel()``, a
+fixed piece of work that does not call the package, ``CONTROL_RUNS`` times
+after each pass, and takes the median as that pass's control time.  A
+call's time over control is the median over passes of its time over its
+pass's control time.  Per layer and side the file also records the
+quartiles over repeats of the layer's summed time over control, the ratio
+of the change's median to the parent's, and the parent's spread
+(interquartile range over median): a change smaller than that spread is
+noise.
 
 It exits 1, after writing the file, if the two sides' outputs differ: the
 ``format_series`` text of each result (for ``puiseux_roots`` the JSON of
@@ -53,14 +68,15 @@ sys.dont_write_bytecode = True
 from pairs import quartiles  # noqa: E402 - after the bytecode switch
 
 LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root",
-          "evaluate_analytic": "evaluate_analytic", "eval_term": "eval_term", "puiseux_roots": "puiseux_roots"}
-SEED, ROUNDS, PASSES = 7, 3, 5
+          "evaluate_analytic": "evaluate_analytic", "eval_term": "eval_term", "puiseux_roots": "puiseux_roots",
+          "poly_eval": "poly_eval"}
+SEED, ROUNDS, PASSES, CONTROL_RUNS = 7, 3, 5, 10
 
 
 def solver_calls(checkout):
     """The solver operations of the ``newton`` workload, the analytic and power ``eval`` and the ``roots``
-    commands of the ``cli`` workload, and the derivative chains of the ``prepare`` workload's polynomials, as
-    generated by the checkout's benchmark."""
+    commands of the ``cli`` workload, and the derivative chains and the preparations of the ``prepare``
+    workload's polynomials, as generated by the checkout's benchmark."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
 
@@ -80,7 +96,21 @@ def solver_calls(checkout):
                 coeffs = spec["poly"]["coeffs"]
                 specs += [{"kind": "puiseux_roots", "coeffs": coeffs, "order": k, "depth": spec["lam"] + 4}
                           for k in range(len(coeffs) - 1)]
+                specs.append({"kind": "poly_eval", "coeffs": coeffs, "lam": spec["lam"], "trials": spec["trials"],
+                              "seed": spec["seed"]})
     return specs
+
+
+def recorded_calls(run, module, name):
+    """The arguments of every call of ``module.name`` that ``run()`` makes, recorded from one run."""
+    recorded = []
+    fn = getattr(module, name)
+    setattr(module, name, lambda *args: recorded.append(args) or fn(*args))
+    try:
+        run()
+    finally:
+        setattr(module, name, fn)
+    return recorded
 
 
 def recorded_call(argv, module, name):
@@ -90,29 +120,34 @@ def recorded_call(argv, module, name):
 
     from hahn_forge import cli
 
-    recorded = []
-    fn = getattr(module, name)
-    setattr(module, name, lambda *args: recorded.append(args) or fn(*args))
-    try:
+    def run():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.run_cli(list(argv))
-    finally:
-        setattr(module, name, fn)
+
+    recorded = recorded_calls(run, module, name)
     if len(recorded) != 1:
         raise RuntimeError(f"{argv} made {len(recorded)} {name} calls, expected 1")
     return recorded[0]
 
 
-def child(checkout):
-    """Time the calls read from stdin with the checkout's package; print per-call times and outputs."""
+def child(checkout, control):
+    """Time the calls read from stdin with the checkout's package, and the control kernel from the directory
+    ``control``; print per-call times, absolute and over control, the median control time and the outputs."""
     import gc
     import time
     from fractions import Fraction
+    from functools import partial
 
     sys.path.insert(0, str(checkout / "src"))
+    sys.path.insert(0, str(control))
+    import calibrate
     from hahn_forge import analytic, cli, prepare, series, terms
 
     ge = lambda q: series.GroupElement.scalar(Fraction(q))  # noqa: E731
+
+    def horner(recorded):
+        return [series.poly_eval(*args) for args in recorded]
+
     calls = []
     for spec in json.load(sys.stdin):
         if spec["kind"] == "invert":
@@ -130,12 +165,18 @@ def child(checkout):
             for _ in range(spec["order"]):
                 coeffs = prepare.poly_derivative(coeffs)
             calls.append((prepare.puiseux_roots, (coeffs, Fraction(spec["depth"]))))
+        elif spec["kind"] == "poly_eval":
+            prepared = partial(prepare.prepare_polynomial, [series.parse_series(c) for c in spec["coeffs"]],
+                               ge(spec["lam"]), spec["trials"], spec["seed"])
+            calls.append((horner, (recorded_calls(prepared, prepare, "poly_eval"),)))
         else:
             calls.append((analytic.hensel_root, ([series.parse_series(c) for c in spec["coeffs"]], ge(spec["prec"]))))
 
     def show(f, out):
         if f is prepare.puiseux_roots:
             return json.dumps([root.to_dict() for root in out])
+        if f is horner:
+            return "\n".join(map(series.format_series, out))
         return series.format_series(out)
 
     outputs = []
@@ -145,6 +186,7 @@ def child(checkout):
         except Exception as exc:  # noqa: BLE001 - an error is an output, compared across sides
             outputs.append(f"{type(exc).__name__}: {exc}")
     times = [[] for _ in calls]
+    control = []
     for _ in range(PASSES):
         gc.collect()
         for i, (f, args) in enumerate(calls):
@@ -154,13 +196,16 @@ def child(checkout):
             except Exception:  # noqa: BLE001 - the error is recorded in outputs
                 pass
             times[i].append(time.perf_counter_ns() - start)
-    json.dump({"outputs": outputs, "ns": [statistics.median(t) for t in times]}, sys.stdout)
+        control.append(statistics.median(calibrate.kernel() * 1e9 for _ in range(CONTROL_RUNS)))
+    over = [statistics.median(ns / c for ns, c in zip(t, control)) for t in times]
+    json.dump({"outputs": outputs, "ns": [statistics.median(t) for t in times], "over_control": over,
+               "control_ns": statistics.median(control)}, sys.stdout)
 
 
-def run_child(checkout, specs):
+def run_child(checkout, control, specs):
     with tempfile.TemporaryDirectory(prefix="layers-") as tmp:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout)]
+        argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout), "--control", str(control)]
         proc = subprocess.run(argv, cwd=tmp, env=env, input=json.dumps(specs), capture_output=True, text=True,
                               check=False)
     if proc.returncode != 0:
@@ -168,8 +213,9 @@ def run_child(checkout, specs):
     return json.loads(proc.stdout)
 
 
-def summarize(specs, per_call):
-    """Per layer: each side's per-call quartiles and sum in microseconds, and the median time ratio."""
+def summarize(specs, per_call, runs):
+    """Per layer: each side's per-call quartiles and sum in microseconds, the median time ratio, and the
+    layer's summed time over control per repeat, with its ratio and the parent's spread."""
     out = {}
     for layer in dict.fromkeys(LAYERS.values()):
         idx = [i for i, spec in enumerate(specs) if LAYERS[spec["kind"]] == layer]
@@ -178,7 +224,12 @@ def summarize(specs, per_call):
             us = [per_call[side][i] / 1000 for i in idx]
             q1, median, q3 = quartiles(us)
             entry[side] = {"median": median, "q1": q1, "q3": q3, "sum": sum(us)}
+            q1, median, q3 = quartiles([sum(run["over_control"][i] for i in idx) for run in runs[side]])
+            entry[side]["over_control"] = {"median": median, "q1": q1, "q3": q3}
         entry["median_ratio"] = statistics.median(per_call["change"][i] / per_call["parent"][i] for i in idx)
+        parent, change = entry["parent"]["over_control"], entry["change"]["over_control"]
+        entry["ratio_over_control"] = change["median"] / parent["median"]
+        entry["parent_spread_over_control"] = (parent["q3"] - parent["q1"]) / parent["median"]
         out[layer] = entry
     return out
 
@@ -190,9 +241,10 @@ def main(argv=None):
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--control", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child)
+        child(args.child, args.control)
         return 0
     if args.parent is None or args.change is None or args.out is None:
         parser.error("PARENT_DIR, CHANGE_DIR and --out are required")
@@ -204,14 +256,15 @@ def main(argv=None):
     for repeat in range(args.repeats):
         order = ("parent", "change") if repeat % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_child(checkouts[side], specs)
-            runs[side].append(result["ns"])
-            outputs.setdefault(side, result["outputs"])
-            print(f"repeat {repeat} {side}: {sum(result['ns']) / 1e6:.1f} ms per pass", file=sys.stderr, flush=True)
+            result = run_child(checkouts[side], checkouts["parent"] / "perfbench", specs)
+            outputs.setdefault(side, result.pop("outputs"))
+            runs[side].append(result)
+            print(f"repeat {repeat} {side}: {sum(result['ns']) / 1e6:.1f} ms per pass, control "
+                  f"{result['control_ns'] / 1e6:.3f} ms", file=sys.stderr, flush=True)
 
     differ = [{"call": i, "kind": specs[i]["kind"], "parent": p, "change": c}
               for i, (p, c) in enumerate(zip(outputs["parent"], outputs["change"])) if p != c]
-    per_call = {side: [statistics.median(r[i] for r in runs[side]) for i in range(len(specs))] for side in runs}
+    per_call = {side: [statistics.median(r["ns"][i] for r in runs[side]) for i in range(len(specs))] for side in runs}
     report = {
         "command": f"python3 bench/layers.py PARENT CHANGE --repeats {args.repeats}",
         "calls": "invert, nth_root and hensel_root (with the Catalan fixture) operations of "
@@ -219,12 +272,14 @@ def main(argv=None):
                  f"exp/sin/cos/log1p eval command, the eval_term call of each power eval command and the "
                  f"puiseux_roots call of each roots command of "
                  f"workloads.generate('cli', {SEED}, {ROUNDS}); puiseux_roots on the derivative chain, at "
-                 "depth lam + 4, of each prepare_polynomial operation of "
-                 f"workloads.generate('prepare', {SEED}, {ROUNDS})",
+                 "depth lam + 4, and the poly_eval calls, recorded from one run, of each prepare_polynomial "
+                 f"operation of workloads.generate('prepare', {SEED}, {ROUNDS})",
+        "control": f"per pass, the median of {CONTROL_RUNS} runs of the parent's perfbench/calibrate.kernel() after "
+                   "it; a call's time over control is the median over passes of its time over its pass's control",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",
         "unit": "microseconds per call; per call the median of its passes, then of its repeats",
         "output_mismatches": differ,
-        "summary": summarize(specs, per_call),
+        "summary": summarize(specs, per_call, runs),
         "per_call_ns": [{"kind": spec["kind"], "parent": per_call["parent"][i], "change": per_call["change"][i]}
                         for i, spec in enumerate(specs)],
     }

@@ -43,6 +43,7 @@ from .series import (
     TruncatedSeries,
     _taylor_sum,
     invert,
+    poly_derivative,
     poly_eval,
     standard_part,
     valuation,
@@ -320,7 +321,7 @@ def hensel_root(coeffs, target_prec, rank=1, trace=None):
         if a.prec is not INFINITE and a.prec < target_prec:
             raise PrecisionStall("input coefficients are blurrier than the requested root")
     p = [TruncatedSeries.one(rank), TruncatedSeries.one(rank), *coeffs]
-    dp = [p[k].scale(k) for k in range(1, len(p))]
+    dp = poly_derivative(p)
     y = TruncatedSeries.constant(Fraction(-1), rank)
     for _ in range(64):
         residual = poly_eval(p, y, target_prec)

@@ -148,6 +148,14 @@ def _poly_coeffs(text, registry, rank):
     return coeffs
 
 
+def _rational(flag, text):
+    """The rational value of a ``p/q`` flag; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
+
+
 def run_cli(argv):
     parser = _build_parser()
     try:
@@ -178,8 +186,8 @@ def _dispatch(args, registry):
         raise ValueError(f"the exponent rank must be at least 1, got --rank {rank}")
     if rank != 1 and args.command in _RANK_ONE_COMMANDS:
         raise ValueError(f"{args.command} supports rank 1 only, got --rank {rank}")
-    prec = GroupElement.scalar(Fraction(args.prec), rank)
-    lam = GroupElement.scalar(Fraction(args.lam), rank)
+    prec = GroupElement.scalar(_rational("--prec", args.prec), rank)
+    lam = GroupElement.scalar(_rational("--lambda", args.lam), rank)
     if args.command == "eval":
         node = parse_term(args.term, registry, rank)
         x = parse_series(args.at, rank)
@@ -226,7 +234,7 @@ def _dispatch(args, registry):
 
     if args.command == "roots":
         coeffs = _poly_coeffs(args.poly, registry, rank)
-        roots = puiseux_roots(coeffs, Fraction(args.depth))
+        roots = puiseux_roots(coeffs, _rational("--depth", args.depth))
         _emit({"roots": [r.to_dict() for r in roots]}, f"{len(roots)} branches")
         return 0
 

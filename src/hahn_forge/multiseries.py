@@ -148,11 +148,11 @@ def _clip(coeffs, degree, prec):
     for idx, c in coeffs.items():
         if sum(idx) > degree:
             continue
-        if prec is not None and prec is not INFINITE and any(e >= prec for e, _ in c.approx.terms):
+        if prec is not None and not c.approx.is_zero() and c.approx.top_exponent() >= prec:
             c = c.truncate(prec)
         if c.is_exact_zero():
             continue
-        if c.approx.is_zero() and c.prec is not INFINITE and prec is not None and not (c.prec < prec):
+        if c.approx.is_zero() and prec is not None and not (c.prec < prec):
             # entirely below the working precision: in the truncation ideal
             continue
         out[idx] = c

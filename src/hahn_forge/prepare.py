@@ -61,6 +61,7 @@ from .series import (
     format_series,
     format_rational,
     invert,
+    poly_derivative,
     poly_eval,
     valuation,
 )
@@ -197,10 +198,6 @@ def poly_text(coeffs):
             body += f"*x^{i}"
         parts.append(body)
     return " + ".join(parts) if parts else "0"
-
-
-def poly_derivative(coeffs):
-    return [c.scale(k) for k, c in enumerate(coeffs)][1:]
 
 
 def newton_polygon(coeffs):

@@ -27,9 +27,9 @@ ranks apart, once per call.
 Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
 < p (the open bound of a precision), and ``truncate_through(hi)`` keeps
 those <= hi (the closed window of a leading-term jet).  On the grid both
-are one ``bisect`` at the bound put on the keys as ints: rank 1 rounds it
-onto the ints, and rank d cuts it after its first coordinate that is not an
-int, rounded (see ``_int_cut``).
+are one ``bisect`` at the bound's key put on the keys as ints: rank 1
+rounds it onto the ints, and rank d cuts it after its first coordinate that
+is not an int, rounded (see ``_int_cut``).
 
 A ``TruncatedSeries`` keeps every stored exponent below its precision.
 The public constructor ``TruncatedSeries(approx, prec)`` and
@@ -41,16 +41,15 @@ and ``shift``.  A sum of operands with different precisions still cuts at
 the lower one, and ``truncate(p)`` at or above the precision returns the
 value itself.
 
-A ``TruncatedSeries`` keeps its precision twice: ``prec``, the public
-``GroupElement``, and its key ``(den, key)`` from ``_key_of``, least like
-a grid and None for INFINITE.  ``field_op``, ``truncate``, ``==`` and
-``hash`` work on the keys: the precision of a product,
-``min(p_a + v(b), p_b + v(a))``, is an int sum and an int comparison, with
-``v`` read off the first key of a grid, and only the result's ``prec`` is
-built as a ``GroupElement``.  The parts of a verifier trial read the grid
-too: ``_half_steps`` puts sample exponents ``base + k/2`` on a grid,
-``_difference_valuation`` reads ``v(a - b)`` at the first difference of
-two grids, and ``_unit_jet`` cuts the jet of ``rv_lambda`` in one pass.
+A ``TruncatedSeries`` keeps its precision once, as the key ``(den, key)``
+of ``_key_of``, least like a grid and None for INFINITE; ``prec`` is built
+from it on each read.  Every bound meets the grid as a key, so the
+precision of a product, ``min(p_a + v(b), p_b + v(a))``, is an int sum and
+an int comparison, with ``v`` read off the first key of a grid.  The parts
+of a verifier trial read the grid too: ``_half_steps`` puts sample
+exponents ``base + k/2`` on a grid, ``_difference_valuation`` reads
+``v(a - b)`` at the first difference of two grids, and ``_unit_jet`` cuts
+the jet of ``rv_lambda`` in one pass.
 
 ``poly_eval`` is the one Horner loop of the package; it truncates every
 step at an optional precision and is exact without one.
@@ -258,7 +257,9 @@ def _int_products(ka, na, kb, nb, bound):
 
 
 def _key_of(e):
-    """``(den, key)``: the exponent ``e`` as a key over its least denominator."""
+    """``(den, key)``: the exponent ``e`` as a key over its least denominator; None for INFINITE."""
+    if e is INFINITE:
+        return None
     if len(e) == 1:
         q = e[0]
         return q.denominator, q.numerator
@@ -294,38 +295,39 @@ def _terms_of(eden, keys, cden, nums):
 
 
 def _below_key(bound, eden):
-    """``bound`` put on the keys over ``eden``: an exponent lies below ``bound``
-    exactly when its key lies below the result (rounded up)."""
-    if len(bound) == 1:
-        b = bound[0]
-        return -((-b.numerator * eden) // b.denominator)
+    """The key ``bound`` put on the keys over ``eden``: an exponent lies below
+    that of ``bound`` exactly when its key lies below the result (rounded up)."""
+    den, key = bound
+    if type(key) is int:
+        return -((-key * eden) // den)
     return _int_cut(bound, eden, up=True)
 
 
 def _through_key(hi, eden):
-    """``hi`` put on the keys over ``eden``: an exponent is at most ``hi``
-    exactly when its key is at most the result (rounded down)."""
-    if len(hi) == 1:
-        h = hi[0]
-        return h.numerator * eden // h.denominator
+    """The key ``hi`` put on the keys over ``eden``: an exponent is at most
+    that of ``hi`` exactly when its key is at most the result (rounded down)."""
+    den, key = hi
+    if type(key) is int:
+        return key * eden // den
     return _int_cut(hi, eden, up=False)
 
 
-def _int_cut(e, eden, up):
-    """The rank-d exponent ``e`` put on the keys over ``eden`` as a tuple of ints.
+def _int_cut(bound, eden, up):
+    """The rank-d key ``bound`` put on the keys over ``eden`` as a tuple of ints.
 
-    The coordinates ``q*eden`` are ints up to the first that is not.  The
-    last coordinate is rounded in place, ``up`` or down as in rank 1.  An
-    earlier one is rounded up and ends the tuple: a key that matches the
+    The coordinates ``k*eden/den`` are ints up to the first that is not.
+    The last coordinate is rounded in place, ``up`` or down as in rank 1.
+    An earlier one is rounded up and ends the tuple: a key that matches the
     ints before it lies below the cut exactly when its own coordinate lies
-    below ``q*eden``, and no key, being longer, equals the cut.  Rounding
-    an earlier coordinate in place would cut past keys that share the
-    coordinates before it.
+    below ``k*eden/den``, and no key, being longer, equals the cut.
+    Rounding an earlier coordinate in place would cut past keys that share
+    the coordinates before it.
     """
+    den, key = bound
     out = []
-    last = len(e) - 1
-    for i, q in enumerate(e):
-        num, den = q.numerator * eden, q.denominator
+    last = len(key) - 1
+    for i, k in enumerate(key):
+        num = k * eden
         if i < last and num % den:
             out.append(num // den + 1)
             break
@@ -484,15 +486,19 @@ class HahnSeries:
 
     def truncate_below(self, bound):
         """Drop all terms with exponent >= bound."""
-        if bound is INFINITE:
-            return self
-        grid = self._grid
-        return self._prefix(bisect_left(grid[1], _below_key(bound, grid[0])))
+        return self._below(_key_of(bound))
 
     def truncate_through(self, hi):
         """Drop all terms with exponent > hi."""
         grid = self._grid
-        return self._prefix(bisect_right(grid[1], _through_key(hi, grid[0])))
+        return self._prefix(bisect_right(grid[1], _through_key(_key_of(hi), grid[0])))
+
+    def _below(self, bound):
+        """Drop all terms with exponent at or above that of the key ``bound``; None drops none."""
+        if bound is None:
+            return self
+        grid = self._grid
+        return self._prefix(bisect_left(grid[1], _below_key(bound, grid[0])))
 
     def _prefix(self, cut):
         """The series of the ``cut`` lowest terms."""
@@ -547,9 +553,12 @@ class HahnSeries:
         return self + (-other)
 
     def __mul__(self, other, *, bound=INFINITE):
-        """Product; with ``bound``, pairs with exponent >= bound are never formed.
+        """Product; with ``bound``, pairs with exponent >= bound are never formed (see ``_times``)."""
+        return self._times(other, _key_of(bound))
 
-        ``a.__mul__(b, bound=p)`` equals ``(a * b).truncate_below(p)``.
+    def _times(self, other, bound):
+        """The product below the key ``bound``, None for no bound: ``(a * b).truncate_below(p)``
+        for the key of ``p``, with no pair at or above it formed.
 
         Coefficients are multiplied as ints: each factor's numerators sit
         over its least common coefficient denominator, ``da`` and ``db``, so
@@ -566,8 +575,7 @@ class HahnSeries:
             return _on_grid(_ZERO_GRID, self.rank)
         eden = ea if ea == eb else lcm(ea, eb)
         ka, kb = _over(ea, eden, ka), _over(eb, eden, kb)
-        if bound is not INFINITE:
-            bound = _below_key(bound, eden)
+        bound = INFINITE if bound is None else _below_key(bound, eden)
         if len(ka) > len(kb):
             ka, na, kb, nb = kb, nb, ka, na
         keys, nums = _int_products(ka, na, kb, nb, bound)
@@ -636,15 +644,11 @@ class TruncatedSeries:
     docstring).
     """
 
-    __slots__ = ("approx", "prec", "rank", "_pkey")
+    __slots__ = ("approx", "rank", "_pkey")
 
     def __init__(self, approx, prec=INFINITE):
-        pkey = None
-        if prec is not INFINITE:
-            approx = approx.truncate_below(prec)
-            pkey = _key_of(prec)
-        _set(self, "approx", approx)
-        _set(self, "prec", prec)
+        pkey = _key_of(prec)
+        _set(self, "approx", approx._below(pkey))
         _set(self, "rank", approx.rank)
         _set(self, "_pkey", pkey)
 
@@ -671,23 +675,26 @@ class TruncatedSeries:
     def monomial(cls, coeff, exponent):
         return cls(HahnSeries.monomial(coeff, exponent), INFINITE)
 
+    @property
+    def prec(self):
+        """The precision bound, a ``GroupElement``; INFINITE when exact."""
+        return INFINITE if self._pkey is None else _exponent(*self._pkey)
+
     def is_exact(self):
-        return self.prec is INFINITE
+        return self._pkey is None
 
     def is_exact_zero(self):
-        return self.prec is INFINITE and self.approx.is_zero()
+        return self._pkey is None and self.approx.is_zero()
 
     def valuation_lower_bound(self):
         """v of the true value is at least this (exactly v(approx) if nonempty)."""
         return self.prec if self.approx.is_zero() else self.approx.valuation()
 
     def truncate(self, prec):
-        if prec is INFINITE:
-            return self
         key = _key_of(prec)
-        if self._pkey is not None and not _key_lt(key, self._pkey):
+        if key is None or (self._pkey is not None and not _key_lt(key, self._pkey)):
             return self
-        return _truncated(self.approx.truncate_below(prec), prec, key)
+        return _truncated(self.approx._below(key), key)
 
     def __add__(self, other):
         return field_op("add", self, other)
@@ -699,17 +706,14 @@ class TruncatedSeries:
         return field_op("mul", self, other)
 
     def __neg__(self):
-        return _truncated(-self.approx, self.prec, self._pkey)
+        return _truncated(-self.approx, self._pkey)
 
     def scale(self, q):
-        return _truncated(self.approx.scale(q), self.prec, self._pkey)
+        return _truncated(self.approx.scale(q), self._pkey)
 
     def shift(self, exponent):
-        approx = self.approx.shift(exponent)
-        if self.prec is INFINITE:
-            return _truncated(approx, INFINITE, None)
-        p = self.prec + exponent
-        return _truncated(approx, p, _key_of(p))
+        pkey = self._pkey
+        return _truncated(self.approx.shift(exponent), None if pkey is None else _key_sum(pkey, _key_of(exponent)))
 
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self._pkey == other._pkey and self.approx == other.approx
@@ -721,16 +725,14 @@ class TruncatedSeries:
         return f"TruncatedSeries({format_series(self)!r})"
 
 
-def _truncated(approx, prec, pkey):
-    """The ``TruncatedSeries`` of an approx whose exponents all lie below ``prec``.
+def _truncated(approx, pkey):
+    """The ``TruncatedSeries`` of an approx whose exponents all lie below the precision key ``pkey``.
 
     Trusted: nothing is cut.  For results whose construction already keeps
-    every exponent below the precision; ``pkey`` is the key of ``prec``,
-    None when it is INFINITE.
+    every exponent below the precision; ``pkey`` is None for an exact value.
     """
     out = object.__new__(TruncatedSeries)
     _set(out, "approx", approx)
-    _set(out, "prec", prec)
     _set(out, "rank", approx.rank)
     _set(out, "_pkey", pkey)
     return out
@@ -754,25 +756,19 @@ def field_op(kind, a, b):
         ka, kb = a._pkey, b._pkey
         approx = a.approx + b.approx if kind == "add" else a.approx - b.approx
         if ka == kb:
-            return _truncated(approx, a.prec, ka)
-        low = a if kb is None or (ka is not None and _key_lt(ka, kb)) else b
-        return _truncated(approx.truncate_below(low.prec), low.prec, low._pkey)
+            return _truncated(approx, ka)
+        low = ka if kb is None or (ka is not None and _key_lt(ka, kb)) else kb
+        return _truncated(approx._below(low), low)
     if kind == "mul":
         if a.is_exact_zero() or b.is_exact_zero():
             return TruncatedSeries.zero(a.rank)
         ka, kb = a._pkey, b._pkey
-        if ka is None and kb is None:
-            return _truncated(a.approx.__mul__(b.approx, bound=INFINITE), INFINITE, None)
-        if ka is None:
-            key = _key_sum(kb, _lead_key(a))
-        elif kb is None:
-            key = _key_sum(ka, _lead_key(b))
-        else:
-            key, other = _key_sum(ka, _lead_key(b)), _key_sum(kb, _lead_key(a))
-            if _key_lt(other, key):
+        key = None if ka is None else _key_sum(ka, _lead_key(b))
+        if kb is not None:
+            other = _key_sum(kb, _lead_key(a))
+            if key is None or _key_lt(other, key):
                 key = other
-        prec = _exponent(*key)
-        return _truncated(a.approx.__mul__(b.approx, bound=prec), prec, key)
+        return _truncated(a.approx._times(b.approx, key), key)
     raise ValueError(f"unknown field op {kind!r}")
 
 
@@ -817,8 +813,8 @@ def _unit_jet(x, lam):
     above ``v(x) + lam``.
     """
     eden, keys, cden, nums = x.approx._grid
-    lead = keys[0]
-    if x._pkey is not None and not _key_lt(_key_sum((eden, lead), _key_of(lam)), x._pkey):
+    lead, lam = keys[0], _key_of(lam)
+    if x._pkey is not None and not _key_lt(_key_sum((eden, lead), lam), x._pkey):
         return None
     shifted = [k - lead for k in keys]
     cut = bisect_right(shifted, _through_key(lam, eden))
@@ -833,7 +829,7 @@ def compare_sign(a):
     """
     if not a.approx.is_zero():
         return _sign(a.approx.leading_coeff())
-    if a.prec is INFINITE:
+    if a.is_exact():
         return ZERO
     raise UndecidableAtPrecision("sign of 0 + O(...) is not determined")
 
@@ -842,27 +838,19 @@ def valuation(a):
     """Least exponent of the support; INFINITE for exact zero."""
     if not a.approx.is_zero():
         return a.approx.valuation()
-    if a.prec is INFINITE:
+    if a.is_exact():
         return INFINITE
     raise UndecidableAtPrecision("valuation of 0 + O(...) is not determined")
 
 
 def standard_part(a):
     """The rational closest to a finite element: its coefficient at exponent 0."""
-    v = valuation(a)
-    if v is not INFINITE and _sign_of_exponent(v) < 0:
-        raise NotInValuationRing("element has negative valuation")
     zero_exp = GroupElement.zero(a.rank)
-    if a.prec is not INFINITE and not (a.prec > zero_exp):
+    if valuation(a) < zero_exp:
+        raise NotInValuationRing("element has negative valuation")
+    if not a.is_exact() and not (a.prec > zero_exp):
         raise UndecidableAtPrecision("constant term lies beyond the stored precision")
     return a.approx.coefficient(zero_exp)
-
-
-def _sign_of_exponent(e):
-    for q in e:
-        if q:
-            return 1 if q > 0 else -1
-    return 0
 
 
 def invert(a, target_prec):
@@ -877,13 +865,12 @@ def invert(a, target_prec):
         raise ZeroOrUncertainLeadingTerm("no determined leading term to invert")
     g = a.approx.valuation()
     c = a.approx.leading_coeff()
-    if a.prec is INFINITE and len(a.approx._grid[1]) == 1:
+    if a.is_exact() and len(a.approx._grid[1]) == 1:
         return TruncatedSeries.monomial(1 / c, -g)
     if target_prec is INFINITE:
         raise ValueError("invert needs a finite target precision for non-monomials")
     rel_needed = target_prec - g - g  # relative precision of the unit part
-    rel_have = INFINITE if a.prec is INFINITE else a.prec - g
-    if rel_have is not INFINITE and rel_have < rel_needed:
+    if not a.is_exact() and a.prec - g < rel_needed:
         raise InsufficientPrecision("operand precision cannot support the requested inverse")
     x = _unit_power(a.approx.shift(-g).scale(1 / c), -1, 1, rel_needed)
     return TruncatedSeries(x.shift(-g).scale(1 / c), rel_needed - g)
@@ -943,7 +930,7 @@ def _unit_power(unit, a, b, rel_needed):
                 "Newton doubling cannot reach the requested depth in lexicographic rank > 1"
             )
     # with no target, a whole power u^a reaches no key above a times the top one
-    bound = keys[-1] * (a + 1) if rel_needed is INFINITE else _below_key(rel_needed, eden)
+    bound = keys[-1] * (a + 1) if rel_needed is INFINITE else _below_key(_key_of(rel_needed), eden)
     gens = [(k, n) for k, n in zip(keys[1:], nums[1:]) if k < bound]
     if not gens:
         return HahnSeries.constant(1, unit.rank)
@@ -1054,7 +1041,7 @@ def _taylor_sum(coefficient, args, target_prec, bound):
     nums = [_over(g[2], cden, g[3]) for g in grids]
     leads = [k[0] if k else None for k in keys]
     zero = _key_of(GroupElement.zero(rank))[1]
-    reach = INFINITE if target_prec is None else _below_key(target_prec, eden)
+    reach = INFINITE if target_prec is None else _below_key(_key_of(target_prec), eden)
 
     def top(lead):
         """The highest power of one argument within the bound and below the target."""
@@ -1078,14 +1065,14 @@ def _taylor_sum(coefficient, args, target_prec, bound):
         if c:
             summed.append((idx, c, key, degree))
 
-    prec = INFINITE if target_prec is None else target_prec
+    pkey = None if target_prec is None else _key_of(target_prec)
     for i, a in enumerate(args):
-        least = None if a.prec is INFINITE else min((key for idx, _, key, _ in summed if idx[i]), default=None)
+        least = None if a.is_exact() else min((key for idx, _, key, _ in summed if idx[i]), default=None)
         if least is not None:
-            p = a.prec + _exponent(eden, least - leads[i])
-            if p < prec:
-                prec = p
-    below = INFINITE if prec is INFINITE else _below_key(prec, eden)
+            p = _key_sum(a._pkey, (eden, least - leads[i]))
+            if pkey is None or _key_lt(p, pkey):
+                pkey = p
+    below = INFINITE if pkey is None else _below_key(pkey, eden)
     cut = INFINITE if target_prec is None else below
     if cut is not INFINITE:
         for i, k in enumerate(keys):
@@ -1116,7 +1103,7 @@ def _taylor_sum(coefficient, args, target_prec, bound):
     out = sorted(key for key, num in acc.items() if num)
     out = tuple(out[: bisect_left(out, below)])
     grid = (*_least(eden, out), *_least(lden * cden**most, tuple(acc[k] for k in out)))
-    return _truncated(_on_grid(grid, rank), prec, None if prec is INFINITE else _key_of(prec))
+    return _truncated(_on_grid(grid, rank), pkey)
 
 
 def _integer_nth_root(m, n):
@@ -1161,14 +1148,13 @@ def nth_root(a, n, target_prec):
         )
     g_over_n = g / n
     b = TruncatedSeries.monomial(root_c, g_over_n)
-    unit = TruncatedSeries(a.approx.shift(-g).scale(1 / c0), INFINITE if a.prec is INFINITE else a.prec - g)
-    one = TruncatedSeries.one(a.rank)
-    if unit == one:
+    unit = a.shift(-g).scale(1 / c0)
+    if unit == TruncatedSeries.one(a.rank):
         return b
     if target_prec is INFINITE:
         raise ValueError("nth_root needs a finite target precision unless the unit part is 1")
     res_target = target_prec - g  # v(y^n - u) >= this
-    if a.prec is not INFINITE and a.prec - g < res_target:
+    if unit.prec < res_target:
         raise InsufficientPrecision("operand precision cannot support the requested root")
     y = unit.approx  # the first root of the unit is the unit itself
     if n > 1:
@@ -1206,14 +1192,14 @@ def power(x, k, prec=INFINITE):
     """
     if k == 0:
         return TruncatedSeries.one(x.rank)
-    approx = x.approx
+    approx, xprec = x.approx, x.prec
     if approx.is_zero():
-        return TruncatedSeries(approx, x.prec if x.prec is INFINITE else x.prec * k).truncate(prec)
+        return TruncatedSeries(approx, xprec if xprec is INFINITE else xprec * k).truncate(prec)
     eden, keys, cden, nums = approx._grid
     top = rel = INFINITE
-    if x.prec is not INFINITE or prec is not INFINITE:
+    if xprec is not INFINITE or prec is not INFINITE:
         v = _exponent(eden, keys[0])
-        top = INFINITE if x.prec is INFINITE else x.prec + v * (k - 1)
+        top = INFINITE if xprec is INFINITE else xprec + v * (k - 1)
         if prec < top:
             top = prec
         rel = top - v * k
@@ -1229,7 +1215,7 @@ def power(x, k, prec=INFINITE):
     shift, scale = lead * k, n0**k
     wkeys = tuple(key + shift for key in _over(wden, eden, wkeys))
     grid = (*_least(eden, wkeys), *_least(wcden * cden**k, tuple(n * scale for n in wnums)))
-    return _truncated(_on_grid(grid, x.rank), top, None if top is INFINITE else _key_of(top))
+    return _truncated(_on_grid(grid, x.rank), _key_of(top))
 
 
 def poly_eval(coeffs, x, prec=INFINITE):
@@ -1238,6 +1224,11 @@ def poly_eval(coeffs, x, prec=INFINITE):
     for c in reversed(coeffs):
         total = (total * x + c).truncate(prec)
     return total
+
+
+def poly_derivative(coeffs):
+    """The coefficients of the derivative of ``sum coeffs[i] x^i``."""
+    return [c.scale(k) for k, c in enumerate(coeffs)][1:]
 
 
 # ---------------------------------------------------------------------------
@@ -1268,7 +1259,7 @@ def format_series_body(terms, rank):
 
 def format_series(ts):
     body = format_series_body(ts.approx.terms, ts.rank)
-    if ts.prec is INFINITE:
+    if ts.is_exact():
         return body
     return f"{body} + O(t^({format_exponent(ts.prec)}))"
 

@@ -178,6 +178,29 @@ class TestMoreSurface:
         assert list(payload["report"].keys()) == ["op", "lambda", "trials", "seed", "violations", "verdict"]
 
 
+class TestRationalFlags:
+    @pytest.mark.parametrize("flag, argv", [
+        ("--prec", ("--prec", "1/0", "eval", "x", "--at", "t^(1)")),
+        ("--lambda", ("--lambda", "1/0", "rv", "t^(1)")),
+        ("--depth", ("roots", "x^2-1", "--depth", "1/0")),
+    ])
+    def test_zero_denominator_is_a_usage_error(self, capsys, flag, argv):
+        code = run_cli(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {flag} has a zero denominator: '1/0'\n"
+
+    def test_other_malformed_values_keep_their_message(self, capsys):
+        for argv in (("--prec", "abc", "eval", "x", "--at", "t^(1)"), ("roots", "x^2-1", "--depth", "abc")):
+            code = run_cli(list(argv))
+            captured = capsys.readouterr()
+            assert code == 2 and captured.err == "error: Invalid literal for Fraction: 'abc'\n"
+
+    def test_lambda_is_printed_as_typed(self, capsys):
+        code, payload, _ = run(capsys, "rv", "--lambda", "2/2", "3*t^(2) + 5*t^(3)")
+        assert code == 0 and payload["lambda"] == "2/2"
+
+
 class TestRankGate:
     RANK_ONE_ONLY = [
         ("roots", "x^2 - t^(1,0)"),

@@ -792,7 +792,7 @@ class TestIntegerGrid:
     def test_rank_two_cuts_are_ints(self):
         # a rank-d bound meets the keys as ints: the last coordinate rounded
         # in place, an earlier one that is not an int rounded up, ending the cut
-        from hahn_forge.series import _below_key, _through_key
+        from hahn_forge.series import _below_key, _key_of, _through_key
 
         x = _series_of({(Fraction(0), Fraction(0)): Fraction(1), (Fraction(0), Fraction(1)): Fraction(2),
                         (Fraction(1, 2), Fraction(-3)): Fraction(5)}, 2)
@@ -803,12 +803,12 @@ class TestIntegerGrid:
             assert len(x.truncate_below(bound).terms) == below
             assert len(x.truncate_through(bound).terms) == through
             assert len(x.__mul__(HahnSeries.constant(1, 2), bound=bound).terms) == below
-            for key in (_below_key(bound, 6), _through_key(bound, 6)):
+            for key in (_below_key(_key_of(bound), 6), _through_key(_key_of(bound), 6)):
                 assert type(key) is tuple and all(type(k) is int for k in key)
-        assert _below_key(GroupElement([Fraction(1, 4), 3]), 2) == (1,)
-        assert _through_key(GroupElement([Fraction(1, 4), 3]), 2) == (1,)
-        assert _below_key(GroupElement([1, Fraction(1, 4)]), 2) == (2, 1)
-        assert _through_key(GroupElement([1, Fraction(1, 4)]), 2) == (2, 0)
+        assert _below_key(_key_of(GroupElement([Fraction(1, 4), 3])), 2) == (1,)
+        assert _through_key(_key_of(GroupElement([Fraction(1, 4), 3])), 2) == (1,)
+        assert _below_key(_key_of(GroupElement([1, Fraction(1, 4)])), 2) == (2, 1)
+        assert _through_key(_key_of(GroupElement([1, Fraction(1, 4)])), 2) == (2, 0)
 
     @given(st.data())
     def test_exponents_have_fraction_coordinates(self, data):
