@@ -130,16 +130,17 @@ def recorded_call(argv, module, name):
     return recorded[0]
 
 
-def child(checkout, control):
+def child(checkout):
     """Time the calls read from stdin with the checkout's package, and the control kernel from the directory
-    ``control``; print per-call times, absolute and over control, the median control time and the outputs."""
+    named there; print per-call times, absolute and over control, the median control time and the outputs."""
     import gc
     import time
     from fractions import Fraction
     from functools import partial
 
+    job = json.load(sys.stdin)
     sys.path.insert(0, str(checkout / "src"))
-    sys.path.insert(0, str(control))
+    sys.path.insert(0, job["control"])
     import calibrate
     from hahn_forge import analytic, cli, prepare, series, terms
 
@@ -149,7 +150,7 @@ def child(checkout, control):
         return [series.poly_eval(*args) for args in recorded]
 
     calls = []
-    for spec in json.load(sys.stdin):
+    for spec in job["specs"]:
         if spec["kind"] == "invert":
             calls.append((series.invert, (series.parse_series(spec["a"]), ge(spec["prec"]))))
         elif spec["kind"] == "nth_root":
@@ -205,9 +206,9 @@ def child(checkout, control):
 def run_child(checkout, control, specs):
     with tempfile.TemporaryDirectory(prefix="layers-") as tmp:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout), "--control", str(control)]
-        proc = subprocess.run(argv, cwd=tmp, env=env, input=json.dumps(specs), capture_output=True, text=True,
-                              check=False)
+        argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout)]
+        proc = subprocess.run(argv, cwd=tmp, env=env, input=json.dumps({"control": str(control), "specs": specs}),
+                              capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     return json.loads(proc.stdout)
@@ -241,10 +242,9 @@ def main(argv=None):
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
-    parser.add_argument("--control", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child, args.control)
+        child(args.child)
         return 0
     if args.parent is None or args.change is None or args.out is None:
         parser.error("PARENT_DIR, CHANGE_DIR and --out are required")
