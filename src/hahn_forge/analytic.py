@@ -328,8 +328,8 @@ def hensel_root(coeffs, target_prec, rank=1, trace=None):
         if trace is not None:
             trace.append(INFINITE if residual.approx.is_zero() else residual.approx.valuation())
         if residual.approx.is_zero():
-            break
-        if residual.approx.valuation() >= target_prec:
+            if y.is_exact() and not poly_eval(p, y).is_exact_zero():
+                y = y.truncate(target_prec)  # p(-1) vanished only below the target
             break
         slope = poly_eval(dp, y, target_prec)
         y = (y - residual * invert(slope, target_prec)).truncate(target_prec)

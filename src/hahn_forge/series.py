@@ -62,14 +62,14 @@ the term parser of ``terms`` reads its ``t^(...)`` atoms with its
 ``series`` coefficients with it.  Blanks, tabs and newlines between tokens
 are skipped, and every error carries its line and column.
 
-``invert``, ``nth_root`` and ``power`` share one kernel, ``_unit_power``: ``u^(a/b)``
-of a unit ``u = 1 + h`` below a precision, by J. C. P. Miller's
+``invert``, ``nth_root`` and ``power`` take ``x^(a/b)`` for a/b = -1, 1/n
+and k >= 0 by one call each to ``_split_power``: ``x = c t^v u`` on the
+grid, ``u^(a/b)`` of the unit ``u = 1 + h`` by ``_unit_power``, then
+``c^(a/b) t^(v a/b)`` put back.  ``_unit_power`` is J. C. P. Miller's
 coefficient recurrence (Knuth, *The Art of Computer Programming*, vol. 2,
-4.7) on the grid's ints.  Each coefficient comes from at most as many
+4.7) on the grid's ints: each coefficient comes from at most as many
 earlier ones as h has terms, so N output terms cost O(N m) int operations
-for an m-term h, and no series product is formed.  ``invert`` is its
-power -1, long division by u; ``nth_root`` is its power 1/n; ``power`` is
-its whole power k, with the precision of the k-fold product in closed form.
+for an m-term h, and no series product is formed.
 
 ``_taylor_sum`` sums a Taylor expansion ``sum c_idx a^idx`` at series
 arguments in one pass on the grid: the monomials are enumerated on the
@@ -856,10 +856,10 @@ def standard_part(a):
 def invert(a, target_prec):
     """Multiplicative inverse with residual ``v(a*x - 1) >= target_prec - 2 v(a)``.
 
-    Exact monomials invert exactly.  Otherwise the leading term is split
-    off and the unit part u is raised to the power -1 by ``_unit_power``,
-    long division by u on the grid.  The inverse truncated at a given
-    precision is unique, so the result is that of any other method.
+    Exact monomials invert exactly.  Otherwise ``_split_power`` takes the
+    power -1 with ``c^(-1) = 1/c``: long division by the unit part on the
+    grid.  The inverse truncated at a given precision is unique, so the
+    result is that of any other method.
     """
     if a.approx.is_zero():
         raise ZeroOrUncertainLeadingTerm("no determined leading term to invert")
@@ -872,8 +872,7 @@ def invert(a, target_prec):
     rel_needed = target_prec - g - g  # relative precision of the unit part
     if not a.is_exact() and a.prec - g < rel_needed:
         raise InsufficientPrecision("operand precision cannot support the requested inverse")
-    x = _unit_power(a.approx.shift(-g).scale(1 / c), -1, 1, rel_needed)
-    return TruncatedSeries(x.shift(-g).scale(1 / c), rel_needed - g)
+    return _split_power(a.approx, 1 / c, -1, 1, rel_needed)
 
 
 def _unit_power(unit, a, b, rel_needed):
@@ -892,14 +891,15 @@ def _unit_power(unit, a, b, rel_needed):
     generates, and every element of it that is summed has ``phi >= 1``
     (see below), so each coefficient comes from at most m earlier ones, m
     the number of terms of h: O(N m) int operations for N output terms.
-    For the inverse, a = -1 and b = 1, the factor is ``-phi(e)`` and
-    cancels, leaving long division by u.
+    For the inverse, a = -1 and b = 1, the factor is ``-phi(e)`` and the
+    step is long division by u.
 
-    Every w_e is an int over one denominator: ``cden^top`` for the
-    inverse and for a whole power (b = 1, a >= 0), and ``(cden b)^top top!``
+    Every w_e is an int over one denominator: ``cden^top`` for every b = 1
+    (``cden^min(top, a)`` for a whole power), and ``(cden b)^top top!``
     otherwise.  The term of w_e that takes m generator factors is
     ``binomial(a/b, m)`` times a product of m coefficients of h, over
-    ``(cden b)^m m!`` (over ``cden^m`` when the binomial is an int).  Every
+    ``(cden b)^m m!``, or over ``cden^m`` for b = 1, where the binomial
+    ``binomial(a, m)`` is an int for every int a.  Every
     generator's phi is at least that of the leading gap, so m is at most
     top, the largest phi over the support divided by the gap's, and each
     step is an exact int division.
@@ -974,21 +974,43 @@ def _unit_power(unit, a, b, rel_needed):
     # the generators but not on their sums, so its largest value is searched
     # for; every other phi is largest on the last exponent
     top = (max(map(phi, support)) if whole and type(gap) is not int else phi(support[-1])) // phi(gap)
-    w = {}
-    if a == -1 and b == 1:
-        den = w[zero] = cden**top
-        for e in support[1:]:
-            w[e] = -sum(n * w[s] for s, n, _ in below[e]) // cden
+    if b == 1:
+        den = cden ** (min(top, a) if whole else top)
     else:
-        den = w[zero] = cden ** min(top, a) if whole else (cden * b) ** top * factorial(top)
-        for e in support[1:]:
-            pe = phi(e) // step
-            total = 0
-            for s, n, pj in below[e]:
-                total += (a * pj - b * (pe - pj)) * n * w[s]
-            w[e] = total // (b * cden * pe)
+        den = (cden * b) ** top * factorial(top)
+    w = {zero: den}
+    for e in support[1:]:
+        pe = phi(e) // step
+        total = 0
+        for s, n, pj in below[e]:
+            total += (a * pj - b * (pe - pj)) * n * w[s]
+        w[e] = total // (b * cden * pe)
     out = [(e, w[e]) for e in support if w[e]]
     return _on_grid((*_least(eden, tuple(map(_first, out))), *_least(den, tuple(c for _, c in out))), unit.rank)
+
+
+def _split_power(x, coeff, a, b, rel):
+    """``x^(a/b)`` of a nonzero series ``x = c t^v u``, for ``coeff = c^(a/b)``,
+    known below ``rel + v a/b``; INFINITE ``rel`` gives an exact whole power.
+
+    The unit ``u = 1 + h`` is put on the grid directly, raised to the power
+    a/b below ``rel`` by ``_unit_power``, and multiplied by ``coeff t^(v a/b)``
+    on the grid.  The result is cut at its precision: with ``rel`` at or
+    below 0, the constant 1 that ``_unit_power`` returns lies at it.
+    """
+    eden, keys, cden, nums = x._grid
+    lead, n0 = keys[0], nums[0]
+    sign = 1 if n0 > 0 else -1
+    unit = _on_grid((*_least(eden, tuple(key - lead for key in keys)), *_least(sign * n0, tuple(sign * n for n in nums))),
+                    x.rank)
+    wden, wkeys, wcden, wnums = _unit_power(unit, a, b, rel)._grid
+    # the exponents of u^(a/b) are sums of those of u, over a divisor of eden
+    eden, shift = eden * b, lead * a
+    wkeys = tuple(key + shift for key in _over(wden, eden, wkeys))
+    p, q = coeff.numerator, coeff.denominator
+    out = _on_grid((*_least(eden, wkeys), *_least(wcden * q, tuple(n * p for n in wnums))), x.rank)
+    pkey = None if rel is INFINITE else _key_sum(_key_of(rel), (eden, shift))
+    return _truncated(out._below(pkey), pkey)
 
 
 def _taylor_sum(coefficient, args, target_prec, bound):
@@ -1130,10 +1152,11 @@ def _rational_nth_root(q, n):
 def nth_root(a, n, target_prec):
     """Unique positive n-th root of a positive element.
 
-    Splits off the monomial carrying v(a)/n; the root of the unit part u
-    is ``u^(1/n)`` from ``_unit_power``, Miller's recurrence, whose
-    truncation is unique.  Exact when the truncated root, powered back, is
-    the exact input.
+    The power 1/n of ``_split_power``, whose truncation is unique.  It is
+    exact only as the exact root of an exact input: a prefix p of the
+    result x with ``p^n = a`` is the root, which then has no term at or
+    above the precision of x, so p = x.  Then x^n and a share their top
+    term, and one ``power`` call decides.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -1146,43 +1169,29 @@ def nth_root(a, n, target_prec):
         raise IrrationalLeadingCoefficient(
             f"{c0} has no rational {n}-th root; rational-coefficient values only"
         )
-    g_over_n = g / n
-    b = TruncatedSeries.monomial(root_c, g_over_n)
-    unit = a.shift(-g).scale(1 / c0)
-    if unit == TruncatedSeries.one(a.rank):
-        return b
+    if a.is_exact() and len(a.approx._grid[1]) == 1:
+        return TruncatedSeries.monomial(root_c, g / n)
     if target_prec is INFINITE:
         raise ValueError("nth_root needs a finite target precision unless the unit part is 1")
     res_target = target_prec - g  # v(y^n - u) >= this
-    if unit.prec < res_target:
+    if not a.is_exact() and a.prec - g < res_target:
         raise InsufficientPrecision("operand precision cannot support the requested root")
-    y = unit.approx  # the first root of the unit is the unit itself
-    if n > 1:
-        y = _unit_power(y, 1, n, res_target)
-    y = TruncatedSeries(y, res_target)
-    x = b * y
+    x = _split_power(a.approx, root_c, 1, n, res_target)
     if a.is_exact():
-        # the truncated root may be the exact root plus terms at the
-        # precision edge; trim from the top and test by powering back,
-        # with the keys of x and the top key of a over one eden
         xe, xkeys, _, _ = x.approx._grid
         ae, akeys, _, _ = a.approx._grid
-        eden = lcm(xe, ae)
-        top, step = akeys[-1] * (eden // ae), eden // xe * n
-        for cut in range(len(xkeys), 0, -1):
-            if xkeys[cut - 1] * step != top:
-                continue  # the top term of cand^n cannot cancel
-            cand = TruncatedSeries.exact(x.approx._prefix(cut))
-            if power(cand, n).approx == a.approx:
-                return cand
-    return x.truncate(res_target + g_over_n)
+        if xkeys and xkeys[-1] * (ae * n) == akeys[-1] * xe:
+            root = _truncated(x.approx, None)
+            if power(root, n).approx == a.approx:
+                return root
+    return x
 
 
 def power(x, k, prec=INFINITE):
     """``x^k`` for an int k >= 0: the k-fold ``field_op`` product, cut at ``prec``.
 
     With ``x = c t^v u`` for a unit ``u = 1 + h``, ``x^k = c^k t^(kv) u^k``,
-    and ``_unit_power`` raises u to the power k by Miller's recurrence, so
+    and ``_split_power`` raises u to the power k by Miller's recurrence, so
     no series product is formed.  The precision is the product's in closed
     form: a factor known below p leaves its unknown tail at
     ``p + (k-1) v`` (see ``field_op``), ``0 + O(t^p)`` gives ``k p``, and an
@@ -1195,27 +1204,16 @@ def power(x, k, prec=INFINITE):
     approx, xprec = x.approx, x.prec
     if approx.is_zero():
         return TruncatedSeries(approx, xprec if xprec is INFINITE else xprec * k).truncate(prec)
-    eden, keys, cden, nums = approx._grid
-    top = rel = INFINITE
+    rel = INFINITE
     if xprec is not INFINITE or prec is not INFINITE:
-        v = _exponent(eden, keys[0])
+        v = approx.valuation()
         top = INFINITE if xprec is INFINITE else xprec + v * (k - 1)
         if prec < top:
             top = prec
         rel = top - v * k
         if not rel > GroupElement.zero(x.rank):
             return TruncatedSeries(HahnSeries.zero(x.rank), top)
-    # u = x / (c t^v) and x^k = c^k t^(kv) u^k, on the grid: the exponents
-    # of u^k are sums of those of x less v, so their keys sit over eden
-    lead, n0 = keys[0], nums[0]
-    sign = 1 if n0 > 0 else -1
-    unit = _on_grid((*_least(eden, tuple(key - lead for key in keys)), *_least(sign * n0, tuple(sign * n for n in nums))),
-                    x.rank)
-    wden, wkeys, wcden, wnums = _unit_power(unit, k, 1, rel)._grid
-    shift, scale = lead * k, n0**k
-    wkeys = tuple(key + shift for key in _over(wden, eden, wkeys))
-    grid = (*_least(eden, wkeys), *_least(wcden * cden**k, tuple(n * scale for n in wnums)))
-    return _truncated(_on_grid(grid, x.rank), _key_of(top))
+    return _split_power(approx, approx.leading_coeff() ** k, k, 1, rel)
 
 
 def poly_eval(coeffs, x, prec=INFINITE):

@@ -24,6 +24,7 @@ from hahn_forge.errors import (
     NotInfinitesimal,
     NotRegularDegreeOne,
     PrecisionStall,
+    UndecidableAtPrecision,
 )
 from hahn_forge.multiseries import (
     MultiSeries,
@@ -202,6 +203,18 @@ class TestHensel:
     def test_degree_one_edge(self):
         root = hensel_root([], ge(4))
         assert root == s("-1")
+
+    def test_target_at_or_below_the_first_correction(self):
+        # the root of 1 + y + t y^2 is -1 - t - 2t^2 - ...: the residual of -1
+        # is t, cut to 0 + O(...) at these targets, yet -1 is not the root
+        for target in (ge(1), ge(Fraction(1, 2))):
+            root = hensel_root([s("1*t^(1)")], target)
+            assert not root.is_exact() and root.prec == target and root.approx == s("-1").approx
+        with pytest.raises(UndecidableAtPrecision):
+            hensel_root([s("1*t^(1)")], ge(0))  # known to no term
+        # -1 solves 1 + y + 0 y^2 exactly, and 1 + y + (t^3 + O(t^5)) y^2 only below t^3
+        assert hensel_root([TruncatedSeries.zero()], ge(1)) == s("-1")
+        assert hensel_root([s("1*t^(3) + O(t^(5))")], ge(1)) == s("-1 + O(t^(1))")
 
     def test_cubic(self):
         root = hensel_root([TruncatedSeries.zero(), s("1*t^(1)")], ge(6))
