@@ -1173,7 +1173,7 @@ def nth_root(a, n, target_prec):
         return TruncatedSeries.monomial(root_c, g / n)
     if target_prec is INFINITE:
         raise ValueError("nth_root needs a finite target precision unless the unit part is 1")
-    res_target = target_prec - g  # v(y^n - u) >= this
+    res_target = target_prec - g  # relative precision of the unit part
     if not a.is_exact() and a.prec - g < res_target:
         raise InsufficientPrecision("operand precision cannot support the requested root")
     x = _split_power(a.approx, root_c, 1, n, res_target)

@@ -9,8 +9,9 @@ kernel the three solvers call:
 - ``nth_root(a, n, T)^n`` agrees with a below T, and the root is exact
   exactly when a is the exact n-th power of a series whose terms lie below
   the root's precision;
-- ``x^j x^k = x^(j+k)`` for an exact x, and ``x^k`` of an x known below p
-  is known below ``min(p + (k-1) v(x), prec)``.
+- ``x^j x^k = x^(j+k)`` for an exact x, also cut at a positive precision
+  when v(x) >= 0, and ``x^k`` of an x known below p is known below
+  ``min(p + (k-1) v(x), prec)``.
 
 Every result must also keep its stored exponents below its precision.
 Operands have rational coefficients other than 1, signed where the solver
