@@ -302,15 +302,15 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
 
 
 def unit_invert(u, d_out, prec_out):
-    """Reciprocal of a unit, via division of 1 by the unit (degree-zero regularity)."""
+    """Reciprocal of a unit modulo the truncation ideal at ``(d_out, prec_out)``."""
     norm, top = gauss_data(u)
     if not norm.is_zero():
         raise NotAUnit("a unit must have additive norm zero")
     if (0,) * u.nvars not in top.coeffs:
         raise NotAUnit("top slice vanishes at the origin")
-    one = MultiSeries.constant(TruncatedSeries.one(u.rank), u.nvars, d_out)
-    q, _ = weierstrass_divide(u, one, 0, d_out, prec_out)
-    return q
+    u = MultiSeries(u.nvars, d_out, _clip(dict(u.coeffs), d_out, prec_out), rank=u.rank)
+    inv = _invert_unit(u, d_out, prec_out)
+    return MultiSeries(u.nvars, d_out, _clip(dict(inv.coeffs), d_out, prec_out), rank=u.rank)
 
 
 def strong_split(f):

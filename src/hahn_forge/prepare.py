@@ -742,10 +742,7 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     gammas = [Fraction(k, 4) for k in range(floor(lo * 4), ceil(hi * 4) + 1)]
 
     def draw(rng):
-        if gammas:
-            gamma = GroupElement.scalar(rng.choice(gammas))
-        else:
-            gamma = GroupElement.scalar(Fraction(int(lo * 4) + 1, 4))
+        gamma = GroupElement.scalar(rng.choice(gammas))
         x0 = center + random_point(rng, gamma, steps=2)
         if not _inside_annulus(x0, center, inner, outer):
             return None

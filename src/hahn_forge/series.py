@@ -19,8 +19,10 @@ coordinate over the one ``eden``, so keys compare and add as their
 exponents do.  This form is canonical, so equal values have equal grids.
 Sums, products, truncation, shifts and scaling run on the ints and divide
 out one gcd per result; no ``Fraction`` is built per term.
-``HahnSeries.terms`` is the same value as ``(GroupElement, Fraction)``
-pairs, built on first read and cached; no int key leaves this module.
+The grid is the only stored form: ``HahnSeries.terms`` is the same value
+as ``(GroupElement, Fraction)`` pairs, built on each read and never kept,
+and ``format_series`` writes each term from its key and numerator over
+``eden`` and ``cden``; no int key leaves this module.
 Only the key helpers, from ``_key_of`` to ``_half_steps``, tell the
 ranks apart, once per call.
 
@@ -267,31 +269,11 @@ def _key_of(e):
     return den, tuple.__new__(GroupElement, tuple(q.numerator * (den // q.denominator) for q in e))
 
 
-def _keys_of(terms):
-    """``(eden, keys)``: the exponents of nonempty terms as keys over their least common denominator."""
-    if len(terms[0][0]) == 1:
-        eden = lcm(*(e[0].denominator for e, _ in terms))
-        return eden, tuple(e[0].numerator * (eden // e[0].denominator) for e, _ in terms)
-    eden = lcm(*(q.denominator for e, _ in terms for q in e))
-    return eden, tuple(
-        tuple.__new__(GroupElement, tuple(q.numerator * (eden // q.denominator) for q in e)) for e, _ in terms
-    )
-
-
 def _exponent(eden, key):
     """The exponent, a ``GroupElement`` of Fractions, of ``key`` over ``eden``."""
     if type(key) is int:
         return tuple.__new__(GroupElement, (Fraction(key, eden),))
     return tuple.__new__(GroupElement, tuple(Fraction(q, eden) for q in key))
-
-
-def _terms_of(eden, keys, cden, nums):
-    """The ``(exponent, coefficient)`` pairs of a nonempty grid."""
-    if type(keys[0]) is int:
-        return tuple(
-            (tuple.__new__(GroupElement, (Fraction(k, eden),)), Fraction(n, cden)) for k, n in zip(keys, nums)
-        )
-    return tuple((_exponent(eden, k), Fraction(n, cden)) for k, n in zip(keys, nums))
 
 
 def _below_key(bound, eden):
@@ -408,26 +390,27 @@ class HahnSeries:
     Immutable.  Zero has no terms.  ``rank`` is the rank of the exponent
     group and is carried explicitly so that the zero series knows where it
     lives.  The value is its canonical integer grid in every rank (see the
-    module docstring); ``terms`` is a read-only view of it as
-    ``(GroupElement, Fraction)`` pairs, built on first read and cached.
+    module docstring), and it is the only stored form: ``terms`` is a
+    read-only view of it as ``(GroupElement, Fraction)`` pairs, built on
+    each read, and the text is written from the grid.
     """
 
-    __slots__ = ("rank", "_grid", "_terms")
+    __slots__ = ("rank", "_grid")
 
-    def __init__(self, terms, rank=1, _clean=True):
-        if _clean:
-            acc = {}
-            for e, c in terms:
-                if not isinstance(e, GroupElement):
-                    e = GroupElement.scalar(e, rank)
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                acc[e] = acc.get(e, Fraction(0)) + c
-            cleaned = tuple(sorted((e, c) for e, c in acc.items() if c))
-        else:
-            cleaned = tuple(terms)
+    def __init__(self, terms, rank=1):
+        acc = {}
+        for e, c in terms:
+            if not isinstance(e, GroupElement):
+                e = GroupElement.scalar(e, rank)
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            acc[e] = acc.get(e, Fraction(0)) + c
+        pairs = sorted((e, c) for e, c in acc.items() if c)
+        keys = [_key_of(e) for e, _ in pairs]
+        eden = lcm(*(den for den, _ in keys))
+        cden = lcm(*(c.denominator for _, c in pairs))
         _set(self, "rank", rank)
-        _set(self, "_terms", cleaned)
-        _set(self, "_grid", _grid_of(cleaned))
+        _set(self, "_grid", (eden, tuple(key * (eden // den) for den, key in keys),
+                             cden, tuple(c.numerator * (cden // c.denominator) for _, c in pairs)))
 
     def __setattr__(self, *a):
         raise AttributeError("HahnSeries is immutable")
@@ -438,26 +421,21 @@ class HahnSeries:
 
     @classmethod
     def constant(cls, q, rank=1):
-        q = q if isinstance(q, Fraction) else Fraction(q)
-        if not q:
-            return cls.zero(rank)
-        return cls(((GroupElement.zero(rank), q),), rank, _clean=False)
+        return cls.monomial(q, GroupElement.zero(rank))
 
     @classmethod
     def monomial(cls, coeff, exponent):
         coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         if not coeff:
             return cls.zero(exponent.rank)
-        return cls(((exponent, coeff),), exponent.rank, _clean=False)
+        eden, key = _key_of(exponent)
+        return _on_grid((eden, (key,), coeff.denominator, (coeff.numerator,)), exponent.rank)
 
     @property
     def terms(self):
         """The ``(GroupElement, Fraction)`` pairs in ascending exponent order."""
-        terms = self._terms
-        if terms is None:
-            terms = _terms_of(*self._grid) if self._grid[1] else ()
-            _set(self, "_terms", terms)
-        return terms
+        eden, keys, cden, nums = self._grid
+        return tuple((_exponent(eden, k), Fraction(n, cden)) for k, n in zip(keys, nums))
 
     def is_zero(self):
         return not self._grid[1]
@@ -477,12 +455,14 @@ class HahnSeries:
         return Fraction(nums[0], cden) if nums else Fraction(0)
 
     def coefficient(self, exponent):
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-            if e > exponent:
-                break
-        return Fraction(0)
+        """The coefficient at ``exponent``: its key over ``eden``, found by bisection."""
+        eden, keys, cden, nums = self._grid
+        den, key = _key_of(exponent)
+        if eden % den:
+            return Fraction(0)
+        key = key * (eden // den)
+        i = bisect_left(keys, key)
+        return Fraction(nums[i], cden) if i < len(keys) and keys[i] == key else Fraction(0)
 
     def truncate_below(self, bound):
         """Drop all terms with exponent >= bound."""
@@ -611,17 +591,7 @@ class HahnSeries:
         return hash((self._grid, self.rank))
 
     def __repr__(self):
-        return f"HahnSeries({format_series_body(self.terms, self.rank)!r})"
-
-
-def _grid_of(terms):
-    """The canonical grid of terms, ascending with nonzero coefficients."""
-    if not terms:
-        return _ZERO_GRID
-    eden, keys = _keys_of(terms)
-    cden = lcm(*(c.denominator for _, c in terms))
-    nums = tuple(c.numerator * (cden // c.denominator) for _, c in terms)
-    return eden, keys, cden, nums
+        return f"HahnSeries({_grid_text(self._grid)!r})"
 
 
 def _on_grid(grid, rank):
@@ -629,7 +599,6 @@ def _on_grid(grid, rank):
     out = object.__new__(HahnSeries)
     _set(out, "rank", rank)
     _set(out, "_grid", grid)
-    _set(out, "_terms", None)
     return out
 
 
@@ -1241,25 +1210,38 @@ def format_exponent(e):
     return ",".join(format_rational(q) for q in e)
 
 
-def format_series_body(terms, rank):
-    if not terms:
+def _ratio_text(num, den):
+    """``num/den`` as ``format_rational`` writes it, by one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _key_text(den, key):
+    """The exponent of ``key`` over ``den`` as ``format_exponent`` writes it."""
+    if type(key) is int:
+        return _ratio_text(key, den)
+    return ",".join(_ratio_text(q, den) for q in key)
+
+
+def _grid_text(grid):
+    """The terms of a grid as text, each written from its key and numerator."""
+    eden, keys, cden, nums = grid
+    if not keys:
         return "0"
-    zero_exp = GroupElement.zero(rank)
-    parts = []
-    for i, (e, c) in enumerate(terms):
-        body = format_rational(abs(c)) if e == zero_exp else f"{format_rational(abs(c))}*t^({format_exponent(e)})"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts)
+    zero = 0 if type(keys[0]) is int else (0,) * len(keys[0])
+    text = "".join(
+        f"{' + ' if n > 0 else ' - '}{_ratio_text(abs(n), cden)}"
+        + ("" if key == zero else f"*t^({_key_text(eden, key)})")
+        for key, n in zip(keys, nums)
+    )
+    return text[3:] if nums[0] > 0 else f"-{text[3:]}"
 
 
 def format_series(ts):
-    body = format_series_body(ts.approx.terms, ts.rank)
+    body = _grid_text(ts.approx._grid)
     if ts.is_exact():
         return body
-    return f"{body} + O(t^({format_exponent(ts.prec)}))"
+    return f"{body} + O(t^({_key_text(*ts._pkey)}))"
 
 
 _INTEGER = re.compile(r"[+-]?\d+")

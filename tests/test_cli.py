@@ -1,7 +1,12 @@
 """Command-line surface: payloads, exit codes, determinism."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +251,24 @@ class TestRankGate:
                     captured = capsys.readouterr()
                     assert code == 2 and captured.out == ""
                     assert captured.err == f"error: the exponent rank must be at least 1, got --rank {rank}\n"
+
+
+PACKAGE = Path(cli.__file__).parent
+
+
+class TestOptimizedMode:
+    """Every check runs under ``python -O`` too: the package has no ``assert``."""
+
+    def test_hensel_below_the_first_term_fails_under_dash_o(self):
+        code = "import sys; from hahn_forge.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+        done = subprocess.run([sys.executable, "-O", "-c", code, "hensel", "--prec", "0", "1*t^(1)"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "error: valuation of 0 + O(...) is not determined\n"
+
+    def test_no_assert_statement_in_the_package(self):
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not found, f"{path.name} asserts at lines {found}"

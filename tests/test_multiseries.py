@@ -264,6 +264,38 @@ class TestUnitInvert:
         with pytest.raises(NotAUnit):
             unit_invert(ms("[1]*x1"), 3, ge(4))
 
+    def test_matches_division_of_one(self):
+        # reference: the quotient of 1 by the unit, which is regular of degree 0
+        rng = random.Random("unit-invert")
+        exps = [Fraction(k, d) for k in range(0, 7) for d in (1, 2, 3)]
+
+        def coeff(lowest):
+            terms = [(ge(rng.choice([e for e in exps if e >= lowest])), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                     for _ in range(rng.randint(1, 3))]
+            approx = HahnSeries(terms)
+            if rng.random() < 0.4:
+                return TruncatedSeries(approx, ge(rng.choice([e for e in exps if e > lowest])))
+            return TruncatedSeries.exact(approx)
+
+        for _ in range(150):
+            nvars = rng.randint(1, 3)
+            coeffs = {(0,) * nvars: coeff(Fraction(1, 3)) + TruncatedSeries.constant(rng.choice([-3, -1, 1, 2]))}
+            for _ in range(rng.randint(0, 4)):
+                idx = tuple(rng.randint(0, 2) for _ in range(nvars))
+                if any(idx):
+                    coeffs[idx] = coeff(Fraction(0) if rng.random() < 0.5 else Fraction(1, 2))
+            u = MultiSeries(nvars, 6, coeffs)
+            d_out, prec_out = rng.randint(0, 5), ge(rng.randint(0, 5))
+            one = MultiSeries.constant(TruncatedSeries.one(), nvars, d_out)
+            try:
+                want = format_multiseries(weierstrass_divide(u, one, 0, d_out, prec_out)[0])
+            except Exception as exc:  # noqa: BLE001 - compared by class and message
+                with pytest.raises(type(exc)) as err:
+                    unit_invert(u, d_out, prec_out)
+                assert str(err.value) == str(exc)
+                continue
+            assert format_multiseries(unit_invert(u, d_out, prec_out)) == want
+
 
 class TestRecenterRescale:
     def test_shift_square(self):

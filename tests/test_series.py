@@ -660,7 +660,7 @@ def _check_value(got, d, rank):
     assert got.rank == rank
     assert list(got.terms) == expected
     assert all(_fraction_exponent(e) and type(c) is Fraction for e, c in got.terms)
-    built = HahnSeries(expected, rank, _clean=False)
+    built = HahnSeries(expected, rank)
     assert got == built and hash(got) == hash(built) and got.terms == built.terms
     assert got.is_zero() == (not expected) == (got == HahnSeries.zero(rank))
     assert got.valuation() == (expected[0][0] if expected else INFINITE)
@@ -751,6 +751,27 @@ class TestIntegerGrid:
                 got = x.truncate_through(GroupElement(hi))
                 _check_value(got, {e: c for e, c in a.items() if e <= hi}, rank)
                 assert got == HahnSeries([(e, c) for e, c in x.terms if e <= GroupElement(hi)], rank)
+
+    def test_the_grid_is_the_only_stored_form(self):
+        x = parse_series("1/2*t^(-1) + 3 + O(t^(2))").approx
+        assert HahnSeries.__slots__ == ("rank", "_grid") and not hasattr(x, "__dict__")
+        grid = x._grid
+        assert x.terms == x.terms and x.terms is not x.terms and x._grid is grid
+
+    @given(st.data())
+    def test_coefficient_matches_a_scan_of_terms(self, data):
+        # exponents on the support, next to it (denominators off the grid's),
+        # and one on the grid's denominator; an empty draw is the zero series
+        for rank in RANKS:
+            a = data.draw(grid_dicts(rank))
+            x = _series_of(a, rank)
+            eden = x._grid[0]
+            on_grid = tuple(Fraction(data.draw(st.integers(-30 * eden, 30 * eden)), eden) for _ in range(rank))
+            for e in _bounds_near(a, data.draw(grid_exponents(rank))) + [on_grid]:
+                got = x.coefficient(GroupElement(e))
+                assert type(got) is Fraction and got == a.get(e, 0)
+                assert got == next((c for f, c in x.terms if f == GroupElement(e)), 0)
+            assert HahnSeries.zero(rank).coefficient(GroupElement(on_grid)) == 0
 
     @given(rational_rank2_series(), rank2_bound())
     def test_truncate_through_rank_two_matches_filter(self, x, bound):
@@ -1342,7 +1363,7 @@ def _newton_nth_root(a, n, target_prec):
         for cut in range(len(terms), 0, -1):
             if terms[cut - 1][0] * n != top:
                 continue
-            cand = TruncatedSeries.exact(HahnSeries(terms[:cut], a.rank, _clean=False))
+            cand = TruncatedSeries.exact(HahnSeries(terms[:cut], a.rank))
             if power(cand, n).approx == a.approx:
                 return cand
     return x.truncate(res_target + g_over_n)

@@ -11,6 +11,7 @@ samplers must draw the same points with the same random calls.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hahn_forge.errors import InsufficientPrecision
@@ -22,8 +23,9 @@ from hahn_forge.series import (
     TruncatedSeries,
     field_op,
     format_exponent,
+    format_rational,
     format_series,
-    format_series_body,
+    parse_series,
 )
 
 POOL = [c for c in range(-9, 10) if c]
@@ -80,7 +82,16 @@ def oracle_truncate(x, p):
 
 
 def oracle_text(approx, prec):
-    body = format_series_body(approx.terms, approx.rank)
+    """The series text by a walk over the ``(GroupElement, Fraction)`` pairs of ``.terms``."""
+    zero = GroupElement.zero(approx.rank)
+    parts = []
+    for i, (e, c) in enumerate(approx.terms):
+        body = format_rational(abs(c)) if e == zero else f"{format_rational(abs(c))}*t^({format_exponent(e)})"
+        if i == 0:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    body = "".join(parts) or "0"
     return body if prec is INFINITE else f"{body} + O(t^({format_exponent(prec)}))"
 
 
@@ -125,6 +136,29 @@ def operand(draw, rank):
 
 
 KINDS = st.sampled_from(["add", "sub", "mul"])
+
+
+class TestTextOracle:
+    """``format_series`` and ``repr`` write from the grid; ``oracle_text`` walks ``.terms``."""
+
+    @given(st.sampled_from([1, 2]).flatmap(operand))
+    def test_format_series_matches_the_oracle(self, x):
+        assert format_series(x) == oracle_text(x.approx, x.prec)
+        assert repr(x) == f"TruncatedSeries({oracle_text(x.approx, x.prec)!r})"
+        assert repr(x.approx) == f"HahnSeries({oracle_text(x.approx, INFINITE)!r})"
+
+    @pytest.mark.parametrize("text, rank", [
+        ("-3/7*t^(-1/2) + 1/2 - 5*t^(3/4) + O(t^(7/6))", 1),
+        ("-1*t^(0,-2) + 3/2 + 1*t^(0,1/3) - 2*t^(1/2,-5) + O(t^(1,-1/3))", 2),
+        ("-4 + 1*t^(0,1)", 2),
+        ("0 + O(t^(-1/2))", 1),
+        ("0 + O(t^(0,-2/3))", 2),
+        ("0", 1),
+        ("0", 2),
+    ])
+    def test_fixed_shapes(self, text, rank):
+        x = parse_series(text, rank)
+        assert format_series(x) == oracle_text(x.approx, x.prec) == text
 
 
 def check_chain(a, b, c, kind1, kind2, cut, shift, scale):
