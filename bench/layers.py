@@ -15,13 +15,16 @@ call of each power ``eval`` command of those rounds, and the
 operation of ``ROUNDS`` rounds of the ``prepare`` workload at ``SEED``, one
 call per member of the polynomial's derivative chain at depth lam + 4, as
 ``preparing_set`` makes them, and the call of each ``roots`` command of the
-``cli`` rounds.  The ``poly_eval`` layer times, as one call per
+``cli`` rounds.  The ``weierstrass_divide`` and ``implicit_series`` layers are
+the call of each ``divide`` and each ``implicit`` command of the ``cli``
+rounds.  The ``poly_eval`` layer times, as one call per
 ``prepare_polynomial`` operation of those ``prepare`` rounds, every Horner
 call that the operation makes.  All are generated by the parent's
 ``perfbench/workloads.generate``, so both sides time the same inputs.  The
-child finds the arguments of an ``evaluate_analytic``, ``eval_term`` or
-``roots`` call by running the command once through ``run_cli`` and
-recording the call it makes (``eval_term`` as ``cli`` calls it), and those
+child finds the arguments of an ``evaluate_analytic``, ``eval_term``,
+``roots``, ``divide`` or ``implicit`` call by running the command once through ``run_cli`` and
+recording the call it makes (``eval_term``, ``weierstrass_divide`` and
+``implicit_series`` as ``cli`` calls them), and those
 of the Horner calls by running the operation once with ``prepare.poly_eval``
 patched to record them.
 
@@ -48,7 +51,8 @@ noise.
 
 It exits 1, after writing the file, if the two sides' outputs differ: the
 ``format_series`` text of each result (for ``puiseux_roots`` the JSON of
-the roots' ``to_dict``), or the class and message of the error it raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a
+the roots' ``to_dict``, for the division layers the ``format_multiseries`` text
+of each part), or the class and message of the error it raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a
 temporary directory and the parent's ``perfbench`` is imported without
 writing bytecode, so nothing is written into either checkout.
 """
@@ -69,13 +73,13 @@ from pairs import quartiles  # noqa: E402 - after the bytecode switch
 
 LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root",
           "evaluate_analytic": "evaluate_analytic", "eval_term": "eval_term", "puiseux_roots": "puiseux_roots",
-          "poly_eval": "poly_eval"}
+          "poly_eval": "poly_eval", "weierstrass_divide": "weierstrass_divide", "implicit_series": "implicit_series"}
 SEED, ROUNDS, PASSES, CONTROL_RUNS = 7, 3, 5, 10
 
 
 def solver_calls(checkout):
-    """The solver operations of the ``newton`` workload, the analytic and power ``eval`` and the ``roots``
-    commands of the ``cli`` workload, and the derivative chains and the preparations of the ``prepare``
+    """The solver operations of the ``newton`` workload, the analytic and power ``eval``, ``roots``, ``divide``
+    and ``implicit`` commands of the ``cli`` workload, and the derivative chains and the preparations of the ``prepare``
     workload's polynomials, as generated by the checkout's benchmark."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
@@ -90,6 +94,10 @@ def solver_calls(checkout):
                 specs.append({"kind": "eval_term", "argv": spec["argv"]})
             elif check["type"] == "roots":
                 specs.append({"kind": "puiseux_roots", "argv": spec["argv"]})
+            elif spec["argv"][0] == "divide":
+                specs.append({"kind": "weierstrass_divide", "argv": spec["argv"]})
+            elif spec["argv"][0] == "implicit":
+                specs.append({"kind": "implicit_series", "argv": spec["argv"]})
     for ops in workloads.generate("prepare", SEED, ROUNDS):
         for spec in ops:
             if spec["kind"] == "prepare_polynomial":
@@ -142,7 +150,7 @@ def child(checkout):
     sys.path.insert(0, str(checkout / "src"))
     sys.path.insert(0, job["control"])
     import calibrate
-    from hahn_forge import analytic, cli, prepare, series, terms
+    from hahn_forge import analytic, cli, multiseries, prepare, series, terms
 
     ge = lambda q: series.GroupElement.scalar(Fraction(q))  # noqa: E731
 
@@ -159,6 +167,10 @@ def child(checkout):
             calls.append((analytic.evaluate_analytic, recorded_call(spec["argv"], terms, "evaluate_analytic")))
         elif spec["kind"] == "eval_term":
             calls.append((terms.eval_term, recorded_call(spec["argv"], cli, "eval_term")))
+        elif spec["kind"] == "weierstrass_divide":
+            calls.append((multiseries.weierstrass_divide, recorded_call(spec["argv"], cli, "weierstrass_divide")))
+        elif spec["kind"] == "implicit_series":
+            calls.append((analytic.implicit_series, recorded_call(spec["argv"], cli, "implicit_series")))
         elif spec["kind"] == "puiseux_roots" and "argv" in spec:
             calls.append((prepare.puiseux_roots, recorded_call(spec["argv"], cli, "puiseux_roots")))
         elif spec["kind"] == "puiseux_roots":
@@ -178,6 +190,10 @@ def child(checkout):
             return json.dumps([root.to_dict() for root in out])
         if f is horner:
             return "\n".join(map(series.format_series, out))
+        if f is multiseries.weierstrass_divide:
+            return "\n".join(map(multiseries.format_multiseries, [out[0], *out[1]]))
+        if f is analytic.implicit_series:
+            return multiseries.format_multiseries(out)
         return series.format_series(out)
 
     outputs = []
@@ -269,8 +285,9 @@ def main(argv=None):
         "command": f"python3 bench/layers.py PARENT CHANGE --repeats {args.repeats}",
         "calls": "invert, nth_root and hensel_root (with the Catalan fixture) operations of "
                  f"workloads.generate('newton', {SEED}, {ROUNDS}); the evaluate_analytic call of each "
-                 f"exp/sin/cos/log1p eval command, the eval_term call of each power eval command and the "
-                 f"puiseux_roots call of each roots command of "
+                 f"exp/sin/cos/log1p eval command, the eval_term call of each power eval command, the "
+                 f"puiseux_roots call of each roots command, the weierstrass_divide call of each divide command and "
+                 f"the implicit_series call of each implicit command of "
                  f"workloads.generate('cli', {SEED}, {ROUNDS}); puiseux_roots on the derivative chain, at "
                  "depth lam + 4, and the poly_eval calls, recorded from one run, of each prepare_polynomial "
                  f"operation of workloads.generate('prepare', {SEED}, {ROUNDS})",

@@ -239,12 +239,9 @@ def isolate_real_roots(a):
     if pdeg(a) < 1:
         return []
     chain = sturm_chain(a)
+    # every root lies strictly inside the Cauchy bound, so neither end is a root
     bound = cauchy_bound(a)
     lo, hi = -bound, bound
-    while not peval(a, lo):
-        lo -= 1
-    while not peval(a, hi):
-        hi += 1
     out = []
     stack = [(lo, hi, sturm_count(chain, lo, hi))]
     while stack:
@@ -413,21 +410,13 @@ class RealAlgebraic:
         return False
 
     def inverse(self):
-        for _ in range(8):
-            p = self._sync()
-            if self.is_zero():
-                raise ZeroDivisionError("inverting a vanishing algebraic number")
-            p = self._sync()
-            g, u = _ext_euclid(p, self.ctx.witness)
-            if pdeg(g) == 0:
-                return RealAlgebraic(self.ctx, pscale(u, 1 / g[0]))
-            # theta is a root of exactly one factor; keep that one
-            if self.ctx.contains_root_of(g):
-                self.ctx.shrink(g)
-            else:
-                q, _ = pdivmod(self.ctx.witness, g)
-                self.ctx.shrink(q)
-        raise RuntimeError("witness kept shrinking without stabilizing")
+        if self.is_zero():
+            raise ZeroDivisionError("inverting a vanishing algebraic number")
+        # is_zero left the squarefree witness prime to this number, so the gcd is a constant
+        g, u = _ext_euclid(self._sync(), self.ctx.witness)
+        if pdeg(g) > 0:
+            raise RuntimeError("the witness shares a factor with a nonzero number; it is not squarefree")
+        return RealAlgebraic(self.ctx, pscale(u, 1 / g[0]))
 
     def sign(self, max_refine=_MAX_REFINE):
         if self.is_zero():

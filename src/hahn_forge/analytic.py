@@ -31,12 +31,7 @@ from .errors import (
     NotRegularDegreeOne,
     PrecisionStall,
 )
-from .multiseries import (
-    MultiSeries,
-    gauss_data,
-    regular_degree,
-    weierstrass_divide,
-)
+from .multiseries import MultiSeries, _axis_degree, _divide, gauss_data
 from .series import (
     GroupElement,
     INFINITE,
@@ -355,15 +350,15 @@ def implicit_series(f, d_out, prec_out):
     ``y = Q f + r(x)``, and since Q is a unit near the origin the root is
     exactly r; its value at 0 is infinitesimal.
     """
-    norm, _ = gauss_data(f)
+    norm, top = gauss_data(f)
     if not norm.is_zero():
         raise NotRegularDegreeOne("implicit solving needs additive norm zero")
     yvar = f.nvars - 1
-    s = regular_degree(f, yvar)
+    s = _axis_degree(top, yvar)
     if s != 1:
         raise NotRegularDegreeOne(f"regular of degree {s}, need degree 1")
     g = MultiSeries.variable(yvar, f.nvars, max(f.degree, d_out), rank=f.rank)
-    _, remainder = weierstrass_divide(f, g, yvar, d_out, prec_out)
+    _, remainder = _divide(f, g, yvar, 1, d_out, prec_out)
     r = remainder[0]
     const = r.coefficient((0,) * r.nvars)
     if not const.approx.is_zero() and not (const.approx.valuation() > GroupElement.zero(r.rank)):

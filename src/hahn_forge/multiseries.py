@@ -159,17 +159,14 @@ def _clip(coeffs, degree, prec):
     return out
 
 
+def _window(f, degree, prec):
+    """f cut to the truncation window at ``(degree, prec)``."""
+    return MultiSeries(f.nvars, degree, _clip(f.coeffs, degree, prec), rank=f.rank)
+
+
 def in_truncation_ideal(f, degree, prec):
     """True when every stored monomial of degree <= bound is below ``prec``."""
-    for idx, c in f.coeffs.items():
-        if sum(idx) > degree:
-            continue
-        if not c.approx.is_zero():
-            if c.approx.valuation() < prec:
-                return False
-        elif c.prec is not INFINITE and c.prec < prec:
-            return False
-    return True
+    return not _clip(f.coeffs, degree, prec)
 
 
 def gauss_data(f):
@@ -200,19 +197,20 @@ def gauss_data(f):
     return norm, MultiSeries(f.nvars, f.degree, top, rank=f.rank)
 
 
+def _axis_degree(top, var):
+    """Least axis degree in ``var`` of a top slice, or NotRegular."""
+    axis = [idx[var] for idx in top.coeffs if all(e == 0 for i, e in enumerate(idx) if i != var)]
+    if not axis:
+        raise NotRegular(f"top slice vanishes on the x{var + 1} axis within degree {top.degree}")
+    return min(axis)
+
+
 def regular_degree(f, var):
     """Least axis degree of the top slice in the given variable, or NotRegular."""
     norm, top = gauss_data(f)
     if not norm.is_zero():
         raise NormNotOne("regularity is defined at additive norm zero")
-    best = None
-    for idx, c in top.coeffs.items():
-        if all(e == 0 for i, e in enumerate(idx) if i != var):
-            if best is None or idx[var] < best:
-                best = idx[var]
-    if best is None:
-        raise NotRegular(f"top slice vanishes on the x{var + 1} axis within degree {f.degree}")
-    return best
+    return _axis_degree(top, var)
 
 
 def _invert_unit(u, degree, prec):
@@ -222,12 +220,12 @@ def _invert_unit(u, degree, prec):
     if gamma is None or gamma.approx.is_zero() or not gamma.approx.valuation().is_zero():
         raise NotAUnit("constant coefficient is not a valuation-zero unit")
     gamma_inv = invert(gamma, prec)
-    n = ms_scale(u, gamma_inv)
-    n = ms_sub(n, MultiSeries.constant(TruncatedSeries.one(u.rank), u.nvars, degree), degree, prec)
     acc = MultiSeries.constant(TruncatedSeries.one(u.rank), u.nvars, degree)
+    # u / gamma = 1 - m, so its inverse is the geometric series in m
+    m = ms_neg(ms_sub(ms_scale(u, gamma_inv), acc, degree, prec))
     power = acc
     for _ in range(_MAX_FIXPOINT_ITERATIONS):
-        power = ms_mul(power, ms_neg(n), degree, prec)
+        power = ms_mul(power, m, degree, prec)
         if power.is_zero():
             break
         acc = ms_add(acc, power, degree, prec)
@@ -236,18 +234,11 @@ def _invert_unit(u, degree, prec):
     return ms_scale(acc, gamma_inv)
 
 
-def _extract_high(t, var, s, degree, prec):
-    high = {}
-    for idx, c in t.coeffs.items():
-        if idx[var] >= s:
-            shifted = tuple(e - s if i == var else e for i, e in enumerate(idx))
-            high[shifted] = c
-    return MultiSeries(t.nvars, degree, _clip(high, degree, prec), rank=t.rank)
-
-
-def _extract_low(t, var, s, degree, prec):
-    low = {i: c for i, c in t.coeffs.items() if i[var] < s}
-    return MultiSeries(t.nvars, degree, _clip(low, degree, prec), rank=t.rank)
+def _over_power(x, var, s):
+    """The terms of x divisible by ``x_var^s``, divided by it: degrees only drop, so no clip is needed."""
+    high = {tuple(e - s if i == var else e for i, e in enumerate(idx)): c
+            for idx, c in x.coeffs.items() if idx[var] >= s}
+    return MultiSeries(x.nvars, x.degree, high, rank=x.rank)
 
 
 def weierstrass_divide(f, g, var, d_out, prec_out):
@@ -258,10 +249,15 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
     coefficients do not involve the distinguished variable, and the norms
     of Q and the R_i are no larger than the norm of g.
     """
-    norm, _ = gauss_data(f)
+    norm, top = gauss_data(f)
     if not norm.is_zero():
         raise NonUnitNorm("the divisor must have additive norm zero")
-    s = regular_degree(f, var)
+    return _divide(f, g, var, _axis_degree(top, var), d_out, prec_out)
+
+
+def _divide(f, g, var, s, d_out, prec_out):
+    """``weierstrass_divide`` by f of norm zero, regular of degree s: split f once as ``w + x_var^s u``,
+    iterate ``q = u^-1 H(g - q w)`` with H the division by ``x_var^s``, and split the last residual."""
     nvars = max(f.nvars, g.nvars)
     f, g = ms_pad(f, nvars), ms_pad(g, nvars)
     if g.is_zero():
@@ -272,33 +268,26 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
     # so the iteration has to run that much deeper to certify prec_out
     norm_g, _ = gauss_data(g)
     prec_work = prec_out - norm_g if norm_g < GroupElement.zero(norm_g.rank) else prec_out
-    f_w = MultiSeries(f.nvars, d_work, _clip(dict(f.coeffs), d_work, prec_work), rank=f.rank)
-    w_part = _extract_low(f_w, var, s, d_work, prec_work)
-    u_part = _extract_high(f_w, var, s, d_work, prec_work)
-    v_inv = _invert_unit(u_part, d_work, prec_work)
-    g_w = MultiSeries(g.nvars, d_work, _clip(dict(g.coeffs), d_work, prec_work), rank=g.rank)
+    f_w = _window(f, d_work, prec_work)
+    w_part = MultiSeries(nvars, d_work, {i: c for i, c in f_w.coeffs.items() if i[var] < s}, rank=f.rank)
+    v_inv = _invert_unit(_over_power(f_w, var, s), d_work, prec_work)
+    g_w = _window(g, d_work, prec_work)
 
-    q = MultiSeries.zero(f.nvars, d_work, rank=f.rank)
+    q = MultiSeries.zero(nvars, d_work, rank=f.rank)
     for _ in range(_MAX_FIXPOINT_ITERATIONS):
         t = ms_sub(g_w, ms_mul(q, w_part, d_work, prec_work), d_work, prec_work)
-        q_next = ms_mul(v_inv, _extract_high(t, var, s, d_work, prec_work), d_work, prec_work)
+        q_next = ms_mul(v_inv, _over_power(t, var, s), d_work, prec_work)
         if q_next == q:
             break
         q = q_next
     else:
         raise RuntimeError("division did not stabilize; widen the precision window")
 
-    t = ms_sub(g_w, ms_mul(q, w_part, d_work, prec_work), d_work, prec_work)
-    remainder = _extract_low(t, var, s, d_out, prec_out)
-    r_list = []
-    for i in range(s):
-        coeffs = {}
-        for idx, c in remainder.coeffs.items():
-            if idx[var] == i:
-                coeffs[tuple(0 if j == var else e for j, e in enumerate(idx))] = c
-        r_list.append(MultiSeries(f.nvars, d_out, coeffs, rank=f.rank))
-    q_out = MultiSeries(f.nvars, d_out, _clip(dict(q.coeffs), d_out, prec_out), rank=f.rank)
-    return q_out, r_list
+    # t is the residual of the final q: split its low part by the power of x_var
+    r_coeffs = [{} for _ in range(s)]
+    for idx, c in _clip({i: c for i, c in t.coeffs.items() if i[var] < s}, d_out, prec_out).items():
+        r_coeffs[idx[var]][tuple(0 if j == var else e for j, e in enumerate(idx))] = c
+    return _window(q, d_out, prec_out), [MultiSeries(nvars, d_out, r, rank=f.rank) for r in r_coeffs]
 
 
 def unit_invert(u, d_out, prec_out):
@@ -308,9 +297,7 @@ def unit_invert(u, d_out, prec_out):
         raise NotAUnit("a unit must have additive norm zero")
     if (0,) * u.nvars not in top.coeffs:
         raise NotAUnit("top slice vanishes at the origin")
-    u = MultiSeries(u.nvars, d_out, _clip(dict(u.coeffs), d_out, prec_out), rank=u.rank)
-    inv = _invert_unit(u, d_out, prec_out)
-    return MultiSeries(u.nvars, d_out, _clip(dict(inv.coeffs), d_out, prec_out), rank=u.rank)
+    return _window(_invert_unit(_window(u, d_out, prec_out), d_out, prec_out), d_out, prec_out)
 
 
 def strong_split(f):

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from hahn_forge.algebraic import (
     AlgebraicContext,
     RealAlgebraic,
+    cauchy_bound,
     generic_real_root_count,
     isolate_real_roots,
     padd,
+    pdeg,
     pdivmod,
     peval,
     pgcd,
@@ -204,3 +206,37 @@ class TestReducedArithmetic:
             assert _is_reduced(power)
         # theta^(n+1) = 2 theta for both witnesses x^n - 2
         assert power.coords == [Fraction(0), Fraction(2)]
+
+
+# reducible squarefree witnesses, each with an interval that isolates one of its roots
+REDUCIBLE = {
+    "sqrt2 of (x^2-2)(x^2-3)": (pmul([-2, 0, 1], [-3, 0, 1]), 1, Fraction(3, 2)),
+    "sqrt3 of (x^2-2)(x^2-3)": (pmul([-2, 0, 1], [-3, 0, 1]), Fraction(3, 2), 2),
+    "cbrt2 of (x^2-2)(x^3-2)": (pmul([-2, 0, 1], [-2, 0, 0, 1]), 1, Fraction(13, 10)),
+    "1 of (x-1)(x^2-2)": (pmul([-1, 1], [-2, 0, 1]), Fraction(1, 2), Fraction(5, 4)),
+}
+
+
+class TestInvariantsBehindTheDeletedBranches:
+    """The facts that let ``isolate_real_roots`` and ``RealAlgebraic.inverse`` skip their retries."""
+
+    @given(rational_polys())
+    def test_the_cauchy_bound_is_never_a_root(self, p):
+        assert peval(p, cauchy_bound(p)) != 0 and peval(p, -cauchy_bound(p)) != 0
+
+    @pytest.mark.parametrize("name", list(REDUCIBLE))
+    @given(coords=coord_lists)
+    def test_a_nonzero_number_is_prime_to_the_witness(self, name, coords):
+        ctx = AlgebraicContext(*REDUCIBLE[name])
+        x = RealAlgebraic(ctx, coords)
+        if x.is_zero():
+            return
+        assert pdeg(pgcd(x._sync(), ctx.witness)) == 0
+        assert (x * x.inverse() - 1).is_zero()
+
+    def test_inverse_on_a_factor_of_the_witness(self):
+        # x^2 - 3 vanishes on the other factor only: is_zero shrinks the witness to x^2 - 2
+        ctx = AlgebraicContext(*REDUCIBLE["sqrt2 of (x^2-2)(x^2-3)"])
+        x = RealAlgebraic(ctx, [-3, 0, 1])
+        assert x.inverse().coords == [Fraction(-1)]
+        assert ctx.witness == [Fraction(-2), Fraction(0), Fraction(1)]

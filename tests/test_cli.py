@@ -272,3 +272,24 @@ class TestOptimizedMode:
             tree = ast.parse(path.read_text(), filename=str(path))
             found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not found, f"{path.name} asserts at lines {found}"
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli_without_warnings(self):
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+        done = subprocess.run([sys.executable, "-m", "hahn_forge", "hensel", "--prec", "2", "1*t^(1)"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, '{"root": "-1 - 1*t^(1) + O(t^(2))"}\n')
+        assert "RuntimeWarning" not in done.stderr
+
+
+class TestDependencyFree:
+    """The package imports the standard library and itself only; pytest, hypothesis and sympy are for tests."""
+
+    def test_every_absolute_import_is_in_the_standard_library(self):
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+            names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+            foreign = sorted({name for name in names if name.split(".")[0] not in sys.stdlib_module_names})
+            assert not foreign, f"{path.name} imports {foreign}"

@@ -6,14 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hahn_forge.errors import NonUnitNorm, NotAUnit, NotRegular, TermSyntaxError
+from hahn_forge import analytic, multiseries as multiseries_module
+from hahn_forge.analytic import implicit_series, ms_drop_var
+from hahn_forge.errors import NonUnitNorm, NormNotOne, NotAUnit, NotRegular, NotRegularDegreeOne, TermSyntaxError
 from hahn_forge.multiseries import (
     MultiSeries,
+    _clip,
     format_multiseries,
     gauss_data,
     in_truncation_ideal,
     ms_add,
     ms_mul,
+    ms_neg,
+    ms_pad,
+    ms_scale,
     ms_sub,
     ms_substitute,
     parse_multiseries,
@@ -23,7 +29,7 @@ from hahn_forge.multiseries import (
     unit_invert,
     weierstrass_divide,
 )
-from hahn_forge.series import INFINITE, GroupElement, HahnSeries, TruncatedSeries, parse_series
+from hahn_forge.series import INFINITE, GroupElement, HahnSeries, TruncatedSeries, invert, parse_series
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
 ms = parse_multiseries
@@ -439,3 +445,228 @@ class TestTruncatedInputs:
     def test_parse_negative_coefficient(self):
         m = ms("[-1]*x1 + [-3/2*t^(1/2)]")
         assert m.coefficient((1,)).approx.leading_coeff() == Fraction(-1)
+
+
+# In-test copy of the division before each step was made to run once: the
+# divisor and every residual were re-clipped by ``_extract_low`` and
+# ``_extract_high``, the last residual was recomputed after the loop, the
+# remainder was split in one pass per power of the variable, and the unit's
+# geometric series negated its ratio on every step.
+
+
+def _old_clip_window(t, degree, prec, keep):
+    return MultiSeries(t.nvars, degree, _clip(keep, degree, prec), rank=t.rank)
+
+
+def _old_extract_high(t, var, s, degree, prec):
+    high = {}
+    for idx, c in t.coeffs.items():
+        if idx[var] >= s:
+            high[tuple(e - s if i == var else e for i, e in enumerate(idx))] = c
+    return _old_clip_window(t, degree, prec, high)
+
+
+def _old_extract_low(t, var, s, degree, prec):
+    return _old_clip_window(t, degree, prec, {i: c for i, c in t.coeffs.items() if i[var] < s})
+
+
+def _old_invert_unit(u, degree, prec):
+    gamma = u.coeffs.get((0,) * u.nvars)
+    if gamma is None or gamma.approx.is_zero() or not gamma.approx.valuation().is_zero():
+        raise NotAUnit("constant coefficient is not a valuation-zero unit")
+    gamma_inv = invert(gamma, prec)
+    n = ms_sub(ms_scale(u, gamma_inv), MultiSeries.constant(TruncatedSeries.one(u.rank), u.nvars, degree), degree, prec)
+    acc = power = MultiSeries.constant(TruncatedSeries.one(u.rank), u.nvars, degree)
+    for _ in range(4096):
+        power = ms_mul(power, ms_neg(n), degree, prec)
+        if power.is_zero():
+            break
+        acc = ms_add(acc, power, degree, prec)
+    else:
+        raise RuntimeError("unit inversion did not stabilize; widen the precision window")
+    return ms_scale(acc, gamma_inv)
+
+
+def _old_regular_degree(f, var):
+    norm, top = gauss_data(f)
+    if not norm.is_zero():
+        raise NormNotOne("regularity is defined at additive norm zero")
+    best = None
+    for idx in top.coeffs:
+        if all(e == 0 for i, e in enumerate(idx) if i != var):
+            if best is None or idx[var] < best:
+                best = idx[var]
+    if best is None:
+        raise NotRegular(f"top slice vanishes on the x{var + 1} axis within degree {f.degree}")
+    return best
+
+
+def _old_divide(f, g, var, d_out, prec_out):
+    norm, _ = gauss_data(f)
+    if not norm.is_zero():
+        raise NonUnitNorm("the divisor must have additive norm zero")
+    s = _old_regular_degree(f, var)
+    nvars = max(f.nvars, g.nvars)
+    f, g = ms_pad(f, nvars), ms_pad(g, nvars)
+    if g.is_zero():
+        zero = MultiSeries.zero(nvars, d_out, rank=f.rank)
+        return zero, [zero] * s
+    d_work = d_out + s
+    norm_g, _ = gauss_data(g)
+    prec_work = prec_out - norm_g if norm_g < GroupElement.zero(norm_g.rank) else prec_out
+    f_w = _old_clip_window(f, d_work, prec_work, dict(f.coeffs))
+    w_part = _old_extract_low(f_w, var, s, d_work, prec_work)
+    v_inv = _old_invert_unit(_old_extract_high(f_w, var, s, d_work, prec_work), d_work, prec_work)
+    g_w = _old_clip_window(g, d_work, prec_work, dict(g.coeffs))
+    q = MultiSeries.zero(f.nvars, d_work, rank=f.rank)
+    for _ in range(4096):
+        t = ms_sub(g_w, ms_mul(q, w_part, d_work, prec_work), d_work, prec_work)
+        q_next = ms_mul(v_inv, _old_extract_high(t, var, s, d_work, prec_work), d_work, prec_work)
+        if q_next == q:
+            break
+        q = q_next
+    else:
+        raise RuntimeError("division did not stabilize; widen the precision window")
+    t = ms_sub(g_w, ms_mul(q, w_part, d_work, prec_work), d_work, prec_work)
+    remainder = _old_extract_low(t, var, s, d_out, prec_out)
+    r_list = []
+    for i in range(s):
+        coeffs = {}
+        for idx, c in remainder.coeffs.items():
+            if idx[var] == i:
+                coeffs[tuple(0 if j == var else e for j, e in enumerate(idx))] = c
+        r_list.append(MultiSeries(f.nvars, d_out, coeffs, rank=f.rank))
+    return _old_clip_window(q, d_out, prec_out, dict(q.coeffs)), r_list
+
+
+def _old_unit_invert(u, d_out, prec_out):
+    norm, top = gauss_data(u)
+    if not norm.is_zero():
+        raise NotAUnit("a unit must have additive norm zero")
+    if (0,) * u.nvars not in top.coeffs:
+        raise NotAUnit("top slice vanishes at the origin")
+    inv = _old_invert_unit(_old_clip_window(u, d_out, prec_out, dict(u.coeffs)), d_out, prec_out)
+    return _old_clip_window(u, d_out, prec_out, dict(inv.coeffs))
+
+
+def _old_implicit_series(f, d_out, prec_out):
+    norm, _ = gauss_data(f)
+    if not norm.is_zero():
+        raise NotRegularDegreeOne("implicit solving needs additive norm zero")
+    yvar = f.nvars - 1
+    s = _old_regular_degree(f, yvar)
+    if s != 1:
+        raise NotRegularDegreeOne(f"regular of degree {s}, need degree 1")
+    g = MultiSeries.variable(yvar, f.nvars, max(f.degree, d_out), rank=f.rank)
+    r = _old_divide(f, g, yvar, d_out, prec_out)[1][0]
+    const = r.coefficient((0,) * r.nvars)
+    if not const.approx.is_zero() and not (const.approx.valuation() > GroupElement.zero(r.rank)):
+        raise NotRegularDegreeOne("root value at the origin is not infinitesimal")
+    return ms_drop_var(r, yvar)
+
+
+def _old_in_truncation_ideal(f, degree, prec):
+    for idx, c in f.coeffs.items():
+        if sum(idx) > degree:
+            continue
+        if not c.approx.is_zero():
+            if c.approx.valuation() < prec:
+                return False
+        elif c.prec is not INFINITE and c.prec < prec:
+            return False
+    return True
+
+
+def _outcome(fn, *args):
+    """The text and degrees of a result, or the class and message of the error raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by class and message
+        return type(exc).__name__, str(exc)
+    if isinstance(out, int):
+        return out
+    parts = [out[0], *out[1]] if isinstance(out, tuple) else [out]
+    return [(format_multiseries(p), p.nvars, p.degree) for p in parts]
+
+
+def _division_corpus(seed, count):
+    """Divisors regular of degree 0-3 in a random variable (a third in the last variable with degree 1, a
+    third units), some broken on purpose; dividends of negative norm; exact and inexact coefficients."""
+    rng = random.Random(seed)
+    exps = [Fraction(k, d) for k in range(-2, 7) for d in (1, 2, 3)]
+
+    def coeff(lowest, inexact=0.3):
+        terms = [(ge(rng.choice([e for e in exps if e >= lowest])), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 3))]
+        approx = HahnSeries(terms)
+        if rng.random() < inexact:
+            return TruncatedSeries(approx, ge(rng.choice([e for e in exps if e > lowest])))
+        return TruncatedSeries.exact(approx)
+
+    for case in range(count):
+        nvars = rng.randint(1, 3)
+        var, s = [(rng.randrange(nvars), rng.randint(0, 3)), (nvars - 1, 1), (rng.randrange(nvars), 0)][case % 3]
+        axis = lambda k: tuple(k if i == var else 0 for i in range(nvars))  # noqa: E731
+        coeffs = {axis(s): coeff(Fraction(1, 3)) + TruncatedSeries.constant(rng.choice([-3, -1, 1, 2]))}
+        for k in range(s):
+            if rng.random() < 0.6:
+                coeffs[axis(k)] = coeff(Fraction(1, 2))
+        for _ in range(rng.randint(0, 4)):
+            idx = tuple(rng.randint(0, 2) for _ in range(nvars))
+            if idx[var] >= s or any(e for i, e in enumerate(idx) if i != var):
+                coeffs.setdefault(idx, coeff(Fraction(0)))
+        broken = rng.random()
+        if broken < 0.06:
+            del coeffs[axis(s)]
+        elif broken < 0.1:
+            coeffs[axis(s + 1)] = coeff(Fraction(-1), inexact=0)
+        elif broken < 0.13:
+            coeffs[axis(s + 1)] = TruncatedSeries(HahnSeries([]), ge(0))
+        f = MultiSeries(nvars, 6, coeffs)
+        g_vars = rng.randint(1, nvars)
+        g_coeffs = {}
+        for _ in range(rng.randint(0, 4)):
+            idx = tuple(rng.randint(0, 2) for _ in range(g_vars))
+            if sum(idx) <= 4:
+                g_coeffs[idx] = coeff(Fraction(-2) if rng.random() < 0.3 else Fraction(0))
+        g = MultiSeries(g_vars, 4, g_coeffs)
+        prec = INFINITE if rng.random() < 0.05 else ge(Fraction(rng.randint(-2, 10), 2))
+        yield f, g, var, rng.randint(0, 3), prec
+
+
+class TestDivisionAgainstParentLoop:
+    """The division computes each step once and gives the text, degrees and errors of the old loop."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_outcomes(self, seed):
+        for f, g, var, d_out, prec in _division_corpus(seed, 110):
+            assert _outcome(weierstrass_divide, f, g, var, d_out, prec) == _outcome(_old_divide, f, g, var, d_out, prec)
+            assert _outcome(unit_invert, f, d_out, prec) == _outcome(_old_unit_invert, f, d_out, prec)
+            assert _outcome(implicit_series, f, d_out, prec) == _outcome(_old_implicit_series, f, d_out, prec)
+            assert _outcome(regular_degree, f, var) == _outcome(_old_regular_degree, f, var)
+            for x in (f, g):
+                for degree in range(4):
+                    assert in_truncation_ideal(x, degree, prec) == _old_in_truncation_ideal(x, degree, prec)
+
+    @given(multiseries(1), st.integers(-1, 4), st.integers(-4, 8))
+    def test_in_truncation_ideal_against_its_old_body(self, f, degree, prec):
+        assert in_truncation_ideal(f, degree, ge(prec)) == _old_in_truncation_ideal(f, degree, ge(prec))
+
+    def test_gauss_data_once_per_operand(self, monkeypatch):
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return gauss_data(x)
+
+        monkeypatch.setattr(multiseries_module, "gauss_data", counted)
+        monkeypatch.setattr(analytic, "gauss_data", counted)
+        f = ms("[1]*x1^2 + [-1*t^(1) + O(t^(3))]*x2 + [1/2*t^(1/2)]*x1*x2")
+        g = ms("[1]*x1^3 + [2 + O(t^(2))]*x2^2")
+        weierstrass_divide(f, g, 0, 3, ge(3))
+        assert len(seen) == 2 and seen[0] is f and seen[1] is g
+        seen.clear()
+        f = ms("[1 + O(t^(2))]*x2 + [1/2*t^(1)]*x2^2 + [-1]*x1 + [1*t^(1)]*x1*x2")
+        implicit_series(f, 3, ge(2))
+        # once on f, once on the dividend x2 inside the division
+        assert len(seen) == 2 and seen[0] is f and seen[1] is not f
