@@ -7,11 +7,11 @@ total degree above the working bound plus coefficient terms at or above
 the working precision.
 
 The division algorithm follows the classical fixed-point scheme: split the
-divisor into a unit times the distinguished-variable power plus a part
+divisor once into a unit times the distinguished-variable power plus a part
 that is small in the combined (degree, valuation) grading, then iterate
-the division map until the quotient stabilizes.  Stabilization is exact
-because each pass pushes the correction further out in the grading and the
-working window is finite.
+the division map until the quotient stabilizes; the remainder is the rest
+of the last residual.  Stabilization is exact because each pass pushes the
+correction further out in the grading and the working window is finite.
 """
 
 from __future__ import annotations
