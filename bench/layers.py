@@ -22,10 +22,10 @@ rounds.  The ``poly_eval`` layer times, as one call per
 call that the operation makes.  All are generated by the parent's
 ``perfbench/workloads.generate``, so both sides time the same inputs.  The
 child finds the arguments of an ``evaluate_analytic``, ``eval_term``,
-``roots``, ``divide`` or ``implicit`` call by running the command once through ``run_cli`` and
-recording the call it makes (``eval_term``, ``weierstrass_divide`` and
-``implicit_series`` as ``cli`` calls them), and those
-of the Horner calls by running the operation once with ``prepare.poly_eval``
+``roots``, ``divide`` or ``implicit`` call by running the command once
+through ``run_cli`` and recording the call it makes (``eval_term``,
+``weierstrass_divide`` and ``implicit_series`` as ``cli`` calls them), and
+those of the Horner calls by running the operation once with ``prepare.poly_eval``
 patched to record them.
 
 Each repeat runs one fresh interpreter per checkout, in alternating order
@@ -78,9 +78,9 @@ SEED, ROUNDS, PASSES, CONTROL_RUNS = 7, 3, 5, 10
 
 
 def solver_calls(checkout):
-    """The solver operations of the ``newton`` workload, the analytic and power ``eval``, ``roots``, ``divide``
-    and ``implicit`` commands of the ``cli`` workload, and the derivative chains and the preparations of the ``prepare``
-    workload's polynomials, as generated by the checkout's benchmark."""
+    """The solver operations of the ``newton`` workload, the analytic and power ``eval``, ``roots``,
+    ``divide`` and ``implicit`` commands of the ``cli`` workload, and the derivative chains and the
+    preparations of the ``prepare`` workload's polynomials, as generated by the checkout's benchmark."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
 
