@@ -1571,3 +1571,121 @@ class TestUnitPowersAgainstNewton:
             _same_as_newton(invert, _newton_invert, a, INFINITE)
             for n in (1, 2):
                 _same_as_newton(nth_root, _newton_nth_root, a, n, INFINITE)
+
+
+@st.composite
+def horner_operands(draw, rank, kinds=("exact", "inexact", "inexact", "exact zero", "zero below")):
+    """A coefficient or argument of ``poly_eval``: exact, known below a precision,
+    the exact zero or ``0 + O(t^p)``; rational coefficients, exponents of
+    denominators 1 to 7, negative ones included."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "exact zero":
+        return TruncatedSeries.zero(rank)
+    prec = _oracle_exponent(draw, rank, -2, 14)
+    if kind == "zero below":
+        return TruncatedSeries(HahnSeries.zero(rank), prec)
+    terms = [(_oracle_exponent(draw, rank, -4, 8), draw(ORACLE_COEFFS)) for _ in range(draw(st.integers(1, 4)))]
+    approx = HahnSeries(terms, rank)
+    return TruncatedSeries.exact(approx) if kind == "exact" else TruncatedSeries(approx, prec)
+
+
+@st.composite
+def horner_cases(draw, rank, kinds=("exact", "inexact", "inexact", "exact zero", "zero below"), min_size=0,
+                 finite=False):
+    """``(coeffs, x, prec)`` for ``poly_eval``; ``prec`` is INFINITE on about half the draws unless ``finite``."""
+    coeffs = [draw(horner_operands(rank, kinds)) for _ in range(draw(st.integers(min_size, 5)))]
+    x = draw(horner_operands(rank, kinds))
+    if not finite and draw(st.booleans()):
+        return coeffs, x, INFINITE
+    return coeffs, x, _oracle_exponent(draw, rank, -2, 14)
+
+
+def _fold_poly_eval(coeffs, x, prec=INFINITE):
+    """Horner by ``field_op``, every step ``total x + c`` cut at ``prec``
+    (test oracle: the loop ``poly_eval`` ran before it worked on the grid)."""
+    total = TruncatedSeries.zero(x.rank)
+    for c in reversed(coeffs):
+        total = field_op("add", field_op("mul", total, x), c).truncate(prec)
+    return total
+
+
+class TestPolyEvalAgainstFold:
+    """``poly_eval`` equals the ``field_op`` fold: value, precision, hash and
+    text, or the exception class and message."""
+
+    @settings(max_examples=300)
+    @given(horner_cases(1))
+    def test_rank_one(self, case):
+        _same_as_newton(poly_eval, _fold_poly_eval, *case)
+
+    @settings(max_examples=300)
+    @given(horner_cases(2))
+    def test_rank_two(self, case):
+        _same_as_newton(poly_eval, _fold_poly_eval, *case)
+
+    @pytest.mark.parametrize("coeffs, x, prec, rank", [
+        ([], "1 + 1*t^(1) + O(t^(2))", 3, 1),
+        ([], "0", INFINITE, 2),
+        (["1", "2*t^(-1)", "0 + O(t^(2))"], "1*t^(-1/2) + O(t^(1/3))", 4, 1),
+        (["1/3*t^(2)", "0", "-1/3*t^(2)"], "0", 1, 1),
+        (["1", "-2*t^(1)", "1*t^(2)"], "1*t^(1)", INFINITE, 1),
+        (["1 + O(t^(5,0))", "1/2*t^(0,-1)", "0 + O(t^(1,0))"], "1*t^(0,1) - 2/3*t^(1,-1) + O(t^(1,0))", (2, 0), 2),
+        (["0 + O(t^(0,3))", "1*t^(-1,2)"], "0 + O(t^(1,-2))", (0, 1), 2),
+    ])
+    def test_fixed(self, coeffs, x, prec, rank):
+        coeffs = [parse_series(c, rank) for c in coeffs]
+        x = parse_series(x, rank)
+        if prec is not INFINITE:
+            prec = ge(prec) if rank == 1 else GroupElement(list(prec))
+        _same_as_newton(poly_eval, _fold_poly_eval, coeffs, x, prec)
+
+    def test_rank_mismatch(self):
+        coeffs = [s("1"), parse_series("1*t^(0,1)", rank=2), s("2")]
+        for prec in (INFINITE, ge(3)):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                _fold_poly_eval(coeffs, s("1*t^(1)"), prec)
+            _same_as_newton(poly_eval, _fold_poly_eval, coeffs, s("1*t^(1)"), prec)
+
+
+def _plain(e):
+    return tuple(e)
+
+
+def _oracle_poly_sum(coeffs, x):
+    """``sum c_i x^i`` of exact operands by Fraction dicts over ``.terms`` (shares no code with
+    ``poly_eval``): ``{exponent tuple: coefficient}`` without zero coefficients."""
+    rank = x.rank
+    xd = {_plain(e): c for e, c in x.approx.terms}
+    total, power = {}, {(Fraction(0),) * rank: Fraction(1)}
+    for c in coeffs:
+        for e, a in c.approx.terms:
+            for f, b in power.items():
+                k = _vadd(_plain(e), f)
+                total[k] = total.get(k, Fraction(0)) + a * b
+        power = _dict_mul(power, xd)
+    return {e: c for e, c in total.items() if c}
+
+
+class TestPolyEvalOracle:
+    """``poly_eval`` of exact operands against an independent sum of Fraction dicts."""
+
+    def _check(self, coeffs, x, prec):
+        want = sorted(_oracle_poly_sum(coeffs, x).items())
+        exact = poly_eval(coeffs, x)
+        assert exact.is_exact()
+        assert [(_plain(e), c) for e, c in exact.approx.terms] == want
+        cut = poly_eval(coeffs, x, prec)
+        assert cut.prec is not INFINITE and cut.prec <= prec
+        assert [(_plain(e), c) for e, c in cut.approx.terms] == [(e, c) for e, c in want if e < _plain(cut.prec)]
+        if x.approx.is_zero() or x.approx.valuation() >= GroupElement.zero(x.rank):
+            assert cut.prec == prec
+
+    @settings(max_examples=200)
+    @given(horner_cases(1, kinds=("exact", "exact", "exact zero"), min_size=1, finite=True))
+    def test_rank_one(self, case):
+        self._check(*case)
+
+    @settings(max_examples=200)
+    @given(horner_cases(2, kinds=("exact", "exact", "exact zero"), min_size=1, finite=True))
+    def test_rank_two(self, case):
+        self._check(*case)
