@@ -53,8 +53,17 @@ exponents ``base + k/2`` on a grid, ``_difference_valuation`` reads
 ``v(a - b)`` at the first difference of two grids, and ``_unit_jet`` cuts
 the jet of ``rv_lambda`` in one pass.
 
-``poly_eval`` is the one Horner loop of the package; it truncates every
-step at an optional precision and is exact without one.
+``poly_eval`` is the one Horner loop of the package, ``total <- total x + c``
+from the top coefficient down, every step cut at an optional precision and
+exact without one.  It runs in one int loop on the grid, with no
+``field_op`` and no series per step: x, the coefficients and every
+precision sit over one exponent denominator, and the running total's
+numerators over ``C X^m`` (C the lcm of the coefficients' denominators, X
+that of x).  Each step's precision is ``field_op``'s in closed form,
+``min(p_T + v(x), p_x + v(T), p_c, prec)`` for the total T, x and the
+coefficient c, with v of ``0 + O(t^p)`` read as p, an exact zero factor
+giving an exact zero product, and an exact operand adding no term.  One
+dict sums the pairs of T and x and the terms of c below that key.
 
 Text is read by one tokenizer, ``_Scanner``, for all three grammars of
 the package: its ``series`` method is the series grammar (terms, then an
@@ -1186,11 +1195,81 @@ def power(x, k, prec=INFINITE):
 
 
 def poly_eval(coeffs, x, prec=INFINITE):
-    """Horner evaluation of ``sum coeffs[i] x^i``, each step truncated at ``prec``."""
-    total = TruncatedSeries.zero(x.rank)
+    """Horner evaluation of ``sum coeffs[i] x^i``: ``total <- total x + c``
+    from the top coefficient down, each step cut at ``prec``.
+
+    The result is that of the ``field_op`` fold, built in one int loop.
+    Every exponent and precision is an int key over one denominator E (a
+    ``GroupElement`` of ints in rank d), and the total's numerators sit over
+    ``C X^m``: C the lcm of the coefficients' denominators, X that of x and
+    m the products formed since the total was last empty.  A step's key is
+    ``field_op``'s in closed form: the product of a total T known below p_T
+    and x known below p_x is known below ``min(p_T + v(x), p_x + v(T))``,
+    with v of ``0 + O(t^p)`` read as p and the terms of an exact factor left
+    out, and is the exact zero when a factor is; adding c and cutting at
+    ``prec`` lower that to the least of it, c's precision and ``prec``.  One
+    dict takes the pairs of T and x below the key, each row of x cut by one
+    bisection, and c's terms below it, scaled by ``X^m``; its nonzero keys
+    are sorted once per step, and one grid is built at the end.
+    """
+    rank = x.rank
+    if any(c.rank != rank for c in coeffs):
+        raise ValueError("rank mismatch")
+    if not coeffs:
+        return TruncatedSeries.zero(rank)
+    xden, xkeys, xcden, xnums = x.approx._grid
+    pkeys = [x._pkey, _key_of(prec)]
+    steps = []
     for c in reversed(coeffs):
-        total = (total * x + c).truncate(prec)
-    return total
+        steps.append(c.approx._grid)
+        pkeys.append(c._pkey)
+    eden = lcm(xden, *(g[0] for g in steps), *(k[0] for k in pkeys if k is not None))
+    cden = lcm(*(g[2] for g in steps))
+    px, top, *pkeys = [None if k is None else k[1] * (eden // k[0]) for k in pkeys]
+    xpairs = list(zip(_over(xden, eden, xkeys), xnums))
+    vx = xpairs[0][0] if xpairs else px
+    keys, nums, ptot, scale = [], [], None, 1
+    for (den, ckeys, ccden, cnums), bound in zip(steps, pkeys):
+        if vx is not None and (keys or ptot is not None):
+            prod = None if ptot is None else ptot + vx
+            if px is not None:
+                other = px + (keys[0] if keys else ptot)
+                if prod is None or other < prod:
+                    prod = other
+            if bound is None or (prod is not None and prod < bound):
+                bound = prod
+        if top is not None and (bound is None or top < bound):
+            bound = top
+        acc = {}
+        get = acc.get
+        if keys:
+            scale *= xcden
+            row = xpairs
+            for a, na in zip(keys, nums):
+                if bound is not None:
+                    row = xpairs[:bisect_left(xpairs, (bound - a,))]
+                    if not row:
+                        break
+                for b, nb in row:
+                    k = a + b
+                    acc[k] = get(k, 0) + na * nb
+        else:
+            scale = 1
+        ckeys = _over(den, eden, ckeys)
+        lift = scale * (cden // ccden)
+        for k, n in zip(ckeys, cnums):
+            if bound is not None and k >= bound:
+                break
+            acc[k] = get(k, 0) + n * lift
+        keys = [k for k, n in acc.items() if n]
+        keys.sort()
+        nums = [acc[k] for k in keys]
+        ptot = bound
+    grid = (*_least(eden, tuple(keys)), *_least(cden * scale, tuple(nums)))
+    if ptot is not None:
+        den, (ptot,) = _least(eden, (ptot,))
+        ptot = (den, ptot)
+    return _truncated(_on_grid(grid, rank), ptot)
 
 
 def poly_derivative(coeffs):
