@@ -204,6 +204,9 @@ def _dispatch(args, registry):
     if args.command == "divide":
         f = parse_multiseries(args.divisor, rank=rank)
         g = parse_multiseries(args.dividend, rank=rank)
+        nvars = max(f.nvars, g.nvars)
+        if not 1 <= args.var <= nvars:
+            raise ValueError(f"--var must name one of the variables x1 to x{nvars}, got --var {args.var}")
         q, r = weierstrass_divide(f, g, args.var - 1, args.degree, prec)
         _emit(
             {"Q": format_multiseries(q), "R": [format_multiseries(x) for x in r]},

@@ -75,6 +75,20 @@ class TestAlgebraCommands:
         assert code == 0
         assert payload == {"Q": "[1]*x1", "R": ["[0]", "[1*t^(1)]"]}
 
+    @pytest.mark.parametrize("var", ["0", "3", "-1"])
+    def test_divide_var_out_of_range_is_a_usage_error(self, capsys, var):
+        code = run_cli(["divide", "[1] + [1]*x1", "[1]*x1 + [2]*x2", "--var", var])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --var must name one of the variables x1 to x2, got --var {var}\n"
+
+    def test_divide_var_ranges_over_both_operands(self, capsys):
+        # the dividend has two variables, so x2 is in range for a one-variable divisor
+        code, payload, _ = run(capsys, "divide", "[1] + [1]*x1", "[1]*x1 + [2]*x2", "--var", "2")
+        assert code == 0 and payload["R"] == []
+        code = run_cli(["divide", "[1]", "[1]", "--var", "2"])
+        assert code == 2 and "x1 to x1, got --var 2" in capsys.readouterr().err
+
     def test_split(self, capsys):
         code, payload, _ = run(capsys, "split", "[1]*x1*x2")
         assert code == 0
