@@ -247,8 +247,10 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
     Returns ``(Q, [R_0, ..., R_{s-1}])`` with ``g = Q f + sum R_i x_var^i``
     modulo the truncation ideal at ``(d_out, prec_out)``; the remainder
     coefficients do not involve the distinguished variable, and the norms
-    of Q and the R_i are no larger than the norm of g.
+    of Q and the R_i are no larger than the norm of g.  A divisor in fewer
+    variables than g is read in all of g's.
     """
+    f = ms_pad(f, max(f.nvars, g.nvars))
     norm, top = gauss_data(f)
     if not norm.is_zero():
         raise NonUnitNorm("the divisor must have additive norm zero")
@@ -265,9 +267,11 @@ def _divide(f, g, var, s, d_out, prec_out):
         return zero, [zero] * s
     d_work = d_out + s
     # a dividend of negative norm shifts every correction down by its norm,
-    # so the iteration has to run that much deeper to certify prec_out
+    # so the iteration has to run that much deeper to certify prec_out; an
+    # infinite prec_out stays infinite
     norm_g, _ = gauss_data(g)
-    prec_work = prec_out - norm_g if norm_g < GroupElement.zero(norm_g.rank) else prec_out
+    deeper = prec_out is not INFINITE and norm_g < GroupElement.zero(norm_g.rank)
+    prec_work = prec_out - norm_g if deeper else prec_out
     f_w = _window(f, d_work, prec_work)
     w_part = MultiSeries(nvars, d_work, {i: c for i, c in f_w.coeffs.items() if i[var] < s}, rank=f.rank)
     v_inv = _invert_unit(_over_power(f_w, var, s), d_work, prec_work)

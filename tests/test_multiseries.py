@@ -139,6 +139,17 @@ class TestWeierstrassDivide:
         with pytest.raises(NonUnitNorm):
             weierstrass_divide(ms("[t^(1)]*x1"), ms("[1]"), 0, 2, ge(3))
 
+    def test_infinite_precision_with_a_dividend_of_negative_norm(self):
+        f = ms("[1]*x1^2 + [-1*t^(1)]")
+        g = ms("[1*t^(-1)]*x1^3")
+        q, r = weierstrass_divide(f, g, 0, 3, INFINITE)
+        assert q == ms("[1*t^(-1)]*x1")
+        assert r[0].is_zero() and r[1] == ms("[1]")
+        assert [format_multiseries(x) for x in (q, *r)] == ["[1*t^(-1)]*x1", "[0]", "[1]"]
+        assert (q, r) == weierstrass_divide(f, g, 0, 3, ge(20))
+        defect = division_defect(f, g, 0, q, r_list=r, d_out=3)
+        assert defect.is_zero() and in_truncation_ideal(defect, 3, INFINITE)
+
     def test_deterministic(self):
         f = ms("[1]*x1^2 + [-1*t^(1)] + [t^(1/2)]*x1*x2")
         g = ms("[1]*x1^3 + [2]*x2")
@@ -513,7 +524,9 @@ def _old_divide(f, g, var, d_out, prec_out):
         return zero, [zero] * s
     d_work = d_out + s
     norm_g, _ = gauss_data(g)
-    prec_work = prec_out - norm_g if norm_g < GroupElement.zero(norm_g.rank) else prec_out
+    # an infinite prec_out stays infinite (the old loop raised TypeError here)
+    deeper = prec_out is not INFINITE and norm_g < GroupElement.zero(norm_g.rank)
+    prec_work = prec_out - norm_g if deeper else prec_out
     f_w = _old_clip_window(f, d_work, prec_work, dict(f.coeffs))
     w_part = _old_extract_low(f_w, var, s, d_work, prec_work)
     v_inv = _old_invert_unit(_old_extract_high(f_w, var, s, d_work, prec_work), d_work, prec_work)
