@@ -19,14 +19,17 @@ call per member of the polynomial's derivative chain at depth lam + 4, as
 the call of each ``divide`` and each ``implicit`` command of the ``cli``
 rounds.  The ``poly_eval`` layer times, as one call per
 ``prepare_polynomial`` operation of those ``prepare`` rounds, every Horner
-call that the operation makes.  All are generated by the parent's
+call that the operation makes (exact arguments); the ``hensel_poly_eval``
+layer times, as one call per ``hensel_root`` operation of the ``newton``
+rounds (the Catalan fixture included), the Horner calls of the residual and
+the slope that ``hensel_root`` makes (inexact arguments).  All are generated by the parent's
 ``perfbench/workloads.generate``, so both sides time the same inputs.  The
 child finds the arguments of an ``evaluate_analytic``, ``eval_term``,
 ``roots``, ``divide`` or ``implicit`` call by running the command once
 through ``run_cli`` and recording the call it makes (``eval_term``,
 ``weierstrass_divide`` and ``implicit_series`` as ``cli`` calls them), and
 those of the Horner calls by running the operation once with ``prepare.poly_eval``
-patched to record them.
+or ``analytic.poly_eval`` patched to record them.
 
 Each repeat runs one fresh interpreter per checkout, in alternating order
 (parent first on even repeats, change first on odd ones).  The child
@@ -73,7 +76,8 @@ from pairs import quartiles  # noqa: E402 - after the bytecode switch
 
 LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root",
           "evaluate_analytic": "evaluate_analytic", "eval_term": "eval_term", "puiseux_roots": "puiseux_roots",
-          "poly_eval": "poly_eval", "weierstrass_divide": "weierstrass_divide", "implicit_series": "implicit_series"}
+          "poly_eval": "poly_eval", "hensel_poly_eval": "hensel_poly_eval", "weierstrass_divide": "weierstrass_divide",
+          "implicit_series": "implicit_series"}
 SEED, ROUNDS, PASSES, CONTROL_RUNS = 7, 3, 5, 10
 
 
@@ -85,6 +89,8 @@ def solver_calls(checkout):
     import workloads
 
     specs = [spec for ops in workloads.generate("newton", SEED, ROUNDS) for spec in ops if spec["kind"] in LAYERS]
+    specs += [{"kind": "hensel_poly_eval", "coeffs": spec["coeffs"], "prec": spec["prec"]}
+              for spec in specs if LAYERS[spec["kind"]] == "hensel_root"]
     for ops in workloads.generate("cli", SEED, ROUNDS):
         for spec in ops:
             check = spec["check"]
@@ -182,6 +188,9 @@ def child(checkout):
             prepared = partial(prepare.prepare_polynomial, [series.parse_series(c) for c in spec["coeffs"]],
                                ge(spec["lam"]), spec["trials"], spec["seed"])
             calls.append((horner, (recorded_calls(prepared, prepare, "poly_eval"),)))
+        elif spec["kind"] == "hensel_poly_eval":
+            solved = partial(analytic.hensel_root, [series.parse_series(c) for c in spec["coeffs"]], ge(spec["prec"]))
+            calls.append((horner, (recorded_calls(solved, analytic, "poly_eval"),)))
         else:
             calls.append((analytic.hensel_root, ([series.parse_series(c) for c in spec["coeffs"]], ge(spec["prec"]))))
 
@@ -290,7 +299,8 @@ def main(argv=None):
                  f"the implicit_series call of each implicit command of "
                  f"workloads.generate('cli', {SEED}, {ROUNDS}); puiseux_roots on the derivative chain, at "
                  "depth lam + 4, and the poly_eval calls, recorded from one run, of each prepare_polynomial "
-                 f"operation of workloads.generate('prepare', {SEED}, {ROUNDS})",
+                 f"operation of workloads.generate('prepare', {SEED}, {ROUNDS}); hensel_poly_eval: the poly_eval "
+                 "calls, recorded from one run, of each hensel_root and catalan operation of the newton rounds",
         "control": f"per pass, the median of {CONTROL_RUNS} runs of the parent's perfbench/calibrate.kernel() after "
                    "it; a call's time over control is the median over passes of its time over its pass's control",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",
