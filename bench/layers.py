@@ -21,9 +21,10 @@ rounds.  The ``poly_eval`` layer times, as one call per
 ``prepare_polynomial`` operation of those ``prepare`` rounds, every Horner
 call that the operation makes (exact arguments); the ``hensel_poly_eval``
 layer times, as one call per ``hensel_root`` operation of the ``newton``
-rounds (the Catalan fixture included), the Horner calls of the residual and
-the slope that ``hensel_root`` makes (inexact arguments).  All are generated by the parent's
-``perfbench/workloads.generate``, so both sides time the same inputs.  The
+rounds (the Catalan fixture included), the Horner calls of the residual
+and the slope that ``hensel_root`` makes (inexact arguments).  All are
+generated by the parent's ``perfbench/workloads.generate``, so both sides
+time the same inputs.  The
 child finds the arguments of an ``evaluate_analytic``, ``eval_term``,
 ``roots``, ``divide`` or ``implicit`` call by running the command once
 through ``run_cli`` and recording the call it makes (``eval_term``,

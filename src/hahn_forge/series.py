@@ -1215,8 +1215,6 @@ def poly_eval(coeffs, x, prec=INFINITE):
     rank = x.rank
     if any(c.rank != rank for c in coeffs):
         raise ValueError("rank mismatch")
-    if not coeffs:
-        return TruncatedSeries.zero(rank)
     xden, xkeys, xcden, xnums = x.approx._grid
     pkeys = [x._pkey, _key_of(prec)]
     steps = []
