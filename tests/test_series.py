@@ -1647,20 +1647,16 @@ class TestPolyEvalAgainstFold:
             _same_as_newton(poly_eval, _fold_poly_eval, coeffs, s("1*t^(1)"), prec)
 
 
-def _plain(e):
-    return tuple(e)
-
-
 def _oracle_poly_sum(coeffs, x):
     """``sum c_i x^i`` of exact operands by Fraction dicts over ``.terms`` (shares no code with
     ``poly_eval``): ``{exponent tuple: coefficient}`` without zero coefficients."""
     rank = x.rank
-    xd = {_plain(e): c for e, c in x.approx.terms}
+    xd = {tuple(e): c for e, c in x.approx.terms}
     total, power = {}, {(Fraction(0),) * rank: Fraction(1)}
     for c in coeffs:
         for e, a in c.approx.terms:
             for f, b in power.items():
-                k = _vadd(_plain(e), f)
+                k = _vadd(tuple(e), f)
                 total[k] = total.get(k, Fraction(0)) + a * b
         power = _dict_mul(power, xd)
     return {e: c for e, c in total.items() if c}
@@ -1673,10 +1669,10 @@ class TestPolyEvalOracle:
         want = sorted(_oracle_poly_sum(coeffs, x).items())
         exact = poly_eval(coeffs, x)
         assert exact.is_exact()
-        assert [(_plain(e), c) for e, c in exact.approx.terms] == want
+        assert [(tuple(e), c) for e, c in exact.approx.terms] == want
         cut = poly_eval(coeffs, x, prec)
         assert cut.prec is not INFINITE and cut.prec <= prec
-        assert [(_plain(e), c) for e, c in cut.approx.terms] == [(e, c) for e, c in want if e < _plain(cut.prec)]
+        assert [(tuple(e), c) for e, c in cut.approx.terms] == [(e, c) for e, c in want if e < tuple(cut.prec)]
         if x.approx.is_zero() or x.approx.valuation() >= GroupElement.zero(x.rank):
             assert cut.prec == prec
 
