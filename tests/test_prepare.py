@@ -8,6 +8,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hahn_forge import algebraic as alg
+from hahn_forge.algebraic import AlgebraicContext, RealAlgebraic
 from hahn_forge.analytic import FunctionRegistry, register_function
 import hahn_forge.prepare as preparation
 from hahn_forge.errors import DepthExhausted, DivisionByZero, DomainViolation, UndecidedSign
@@ -232,6 +234,86 @@ class TestSquarefreeAgainstSympy:
         assert q.degree() == p.sqf_part().degree()
         if p.gcd(p.diff(x)).degree() == 0:
             assert unchanged
+
+
+# ---------------------------------------------------------------------------
+# the shift p(c*t^nu + x) of root expansion against a naive expansion
+
+# witness and isolating interval of the generator; None is Q itself
+SHIFT_FIELDS = {
+    "Q": None,
+    "sqrt3": ([-3, 0, 1], 1, 2),
+    "fourth root of 5": ([-5, 0, 0, 0, 1], 1, 2),
+    "sqrt2 of (x^2-2)(x^2-3)": ([6, 0, -5, 0, 1], 1, Fraction(3, 2)),
+    "sqrt3 of (x^2-2)(x^2-3)": ([6, 0, -5, 0, 1], Fraction(3, 2), 2),
+}
+
+shift_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+# coordinates times 1 or a factor of the reducible witness, so some numbers vanish at the generator
+shift_coords = st.builds(lambda cs, f: [Fraction(c) for c in alg.pmul(cs, f)],
+                         st.lists(shift_rationals, min_size=1, max_size=4),
+                         st.sampled_from([[1], [-2, 0, 1], [-3, 0, 1]]))
+
+
+@st.composite
+def shift_cases(draw):
+    """(field, coefficient specs, c spec, nu): a spec is ("q", Fraction) or ("a", coordinates)."""
+    field = draw(st.sampled_from(list(SHIFT_FIELDS)))
+    rational = shift_rationals.map(lambda q: ("q", q))
+    algebraic = shift_coords.map(lambda cs: ("a", cs))
+    if field == "Q":
+        numbers, c = rational, draw(rational.filter(lambda spec: spec[1]))
+    else:
+        numbers = draw(st.sampled_from([rational, algebraic, st.one_of(rational, algebraic)]))
+        c = draw(st.one_of(rational.filter(lambda spec: spec[1]), algebraic))
+    exponents = st.builds(Fraction, st.integers(-4, 6), st.sampled_from([1, 2, 3, 4]))
+    coeffs = draw(st.lists(st.dictionaries(exponents, numbers, max_size=3), min_size=2, max_size=5))
+    nu = draw(st.builds(Fraction, st.integers(-3, 5), st.sampled_from([1, 2, 3, 5])))
+    return field, coeffs, c, nu
+
+
+def _naive_shift(coeffs, c, nu):
+    """p(c*t^nu + x) by multiplying out (c*t^nu + x)^i as {x-degree: {exponent: number}} dicts.
+
+    An algebraic c makes every term algebraic, the one of x^i included, as the shift does.
+    """
+    one = Fraction(1) if isinstance(c, Fraction) else RealAlgebraic(c.ctx, [1])
+    out = [{} for _ in coeffs]
+    power = {0: {Fraction(0): one}}
+    for a in coeffs:
+        for j, term in power.items():
+            for e, q in term.items():
+                for f, r in a.items():
+                    out[j][e + f] = out[j].get(e + f, 0) + q * r
+        times_x = {j + 1: dict(term) for j, term in power.items()}
+        for j, term in power.items():
+            row = times_x.setdefault(j, {})
+            for e, q in term.items():
+                row[e + nu] = row.get(e + nu, 0) + q * c
+        power = times_x
+    return [{e: q for e, q in row.items() if q != 0} for row in out]
+
+
+class TestShiftAgainstNaiveExpansion:
+    @settings(max_examples=300, deadline=None)
+    @given(shift_cases())
+    def test_same_terms_values_and_types(self, case):
+        field, specs, c_spec, nu = case
+        ctx = None if SHIFT_FIELDS[field] is None else AlgebraicContext(*SHIFT_FIELDS[field])
+
+        def number(spec):
+            kind, value = spec
+            return value if kind == "q" else RealAlgebraic(ctx, value)
+
+        coeffs = [{e: number(spec) for e, spec in a.items()} for a in specs]
+        c = number(c_spec)
+        got = preparation._substitute(coeffs, c, nu)
+        expected = _naive_shift(coeffs, c, nu)
+        assert [sorted(row) for row in got] == [sorted(row) for row in expected]
+        assert got == expected
+        assert [{e: type(q) for e, q in row.items()} for row in got] == [
+            {e: type(q) for e, q in row.items()} for row in expected
+        ]
 
 
 class TestRvProductLaw:
