@@ -205,8 +205,14 @@ def _axis_degree(top, var):
     return min(axis)
 
 
+def _check_var(var, nvars):
+    if not 0 <= var < nvars:
+        raise ValueError(f"var must name one of the variables 0 to {nvars - 1}, got var {var}")
+
+
 def regular_degree(f, var):
     """Least axis degree of the top slice in the given variable, or NotRegular."""
+    _check_var(var, f.nvars)
     norm, top = gauss_data(f)
     if not norm.is_zero():
         raise NormNotOne("regularity is defined at additive norm zero")
@@ -248,8 +254,9 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
     modulo the truncation ideal at ``(d_out, prec_out)``; the remainder
     coefficients do not involve the distinguished variable, and the norms
     of Q and the R_i are no larger than the norm of g.  A divisor in fewer
-    variables than g is read in all of g's.
+    variables than g is read in all of g's, so ``var`` ranges over those.
     """
+    _check_var(var, max(f.nvars, g.nvars))
     f = ms_pad(f, max(f.nvars, g.nvars))
     norm, top = gauss_data(f)
     if not norm.is_zero():

@@ -93,6 +93,11 @@ class TestRegularDegree:
         with pytest.raises(NormNotOne):
             regular_degree(ms("[t^(1)]*x1"), 0)
 
+    @pytest.mark.parametrize("var", [-1, 2])
+    def test_var_out_of_range(self, var):
+        with pytest.raises(ValueError, match=f"variables 0 to 1, got var {var}$"):
+            regular_degree(ms("[1]*x1^2 + [1]*x2"), var)
+
 
 class TestWeierstrassDivide:
     def test_cubic_by_quadratic(self):
@@ -109,6 +114,18 @@ class TestWeierstrassDivide:
         q, r = weierstrass_divide(f, g, 0, 3, ge(4))
         assert q == ms("[1] + [1]*x1 + [1]*x1^2 + [1]*x1^3")
         assert r == []
+
+    @pytest.mark.parametrize("var", [-1, 2])
+    def test_var_out_of_range(self, var):
+        # the range is the dividend's two variables, not the divisor's one
+        with pytest.raises(ValueError, match=f"variables 0 to 1, got var {var}$"):
+            weierstrass_divide(ms("[1] + [1]*x1"), ms("[1]*x1*x2"), var, 3, ge(4))
+
+    def test_var_of_the_dividend_alone(self):
+        # the unit 1 + x1, padded to two variables, is regular of degree 0 in x2
+        f, g = ms("[1] + [1]*x1"), ms("[1]*x2 + [1]*x1*x2")
+        q, r = weierstrass_divide(f, g, 1, 3, ge(4))
+        assert q == ms("[1]*x2") and r == []
 
     def test_linear_two_vars(self):
         f = ms("[1]*x1 + [t^(1)]*x2")
