@@ -22,15 +22,21 @@ rounds.  The ``poly_eval`` layer times, as one call per
 call that the operation makes (exact arguments); the ``hensel_poly_eval``
 layer times, as one call per ``hensel_root`` operation of the ``newton``
 rounds (the Catalan fixture included), the Horner calls of the residual
-and the slope that ``hensel_root`` makes (inexact arguments).  All are
+and the slope that ``hensel_root`` makes (inexact arguments).  The
+``substitute`` layer times, as one call per ``prepare_polynomial``
+operation of those ``prepare`` rounds and one per ``roots`` command of the
+``cli`` rounds, every ``prepare._substitute`` call (the shift of root
+expansion) that the operation or command makes, recorded from one run with
+its arguments deep-copied as they were at the call.  All are
 generated by the parent's ``perfbench/workloads.generate``, so both sides
 time the same inputs.  The
 child finds the arguments of an ``evaluate_analytic``, ``eval_term``,
 ``roots``, ``divide`` or ``implicit`` call by running the command once
 through ``run_cli`` and recording the call it makes (``eval_term``,
 ``weierstrass_divide`` and ``implicit_series`` as ``cli`` calls them), and
-those of the Horner calls by running the operation once with ``prepare.poly_eval``
-or ``analytic.poly_eval`` patched to record them.
+those of the Horner and shift calls by running the operation once with
+``prepare.poly_eval``, ``analytic.poly_eval`` or ``prepare._substitute``
+patched to record them.
 
 Each repeat runs one fresh interpreter per checkout, in alternating order
 (parent first on even repeats, change first on odd ones).  The child
@@ -56,7 +62,8 @@ noise.
 It exits 1, after writing the file, if the two sides' outputs differ: the
 ``format_series`` text of each result (for ``puiseux_roots`` the JSON of
 the roots' ``to_dict``, for the division layers the ``format_multiseries`` text
-of each part), or the class and message of the error it raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a
+of each part, for ``substitute`` the exponent, type and coordinates of
+every term), or the class and message of the error it raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a
 temporary directory and the parent's ``perfbench`` is imported without
 writing bytecode, so nothing is written into either checkout.
 """
@@ -70,6 +77,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -78,7 +86,7 @@ from pairs import quartiles  # noqa: E402 - after the bytecode switch
 LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root",
           "evaluate_analytic": "evaluate_analytic", "eval_term": "eval_term", "puiseux_roots": "puiseux_roots",
           "poly_eval": "poly_eval", "hensel_poly_eval": "hensel_poly_eval", "weierstrass_divide": "weierstrass_divide",
-          "implicit_series": "implicit_series"}
+          "implicit_series": "implicit_series", "substitute": "substitute"}
 SEED, ROUNDS, PASSES, CONTROL_RUNS = 7, 3, 5, 10
 
 
@@ -101,6 +109,7 @@ def solver_calls(checkout):
                 specs.append({"kind": "eval_term", "argv": spec["argv"]})
             elif check["type"] == "roots":
                 specs.append({"kind": "puiseux_roots", "argv": spec["argv"]})
+                specs.append({"kind": "substitute", "argv": spec["argv"]})
             elif spec["argv"][0] == "divide":
                 specs.append({"kind": "weierstrass_divide", "argv": spec["argv"]})
             elif spec["argv"][0] == "implicit":
@@ -111,16 +120,17 @@ def solver_calls(checkout):
                 coeffs = spec["poly"]["coeffs"]
                 specs += [{"kind": "puiseux_roots", "coeffs": coeffs, "order": k, "depth": spec["lam"] + 4}
                           for k in range(len(coeffs) - 1)]
-                specs.append({"kind": "poly_eval", "coeffs": coeffs, "lam": spec["lam"], "trials": spec["trials"],
-                              "seed": spec["seed"]})
+                specs += [{"kind": kind, "coeffs": coeffs, "lam": spec["lam"], "trials": spec["trials"],
+                           "seed": spec["seed"]} for kind in ("poly_eval", "substitute")]
     return specs
 
 
-def recorded_calls(run, module, name):
-    """The arguments of every call of ``module.name`` that ``run()`` makes, recorded from one run."""
+def recorded_calls(run, module, name, keep=lambda args: args):
+    """The arguments of every call of ``module.name`` that ``run()`` makes, recorded from one run as
+    ``keep(args)``, taken before the call."""
     recorded = []
     fn = getattr(module, name)
-    setattr(module, name, lambda *args: recorded.append(args) or fn(*args))
+    setattr(module, name, lambda *args: recorded.append(keep(args)) or fn(*args))
     try:
         run()
     finally:
@@ -128,18 +138,20 @@ def recorded_calls(run, module, name):
     return recorded
 
 
-def recorded_call(argv, module, name):
-    """The arguments of the one call of ``module.name`` that ``run_cli(argv)`` makes, recorded from a run."""
+def quiet_cli(argv):
+    """``run_cli(argv)`` with its output discarded."""
     import contextlib
     import io
 
     from hahn_forge import cli
 
-    def run():
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            cli.run_cli(list(argv))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.run_cli(list(argv))
 
-    recorded = recorded_calls(run, module, name)
+
+def recorded_call(argv, module, name):
+    """The arguments of the one call of ``module.name`` that ``run_cli(argv)`` makes, recorded from a run."""
+    recorded = recorded_calls(partial(quiet_cli, argv), module, name)
     if len(recorded) != 1:
         raise RuntimeError(f"{argv} made {len(recorded)} {name} calls, expected 1")
     return recorded[0]
@@ -148,21 +160,25 @@ def recorded_call(argv, module, name):
 def child(checkout):
     """Time the calls read from stdin with the checkout's package, and the control kernel from the directory
     named there; print per-call times, absolute and over control, the median control time and the outputs."""
+    import copy
     import gc
     import time
     from fractions import Fraction
-    from functools import partial
 
     job = json.load(sys.stdin)
     sys.path.insert(0, str(checkout / "src"))
     sys.path.insert(0, job["control"])
     import calibrate
     from hahn_forge import analytic, cli, multiseries, prepare, series, terms
+    from hahn_forge.algebraic import RealAlgebraic
 
     ge = lambda q: series.GroupElement.scalar(Fraction(q))  # noqa: E731
 
     def horner(recorded):
         return [series.poly_eval(*args) for args in recorded]
+
+    def shifts(recorded):
+        return [prepare._substitute(*args) for args in recorded]
 
     calls = []
     for spec in job["specs"]:
@@ -189,6 +205,11 @@ def child(checkout):
             prepared = partial(prepare.prepare_polynomial, [series.parse_series(c) for c in spec["coeffs"]],
                                ge(spec["lam"]), spec["trials"], spec["seed"])
             calls.append((horner, (recorded_calls(prepared, prepare, "poly_eval"),)))
+        elif spec["kind"] == "substitute":
+            run = (partial(quiet_cli, spec["argv"]) if "argv" in spec else
+                   partial(prepare.prepare_polynomial, [series.parse_series(c) for c in spec["coeffs"]],
+                           ge(spec["lam"]), spec["trials"], spec["seed"]))
+            calls.append((shifts, (recorded_calls(run, prepare, "_substitute", copy.deepcopy),)))
         elif spec["kind"] == "hensel_poly_eval":
             solved = partial(analytic.hensel_root, [series.parse_series(c) for c in spec["coeffs"]], ge(spec["prec"]))
             calls.append((horner, (recorded_calls(solved, analytic, "poly_eval"),)))
@@ -200,6 +221,9 @@ def child(checkout):
             return json.dumps([root.to_dict() for root in out])
         if f is horner:
             return "\n".join(map(series.format_series, out))
+        if f is shifts:
+            return json.dumps([[[str(e), type(q).__name__, [str(x) for x in q.coords] if isinstance(q, RealAlgebraic)
+                                 else str(q)] for e, q in row.items()] for shifted in out for row in shifted])
         if f is multiseries.weierstrass_divide:
             return "\n".join(map(multiseries.format_multiseries, [out[0], *out[1]]))
         if f is analytic.implicit_series:
@@ -301,7 +325,9 @@ def main(argv=None):
                  f"workloads.generate('cli', {SEED}, {ROUNDS}); puiseux_roots on the derivative chain, at "
                  "depth lam + 4, and the poly_eval calls, recorded from one run, of each prepare_polynomial "
                  f"operation of workloads.generate('prepare', {SEED}, {ROUNDS}); hensel_poly_eval: the poly_eval "
-                 "calls, recorded from one run, of each hensel_root and catalan operation of the newton rounds",
+                 "calls, recorded from one run, of each hensel_root and catalan operation of the newton rounds; "
+                 "substitute: the prepare._substitute calls, recorded from one run with deep-copied arguments, of "
+                 "each prepare_polynomial operation of the prepare rounds and each roots command of the cli rounds",
         "control": f"per pass, the median of {CONTROL_RUNS} runs of the parent's perfbench/calibrate.kernel() after "
                    "it; a call's time over control is the median over passes of its time over its pass's control",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",

@@ -4,9 +4,12 @@ A number is a polynomial in one generator theta, reduced modulo a
 squarefree integer annihilator of theta; theta itself is pinned by an
 isolating interval with rational endpoints.  Ring operations are exact.
 Sign queries refine the interval by bisection against the witness
-polynomial; zero tests run a gcd against the witness, and any nontrivial
-gcd lets us shrink the witness to the factor that actually vanishes at
-theta, so the representation sharpens as it is used.
+polynomial.  A zero test first tries a modular certificate: a number whose
+image modulo the prime 2^61 - 1 is coprime to the witness's image is
+nonzero (``_certified_coprime``).  Otherwise it runs a gcd against the
+witness over Q, and any nontrivial gcd lets us shrink the witness to the
+factor that actually vanishes at theta, so the representation sharpens as
+it is used.
 
 Polynomials here are dense coefficient lists, lowest degree first.  The
 helpers are generic over the coefficient field: plain rationals or the
@@ -24,6 +27,7 @@ from math import gcd, lcm
 from .errors import UndecidedSign
 
 _MAX_REFINE = 160
+_PRIME = 2**61 - 1
 
 
 def ptrim(p):
@@ -101,6 +105,49 @@ def pgcd(a, b):
         inv = 1 / a[-1]
         a = [c * inv for c in a]
     return a
+
+
+def _mod_prime(a):
+    """Images in GF(_PRIME) of rational coefficients, or None when a denominator vanishes there."""
+    out = []
+    for c in a:
+        den = c.denominator % _PRIME
+        if not den:
+            return None
+        out.append(c.numerator * pow(den, -1, _PRIME) % _PRIME)
+    return out
+
+
+def _certified_coprime(a, b):
+    """True only if the rational polynomials a and b are coprime over Q.
+
+    Both are mapped to GF(p), p = _PRIME; the certificate holds when no
+    denominator is a multiple of p, neither leading coefficient maps to 0,
+    and Euclid over GF(p) ends in a nonzero constant.  Why that suffices:
+    a and b lie in Z_(p)[x], Z_(p) the rationals with denominators prime to
+    p.  Let g be their gcd over Q, scaled to be primitive over Z_(p) (some
+    coefficient a unit).  Gauss's lemma over Z_(p) gives a = g*a1 with a1 in
+    Z_(p)[x], so modulo p, a' = g'*a1'.  Reduction never raises a degree,
+    and deg a' = deg a, so deg g' = deg g; likewise for b.  Then g' divides
+    gcd(a', b'), whose degree is at least deg g.  A constant gcd modulo p
+    thus makes g constant.  False means only that no certificate was found.
+    """
+    a, b = _mod_prime(a), _mod_prime(b)
+    if a is None or b is None or not a or not b or not a[-1] or not b[-1]:
+        return False
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        top = len(b) - 1
+        while len(a) > top:
+            q = a[-1] * inv % _PRIME
+            k = len(a) - 1 - top
+            for i in range(top):
+                a[k + i] = (a[k + i] - q * b[i]) % _PRIME
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def pderiv(a):
@@ -399,6 +446,8 @@ class RealAlgebraic:
             return True
         if pdeg(p) == 0:
             return not p[0]
+        if _certified_coprime(p, self.ctx.witness):
+            return False
         g = pgcd(p, self.ctx.witness)
         if pdeg(g) < 1:
             return False

@@ -29,7 +29,6 @@ from .algebraic import (
     AlgebraicContext,
     RealAlgebraic,
     as_fraction_or_none,
-    number_is_zero,
 )
 from .analytic import evaluate_analytic
 from .errors import (
@@ -222,7 +221,10 @@ def newton_polygon(coeffs):
 
 # an "xser" is a dict {Fraction exponent: number}; numbers are Fractions or
 # RealAlgebraic elements sharing one context per branch.  No stored number
-# is zero: each is zero-tested once, where _substitute creates it.
+# is zero: each is zero-tested once, where _substitute creates it.  Inside
+# _substitute an xser is held on ints: an exponent e as the key e*E, a
+# number as int coordinates over one denominator D (a Fraction as one
+# coordinate).
 
 
 def _xser_from_truncated(ts):
@@ -233,28 +235,77 @@ def _xser_from_truncated(ts):
     return {e.first(): c for e, c in ts.approx.terms}
 
 
-def _xser_add_term(s, e, c):
-    cur = s.get(e)
-    s[e] = c if cur is None else cur + c
-
-
 def _substitute(coeffs, c, nu):
-    """Coefficients of p(c*t^nu + x) from those of p(x)."""
+    """Coefficients of p(c*t^nu + x) from those of p(x), by the binomial expansion on ints.
+
+    E is the lcm of the denominators of nu and of every exponent.  D is the
+    lcm of the coefficients' denominators times the lcm of the denominators
+    of c^0, ..., c^n, which are reduced modulo the witness.  Each pair
+    a_i[e] * binom(i, j) * c^(i-j) is one int ``pmul``, added unreduced to
+    the term of x^j at e + (i-j)*nu.  Each term is then converted to
+    Fractions once, reduced once if algebraic, and zero-tested once.  The
+    remainder is that of summing reduced products: reduction modulo the
+    witness is linear with a canonical remainder, and no zero test runs
+    before the last sum, so the witness cannot shrink in between.
+
+    A term is a RealAlgebraic when an algebraic number entered it, and an
+    algebraic c enters every term, that of x^i included; otherwise it is a
+    Fraction.  Terms keep the order in which the pairs first reach them.
+    """
     n = len(coeffs) - 1
-    out = [dict() for _ in range(n + 1)]
-    powers = [Fraction(1) if isinstance(c, Fraction) else c * 0 + 1]
-    for _ in range(n):
-        powers.append(powers[-1] * c)
-    for i, a in enumerate(coeffs):
-        if not a:
-            continue
+    every_term_algebraic = isinstance(c, RealAlgebraic)
+    ctx = c.ctx if every_term_algebraic else None
+    for a in coeffs:
+        for q in a.values():
+            if isinstance(q, RealAlgebraic):
+                if ctx is not None and q.ctx is not ctx:
+                    raise ValueError("mixing generators from different contexts")
+                ctx = q.ctx
+    if every_term_algebraic:
+        powers = [[Fraction(1)]]
+        for _ in range(n):
+            powers.append(ctx.reduce(alg.pmul(powers[-1], c._sync())))
+    else:
+        powers = [[Fraction(c) ** k] for k in range(n + 1)]
+    numbers = [[(e, q._sync() if isinstance(q, RealAlgebraic) else [q], isinstance(q, RealAlgebraic))
+                for e, q in a.items()] for a in coeffs]
+    eden = lcm(nu.denominator, *(e.denominator for a in coeffs for e in a))
+    qden = lcm(*(x.denominator for a in numbers for _, p, _ in a for x in p))
+    cden = lcm(*(x.denominator for p in powers for x in p))
+    den = qden * cden
+    power_ints = [[x.numerator * (cden // x.denominator) for x in p] for p in powers]
+    step = nu.numerator * (eden // nu.denominator)
+    sums = [{} for _ in range(n + 1)]
+    algebraic = [set() for _ in range(n + 1)]
+    for i, a in enumerate(numbers):
+        terms = [(e.numerator * (eden // e.denominator), [x.numerator * (qden // x.denominator) for x in p], is_alg)
+                 for e, p, is_alg in a]
         for j in range(i + 1):
-            w = comb(i, j)
-            shift = nu * (i - j)
-            factor = powers[i - j] * w
-            for e, q in a.items():
-                _xser_add_term(out[j], e + shift, q * factor)
-    return [{e: q for e, q in s.items() if not number_is_zero(q)} for s in out]
+            factor = [comb(i, j) * x for x in power_ints[i - j]]
+            shift = step * (i - j)
+            row = sums[j]
+            for key, p, is_alg in terms:
+                key += shift
+                pair = alg.pmul(p, factor)
+                total = row.get(key)
+                row[key] = pair if total is None else alg.padd(total, pair)
+                if is_alg:
+                    algebraic[j].add(key)
+    out = []
+    for row, marked in zip(sums, algebraic):
+        s = {}
+        for key, p in row.items():
+            if every_term_algebraic or key in marked:
+                q = RealAlgebraic._reduced(ctx, ctx.reduce([Fraction(x, den) for x in p]))
+                if q.is_zero():
+                    continue
+            else:
+                q = Fraction(p[0], den) if p else Fraction(0)
+                if not q:
+                    continue
+            s[Fraction(key, eden)] = q
+        out.append(s)
+    return out
 
 
 def _poly_points(coeffs):

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hahn_forge import algebraic
 from hahn_forge.algebraic import (
+    _PRIME,
     AlgebraicContext,
+    _certified_coprime,
     RealAlgebraic,
     cauchy_bound,
     generic_real_root_count,
@@ -239,4 +242,59 @@ class TestInvariantsBehindTheDeletedBranches:
         ctx = AlgebraicContext(*REDUCIBLE["sqrt2 of (x^2-2)(x^2-3)"])
         x = RealAlgebraic(ctx, [-3, 0, 1])
         assert x.inverse().coords == [Fraction(-1)]
+        assert ctx.witness == [Fraction(-2), Fraction(0), Fraction(1)]
+
+
+# ---------------------------------------------------------------------------
+# the modular certificate in front of the exact gcd of a zero test
+
+P = _PRIME
+# rationals whose image modulo P is 0 or undefined, next to small ones
+modular_rationals = st.one_of(
+    small_rationals,
+    st.builds(lambda k, d: Fraction(k * P, d), st.sampled_from([-1, 1, 2]), st.integers(1, 3)),
+    st.builds(lambda k, d: Fraction(k, d * P), st.integers(-3, 3), st.integers(1, 2)),
+)
+modular_polys = st.lists(modular_rationals, min_size=1, max_size=4).filter(lambda p: p[-1])
+
+
+class TestModularCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(modular_polys, modular_polys, modular_polys, st.booleans())
+    def test_a_certificate_means_a_constant_gcd(self, a, w, shared, share):
+        if share:
+            a, w = pmul(a, shared), pmul(w, shared)
+        if _certified_coprime(a, w):
+            assert pdeg(pgcd(a, w)) == 0
+
+    def test_a_nonzero_number_needs_no_exact_gcd(self, monkeypatch):
+        ctx = AlgebraicContext(*REDUCIBLE["sqrt2 of (x^2-2)(x^2-3)"])
+        x = RealAlgebraic(ctx, [Fraction(1, 3), 5, Fraction(-2, 7)])
+        monkeypatch.setattr(algebraic, "pgcd", None)
+        assert not x.is_zero()
+
+    # g = x + 1/P and g = x + P share a root with the witness g*(x^2 - 2): modulo P the first is a
+    # constant (its leading coefficient vanishes) and the second has no image (a denominator vanishes)
+    @pytest.mark.parametrize("coords, root", [
+        ([1, P], Fraction(-1, P)),
+        ([1, Fraction(1, P)], Fraction(-P)),
+    ])
+    @pytest.mark.parametrize("at_the_shared_root", [True, False])
+    def test_falls_back_to_the_exact_gcd(self, coords, root, at_the_shared_root):
+        g = [Fraction(c) for c in coords]
+        witness = pmul(g, [-2, 0, 1])
+        lo, hi = (root - Fraction(1, 2 * P), root + Fraction(1, 2 * P)) if at_the_shared_root else (1, 2)
+        ctx = AlgebraicContext(witness, lo, hi)
+        x = RealAlgebraic(ctx, g)
+        assert not _certified_coprime(x.coords, ctx.witness)
+        assert x.is_zero() is at_the_shared_root
+        monic = [c / g[-1] for c in g]
+        assert ctx.witness == (monic if at_the_shared_root else pdivmod(witness, monic)[0])
+
+    @pytest.mark.parametrize("coords, vanishes", [([-2, 0, 1], True), ([-3, 0, 1], False)])
+    def test_a_factor_of_a_reducible_witness(self, coords, vanishes):
+        ctx = AlgebraicContext(*REDUCIBLE["sqrt2 of (x^2-2)(x^2-3)"])
+        x = RealAlgebraic(ctx, coords)
+        assert not _certified_coprime(x.coords, ctx.witness)
+        assert x.is_zero() is vanishes
         assert ctx.witness == [Fraction(-2), Fraction(0), Fraction(1)]

@@ -308,12 +308,16 @@ class TestShiftAgainstNaiveExpansion:
         coeffs = [{e: number(spec) for e, spec in a.items()} for a in specs]
         c = number(c_spec)
         got = preparation._substitute(coeffs, c, nu)
+        # the terms made under the witness as it is now, before a zero test of the oracle can shrink it
+        reduced = [q for row in got for q in row.values()
+                   if isinstance(q, RealAlgebraic) and q._generation == ctx.generation]
         expected = _naive_shift(coeffs, c, nu)
         assert [sorted(row) for row in got] == [sorted(row) for row in expected]
         assert got == expected
         assert [{e: type(q) for e, q in row.items()} for row in got] == [
             {e: type(q) for e, q in row.items()} for row in expected
         ]
+        assert all(q.coords == ctx.reduce(q.coords) for q in reduced)
 
 
 class TestRvProductLaw:
