@@ -119,7 +119,7 @@ def _mod_prime(a):
 
 
 def _certified_coprime(a, b):
-    """True only if the rational polynomials a and b are coprime over Q.
+    """True only if the nonzero rational polynomials a and b are coprime over Q.
 
     Both are mapped to GF(p), p = _PRIME; the certificate holds when no
     denominator is a multiple of p, neither leading coefficient maps to 0,
@@ -133,7 +133,7 @@ def _certified_coprime(a, b):
     thus makes g constant.  False means only that no certificate was found.
     """
     a, b = _mod_prime(a), _mod_prime(b)
-    if a is None or b is None or not a or not b or not a[-1] or not b[-1]:
+    if a is None or b is None or not a[-1] or not b[-1]:
         return False
     while b:
         inv = pow(b[-1], -1, _PRIME)

@@ -254,13 +254,8 @@ def _substitute(coeffs, c, nu):
     """
     n = len(coeffs) - 1
     every_term_algebraic = isinstance(c, RealAlgebraic)
-    ctx = c.ctx if every_term_algebraic else None
-    for a in coeffs:
-        for q in a.values():
-            if isinstance(q, RealAlgebraic):
-                if ctx is not None and q.ctx is not ctx:
-                    raise ValueError("mixing generators from different contexts")
-                ctx = q.ctx
+    ctx = c.ctx if every_term_algebraic else next(
+        (q.ctx for a in coeffs for q in a.values() if isinstance(q, RealAlgebraic)), None)
     if every_term_algebraic:
         powers = [[Fraction(1)]]
         for _ in range(n):
