@@ -3,13 +3,16 @@
 A number is a polynomial in one generator theta, reduced modulo a
 squarefree integer annihilator of theta; theta itself is pinned by an
 isolating interval with rational endpoints.  Ring operations are exact.
-Sign queries refine the interval by bisection against the witness
-polynomial.  A zero test first tries a modular certificate: a number whose
-image modulo the prime 2^61 - 1 is coprime to the witness's image is
+Reduction is int pseudo-division of the coordinates, put over one
+denominator, by the witness as primitive ints.  A zero test first tries a
+modular certificate: a number whose int remainder has an image modulo the
+prime 2^61 - 1 coprime to the witness's image (cached per witness) is
 nonzero (``_certified_coprime``).  Otherwise it runs a gcd against the
 witness over Q, and any nontrivial gcd lets us shrink the witness to the
 factor that actually vanishes at theta, so the representation sharpens as
-it is used.
+it is used.  Sign queries bisect the interval by the sign of a homogeneous
+int Horner, and enclosures are interval Horners on ints over the
+endpoints' common denominator.
 
 Polynomials here are dense coefficient lists, lowest degree first.  The
 helpers are generic over the coefficient field: plain rationals or the
@@ -107,43 +110,42 @@ def pgcd(a, b):
     return a
 
 
-def _mod_prime(a):
-    """Images in GF(_PRIME) of rational coefficients, or None when a denominator vanishes there."""
-    out = []
-    for c in a:
-        den = c.denominator % _PRIME
-        if not den:
-            return None
-        out.append(c.numerator * pow(den, -1, _PRIME) % _PRIME)
-    return out
+def _over_one_denominator(a):
+    """(ints, den) with a == [n / den for n in ints]; den is the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in a))
+    return [c.numerator * (den // c.denominator) for c in a], den
 
 
 def _certified_coprime(a, b):
     """True only if the nonzero rational polynomials a and b are coprime over Q.
 
-    Both are mapped to GF(p), p = _PRIME; the certificate holds when no
-    denominator is a multiple of p, neither leading coefficient maps to 0,
-    and Euclid over GF(p) ends in a nonzero constant.  Why that suffices:
-    a and b lie in Z_(p)[x], Z_(p) the rationals with denominators prime to
-    p.  Let g be their gcd over Q, scaled to be primitive over Z_(p) (some
-    coefficient a unit).  Gauss's lemma over Z_(p) gives a = g*a1 with a1 in
-    Z_(p)[x], so modulo p, a' = g'*a1'.  Reduction never raises a degree,
-    and deg a' = deg a, so deg g' = deg g; likewise for b.  Then g' divides
-    gcd(a', b'), whose degree is at least deg g.  A constant gcd modulo p
-    thus makes g constant.  False means only that no certificate was found.
+    Each is put over one denominator, which changes no gcd, and its int
+    numerators are mapped to GF(p), p = _PRIME; the certificate holds when
+    neither leading coefficient maps to 0 and Euclid over GF(p), on
+    pseudo-remainders, ends in a nonzero constant (``_coprime_images``).
+    Why that suffices: the int polynomials a and b lie in Z_(p)[x], Z_(p)
+    the rationals with denominators prime to p.  Let g be their gcd over Q,
+    scaled to be primitive over Z_(p) (some coefficient a unit).  Gauss's
+    lemma over Z_(p) gives a = g*a1 with a1 in Z_(p)[x], so modulo p,
+    a' = g'*a1'.  Reduction never raises a degree, and deg a' = deg a, so
+    deg g' = deg g; likewise for b.  Then g' divides gcd(a', b'), whose
+    degree is at least deg g.  A constant gcd modulo p thus makes g
+    constant.  False means only that no certificate was found.
     """
-    a, b = _mod_prime(a), _mod_prime(b)
-    if a is None or b is None or not a[-1] or not b[-1]:
+    return _coprime_images(*([c % _PRIME for c in _over_one_denominator(p)[0]] for p in (a, b)))
+
+
+def _coprime_images(a, b):
+    """``_certified_coprime`` on the images a and b of two int polynomials; neither list is changed."""
+    if not a[-1] or not b[-1]:
         return False
     while b:
-        inv = pow(b[-1], -1, _PRIME)
-        top = len(b) - 1
+        lead, top = b[-1], len(b) - 1
         while len(a) > top:
-            q = a[-1] * inv % _PRIME
-            k = len(a) - 1 - top
+            c, a = a[-1], [x * lead % _PRIME for x in a[:-1]]
+            k = len(a) - top
             for i in range(top):
-                a[k + i] = (a[k + i] - q * b[i]) % _PRIME
-            a.pop()
+                a[k + i] = (a[k + i] - c * b[i]) % _PRIME
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
@@ -152,13 +154,6 @@ def _certified_coprime(a, b):
 
 def pderiv(a):
     return ptrim([c * k for k, c in enumerate(a)][1:])
-
-
-def peval(a, x):
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * x + c
-    return out
 
 
 def squarefree_decomposition(a):
@@ -189,19 +184,22 @@ def squarefree_decomposition(a):
 
 
 def clear_denominators(a):
-    """Primitive integer version of a rational polynomial, positive leading."""
-    den = 1
-    for c in a:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g:
-        ints = [c // g for c in ints]
+    """Primitive int version of a rational polynomial, positive leading."""
+    ints, _ = _over_one_denominator(a)
+    g = gcd(*ints)
     if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return [Fraction(c) for c in ints]
+        g = -g
+    return [c // g for c in ints] if g else ints
+
+
+def _sign_at(a, x):
+    """Sign of the rational polynomial a at x = n/d: a homogeneous int Horner of den*d^deg(a)*a(x)."""
+    n, d = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(_over_one_denominator(a)[0]):
+        acc = acc * n + c * scale
+        scale *= d
+    return (acc > 0) - (acc < 0)
 
 
 def cauchy_bound(a):
@@ -226,9 +224,7 @@ def _sign_changes(values):
 
 
 def sturm_count(chain, lo, hi):
-    at_lo = [peval(c, lo) for c in chain]
-    at_hi = [peval(c, hi) for c in chain]
-    return _sign_changes(at_lo) - _sign_changes(at_hi)
+    return _sign_changes([_sign_at(c, lo) for c in chain]) - _sign_changes([_sign_at(c, hi) for c in chain])
 
 
 def rational_roots(a):
@@ -271,7 +267,7 @@ def rational_roots(a):
             candidates.add(Fraction(p, q))
             candidates.add(Fraction(-p, q))
     for c in sorted(candidates):
-        while pdeg(a) >= 1 and not peval(a, c):
+        while pdeg(a) >= 1 and not _sign_at(a, c):
             roots.append(c)
             a, _ = pdivmod(a, [-c, Fraction(1)])
     return roots, a
@@ -299,7 +295,7 @@ def isolate_real_roots(a):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        while not peval(a, mid):
+        while not _sign_at(a, mid):
             mid = (mid + hi) / 2
         left = sturm_count(chain, lo, mid)
         stack.append((lo, mid, left))
@@ -308,29 +304,39 @@ def isolate_real_roots(a):
 
 
 def interval_eval(a, lo, hi):
-    """Interval Horner with rational coefficients."""
-    alo = ahi = Fraction(0)
-    for c in reversed(a):
-        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(products) + c, max(products) + c
-    return alo, ahi
+    """Interval Horner with rational coefficients: after k steps the bounds are ints over den*d^k."""
+    if not a:
+        return Fraction(0), Fraction(0)
+    ints, den = _over_one_denominator(a)
+    d = lcm(lo.denominator, hi.denominator)
+    l, h = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    alo = ahi = ints[-1]
+    scale = 1
+    for c in reversed(ints[:-1]):
+        scale *= d
+        products = (alo * l, alo * h, ahi * l, ahi * h)
+        alo, ahi = min(products) + c * scale, max(products) + c * scale
+    return Fraction(alo, den * scale), Fraction(ahi, den * scale)
 
 
 class AlgebraicContext:
     """A single generator theta: squarefree witness plus isolating interval.
 
+    The witness is kept as Fractions (``witness``), as primitive ints with a
+    positive lead (``ints``, which leave every remainder as it is) and as
+    their image modulo _PRIME (``image``), all set together by ``shrink``.
     The witness may shrink when gcd computations expose a proper factor
     vanishing at theta; all numbers sharing the context re-reduce lazily.
     """
 
-    __slots__ = ("witness", "lo", "hi", "generation")
+    __slots__ = ("witness", "ints", "image", "lo", "hi", "generation")
 
     def __init__(self, witness, lo, hi):
-        self.witness = ptrim([Fraction(c) for c in witness])
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self.generation = 0
-        if peval(self.witness, self.lo) == 0 or peval(self.witness, self.hi) == 0:
+        self.generation = -1
+        self.shrink(witness)
+        if not _sign_at(self.ints, self.lo) or not _sign_at(self.ints, self.hi):
             raise ValueError("isolating interval endpoints must not be roots")
 
     def degree(self):
@@ -338,24 +344,61 @@ class AlgebraicContext:
 
     def refine(self):
         mid = (self.lo + self.hi) / 2
-        wmid = peval(self.witness, mid)
-        if wmid == 0:
+        wmid = _sign_at(self.ints, mid)
+        if not wmid:
             raise ValueError("witness root became rational; should have been extracted")
-        if peval(self.witness, self.lo) * wmid < 0:
+        if _sign_at(self.ints, self.lo) * wmid < 0:
             self.hi = mid
         else:
             self.lo = mid
 
     def contains_root_of(self, g):
         """Does theta satisfy g?  Valid for divisors of the witness."""
-        return peval(g, self.lo) * peval(g, self.hi) < 0
+        return _sign_at(g, self.lo) * _sign_at(g, self.hi) < 0
 
     def shrink(self, factor):
         self.witness = ptrim([Fraction(c) for c in factor])
+        self.ints = clear_denominators(self.witness)
+        self.image = [c % _PRIME for c in self.ints]
         self.generation += 1
 
+    def pseudo_remainder(self, a):
+        """(r, s) with s*a = r modulo the witness, for an int list a: s is L^k, L the lead of ``ints``."""
+        w, lead, s = self.ints, self.ints[-1], 1
+        top = len(w) - 1
+        a = list(a)
+        while len(a) > top:
+            c = a.pop()
+            if c:
+                if lead != 1:
+                    a = [x * lead for x in a]
+                    s *= lead
+                k = len(a) - top
+                for i in range(top):
+                    a[k + i] -= c * w[i]
+        while a and not a[-1]:
+            a.pop()
+        return a, s
+
     def reduce(self, coords):
-        return pdivmod(coords, self.witness)[1]
+        ints, den = _over_one_denominator(coords)
+        r, s = self.pseudo_remainder(ints)
+        return [Fraction(x, den * s) for x in r]
+
+    def vanishes(self, r):
+        """Is r(theta) zero, for an int list r reduced modulo the witness?  A shared factor shrinks the witness."""
+        if len(r) < 2:
+            return not r
+        if _coprime_images([c % _PRIME for c in r], self.image):
+            return False
+        g = pgcd([Fraction(c) for c in r], self.witness)
+        if pdeg(g) < 1:
+            return False
+        if self.contains_root_of(g):
+            self.shrink(g)
+            return True
+        self.shrink(pdivmod(self.witness, g)[0])
+        return False
 
 
 class RealAlgebraic:
@@ -441,22 +484,7 @@ class RealAlgebraic:
         return self.inverse() * other
 
     def is_zero(self):
-        p = self._sync()
-        if not p:
-            return True
-        if pdeg(p) == 0:
-            return not p[0]
-        if _certified_coprime(p, self.ctx.witness):
-            return False
-        g = pgcd(p, self.ctx.witness)
-        if pdeg(g) < 1:
-            return False
-        if self.ctx.contains_root_of(g):
-            self.ctx.shrink(g)
-            return True
-        q, _ = pdivmod(self.ctx.witness, g)
-        self.ctx.shrink(q)
-        return False
+        return self.ctx.vanishes(_over_one_denominator(self._sync())[0])
 
     def inverse(self):
         if self.is_zero():

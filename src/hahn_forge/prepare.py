@@ -224,7 +224,8 @@ def newton_polygon(coeffs):
 # is zero: each is zero-tested once, where _substitute creates it.  Inside
 # _substitute an xser is held on ints: an exponent e as the key e*E, a
 # number as int coordinates over one denominator D (a Fraction as one
-# coordinate).
+# coordinate), reduced by int pseudo-division and zero-tested on the int
+# remainder; Fractions are built once per term, from that remainder.
 
 
 def _xser_from_truncated(ts):
@@ -242,9 +243,10 @@ def _substitute(coeffs, c, nu):
     lcm of the coefficients' denominators times the lcm of the denominators
     of c^0, ..., c^n, which are reduced modulo the witness.  Each pair
     a_i[e] * binom(i, j) * c^(i-j) is one int ``pmul``, added unreduced to
-    the term of x^j at e + (i-j)*nu.  Each term is then converted to
-    Fractions once, reduced once if algebraic, and zero-tested once.  The
-    remainder is that of summing reduced products: reduction modulo the
+    the term of x^j at e + (i-j)*nu.  An algebraic term is then reduced
+    once by int pseudo-division (a remainder r over D*L^k, L the lead of the
+    witness's ints), zero-tested once on r and converted to Fractions once.
+    The remainder is that of summing reduced products: reduction modulo the
     witness is linear with a canonical remainder, and no zero test runs
     before the last sum, so the witness cannot shrink in between.
 
@@ -291,8 +293,9 @@ def _substitute(coeffs, c, nu):
         s = {}
         for key, p in row.items():
             if every_term_algebraic or key in marked:
-                q = RealAlgebraic._reduced(ctx, ctx.reduce([Fraction(x, den) for x in p]))
-                if q.is_zero():
+                r, scale = ctx.pseudo_remainder(p)
+                q = RealAlgebraic._reduced(ctx, [Fraction(x, den * scale) for x in r])
+                if ctx.vanishes(r):
                     continue
             else:
                 q = Fraction(p[0], den) if p else Fraction(0)
@@ -438,7 +441,7 @@ def _make_root(prefix, depth, tag="real"):
                 c = q
             else:
                 lo, hi = c.enclosure()
-                witness = (tuple(int(x) for x in alg.clear_denominators(c.ctx.witness)), (c.ctx.lo, c.ctx.hi))
+                witness = (tuple(c.ctx.ints), (c.ctx.lo, c.ctx.hi))
                 c = IntervalCoeff(lo, hi, witness, c)
         branch.append((e, c))
     depth_val = depth if depth is INFINITE else Fraction(depth)
@@ -481,7 +484,7 @@ def _squarefree_series_poly(xsers):
     for c in g:
         if c:
             content = alg.pgcd(content, [Fraction(x) for x in c])
-    content = [int(x) for x in alg.clear_denominators(content)]
+    content = alg.clear_denominators(content)
     g = [_divexact(c, content) for c in g]
     whole = gcd(*(x for c in g for x in c))
     g = [[x // whole for x in c] for c in g]

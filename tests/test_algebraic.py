@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hahn_forge import algebraic
 from hahn_forge.algebraic import (
@@ -13,12 +13,13 @@ from hahn_forge.algebraic import (
     _certified_coprime,
     RealAlgebraic,
     cauchy_bound,
+    clear_denominators,
     generic_real_root_count,
+    interval_eval,
     isolate_real_roots,
     padd,
     pdeg,
     pdivmod,
-    peval,
     pgcd,
     pmul,
     pneg,
@@ -27,6 +28,14 @@ from hahn_forge.algebraic import (
     rational_roots,
     squarefree_decomposition,
 )
+
+
+def _horner(a, x):
+    """a(x) by Fraction Horner: the reference for the int sign and interval kernels."""
+    out = Fraction(0)
+    for c in reversed(a):
+        out = out * x + c
+    return out
 
 
 class TestRationalRoots:
@@ -56,7 +65,7 @@ class TestRationalRoots:
         roots, rest = rational_roots([Fraction(-3), Fraction(5), Fraction(2)])
         assert sorted(roots) == [Fraction(-3), Fraction(1, 2)]
         roots, rest = rational_roots([Fraction(-2), Fraction(0), Fraction(1)])
-        assert roots == [] and peval(rest, Fraction(1)) == -1
+        assert roots == [] and _horner(rest, Fraction(1)) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +132,7 @@ class TestAgainstSympy:
         intervals = isolate_real_roots(part)
         assert len(intervals) == len(poly.real_roots())
         for lo, hi in intervals:
-            assert lo < hi and peval(part, lo) and peval(part, hi)
+            assert lo < hi and _horner(part, lo) and _horner(part, hi)
             assert poly.count_roots(lo, hi) == 1
         for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
             assert hi <= lo
@@ -225,7 +234,7 @@ class TestInvariantsBehindTheDeletedBranches:
 
     @given(rational_polys())
     def test_the_cauchy_bound_is_never_a_root(self, p):
-        assert peval(p, cauchy_bound(p)) != 0 and peval(p, -cauchy_bound(p)) != 0
+        assert _horner(p, cauchy_bound(p)) != 0 and _horner(p, -cauchy_bound(p)) != 0
 
     @pytest.mark.parametrize("name", list(REDUCIBLE))
     @given(coords=coord_lists)
@@ -298,3 +307,155 @@ class TestModularCertificate:
         assert not _certified_coprime(x.coords, ctx.witness)
         assert x.is_zero() is vanishes
         assert ctx.witness == [Fraction(-2), Fraction(0), Fraction(1)]
+
+
+# ---------------------------------------------------------------------------
+# the int kernels of the extension against Fraction arithmetic written here
+
+int_or_fraction = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=40))
+endpoints = st.one_of(st.integers(-20, 20).map(Fraction), st.fractions(-20, 20, max_denominator=64))
+
+
+def _fraction_interval_horner(a, lo, hi):
+    alo = ahi = Fraction(0)
+    for c in reversed(a):
+        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(products) + c, max(products) + c
+    return alo, ahi
+
+
+def _fraction_bisection(w, lo, hi, steps):
+    """The (lo, hi) after each bisection step, read by Fraction Horner; "root" where a midpoint is one."""
+    out = []
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        at_mid = _horner(w, mid)
+        if not at_mid:
+            return out + ["root"]
+        if _horner(w, lo) * at_mid < 0:
+            hi = mid
+        else:
+            lo = mid
+        out.append((lo, hi))
+    return out
+
+
+def _exact_zero_test(coords, witness, lo, hi):
+    """(is zero, witness after) by the exact gcd over Q alone, as the zero test did before its certificate."""
+    p = pdivmod(coords, witness)[1]
+    if pdeg(p) < 1:
+        return not p, witness
+    g = pgcd(p, witness)
+    if pdeg(g) < 1:
+        return False, witness
+    if _horner(g, lo) * _horner(g, hi) < 0:
+        return True, g
+    return False, pdivmod(witness, g)[0]
+
+
+# non-monic witnesses: lead 2, 3 or 4 over small int or Fraction coefficients; 1/7919 and 7919/2 are no roots
+non_monic_witnesses = st.builds(lambda tail, lead: tail + [lead],
+                                st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.sampled_from([2, 3, 4]))
+
+
+class TestIntKernels:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(int_or_fraction, max_size=7), endpoints, endpoints)
+    def test_interval_eval_matches_a_fraction_horner(self, a, x, y):
+        lo, hi = min(x, y), max(x, y)
+        got = interval_eval(a, lo, hi)
+        assert got == _fraction_interval_horner(a, lo, hi)
+        assert all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("a, lo, hi", [
+        ([1, -2, 3], Fraction(-1, 3), Fraction(1, 2)),
+        ([Fraction(1, 3), 0, Fraction(-5, 7), 2], Fraction(-3), Fraction(5, 4)),
+        ([7], Fraction(-1), Fraction(1)),
+        ([], Fraction(-1), Fraction(1)),
+    ])
+    def test_interval_eval_across_zero(self, a, lo, hi):
+        assert interval_eval(a, lo, hi) == _fraction_interval_horner(a, lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(int_or_fraction, min_size=1, max_size=5).filter(lambda w: w[-1]), endpoints, endpoints,
+           st.integers(1, 30))
+    def test_refine_matches_a_fraction_bisection(self, w, x, y, steps):
+        lo, hi = min(x, y), max(x, y)
+        assume(lo < hi and _horner(w, lo) and _horner(w, hi))
+        ctx = AlgebraicContext(w, lo, hi)
+        got = []
+        for _ in range(steps):
+            try:
+                ctx.refine()
+            except ValueError:
+                got.append("root")
+                break
+            got.append((ctx.lo, ctx.hi))
+        assert got == _fraction_bisection([Fraction(c) for c in w], lo, hi, steps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(non_monic_witnesses, st.lists(int_or_fraction, max_size=9),
+           st.one_of(st.none(), st.lists(int_or_fraction, min_size=2, max_size=4).filter(lambda f: f[-1])))
+    def test_reduction_matches_fraction_division(self, witness, coords, factor):
+        ctx = AlgebraicContext(witness, Fraction(1, 7919), Fraction(7919, 2))
+        if factor is not None:
+            ctx.shrink(factor)
+        divisor = [Fraction(c) for c in (witness if factor is None else factor)]
+        expected = pdivmod([Fraction(c) for c in coords], divisor)[1]
+        got = ctx.reduce(coords)
+        assert got == expected and all(type(c) is Fraction for c in got)
+        assert RealAlgebraic(ctx, coords).coords == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(non_monic_witnesses, st.lists(st.integers(-50, 50), max_size=9))
+    def test_pseudo_remainder(self, witness, a):
+        # s*a = r modulo the witness, deg r below it, r trimmed and s a power of the witness's lead
+        ctx = AlgebraicContext(witness, Fraction(1, 7919), Fraction(7919, 2))
+        r, s = ctx.pseudo_remainder(a)
+        assert s in [ctx.ints[-1] ** k for k in range(len(a) + 1)]
+        assert len(r) < len(witness) and (not r or r[-1])
+        assert not pdivmod([Fraction(c) for c in psub(pscale(a, s), r)], [Fraction(c) for c in witness])[1]
+
+    @pytest.mark.parametrize("name", list(REDUCIBLE))
+    @settings(max_examples=60, deadline=None)
+    @given(coords=st.lists(modular_rationals, max_size=5), factor=st.sampled_from([[1], [-2, 0, 1], [-3, 0, 1]]))
+    def test_zero_tests_match_the_exact_gcd(self, name, coords, factor):
+        witness, lo, hi = REDUCIBLE[name]
+        coords = pmul(coords, factor)
+        ctx = AlgebraicContext(witness, lo, hi)
+        assert (RealAlgebraic(ctx, coords).is_zero(), ctx.witness) == _exact_zero_test(
+            [Fraction(c) for c in coords], [Fraction(c) for c in witness], Fraction(lo), Fraction(hi))
+
+    @pytest.mark.parametrize("vanishes", [True, False])
+    def test_a_denominator_that_is_a_multiple_of_p_falls_back_to_the_exact_gcd(self, vanishes, monkeypatch):
+        # (x^2 - 3)/P over D = P: the int remainder shares the factor x^2 - 3 with the witness, so the
+        # certificate fails and the exact gcd decides, with the shrink that the exact gcd alone makes
+        name = "sqrt3 of (x^2-2)(x^2-3)" if vanishes else "sqrt2 of (x^2-2)(x^2-3)"
+        witness, lo, hi = REDUCIBLE[name]
+        ctx = AlgebraicContext(witness, lo, hi)
+        coords = [Fraction(-3, P), 0, Fraction(1, P)]
+        calls = []
+        monkeypatch.setattr(algebraic, "pgcd", lambda a, b: calls.append(1) or pgcd(a, b))
+        ints, den = [-3, 0, 1], P
+        r, s = ctx.pseudo_remainder(ints)
+        assert not _certified_coprime(r, ctx.image)
+        assert ctx.vanishes(r) is vanishes and calls == [1]
+        expected = _exact_zero_test(coords, [Fraction(c) for c in witness], Fraction(lo), Fraction(hi))
+        assert (vanishes, ctx.witness) == expected
+        assert den * s % P == 0
+
+    def test_a_denominator_that_is_a_multiple_of_p_needs_no_inverse(self, monkeypatch):
+        # the certificate reads the image of the int numerators, so a denominator P does not stop it
+        ctx = AlgebraicContext(*REDUCIBLE["sqrt2 of (x^2-2)(x^2-3)"])
+        monkeypatch.setattr(algebraic, "pgcd", None)
+        assert not RealAlgebraic(ctx, [Fraction(1, P), Fraction(5, 3 * P), Fraction(2, 7 * P)]).is_zero()
+
+    @pytest.mark.parametrize("name", list(REDUCIBLE))
+    @given(coords=st.lists(small_rationals, max_size=5))
+    def test_the_cached_witness_follows_every_shrink(self, name, coords):
+        ctx = AlgebraicContext(*REDUCIBLE[name])
+        for k in range(3):
+            RealAlgebraic(ctx, pmul(coords, [-2 - k, 0, 1])).is_zero()
+            assert ctx.ints == clear_denominators(ctx.witness) and ctx.ints[-1] > 0
+            assert ctx.image == [c % P for c in ctx.ints]
+            assert pdivmod(ctx.witness, [Fraction(c) for c in ctx.ints])[1] == []

@@ -246,6 +246,8 @@ SHIFT_FIELDS = {
     "fourth root of 5": ([-5, 0, 0, 0, 1], 1, 2),
     "sqrt2 of (x^2-2)(x^2-3)": ([6, 0, -5, 0, 1], 1, Fraction(3, 2)),
     "sqrt3 of (x^2-2)(x^2-3)": ([6, 0, -5, 0, 1], Fraction(3, 2), 2),
+    # a non-monic witness: the shift's remainders are over D*2^k
+    "sqrt(3/2) of (2x^2-3)(x^2-2)": ([6, 0, -7, 0, 2], 1, Fraction(13, 10)),
 }
 
 shift_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
