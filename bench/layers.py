@@ -27,7 +27,13 @@ and the slope that ``hensel_root`` makes (inexact arguments).  The
 operation of those ``prepare`` rounds and one per ``roots`` command of the
 ``cli`` rounds, every ``prepare._substitute`` call (the shift of root
 expansion) that the operation or command makes, recorded from one run with
-its arguments deep-copied as they were at the call.  All are
+its arguments deep-copied as they were at the call.  The ``field_roots``
+layer times the same way every ``prepare._field_roots`` call (the roots of
+each edge polynomial), and the ``enclosure`` layer every
+``prepare._make_root`` call (which encloses each algebraic coefficient of a
+branch by refining its generator's interval); as an enclosure refines that
+interval in place, each timed call first puts back every interval it
+starts from.  All are
 generated by the parent's ``perfbench/workloads.generate``, so both sides
 time the same inputs.  The
 child finds the arguments of an ``evaluate_analytic``, ``eval_term``,
@@ -60,10 +66,13 @@ of the change's median to the parent's, and the parent's spread
 noise.
 
 It exits 1, after writing the file, if the two sides' outputs differ: the
-``format_series`` text of each result (for ``puiseux_roots`` the JSON of
-the roots' ``to_dict``, for the division layers the ``format_multiseries`` text
-of each part, for ``substitute`` the exponent, type and coordinates of
-every term), or the class and message of the error it raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a
+``format_series`` text of each result (for ``puiseux_roots`` and
+``enclosure`` the JSON of the roots' ``to_dict``, for the division layers
+the ``format_multiseries`` text of each part, for ``substitute`` the
+exponent, type and coordinates of every term, for ``field_roots`` each
+root's value or coordinates with its generator's witness and interval, its
+multiplicity, and the complex pairs), or the class and message of the
+error it raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a
 temporary directory and the parent's ``perfbench`` is imported without
 writing bytecode, so nothing is written into either checkout.
 """
@@ -86,7 +95,9 @@ from pairs import quartiles  # noqa: E402 - after the bytecode switch
 LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_root", "catalan": "hensel_root",
           "evaluate_analytic": "evaluate_analytic", "eval_term": "eval_term", "puiseux_roots": "puiseux_roots",
           "poly_eval": "poly_eval", "hensel_poly_eval": "hensel_poly_eval", "weierstrass_divide": "weierstrass_divide",
-          "implicit_series": "implicit_series", "substitute": "substitute"}
+          "implicit_series": "implicit_series", "substitute": "substitute",
+          "field_roots": "field_roots", "enclosure": "enclosure"}
+EXPANSION = ("substitute", "field_roots", "enclosure")
 SEED, ROUNDS, PASSES, CONTROL_RUNS = 7, 3, 5, 10
 
 
@@ -109,7 +120,7 @@ def solver_calls(checkout):
                 specs.append({"kind": "eval_term", "argv": spec["argv"]})
             elif check["type"] == "roots":
                 specs.append({"kind": "puiseux_roots", "argv": spec["argv"]})
-                specs.append({"kind": "substitute", "argv": spec["argv"]})
+                specs += [{"kind": kind, "argv": spec["argv"]} for kind in EXPANSION]
             elif spec["argv"][0] == "divide":
                 specs.append({"kind": "weierstrass_divide", "argv": spec["argv"]})
             elif spec["argv"][0] == "implicit":
@@ -121,16 +132,16 @@ def solver_calls(checkout):
                 specs += [{"kind": "puiseux_roots", "coeffs": coeffs, "order": k, "depth": spec["lam"] + 4}
                           for k in range(len(coeffs) - 1)]
                 specs += [{"kind": kind, "coeffs": coeffs, "lam": spec["lam"], "trials": spec["trials"],
-                           "seed": spec["seed"]} for kind in ("poly_eval", "substitute")]
+                           "seed": spec["seed"]} for kind in ("poly_eval", *EXPANSION)]
     return specs
 
 
 def recorded_calls(run, module, name, keep=lambda args: args):
     """The arguments of every call of ``module.name`` that ``run()`` makes, recorded from one run as
-    ``keep(args)``, taken before the call."""
+    ``keep(args)``, taken before the call; keyword arguments follow the positional ones in ``args``."""
     recorded = []
     fn = getattr(module, name)
-    setattr(module, name, lambda *args: recorded.append(keep(args)) or fn(*args))
+    setattr(module, name, lambda *args, **kw: recorded.append(keep(args + tuple(kw.values()))) or fn(*args, **kw))
     try:
         run()
     finally:
@@ -180,6 +191,28 @@ def child(checkout):
     def shifts(recorded):
         return [prepare._substitute(*args) for args in recorded]
 
+    def field_roots(recorded):
+        return [prepare._field_roots(*args) for args in recorded]
+
+    def with_intervals(args):
+        """A deep copy of the arguments of ``_make_root``, with the interval of each generator in them."""
+        args = copy.deepcopy(args)
+        contexts = {id(c.ctx): c.ctx for _, c in args[0] if isinstance(c, RealAlgebraic)}.values()
+        return args, [(ctx, ctx.lo, ctx.hi) for ctx in contexts]
+
+    def enclosures(recorded):
+        out = []
+        for args, intervals in recorded:
+            for ctx, lo, hi in intervals:
+                ctx.lo, ctx.hi = lo, hi
+            out.append(prepare._make_root(*args))
+        return out
+
+    def number(q):
+        if not isinstance(q, RealAlgebraic):
+            return str(q)
+        return [[str(x) for x in q.coords], [str(x) for x in q.ctx.witness], str(q.ctx.lo), str(q.ctx.hi)]
+
     calls = []
     for spec in job["specs"]:
         if spec["kind"] == "invert":
@@ -205,11 +238,14 @@ def child(checkout):
             prepared = partial(prepare.prepare_polynomial, [series.parse_series(c) for c in spec["coeffs"]],
                                ge(spec["lam"]), spec["trials"], spec["seed"])
             calls.append((horner, (recorded_calls(prepared, prepare, "poly_eval"),)))
-        elif spec["kind"] == "substitute":
+        elif spec["kind"] in EXPANSION:
             run = (partial(quiet_cli, spec["argv"]) if "argv" in spec else
                    partial(prepare.prepare_polynomial, [series.parse_series(c) for c in spec["coeffs"]],
                            ge(spec["lam"]), spec["trials"], spec["seed"]))
-            calls.append((shifts, (recorded_calls(run, prepare, "_substitute", copy.deepcopy),)))
+            f, name, keep = {"substitute": (shifts, "_substitute", copy.deepcopy),
+                             "field_roots": (field_roots, "_field_roots", copy.deepcopy),
+                             "enclosure": (enclosures, "_make_root", with_intervals)}[spec["kind"]]
+            calls.append((f, (recorded_calls(run, prepare, name, keep),)))
         elif spec["kind"] == "hensel_poly_eval":
             solved = partial(analytic.hensel_root, [series.parse_series(c) for c in spec["coeffs"]], ge(spec["prec"]))
             calls.append((horner, (recorded_calls(solved, analytic, "poly_eval"),)))
@@ -224,6 +260,10 @@ def child(checkout):
         if f is shifts:
             return json.dumps([[[str(e), type(q).__name__, [str(x) for x in q.coords] if isinstance(q, RealAlgebraic)
                                  else str(q)] for e, q in row.items()] for shifted in out for row in shifted])
+        if f is field_roots:
+            return json.dumps([[[number(q), mult] for q, mult, _ in roots] + [pairs] for roots, pairs in out])
+        if f is enclosures:
+            return json.dumps([root.to_dict() for root in out])
         if f is multiseries.weierstrass_divide:
             return "\n".join(map(multiseries.format_multiseries, [out[0], *out[1]]))
         if f is analytic.implicit_series:
@@ -326,8 +366,10 @@ def main(argv=None):
                  "depth lam + 4, and the poly_eval calls, recorded from one run, of each prepare_polynomial "
                  f"operation of workloads.generate('prepare', {SEED}, {ROUNDS}); hensel_poly_eval: the poly_eval "
                  "calls, recorded from one run, of each hensel_root and catalan operation of the newton rounds; "
-                 "substitute: the prepare._substitute calls, recorded from one run with deep-copied arguments, of "
-                 "each prepare_polynomial operation of the prepare rounds and each roots command of the cli rounds",
+                 "substitute, field_roots and enclosure: the prepare._substitute, prepare._field_roots and "
+                 "prepare._make_root calls, recorded from one run with deep-copied arguments, of each "
+                 "prepare_polynomial operation of the prepare rounds and each roots command of the cli rounds; "
+                 "each timed _make_root call first puts back the intervals of the generators it starts from",
         "control": f"per pass, the median of {CONTROL_RUNS} runs of the parent's perfbench/calibrate.kernel() after "
                    "it; a call's time over control is the median over passes of its time over its pass's control",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",
