@@ -334,7 +334,7 @@ class AlgebraicContext:
     def __init__(self, witness, lo, hi):
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self.generation = -1
+        self.generation = -1  # shrink sets the witness and makes this generation 0
         self.shrink(witness)
         if not _sign_at(self.ints, self.lo) or not _sign_at(self.ints, self.hi):
             raise ValueError("isolating interval endpoints must not be roots")

@@ -294,6 +294,7 @@ def _substitute(coeffs, c, nu):
         for key, p in row.items():
             if every_term_algebraic or key in marked:
                 r, scale = ctx.pseudo_remainder(p)
+                # made before the test: a term kept across a shrink re-reduces lazily
                 q = RealAlgebraic._reduced(ctx, [Fraction(x, den * scale) for x in r])
                 if ctx.vanishes(r):
                     continue
