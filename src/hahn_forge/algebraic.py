@@ -7,7 +7,7 @@ Reduction is int pseudo-division of the coordinates, put over one
 denominator, by the witness as primitive ints.  A zero test first tries a
 modular certificate: a number whose int remainder has an image modulo the
 prime 2^61 - 1 coprime to the witness's image (cached per witness) is
-nonzero (``_certified_coprime``).  Otherwise it runs a gcd against the
+nonzero (``_coprime_images``).  Otherwise it runs a gcd against the
 witness over Q, and any nontrivial gcd lets us shrink the witness to the
 factor that actually vanishes at theta, so the representation sharpens as
 it is used.  Sign queries bisect the interval by the sign of a homogeneous
@@ -81,21 +81,19 @@ def pscale(a, q):
 
 def pdivmod(a, b):
     """Exact field division with remainder."""
-    a = list(a)
+    a = ptrim(list(a))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and ptrim(a):
-        if len(a) < len(b):
-            break
+    while len(a) >= len(b):
         c = a[-1] * inv_lead
         k = len(a) - len(b)
         q[k] = c
         for i, bc in enumerate(b):
             a[k + i] = a[k + i] - c * bc
         ptrim(a)
-    return ptrim(q), ptrim(a)
+    return ptrim(q), a
 
 
 def pgcd(a, b):
@@ -116,27 +114,21 @@ def _over_one_denominator(a):
     return [c.numerator * (den // c.denominator) for c in a], den
 
 
-def _certified_coprime(a, b):
-    """True only if the nonzero rational polynomials a and b are coprime over Q.
-
-    Each is put over one denominator, which changes no gcd, and its int
-    numerators are mapped to GF(p), p = _PRIME; the certificate holds when
-    neither leading coefficient maps to 0 and Euclid over GF(p), on
-    pseudo-remainders, ends in a nonzero constant (``_coprime_images``).
-    Why that suffices: the int polynomials a and b lie in Z_(p)[x], Z_(p)
-    the rationals with denominators prime to p.  Let g be their gcd over Q,
-    scaled to be primitive over Z_(p) (some coefficient a unit).  Gauss's
-    lemma over Z_(p) gives a = g*a1 with a1 in Z_(p)[x], so modulo p,
-    a' = g'*a1'.  Reduction never raises a degree, and deg a' = deg a, so
-    deg g' = deg g; likewise for b.  Then g' divides gcd(a', b'), whose
-    degree is at least deg g.  A constant gcd modulo p thus makes g
-    constant.  False means only that no certificate was found.
-    """
-    return _coprime_images(*([c % _PRIME for c in _over_one_denominator(p)[0]] for p in (a, b)))
-
-
 def _coprime_images(a, b):
-    """``_certified_coprime`` on the images a and b of two int polynomials; neither list is changed."""
+    """True only if nonzero int polynomials A and B with images a and b modulo p = _PRIME are coprime over Q.
+
+    A rational polynomial put over one denominator gives its int numerators
+    with the same gcd.  The certificate holds when neither leading
+    coefficient maps to 0 and Euclid over GF(p), on pseudo-remainders, ends
+    in a nonzero constant; neither list is changed.  Why that suffices: A
+    and B lie in Z_(p)[x], Z_(p) the rationals with denominators prime to
+    p.  Let g be their gcd over Q, scaled to be primitive over Z_(p) (some
+    coefficient a unit).  Gauss's lemma over Z_(p) gives A = g*A1 with A1 in
+    Z_(p)[x], so modulo p, a = g'*A1'.  Reduction never raises a degree, and
+    deg a = deg A, so deg g' = deg g; likewise for B.  Then g' divides
+    gcd(a, b), whose degree is at least deg g.  A constant gcd modulo p thus
+    makes g constant.  False means only that no certificate was found.
+    """
     if not a[-1] or not b[-1]:
         return False
     while b:
@@ -474,12 +466,6 @@ class RealAlgebraic:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
     def __rtruediv__(self, other):
         return self.inverse() * other
 
@@ -495,10 +481,10 @@ class RealAlgebraic:
             raise RuntimeError("the witness shares a factor with a nonzero number; it is not squarefree")
         return RealAlgebraic(self.ctx, pscale(u, 1 / g[0]))
 
-    def sign(self, max_refine=_MAX_REFINE):
+    def sign(self):
         if self.is_zero():
             return 0
-        for _ in range(max_refine):
+        for _ in range(_MAX_REFINE):
             lo, hi = interval_eval(self._sync(), self.ctx.lo, self.ctx.hi)
             if lo > 0:
                 return 1
@@ -507,8 +493,8 @@ class RealAlgebraic:
             self.ctx.refine()
         raise UndecidedSign("interval refinement hit the depth limit")
 
-    def enclosure(self, width=Fraction(1, 2**24), max_refine=_MAX_REFINE):
-        for _ in range(max_refine):
+    def enclosure(self, width=Fraction(1, 2**24)):
+        for _ in range(_MAX_REFINE):
             lo, hi = interval_eval(self._sync(), self.ctx.lo, self.ctx.hi)
             if hi - lo < width:
                 return lo, hi
@@ -558,10 +544,7 @@ def number_is_zero(x):
 
 
 def as_fraction_or_none(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+    """The rational value of the algebraic number x, or None when it involves the generator."""
     p = x._sync()
     if not p:
         return Fraction(0)

@@ -279,30 +279,24 @@ def _dispatch(args, registry):
         _emit({"report": report.to_dict()}, f"jacobian probe: {report.verdict}")
         return _VERDICT_EXIT[report.verdict]
 
-    if args.command == "probe-unit":
-        center = parse_series(args.center, rank)
-        inner = parse_series(args.inner, rank)
-        outer = parse_series(args.outer, rank)
-        spec = StrongUnitSpec(
-            g=registry.get(args.g) if args.g else None,
-            g_scale=parse_series(args.g_scale, rank) if args.g_scale else None,
-            h=registry.get(args.h) if args.h else None,
-            h_scale=parse_series(args.h_scale, rank) if args.h_scale else None,
-        )
-        if args.g and spec.g is None:
-            raise UnknownFunction(f"function {args.g!r} is not registered")
-        if args.h and spec.h is None:
-            raise UnknownFunction(f"function {args.h!r} is not registered")
-        report = strong_unit_probe(spec, (center, inner, outer), lam, args.trials, args.seed)
-        _emit({"report": report.to_dict()}, f"strong-unit probe: {report.verdict}")
-        return _VERDICT_EXIT[report.verdict]
-
-    raise TermSyntaxError(f"unknown command {args.command!r}")
+    # probe-unit: argparse admits no other command
+    center = parse_series(args.center, rank)
+    inner = parse_series(args.inner, rank)
+    outer = parse_series(args.outer, rank)
+    spec = StrongUnitSpec(
+        g=registry.get(args.g) if args.g else None,
+        g_scale=parse_series(args.g_scale, rank) if args.g_scale else None,
+        h=registry.get(args.h) if args.h else None,
+        h_scale=parse_series(args.h_scale, rank) if args.h_scale else None,
+    )
+    if args.g and spec.g is None:
+        raise UnknownFunction(f"function {args.g!r} is not registered")
+    if args.h and spec.h is None:
+        raise UnknownFunction(f"function {args.h!r} is not registered")
+    report = strong_unit_probe(spec, (center, inner, outer), lam, args.trials, args.seed)
+    _emit({"report": report.to_dict()}, f"strong-unit probe: {report.verdict}")
+    return _VERDICT_EXIT[report.verdict]
 
 
 def main():
     sys.exit(run_cli(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

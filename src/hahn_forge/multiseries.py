@@ -187,10 +187,9 @@ def gauss_data(f):
     for p in undetermined:
         if not (p > norm):
             raise InsufficientPrecision("an undetermined coefficient could reach the norm level")
+    # every precision now lies above the norm: stored exponents lie below their precision
     top = {}
     for idx, c in f.coeffs.items():
-        if c.prec is not INFINITE and not (c.prec > norm):
-            raise InsufficientPrecision("coefficient not determined at the norm level")
         q = c.approx.coefficient(norm)
         if q:
             top[idx] = TruncatedSeries.constant(q, f.rank)

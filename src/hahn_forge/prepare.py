@@ -796,9 +796,8 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
         x0 = center + random_point(rng, gamma, steps=2)
         if not _inside_annulus(x0, center, inner, outer):
             return None
+        # inside the annulus, x0 - center has a decided sign, so ball_mates finds its valuation
         mates = ball_mates(rng, x0, [center], lam, count=2)
-        if mates is None:
-            return None
         inside = [m for m in mates if _inside_annulus(m, center, inner, outer)]
         return (x0, inside) if inside else None
 

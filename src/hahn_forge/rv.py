@@ -141,23 +141,21 @@ def ball_of(x, center, lam):
 _COEFF_POOL = [c for c in range(-9, 10) if c]
 
 
-def _tail_steps(rng, steps, prob, force_one):
-    """The ``(k, c)`` of the terms ``c t^(base + k/2)`` of a random tail."""
-    pairs = [(k, rng.choice(_COEFF_POOL)) for k in range(1, steps + 1) if rng.random() < prob]
-    if force_one and not pairs:
-        pairs.append((rng.randint(1, steps), rng.choice(_COEFF_POOL)))
-    return pairs
+def _tail_steps(rng, steps):
+    """The ``(k, c)`` of the terms ``c t^(base + k/2)``, each k in 1..steps kept with probability 1/2."""
+    return [(k, rng.choice(_COEFF_POOL)) for k in range(1, steps + 1) if rng.random() < 0.5]
 
 
-def random_tail(rng, base, steps=4, prob=0.5, force_one=False):
-    """Random terms at exponents ``base + {1/2, 1, ...}``; possibly empty."""
-    return _half_steps(base, _tail_steps(rng, steps, prob, force_one))
+def random_tail(rng, base, steps=4):
+    """Random terms at exponents ``base + {1/2, 1, ...}``; one drawn term when none is kept."""
+    pairs = _tail_steps(rng, steps) or [(rng.randint(1, steps), rng.choice(_COEFF_POOL))]
+    return _half_steps(base, pairs)
 
 
-def random_point(rng, lead, steps=4, prob=0.5):
+def random_point(rng, lead, steps=4):
     """Random finite-support point with valuation exactly ``lead``."""
     head = (0, rng.choice(_COEFF_POOL))
-    return TruncatedSeries.exact(_half_steps(lead, [head, *_tail_steps(rng, steps, prob, False)]))
+    return TruncatedSeries.exact(_half_steps(lead, [head, *_tail_steps(rng, steps)]))
 
 
 def sample_in_ball(ball, rng_seed, extra_depth=Fraction(2)):
@@ -172,7 +170,7 @@ def sample_in_ball(ball, rng_seed, extra_depth=Fraction(2)):
     gamma, lam = ball.datum.gamma, ball.datum.lam
     body = ball.datum.jet.shift(gamma)
     steps = max(1, int(2 * Fraction(extra_depth)))
-    tail = random_tail(rng, gamma + lam, steps=steps, prob=0.5, force_one=True)
+    tail = random_tail(rng, gamma + lam, steps=steps)
     return ball.center + TruncatedSeries.exact(body + tail)
 
 
@@ -191,7 +189,7 @@ def ball_mates(rng, x0, centers, lam, count=2, steps=3):
             depth = v
     mates = []
     for _ in range(count):
-        tail = random_tail(rng, depth + lam, steps=steps, prob=0.5, force_one=True)
+        tail = random_tail(rng, depth + lam, steps=steps)
         mates.append(x0 + TruncatedSeries.exact(tail))
     return mates
 

@@ -365,15 +365,13 @@ def _key_lt(a, b):
 
 
 def _half_steps(base, pairs):
-    """The series ``sum c t^(base + k/2)`` of ``(k, c)`` pairs, put on the grid directly.
+    """The series ``sum c t^(base + k/2)`` of one or more ``(k, c)`` pairs, put on the grid directly.
 
     The ints ``k >= 0`` ascend and the int coefficients ``c`` are nonzero,
     so the keys ``base + k/2`` over the lcm of 2 and the denominator of
     ``base`` ascend too.
     """
     rank = len(base)
-    if not pairs:
-        return _on_grid(_ZERO_GRID, rank)
     bden, bkey = _key_of(base)
     eden = bden if bden % 2 == 0 else 2 * bden
     half, bkey = eden // 2, bkey * (eden // bden)
@@ -822,12 +820,14 @@ def valuation(a):
 
 
 def standard_part(a):
-    """The rational closest to a finite element: its coefficient at exponent 0."""
+    """The rational closest to a finite element: its coefficient at exponent 0.
+
+    The constant term is known: a determined valuation v >= 0 lies below the
+    precision.
+    """
     zero_exp = GroupElement.zero(a.rank)
     if valuation(a) < zero_exp:
         raise NotInValuationRing("element has negative valuation")
-    if not a.is_exact() and not (a.prec > zero_exp):
-        raise UndecidableAtPrecision("constant term lies beyond the stored precision")
     return a.approx.coefficient(zero_exp)
 
 
@@ -1107,16 +1107,18 @@ def _taylor_sum(coefficient, args, target_prec, bound):
 
 
 def _integer_nth_root(m, n):
-    """Exact integer n-th root, or None."""
-    if m == 0:
-        return 0
-    r = round(m ** (1.0 / n)) if m.bit_length() < 512 else 1 << (m.bit_length() // n)
-    # fix up float error; loop is short
-    while r ** n > m:
-        r -= 1
-    while (r + 1) ** n <= m:
-        r += 1
-    return r if r ** n == m else None
+    """Exact integer n-th root of m > 0, or None.
+
+    Integer Newton iteration from 2^ceil(bits/n), which is at least the
+    root, falls to the floor of the root and stops there (Brent and
+    Zimmermann, Modern Computer Arithmetic, section 1.5).
+    """
+    x = 1 << -(-m.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x if x ** n == m else None
+        x = y
 
 
 def _rational_nth_root(q, n):

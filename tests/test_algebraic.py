@@ -1,5 +1,6 @@
 """Exact polynomial helpers over Q and over one real algebraic extension."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hahn_forge import algebraic
+from hahn_forge.errors import UndecidedSign
 from hahn_forge.algebraic import (
     _PRIME,
     AlgebraicContext,
-    _certified_coprime,
+    _coprime_images,
     RealAlgebraic,
     cauchy_bound,
     clear_denominators,
@@ -258,6 +260,12 @@ class TestInvariantsBehindTheDeletedBranches:
 # the modular certificate in front of the exact gcd of a zero test
 
 P = _PRIME
+
+
+def _image(p):
+    """The image modulo P of the int numerators of a rational polynomial over one denominator."""
+    return [c % P for c in algebraic._over_one_denominator(p)[0]]
+
 # rationals whose image modulo P is 0 or undefined, next to small ones
 modular_rationals = st.one_of(
     small_rationals,
@@ -273,7 +281,7 @@ class TestModularCertificate:
     def test_a_certificate_means_a_constant_gcd(self, a, w, shared, share):
         if share:
             a, w = pmul(a, shared), pmul(w, shared)
-        if _certified_coprime(a, w):
+        if _coprime_images(_image(a), _image(w)):
             assert pdeg(pgcd(a, w)) == 0
 
     def test_a_nonzero_number_needs_no_exact_gcd(self, monkeypatch):
@@ -295,7 +303,7 @@ class TestModularCertificate:
         lo, hi = (root - Fraction(1, 2 * P), root + Fraction(1, 2 * P)) if at_the_shared_root else (1, 2)
         ctx = AlgebraicContext(witness, lo, hi)
         x = RealAlgebraic(ctx, g)
-        assert not _certified_coprime(x.coords, ctx.witness)
+        assert not _coprime_images(_image(x.coords), ctx.image)
         assert x.is_zero() is at_the_shared_root
         monic = [c / g[-1] for c in g]
         assert ctx.witness == (monic if at_the_shared_root else pdivmod(witness, monic)[0])
@@ -304,7 +312,7 @@ class TestModularCertificate:
     def test_a_factor_of_a_reducible_witness(self, coords, vanishes):
         ctx = AlgebraicContext(*REDUCIBLE["sqrt2 of (x^2-2)(x^2-3)"])
         x = RealAlgebraic(ctx, coords)
-        assert not _certified_coprime(x.coords, ctx.witness)
+        assert not _coprime_images(_image(x.coords), ctx.image)
         assert x.is_zero() is vanishes
         assert ctx.witness == [Fraction(-2), Fraction(0), Fraction(1)]
 
@@ -438,7 +446,7 @@ class TestIntKernels:
         monkeypatch.setattr(algebraic, "pgcd", lambda a, b: calls.append(1) or pgcd(a, b))
         ints, den = [-3, 0, 1], P
         r, s = ctx.pseudo_remainder(ints)
-        assert not _certified_coprime(r, ctx.image)
+        assert not _coprime_images(_image(r), ctx.image)
         assert ctx.vanishes(r) is vanishes and calls == [1]
         expected = _exact_zero_test(coords, [Fraction(c) for c in witness], Fraction(lo), Fraction(hi))
         assert (vanishes, ctx.witness) == expected
@@ -459,3 +467,76 @@ class TestIntKernels:
             assert ctx.ints == clear_denominators(ctx.witness) and ctx.ints[-1] > 0
             assert ctx.image == [c % P for c in ctx.ints]
             assert pdivmod(ctx.witness, [Fraction(c) for c in ctx.ints])[1] == []
+
+
+# ---------------------------------------------------------------------------
+# documented errors, fallbacks and degenerate inputs
+
+
+class TestDocumentedErrors:
+    def _ctx(self):
+        return AlgebraicContext([Fraction(-2), Fraction(0), Fraction(1)], Fraction(1), Fraction(2))
+
+    def test_division_by_the_zero_polynomial(self):
+        with pytest.raises(ZeroDivisionError):
+            pdivmod([Fraction(1)], [])
+
+    def test_division_trims_the_dividend_once(self):
+        assert pdivmod([Fraction(1), Fraction(2), 0, 0], [Fraction(1), Fraction(1)]) == ([Fraction(2)], [Fraction(-1)])
+        assert pdivmod([Fraction(3), 0], [Fraction(1), Fraction(1)]) == ([], [Fraction(3)])
+
+    def test_constants_have_no_factors_and_no_roots(self):
+        theta = RealAlgebraic.generator(self._ctx())
+        assert squarefree_decomposition([Fraction(3)]) == []
+        assert isolate_real_roots([Fraction(5)]) == []
+        assert generic_real_root_count([theta]) == 0
+
+    def test_an_endpoint_that_is_a_root(self):
+        with pytest.raises(ValueError, match="endpoints must not be roots"):
+            AlgebraicContext([Fraction(-1), Fraction(0), Fraction(1)], Fraction(1), Fraction(2))
+
+    def test_a_rational_root_at_a_midpoint(self):
+        # x^3 - 2x isolates its root 0 by (-1, 1), whose midpoint is that root
+        ctx = AlgebraicContext([0, -2, 0, 1], -1, 1)
+        with pytest.raises(ValueError, match="became rational"):
+            ctx.refine()
+
+    def test_mixing_generators(self):
+        with pytest.raises(ValueError, match="different contexts"):
+            RealAlgebraic.generator(self._ctx()) + RealAlgebraic.generator(self._ctx())
+
+    def test_operands_that_are_not_numbers(self):
+        theta = RealAlgebraic.generator(self._ctx())
+        for op in (lambda: theta + "1", lambda: "1" + theta, lambda: theta - "1", lambda: theta * "1"):
+            with pytest.raises(TypeError):
+                op()
+        assert theta != "1"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(theta)
+
+    def test_zero(self):
+        zero = RealAlgebraic(self._ctx(), [-2, 0, 1])
+        assert zero.coords == [] and zero.sign() == 0
+        assert algebraic.as_fraction_or_none(zero) == 0
+        with pytest.raises(ZeroDivisionError, match="vanishing"):
+            1 / zero
+
+    def test_rational_values(self):
+        ctx = self._ctx()
+        assert algebraic.as_fraction_or_none(RealAlgebraic(ctx, [Fraction(3, 2)])) == Fraction(3, 2)
+        assert algebraic.as_fraction_or_none(RealAlgebraic.generator(ctx)) is None
+
+    def test_sign_refines_the_interval(self):
+        ctx = self._ctx()
+        assert RealAlgebraic(ctx, [Fraction(-7, 5), 1]).sign() == 1
+        assert ctx.hi - ctx.lo < 1
+        assert repr(RealAlgebraic.generator(ctx)) == f"RealAlgebraic(~[{ctx.lo}, {ctx.hi}])"
+
+    def test_sign_and_enclosure_at_the_refinement_limit(self):
+        # theta - q with |sqrt 2 - q| < 2^-300 needs about 300 bisections, more than the 160 allowed
+        q = Fraction(math.isqrt(2 * 4**300), 2**300)
+        with pytest.raises(UndecidedSign):
+            RealAlgebraic(self._ctx(), [-q, 1]).sign()
+        # 2^200 theta is known to 2^200 times the width of (lo, hi) after 160 bisections
+        lo, hi = RealAlgebraic(self._ctx(), [0, 2**200]).enclosure()
+        assert hi - lo >= Fraction(1, 2**24) and 0 < lo and lo**2 < 2 * 4**200 < hi**2

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahn_forge.analytic import (
+    AnalyticFunction,
     FunctionRegistry,
     default_registry,
     evaluate_analytic,
     hensel_root,
     implicit_series,
     load_registry_line,
+    ms_drop_var,
     register_function,
     sqrt_shifted,
 )
@@ -522,3 +524,53 @@ class TestTaylorKernelAgainstWalk:
         args = [data.draw(_argument(rank, first, exact))]
         target = data.draw(_target(rank, args))
         assert _outcome(evaluate_analytic, fn, args, target) == _outcome(_walk_evaluate, fn, args, target)
+
+
+class TestDocumentedErrors:
+    @pytest.mark.parametrize("spec, message", [
+        ({"vars": 1, "radius": 2, "rule": lambda idx: 1}, "nonempty name"),
+        ({"name": "f", "vars": 0, "radius": 2, "rule": lambda idx: 1}, "at least one variable"),
+        ({"name": "f", "vars": 2, "radius": 2, "table": [1, 2]}, "one-variable only"),
+        ({"name": "f", "vars": 1, "radius": 2, "rule": "exp"}, "callable rule or a coefficient table"),
+    ])
+    def test_malformed_specifications(self, spec, message):
+        with pytest.raises(MalformedRule, match=message):
+            register_function(spec, FunctionRegistry())
+
+    @pytest.mark.parametrize("line, message", [
+        ("name f vars 1 radius 2 rule tan", "unknown builtin rule 'tan'"),
+        ("name f vars 1 radius 2 colour red", "unknown registration token 'colour'"),
+    ])
+    def test_malformed_registry_lines(self, line, message):
+        with pytest.raises(MalformedRule, match=message):
+            load_registry_line(line, FunctionRegistry())
+
+    def test_registry_lines_without_a_function(self):
+        assert load_registry_line("   ", FunctionRegistry()) is None
+
+    def test_norm1_after_a_builtin_rule(self):
+        fn = load_registry_line("name e1 vars 1 radius 2 rule exp norm1", FunctionRegistry())
+        assert fn.norm_bound and fn.coefficient(2) == Fraction(1, 2)
+
+    def test_derivative_of_a_table(self):
+        fn = register_function({"name": "p", "vars": 1, "radius": 2, "table": [1, 2, 3]}, FunctionRegistry())
+        d = fn.derivative()
+        assert d.polynomial and d.table == (Fraction(2), Fraction(6))
+        assert [d.coefficient(k) for k in range(3)] == [2, 6, 0]
+
+    def test_argument_count(self):
+        with pytest.raises(ValueError, match="takes 1 arguments"):
+            evaluate_analytic(default_registry().get("exp"), [s("1*t^(1)"), s("1*t^(1)")], ge(3))
+
+    def test_a_polynomial_in_two_variables(self):
+        fn = AnalyticFunction("p2", 2, lambda idx: 1, Fraction(2), polynomial=True)
+        with pytest.raises(MalformedRule, match="finite table"):
+            evaluate_analytic(fn, [s("1"), s("2")], ge(3))
+
+    def test_dropping_a_variable_that_occurs(self):
+        with pytest.raises(ValueError, match="still occurs"):
+            ms_drop_var(ms("[1]*x1*x2"), 1)
+
+    def test_epsilon_must_be_positive(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            sqrt_shifted(0, 3)

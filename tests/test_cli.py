@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -295,6 +296,31 @@ class TestModuleEntry:
                               capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stdout) == (0, '{"root": "-1 - 1*t^(1) + O(t^(2))"}\n')
         assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("argv, exit_code, out", [
+        (["hensel", "--prec", "2", "1*t^(1)"], 0, '{"root": "-1 - 1*t^(1) + O(t^(2))"}\n'),
+        (["roots", "exp(x)"], 2, ""),
+    ])
+    def test_python_dash_m_in_this_process(self, monkeypatch, capsys, argv, exit_code, out):
+        # the same entry run here, where a line collector that traces this process sees __main__.py
+        monkeypatch.setattr(sys, "argv", ["hahn_forge", *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("hahn_forge", run_name="__main__")
+        assert done.value.code == exit_code
+        assert capsys.readouterr().out == out
+
+
+class TestProbeUnitUsage:
+    ANNULUS = ("probe-unit", "--center", "0", "--inner", "1*t^(2)", "--outer", "1")
+
+    @pytest.mark.parametrize("flag", ["--g", "--h"])
+    def test_an_unregistered_function(self, capsys, flag):
+        assert run_cli([*self.ANNULUS, flag, "nope"]) == 2
+        assert capsys.readouterr() == ("", "error: function 'nope' is not registered\n")
+
+    def test_inner_radius_outside_the_outer(self, capsys):
+        assert run_cli(["probe-unit", "--center", "0", "--inner", "1*t^(1)", "--outer", "1*t^(2)"]) == 2
+        assert capsys.readouterr() == ("", "error: annulus needs v(inner) > v(outer)\n")
 
 
 class TestDependencyFree:

@@ -700,3 +700,43 @@ class TestDivisionAgainstParentLoop:
         implicit_series(f, 3, ge(2))
         # once on f, once on the dividend x2 inside the division
         assert len(seen) == 2 and seen[0] is f and seen[1] is not f
+
+
+class TestDocumentedErrors:
+    def test_a_monomial_above_the_degree_bound(self):
+        with pytest.raises(ValueError, match="degree bound"):
+            MultiSeries(1, 1, {(2,): TruncatedSeries.one()})
+
+    def test_immutable_hashable_and_printable(self):
+        f = ms("[1]*x1 + [2]*x2^2")
+        with pytest.raises(AttributeError, match="immutable"):
+            f.degree = 3
+        assert hash(f) == hash(ms("[2]*x2^2 + [1]*x1"))
+        assert repr(f) == f"MultiSeries({format_multiseries(f)!r})"
+
+    def test_variable_counts(self):
+        f, g = ms("[1]*x1", nvars=1), ms("[1]*x1", nvars=2)
+        with pytest.raises(ValueError, match="cannot drop variables"):
+            ms_pad(g, 1)
+        for op in (ms_add, ms_mul):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                op(f, g)
+        with pytest.raises(ValueError, match="two distinguished variables"):
+            strong_split(f)
+
+    def test_recentering_arguments(self):
+        f = ms("[1]*x1 + [1]*x2")
+        with pytest.raises(ValueError, match="scale must be positive"):
+            recenter_rescale(f, [0, 0], 0)
+        with pytest.raises(ValueError, match="center length"):
+            recenter_rescale(f, [0], 1)
+
+    def test_substitution_needs_no_constant_term(self):
+        with pytest.raises(ValueError, match="vanish at the origin"):
+            ms_substitute(ms("[1]*x2"), 1, ms("[1] + [1]*x1", nvars=2), 4, ge(6))
+
+    def test_substitution_stops_at_a_vanishing_power(self):
+        # x1^3 is 0 at degree 2, so x2^3 and x2^4 add nothing
+        f = ms("[1]*x2 + [1]*x2^3 + [1]*x2^4")
+        out = ms_substitute(f, 1, ms("[1]*x1", nvars=2), 2, ge(6))
+        assert out == ms("[1]*x1", nvars=2)

@@ -12,7 +12,14 @@ from hahn_forge import algebraic as alg
 from hahn_forge.algebraic import AlgebraicContext, RealAlgebraic
 from hahn_forge.analytic import FunctionRegistry, register_function
 import hahn_forge.prepare as preparation
-from hahn_forge.errors import DepthExhausted, DivisionByZero, DomainViolation, UndecidedSign
+from hahn_forge.errors import (
+    DepthExhausted,
+    DivisionByZero,
+    DomainViolation,
+    HahnForgeError,
+    InsufficientPrecision,
+    UndecidedSign,
+)
 from hahn_forge.prepare import (
     IntervalCoeff,
     StrongUnitSpec,
@@ -538,3 +545,32 @@ class TestSerialization:
         from hahn_forge.terms import parse_term
 
         parse_term(entry["provenance"]["poly"])
+
+
+class TestDocumentedErrors:
+    def test_an_undetermined_coefficient_has_no_hull_point(self):
+        with pytest.raises(InsufficientPrecision, match="coefficient 1"):
+            newton_polygon(poly("1*t^(1)", "0 + O(t^(2))", "1"))
+
+    def test_root_expansion_inputs(self):
+        with pytest.raises(HahnForgeError, match="rank 1"):
+            puiseux_roots([parse_series("1", 2), parse_series("1", 2)])
+        with pytest.raises(InsufficientPrecision, match="exact coefficients"):
+            puiseux_roots(poly("1*t^(1) + O(t^(2))", "1"))
+        # a top coefficient that is exactly zero drops, and a constant has no roots
+        assert puiseux_roots(poly("1*t^(1)", "0")) == []
+
+    def test_a_constant_has_no_preparing_set(self):
+        with pytest.raises(ValueError, match="nonconstant"):
+            prepare_polynomial(poly("1", "0"), ge(1))
+
+    def test_probes_need_a_nonempty_set(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            verify_preparation(lambda x, p: x, [], ge(1))
+        with pytest.raises(ValueError, match="nonempty"):
+            jacobian_probe(lambda x, p: x, [])
+
+    def test_a_point_at_an_undetermined_distance_lies_in_no_annulus(self):
+        center = s("1 + O(t^(1))")
+        assert not preparation._inside_annulus(s("1 + 1*t^(3/2)"), center, s("1*t^(2)"), s("1"))
+        assert preparation._inside_annulus(s("1 + 1*t^(1/2)"), center, s("1*t^(2)"), s("1"))

@@ -10,6 +10,7 @@ import pytest
 from hahn_forge.errors import InsufficientPrecision, PrecisionStall, SingletonBall, ZeroInverse
 from hahn_forge.rv import (
     angular_component,
+    ball_mates,
     ball_of,
     check_prepares,
     rv_combine,
@@ -251,3 +252,33 @@ class TestMultiCenterBalls:
         # the positivity cut at c1 is prepared by {c1}: no ball next to both
         # centers straddles it
         assert report.passed()
+
+
+class TestDocumentedErrors:
+    def test_the_zero_class(self):
+        zero = rv_lambda(TruncatedSeries.zero(), ge(1))
+        assert zero.to_dict() == {"zero": True} and repr(zero) == "RvElement(0)"
+        assert repr(rv_lambda(s("2*t^(1) + 3*t^(2)"), ge(1))) == "RvElement(gamma=1, jet='2 + 3*t^(1)')"
+
+    def test_combining_classes(self):
+        a, b = rv_lambda(s("1"), ge(1)), rv_lambda(s("1"), ge(2))
+        with pytest.raises(ValueError, match="depth mismatch"):
+            rv_combine("mul", a, b)
+        with pytest.raises(ValueError, match="unknown rv op 'div'"):
+            rv_combine("div", a, a)
+
+    def test_an_undetermined_leading_coefficient(self):
+        with pytest.raises(InsufficientPrecision):
+            angular_component(s("0 + O(t^(1))"))
+
+    def test_ball_descriptor_text(self):
+        ball = ball_of(s("1*t^(1)"), TruncatedSeries.zero(), ge(0))
+        assert ball.to_dict() == {"center": "0", "datum": {"gamma": "1", "jet": "1"}}
+
+    def test_sampling_needs_a_nonempty_set(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            check_prepares([], lambda x: True, ge(1))
+
+    def test_ranks_must_match(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            ball_mates(random.Random(0), s("1"), [parse_series("1", 2)], ge(1))

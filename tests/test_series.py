@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from hahn_forge.errors import (
@@ -23,6 +24,7 @@ from hahn_forge.series import (
     POSITIVE,
     ZERO,
     GroupElement,
+    _integer_nth_root,
     HahnSeries,
     TruncatedSeries,
     compare_sign,
@@ -1685,3 +1687,56 @@ class TestPolyEvalOracle:
     @given(horner_cases(2, kinds=("exact", "exact", "exact zero"), min_size=1, finite=True))
     def test_rank_two(self, case):
         self._check(*case)
+
+
+class TestIntegerNthRoot:
+    """``_integer_nth_root`` is Newton's iteration on ints, exact on coefficients of any size."""
+
+    BIG = 2**100 + 2**40
+
+    def test_a_large_square_leading_coefficient(self):
+        a = parse_series(f"{self.BIG**2} + 1*t^(1)")
+        root = nth_root(a, 2, ge(3))
+        assert root.approx.leading_coeff() == self.BIG
+        diff = root * root - a
+        assert diff.approx.is_zero() or diff.approx.valuation() >= ge(3)
+
+    def test_above_512_bits(self):
+        assert _integer_nth_root(9 * 2**596, 2) == 3 * 2**298
+        assert _integer_nth_root(9 * 2**596 + 1, 2) is None
+
+    def test_a_non_square_neighbour(self):
+        with pytest.raises(IrrationalLeadingCoefficient):
+            nth_root(parse_series(f"{self.BIG**2 + 1} + 1*t^(1)"), 2, ge(3))
+
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            nth_root(parse_series("4"), 0, ge(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**700), st.integers(1, 7), st.booleans())
+    def test_exact_roots_and_the_floor(self, m, n, power_of_m):
+        if power_of_m:
+            m = m ** n
+        floor, exact = sympy.integer_nthroot(m, n)
+        assert floor**n <= m < (floor + 1)**n
+        assert _integer_nth_root(m, n) == (floor if exact else None)
+
+
+class TestDocumentedErrors:
+    def test_the_infinite_valuation(self):
+        assert INFINITE >= ge(5) and repr(INFINITE) == "Infinite"
+        with pytest.raises(ArithmeticError, match="cannot negate"):
+            -INFINITE
+
+    def test_printing_and_immutability(self):
+        assert repr(ge(Fraction(1, 2))) == "GroupElement('1/2')"
+        x = s("1 + 1*t^(1)")
+        with pytest.raises(AttributeError, match="HahnSeries is immutable"):
+            x.approx.rank = 2
+        with pytest.raises(AttributeError, match="TruncatedSeries is immutable"):
+            x.rank = 2
+
+    def test_an_unknown_field_op(self):
+        with pytest.raises(ValueError, match="unknown field op 'pow'"):
+            field_op("pow", s("1"), s("2"))

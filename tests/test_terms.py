@@ -454,3 +454,32 @@ class TestLiteralZeroDenominator:
             parse_term("inv(0)")
         # a vanishing but non-literal denominator parses; evaluation decides
         parse_term("1/(x - x)")
+
+
+class TestDocumentedErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("x)", "trailing input after the term"),
+        ("x +", "unexpected end of input"),
+        ("x + #", "unexpected character '#'"),
+    ])
+    def test_syntax_errors(self, text, message):
+        with pytest.raises(TermSyntaxError, match=message):
+            parse_term(text)
+
+    def test_objects_that_are_not_terms(self):
+        with pytest.raises(TypeError, match="not a term node"):
+            print_term("x")
+        with pytest.raises(TypeError, match="not a term node"):
+            eval_term("x", parse_series("1"), GroupElement.scalar(2))
+
+    def test_a_function_missing_from_the_evaluating_registry(self):
+        with pytest.raises(UnknownFunction, match="'nope'"):
+            eval_term(App("nope", (Var(),)), parse_series("1*t^(1)"), GroupElement.scalar(2))
+
+    @pytest.mark.parametrize("text", ["exp(x) + x", "x^-1", "exp(x)^2"])
+    def test_terms_that_are_not_polynomials(self, text):
+        assert polynomial_coeffs(parse_term(text), 1) is None
+
+    def test_candidates_under_a_negation_and_a_power(self):
+        found = candidate_polynomials(parse_term("-exp(x^2 + x) + exp(x - 1*t^(1))^2"))
+        assert [[format_series(c) for c in p] for p in found] == [["0", "1", "1"], ["-1*t^(1)", "1"]]
