@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hahn_forge import algebraic
-from hahn_forge.errors import UndecidedSign
 from hahn_forge.algebraic import (
     _PRIME,
     AlgebraicContext,
@@ -30,6 +29,7 @@ from hahn_forge.algebraic import (
     rational_roots,
     squarefree_decomposition,
 )
+from hahn_forge.errors import UndecidedSign
 
 
 def _horner(a, x):
@@ -266,6 +266,7 @@ def _image(p):
     """The image modulo P of the int numerators of a rational polynomial over one denominator."""
     return [c % P for c in algebraic._over_one_denominator(p)[0]]
 
+
 # rationals whose image modulo P is 0 or undefined, next to small ones
 modular_rationals = st.one_of(
     small_rationals,
@@ -481,7 +482,7 @@ class TestDocumentedErrors:
         with pytest.raises(ZeroDivisionError):
             pdivmod([Fraction(1)], [])
 
-    def test_division_trims_the_dividend_once(self):
+    def test_trailing_zeros_of_the_dividend(self):
         assert pdivmod([Fraction(1), Fraction(2), 0, 0], [Fraction(1), Fraction(1)]) == ([Fraction(2)], [Fraction(-1)])
         assert pdivmod([Fraction(3), 0], [Fraction(1), Fraction(1)]) == ([], [Fraction(3)])
 
