@@ -15,10 +15,11 @@ call of each power ``eval`` command of those rounds, and the
 operation of ``ROUNDS`` rounds of the ``prepare`` workload at ``SEED``, one
 call per member of the polynomial's derivative chain at depth lam + 4, as
 ``preparing_set`` makes them, and the call of each ``roots`` command of the
-``cli`` rounds.  The ``weierstrass_divide`` and ``implicit_series`` layers are
-the call of each ``divide`` and each ``implicit`` command of the ``cli``
-rounds.  The ``poly_eval`` layer times, as one call per
-``prepare_polynomial`` operation of those ``prepare`` rounds, every Horner
+``cli`` rounds.  The ``weierstrass_divide``, ``implicit_series`` and
+``strong_unit_probe`` layers are the call of each ``divide``, each
+``implicit`` and each ``probe-unit`` command of the ``cli`` rounds.  The
+``poly_eval`` layer times, as one call per ``prepare_polynomial``
+operation of those ``prepare`` rounds, every Horner
 call that the operation makes (exact arguments); the ``hensel_poly_eval``
 layer times, as one call per ``hensel_root`` operation of the ``newton``
 rounds (the Catalan fixture included), the Horner calls of the residual
@@ -37,9 +38,10 @@ starts from.  All are
 generated by the parent's ``perfbench/workloads.generate``, so both sides
 time the same inputs.  The
 child finds the arguments of an ``evaluate_analytic``, ``eval_term``,
-``roots``, ``divide`` or ``implicit`` call by running the command once
-through ``run_cli`` and recording the call it makes (``eval_term``,
-``weierstrass_divide`` and ``implicit_series`` as ``cli`` calls them), and
+``roots``, ``divide``, ``implicit`` or ``probe-unit`` call by running the
+command once through ``run_cli`` and recording the call it makes
+(``eval_term``, ``weierstrass_divide``, ``implicit_series`` and
+``strong_unit_probe`` as ``cli`` calls them), and
 those of the Horner and shift calls by running the operation once with
 ``prepare.poly_eval``, ``analytic.poly_eval`` or ``prepare._substitute``
 patched to record them.
@@ -68,7 +70,8 @@ noise.
 It exits 1, after writing the file, if the two sides' outputs differ: the
 ``format_series`` text of each result (for ``puiseux_roots`` and
 ``enclosure`` the JSON of the roots' ``to_dict``, for the division layers
-the ``format_multiseries`` text of each part, for ``substitute`` the
+the ``format_multiseries`` text of each part, for ``strong_unit_probe`` the
+report's ``to_json()``, for ``substitute`` the
 exponent, type and coordinates of every term, for ``field_roots`` each
 root's value or coordinates with its generator's witness and interval, its
 multiplicity, and the complex pairs), or the class and message of the
@@ -96,14 +99,14 @@ LAYERS = {"invert": "invert", "nth_root": "nth_root", "hensel_root": "hensel_roo
           "evaluate_analytic": "evaluate_analytic", "eval_term": "eval_term", "puiseux_roots": "puiseux_roots",
           "poly_eval": "poly_eval", "hensel_poly_eval": "hensel_poly_eval", "weierstrass_divide": "weierstrass_divide",
           "implicit_series": "implicit_series", "substitute": "substitute",
-          "field_roots": "field_roots", "enclosure": "enclosure"}
+          "field_roots": "field_roots", "enclosure": "enclosure", "strong_unit_probe": "strong_unit_probe"}
 EXPANSION = ("substitute", "field_roots", "enclosure")
 SEED, ROUNDS, PASSES, CONTROL_RUNS = 7, 3, 5, 10
 
 
 def solver_calls(checkout):
     """The solver operations of the ``newton`` workload, the analytic and power ``eval``, ``roots``,
-    ``divide`` and ``implicit`` commands of the ``cli`` workload, and the derivative chains and the
+    ``divide``, ``implicit`` and ``probe-unit`` commands of the ``cli`` workload, and the derivative chains and the
     preparations of the ``prepare`` workload's polynomials, as generated by the checkout's benchmark."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
@@ -125,6 +128,8 @@ def solver_calls(checkout):
                 specs.append({"kind": "weierstrass_divide", "argv": spec["argv"]})
             elif spec["argv"][0] == "implicit":
                 specs.append({"kind": "implicit_series", "argv": spec["argv"]})
+            elif spec["argv"][0] == "probe-unit":
+                specs.append({"kind": "strong_unit_probe", "argv": spec["argv"]})
     for ops in workloads.generate("prepare", SEED, ROUNDS):
         for spec in ops:
             if spec["kind"] == "prepare_polynomial":
@@ -227,6 +232,8 @@ def child(checkout):
             calls.append((multiseries.weierstrass_divide, recorded_call(spec["argv"], cli, "weierstrass_divide")))
         elif spec["kind"] == "implicit_series":
             calls.append((analytic.implicit_series, recorded_call(spec["argv"], cli, "implicit_series")))
+        elif spec["kind"] == "strong_unit_probe":
+            calls.append((prepare.strong_unit_probe, recorded_call(spec["argv"], cli, "strong_unit_probe")))
         elif spec["kind"] == "puiseux_roots" and "argv" in spec:
             calls.append((prepare.puiseux_roots, recorded_call(spec["argv"], cli, "puiseux_roots")))
         elif spec["kind"] == "puiseux_roots":
@@ -268,6 +275,8 @@ def child(checkout):
             return "\n".join(map(multiseries.format_multiseries, [out[0], *out[1]]))
         if f is analytic.implicit_series:
             return multiseries.format_multiseries(out)
+        if f is prepare.strong_unit_probe:
+            return out.to_json()
         return series.format_series(out)
 
     outputs = []
@@ -361,7 +370,8 @@ def main(argv=None):
                  f"workloads.generate('newton', {SEED}, {ROUNDS}); the evaluate_analytic call of each "
                  f"exp/sin/cos/log1p eval command, the eval_term call of each power eval command, the "
                  f"puiseux_roots call of each roots command, the weierstrass_divide call of each divide command and "
-                 f"the implicit_series call of each implicit command of "
+                 f"the implicit_series call of each implicit command and the strong_unit_probe call of each probe-unit "
+                 f"command of "
                  f"workloads.generate('cli', {SEED}, {ROUNDS}); puiseux_roots on the derivative chain, at "
                  "depth lam + 4, and the poly_eval calls, recorded from one run, of each prepare_polynomial "
                  f"operation of workloads.generate('prepare', {SEED}, {ROUNDS}); hensel_poly_eval: the poly_eval "

@@ -280,6 +280,9 @@ def _dispatch(args, registry):
         return _VERDICT_EXIT[report.verdict]
 
     # probe-unit: argparse admits no other command
+    for flag, fn, scale in (("g", args.g, args.g_scale), ("h", args.h, args.h_scale)):
+        if scale and not fn:
+            raise ValueError(f"--{flag}-scale needs --{flag}")
     center = parse_series(args.center, rank)
     inner = parse_series(args.inner, rank)
     outer = parse_series(args.outer, rank)

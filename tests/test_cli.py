@@ -318,6 +318,11 @@ class TestProbeUnitUsage:
         assert run_cli([*self.ANNULUS, flag, "nope"]) == 2
         assert capsys.readouterr() == ("", "error: function 'nope' is not registered\n")
 
+    @pytest.mark.parametrize("part", ["g", "h"])
+    def test_a_scale_without_its_function(self, capsys, part):
+        assert run_cli([*self.ANNULUS, f"--{part}-scale", "1*t^(1)"]) == 2
+        assert capsys.readouterr() == ("", f"error: --{part}-scale needs --{part}\n")
+
     def test_inner_radius_outside_the_outer(self, capsys):
         assert run_cli(["probe-unit", "--center", "0", "--inner", "1*t^(1)", "--outer", "1*t^(2)"]) == 2
         assert capsys.readouterr() == ("", "error: annulus needs v(inner) > v(outer)\n")

@@ -3,14 +3,14 @@
 import os
 import random
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hahn_forge import algebraic as alg
 from hahn_forge.algebraic import AlgebraicContext, RealAlgebraic
-from hahn_forge.analytic import FunctionRegistry, register_function
+from hahn_forge.analytic import FunctionRegistry, evaluate_analytic, register_function
 import hahn_forge.prepare as preparation
 from hahn_forge.errors import (
     DepthExhausted,
@@ -32,7 +32,7 @@ from hahn_forge.prepare import (
     verify_preparation,
     _term_from_poly,
 )
-from hahn_forge.rv import VerificationReport, rv_combine, rv_lambda
+from hahn_forge.rv import VerificationReport, ball_mates, random_point, run_trials, rv_combine, rv_lambda
 from hahn_forge.series import (
     GroupElement,
     HahnSeries,
@@ -42,6 +42,7 @@ from hahn_forge.series import (
     invert,
     parse_series,
     poly_eval,
+    valuation,
 )
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
@@ -525,6 +526,129 @@ class TestStrongUnitProbe:
         # the whole report, witnesses included, is frozen byte for byte
         with open(os.path.join(os.path.dirname(__file__), "golden", "strong_unit_idz.json"), "rb") as handle:
             assert report.to_json().encode() == handle.read()
+
+    @pytest.mark.parametrize("zeroed, kept", [
+        # the inner radius 9t leaves no annulus point with v(x - 1) = 1, so sin's argument is always infinitesimal
+        (dict(g="sin", g_scale="0"), dict(h="idz", h_scale="1")),
+        (dict(h="idz", h_scale="0"), dict(g="idz", g_scale="1*t^(1)")),
+    ])
+    def test_a_zero_scale_gives_the_report_without_the_part(self, zeroed, kept):
+        reg = FunctionRegistry()
+        register_function({"name": "idz", "vars": 1, "radius": 2, "table": [0, 1]}, reg)
+        build = lambda parts: StrongUnitSpec(**{k: reg.get(v) if k in "gh" else s(v) for k, v in parts.items()})
+        annulus = (s("1"), s("9*t^(1)"), s("1"))
+        with_zero = strong_unit_probe(build({**zeroed, **kept}), annulus, ge(0), trials=200, rng_seed=9)
+        assert with_zero.to_json() == strong_unit_probe(build(kept), annulus, ge(0), trials=200, rng_seed=9).to_json()
+        assert with_zero.checked == 200
+
+
+def _reference_strong_unit_probe(spec, annulus, lam, trials, rng_seed):
+    """``strong_unit_probe`` as it valued every point before its two rungs: sums at lam + 4, inverses at twice that."""
+    center, inner, outer = annulus
+    base_prec = lam + ge(4)
+
+    def unit_value(x):
+        total = TruncatedSeries.one(x.rank)
+        diff = x - center
+        if spec.g is not None:
+            part = evaluate_analytic(spec.g, [inner * invert(diff, base_prec + base_prec)], base_prec)
+            total = total + (spec.g_scale * part if spec.g_scale is not None else part)
+        if spec.h is not None:
+            part = evaluate_analytic(spec.h, [diff * invert(outer, base_prec + base_prec)], base_prec)
+            total = total + (spec.h_scale * part if spec.h_scale is not None else part)
+        return total
+
+    lo, hi = valuation(outer).first(), valuation(inner).first()
+    gammas = [Fraction(k, 4) for k in range(floor(lo * 4), ceil(hi * 4) + 1)]
+
+    def draw(rng):
+        x0 = center + random_point(rng, ge(rng.choice(gammas)), steps=2)
+        if not preparation._inside_annulus(x0, center, inner, outer):
+            return None
+        inside = [m for m in ball_mates(rng, x0, [center], lam, count=2)
+                  if preparation._inside_annulus(m, center, inner, outer)]
+        return (x0, inside) if inside else None
+
+    def check(x0, inside):
+        return preparation._first_disagreement(lambda x: rv_lambda(unit_value(x), lam), x0, inside)
+
+    report = VerificationReport("strong_unit_probe", lam, trials, rng_seed)
+    return run_trials(report, "annulus", [center], draw, check, preparation._SKIP)
+
+
+_UNIT_REGISTRY = FunctionRegistry()
+register_function({"name": "idz", "vars": 1, "radius": 2, "table": [0, 1]}, _UNIT_REGISTRY)
+_UNIT_FUNCTIONS = st.sampled_from([None, "exp", "sin", "cos", "log1p", "idz"])
+_UNIT_SCALES = st.sampled_from([None, "0", "1", "-1", "1*t^(1)", "2*t^(1/2)", "1*t^(-4)", "1*t^(1) + O(t^(2))"])
+
+
+def _traced(probe, *args):
+    """The report of ``probe(*args)`` and, in the order valued, each point with its rv_lam or the skip it raised."""
+    trace = []
+    first = preparation._first_disagreement
+
+    def recording(value, x0, mates):
+        def traced(x):
+            try:
+                out = value(x)
+            except preparation._SKIP as exc:
+                trace.append((format_series(x), type(exc).__name__))
+                raise
+            trace.append((format_series(x), out.to_dict()))
+            return out
+
+        return first(traced, x0, mates)
+
+    preparation._first_disagreement = recording
+    try:
+        return probe(*args), trace
+    finally:
+        preparation._first_disagreement = first
+
+
+class TestStrongUnitProbeAgainstItsReference:
+    """The two-rung probe against one that values every point at lam + 4: the same reports, witnesses
+    included, and the same rv_lam or skip at every point valued."""
+
+    @staticmethod
+    def assert_same(lam, annulus, g, g_scale, h, h_scale, trials, seed):
+        spec = StrongUnitSpec(
+            g=_UNIT_REGISTRY.get(g) if g else None, g_scale=s(g_scale) if g and g_scale else None,
+            h=_UNIT_REGISTRY.get(h) if h else None, h_scale=s(h_scale) if h and h_scale else None,
+        )
+        annulus, lam = tuple(map(s, annulus)), ge(Fraction(lam))
+        (report, trace), (expected, expected_trace) = (
+            _traced(probe, spec, annulus, lam, trials, seed) for probe in (strong_unit_probe, _reference_strong_unit_probe))
+        assert report.to_json() == expected.to_json()
+        assert trace == expected_trace
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lam=st.sampled_from(["0", "1/2", "1", "2"]),
+        center=st.sampled_from(["0", "1", "-2*t^(1/2)", "1 + O(t^(6))", "1*t^(1) + O(t^(9))"]),
+        outer=st.sampled_from(["1", "1 + 1*t^(1)", "1*t^(1/2)", "1 + O(t^(5))", "1 + O(t^(12))"]),
+        inner=st.integers(2, 6),
+        g=_UNIT_FUNCTIONS, g_scale=_UNIT_SCALES, h=_UNIT_FUNCTIONS, h_scale=_UNIT_SCALES,
+        seed=st.integers(0, 10**6),
+    )
+    # sin(t^6/(x - c)) t^(-4) is read below t^5, above rung 2's sums at lam + 4, which skip its points
+    @example(lam="0", center="0", outer="1", inner=6, g="sin", g_scale="1*t^(-4)", h=None, h_scale=None, seed=1)
+    # exp of a non-infinitesimal argument under a zero scale skips a point as before
+    @example(lam="0", center="0", outer="1", inner=2, g="exp", g_scale="0", h="cos", h_scale="1*t^(1)", seed=3)
+    def test_same_report(self, lam, center, outer, inner, g, g_scale, h, h_scale, seed):
+        self.assert_same(lam, (center, f"1*t^({inner})", outer), g, g_scale, h, h_scale, 12, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lam=st.sampled_from(["0", "1/2", "1"]),
+        center=st.sampled_from(["0", "1", "1 + O(t^(8))"]),
+        inner=st.integers(2, 3),
+        g=_UNIT_FUNCTIONS, g_scale=_UNIT_SCALES, h_scale=st.sampled_from(["1", "-1"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_same_witnesses_where_the_unit_fails(self, lam, center, inner, g, g_scale, h_scale, seed):
+        # 1 +- (x - c)/t^(3/2) cancels where x - c = -+t^(3/2) + ..., so about a third of these reports fail
+        self.assert_same(lam, (center, f"1*t^({inner})", "1*t^(3/2)"), g, g_scale, "idz", h_scale, 60, seed)
 
 
 class TestPolyText:
