@@ -533,9 +533,8 @@ class TestStrongUnitProbe:
         (dict(h="idz", h_scale="0"), dict(g="idz", g_scale="1*t^(1)")),
     ])
     def test_a_zero_scale_gives_the_report_without_the_part(self, zeroed, kept):
-        reg = FunctionRegistry()
-        register_function({"name": "idz", "vars": 1, "radius": 2, "table": [0, 1]}, reg)
-        build = lambda parts: StrongUnitSpec(**{k: reg.get(v) if k in "gh" else s(v) for k, v in parts.items()})
+        build = lambda parts: StrongUnitSpec(**{k: _UNIT_REGISTRY.get(v) if k in ("g", "h") else s(v)
+                                                for k, v in parts.items()})
         annulus = (s("1"), s("9*t^(1)"), s("1"))
         with_zero = strong_unit_probe(build({**zeroed, **kept}), annulus, ge(0), trials=200, rng_seed=9)
         assert with_zero.to_json() == strong_unit_probe(build(kept), annulus, ge(0), trials=200, rng_seed=9).to_json()
@@ -617,8 +616,8 @@ class TestStrongUnitProbeAgainstItsReference:
             h=_UNIT_REGISTRY.get(h) if h else None, h_scale=s(h_scale) if h and h_scale else None,
         )
         annulus, lam = tuple(map(s, annulus)), ge(Fraction(lam))
-        (report, trace), (expected, expected_trace) = (
-            _traced(probe, spec, annulus, lam, trials, seed) for probe in (strong_unit_probe, _reference_strong_unit_probe))
+        (report, trace), (expected, expected_trace) = (_traced(probe, spec, annulus, lam, trials, seed)
+                                                       for probe in (strong_unit_probe, _reference_strong_unit_probe))
         assert report.to_json() == expected.to_json()
         assert trace == expected_trace
 
