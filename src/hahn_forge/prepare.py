@@ -759,33 +759,27 @@ class StrongUnitSpec:
 def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     """Sample annulus points with equal leading data and compare unit values.
 
-    ``unit_value(diff, targets)`` forms U = 1 + g_s g(inner/(x-c)) + h_s h((x-c)/outer)
-    from diff = x - c; ``targets`` gives each part A = num * invert(den, S)
-    its Taylor-sum target and its inverse target S, where S None stands for
-    the constant part below.  Rung 2 is the reference: sums at B = lam + 4,
-    inverses at 2B.  Rung 1 aims at P = lam + (0, ..., 0, 1), all that
-    rv_lam reads of a unit.  A part with scale s is read below T = P - v(s);
-    an exact-zero scale zeroes its product, but the part is still formed,
-    and may raise, as in rung 2, so it gets T = 0.  ``invert(den, S)`` is
-    known below S - 3 v(den), so A is known below T at
-    S = T + 3 v(den) - v(num), raised to 2 v(den) + 1 to know A above its
-    valuation.  Sums are capped at B, inverses at 2B.  Where v(A) > 0,
-    T <= v(A) and v(den) < B, the part is g(0) = c_0 known below min(T, B),
-    as g(A) - c_0 has valuation at least v(A); A is not formed.
+    ``unit_value(diff, constants)`` forms U = 1 + g_s g(inner/(x-c)) + h_s h((x-c)/outer)
+    from diff = x - c.  Rung 2 is the reference: each part g(A), A = num/den,
+    is a Taylor sum at B = lam + 4 with ``invert(den)`` at 2B.  Rung 1 aims
+    at P = lam + (0, ..., 0, 1), all that rv_lam reads of a unit.  A part
+    with scale s is read below T = P - v(s); an exact-zero scale zeroes its
+    product, but the part is still formed, and may raise, as in rung 2, so
+    it gets T = 0.  Where v(A) > 0, T <= v(A) and v(den) < B, rung 1 takes
+    the part as g(0) = c_0 known below min(T, B), as g(A) - c_0 has
+    valuation at least v(A); A is not formed.  Every other part is rung 2's,
+    and a point with no constant part is valued by rung 2 alone.
 
     Every trial is checked, skipped or failed as before.  Rung 1 runs only
     in rank 1 with an exact center and outer.  Then rung 2's inverses raise
     nothing, and where v(den) < B its A is known above its valuation, as
-    2B - 3 v(den) + v(num) > v(A).  The precision of every step grows with
-    its targets and operands, so rung 1 knows U below some p1 at most rung
-    2's p2.  Both values are exact below their precisions, so rung 1's is
-    rung 2's cut at p1.  A constant part is such a cut too: rung 2's sum is
-    known below min(B, p + (k0 - 1) v(A)) >= min(B, v(A)).  So an rv_lam
-    that rung 1 reads, rung 2 reads alike, and a part that rung 1 forms
-    raises wherever rung 2's raises.  Where rung 1 raises a skip or leaves
-    rv_lam undetermined, rung 2 decides as before.  An inexact center or
-    outer can make rung 2's ``invert`` raise where rung 1's would not, and
-    in rank > 1 its ``PrecisionStall`` depends on the target.
+    2B - 3 v(den) + v(num) > v(A); its sum is then known below
+    min(B, v(A)) >= min(T, B), where it is c_0.  So rung 1's U is rung 2's
+    cut at some precision, an rv_lam that rung 1 reads rung 2 reads alike,
+    and rung 1 raises only where rung 2 does.  Where rung 1 raises a skip or
+    leaves rv_lam undetermined, rung 2 decides as before.  An inexact center
+    or outer can make rung 2's ``invert`` raise where rung 1 forms no
+    inverse, and in rank > 1 so can its ``PrecisionStall``.
     """
     center, inner, outer = annulus
     v_in = valuation(inner)
@@ -795,48 +789,50 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     if not (v_in > v_out):
         raise DomainViolation("annulus needs v(inner) > v(outer)")
     base_prec = lam + GroupElement.scalar(4)
-    two_b, one, zero = base_prec + base_prec, GroupElement.scalar(1), GroupElement.zero()
-    rung_two = ((base_prec, two_b),) * 2
-    read = lam + one
+    zero, read = GroupElement.zero(), lam + GroupElement.scalar(1)
     demands = [read if s is None else zero if s.is_exact_zero() else read - s.valuation_lower_bound()
                for s in (spec.g_scale, spec.h_scale)]
     caps = [min(need, base_prec) for need in demands]
     fast = center.is_exact() and outer.is_exact() and center.rank == 1
-    # a failed inverse is not cached, so each point raises it again and is skipped
-    outer_inverse = cache(partial(invert, outer))
 
-    def unit_value(diff, targets):
+    # the same for every point; a failed inverse is not cached, so each
+    # point raises it again and is skipped
+    @cache
+    def outer_inverse():
+        return invert(outer, base_prec + base_prec)
+
+    # g(0) below a target is the same at every point
+    @cache
+    def constant_part(fn, target):
+        return evaluate_analytic(fn, [TruncatedSeries.zero(center.rank)], target).truncate(target)
+
+    def unit_value(diff, constants=(None, None)):
         total = TruncatedSeries.one(diff.rank)
-        parts = ((spec.g, spec.g_scale, lambda at: inner * invert(diff, at)),
-                 (spec.h, spec.h_scale, lambda at: diff * outer_inverse(at)))
-        for (fn, scale, argument), (target, inverse_target) in zip(parts, targets):
+        parts = ((spec.g, spec.g_scale, lambda: inner * invert(diff, base_prec + base_prec)),
+                 (spec.h, spec.h_scale, lambda: diff * outer_inverse()))
+        for (fn, scale, argument), constant in zip(parts, constants):
             if fn is None:
                 continue
-            if inverse_target is None:
-                part = evaluate_analytic(fn, [TruncatedSeries.zero(diff.rank)], target).truncate(target)
+            if constant is None:
+                part = evaluate_analytic(fn, [argument()], base_prec)
             else:
-                part = evaluate_analytic(fn, [argument(inverse_target)], target)
+                part = constant_part(fn, constant)
             total = total + (scale * part if scale is not None else part)
         return total
 
     def rung_one(v_d):
-        targets = []
-        for need, cap, v_num, v_den in zip(demands, caps, (v_in, v_d), (v_d, v_out)):
-            v_arg = v_num - v_den
-            if v_arg > zero and need <= v_arg and v_den < base_prec:
-                targets.append((cap, None))
-            else:
-                targets.append((cap, min(max(need + v_den * 3 - v_num, v_den * 2 + one), two_b)))
-        return targets
+        return tuple(cap if zero < v_arg and need <= v_arg and v_den < base_prec else None
+                     for need, cap, v_arg, v_den in zip(demands, caps, (v_in - v_d, v_d - v_out), (v_d, v_out)))
 
     def unit_rv(x):
         diff = x - center
-        if fast:
+        constants = rung_one(valuation(diff)) if fast else (None, None)
+        if constants != (None, None):
             try:
-                return rv_lambda(unit_value(diff, rung_one(valuation(diff))), lam)
+                return rv_lambda(unit_value(diff, constants), lam)
             except _SKIP:
                 pass
-        return rv_lambda(unit_value(diff, rung_two), lam)
+        return rv_lambda(unit_value(diff), lam)
 
     # include the boundary valuations: points there can still sit strictly
     # inside the annulus when their leading coefficient is small enough
