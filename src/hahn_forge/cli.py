@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import prepare as preparation
 from .analytic import default_registry, hensel_root, implicit_series
 from .errors import (
-    ArityMismatch,
     BudgetExhausted,
     DepthExhausted,
     HahnForgeError,
@@ -37,7 +36,6 @@ from .rv import rv_lambda
 from .series import GroupElement, format_exponent, format_series, parse_series
 from .terms import eval_term, parse_term, polynomial_coeffs, prepare_term
 
-_USAGE_ERRORS = (TermSyntaxError, UnknownFunction, ArityMismatch)
 _PRECISION_ERRORS = (
     InsufficientPrecision,
     UndecidableAtPrecision,
@@ -164,18 +162,12 @@ def run_cli(argv):
         if seed_env is not None:
             args.seed = int(seed_env)
         return _dispatch(args, default_registry())
-    except _USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except _PRECISION_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, BudgetExhausted) and exc.report is not None:
             sys.stdout.write(exc.report.to_json() + "\n")
         return 3
-    except HahnForgeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (HahnForgeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

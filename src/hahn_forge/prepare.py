@@ -763,12 +763,13 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     from diff = x - c.  Rung 2 is the reference: each part g(A), A = num/den,
     is a Taylor sum at B = lam + 4 with ``invert(den)`` at 2B.  Rung 1 aims
     at P = lam + (0, ..., 0, 1), all that rv_lam reads of a unit.  A part
-    with scale s is read below T = P - v(s); an exact-zero scale zeroes its
-    product, but the part is still formed, and may raise, as in rung 2, so
-    it gets T = 0.  Where v(A) > 0, T <= v(A) and v(den) < B, rung 1 takes
-    the part as g(0) = c_0 known below min(T, B), as g(A) - c_0 has
-    valuation at least v(A); A is not formed.  Every other part is rung 2's,
-    and a point with no constant part is valued by rung 2 alone.
+    with scale s is read below T = P - v(s).  A part under an exact-zero
+    scale adds nothing to U, so it is left out, as if its function were not
+    given: it is never formed and never raises.  Where v(A) > 0, T <= v(A)
+    and v(den) < B, rung 1 takes the part as g(0) = c_0 known below
+    min(T, B), as g(A) - c_0 has valuation at least v(A); A is not formed.
+    Every other part is rung 2's, and a point with no constant part is
+    valued by rung 2 alone.
 
     Every trial is checked, skipped or failed as before.  Rung 1 runs only
     in rank 1 with an exact center and outer.  Then rung 2's inverses raise
@@ -790,8 +791,9 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
         raise DomainViolation("annulus needs v(inner) > v(outer)")
     base_prec = lam + GroupElement.scalar(4)
     zero, read = GroupElement.zero(), lam + GroupElement.scalar(1)
-    demands = [read if s is None else zero if s.is_exact_zero() else read - s.valuation_lower_bound()
-               for s in (spec.g_scale, spec.h_scale)]
+    given = [(None, None) if s is not None and s.is_exact_zero() else (fn, s)
+             for fn, s in ((spec.g, spec.g_scale), (spec.h, spec.h_scale))]
+    demands = [read if s is None else read - s.valuation_lower_bound() for _, s in given]
     caps = [min(need, base_prec) for need in demands]
     fast = center.is_exact() and outer.is_exact() and center.rank == 1
 
@@ -808,9 +810,8 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
 
     def unit_value(diff, constants=(None, None)):
         total = TruncatedSeries.one(diff.rank)
-        parts = ((spec.g, spec.g_scale, lambda: inner * invert(diff, base_prec + base_prec)),
-                 (spec.h, spec.h_scale, lambda: diff * outer_inverse()))
-        for (fn, scale, argument), constant in zip(parts, constants):
+        arguments = (lambda: inner * invert(diff, base_prec + base_prec), lambda: diff * outer_inverse())
+        for (fn, scale), argument, constant in zip(given, arguments, constants):
             if fn is None:
                 continue
             if constant is None:

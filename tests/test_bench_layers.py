@@ -1,0 +1,32 @@
+"""The table of ``bench/layers.py`` against the package and the benchmark's workloads.
+
+Each row of ``LAYERS`` names a function by the module its caller reads and
+operations by ``workload:label``; a rename on either side fails here rather
+than in the next layers run.  Loading the table starts no process and runs
+no operation.
+"""
+
+import importlib
+import importlib.util
+import os
+
+_ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+_spec = importlib.util.spec_from_file_location("bench_layers", os.path.join(_ROOT, "bench", "layers.py"))
+layers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layers)
+
+
+def test_every_layer_row_names_a_function_of_the_package():
+    missing = [f"{row.module}.{row.name}" for row in layers.LAYERS
+               if not callable(getattr(importlib.import_module(f"hahn_forge.{row.module}"), row.name, None))]
+    assert not missing
+
+
+def test_every_layer_row_selects_operations_the_workloads_generate(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(_ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    labels = {f"{workload}:{layers.label(op)}" for workload in workloads.NAMES
+              for ops in workloads.generate(workload, layers.SEED, 1) for op in ops}
+    unknown = [op for row in layers.LAYERS for op in row.ops if op not in labels]
+    assert not unknown

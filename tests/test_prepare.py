@@ -527,35 +527,47 @@ class TestStrongUnitProbe:
         with open(os.path.join(os.path.dirname(__file__), "golden", "strong_unit_idz.json"), "rb") as handle:
             assert report.to_json().encode() == handle.read()
 
-    # A zeroed part that raises still skips its point (exp of a non-infinitesimal argument, say), so only
-    # parts that cannot raise are dropped here: the inner radius 9t leaves no annulus point with
-    # v(x - 1) = 1, so sin's argument is always infinitesimal, and idz is a polynomial.
-    @pytest.mark.parametrize("zeroed, kept", [
-        (dict(g="sin", g_scale="0"), dict(h="idz", h_scale="1")),
-        (dict(h="idz", h_scale="0"), dict(g="idz", g_scale="1*t^(1)")),
-    ])
-    def test_a_zero_scale_gives_the_report_without_a_part_that_cannot_raise(self, zeroed, kept):
-        build = lambda parts: StrongUnitSpec(**{k: _UNIT_REGISTRY.get(v) if k in ("g", "h") else s(v)
-                                                for k, v in parts.items()})
-        annulus = (s("1"), s("9*t^(1)"), s("1"))
-        with_zero = strong_unit_probe(build({**zeroed, **kept}), annulus, ge(0), trials=200, rng_seed=9)
-        assert with_zero.to_json() == strong_unit_probe(build(kept), annulus, ge(0), trials=200, rng_seed=9).to_json()
-        assert with_zero.checked == 200
+    # The outer radius is too blurred to invert, so the h part cannot be formed at any point and a probe
+    # that formed it would skip every point; under a zero scale it is left out, as if it were not given.
+    @pytest.mark.parametrize("h", ["exp", "idz"])
+    def test_a_zero_scale_gives_the_report_without_the_part(self, h):
+        kept = dict(g=_UNIT_REGISTRY.get("idz"), g_scale=s("1*t^(1)"))
+        annulus = (s("0"), s("1*t^(2)"), s("1 + O(t^(1))"))
+        zeroed = StrongUnitSpec(**kept, h=_UNIT_REGISTRY.get(h), h_scale=s("0"))
+        with_zero = strong_unit_probe(zeroed, annulus, ge(0), trials=100, rng_seed=9)
+        assert with_zero.to_json() == strong_unit_probe(StrongUnitSpec(**kept), annulus, ge(0), trials=100,
+                                                        rng_seed=9).to_json()
+        assert with_zero.checked == 100
+
+    def test_a_zero_scaled_part_skips_no_point(self):
+        # exp(t^2/x) has a non-infinitesimal argument where v(x) = 2; under a zero scale those points are
+        # valued, with the same rv_lam as without the part
+        kept = dict(h=_UNIT_REGISTRY.get("cos"), h_scale=s("1*t^(1)"))
+        annulus, lam = (s("0"), s("1*t^(2)"), s("1")), ge(0)
+        zeroed = StrongUnitSpec(g=_UNIT_REGISTRY.get("exp"), g_scale=s("0"), **kept)
+        (report, trace), (expected, expected_trace) = (_traced(strong_unit_probe, spec, annulus, lam, 12, 3)
+                                                       for spec in (zeroed, StrongUnitSpec(**kept)))
+        assert report.to_json() == expected.to_json() and trace == expected_trace
+        assert any(valuation(s(x)) == ge(2) and isinstance(value, dict) for x, value in trace)
+        assert not any(value == "NotInfinitesimal" for _, value in trace)
 
 
 def _reference_strong_unit_probe(spec, annulus, lam, trials, rng_seed):
     """``strong_unit_probe`` as it valued every point before its two rungs: sums at lam + 4, inverses at twice that."""
     center, inner, outer = annulus
     base_prec = lam + ge(4)
+    # a part under an exact-zero scale is left out, as if its function were not given
+    g, h = (None if scale is not None and scale.is_exact_zero() else fn
+            for fn, scale in ((spec.g, spec.g_scale), (spec.h, spec.h_scale)))
 
     def unit_value(x):
         total = TruncatedSeries.one(x.rank)
         diff = x - center
-        if spec.g is not None:
-            part = evaluate_analytic(spec.g, [inner * invert(diff, base_prec + base_prec)], base_prec)
+        if g is not None:
+            part = evaluate_analytic(g, [inner * invert(diff, base_prec + base_prec)], base_prec)
             total = total + (spec.g_scale * part if spec.g_scale is not None else part)
-        if spec.h is not None:
-            part = evaluate_analytic(spec.h, [diff * invert(outer, base_prec + base_prec)], base_prec)
+        if h is not None:
+            part = evaluate_analytic(h, [diff * invert(outer, base_prec + base_prec)], base_prec)
             total = total + (spec.h_scale * part if spec.h_scale is not None else part)
         return total
 
@@ -636,8 +648,6 @@ class TestStrongUnitProbeAgainstItsReference:
     @example(lam="0", center="0", outer="1", inner=6, g="sin", g_scale="1*t^(-4)", h=None, h_scale=None, seed=1)
     # where v(x - c) >= 4, rung 2's inverse of x - c at 8 is not known above its valuation, and its points are skipped
     @example(lam="0", center="0", outer="1", inner=6, g="sin", g_scale="1*t^(1)", h=None, h_scale=None, seed=2)
-    # exp of a non-infinitesimal argument under a zero scale skips a point as before
-    @example(lam="0", center="0", outer="1", inner=2, g="exp", g_scale="0", h="cos", h_scale="1*t^(1)", seed=3)
     def test_same_report(self, lam, center, outer, inner, g, g_scale, h, h_scale, seed):
         self.assert_same(lam, (center, f"1*t^({inner})", outer), g, g_scale, h, h_scale, 12, seed)
 
