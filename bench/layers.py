@@ -40,6 +40,14 @@ of the change's median to the parent's, and the parent's spread
 (interquartile range over median): a change smaller than that spread is
 noise.
 
+Time cannot resolve a change of one layer below about 20% on such a host,
+so after the timed passes each child replays every call once more under
+``sys.setprofile`` and counts its ``call`` and ``c_call`` events: Python
+and C function calls, which do not depend on the host's speed.  The counts
+must be the same in every repeat of a side, or the run stops with an
+error.  Per layer the file records each side's count over all calls and
+the change's count over the parent's.
+
 It exits 1, after writing the file, if the two sides' outputs differ; an
 output is a JSON form of the result, or the class and message of the error
 raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a temporary
@@ -200,10 +208,29 @@ def show(out, hf):
     return str(out)
 
 
+def profiled_calls(fn, args, kw):
+    """The ``call`` and ``c_call`` events of one call ``fn(*args, **kw)`` under ``sys.setprofile``."""
+    count = 0
+
+    def tally(_frame, event, _arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(tally)
+    try:
+        fn(*args, **kw)
+    except Exception:  # noqa: BLE001 - the error is recorded in outputs
+        pass
+    finally:
+        sys.setprofile(None)
+    return count
+
+
 def child(checkout):
     """Record the calls with the checkout's package and time them, and the control kernel, in the
-    parent's ``perfbench`` named on stdin; print per-call layers and times, absolute and over control,
-    the median control time and the outputs."""
+    parent's ``perfbench`` named on stdin, then count each call's profiled calls; print per-call layers,
+    times, absolute and over control, and profiled calls, the median control time and the outputs."""
     import gc
     import time
 
@@ -228,8 +255,10 @@ def child(checkout):
             times[i].append(time.perf_counter_ns() - start)
         control.append(statistics.median(calibrate.kernel() * 1e9 for _ in range(CONTROL_RUNS)))
     over = [statistics.median(ns / c for ns, c in zip(t, control)) for t in times]
+    counts = [profiled_calls(fn, args, kw) for _, fn, args, kw in calls]
     json.dump({"layers": [call[0] for call in calls], "outputs": outputs, "ns": [statistics.median(t) for t in times],
-               "over_control": over, "control_ns": statistics.median(control)}, sys.stdout)
+               "over_control": over, "control_ns": statistics.median(control), "profiled_calls": counts},
+              sys.stdout)
 
 
 def run_child(checkout, perfbench):
@@ -243,9 +272,10 @@ def run_child(checkout, perfbench):
     return json.loads(proc.stdout)
 
 
-def summarize(layers, per_call, runs):
-    """Per layer: each side's per-call quartiles and sum in microseconds, the median time ratio, and the
-    layer's summed time over control per repeat, with its ratio and the parent's spread."""
+def summarize(layers, per_call, runs, counts):
+    """Per layer: each side's per-call quartiles and sum in microseconds, the median time ratio, the
+    layer's summed time over control per repeat, with its ratio and the parent's spread, and each side's
+    profiled calls, with their ratio."""
     from pairs import quartiles
 
     out = {}
@@ -258,10 +288,12 @@ def summarize(layers, per_call, runs):
             entry[side] = {"median": median, "q1": q1, "q3": q3, "sum": sum(us)}
             q1, median, q3 = quartiles([sum(run["over_control"][i] for i in idx) for run in runs[side]])
             entry[side]["over_control"] = {"median": median, "q1": q1, "q3": q3}
+            entry[side]["profiled_calls"] = sum(counts[side][i] for i in idx)
         entry["median_ratio"] = statistics.median(per_call["change"][i] / per_call["parent"][i] for i in idx)
         parent, change = entry["parent"]["over_control"], entry["change"]["over_control"]
         entry["ratio_over_control"] = change["median"] / parent["median"]
         entry["parent_spread_over_control"] = (parent["q3"] - parent["q1"]) / parent["median"]
+        entry["profiled_calls_ratio"] = entry["change"]["profiled_calls"] / entry["parent"]["profiled_calls"]
         out[layer] = entry
     return out
 
@@ -294,6 +326,12 @@ def main(argv=None):
                   f"{result['control_ns'] / 1e6:.3f} ms", file=sys.stderr, flush=True)
     if layers["parent"] != layers["change"]:
         raise RuntimeError(f"the sides record other calls: {Counter(layers['parent'])}, {Counter(layers['change'])}")
+    counts = {}
+    for side in runs:
+        seen = {tuple(run.pop("profiled_calls")) for run in runs[side]}
+        if len(seen) != 1:
+            raise RuntimeError(f"the {side}'s profiled calls differ across repeats")
+        counts[side] = seen.pop()
 
     calls = layers["parent"]
     differ = [{"call": i, "kind": calls[i], "parent": p, "change": c}
@@ -308,9 +346,11 @@ def main(argv=None):
         "control": f"per pass, the median of {CONTROL_RUNS} runs of the parent's perfbench/calibrate.kernel() after "
                    "it; a call's time over control is the median over passes of its time over its pass's control",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",
+        "profiled_calls": "per layer and side, the call and c_call events under sys.setprofile of one more replay "
+                          "of every call after the timed passes, the same in every repeat",
         "unit": "microseconds per call; per call the median of its passes, then of its repeats",
         "output_mismatches": differ,
-        "summary": summarize(calls, per_call, runs),
+        "summary": summarize(calls, per_call, runs, counts),
         "per_call_ns": [{"kind": layer, "parent": per_call["parent"][i], "change": per_call["change"][i]}
                         for i, layer in enumerate(calls)],
     }

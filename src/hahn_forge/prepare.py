@@ -56,6 +56,7 @@ from .series import (
     HahnSeries,
     INFINITE,
     TruncatedSeries,
+    _difference_valuation,
     compare_sign,
     format_series,
     format_rational,
@@ -781,6 +782,18 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     leaves rv_lam undetermined, rung 2 decides as before.  An inexact center
     or outer can make rung 2's ``invert`` raise where rung 1 forms no
     inverse, and in rank > 1 so can its ``PrecisionStall``.
+
+    Three steps read only v = v(x - c), and each is taken once per v.  Each
+    gives every point the answer it had when taken at the point, so every
+    ``random`` call, trial, skip, report and per-point rv_lam is as before.
+    Membership reads both signs from v (see ``_inside_annulus``), and at a
+    radius' valuation forms the differences.  Rung 1's constants depend on
+    the point only through v.  Where every given part is a constant, U
+    reads nothing of the point but its rank, so it is formed at the first
+    point that needs it, where any error it raises surfaces as before, and
+    its rv_lam serves every later such point; a skip that it raises is kept
+    too, so a later such point goes straight to rung 2, which decides it as
+    it did after rung 1 failed there.
     """
     center, inner, outer = annulus
     v_in = valuation(inner)
@@ -809,7 +822,7 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
         return evaluate_analytic(fn, [TruncatedSeries.zero(center.rank)], target).truncate(target)
 
     def unit_value(diff, constants=(None, None)):
-        total = TruncatedSeries.one(diff.rank)
+        total = TruncatedSeries.one(center.rank)
         arguments = (lambda: inner * invert(diff, base_prec + base_prec), lambda: diff * outer_inverse())
         for (fn, scale), argument, constant in zip(given, arguments, constants):
             if fn is None:
@@ -821,37 +834,59 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
             total = total + (scale * part if scale is not None else part)
         return total
 
+    # U's rv_lam where every given part is a constant, or None where forming it
+    # raised a skip; an error that is not a skip is not cached
+    @cache
+    def point_free_rv(constants):
+        try:
+            return rv_lambda(unit_value(None, constants), lam)
+        except _SKIP:
+            return None
+
+    # at v(x - c) = v_d: rung 1's constants, or None where it has none, and
+    # U's rv_lam where U is point-free; None for both leaves the point to rung 2
+    @cache
     def rung_one(v_d):
-        return tuple(cap if zero < v_arg and need <= v_arg and v_den < base_prec else None
-                     for need, cap, v_arg, v_den in zip(demands, caps, (v_in - v_d, v_d - v_out), (v_d, v_out)))
+        constants = tuple(cap if fn is not None and zero < v_arg and need <= v_arg and v_den < base_prec else None
+                          for (fn, _), need, cap, v_arg, v_den
+                          in zip(given, demands, caps, (v_in - v_d, v_d - v_out), (v_d, v_out)))
+        if constants == (None, None):
+            return None, None
+        if all(c is not None for (fn, _), c in zip(given, constants) if fn is not None):
+            return None, point_free_rv(constants)
+        return constants, None
 
     def unit_rv(x):
-        diff = x - center
-        constants = rung_one(valuation(diff)) if fast else (None, None)
-        if constants != (None, None):
-            try:
-                return rv_lambda(unit_value(diff, constants), lam)
-            except _SKIP:
-                pass
-        return rv_lambda(unit_value(diff), lam)
+        if fast:
+            # every point drawn is exact and differs from the center, so this is v(x - c)
+            constants, value = rung_one(_difference_valuation(x, center))
+            if value is not None:
+                return value
+            if constants is not None:
+                try:
+                    return rv_lambda(unit_value(x - center, constants), lam)
+                except _SKIP:
+                    pass
+        return rv_lambda(unit_value(x - center), lam)
 
     # include the boundary valuations: points there can still sit strictly
     # inside the annulus when their leading coefficient is small enough
     lo, hi = v_out.first(), v_in.first()
     gammas = [Fraction(k, 4) for k in range(floor(lo * 4), ceil(hi * 4) + 1)]
 
+    inside = _inside_annulus(center, inner, outer)
+
     def draw(rng):
         gamma = GroupElement.scalar(rng.choice(gammas))
         x0 = center + random_point(rng, gamma, steps=2)
-        if not _inside_annulus(x0, center, inner, outer):
+        if not inside(x0):
             return None
         # inside the annulus, x0 - center has a decided sign, so ball_mates finds its valuation
-        mates = ball_mates(rng, x0, [center], lam, count=2)
-        inside = [m for m in mates if _inside_annulus(m, center, inner, outer)]
-        return (x0, inside) if inside else None
+        mates = [m for m in ball_mates(rng, x0, [center], lam, count=2) if inside(m)]
+        return (x0, mates) if mates else None
 
-    def check(x0, inside):
-        return _first_disagreement(unit_rv, x0, inside)
+    def check(x0, mates):
+        return _first_disagreement(unit_rv, x0, mates)
 
     report = VerificationReport("strong_unit_probe", lam, trials, rng_seed)
     return run_trials(report, "annulus", [center], draw, check, _SKIP)
@@ -861,9 +896,37 @@ def _abs(x):
     return x if compare_sign(x) >= 0 else -x
 
 
-def _inside_annulus(x, center, inner, outer):
-    try:
-        d = _abs(x - center)
-        return compare_sign(outer - d) > 0 and compare_sign(d - inner) > 0
-    except UndecidableAtPrecision:
-        return False
+def _inside_annulus(center, inner, outer):
+    """The test inner < |x - c| < outer of a point x; False where a sign is not determined.
+
+    Where x, c, inner and outer are exact and of rank 1 and x != c, both
+    signs are read from v = v(x - c), once per v, as |x - c| is positive of
+    valuation v: outer - |x - c| has the sign of outer where v > v(outer)
+    and is negative where v < v(outer), and |x - c| - inner is positive
+    where v < v(inner) and has the sign of -inner where v > v(inner).  At
+    v = v(inner) or v(outer), at x = c and with an inexact operand, the
+    differences are formed.
+    """
+    by_valuation = center.rank == inner.rank == outer.rank == 1 and all(
+        y.is_exact() for y in (center, inner, outer))
+
+    @cache
+    def decided(v):
+        v_in, v_out = valuation(inner), valuation(outer)
+        if v == v_in or v == v_out:
+            return None
+        return v > v_out and compare_sign(outer) > 0 and (v < v_in or compare_sign(inner) < 0)
+
+    def inside(x):
+        if by_valuation and x.rank == 1 and x.is_exact():
+            v = _difference_valuation(x, center)
+            verdict = None if v is None else decided(v)
+            if verdict is not None:
+                return verdict
+        try:
+            d = _abs(x - center)
+            return compare_sign(outer - d) > 0 and compare_sign(d - inner) > 0
+        except UndecidableAtPrecision:
+            return False
+
+    return inside

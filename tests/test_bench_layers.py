@@ -30,3 +30,16 @@ def test_every_layer_row_selects_operations_the_workloads_generate(monkeypatch):
               for ops in workloads.generate(workload, layers.SEED, 1) for op in ops}
     unknown = [op for row in layers.LAYERS for op in row.ops if op not in labels]
     assert not unknown
+
+
+
+def test_profiled_calls_count_python_and_c_calls_and_repeat():
+    def inner(x):
+        return sorted(x)
+
+    def outer(a, b):
+        return inner(a) + inner(b) + [len(a)]
+
+    counts = {layers.profiled_calls(outer, ([2, 1], [3]), {}) for _ in range(3)}
+    # outer, inner twice, sorted twice, len, and the sys.setprofile(None) that ends the count
+    assert counts == {7}

@@ -1,5 +1,6 @@
 """Newton polygon, branch expansion, preparing sets, and the probes."""
 
+import json
 import os
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hahn_forge.errors import (
     DomainViolation,
     HahnForgeError,
     InsufficientPrecision,
+    UndecidableAtPrecision,
     UndecidedSign,
 )
 from hahn_forge.prepare import (
@@ -38,6 +40,7 @@ from hahn_forge.series import (
     HahnSeries,
     INFINITE,
     TruncatedSeries,
+    compare_sign,
     format_series,
     invert,
     parse_series,
@@ -552,8 +555,19 @@ class TestStrongUnitProbe:
         assert not any(value == "NotInfinitesimal" for _, value in trace)
 
 
+def _reference_inside_annulus(x, center, inner, outer):
+    """Whether inner < |x - c| < outer, from the differences themselves; False where a sign is not determined."""
+    try:
+        d = x - center
+        d = d if compare_sign(d) >= 0 else -d
+        return compare_sign(outer - d) > 0 and compare_sign(d - inner) > 0
+    except UndecidableAtPrecision:
+        return False
+
+
 def _reference_strong_unit_probe(spec, annulus, lam, trials, rng_seed):
-    """``strong_unit_probe`` as it valued every point before its two rungs: sums at lam + 4, inverses at twice that."""
+    """``strong_unit_probe`` as it valued every point before its two rungs: sums at lam + 4, inverses at twice
+    that; and as it drew, deciding membership from x - c, |x - c| and both differences at every point."""
     center, inner, outer = annulus
     base_prec = lam + ge(4)
     # a part under an exact-zero scale is left out, as if its function were not given
@@ -576,10 +590,10 @@ def _reference_strong_unit_probe(spec, annulus, lam, trials, rng_seed):
 
     def draw(rng):
         x0 = center + random_point(rng, ge(rng.choice(gammas)), steps=2)
-        if not preparation._inside_annulus(x0, center, inner, outer):
+        if not _reference_inside_annulus(x0, center, inner, outer):
             return None
         inside = [m for m in ball_mates(rng, x0, [center], lam, count=2)
-                  if preparation._inside_annulus(m, center, inner, outer)]
+                  if _reference_inside_annulus(m, center, inner, outer)]
         return (x0, inside) if inside else None
 
     def check(x0, inside):
@@ -663,6 +677,54 @@ class TestStrongUnitProbeAgainstItsReference:
         # 1 +- (x - c)/t^(3/2) cancels where x - c = -+t^(3/2) + ..., so about a third of these reports fail
         self.assert_same(lam, (center, f"1*t^({inner})", "1*t^(3/2)"), g, g_scale, "idz", h_scale, 60, seed)
 
+    def test_a_unit_that_is_not_strong_is_formed_once_at_rung_one(self, monkeypatch):
+        # the golden probe_unit_not_strong: 1 - cos((x - c)/outer) cancels the constant that rung 1 takes, so
+        # its U leaves rv_lam undetermined wherever it applies; that U is formed once, and every point is
+        # valued at rung 2 alone
+        spec = StrongUnitSpec(h=_UNIT_REGISTRY.get("cos"), h_scale=s("-1"))
+        read = []
+        rv = preparation.rv_lambda
+        monkeypatch.setattr(preparation, "rv_lambda", lambda x, lam: read.append(x) or rv(x, lam))
+        report, trace = _traced(strong_unit_probe, spec, (s("0"), s("1*t^(2)"), s("1")), ge(0), 30, 10)
+        with open(os.path.join(os.path.dirname(__file__), "golden", "probe_unit_not_strong.out")) as handle:
+            assert report.to_json() == json.dumps(json.loads(handle.read())["report"])
+        assert len(read) == len(trace) + 1
+
+
+def _gap(v, lead, tail, prec):
+    """``lead t^v``, then ``b t^(v + w)`` for a tail ``(b, w)``, then ``O(t^(v + prec))``."""
+    text = f"{lead}*t^({v})" + ("" if tail is None else f" + {tail[0]}*t^({v + tail[1]})")
+    return text + ("" if prec is None else f" + O(t^({v + prec}))")
+
+
+_SIGNED_RADII = ["1*t^(2)", "-1*t^(2)", "2*t^(2) + 1*t^(5/2)", "-1*t^(3/2) + O(t^(3))", "0 + O(t^(3))", "0"]
+
+
+class TestAnnulusMembership:
+    """Membership read from v(x - c) against the differences themselves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        center=st.sampled_from(["0", "1", "-2*t^(1/2)", "1 + O(t^(6))", "1*t^(1) + O(t^(9))"]),
+        inner=st.sampled_from(_SIGNED_RADII),
+        outer=st.sampled_from(["1", "-1", "1*t^(1/2)", "-1*t^(1/2)", "1 + 1*t^(1)", "-1 + O(t^(5))", "0 + O(t^(1))",
+                               "1*t^(2)"]),
+        gaps=st.lists(st.one_of(st.just("0"), st.builds(
+            _gap, st.sampled_from([Fraction(k, 2) for k in range(-2, 7)]), st.sampled_from([-2, -1, 1, 2]),
+            st.sampled_from([None, (-1, Fraction(1, 2)), (3, 1)]), st.sampled_from([None, 0, Fraction(1, 2), 2]),
+        )), min_size=1, max_size=6),
+    )
+    # x - c at the valuation of a radius of either sign, at x = c, and 0 + O(...)
+    @example(center="0", inner="-1*t^(2)", outer="1", gaps=["1*t^(2)", "-1*t^(2)", "2*t^(2)", "0"])
+    @example(center="1", inner="1*t^(2)", outer="-1", gaps=["1*t^(0)", "-1*t^(0)", "1*t^(1)", "0"])
+    @example(center="0", inner="1*t^(2)", outer="1", gaps=["1*t^(1) + O(t^(1))", "1*t^(3) + O(t^(4))"])
+    def test_the_same_as_the_differences(self, center, inner, outer, gaps):
+        center, inner, outer = s(center), s(inner), s(outer)
+        inside = preparation._inside_annulus(center, inner, outer)
+        for gap in gaps:
+            x = center + s(gap)
+            assert inside(x) == _reference_inside_annulus(x, center, inner, outer)
+
 
 class TestPolyText:
     def test_render(self):
@@ -709,5 +771,6 @@ class TestDocumentedErrors:
 
     def test_a_point_at_an_undetermined_distance_lies_in_no_annulus(self):
         center = s("1 + O(t^(1))")
-        assert not preparation._inside_annulus(s("1 + 1*t^(3/2)"), center, s("1*t^(2)"), s("1"))
-        assert preparation._inside_annulus(s("1 + 1*t^(1/2)"), center, s("1*t^(2)"), s("1"))
+        inside = preparation._inside_annulus(center, s("1*t^(2)"), s("1"))
+        assert not inside(s("1 + 1*t^(3/2)"))
+        assert inside(s("1 + 1*t^(1/2)"))
