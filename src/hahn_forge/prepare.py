@@ -45,7 +45,7 @@ from .errors import (
 )
 from .rv import (
     VerificationReport,
-    ball_mates,
+    _mates_at,
     near_sample,
     random_point,
     run_trials,
@@ -56,7 +56,7 @@ from .series import (
     HahnSeries,
     INFINITE,
     TruncatedSeries,
-    _difference_valuation,
+    _difference_sign,
     compare_sign,
     format_series,
     format_rational,
@@ -786,9 +786,12 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     Three steps read only v = v(x - c), and each is taken once per v.  Each
     gives every point the answer it had when taken at the point, so every
     ``random`` call, trial, skip, report and per-point rv_lam is as before.
-    Membership reads both signs from v (see ``_inside_annulus``), and at a
-    radius' valuation forms the differences.  Rung 1's constants depend on
-    the point only through v.  Where every given part is a constant, U
+    The draw fixes v: x0 = c + d for a random d of valuation gamma, and each
+    mate adds to x0 a tail above gamma + lam, so v(x - c) = gamma for all
+    three wherever x - c is determined, and the mates' depth is gamma; no
+    step recomputes v from a point.  With an exact center, membership reads
+    both signs from v (see ``_inside_annulus``).  Rung 1's constants depend
+    on the point only through v.  Where every given part is a constant, U
     reads nothing of the point but its rank, so it is formed at the first
     point that needs it, where any error it raises surfaces as before, and
     its rv_lam serves every later such point; a skip that it raises is kept
@@ -856,10 +859,9 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
             return None, point_free_rv(constants)
         return constants, None
 
-    def unit_rv(x):
+    def unit_rv(x, v):
         if fast:
-            # every point drawn is exact and differs from the center, so this is v(x - c)
-            constants, value = rung_one(_difference_valuation(x, center))
+            constants, value = rung_one(v)
             if value is not None:
                 return value
             if constants is not None:
@@ -879,14 +881,14 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     def draw(rng):
         gamma = GroupElement.scalar(rng.choice(gammas))
         x0 = center + random_point(rng, gamma, steps=2)
-        if not inside(x0):
+        if not inside(x0, gamma):
             return None
-        # inside the annulus, x0 - center has a decided sign, so ball_mates finds its valuation
-        mates = [m for m in ball_mates(rng, x0, [center], lam, count=2) if inside(m)]
-        return (x0, mates) if mates else None
+        # inside the annulus, x0 - center has a decided sign, so its valuation is gamma
+        mates = [m for m in _mates_at(rng, x0, gamma, lam, 2, 3) if inside(m, gamma)]
+        return (x0, mates, gamma) if mates else None
 
-    def check(x0, mates):
-        return _first_disagreement(unit_rv, x0, mates)
+    def check(x0, mates, gamma):
+        return _first_disagreement(partial(unit_rv, v=gamma), x0, mates)
 
     report = VerificationReport("strong_unit_probe", lam, trials, rng_seed)
     return run_trials(report, "annulus", [center], draw, check, _SKIP)
@@ -897,15 +899,17 @@ def _abs(x):
 
 
 def _inside_annulus(center, inner, outer):
-    """The test inner < |x - c| < outer of a point x; False where a sign is not determined.
+    """The test ``inside(x, v)``: inner < |x - c| < outer, for x = c + d with d exact and nonzero
+    of valuation v; False where a sign is not determined.
 
-    Where x, c, inner and outer are exact and of rank 1 and x != c, both
+    Where c, inner and outer are exact and of rank 1, so is x, and both
     signs are read from v = v(x - c), once per v, as |x - c| is positive of
     valuation v: outer - |x - c| has the sign of outer where v > v(outer)
     and is negative where v < v(outer), and |x - c| - inner is positive
     where v < v(inner) and has the sign of -inner where v > v(inner).  At
-    v = v(inner) or v(outer), at x = c and with an inexact operand, the
-    differences are formed.
+    v = v(inner) or v(outer), each sign is read at the first difference of
+    the grids of |x - c| and the radius.  With an inexact operand, or in
+    rank > 1, the differences are formed.
     """
     by_valuation = center.rank == inner.rank == outer.rank == 1 and all(
         y.is_exact() for y in (center, inner, outer))
@@ -917,12 +921,14 @@ def _inside_annulus(center, inner, outer):
             return None
         return v > v_out and compare_sign(outer) > 0 and (v < v_in or compare_sign(inner) < 0)
 
-    def inside(x):
-        if by_valuation and x.rank == 1 and x.is_exact():
-            v = _difference_valuation(x, center)
-            verdict = None if v is None else decided(v)
+    def inside(x, v):
+        if by_valuation:
+            verdict = decided(v)
             if verdict is not None:
                 return verdict
+            d = x.approx - center.approx
+            d = d if d.leading_coeff() > 0 else -d
+            return _difference_sign(outer.approx, d) > 0 and _difference_sign(d, inner.approx) > 0
         try:
             d = _abs(x - center)
             return compare_sign(outer - d) > 0 and compare_sign(d - inner) > 0

@@ -187,6 +187,11 @@ def ball_mates(rng, x0, centers, lam, count=2, steps=3):
             return None
         if depth is None or v > depth:
             depth = v
+    return _mates_at(rng, x0, depth, lam, count, steps)
+
+
+def _mates_at(rng, x0, depth, lam, count, steps):
+    """``count`` points x0 + tail, each tail random at exponents above ``depth + lam``."""
     mates = []
     for _ in range(count):
         tail = random_tail(rng, depth + lam, steps=steps)

@@ -781,6 +781,23 @@ def _difference_valuation(a, b):
     return _exponent(eden, key)
 
 
+def _difference_sign(a, b):
+    """The sign of ``a - b`` for two ``HahnSeries``, read off the two grids at their first difference."""
+    ea, ka, ca, na = a._grid
+    eb, kb, cb, nb = b._grid
+    eden = ea if ea == eb else lcm(ea, eb)
+    ka, kb = _over(ea, eden, ka), _over(eb, eden, kb)
+    i, n = 0, min(len(ka), len(kb))
+    while i < n and ka[i] == kb[i] and na[i] * cb == nb[i] * ca:
+        i += 1
+    if i < n and ka[i] == kb[i]:
+        return _sign(na[i] * cb - nb[i] * ca)
+    # the lower of the two keys at i, or the key of the longer grid, holds the lowest term of a - b
+    if i < len(ka) and (i == len(kb) or ka[i] < kb[i]):
+        return _sign(na[i])
+    return -_sign(nb[i]) if i < len(kb) else ZERO
+
+
 def _unit_jet(x, lam):
     """The unit jet of ``x`` through ``lam``, in one pass over the grid.
 

@@ -328,59 +328,69 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
 # polynomial skeleton extraction and preparation
 
 
-def _poly_pad(a, b, rank):
-    n = max(len(a), len(b))
-    zero = TruncatedSeries.zero(rank)
-    a = list(a) + [zero] * (n - len(a))
-    b = list(b) + [zero] * (n - len(b))
-    return a, b
-
-
 def _poly_of(node, rank):
-    """Dense coefficient list when the subterm is polynomial in x, else None."""
+    """``{degree: coefficient}`` when the subterm is polynomial in x, else None; no coefficient is the exact zero.
+
+    An exact zero adds and multiplies as the identity and the annihilator of
+    ``field_op``, so leaving it out gives the sums and pair products of the
+    dense coefficient lists.  A power stays a repeated product, as the
+    precision of a product is not associative once leading terms cancel.
+    """
     if isinstance(node, Lit):
-        return [TruncatedSeries.constant(node.value, rank)]
+        return {0: TruncatedSeries.constant(node.value, rank)} if node.value else {}
     if isinstance(node, Mono):
-        return [TruncatedSeries.monomial(Fraction(1), node.exponent)]
+        return {0: TruncatedSeries.monomial(Fraction(1), node.exponent)}
     if isinstance(node, Var):
-        return [TruncatedSeries.zero(rank), TruncatedSeries.one(rank)]
-    if isinstance(node, (Add, Sub)):
+        return {1: TruncatedSeries.one(rank)}
+    if isinstance(node, (Add, Sub, Mul)):
         left = _poly_of(node.left, rank)
         right = _poly_of(node.right, rank)
         if left is None or right is None:
             return None
-        left, right = _poly_pad(left, right, rank)
-        op = (lambda a, b: a + b) if isinstance(node, Add) else (lambda a, b: a - b)
-        return [op(a, b) for a, b in zip(left, right)]
-    if isinstance(node, Mul):
-        left = _poly_of(node.left, rank)
-        right = _poly_of(node.right, rank)
-        if left is None or right is None:
-            return None
-        return _poly_mul(left, right, rank)
+        if isinstance(node, Mul):
+            return _poly_mul(left, right)
+        return _poly_add(left, right if isinstance(node, Add) else _poly_neg(right))
     if isinstance(node, Neg):
         inner = _poly_of(node.operand, rank)
-        return None if inner is None else [-c for c in inner]
+        return None if inner is None else _poly_neg(inner)
     if isinstance(node, Pow):
         if node.exponent < 0:
             return None
         base = _poly_of(node.base, rank)
         if base is None:
             return None
-        out = [TruncatedSeries.one(rank)]
+        out = {0: TruncatedSeries.one(rank)}
         for _ in range(node.exponent):
-            out = _poly_mul(out, base, rank)
+            out = _poly_mul(out, base)
         return out
     return None
 
 
-def _poly_mul(left, right, rank):
-    """Product of two dense coefficient lists."""
-    out = [TruncatedSeries.zero(rank) for _ in range(len(left) + len(right) - 1)]
-    for i, a in enumerate(left):
-        for j, b in enumerate(right):
-            out[i + j] = out[i + j] + a * b
+def _poly_neg(poly):
+    return {k: -c for k, c in poly.items()}
+
+
+def _poly_add(left, right):
+    """Sum of two sparse coefficient dicts."""
+    out = dict(left)
+    for k, c in right.items():
+        if k in out:
+            c = out[k] + c
+            if c.is_exact_zero():
+                del out[k]
+                continue
+        out[k] = c
     return out
+
+
+def _poly_mul(left, right):
+    """Product of two sparse coefficient dicts."""
+    out = {}
+    for i, a in left.items():
+        for j, b in right.items():
+            k = i + j
+            out[k] = out[k] + a * b if k in out else a * b
+    return {k: c for k, c in out.items() if not c.is_exact_zero()}
 
 
 def polynomial_coeffs(node, rank):
@@ -388,9 +398,8 @@ def polynomial_coeffs(node, rank):
     coeffs = _poly_of(node, rank)
     if coeffs is None:
         return None
-    while coeffs and coeffs[-1].is_exact_zero():
-        coeffs.pop()
-    return coeffs
+    zero = TruncatedSeries.zero(rank)
+    return [coeffs.get(k, zero) for k in range(max(coeffs, default=-1) + 1)]
 
 
 def candidate_polynomials(node, rank=1):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hahn_forge import analytic, multiseries as multiseries_module
 from hahn_forge.analytic import implicit_series, ms_drop_var
@@ -29,7 +29,7 @@ from hahn_forge.multiseries import (
     unit_invert,
     weierstrass_divide,
 )
-from hahn_forge.series import INFINITE, GroupElement, HahnSeries, TruncatedSeries, invert, parse_series
+from hahn_forge.series import INFINITE, GroupElement, HahnSeries, TruncatedSeries, format_series, invert, parse_series
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
 ms = parse_multiseries
@@ -740,3 +740,66 @@ class TestDocumentedErrors:
         f = ms("[1]*x2 + [1]*x2^3 + [1]*x2^4")
         out = ms_substitute(f, 1, ms("[1]*x1", nvars=2), 2, ge(6))
         assert out == ms("[1]*x1", nvars=2)
+
+
+def _univariate_text(coeffs):
+    """``{j: {e: c}}``, the coefficient of x1^j as terms ``c t^e``, as multiseries text."""
+    parts = []
+    for j, terms in sorted(coeffs.items()):
+        body = " + ".join(f"{c}*t^({e})" for e, c in sorted(terms.items()) if c) or "0"
+        parts.append(f"[{body}]" + (f"*x1^{j}" if j else ""))
+    return " + ".join(parts)
+
+
+@st.composite
+def monic_divisions(draw):
+    """A divisor x1^s + sum a_i x1^i, each a_i a polynomial in t of positive valuation, and a dividend whose
+    coefficients are polynomials in t; the degree bound covers the dividend."""
+    small = st.dictionaries(st.integers(0, 5), st.fractions(-3, 3, max_denominator=3), max_size=3)
+    s = draw(st.integers(1, 3))
+    divisor = {s: {0: Fraction(1)}}
+    for i in range(s):
+        divisor[i] = {e + 1: c for e, c in draw(small).items()}
+    dividend = draw(st.dictionaries(st.integers(0, 5), small, min_size=1, max_size=4))
+    return divisor, dividend, max(dividend) + draw(st.integers(0, 1)), draw(st.integers(1, 9))
+
+
+def _divided_by_sympy(divisor, dividend, d_out, prec):
+    """Each coefficient of Q at x1^0 .. x1^d_out and of R, as ``weierstrass_divide`` gives it (None where it
+    leaves the monomial out), with ``sympy.div``'s exact one less its approx, a polynomial in ``t``."""
+    sympy = pytest.importorskip("sympy")
+    t, x = sympy.symbols("t x")
+
+    def expr(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t**e * x**j
+                   for j, terms in coeffs.items() for e, c in terms.items())
+
+    q_exact, r_exact = (sympy.Poly(part, x) for part in sympy.div(expr(dividend), expr(divisor), x))
+    q, r = weierstrass_divide(ms(_univariate_text(divisor)), ms(_univariate_text(dividend)), 0, d_out, ge(prec))
+    assert q_exact.degree() <= d_out and len(r) == max(divisor)
+    pairs = [(q.coeffs.get((j,)), q_exact.coeff_monomial(x**j)) for j in range(d_out + 1)]
+    pairs += [(part.coeffs.get((0,)), r_exact.coeff_monomial(x**j)) for j, part in enumerate(r)]
+    return [(value, sympy.Poly(exact - sum((sympy.Rational(c.numerator, c.denominator) * t**e.first()
+                                            for e, c in (value.approx.terms if value is not None else ())), 0), t))
+            for value, exact in pairs]
+
+
+class TestDivisionAgainstSympy:
+    """Q and R of a monic divisor with polynomial coefficients against ``sympy.div``: every coefficient agrees
+    below t^prec, and one printed with ``O(t^p)`` has p >= prec.  A monomial left out lies in the truncation
+    ideal: its coefficient is 0 below t^prec."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(monic_divisions())
+    def test_quotient_and_remainder(self, case):
+        divisor, dividend, d_out, prec = case
+        for value, gap in _divided_by_sympy(divisor, dividend, d_out, prec):
+            assert gap.is_zero or min(e for (e,) in gap.monoms()) >= prec
+            assert value is None or value.is_exact() or value.prec >= ge(prec)
+
+    def test_a_quotient_term_above_the_precision_keeps_its_marker(self):
+        # the golden divide_precision_marker: sympy's Q has a term at t^9 in its constant coefficient
+        divisor = {2: {0: Fraction(1)}, 1: {3: Fraction(1, 3)}, 0: {2: Fraction(-5, 2)}}
+        value, gap = _divided_by_sympy(divisor, {4: {0: Fraction(-4)}, 5: {0: Fraction(2)}}, 5, 8)[0]
+        assert format_series(value) == "-10*t^(2) - 10/3*t^(5) - 4/9*t^(6) + O(t^(8))"
+        assert str(gap.as_expr()) == "-2*t**9/27"

@@ -691,39 +691,48 @@ class TestStrongUnitProbeAgainstItsReference:
         assert len(read) == len(trace) + 1
 
 
-def _gap(v, lead, tail, prec):
-    """``lead t^v``, then ``b t^(v + w)`` for a tail ``(b, w)``, then ``O(t^(v + prec))``."""
-    text = f"{lead}*t^({v})" + ("" if tail is None else f" + {tail[0]}*t^({v + tail[1]})")
-    return text + ("" if prec is None else f" + O(t^({v + prec}))")
+def _gap(v, lead, tail):
+    """``lead t^v``, then ``b t^(v + w)`` for a tail ``(b, w)``."""
+    return f"{lead}*t^({v})" + ("" if tail is None else f" + {tail[0]}*t^({v + tail[1]})")
 
 
 _SIGNED_RADII = ["1*t^(2)", "-1*t^(2)", "2*t^(2) + 1*t^(5/2)", "-1*t^(3/2) + O(t^(3))", "0 + O(t^(3))", "0"]
+_OUTER_RADII = ["1", "-1", "1*t^(1/2)", "-1*t^(1/2)", "1 + 1*t^(1)", "-1 + O(t^(5))", "0 + O(t^(1))", "1*t^(2)",
+                "2*t^(2) + 1*t^(5/2)"]
+
+
+@st.composite
+def annulus_points(draw):
+    """An annulus and points x = c + d, d exact and nonzero, v(d) often a radius' valuation."""
+    center, inner, outer = (s(draw(st.sampled_from(texts))) for texts in (
+        ["0", "1", "-2*t^(1/2)", "1 + O(t^(6))", "1*t^(1) + O(t^(9))"], _SIGNED_RADII, _OUTER_RADII))
+    radius_valuations = [r.valuation_lower_bound().first() for r in (inner, outer) if not r.is_exact_zero()]
+    valuations = st.sampled_from(radius_valuations) | st.sampled_from([Fraction(k, 2) for k in range(-2, 7)])
+    gaps = draw(st.lists(st.builds(_gap, valuations, st.sampled_from([-2, -1, 1, 2]),
+                                   st.sampled_from([None, (-1, Fraction(1, 2)), (1, Fraction(1, 2)), (3, 1)])),
+                         min_size=1, max_size=6))
+    return center, inner, outer, [s(gap) for gap in gaps]
 
 
 class TestAnnulusMembership:
-    """Membership read from v(x - c) against the differences themselves."""
+    """Membership read from v(x - c), and at a radius' valuation from the grids, against the differences
+    themselves."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        center=st.sampled_from(["0", "1", "-2*t^(1/2)", "1 + O(t^(6))", "1*t^(1) + O(t^(9))"]),
-        inner=st.sampled_from(_SIGNED_RADII),
-        outer=st.sampled_from(["1", "-1", "1*t^(1/2)", "-1*t^(1/2)", "1 + 1*t^(1)", "-1 + O(t^(5))", "0 + O(t^(1))",
-                               "1*t^(2)"]),
-        gaps=st.lists(st.one_of(st.just("0"), st.builds(
-            _gap, st.sampled_from([Fraction(k, 2) for k in range(-2, 7)]), st.sampled_from([-2, -1, 1, 2]),
-            st.sampled_from([None, (-1, Fraction(1, 2)), (3, 1)]), st.sampled_from([None, 0, Fraction(1, 2), 2]),
-        )), min_size=1, max_size=6),
-    )
-    # x - c at the valuation of a radius of either sign, at x = c, and 0 + O(...)
-    @example(center="0", inner="-1*t^(2)", outer="1", gaps=["1*t^(2)", "-1*t^(2)", "2*t^(2)", "0"])
-    @example(center="1", inner="1*t^(2)", outer="-1", gaps=["1*t^(0)", "-1*t^(0)", "1*t^(1)", "0"])
-    @example(center="0", inner="1*t^(2)", outer="1", gaps=["1*t^(1) + O(t^(1))", "1*t^(3) + O(t^(4))"])
-    def test_the_same_as_the_differences(self, center, inner, outer, gaps):
-        center, inner, outer = s(center), s(inner), s(outer)
+    @given(case=annulus_points())
+    # |x - c| at the valuation of a radius of either sign: equal to it, and above or below it only in a later term
+    @example(case=(s("0"), s("-1*t^(2)"), s("1"), [s("1*t^(2)"), s("-1*t^(2)"), s("2*t^(2)")]))
+    @example(case=(s("1"), s("1*t^(2)"), s("-1"), [s("1*t^(0)"), s("-1*t^(0)"), s("1*t^(1)")]))
+    @example(case=(s("0"), s("2*t^(2) + 1*t^(5/2)"), s("1 + 1*t^(1)"),
+                   [s(gap) for gap in ("2*t^(2) + 1*t^(5/2)", "-2*t^(2) - 1*t^(5/2)", "2*t^(2) + 1*t^(3)",
+                                       "-2*t^(2) - 1*t^(3)", "2*t^(2) + 2*t^(5/2)", "1 + 1*t^(1)", "-1 - 1*t^(1)",
+                                       "1 + 1*t^(3/2)", "-1 - 1*t^(1/2)")]))
+    def test_the_same_as_the_differences(self, case):
+        center, inner, outer, gaps = case
         inside = preparation._inside_annulus(center, inner, outer)
-        for gap in gaps:
-            x = center + s(gap)
-            assert inside(x) == _reference_inside_annulus(x, center, inner, outer)
+        for d in gaps:
+            x = center + d
+            assert inside(x, valuation(d)) == _reference_inside_annulus(x, center, inner, outer)
 
 
 class TestPolyText:
@@ -772,5 +781,5 @@ class TestDocumentedErrors:
     def test_a_point_at_an_undetermined_distance_lies_in_no_annulus(self):
         center = s("1 + O(t^(1))")
         inside = preparation._inside_annulus(center, s("1*t^(2)"), s("1"))
-        assert not inside(s("1 + 1*t^(3/2)"))
-        assert inside(s("1 + 1*t^(1/2)"))
+        assert not inside(s("1 + 1*t^(3/2)"), ge(Fraction(3, 2)))
+        assert inside(s("1 + 1*t^(1/2)"), ge(Fraction(1, 2)))

@@ -40,6 +40,10 @@ from hahn_forge.terms import (
     Pow,
     Sub,
     Var,
+    _poly_add,
+    _poly_mul,
+    _poly_neg,
+    _poly_of,
     candidate_polynomials,
     eval_term,
     parse_term,
@@ -381,6 +385,106 @@ class TestEvalAgainstRepeatedProducts:
         prec = GroupElement([Fraction(q) for q in prec.split(",")])
         args = (parse_term(text, rank=2), at, prec)
         assert _outcome(eval_term, *args) == _outcome(_reference_eval_term, *args)
+
+
+def _dense_pad(a, b, rank):
+    n = max(len(a), len(b))
+    zero = TruncatedSeries.zero(rank)
+    return list(a) + [zero] * (n - len(a)), list(b) + [zero] * (n - len(b))
+
+
+def _dense_mul(left, right, rank):
+    out = [TruncatedSeries.zero(rank) for _ in range(len(left) + len(right) - 1)]
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _dense_power(base, k, rank):
+    out = [TruncatedSeries.one(rank)]
+    for _ in range(k):
+        out = _dense_mul(out, base, rank)
+    return out
+
+
+def _dense_poly_of(node, rank):
+    """Dense coefficient lists, exact zeros padded in: the reference for the sparse ``_poly_of``."""
+    if isinstance(node, Lit):
+        return [TruncatedSeries.constant(node.value, rank)]
+    if isinstance(node, Mono):
+        return [TruncatedSeries.monomial(Fraction(1), node.exponent)]
+    if isinstance(node, Var):
+        return [TruncatedSeries.zero(rank), TruncatedSeries.one(rank)]
+    if isinstance(node, (Add, Sub, Mul)):
+        left, right = _dense_poly_of(node.left, rank), _dense_poly_of(node.right, rank)
+        if left is None or right is None:
+            return None
+        if isinstance(node, Mul):
+            return _dense_mul(left, right, rank)
+        op = (lambda a, b: a + b) if isinstance(node, Add) else (lambda a, b: a - b)
+        return [op(a, b) for a, b in zip(*_dense_pad(left, right, rank))]
+    if isinstance(node, Neg):
+        inner = _dense_poly_of(node.operand, rank)
+        return None if inner is None else [-c for c in inner]
+    if isinstance(node, Pow):
+        base = None if node.exponent < 0 else _dense_poly_of(node.base, rank)
+        return None if base is None else _dense_power(base, node.exponent, rank)
+    return None
+
+
+def _trimmed(coeffs):
+    while coeffs and coeffs[-1].is_exact_zero():
+        coeffs.pop()
+    return [format_series(c) for c in coeffs]
+
+
+def _dense(poly, rank):
+    return [poly.get(k, TruncatedSeries.zero(rank)) for k in range(max(poly, default=-1) + 1)]
+
+
+_COEFFS = {1: ["0", "0 + O(t^(2))", "1", "-1", "2*t^(1/2)", "1 + O(t^(1))", "-1*t^(1) + O(t^(3))", "1*t^(-1)"],
+           2: ["0", "0 + O(t^(1,0))", "1", "1*t^(0,1)", "-1 + 1*t^(0,-1) + O(t^(1,0))", "2*t^(1/2,3)"]}
+
+
+class TestSparsePolynomials:
+    """The sparse coefficient dicts against the dense lists they replace: the same printed coefficients."""
+
+    @given(st.data(), st.sampled_from([1, 2]))
+    def test_terms_as_dense_lists(self, data, rank):
+        node = data.draw(term_trees(rank))
+        coeffs, reference = polynomial_coeffs(node, rank), _dense_poly_of(node, rank)
+        assert (coeffs is None) == (reference is None)
+        if coeffs is not None:
+            assert [format_series(c) for c in coeffs] == _trimmed(reference)
+
+    @pytest.mark.parametrize("text", ["0", "(0)*x^3 + x", "(x - x)^2", "x^0", "(0)^0", "x - x^2 + x^2", "-(1 - x)^3",
+                                      "(1 + x)*(1 - x)"])
+    def test_fixed_terms(self, text):
+        node = parse_term(text)
+        assert [format_series(c) for c in polynomial_coeffs(node, 1)] == _trimmed(_dense_poly_of(node, 1))
+        assert not any(c.is_exact_zero() for c in _poly_of(node, 1).values())
+
+    # inexact coefficients, 0 + O(...) among them, come from no term but meet the same sums and products
+    @given(st.data(), st.sampled_from([1, 2]), st.integers(0, 3))
+    def test_inexact_coefficients(self, data, rank, k):
+        lists = [[parse_series(c, rank) for c in data.draw(st.lists(st.sampled_from(_COEFFS[rank]), min_size=1,
+                                                                      max_size=4))] for _ in range(2)]
+        left, right = ({i: c for i, c in enumerate(cs) if not c.is_exact_zero()} for cs in lists)
+        padded = _dense_pad(*lists, rank)
+        cases = [
+            (_poly_add(left, right), [a + b for a, b in zip(*padded)]),
+            (_poly_add(left, _poly_neg(right)), [a - b for a, b in zip(*padded)]),
+            (_poly_mul(left, right), _dense_mul(*lists, rank)),
+            (_poly_neg(left), [-c for c in lists[0]]),
+        ]
+        power = {0: TruncatedSeries.one(rank)}
+        for _ in range(k):
+            power = _poly_mul(power, left)
+        cases.append((power, _dense_power(lists[0], k, rank)))
+        for sparse, dense in cases:
+            assert not any(c.is_exact_zero() for c in sparse.values())
+            assert _trimmed(_dense(sparse, rank)) == _trimmed(dense)
 
 
 class TestCandidates:
