@@ -29,17 +29,6 @@ records, for each side, the median and quartiles of the per-call times and
 their sum (one pass over all calls), and the median over calls of the
 change's time over the parent's.
 
-A whole child can run faster or slower than the next on a shared host, so
-each child also times the parent's ``perfbench/calibrate.kernel()``, a
-fixed piece of work that does not call the package, ``CONTROL_RUNS`` times
-after each pass, and takes the median as that pass's control time.  A
-call's time over control is the median over passes of its time over its
-pass's control time.  Per layer and side the file also records the
-quartiles over repeats of the layer's summed time over control, the ratio
-of the change's median to the parent's, and the parent's spread
-(interquartile range over median): a change smaller than that spread is
-noise.
-
 Time cannot resolve a change of one layer below about 20% on such a host,
 so after the timed passes each child replays every call once more under
 ``sys.setprofile`` and counts its ``call`` and ``c_call`` events: Python
@@ -67,7 +56,7 @@ import tempfile
 from collections import Counter, namedtuple
 from pathlib import Path
 
-SEED, ROUNDS, PASSES, CONTROL_RUNS = 7, 3, 5, 10
+SEED, ROUNDS, PASSES = 7, 3, 5
 
 
 def as_called(fn, args, kw):
@@ -229,14 +218,13 @@ def profiled_calls(fn, args, kw):
 
 
 def child(checkout):
-    """Record the calls with the checkout's package and time them, and the control kernel, in the
-    parent's ``perfbench`` named on stdin, then count each call's profiled calls; print per-call layers,
-    times, absolute and over control, and profiled calls, the median control time and the outputs."""
+    """Record the calls with the checkout's package in the parent's ``perfbench`` named on stdin and
+    time them, then count each call's profiled calls; print per-call layers, times and profiled calls,
+    and the outputs."""
     import gc
     import time
 
     sys.path.insert(0, json.load(sys.stdin)["perfbench"])
-    import calibrate
     import inputs
     import workloads
 
@@ -244,7 +232,6 @@ def child(checkout):
     calls = record(hf, inputs, workloads)
     outputs = [json.dumps(show(out, hf)) for out in replay([call[1:] for call in calls])]
     times = [[] for _ in calls]
-    control = []
     for _ in range(PASSES):
         gc.collect()
         for i, (_, fn, args, kw) in enumerate(calls):
@@ -254,12 +241,9 @@ def child(checkout):
             except Exception:  # noqa: BLE001 - the error is recorded in outputs
                 pass
             times[i].append(time.perf_counter_ns() - start)
-        control.append(statistics.median(calibrate.kernel() * 1e9 for _ in range(CONTROL_RUNS)))
-    over = [statistics.median(ns / c for ns, c in zip(t, control)) for t in times]
     counts = [profiled_calls(fn, args, kw) for _, fn, args, kw in calls]
     json.dump({"layers": [call[0] for call in calls], "outputs": outputs, "ns": [statistics.median(t) for t in times],
-               "over_control": over, "control_ns": statistics.median(control), "profiled_calls": counts},
-              sys.stdout)
+               "profiled_calls": counts}, sys.stdout)
 
 
 def run_child(checkout, perfbench):
@@ -273,10 +257,9 @@ def run_child(checkout, perfbench):
     return json.loads(proc.stdout)
 
 
-def summarize(layers, per_call, runs, counts):
-    """Per layer: each side's per-call quartiles and sum in microseconds, the median time ratio, the
-    layer's summed time over control per repeat, with its ratio and the parent's spread, and each side's
-    profiled calls, with their ratio."""
+def summarize(layers, per_call, counts):
+    """Per layer: each side's per-call quartiles and sum in microseconds, the median time ratio, and
+    each side's profiled calls, with their ratio."""
     from pairs import quartiles
 
     out = {}
@@ -286,14 +269,9 @@ def summarize(layers, per_call, runs, counts):
         for side in ("parent", "change"):
             us = [per_call[side][i] / 1000 for i in idx]
             q1, median, q3 = quartiles(us)
-            entry[side] = {"median": median, "q1": q1, "q3": q3, "sum": sum(us)}
-            q1, median, q3 = quartiles([sum(run["over_control"][i] for i in idx) for run in runs[side]])
-            entry[side]["over_control"] = {"median": median, "q1": q1, "q3": q3}
-            entry[side]["profiled_calls"] = sum(counts[side][i] for i in idx)
+            entry[side] = {"median": median, "q1": q1, "q3": q3, "sum": sum(us),
+                           "profiled_calls": sum(counts[side][i] for i in idx)}
         entry["median_ratio"] = statistics.median(per_call["change"][i] / per_call["parent"][i] for i in idx)
-        parent, change = entry["parent"]["over_control"], entry["change"]["over_control"]
-        entry["ratio_over_control"] = change["median"] / parent["median"]
-        entry["parent_spread_over_control"] = (parent["q3"] - parent["q1"]) / parent["median"]
         entry["profiled_calls_ratio"] = entry["change"]["profiled_calls"] / entry["parent"]["profiled_calls"]
         out[layer] = entry
     return out
@@ -323,8 +301,7 @@ def main(argv=None):
             outputs.setdefault(side, result.pop("outputs"))
             layers.setdefault(side, result.pop("layers"))
             runs[side].append(result)
-            print(f"repeat {repeat} {side}: {sum(result['ns']) / 1e6:.1f} ms per pass, control "
-                  f"{result['control_ns'] / 1e6:.3f} ms", file=sys.stderr, flush=True)
+            print(f"repeat {repeat} {side}: {sum(result['ns']) / 1e6:.1f} ms per pass", file=sys.stderr, flush=True)
     if layers["parent"] != layers["change"]:
         raise RuntimeError(f"the sides record other calls: {Counter(layers['parent'])}, {Counter(layers['change'])}")
     counts = {}
@@ -344,14 +321,12 @@ def main(argv=None):
                  "that a layer selects; " + "; ".join(
                      f"{row.layer}: {row.module}.{row.name} calls of {', '.join(row.ops)} (keep {row.keep.__name__}), "
                      + ("timed as one call per operation" if row.grouped else "each timed") for row in LAYERS),
-        "control": f"per pass, the median of {CONTROL_RUNS} runs of the parent's perfbench/calibrate.kernel() after "
-                   "it; a call's time over control is the median over passes of its time over its pass's control",
         "order": "one fresh interpreter per checkout per repeat; parent first on even repeats, change first on odd",
         "profiled_calls": "per layer and side, the call and c_call events under sys.setprofile of one more replay "
                           "of every call after the timed passes, the same in every repeat",
         "unit": "microseconds per call; per call the median of its passes, then of its repeats",
         "output_mismatches": differ,
-        "summary": summarize(calls, per_call, runs, counts),
+        "summary": summarize(calls, per_call, counts),
         "per_call_ns": [{"kind": layer, "parent": per_call["parent"][i], "change": per_call["change"][i]}
                         for i, layer in enumerate(calls)],
     }

@@ -494,12 +494,23 @@ class RealAlgebraic:
         raise UndecidedSign("interval refinement hit the depth limit")
 
     def enclosure(self, width=Fraction(1, 2**24)):
-        for _ in range(_MAX_REFINE):
+        """An interval ``(lo, hi)`` that holds the number and is narrower than ``width``.
+
+        Bisects the generator's isolating interval until the interval
+        Horner of the coordinates is narrow enough.  This ends for every
+        positive width: on an interval of width w inside the first one, the
+        interval Horner of a fixed polynomial has width at most L w, for a
+        constant L fixed by the coefficients and by the first interval, and
+        each bisection halves w, so about log2(L w0 / width) bisections
+        suffice for a first width w0.  ``sign`` keeps its limit: a nonzero
+        value near zero needs as many bisections as its distance from zero
+        has bits, which no width bounds.
+        """
+        while True:
             lo, hi = interval_eval(self._sync(), self.ctx.lo, self.ctx.hi)
             if hi - lo < width:
                 return lo, hi
             self.ctx.refine()
-        return interval_eval(self._sync(), self.ctx.lo, self.ctx.hi)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RealAlgebraic)):

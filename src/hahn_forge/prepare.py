@@ -56,7 +56,8 @@ from .series import (
     HahnSeries,
     INFINITE,
     TruncatedSeries,
-    _difference_sign,
+    _exponent,
+    _first_difference,
     compare_sign,
     format_series,
     format_rational,
@@ -708,7 +709,10 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
 
     On every sampled ball 1-next to the set, the first pair of points
     estimates the shift ``v(f(x) - f(y)) - v(x - y)``; the remaining pairs
-    must reproduce it exactly.  The per-ball shifts are reported.
+    must reproduce it exactly.  The per-ball shifts are reported.  Both
+    distances are read off the grids at their first difference, so no
+    difference series is formed; an image gap that is zero or
+    ``0 + O(...)`` leaves the shift undetermined, and the sample is skipped.
     """
     centers = _centers(prep)
     lam = GroupElement.scalar(1)
@@ -720,14 +724,13 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
         values = [fn(x, base_prec) for x in points]
         shift = bad = None
         for (x, fx), (y, fy) in combinations(zip(points, values), 2):
-            gap = x - y
-            if gap.approx.is_zero():
+            gap = _first_difference(x, y)
+            if gap is None:
                 continue
-            vg = valuation(gap)
-            vi = valuation(fx - fy)
-            if vi is INFINITE:
+            image = _first_difference(fx, fy)
+            if image is None:
                 raise UndecidableAtPrecision("image gap vanished")
-            delta = vi - vg
+            delta = _exponent(*image[:2]) - _exponent(*gap[:2])
             if shift is None:
                 shift = delta
             elif delta != shift:
@@ -772,31 +775,34 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     Every other part is rung 2's, and a point with no constant part is
     valued by rung 2 alone.
 
-    Every trial is checked, skipped or failed as before.  Rung 1 runs only
-    in rank 1 with an exact center and outer.  Then rung 2's inverses raise
-    nothing, and where v(den) < B its A is known above its valuation, as
+    The probe gives the report of rung 2 alone: each point gets the rv_lam
+    or the skip that rung 2 gives it.  Rung 1 runs only in rank 1 with an
+    exact center and outer.  Then rung 2's inverses raise nothing, and
+    where v(den) < B its A is known above its valuation, as
     2B - 3 v(den) + v(num) > v(A); its sum is then known below
     min(B, v(A)) >= min(T, B), where it is c_0.  So rung 1's U is rung 2's
     cut at some precision, an rv_lam that rung 1 reads rung 2 reads alike,
     and rung 1 raises only where rung 2 does.  Where rung 1 raises a skip or
-    leaves rv_lam undetermined, rung 2 decides as before.  An inexact center
+    leaves rv_lam undetermined, rung 2 decides the point.  An inexact center
     or outer can make rung 2's ``invert`` raise where rung 1 forms no
     inverse, and in rank > 1 so can its ``PrecisionStall``.
 
     Three steps read only v = v(x - c), and each is taken once per v.  Each
-    gives every point the answer it had when taken at the point, so every
-    ``random`` call, trial, skip, report and per-point rv_lam is as before.
-    The draw fixes v: x0 = c + d for a random d of valuation gamma, and each
-    mate adds to x0 a tail above gamma + lam, so v(x - c) = gamma for all
-    three wherever x - c is determined, and the mates' depth is gamma; no
-    step recomputes v from a point.  With an exact center, membership reads
-    both signs from v (see ``_inside_annulus``).  Rung 1's constants depend
-    on the point only through v.  Where every given part is a constant, U
-    reads nothing of the point but its rank, so it is formed at the first
-    point that needs it, where any error it raises surfaces as before, and
-    its rv_lam serves every later such point; a skip that it raises is kept
-    too, so a later such point goes straight to rung 2, which decides it as
-    it did after rung 1 failed there.
+    gives every point the answer that taking it at that point gives, so
+    the ``random`` calls, trials, skips, report and per-point rv_lam are
+    those of a probe that takes every step at every point.  The draw fixes
+    v: x0 = c + d for a random d of valuation gamma, and each mate adds to
+    x0 a tail above gamma + lam, so v(x - c) = gamma for all three wherever
+    x - c is determined, and the mates' depth is gamma; no step recomputes v
+    from a point.  With an exact annulus of rank 1, membership reads both
+    signs from v away from the radii's valuations (see ``_inside_annulus``).
+    Rung 1's constants depend on the point only through v.  Where every
+    given part is a constant, U reads nothing of the point but its rank, so
+    it is formed at the first point that needs it, where any error it
+    raises surfaces at that point, and its rv_lam serves every later such
+    point; a skip that it raises is kept too, so a later such point goes
+    straight to rung 2, which decides it as it decides every point where
+    rung 1 raises a skip.
     """
     center, inner, outer = annulus
     v_in = valuation(inner)
@@ -894,25 +900,30 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     return run_trials(report, "annulus", [center], draw, check, _SKIP)
 
 
-def _abs(x):
-    return x if compare_sign(x) >= 0 else -x
-
-
 def _inside_annulus(center, inner, outer):
     """The test ``inside(x, v)``: inner < |x - c| < outer, for x = c + d with d exact and nonzero
     of valuation v; False where a sign is not determined.
 
-    Where c, inner and outer are exact and of rank 1, so is x, and both
-    signs are read from v = v(x - c), once per v, as |x - c| is positive of
-    valuation v: outer - |x - c| has the sign of outer where v > v(outer)
-    and is negative where v < v(outer), and |x - c| - inner is positive
-    where v < v(inner) and has the sign of -inner where v > v(inner).  At
-    v = v(inner) or v(outer), each sign is read at the first difference of
-    the grids of |x - c| and the radius.  With an inexact operand, or in
-    rank > 1, the differences are formed.
+    Where c, inner and outer are exact and of rank 1, so is x, and away
+    from the radii's valuations both signs are read from v = v(x - c), once
+    per v, as |x - c| is positive of valuation v: outer - |x - c| has the
+    sign of outer where v > v(outer) and is negative where v < v(outer),
+    and |x - c| - inner is positive where v < v(inner) and has the sign of
+    -inner where v > v(inner).  Every other point, at a radius' valuation,
+    with an inexact operand or in rank > 1, is read on the grids: with s
+    the sign of x - c, outer - |x - c| = s (c + s outer - x) and
+    |x - c| - inner = s (x - (c + s inner)), so x is inside exactly where
+    both of these differences have the sign s.  The four points c +- inner
+    and c +- outer are formed once, and each difference honours the
+    precisions of its operands as ``field_op`` would.
     """
     by_valuation = center.rank == inner.rank == outer.rank == 1 and all(
         y.is_exact() for y in (center, inner, outer))
+    bounds = {1: (center + outer, center + inner), -1: (center - outer, center - inner)}
+
+    def sign(a, b):
+        first = _first_difference(a, b)
+        return None if first is None else first[2]
 
     @cache
     def decided(v):
@@ -926,13 +937,10 @@ def _inside_annulus(center, inner, outer):
             verdict = decided(v)
             if verdict is not None:
                 return verdict
-            d = x.approx - center.approx
-            d = d if d.leading_coeff() > 0 else -d
-            return _difference_sign(outer.approx, d) > 0 and _difference_sign(d, inner.approx) > 0
-        try:
-            d = _abs(x - center)
-            return compare_sign(outer - d) > 0 and compare_sign(d - inner) > 0
-        except UndecidableAtPrecision:
+        s = sign(x, center)
+        if s is None:
             return False
+        far, near = bounds[s]
+        return sign(far, x) == s == sign(x, near)
 
     return inside

@@ -9,9 +9,10 @@ same multiplicative coset ``x (1 + {v > lam})``, so the fibres of
 The sampling utilities below draw reproducible finite-support points from
 these fibres, built on the integer grid of ``series``: the exponents
 ``base + k/2`` of a random point or tail go straight onto a grid, in the
-same order of random calls, ``ball_mates`` reads ``v(x0 - c)`` at the first
-difference of the two grids, and ``rv_lambda`` compares its depth and cuts
-its jet on the grid keys.
+same order of random calls, ``ball_mates`` reads the key of ``v(x0 - c)``
+at the first difference of the two grids and builds the exponent of the
+largest once, and ``rv_lambda`` compares its depth and cuts its jet on the
+grid keys.
 
 ``run_trials`` is the one trial loop of every sampling verifier in the
 package: it seeds each trial from the verifier's tag and seed, so that a
@@ -31,8 +32,10 @@ from .series import (
     GroupElement,
     HahnSeries,
     TruncatedSeries,
-    _difference_valuation,
+    _exponent,
+    _first_difference,
     _half_steps,
+    _key_lt,
     _unit_jet,
     format_exponent,
     format_series,
@@ -182,12 +185,12 @@ def ball_mates(rng, x0, centers, lam, count=2, steps=3):
     """
     depth = None
     for c in centers:
-        v = _difference_valuation(x0, c)
-        if v is None:
+        first = _first_difference(x0, c)
+        if first is None:
             return None
-        if depth is None or v > depth:
-            depth = v
-    return _mates_at(rng, x0, depth, lam, count, steps)
+        if depth is None or _key_lt(depth, first):
+            depth = first
+    return _mates_at(rng, x0, _exponent(*depth[:2]), lam, count, steps)
 
 
 def _mates_at(rng, x0, depth, lam, count, steps):

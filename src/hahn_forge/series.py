@@ -49,9 +49,11 @@ from it on each read.  Every bound meets the grid as a key, so the
 precision of a product, ``min(p_a + v(b), p_b + v(a))``, is an int sum and
 an int comparison, with ``v`` read off the first key of a grid.  The parts
 of a verifier trial read the grid too: ``_half_steps`` puts sample
-exponents ``base + k/2`` on a grid, ``_difference_valuation`` reads
-``v(a - b)`` at the first difference of two grids, and ``_unit_jet`` cuts
-the jet of ``rv_lambda`` in one pass.
+exponents ``base + k/2`` on a grid, ``_first_difference`` reads the key and
+sign of the lowest term of ``a - b`` at the first difference of two grids,
+below both precisions, and ``_unit_jet`` cuts the jet of ``rv_lambda`` in
+one pass.  Every comparison of the samplers, a distance ``v(a - b)`` or an
+order ``a < b``, is one such read and forms no difference series.
 
 ``poly_eval`` is the one Horner loop of the package, ``total <- total x + c``
 from the top coefficient down, every step cut at an optional precision and
@@ -754,11 +756,16 @@ def _lead_key(x):
     return (eden, keys[0]) if keys else x._pkey
 
 
-def _difference_valuation(a, b):
-    """``v(a - b)``, read off the two grids at their first difference.
+def _first_difference(a, b):
+    """``(eden, key, sign)`` of the lowest term of ``a - b``, read off the two grids at their first difference.
 
-    None when the difference is zero or ``0 + O(...)``: the grids agree, or
-    first differ at or above the lower precision, which cuts ``a - b``.
+    The term lies at the exponent of ``key`` over ``eden`` and has the sign
+    ``sign``.  None when ``a - b`` is zero or ``0 + O(...)``: the grids
+    agree, or first differ at or above the lower precision, which cuts
+    ``a - b``.  The term sits at the lower of the two keys where the grids
+    first differ, with the difference of the coefficients where both keys
+    are equal, or at the next key of the longer grid where the shorter one
+    ends.
     """
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
@@ -769,33 +776,18 @@ def _difference_valuation(a, b):
     i, n = 0, min(len(ka), len(kb))
     while i < n and ka[i] == kb[i] and na[i] * cb == nb[i] * ca:
         i += 1
-    if i < n:
-        key = min(ka[i], kb[i])
-    elif len(ka) != len(kb):
-        key = max(ka, kb, key=len)[i]
+    if i < n and ka[i] == kb[i]:
+        key, num = ka[i], na[i] * cb - nb[i] * ca
+    elif i < len(ka) and (i == len(kb) or ka[i] < kb[i]):
+        key, num = ka[i], na[i]
+    elif i < len(kb):
+        key, num = kb[i], -nb[i]
     else:
         return None
     for p in (a._pkey, b._pkey):
         if p is not None and not _key_lt((eden, key), p):
             return None
-    return _exponent(eden, key)
-
-
-def _difference_sign(a, b):
-    """The sign of ``a - b`` for two ``HahnSeries``, read off the two grids at their first difference."""
-    ea, ka, ca, na = a._grid
-    eb, kb, cb, nb = b._grid
-    eden = ea if ea == eb else lcm(ea, eb)
-    ka, kb = _over(ea, eden, ka), _over(eb, eden, kb)
-    i, n = 0, min(len(ka), len(kb))
-    while i < n and ka[i] == kb[i] and na[i] * cb == nb[i] * ca:
-        i += 1
-    if i < n and ka[i] == kb[i]:
-        return _sign(na[i] * cb - nb[i] * ca)
-    # the lower of the two keys at i, or the key of the longer grid, holds the lowest term of a - b
-    if i < len(ka) and (i == len(kb) or ka[i] < kb[i]):
-        return _sign(na[i])
-    return -_sign(nb[i]) if i < len(kb) else ZERO
+    return eden, key, _sign(num)
 
 
 def _unit_jet(x, lam):

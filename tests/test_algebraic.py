@@ -538,6 +538,7 @@ class TestDocumentedErrors:
         q = Fraction(math.isqrt(2 * 4**300), 2**300)
         with pytest.raises(UndecidedSign):
             RealAlgebraic(self._ctx(), [-q, 1]).sign()
-        # 2^200 theta is known to 2^200 times the width of (lo, hi) after 160 bisections
+        # 2^200 theta is known to 2^200 times the width of (lo, hi), so its enclosure bisects past 160 times
+        # until it is narrower than the width asked for
         lo, hi = RealAlgebraic(self._ctx(), [0, 2**200]).enclosure()
-        assert hi - lo >= Fraction(1, 2**24) and 0 < lo and lo**2 < 2 * 4**200 < hi**2
+        assert hi - lo < Fraction(1, 2**24) and 0 < lo and lo**2 < 2 * 4**200 < hi**2

@@ -1,5 +1,6 @@
 """Newton polygon, branch expansion, preparing sets, and the probes."""
 
+import itertools
 import json
 import os
 import random
@@ -34,13 +35,22 @@ from hahn_forge.prepare import (
     verify_preparation,
     _term_from_poly,
 )
-from hahn_forge.rv import VerificationReport, ball_mates, random_point, run_trials, rv_combine, rv_lambda
+from hahn_forge.rv import (
+    VerificationReport,
+    ball_mates,
+    near_sample,
+    random_point,
+    run_trials,
+    rv_combine,
+    rv_lambda,
+)
 from hahn_forge.series import (
     GroupElement,
     HahnSeries,
     INFINITE,
     TruncatedSeries,
     compare_sign,
+    format_rational,
     format_series,
     invert,
     parse_series,
@@ -489,6 +499,67 @@ class TestJacobianProbe:
         }
 
 
+def _reference_jacobian_probe(fn, prep, trials, rng_seed):
+    """``jacobian_probe`` as it read distances before the grid reader: v(x - y) and v(f(x) - f(y)) from
+    the differences themselves."""
+    centers = list(prep)
+    lam, base_prec = ge(1), ge(10)
+    shifts = []
+
+    def check(x0, mates, _gamma):
+        points = [x0, *mates]
+        values = [fn(x, base_prec) for x in points]
+        shift = bad = None
+        for (x, fx), (y, fy) in itertools.combinations(zip(points, values), 2):
+            gap = x - y
+            if gap.approx.is_zero():
+                continue
+            vi = valuation(fx - fy)
+            if vi is INFINITE:
+                raise UndecidableAtPrecision("image gap vanished")
+            delta = vi - valuation(gap)
+            if shift is None:
+                shift = delta
+            elif delta != shift:
+                bad = (x, y)
+                break
+        if shift is not None:
+            shifts.append({"ball": format_series(x0), "shift": format_rational(shift.first())})
+        return bad
+
+    report = VerificationReport("jacobian_probe", lam, trials, rng_seed, extra={"shifts": shifts})
+    draw = lambda rng: near_sample(rng, centers, lam, (-4, 6), steps=2, count=3)
+    return run_trials(report, "jacobian", centers, draw, check, preparation._SKIP)
+
+
+_JACOBIAN_MAPS = {
+    "x": lambda x, prec: x,
+    "x^2": lambda x, prec: x * x,
+    "x^3 - x": lambda x, prec: x * x * x - x,
+    "1/x": lambda x, prec: invert(x, prec),
+    "t^2 x + 1": lambda x, prec: x * s("1*t^(2)") + s("1"),
+    "exp(t x)": lambda x, prec: evaluate_analytic(_UNIT_REGISTRY.get("exp"), [x * s("1*t^(1)")], prec),
+    "(x^2)(mod t^2)": lambda x, prec: (x * x).truncate(ge(2)),
+    "1": lambda x, prec: s("1"),
+    # not analytic: x^2 or x by the parity of the number of terms, so most probes find a witness
+    "x^2 or x": lambda x, prec: x * x if len(x.approx.terms) % 2 else x,
+}
+
+
+class TestJacobianProbeAgainstItsReference:
+    """The probe reading both distances off the grids against the one that forms the differences: the
+    same reports, shifts and witnesses included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fn=st.sampled_from(sorted(_JACOBIAN_MAPS)),
+           centers=st.sampled_from([["0"], ["1"], ["1", "-1"], ["1*t^(1/2)", "1 + O(t^(4))"], ["0", "1*t^(2)"]]),
+           seed=st.integers(0, 10**6))
+    def test_same_report(self, fn, centers, seed):
+        prep = [s(c) for c in centers]
+        got = jacobian_probe(_JACOBIAN_MAPS[fn], prep, trials=8, rng_seed=seed)
+        assert got.to_json() == _reference_jacobian_probe(_JACOBIAN_MAPS[fn], prep, 8, seed).to_json()
+
+
 class TestStrongUnitProbe:
     def test_scaled_unit_passes(self):
         reg = FunctionRegistry()
@@ -714,9 +785,38 @@ def annulus_points(draw):
     return center, inner, outer, [s(gap) for gap in gaps]
 
 
+_RANK2_CENTERS = ["0", "1", "-2*t^(1/2,0)", "1*t^(0,-1) + 1*t^(0,1)", "1 + O(t^(6,0))", "1*t^(0,1) + O(t^(1,0))"]
+_RANK2_INNER = ["1*t^(2,0)", "-1*t^(2,0)", "1*t^(1,1)", "2*t^(1,-1) + 1*t^(1,0)", "-1*t^(1,0) + O(t^(2,0))",
+                "0 + O(t^(3,0))", "0"]
+_RANK2_OUTER = ["1", "-1", "1*t^(0,1)", "-1*t^(0,-1)", "1 + 1*t^(0,1)", "-1 + O(t^(1,0))", "0 + O(t^(0,2))",
+                "1*t^(1,0)"]
+
+
+@st.composite
+def rank2_annulus_points(draw):
+    """A rank-2 annulus and points x = c + d, d exact and nonzero, v(d) often a radius' valuation; a
+    second term of d often differs from the lead only in the second coordinate."""
+    center, inner, outer = (s(draw(st.sampled_from(texts)), rank=2)
+                            for texts in (_RANK2_CENTERS, _RANK2_INNER, _RANK2_OUTER))
+    radius_valuations = [r.valuation_lower_bound() for r in (inner, outer) if not r.is_exact_zero()]
+    grid = [GroupElement([Fraction(a, 2), Fraction(b, 2)]) for a in range(-1, 5) for b in range(-2, 3)]
+    valuations = st.sampled_from(radius_valuations) | st.sampled_from(grid)
+    tails = st.sampled_from([None, (-1, (0, Fraction(1, 2))), (1, (0, 1)), (2, (1, -3)), (3, (0, 1))])
+    gaps = draw(st.lists(st.tuples(valuations, st.sampled_from([-2, -1, 1, 2]), tails), min_size=1, max_size=6))
+    return center, inner, outer, [TruncatedSeries.exact(HahnSeries(
+        [(v, lead)] + ([] if tail is None else [(v + GroupElement(tail[1]), tail[0])]), 2)) for v, lead, tail in gaps]
+
+
 class TestAnnulusMembership:
-    """Membership read from v(x - c), and at a radius' valuation from the grids, against the differences
-    themselves."""
+    """Membership read from v(x - c), and on the grids where v does not decide it, against the
+    differences themselves."""
+
+    @staticmethod
+    def assert_same(center, inner, outer, gaps):
+        inside = preparation._inside_annulus(center, inner, outer)
+        for d in gaps:
+            x = center + d
+            assert inside(x, valuation(d)) == _reference_inside_annulus(x, center, inner, outer)
 
     @settings(max_examples=300, deadline=None)
     @given(case=annulus_points())
@@ -728,11 +828,17 @@ class TestAnnulusMembership:
                                        "-2*t^(2) - 1*t^(3)", "2*t^(2) + 2*t^(5/2)", "1 + 1*t^(1)", "-1 - 1*t^(1)",
                                        "1 + 1*t^(3/2)", "-1 - 1*t^(1/2)")]))
     def test_the_same_as_the_differences(self, case):
-        center, inner, outer, gaps = case
-        inside = preparation._inside_annulus(center, inner, outer)
-        for d in gaps:
-            x = center + d
-            assert inside(x, valuation(d)) == _reference_inside_annulus(x, center, inner, outer)
+        self.assert_same(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=rank2_annulus_points())
+    # |x - c| equal to a radius, and above or below it only in its second coordinate or in a later term
+    @example(case=(s("0", rank=2), s("1*t^(1,1)", rank=2), s("1*t^(0,1)", rank=2),
+                   [s(gap, rank=2) for gap in ("1*t^(1,1)", "-1*t^(1,1)", "1*t^(1,1) + 1*t^(1,2)",
+                                               "-1*t^(1,1) + 1*t^(1,2)", "1*t^(1,0)", "1*t^(0,1)", "-1*t^(0,1)",
+                                               "1*t^(0,1) - 1*t^(0,2)", "1*t^(0,2)", "1*t^(0,0)")]))
+    def test_rank_two_the_same_as_the_differences(self, case):
+        self.assert_same(*case)
 
 
 class TestPolyText:

@@ -24,6 +24,7 @@ from hahn_forge.series import (
     POSITIVE,
     ZERO,
     GroupElement,
+    _first_difference,
     _integer_nth_root,
     HahnSeries,
     TruncatedSeries,
@@ -1094,6 +1095,82 @@ def _check_trusted(a, b, q, e, p):
         ]
         for got, want in cases:
             assert got == want and _below_prec(got)
+
+
+@st.composite
+def difference_pairs(draw, rank):
+    """Two values of one rank whose grids often agree: related (sharing, cancelling or changing
+    coefficients), equal, or one a prefix of the other; each exact or known below a precision, often at
+    one of their exponents or shared, so approx zero (``0 + O(t^p)``) and a first difference at a
+    precision are common."""
+    a = draw(grid_dicts(rank))
+    kind = draw(st.sampled_from(["related", "equal", "prefix"]))
+    if kind == "related":
+        b = draw(related_dicts(a, rank))
+    elif kind == "equal":
+        b = dict(a)
+    else:
+        b = dict(sorted(a.items())[:draw(st.integers(0, len(a)))])
+    near = sorted(set(a) | set(b)) or [(Fraction(0),) * rank]
+    shared = draw(st.sampled_from(near))
+    out = []
+    for d in (a, b):
+        prec = draw(st.sampled_from(["exact", "shared", "near", "own"]))
+        approx = _series_of(d, rank)
+        if prec == "exact":
+            out.append(TruncatedSeries.exact(approx))
+        else:
+            p = shared if prec == "shared" else draw(st.sampled_from(near) if prec == "near" else grid_exponents(rank))
+            out.append(TruncatedSeries(approx, GroupElement(p)))
+    return tuple(out) if draw(st.booleans()) else tuple(reversed(out))
+
+
+class TestFirstDifference:
+    """``_first_difference`` against ``field_op`` subtraction: the valuation and sign of a - b, and None
+    exactly where a - b is zero or ``0 + O(...)``; the same term, negated, for b - a."""
+
+    @staticmethod
+    def check(a, b):
+        diff = field_op("sub", a, b)
+        got = _first_difference(a, b)
+        if diff.approx.is_zero():
+            assert got is None and _first_difference(b, a) is None
+            return
+        eden, key, sign = got
+        exponent = GroupElement(Fraction(k, eden) for k in ((key,) if type(key) is int else key))
+        assert exponent == valuation(diff) and sign == compare_sign(diff) != ZERO
+        eden, key, sign = _first_difference(b, a)
+        assert GroupElement(Fraction(k, eden) for k in ((key,) if type(key) is int else key)) == exponent
+        assert sign == -compare_sign(diff)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_against_the_difference(self, data):
+        for rank in RANKS:
+            self.check(*data.draw(difference_pairs(rank)))
+
+    @pytest.mark.parametrize("a, b", [
+        ("1 + 1*t^(1)", "1 + 1*t^(1)"),
+        ("1 + 1*t^(1)", "1"),
+        ("1 + 1*t^(1) + O(t^(1))", "1"),
+        ("1 + 1*t^(1)", "1 + O(t^(1))"),
+        ("1 + 2*t^(1) + O(t^(2))", "1 + 1*t^(1)"),
+        ("0 + O(t^(3))", "0"),
+        ("0 + O(t^(3))", "1*t^(3)"),
+        ("0 + O(t^(3))", "-1*t^(2)"),
+        ("1/2*t^(1/3)", "1/3*t^(1/3)"),
+        ("1*t^(1/2)", "1*t^(1/3)"),
+        ("0", "0"),
+    ])
+    def test_equal_grids_prefixes_and_undetermined_differences(self, a, b):
+        self.check(s(a), s(b))
+
+    def test_rank_two(self):
+        a, b = (parse_series(text, rank=2) for text in ("1*t^(0,1) + 2*t^(1,-3)", "1*t^(0,1) + 1*t^(1,-2)"))
+        assert _first_difference(a, b) == (1, (1, -3), POSITIVE)
+        assert _first_difference(a, TruncatedSeries(b.approx, GroupElement([1, -3]))) is None
+        with pytest.raises(ValueError, match="rank mismatch"):
+            _first_difference(a, s("1"))
 
 
 class TestTrustedTruncation:
