@@ -59,8 +59,9 @@ from .series import (
     _exponent,
     _first_difference,
     compare_sign,
-    format_series,
+    format_exponent,
     format_rational,
+    format_series,
     invert,
     poly_derivative,
     poly_eval,
@@ -658,14 +659,14 @@ _SKIP = (
 )
 
 
-def _rv_of_term(term, x, lam, base_prec):
+def _rv_of_term(term, x, lam, base_prec, step):
     prec = base_prec
     for _ in range(4):
         value = term(x, prec)
         try:
             return rv_lambda(value, lam)
         except InsufficientPrecision:
-            prec = prec + GroupElement.scalar(10)
+            prec = prec + step
     raise InsufficientPrecision("term value never became sharp enough")
 
 
@@ -692,12 +693,13 @@ def verify_preparation(term, prep, lam, trials=300, rng_seed=0):
     """
     centers = _centers(prep)
     grid = (-4, int(2 * lam.first()) + 4)
+    six, ten = (GroupElement.scalar(c, lam.rank) for c in (6, 10))
 
     def check(x0, mates, gamma):
-        base_prec = lam + GroupElement.scalar(6)
+        base_prec = lam + six
         if gamma.first() < 0:
             base_prec = base_prec + gamma * 6
-        return _first_disagreement(lambda x: _rv_of_term(term, x, lam, base_prec), x0, mates)
+        return _first_disagreement(lambda x: _rv_of_term(term, x, lam, base_prec, ten), x0, mates)
 
     report = VerificationReport("verify_preparation", lam, trials, rng_seed)
     draw = lambda rng: near_sample(rng, centers, lam, grid, steps=2, count=1, mate_steps=2)
@@ -715,8 +717,8 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
     ``0 + O(...)`` leaves the shift undetermined, and the sample is skipped.
     """
     centers = _centers(prep)
-    lam = GroupElement.scalar(1)
-    base_prec = GroupElement.scalar(10)
+    rank = centers[0].rank
+    lam, base_prec = GroupElement.scalar(1, rank), GroupElement.scalar(10, rank)
     shifts = []
 
     def check(x0, mates, _gamma):
@@ -737,7 +739,7 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
                 bad = (x, y)
                 break
         if shift is not None:
-            shifts.append({"ball": format_series(x0), "shift": format_rational(shift.first())})
+            shifts.append({"ball": format_series(x0), "shift": format_exponent(shift)})
         return bad
 
     report = VerificationReport("jacobian_probe", lam, trials, rng_seed, extra={"shifts": shifts})
@@ -763,46 +765,31 @@ class StrongUnitSpec:
 def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     """Sample annulus points with equal leading data and compare unit values.
 
-    ``unit_value(diff, constants)`` forms U = 1 + g_s g(inner/(x-c)) + h_s h((x-c)/outer)
-    from diff = x - c.  Rung 2 is the reference: each part g(A), A = num/den,
-    is a Taylor sum at B = lam + 4 with ``invert(den)`` at 2B.  Rung 1 aims
-    at P = lam + (0, ..., 0, 1), all that rv_lam reads of a unit.  A part
-    with scale s is read below T = P - v(s).  A part under an exact-zero
-    scale adds nothing to U, so it is left out, as if its function were not
-    given: it is never formed and never raises.  Where v(A) > 0, T <= v(A)
-    and v(den) < B, rung 1 takes the part as g(0) = c_0 known below
-    min(T, B), as g(A) - c_0 has valuation at least v(A); A is not formed.
-    Every other part is rung 2's, and a point with no constant part is
-    valued by rung 2 alone.
+    ``unit_value(diff)`` forms U = 1 + g_s g(inner/(x-c)) + h_s h((x-c)/outer)
+    from diff = x - c: each part g(A), A = num/den, is a Taylor sum at
+    B = lam + 4 with ``invert(den)`` at 2B.  A part under an exact-zero scale
+    adds nothing to U, so it is left out, as if its function were not given.
+    Each point gets the rv_lam or the skip that this U gives it, so the
+    ``random`` calls, trials, skips and report are those of a probe that
+    forms U at every point.
 
-    The probe gives the report of rung 2 alone: each point gets the rv_lam
-    or the skip that rung 2 gives it.  Rung 1 runs only in rank 1 with an
-    exact center and outer.  Then rung 2's inverses raise nothing, and
-    where v(den) < B its A is known above its valuation, as
-    2B - 3 v(den) + v(num) > v(A); its sum is then known below
-    min(B, v(A)) >= min(T, B), where it is c_0.  So rung 1's U is rung 2's
-    cut at some precision, an rv_lam that rung 1 reads rung 2 reads alike,
-    and rung 1 raises only where rung 2 does.  Where rung 1 raises a skip or
-    leaves rv_lam undetermined, rung 2 decides the point.  An inexact center
-    or outer can make rung 2's ``invert`` raise where rung 1 forms no
-    inverse, and in rank > 1 so can its ``PrecisionStall``.
-
-    Three steps read only v = v(x - c), and each is taken once per v.  Each
-    gives every point the answer that taking it at that point gives, so
-    the ``random`` calls, trials, skips, report and per-point rv_lam are
-    those of a probe that takes every step at every point.  The draw fixes
-    v: x0 = c + d for a random d of valuation gamma, and each mate adds to
-    x0 a tail above gamma + lam, so v(x - c) = gamma for all three wherever
-    x - c is determined, and the mates' depth is gamma; no step recomputes v
-    from a point.  With an exact annulus of rank 1, membership reads both
-    signs from v away from the radii's valuations (see ``_inside_annulus``).
-    Rung 1's constants depend on the point only through v.  Where every
-    given part is a constant, U reads nothing of the point but its rank, so
-    it is formed at the first point that needs it, where any error it
-    raises surfaces at that point, and its rv_lam serves every later such
-    point; a skip that it raises is kept too, so a later such point goes
-    straight to rung 2, which decides it as it decides every point where
-    rung 1 raises a skip.
+    The draw fixes v = v(x - c): x0 = c + d for a random d of valuation
+    gamma, and each mate adds to x0 a tail above gamma + lam, so
+    v(x - c) = gamma for all three wherever x - c is determined.  What
+    reads only v is decided once per gamma, in the row that the draw picks:
+    membership (see ``_inside_annulus``), and whether U is constant.  With
+    T = lam + 1 - v(s) the precision that rv_lam reads of a part under
+    scale s (lam + 1 without one), U is constant at v where, in rank 1 with
+    an exact center and outer, every given part has v(A) > 0, T <= v(A) and
+    v(den) < B.  An inexact center or outer could make an inverse raise,
+    and so could ``PrecisionStall`` in rank > 1; here the inverses raise
+    nothing, and A is known above its valuation, as
+    2B - 3 v(den) + v(num) > v(A), so the sum is known below
+    min(B, v(A)) >= min(T, B), where it is g(0).  The constant
+    U = 1 + sum s g(0), each g(0) known below min(T, B), is therefore the
+    point's U cut at some precision, and its rv_lam, where it is determined,
+    is the point's.  It is formed once, at the first point that needs it;
+    where forming it raises a skip, each such point forms its own U.
     """
     center, inner, outer = annulus
     v_in = valuation(inner)
@@ -811,13 +798,12 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     v_out = valuation(outer)
     if not (v_in > v_out):
         raise DomainViolation("annulus needs v(inner) > v(outer)")
-    base_prec = lam + GroupElement.scalar(4)
-    zero, read = GroupElement.zero(), lam + GroupElement.scalar(1)
+    rank = center.rank
+    base_prec = lam + GroupElement.scalar(4, rank)
+    read = lam + GroupElement.scalar(1, rank)
     given = [(None, None) if s is not None and s.is_exact_zero() else (fn, s)
              for fn, s in ((spec.g, spec.g_scale), (spec.h, spec.h_scale))]
     demands = [read if s is None else read - s.valuation_lower_bound() for _, s in given]
-    caps = [min(need, base_prec) for need in demands]
-    fast = center.is_exact() and outer.is_exact() and center.rank == 1
 
     # the same for every point; a failed inverse is not cached, so each
     # point raises it again and is skipped
@@ -825,93 +811,74 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     def outer_inverse():
         return invert(outer, base_prec + base_prec)
 
-    # g(0) below a target is the same at every point
-    @cache
-    def constant_part(fn, target):
-        return evaluate_analytic(fn, [TruncatedSeries.zero(center.rank)], target).truncate(target)
-
-    def unit_value(diff, constants=(None, None)):
-        total = TruncatedSeries.one(center.rank)
+    # U at x = c + diff; with diff None, the constant U
+    def unit_value(diff):
+        total = TruncatedSeries.one(rank)
         arguments = (lambda: inner * invert(diff, base_prec + base_prec), lambda: diff * outer_inverse())
-        for (fn, scale), argument, constant in zip(given, arguments, constants):
+        for (fn, scale), argument, need in zip(given, arguments, demands):
             if fn is None:
                 continue
-            if constant is None:
-                part = evaluate_analytic(fn, [argument()], base_prec)
+            if diff is None:
+                cap = min(need, base_prec)
+                part = evaluate_analytic(fn, [TruncatedSeries.zero(rank)], cap).truncate(cap)
             else:
-                part = constant_part(fn, constant)
+                part = evaluate_analytic(fn, [argument()], base_prec)
             total = total + (scale * part if scale is not None else part)
         return total
 
-    # U's rv_lam where every given part is a constant, or None where forming it
-    # raised a skip; an error that is not a skip is not cached
+    # the constant U's rv_lam, or None where forming it raised a skip; an
+    # error that is not a skip is not cached
     @cache
-    def point_free_rv(constants):
+    def constant_rv():
         try:
-            return rv_lambda(unit_value(None, constants), lam)
+            return rv_lambda(unit_value(None), lam)
         except _SKIP:
             return None
 
-    # at v(x - c) = v_d: rung 1's constants, or None where it has none, and
-    # U's rv_lam where U is point-free; None for both leaves the point to rung 2
-    @cache
-    def rung_one(v_d):
-        constants = tuple(cap if fn is not None and zero < v_arg and need <= v_arg and v_den < base_prec else None
-                          for (fn, _), need, cap, v_arg, v_den
-                          in zip(given, demands, caps, (v_in - v_d, v_d - v_out), (v_d, v_out)))
-        if constants == (None, None):
-            return None, None
-        if all(c is not None for (fn, _), c in zip(given, constants) if fn is not None):
-            return None, point_free_rv(constants)
-        return constants, None
+    fast = center.is_exact() and outer.is_exact() and rank == 1
+    zero = GroupElement.zero(rank)
 
-    def unit_rv(x, v):
-        if fast:
-            constants, value = rung_one(v)
-            if value is not None:
-                return value
-            if constants is not None:
-                try:
-                    return rv_lambda(unit_value(x - center, constants), lam)
-                except _SKIP:
-                    pass
-        return rv_lambda(unit_value(x - center), lam)
+    def all_constant(v):
+        return fast and all(fn is None or zero < v_arg and need <= v_arg and v_den < base_prec
+                            for (fn, _), need, v_arg, v_den in zip(given, demands, (v_in - v, v - v_out), (v, v_out)))
 
+    decide, inside = _inside_annulus(center, inner, outer)
     # include the boundary valuations: points there can still sit strictly
     # inside the annulus when their leading coefficient is small enough
     lo, hi = v_out.first(), v_in.first()
-    gammas = [Fraction(k, 4) for k in range(floor(lo * 4), ceil(hi * 4) + 1)]
-
-    inside = _inside_annulus(center, inner, outer)
+    gammas = (GroupElement.scalar(Fraction(k, 4), rank) for k in range(floor(lo * 4), ceil(hi * 4) + 1))
+    rows = [(gamma, decide(gamma), all_constant(gamma)) for gamma in gammas]
 
     def draw(rng):
-        gamma = GroupElement.scalar(rng.choice(gammas))
+        gamma, verdict, constant = rng.choice(rows)
         x0 = center + random_point(rng, gamma, steps=2)
-        if not inside(x0, gamma):
+        if not inside(x0, verdict):
             return None
         # inside the annulus, x0 - center has a decided sign, so its valuation is gamma
-        mates = [m for m in _mates_at(rng, x0, gamma, lam, 2, 3) if inside(m, gamma)]
-        return (x0, mates, gamma) if mates else None
+        mates = [m for m in _mates_at(rng, x0, gamma, lam, 2, 3) if inside(m, verdict)]
+        return (x0, mates, constant) if mates else None
 
-    def check(x0, mates, gamma):
-        return _first_disagreement(partial(unit_rv, v=gamma), x0, mates)
+    def check(x0, mates, constant):
+        value = constant and constant_rv()
+        return _first_disagreement(lambda x: value or rv_lambda(unit_value(x - center), lam), x0, mates)
 
     report = VerificationReport("strong_unit_probe", lam, trials, rng_seed)
     return run_trials(report, "annulus", [center], draw, check, _SKIP)
 
 
 def _inside_annulus(center, inner, outer):
-    """The test ``inside(x, v)``: inner < |x - c| < outer, for x = c + d with d exact and nonzero
-    of valuation v; False where a sign is not determined.
+    """The verdict ``decide(v)`` and the test ``inside(x, verdict)``: inner < |x - c| < outer, for
+    x = c + d with d exact and nonzero of valuation v; False where a sign is not determined.
 
-    Where c, inner and outer are exact and of rank 1, so is x, and away
-    from the radii's valuations both signs are read from v = v(x - c), once
-    per v, as |x - c| is positive of valuation v: outer - |x - c| has the
-    sign of outer where v > v(outer) and is negative where v < v(outer),
-    and |x - c| - inner is positive where v < v(inner) and has the sign of
-    -inner where v > v(inner).  Every other point, at a radius' valuation,
-    with an inexact operand or in rank > 1, is read on the grids: with s
-    the sign of x - c, outer - |x - c| = s (c + s outer - x) and
+    ``decide(v)`` is the answer at every such x where v alone gives it, and
+    None elsewhere.  Where c, inner and outer are exact and of rank 1, so is
+    x, and away from the radii's valuations both signs are read from v, as
+    |x - c| is positive of valuation v: outer - |x - c| has the sign of
+    outer where v > v(outer) and is negative where v < v(outer), and
+    |x - c| - inner is positive where v < v(inner) and has the sign of
+    -inner where v > v(inner).  ``inside(x, verdict)`` returns a verdict
+    that is not None, and reads every other point on the grids: with s the
+    sign of x - c, outer - |x - c| = s (c + s outer - x) and
     |x - c| - inner = s (x - (c + s inner)), so x is inside exactly where
     both of these differences have the sign s.  The four points c +- inner
     and c +- outer are formed once, and each difference honours the
@@ -925,22 +892,21 @@ def _inside_annulus(center, inner, outer):
         first = _first_difference(a, b)
         return None if first is None else first[2]
 
-    @cache
-    def decided(v):
+    def decide(v):
+        if not by_valuation:
+            return None
         v_in, v_out = valuation(inner), valuation(outer)
         if v == v_in or v == v_out:
             return None
         return v > v_out and compare_sign(outer) > 0 and (v < v_in or compare_sign(inner) < 0)
 
-    def inside(x, v):
-        if by_valuation:
-            verdict = decided(v)
-            if verdict is not None:
-                return verdict
+    def inside(x, verdict):
+        if verdict is not None:
+            return verdict
         s = sign(x, center)
         if s is None:
             return False
         far, near = bounds[s]
         return sign(far, x) == s == sign(x, near)
 
-    return inside
+    return decide, inside

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, lcm
 
@@ -625,6 +626,59 @@ class TestStrongUnitProbe:
         assert any(valuation(s(x)) == ge(2) and isinstance(value, dict) for x, value in trace)
         assert not any(value == "NotInfinitesimal" for _, value in trace)
 
+    def test_each_part_is_formed_at_most_once_per_point(self, monkeypatch):
+        # the cli workload's probe: where v(x - c) is 0 or v(inner), one part is its constant and the other
+        # cannot be formed, as its argument is not infinitesimal; each point still forms each part once
+        spec = StrongUnitSpec(g=_UNIT_REGISTRY.get("sin"), g_scale=s("1*t^(1)"),
+                              h=_UNIT_REGISTRY.get("exp"), h_scale=s("1*t^(1)"))
+        formed, per_point = [], []
+        evaluate, first = preparation.evaluate_analytic, preparation._first_disagreement
+
+        def recording(fn, args, prec):
+            if not args[0].is_exact_zero():
+                formed.append(fn.name)
+            return evaluate(fn, args, prec)
+
+        def counting(value, x0, mates):
+            def counted(x):
+                start = len(formed)
+                try:
+                    return value(x)
+                finally:
+                    per_point.append((valuation(x), Counter(formed[start:])))
+
+            return first(counted, x0, mates)
+
+        monkeypatch.setattr(preparation, "evaluate_analytic", recording)
+        monkeypatch.setattr(preparation, "_first_disagreement", counting)
+        strong_unit_probe(spec, (s("0"), s("1*t^(2)"), s("1")), ge(0), trials=100, rng_seed=2)
+        assert {ge(0), ge(2)} <= {v for v, _ in per_point}
+        assert all(count <= 1 for _, counts in per_point for count in counts.values())
+
+
+class TestSamplersInRankTwo:
+    """The samplers build their precisions, depths and valuations in the rank of their input."""
+
+    lam = GroupElement([0, 0])
+
+    def test_the_branch_points_prepare_and_the_center_alone_does_not(self):
+        term = _term_from_poly([s("-1*t^(2,0)", rank=2), s("0", rank=2), s("1", rank=2)])
+        undersized = verify_preparation(term, [s("0", rank=2)], self.lam, trials=300, rng_seed=1)
+        assert undersized.verdict == "fail"
+        branch_points = [s(c, rank=2) for c in ("0", "1*t^(1,0)", "-1*t^(1,0)")]
+        assert verify_preparation(term, branch_points, self.lam, trials=300, rng_seed=1).passed()
+
+    def test_jacobian_shifts_are_written_in_the_rank(self):
+        report = jacobian_probe(lambda x, prec: x * s("2*t^(1,0)", rank=2), [s("0", rank=2)], trials=20, rng_seed=1)
+        assert report.passed() and report.lam == GroupElement([1, 0])
+        assert {entry["shift"] for entry in report.extra["shifts"]} == {"1,0"}
+
+    def test_a_strong_unit_passes(self):
+        spec = StrongUnitSpec(h=_UNIT_REGISTRY.get("exp"), h_scale=s("1*t^(1,0)", rank=2))
+        annulus = (s("0", rank=2), s("1*t^(2,0)", rank=2), s("1", rank=2))
+        report = strong_unit_probe(spec, annulus, self.lam, trials=50, rng_seed=8)
+        assert report.passed() and report.checked == 50
+
 
 def _reference_inside_annulus(x, center, inner, outer):
     """Whether inner < |x - c| < outer, from the differences themselves; False where a sign is not determined."""
@@ -637,8 +691,8 @@ def _reference_inside_annulus(x, center, inner, outer):
 
 
 def _reference_strong_unit_probe(spec, annulus, lam, trials, rng_seed):
-    """``strong_unit_probe`` as it valued every point before its two rungs: sums at lam + 4, inverses at twice
-    that; and as it drew, deciding membership from x - c, |x - c| and both differences at every point."""
+    """``strong_unit_probe`` as it valued every point before its constant unit: sums at lam + 4, inverses at
+    twice that; and as it drew, deciding membership from x - c, |x - c| and both differences at every point."""
     center, inner, outer = annulus
     base_prec = lam + ge(4)
     # a part under an exact-zero scale is left out, as if its function were not given
@@ -705,8 +759,8 @@ def _traced(probe, *args):
 
 
 class TestStrongUnitProbeAgainstItsReference:
-    """The two-rung probe against one that values every point at lam + 4: the same reports, witnesses
-    included, and the same rv_lam or skip at every point valued."""
+    """The probe with its constant unit against one that values every point at lam + 4: the same reports,
+    witnesses included, and the same rv_lam or skip at every point valued."""
 
     @staticmethod
     def assert_same(lam, annulus, g, g_scale, h, h_scale, trials, seed):
@@ -729,9 +783,9 @@ class TestStrongUnitProbeAgainstItsReference:
         g=_UNIT_FUNCTIONS, g_scale=_UNIT_SCALES, h=_UNIT_FUNCTIONS, h_scale=_UNIT_SCALES,
         seed=st.integers(0, 10**6),
     )
-    # sin(t^6/(x - c)) t^(-4) is read below t^5, above rung 2's sums at lam + 4, which skip its points
+    # sin(t^6/(x - c)) t^(-4) is read below t^5, above the sums at lam + 4, which skip its points
     @example(lam="0", center="0", outer="1", inner=6, g="sin", g_scale="1*t^(-4)", h=None, h_scale=None, seed=1)
-    # where v(x - c) >= 4, rung 2's inverse of x - c at 8 is not known above its valuation, and its points are skipped
+    # where v(x - c) >= 4, the inverse of x - c at 8 is not known above its valuation, and its points are skipped
     @example(lam="0", center="0", outer="1", inner=6, g="sin", g_scale="1*t^(1)", h=None, h_scale=None, seed=2)
     def test_same_report(self, lam, center, outer, inner, g, g_scale, h, h_scale, seed):
         self.assert_same(lam, (center, f"1*t^({inner})", outer), g, g_scale, h, h_scale, 12, seed)
@@ -748,10 +802,9 @@ class TestStrongUnitProbeAgainstItsReference:
         # 1 +- (x - c)/t^(3/2) cancels where x - c = -+t^(3/2) + ..., so about a third of these reports fail
         self.assert_same(lam, (center, f"1*t^({inner})", "1*t^(3/2)"), g, g_scale, "idz", h_scale, 60, seed)
 
-    def test_a_unit_that_is_not_strong_is_formed_once_at_rung_one(self, monkeypatch):
-        # the golden probe_unit_not_strong: 1 - cos((x - c)/outer) cancels the constant that rung 1 takes, so
-        # its U leaves rv_lam undetermined wherever it applies; that U is formed once, and every point is
-        # valued at rung 2 alone
+    def test_a_unit_that_is_not_strong_is_formed_once(self, monkeypatch):
+        # the golden probe_unit_not_strong: the constant U = 1 - cos(0) is 0 + O(...), which leaves rv_lam
+        # undetermined; it is formed once, and every point forms its own U
         spec = StrongUnitSpec(h=_UNIT_REGISTRY.get("cos"), h_scale=s("-1"))
         read = []
         rv = preparation.rv_lambda
@@ -813,10 +866,10 @@ class TestAnnulusMembership:
 
     @staticmethod
     def assert_same(center, inner, outer, gaps):
-        inside = preparation._inside_annulus(center, inner, outer)
+        decide, inside = preparation._inside_annulus(center, inner, outer)
         for d in gaps:
             x = center + d
-            assert inside(x, valuation(d)) == _reference_inside_annulus(x, center, inner, outer)
+            assert inside(x, decide(valuation(d))) == _reference_inside_annulus(x, center, inner, outer)
 
     @settings(max_examples=300, deadline=None)
     @given(case=annulus_points())
@@ -886,6 +939,6 @@ class TestDocumentedErrors:
 
     def test_a_point_at_an_undetermined_distance_lies_in_no_annulus(self):
         center = s("1 + O(t^(1))")
-        inside = preparation._inside_annulus(center, s("1*t^(2)"), s("1"))
-        assert not inside(s("1 + 1*t^(3/2)"), ge(Fraction(3, 2)))
-        assert inside(s("1 + 1*t^(1/2)"), ge(Fraction(1, 2)))
+        decide, inside = preparation._inside_annulus(center, s("1*t^(2)"), s("1"))
+        assert not inside(s("1 + 1*t^(3/2)"), decide(ge(Fraction(3, 2))))
+        assert inside(s("1 + 1*t^(1/2)"), decide(ge(Fraction(1, 2))))

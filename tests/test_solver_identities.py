@@ -1,4 +1,4 @@
-"""Identity oracles for ``invert``, ``nth_root`` and ``power``.
+"""Identity oracles for ``invert``, ``nth_root``, ``power`` and ``evaluate_analytic``.
 
 Each solver is checked against the identity it promises, formed with
 ``field_op`` products only, so no check shares code with the unit-power
@@ -16,12 +16,20 @@ kernel the three solvers call:
 Every result must also keep its stored exponents below its precision.
 Operands have rational coefficients other than 1, signed where the solver
 allows it, in ranks 1 and 2, exact and known below a precision.
+
+``exp``, ``sin``, ``cos`` and ``log1p`` at infinitesimal arguments with
+coefficients other than +-1 must satisfy ``exp(a) exp(b) = exp(a + b)``,
+``sin(a)^2 + cos(a)^2 = 1`` and ``log1p(exp(a) - 1) = a`` below the target,
+or below an inexact argument's precision where that is lower, and each
+value must be known below the precision ``evaluate_analytic`` promises.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hahn_forge.analytic import FunctionRegistry, evaluate_analytic
+from hahn_forge.errors import UndecidableAtPrecision
 from hahn_forge.series import (
     INFINITE,
     GroupElement,
@@ -254,3 +262,98 @@ class TestPowerIdentity:
             else:
                 assert got.prec == (fold if prec is INFINITE else min(fold, prec))
                 assert got == field_op("mul", power(x, k - 1), x).truncate(prec)
+
+
+# -- evaluate_analytic -------------------------------------------------------
+
+_FUNCTIONS = FunctionRegistry()
+# coefficients other than +-1, so that no identity holds by a coincidence of unit coefficients
+ARG_COEFFS = COEFFS.filter(lambda c: abs(c) != 1)
+
+
+@st.composite
+def infinitesimals(draw, rank):
+    """An infinitesimal of one to three terms, exact or known below a precision above its valuation.
+
+    In rank 2 every exponent has a positive first coordinate: an argument
+    whose valuation has first coordinate 0 has no bounded expansion degree.
+    """
+    den = draw(st.sampled_from(DENS))
+    exps = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), min_size=1, max_size=3, unique=True))
+    terms = sorted((GroupElement([Fraction(a, den)] + [Fraction(b, den)] * (rank - 1)), draw(ARG_COEFFS))
+                   for a, b in exps)
+    approx = HahnSeries(terms, rank)
+    if draw(st.booleans()):
+        return TruncatedSeries.exact(approx)
+    return TruncatedSeries(approx, terms[-1][0] + _exponent(draw, rank, 1, 4, (0, 1)))
+
+
+def _target(draw, *args):
+    """A target of 1/4 to 5 times the least valuation of the arguments, plus a second coordinate at times
+    in rank 2."""
+    target = min(a.approx.valuation() for a in args) * Fraction(draw(st.integers(1, 20)), 4)
+    if args[0].rank == 2:
+        target = target + GroupElement([0, draw(st.integers(-2, 2))])
+    return target
+
+
+def _f(name, x, target):
+    """``name(x)`` at the target, known below the precision it promises: the target, or below it
+    ``p + (k0 - 1) v(x)`` for an x known below p, k0 the least degree of a nonzero Taylor coefficient."""
+    y = evaluate_analytic(_FUNCTIONS.get(name), [x], target)
+    if x.is_exact_zero():
+        assert y.is_exact()
+    else:
+        k0 = 2 if name == "cos" else 1
+        assert y.prec == (target if x.is_exact() else min(target, x.prec + x.approx.valuation() * (k0 - 1)))
+    return y
+
+
+def _agree_below(x, y, bound):
+    assert _vanishes_below(field_op("sub", x, y), bound)
+
+
+def _bound(target, *args):
+    """The precision the identities promise: the target, or below it the least precision of an argument."""
+    return min([target] + [a.prec for a in args if not a.is_exact()])
+
+
+def _checked(identity):
+    """Run ``identity``, dropping a draw whose precision leaves a sign or valuation undetermined."""
+    try:
+        identity()
+    except UndecidableAtPrecision:
+        assume(False)
+
+
+class TestAnalyticIdentities:
+    """``exp``, ``sin``, ``cos`` and ``log1p`` against the identities they obey, below the target
+    precision, or below an inexact argument's precision where that is lower."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda rank: st.tuples(infinitesimals(rank), infinitesimals(rank))), st.data())
+    def test_exp_of_a_sum(self, ab, data):
+        a, b = ab
+        target = _target(data.draw, a, b)
+        _checked(lambda: _agree_below(field_op("mul", _f("exp", a, target), _f("exp", b, target)),
+                                      _f("exp", field_op("add", a, b), target), _bound(target, a, b)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2).flatmap(infinitesimals), st.data())
+    def test_sin_squared_plus_cos_squared(self, a, data):
+        target = _target(data.draw, a)
+
+        def identity():
+            s, c = _f("sin", a, target), _f("cos", a, target)
+            total = field_op("add", field_op("mul", s, s), field_op("mul", c, c))
+            _agree_below(total, TruncatedSeries.one(a.rank), _bound(target, a))
+
+        _checked(identity)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2).flatmap(infinitesimals), st.data())
+    def test_log1p_inverts_exp(self, a, data):
+        target = _target(data.draw, a)
+        _checked(lambda: _agree_below(
+            _f("log1p", field_op("sub", _f("exp", a, target), TruncatedSeries.one(a.rank)), target), a,
+            _bound(target, a)))
