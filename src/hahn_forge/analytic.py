@@ -121,6 +121,16 @@ def _log1p_rule(idx):
 
 _ENTIRE = Fraction(10**6)
 
+# the builtin rules by name, each with its declared radius; log1p is evaluated
+# only at infinitesimals in exact mode, where the declared radius is metadata
+# rather than a convergence claim
+_BUILTINS = {
+    "exp": (_exp_rule, _ENTIRE),
+    "sin": (_sin_rule, _ENTIRE),
+    "cos": (_cos_rule, _ENTIRE),
+    "log1p": (_log1p_rule, Fraction(2)),
+}
+
 
 class FunctionRegistry:
     """Append-only name table; registration is atomic."""
@@ -129,16 +139,8 @@ class FunctionRegistry:
         self._functions = {}
         self._lock = threading.Lock()
         if builtins:
-            for name, rule, radius in [
-                ("exp", _exp_rule, _ENTIRE),
-                ("sin", _sin_rule, _ENTIRE),
-                ("cos", _cos_rule, _ENTIRE),
-                # evaluated only at infinitesimals in exact mode, where the
-                # declared radius is metadata rather than a convergence claim
-                ("log1p", _log1p_rule, Fraction(2)),
-            ]:
-                fn = AnalyticFunction(name, 1, rule, radius, norm_bound=True)
-                self._functions[name] = fn
+            for name, (rule, radius) in _BUILTINS.items():
+                self._functions[name] = AnalyticFunction(name, 1, rule, radius, norm_bound=True)
 
     def get(self, name):
         return self._functions.get(name)
@@ -158,8 +160,9 @@ def register_function(spec, registry=None):
     """Validate a function specification and add it to the registry.
 
     ``spec`` is a mapping with keys name, vars, radius, and either
-    ``rule`` (a callable or builtin id) or ``table`` (finite coefficient
-    list, zero tail); optional ``norm_bound``.
+    ``rule`` (a callable; ``load_registry_line`` reads a builtin's name into
+    its rule) or ``table`` (finite coefficient list, zero tail); optional
+    ``norm_bound``.
     """
     registry = registry if registry is not None else default_registry()
     name = spec.get("name")
@@ -231,10 +234,9 @@ def load_registry_line(line, registry=None):
                     spec["norm_bound"] = True
                 i = len(tokens)
             else:
-                builtin = {"exp": _exp_rule, "sin": _sin_rule, "cos": _cos_rule, "log1p": _log1p_rule}.get(tokens[i + 1])
-                if builtin is None:
+                if tokens[i + 1] not in _BUILTINS:
                     raise MalformedRule(f"unknown builtin rule {tokens[i + 1]!r}")
-                spec["rule"] = builtin
+                spec["rule"] = _BUILTINS[tokens[i + 1]][0]
                 i += 2
         elif key == "norm1":
             spec["norm_bound"] = True
@@ -348,7 +350,8 @@ def implicit_series(f, d_out, prec_out):
 
     The last variable is the solved one.  Division of y by f yields
     ``y = Q f + r(x)``, and since Q is a unit near the origin the root is
-    exactly r; its value at 0 is infinitesimal.
+    exactly r; its value at 0 is infinitesimal.  A negative ``d_out`` is a
+    ValueError, raised by the division.
     """
     norm, top = gauss_data(f)
     if not norm.is_zero():

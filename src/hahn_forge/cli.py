@@ -64,10 +64,7 @@ def _add_common(parser, suppress):
     parser.add_argument("--trials", type=int, default=default(300))
     parser.add_argument("--rank", type=int, default=default(1))
     parser.add_argument("--degree", type=int, default=default(6))
-    if suppress:
-        parser.add_argument("--inv-zero-is-zero", action="store_true", default=argparse.SUPPRESS)
-    else:
-        parser.add_argument("--inv-zero-is-zero", action="store_true")
+    parser.add_argument("--inv-zero-is-zero", action="store_true", default=default(False))
 
 
 @functools.cache
@@ -137,6 +134,12 @@ def _build_parser():
 def _emit(payload, summary):
     sys.stdout.write(json.dumps(payload) + "\n")
     sys.stderr.write(summary + "\n")
+
+
+def _report(report, label):
+    """Emit a sampling command's report and map its verdict to the exit code."""
+    _emit({"report": report.to_dict()}, f"{label}: {report.verdict}")
+    return _VERDICT_EXIT[report.verdict]
 
 
 def _poly_coeffs(text, registry, rank):
@@ -251,46 +254,31 @@ def _dispatch(args, registry):
         )
         return _VERDICT_EXIT[report.verdict]
 
-    if args.command == "verify":
+    if args.command in ("verify", "jacobian"):
         node = parse_term(args.term, registry, rank)
-        centers = [parse_series(c.strip(), rank) for c in args.with_c.split(";") if c.strip()]
-        term_fn = lambda x, p: eval_term(node, x, p, registry, args.inv_zero_is_zero)
-        report = preparation.verify_preparation(term_fn, centers, lam, args.trials, args.seed)
-        _emit({"report": report.to_dict()}, f"verification: {report.verdict}")
-        return _VERDICT_EXIT[report.verdict]
-
-    if args.command == "jacobian":
-        node = parse_term(args.term, registry, rank)
-        if args.with_c:
+        # verify requires --with-C, even an empty one; jacobian prepares the term without it
+        if args.with_c or args.command == "verify":
             centers = [parse_series(c.strip(), rank) for c in args.with_c.split(";") if c.strip()]
         else:
-            prep, _ = prepare_term(node, lam, 3, args.trials, args.seed, registry)
-            centers = prep.centers()
+            centers = prepare_term(node, lam, 3, args.trials, args.seed, registry)[0].centers()
         term_fn = lambda x, p: eval_term(node, x, p, registry, args.inv_zero_is_zero)
-        report = jacobian_probe(term_fn, centers, args.trials, args.seed)
-        _emit({"report": report.to_dict()}, f"jacobian probe: {report.verdict}")
-        return _VERDICT_EXIT[report.verdict]
+        if args.command == "jacobian":
+            return _report(jacobian_probe(term_fn, centers, args.trials, args.seed), "jacobian probe")
+        return _report(preparation.verify_preparation(term_fn, centers, lam, args.trials, args.seed), "verification")
 
     # probe-unit: argparse admits no other command
-    for flag, fn, scale in (("g", args.g, args.g_scale), ("h", args.h, args.h_scale)):
-        if scale and not fn:
+    parts = {}
+    for flag in ("g", "h"):
+        name, scale = getattr(args, flag), getattr(args, f"{flag}_scale")
+        if scale and not name:
             raise ValueError(f"--{flag}-scale needs --{flag}")
-    center = parse_series(args.center, rank)
-    inner = parse_series(args.inner, rank)
-    outer = parse_series(args.outer, rank)
-    spec = StrongUnitSpec(
-        g=registry.get(args.g) if args.g else None,
-        g_scale=parse_series(args.g_scale, rank) if args.g_scale else None,
-        h=registry.get(args.h) if args.h else None,
-        h_scale=parse_series(args.h_scale, rank) if args.h_scale else None,
-    )
-    if args.g and spec.g is None:
-        raise UnknownFunction(f"function {args.g!r} is not registered")
-    if args.h and spec.h is None:
-        raise UnknownFunction(f"function {args.h!r} is not registered")
-    report = strong_unit_probe(spec, (center, inner, outer), lam, args.trials, args.seed)
-    _emit({"report": report.to_dict()}, f"strong-unit probe: {report.verdict}")
-    return _VERDICT_EXIT[report.verdict]
+        parts[f"{flag}_scale"] = parse_series(scale, rank) if scale else None
+        parts[flag] = registry.get(name) if name else None
+        if name and parts[flag] is None:
+            raise UnknownFunction(f"function {name!r} is not registered")
+    annulus = tuple(parse_series(text, rank) for text in (args.center, args.inner, args.outer))
+    report = strong_unit_probe(StrongUnitSpec(**parts), annulus, lam, args.trials, args.seed)
+    return _report(report, "strong-unit probe")
 
 
 def main():

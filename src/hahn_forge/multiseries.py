@@ -254,6 +254,7 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
     coefficients do not involve the distinguished variable, and the norms
     of Q and the R_i are no larger than the norm of g.  A divisor in fewer
     variables than g is read in all of g's, so ``var`` ranges over those.
+    A negative ``d_out`` is a ValueError.
     """
     _check_var(var, max(f.nvars, g.nvars))
     f = ms_pad(f, max(f.nvars, g.nvars))
@@ -266,6 +267,8 @@ def weierstrass_divide(f, g, var, d_out, prec_out):
 def _divide(f, g, var, s, d_out, prec_out):
     """``weierstrass_divide`` by f of norm zero, regular of degree s: split f once as ``w + x_var^s u``,
     iterate ``q = u^-1 H(g - q w)`` with H the division by ``x_var^s``, and split the last residual."""
+    if d_out < 0:
+        raise ValueError(f"d_out must be at least 0, got d_out {d_out}")
     nvars = max(f.nvars, g.nvars)
     f, g = ms_pad(f, nvars), ms_pad(g, nvars)
     if g.is_zero():

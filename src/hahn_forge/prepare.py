@@ -353,9 +353,9 @@ def _edge_polynomial(coeffs, nu, i1, i2, v1):
 def _field_roots(phi, ctx):
     """Roots of the edge polynomial with multiplicity, plus complex pairs.
 
-    Returns (roots, pairs, new_contexts) where roots are (value, mult,
-    ctx-for-value) and pairs counts complex-conjugate pairs with their
-    multiplicity.  Raises when a root would need a second generator.
+    Returns (roots, pairs): roots are (value, mult, ctx-for-value), and
+    pairs are (number of complex-conjugate pairs, mult), one per factor
+    that has any.  Raises when a root would need a second generator.
     """
     rational_coeffs = []
     for c in phi:

@@ -244,8 +244,7 @@ class VerificationReport:
 
 
 def _ball_payload(x0, centers, lam):
-    data = [{"center": format_series(c), "datum": rv_lambda(x0 - c, lam).to_dict()} for c in centers]
-    return {"base": format_series(x0), "data": data}
+    return {"base": format_series(x0), "data": [ball_of(x0, c, lam).to_dict() for c in centers]}
 
 
 def run_trials(report, tag, centers, draw, check, skip):
@@ -257,8 +256,10 @@ def run_trials(report, tag, centers, draw, check, skip):
     disagreeing pair or None, and an exception in ``skip`` resamples.  The
     first attempt whose check completes ends the trial and counts as
     checked; a disagreeing pair is recorded with the balls of x0 lam-next
-    to ``centers``.
+    to ``centers``.  A negative trial count is a ValueError.
     """
+    if report.trials < 0:
+        raise ValueError(f"trials must be at least 0, got trials {report.trials}")
     for trial in range(report.trials):
         rng = random.Random(f"{tag}:{report.seed}:{trial}")
         for _attempt in range(16):

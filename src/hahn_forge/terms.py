@@ -15,6 +15,11 @@ canonical spacing that the parser maps back to the identical tree.
 
 Tokens come from the one scanner of the package, ``series._Scanner``;
 ``t^(exp)`` atoms are read by its ``exponent``, exactly as in series text.
+
+A term's polynomial parts (its maximal polynomial subterms, denominators
+and analytic arguments) come from one bottom-up walk, ``_skeleton``, that
+forms each subterm's coefficients once; ``polynomial_coeffs`` and
+``candidate_polynomials`` both read it.
 """
 
 from __future__ import annotations
@@ -328,42 +333,68 @@ def eval_term(node, x, target_prec, registry=None, inv_zero_is_zero=False):
 # polynomial skeleton extraction and preparation
 
 
-def _poly_of(node, rank):
-    """``{degree: coefficient}`` when the subterm is polynomial in x, else None; no coefficient is the exact zero.
+def _skeleton(node, rank):
+    """``(poly, parts)`` of a subterm, from one bottom-up walk that forms each subterm's poly once.
 
-    An exact zero adds and multiplies as the identity and the annihilator of
-    ``field_op``, so leaving it out gives the sums and pair products of the
-    dense coefficient lists.  A power stays a repeated product, as the
-    precision of a product is not associative once leading terms cancel.
+    ``poly`` is ``{degree: coefficient}`` when the subterm is polynomial in
+    x, else None; no coefficient is the exact zero.  An exact zero adds and
+    multiplies as the identity and the annihilator of ``field_op``, so
+    leaving it out gives the sums and pair products of the dense
+    coefficient lists.  A power stays a repeated product, as the precision
+    of a product is not associative once leading terms cancel.
+
+    ``parts`` is empty when the subterm is polynomial: it is then its own
+    part.  Otherwise it lists, in pre-order, the dense coefficient lists of
+    degree at least 1 of the subterm's maximal polynomial subterms: the
+    operands, denominators and analytic arguments that are polynomial, and
+    the parts of those that are not.  A node that is not a term is a
+    TypeError, as in ``print_term`` and ``eval_term``.
     """
     if isinstance(node, Lit):
-        return {0: TruncatedSeries.constant(node.value, rank)} if node.value else {}
+        return ({0: TruncatedSeries.constant(node.value, rank)} if node.value else {}), []
     if isinstance(node, Mono):
-        return {0: TruncatedSeries.monomial(Fraction(1), node.exponent)}
+        return {0: TruncatedSeries.monomial(Fraction(1), node.exponent)}, []
     if isinstance(node, Var):
-        return {1: TruncatedSeries.one(rank)}
+        return {1: TruncatedSeries.one(rank)}, []
+    # Add, Sub and Mul come before Div so that a polynomial node tests no more types than it needs
     if isinstance(node, (Add, Sub, Mul)):
-        left = _poly_of(node.left, rank)
-        right = _poly_of(node.right, rank)
-        if left is None or right is None:
-            return None
-        if isinstance(node, Mul):
-            return _poly_mul(left, right)
-        return _poly_add(left, right if isinstance(node, Add) else _poly_neg(right))
-    if isinstance(node, Neg):
-        inner = _poly_of(node.operand, rank)
-        return None if inner is None else _poly_neg(inner)
-    if isinstance(node, Pow):
-        if node.exponent < 0:
-            return None
-        base = _poly_of(node.base, rank)
-        if base is None:
-            return None
-        out = {0: TruncatedSeries.one(rank)}
-        for _ in range(node.exponent):
-            out = _poly_mul(out, base)
-        return out
-    return None
+        kids = (_skeleton(node.left, rank), _skeleton(node.right, rank))
+        (left, _), (right, _) = kids
+        if left is not None and right is not None:
+            if isinstance(node, Mul):
+                return _poly_mul(left, right), []
+            return _poly_add(left, right if isinstance(node, Add) else _poly_neg(right)), []
+    elif isinstance(node, Neg):
+        kids = (_skeleton(node.operand, rank),)
+        if kids[0][0] is not None:
+            return _poly_neg(kids[0][0]), []
+    elif isinstance(node, Pow):
+        kids = (_skeleton(node.base, rank),)
+        if kids[0][0] is not None and node.exponent >= 0:
+            out = {0: TruncatedSeries.one(rank)}
+            for _ in range(node.exponent):
+                out = _poly_mul(out, kids[0][0])
+            return out, []
+    elif isinstance(node, Div):
+        kids = (_skeleton(node.left, rank), _skeleton(node.right, rank))
+    elif isinstance(node, App):
+        kids = [_skeleton(a, rank) for a in node.args]
+    else:
+        raise TypeError(f"not a term node: {node!r}")
+    return None, _parts(kids, rank)
+
+
+def _parts(kids, rank):
+    """The parts of subterms given as ``(poly, parts)``, in order: a polynomial one's dense list when its
+    degree is at least 1, and the parts of any other."""
+    out = []
+    for poly, parts in kids:
+        if poly is None:
+            out += parts
+        elif max(poly, default=0) >= 1:
+            zero = TruncatedSeries.zero(rank)
+            out.append([poly.get(k, zero) for k in range(max(poly) + 1)])
+    return out
 
 
 def _poly_neg(poly):
@@ -395,7 +426,7 @@ def _poly_mul(left, right):
 
 def polynomial_coeffs(node, rank):
     """Coefficients of the term as a polynomial in x, top zeros trimmed; None if it is not one."""
-    coeffs = _poly_of(node, rank)
+    coeffs, _ = _skeleton(node, rank)
     if coeffs is None:
         return None
     zero = TruncatedSeries.zero(rank)
@@ -403,28 +434,12 @@ def polynomial_coeffs(node, rank):
 
 
 def candidate_polynomials(node, rank=1):
-    """Maximal polynomial subterms, denominators, and analytic arguments."""
-    out = []
+    """Maximal polynomial subterms, denominators, and analytic arguments of degree at least 1, in pre-order.
 
-    def visit(node):
-        coeffs = polynomial_coeffs(node, rank)
-        if coeffs is not None:
-            if len(coeffs) >= 2:
-                out.append(coeffs)
-            return
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, Neg):
-            visit(node.operand)
-        elif isinstance(node, Pow):
-            visit(node.base)
-        elif isinstance(node, App):
-            for a in node.args:
-                visit(a)
-
-    visit(node)
-    return out
+    One walk forms them all (``_skeleton``); a polynomial term of degree at
+    least 1 is its own one candidate.
+    """
+    return _parts([_skeleton(node, rank)], rank)
 
 
 def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
@@ -433,17 +448,15 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
     The candidate set is the union of the polynomial preparing sets of all
     maximal polynomial subterms, denominators, and analytic arguments; it
     is returned only with a passing verification report, deepening within
-    the budget otherwise.  An ``undecided`` report (no sample checked) ends
-    the search at once: deeper branch points cannot make skipped samples
-    checkable.
+    the budget otherwise; a budget below 1 attempt is a ValueError.  An
+    ``undecided`` report (no sample checked) ends the search at once:
+    deeper branch points cannot make skipped samples checkable.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got budget {budget}")
     registry = registry if registry is not None else default_registry()
-    candidates = candidate_polynomials(node, rank=1)
-
-    def term_fn(x, prec):
-        return eval_term(node, x, prec, registry)
-
-    prep, report, _ = preparation.deepen(candidates, term_fn, lam, max(1, budget), trials, rng_seed)
+    term_fn = lambda x, prec: eval_term(node, x, prec, registry)
+    prep, report, _ = preparation.deepen(candidate_polynomials(node), term_fn, lam, budget, trials, rng_seed)
     if report.passed():
         return prep, report
     raise BudgetExhausted("preparation budget exhausted", report=report)

@@ -328,6 +328,29 @@ class TestProbeUnitUsage:
         assert capsys.readouterr() == ("", "error: annulus needs v(inner) > v(outer)\n")
 
 
+class TestCountFlags:
+    """A count out of its range is a usage error, raised where the value is first used and naming it."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "x", "--with-C", "0", "--trials", "-3"), "trials must be at least 0, got trials -3"),
+        (("jacobian", "x", "--with-C", "0", "--trials", "-1"), "trials must be at least 0, got trials -1"),
+        (("probe-unit", "--center", "0", "--inner", "1*t^(2)", "--outer", "1", "--trials", "-1"),
+         "trials must be at least 0, got trials -1"),
+        (("prepare", "x^2 - t^(1)", "--budget", "0"), "budget must be at least 1, got budget 0"),
+        (("divide", "[-1*t^(1)] + [1]*x1", "[1]*x1^2", "--degree", "-1"), "d_out must be at least 0, got d_out -1"),
+        (("implicit", "[1]*x2 + [-1]*x1", "--degree", "-1"), "d_out must be at least 0, got d_out -1"),
+    ])
+    def test_rejected_with_its_value(self, capsys, argv, message):
+        assert run_cli(list(argv)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_the_bounds_themselves_run(self, capsys):
+        assert run_cli(["verify", "x", "--with-C", "0", "--trials", "0"]) == 3
+        assert run_cli(["prepare", "x^2 - t^(1)", "--budget", "1", "--trials", "20"]) == 0
+        assert run_cli(["divide", "[-1*t^(1)] + [1]*x1", "[1]*x1^2", "--degree", "0", "--prec", "3"]) == 0
+        capsys.readouterr()
+
+
 class TestDependencyFree:
     """The package imports the standard library and itself only; pytest, hypothesis and sympy are for tests."""
 

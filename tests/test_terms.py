@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hahn_forge.prepare as preparation
+from hahn_forge import terms
 from hahn_forge.analytic import default_registry, evaluate_analytic
 from hahn_forge.errors import (
     ArityMismatch,
@@ -43,7 +44,7 @@ from hahn_forge.terms import (
     _poly_add,
     _poly_mul,
     _poly_neg,
-    _poly_of,
+    _skeleton,
     candidate_polynomials,
     eval_term,
     parse_term,
@@ -409,7 +410,7 @@ def _dense_power(base, k, rank):
 
 
 def _dense_poly_of(node, rank):
-    """Dense coefficient lists, exact zeros padded in: the reference for the sparse ``_poly_of``."""
+    """Dense coefficient lists, exact zeros padded in: the reference for the sparse dicts of ``_skeleton``."""
     if isinstance(node, Lit):
         return [TruncatedSeries.constant(node.value, rank)]
     if isinstance(node, Mono):
@@ -463,7 +464,7 @@ class TestSparsePolynomials:
     def test_fixed_terms(self, text):
         node = parse_term(text)
         assert [format_series(c) for c in polynomial_coeffs(node, 1)] == _trimmed(_dense_poly_of(node, 1))
-        assert not any(c.is_exact_zero() for c in _poly_of(node, 1).values())
+        assert not any(c.is_exact_zero() for c in _skeleton(node, 1)[0].values())
 
     # inexact coefficients, 0 + O(...) among them, come from no term but meet the same sums and products
     @given(st.data(), st.sampled_from([1, 2]), st.integers(0, 3))
@@ -513,6 +514,70 @@ class TestCandidates:
         assert poly_eval(coeffs, x) == value
 
 
+@st.composite
+def applied_term_trees(draw, rank, depth=3):
+    """``term_trees`` under applications of exp, sin and inv, sums, products, quotients and powers."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(term_trees(rank, draw(st.integers(0, 2))))
+    sub = applied_term_trees(rank, depth - 1)
+    kind = draw(st.sampled_from(["exp", "sin", "inv", "add", "sub", "mul", "div", "neg", "pow"]))
+    if kind in ("exp", "sin", "inv"):
+        return App(kind, (draw(sub),))
+    if kind == "neg":
+        return Neg(draw(sub))
+    if kind == "pow":
+        return Pow(draw(sub), draw(st.integers(-2, 4)))
+    return {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](draw(sub), draw(sub))
+
+
+def _reference_candidates(node, rank):
+    """The walk that ``candidate_polynomials`` replaced: ``polynomial_coeffs`` of each node in pre-order, the
+    subterms of a node that is not polynomial visited in turn."""
+    out = []
+
+    def visit(node):
+        coeffs = polynomial_coeffs(node, rank)
+        if coeffs is not None:
+            if len(coeffs) >= 2:
+                out.append(coeffs)
+            return
+        if isinstance(node, (Add, Sub, Mul, Div)):
+            visit(node.left)
+            visit(node.right)
+        elif isinstance(node, Neg):
+            visit(node.operand)
+        elif isinstance(node, Pow):
+            visit(node.base)
+        elif isinstance(node, App):
+            for a in node.args:
+                visit(a)
+
+    visit(node)
+    return out
+
+
+class TestCandidateOrder:
+    """``candidate_polynomials`` gives the lists of the walk it replaced, in its order: ``preparing_set`` keeps a
+    point's first provenance, so the order reaches ``prepare``'s output."""
+
+    @given(st.data(), st.sampled_from([1, 2]))
+    def test_random_terms(self, data, rank):
+        node = data.draw(applied_term_trees(rank))
+        got = [[format_series(c) for c in p] for p in candidate_polynomials(node, rank)]
+        assert got == [[format_series(c) for c in p] for p in _reference_candidates(node, rank)]
+
+    @pytest.mark.parametrize("text, products", [
+        ("exp(x) + exp(x) + exp(x) + exp(x) + exp(x) + exp(x) + (1 + x)^12*(x - t^(1))", 13),
+        ("exp((1 + x)^8)/((x^2 - t^(1))^3*sin(x))", 13),
+    ])
+    def test_each_product_is_formed_once(self, monkeypatch, text, products):
+        # the products of the polynomial parts alone: no ancestor forms its parts' products again
+        calls = []
+        monkeypatch.setattr(terms, "_poly_mul", lambda a, b, mul=terms._poly_mul: calls.append(1) or mul(a, b))
+        candidate_polynomials(parse_term(text))
+        assert len(calls) == products
+
+
 class TestPrepareTerm:
     def test_square_minus_t(self):
         node = parse_term("x^2 - t^(1)")
@@ -531,6 +596,10 @@ class TestPrepareTerm:
         prep, report = prepare_term(node, ge(0), trials=250, rng_seed=11)
         assert report.passed()
         assert [format_series(p.series) for p in prep.points] == ["0"]
+
+    def test_a_budget_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="budget must be at least 1, got budget 0$"):
+            prepare_term(parse_term("x^2 - t^(1)"), ge(0), budget=0)
 
     def test_undecided_report_ends_the_search(self, monkeypatch):
         # every sample of 1/(x - x) is skipped; deepening cannot change that
@@ -575,6 +644,9 @@ class TestDocumentedErrors:
             print_term("x")
         with pytest.raises(TypeError, match="not a term node"):
             eval_term("x", parse_series("1"), GroupElement.scalar(2))
+        for read in (polynomial_coeffs, candidate_polynomials):
+            with pytest.raises(TypeError, match="not a term node"):
+                read(Add(Var(), "x"), 1)
 
     def test_a_function_missing_from_the_evaluating_registry(self):
         with pytest.raises(UnknownFunction, match="'nope'"):
