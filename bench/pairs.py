@@ -18,8 +18,12 @@ every pair whose counts differ is listed under ``count_mismatches``, for
 the report only: it does not change the exit status.
 
 The output holds every run (workload, seed, side, order, digest, attempted,
-failed, metrics) and, per workload and metric declared in the parent's
-``BENCHMARK.json``: each side's median and quartiles, the change's wins
+failed, metrics, and ``raw``: the uncalibrated ``raw_setup_s``,
+``raw_ops_per_s``, ``raw_op_p50_ms`` and ``raw_op_p90_ms`` of the record
+line, absent from a traced run) and, per workload and metric declared in
+the parent's ``BENCHMARK.json`` and per raw reading, which is judged with
+the unit, direction and bound of its calibrated metric: each side's
+median and quartiles, the change's wins
 over the parent (ties count for neither side), whether the medians differ
 in the better direction by more than the parent's interquartile range,
 and the relative change of the medians next to the metric's regression
@@ -39,6 +43,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# the record line's readings before calibration, each named after its calibrated metric
+RAW = ("raw_setup_s", "raw_ops_per_s", "raw_op_p50_ms", "raw_op_p90_ms")
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -79,7 +86,7 @@ def summarize(runs, declared):
     for workload in sorted({r["workload"] for r in runs}):
         rows = [r for r in runs if r["workload"] == workload]
         seeds = sorted({r["seed"] for r in rows})
-        side = {(r["seed"], r["side"]): r["metrics"] for r in rows}
+        side = {(r["seed"], r["side"]): {**r["metrics"], **r.get("raw", {})} for r in rows}
         table = {}
         for name, spec in declared.items():
             pairs = [(side[s, "parent"][name], side[s, "change"][name]) for s in seeds
@@ -106,9 +113,12 @@ def summarize(runs, declared):
 
 
 def declared_metrics(checkout):
-    """Name -> {unit, better[, bound]} for every metric in BENCHMARK.json."""
+    """Name -> {unit, better[, bound]} for every metric in BENCHMARK.json, and for
+    each raw reading that of its calibrated metric."""
     spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
-    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    declared = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    declared.update({name: {**declared[name[4:]], "name": name} for name in RAW if name[4:] in declared})
+    return declared
 
 
 def main(argv=None):
@@ -136,6 +146,7 @@ def main(argv=None):
                     "workload": workload, "seed": record["seed"], "side": side, "order": position,
                     "digest": record["digest"], "attempted": result["attempted"], "failed": result["failed"],
                     "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+                    "raw": {name: record[name] for name in RAW if name in record},
                 })
                 # traced results carry no end-to-end metrics, so no ops_per_s
                 rate = result["metrics"].get("ops_per_s")

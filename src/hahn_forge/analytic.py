@@ -309,6 +309,18 @@ def hensel_root(coeffs, target_prec, rank=1, trace=None):
     ``coeffs`` lists a_2..a_d, all infinitesimal.  Newton iteration from -1;
     the residual valuation at least doubles each step, recorded in ``trace``
     when a list is supplied.
+
+    A step with a nonzero residual r = p(y), known below some P <= T for
+    the target T, forms the slope p'(y) and its inverse w only below
+    N = T - v(r) (Brent and Kung, J. ACM 25, 1978).  The slope's standard
+    part is 1, so v(w) = 0, and the product r w is known below
+    min(P + v(w), N + v(r)) = P, as it is with w known below T.  Its terms
+    below P read w only below P - v(r) <= N, so the update ``(y - r w)``
+    cut at T, every residual, the trace and the step count are those of
+    the full-precision slope.  In lexicographic rank > 1 the lower
+    precision can also spare the inverse the stall of a unit gap in a later
+    coordinate than T: N's first coordinate may be 0 where T's is not, and
+    such a root is then returned.
     """
     for a in coeffs:
         v = valuation(a)
@@ -327,8 +339,8 @@ def hensel_root(coeffs, target_prec, rank=1, trace=None):
             if y.is_exact() and not poly_eval(p, y).is_exact_zero():
                 y = y.truncate(target_prec)  # p(-1) vanished only below the target
             break
-        slope = poly_eval(dp, y, target_prec)
-        y = (y - residual * invert(slope, target_prec)).truncate(target_prec)
+        needed = target_prec - residual.approx.valuation()
+        y = (y - residual * invert(poly_eval(dp, y, needed), needed)).truncate(target_prec)
     else:
         raise PrecisionStall("Newton iteration failed to reach the target")
     valuation(y)  # raises UndecidableAtPrecision when the target leaves no term of the root known

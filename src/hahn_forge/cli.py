@@ -247,7 +247,8 @@ def _dispatch(args, registry):
 
     if args.command == "prepare":
         node = parse_term(args.term, registry, rank)
-        prep, report = prepare_term(node, lam, args.budget, args.trials, args.seed, registry)
+        prep, report = prepare_term(node, lam, args.budget, args.trials, args.seed, registry,
+                                    args.inv_zero_is_zero)
         _emit(
             {"preparing_set": prep.to_dict(), "report": report.to_dict()},
             f"prepared with {len(prep.points)} points: {report.verdict}",
@@ -260,7 +261,8 @@ def _dispatch(args, registry):
         if args.with_c or args.command == "verify":
             centers = [parse_series(c.strip(), rank) for c in args.with_c.split(";") if c.strip()]
         else:
-            centers = prepare_term(node, lam, 3, args.trials, args.seed, registry)[0].centers()
+            centers = prepare_term(node, lam, 3, args.trials, args.seed, registry,
+                                   args.inv_zero_is_zero)[0].centers()
         term_fn = lambda x, p: eval_term(node, x, p, registry, args.inv_zero_is_zero)
         if args.command == "jacobian":
             return _report(jacobian_probe(term_fn, centers, args.trials, args.seed), "jacobian probe")

@@ -442,7 +442,7 @@ def candidate_polynomials(node, rank=1):
     return _parts([_skeleton(node, rank)], rank)
 
 
-def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
+def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None, inv_zero_is_zero=False):
     """Preparing set for a term: candidate points from its polynomial parts.
 
     The candidate set is the union of the polynomial preparing sets of all
@@ -450,12 +450,13 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None):
     is returned only with a passing verification report, deepening within
     the budget otherwise; a budget below 1 attempt is a ValueError.  An
     ``undecided`` report (no sample checked) ends the search at once:
-    deeper branch points cannot make skipped samples checkable.
+    deeper branch points cannot make skipped samples checkable.  The term
+    is evaluated under ``eval_term``'s ``inv_zero_is_zero`` convention.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got budget {budget}")
     registry = registry if registry is not None else default_registry()
-    term_fn = lambda x, prec: eval_term(node, x, prec, registry)
+    term_fn = lambda x, prec: eval_term(node, x, prec, registry, inv_zero_is_zero)
     prep, report, _ = preparation.deepen(candidate_polynomials(node), term_fn, lam, budget, trials, rng_seed)
     if report.passed():
         return prep, report

@@ -43,7 +43,10 @@ from hahn_forge.series import (
     INFINITE,
     TruncatedSeries,
     format_series,
+    invert,
     parse_series,
+    poly_derivative,
+    poly_eval,
     valuation,
 )
 
@@ -574,3 +577,154 @@ class TestDocumentedErrors:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             sqrt_shifted(0, 3)
+
+
+# -- the Newton loop that formed the slope and its inverse at the full
+# target, kept here as the oracle of TestHenselAgainstFullPrecisionSlope
+
+
+def _full_precision_hensel(coeffs, target_prec, rank=1, trace=None):
+    for a in coeffs:
+        v = valuation(a)
+        if not (v is INFINITE or v > GroupElement.zero(rank)):
+            raise NotInfinitesimal("higher coefficients must be infinitesimal")
+        if a.prec is not INFINITE and a.prec < target_prec:
+            raise PrecisionStall("input coefficients are blurrier than the requested root")
+    p = [TruncatedSeries.one(rank), TruncatedSeries.one(rank), *coeffs]
+    dp = poly_derivative(p)
+    y = TruncatedSeries.constant(Fraction(-1), rank)
+    for _ in range(64):
+        residual = poly_eval(p, y, target_prec)
+        if trace is not None:
+            trace.append(INFINITE if residual.approx.is_zero() else residual.approx.valuation())
+        if residual.approx.is_zero():
+            if y.is_exact() and not poly_eval(p, y).is_exact_zero():
+                y = y.truncate(target_prec)
+            break
+        slope = poly_eval(dp, y, target_prec)
+        y = (y - residual * invert(slope, target_prec)).truncate(target_prec)
+    else:
+        raise PrecisionStall("Newton iteration failed to reach the target")
+    valuation(y)
+    return y
+
+
+def _hensel_outcome(solve, coeffs, target, rank):
+    """The root in every form with the trace, or the error's class and text."""
+    trace = []
+    try:
+        root = solve(coeffs, target, rank, trace)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return root.prec, root.approx, format_series(root), trace
+
+
+def _residual_below(coeffs, root, target):
+    """The terms below ``target`` of ``1 + y + sum a_i y^i`` at the known terms, as an exponent -> Fraction dict.
+
+    Every factor has only exponents at or above 0, so a product cut at the
+    target keeps each term below it.
+    """
+    def mul(f, g):
+        out = {}
+        for e, c in f.items():
+            for e2, c2 in g.items():
+                if e + e2 < target:
+                    out[e + e2] = out.get(e + e2, 0) + c * c2
+        return out
+
+    y = dict(root.approx.terms)
+    total = {GroupElement.zero(root.rank): Fraction(1)}
+    for e, c in y.items():
+        total[e] = total.get(e, 0) + c
+    power = y
+    for a in coeffs:
+        power = mul(power, y)
+        for e, c in mul(dict(a.approx.terms), power).items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c and e < target}
+
+
+_HENSEL_EXPONENTS = {
+    1: [(Fraction(1, 3),), (Fraction(1, 2),), (Fraction(1),), (Fraction(3, 2),), (Fraction(2),)],
+    # a first coordinate 0 gives a unit gap in a later coordinate than most targets
+    2: [(0, 1), (0, 2), (Fraction(1, 2), 0), (1, -3), (1, -1)],
+}
+# few coefficients, so that the residual of -1 cancels now and then
+_HENSEL_COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]
+_HENSEL_TARGETS = {
+    1: [(Fraction(1, 2),), (1,), (2,), (3,), (Fraction(9, 2),), (6,)],
+    2: [(0, 3), (Fraction(1, 2), 0), (1, -2), (1, 0), (2, 0)],
+}
+
+
+@st.composite
+def _hensel_cases(draw, rank):
+    """``(coeffs, target)`` for a polynomial of degree 2 to 5.
+
+    Coefficients are sums of one to three monomials from a short list, so
+    that sums cancel now and then; each is exact, exactly zero, known below
+    the target or above it, or blurrier than the target.  An echo is the
+    leading term of the coefficient before it, which cancels that term in
+    the residual of -1.  Half the rank-2 cases start with a_3 the echo of
+    a_2 = c t^(0,k) + (terms at the target's first coordinate): the full
+    slope's unit gap t^(0,k) stalls there, and the residual of -1 lies at
+    the target's first coordinate.
+    """
+    target = GroupElement(draw(st.sampled_from(_HENSEL_TARGETS[rank])))
+    coeffs = []
+    if rank == 2 and target[0] and draw(st.booleans()):
+        gap = GroupElement([0, draw(st.sampled_from([1, 2]))])
+        lead = HahnSeries([(gap, draw(st.sampled_from(_HENSEL_COEFFS)))], 2)
+        seconds = draw(st.lists(st.sampled_from([-3, -1, 0, 1]), min_size=1, max_size=2, unique=True))
+        rest = HahnSeries([(GroupElement([target[0], j]), draw(st.sampled_from(_HENSEL_COEFFS))) for j in seconds], 2)
+        coeffs = [TruncatedSeries.exact(lead + rest), TruncatedSeries.exact(lead)]
+    for _ in range(draw(st.integers(0 if coeffs else 1, 2 if coeffs else 4))):
+        exps = draw(st.lists(st.sampled_from(_HENSEL_EXPONENTS[rank]), min_size=1, max_size=3, unique=True))
+        approx = HahnSeries([(GroupElement(e), draw(st.sampled_from(_HENSEL_COEFFS))) for e in exps], rank)
+        kind = draw(st.sampled_from(["exact"] * 4 + ["zero", "at target", "above", "blurred", "echo"]))
+        if kind == "echo" and coeffs and not coeffs[-1].approx.is_zero():
+            coeffs.append(TruncatedSeries.exact(HahnSeries(coeffs[-1].approx.terms[:1], rank)))
+        elif kind == "zero":
+            coeffs.append(TruncatedSeries.zero(rank))
+        elif kind in ("exact", "echo"):
+            coeffs.append(TruncatedSeries.exact(approx))
+        else:
+            step = {"at target": 0, "above": 1, "blurred": Fraction(-1, 2)}[kind]
+            coeffs.append(TruncatedSeries(approx, target + GroupElement.scalar(step, rank)))
+    return coeffs, target
+
+
+class TestHenselAgainstFullPrecisionSlope:
+    """``hensel_root`` reads the slope and its inverse below T - v(r) only; the loop above reads them below T."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hensel_cases(1))
+    def test_rank_one_is_identical(self, case):
+        coeffs, target = case
+        assert _hensel_outcome(hensel_root, coeffs, target, 1) == _hensel_outcome(
+            _full_precision_hensel, coeffs, target, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hensel_cases(2))
+    def test_rank_two_stalls_less(self, case):
+        coeffs, target = case
+        reference = _hensel_outcome(_full_precision_hensel, coeffs, target, 2)
+        got = _hensel_outcome(hensel_root, coeffs, target, 2)
+        if reference[0] is not PrecisionStall:
+            assert got == reference
+        elif got[0] is not PrecisionStall:
+            # a stall the lower precision spares: the root is known below T and solves p there
+            root = hensel_root(coeffs, target, 2)
+            assert root.prec == target and _residual_below(coeffs, root, target) == {}
+
+    def test_a_stall_the_lower_precision_spares(self):
+        # the residual of -1 is t^(1,-3), so N = (0,3): the slope's gap t^(0,1)
+        # lies in the first coordinate of N, not in a later one
+        coeffs = [s("1*t^(0,1) + 1*t^(1,-3)", 2), s("1*t^(0,1)", 2)]
+        target = GroupElement([1, 0])
+        with pytest.raises(PrecisionStall, match="later coordinate"):
+            _full_precision_hensel(coeffs, target, 2)
+        root = hensel_root(coeffs, target, rank=2)
+        assert format_series(root) == "-1 - 1*t^(1,-3) + 1*t^(1,-2) - 1*t^(1,-1) + O(t^(1,0))"
+        assert _residual_below(coeffs, root, target) == {}

@@ -186,6 +186,15 @@ class TestMoreSurface:
         code, payload, _ = run(capsys, "eval", "--inv-zero-is-zero", "1/x", "--at", "0")
         assert code == 0 and payload == {"value": "0"}
 
+    @pytest.mark.parametrize("command", ["prepare", "jacobian"])
+    def test_inv_zero_convention_reaches_preparation(self, capsys, command):
+        # inv(x - x) has no value without the convention, so no sample can be checked
+        argv = (command, "inv(x - x) + x", "--trials", "20")
+        code, _, _ = run(capsys, *argv)
+        assert code == 3
+        code, payload, _ = run(capsys, *argv, "--inv-zero-is-zero")
+        assert code == 0 and payload["report"]["verdict"] == "pass"
+
     def test_undetermined_denominator_exit_code(self, capsys):
         # a denominator known only as 0 + O(t^(2)) is precision exhaustion, not a usage error
         for text in ("inv(x)", "1/x"):
