@@ -115,6 +115,7 @@ LAYERS = (
     Row("field_roots", ("prepare:prepare_polynomial", "cli:roots"), "prepare", "_field_roots", True, deep_copy),
     Row("enclosure", ("prepare:prepare_polynomial", "cli:roots"), "prepare", "_make_root", True, intervals),
     Row("strong_unit_probe", ("cli:probe-unit",), "cli", "strong_unit_probe"),
+    Row("jacobian_probe", ("newton:jacobian_inv", "newton:jacobian_hensel"), "prepare", "jacobian_probe"),
     Row("polynomial_coeffs", ("cli:roots", "cli:polygon"), "cli", "polynomial_coeffs"),
     Row("field_op", ("prepare:verify_prepared",), "series", "field_op", grouped=True),
     Row("rv_lambda", ("prepare:verify_prepared",), "prepare", "rv_lambda", grouped=True),

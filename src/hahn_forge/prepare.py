@@ -715,29 +715,63 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
     distances are read off the grids at their first difference, so no
     difference series is formed; an image gap that is zero or
     ``0 + O(...)`` leaves the shift undetermined, and the sample is skipped.
+
+    The map is read at t^10, but where every point of a sample is exact
+    it is first evaluated at P1 = g + (1/2, 0, ..., 0), g the largest
+    point gap, if P1 lies below t^10.  That rung decides the sample when
+    every image gap it reads, up to the first disagreeing pair, is
+    determined.  At an exact point the package's maps return the unique
+    truncation of f(x), so the values at P1 and at t^10 agree below P1,
+    and an image gap determined below P1 is the one t^10 gives: the shift,
+    the witness and the report are those of t^10 alone.  An inexact point
+    is valued at t^10 only: there a map may raise at t^10 where it returns
+    at P1 (``invert`` raises ``InsufficientPrecision``), and t^10's skip
+    must stand.  An undetermined gap or an error at P1 says nothing of
+    t^10, so the sample is then valued at t^10, and its gaps, errors and
+    skips decide as if P1 had not been tried.  The argument needs a map
+    that, at an exact point, returns at t^10 wherever it returns at P1; a
+    map that raises at t^10 alone gets a sample decided that a probe at
+    t^10 alone would skip or stop at.
     """
     centers = _centers(prep)
     rank = centers[0].rank
     lam, base_prec = GroupElement.scalar(1, rank), GroupElement.scalar(10, rank)
+    half = GroupElement.scalar(Fraction(1, 2), rank)
     shifts = []
 
-    def check(x0, mates, _gamma):
-        points = [x0, *mates]
-        values = [fn(x, base_prec) for x in points]
+    # (shift, disagreeing pair) from the values, or None at the first
+    # undetermined image gap
+    def compare(points, values, gaps):
         shift = bad = None
-        for (x, fx), (y, fy) in combinations(zip(points, values), 2):
-            gap = _first_difference(x, y)
-            if gap is None:
-                continue
-            image = _first_difference(fx, fy)
+        for i, j, gap in gaps:
+            image = _first_difference(values[i], values[j])
             if image is None:
-                raise UndecidableAtPrecision("image gap vanished")
-            delta = _exponent(*image[:2]) - _exponent(*gap[:2])
+                return None
+            delta = _exponent(*image[:2]) - gap
             if shift is None:
                 shift = delta
             elif delta != shift:
-                bad = (x, y)
+                bad = (points[i], points[j])
                 break
+        return shift, bad
+
+    def check(x0, mates, _gamma):
+        points = [x0, *mates]
+        gaps = [(i, j, _exponent(*gap[:2])) for (i, x), (j, y) in combinations(enumerate(points), 2)
+                if (gap := _first_difference(x, y)) is not None]
+        outcome = None
+        if gaps and all(x.is_exact() for x in points):
+            low = max(gap for _, _, gap in gaps) + half
+            if low < base_prec:
+                try:
+                    outcome = compare(points, [fn(x, low) for x in points], gaps)
+                except HahnForgeError:
+                    pass
+        if outcome is None:
+            outcome = compare(points, [fn(x, base_prec) for x in points], gaps)
+            if outcome is None:
+                raise UndecidableAtPrecision("image gap vanished")
+        shift, bad = outcome
         if shift is not None:
             shifts.append({"ball": format_series(x0), "shift": format_exponent(shift)})
         return bad

@@ -457,7 +457,7 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None, inv
         raise ValueError(f"budget must be at least 1, got budget {budget}")
     registry = registry if registry is not None else default_registry()
     term_fn = lambda x, prec: eval_term(node, x, prec, registry, inv_zero_is_zero)
-    prep, report, _ = preparation.deepen(candidate_polynomials(node), term_fn, lam, budget, trials, rng_seed)
+    prep, report, _ = preparation.deepen(candidate_polynomials(node, lam.rank), term_fn, lam, budget, trials, rng_seed)
     if report.passed():
         return prep, report
     raise BudgetExhausted("preparation budget exhausted", report=report)

@@ -10,17 +10,24 @@ satisfy
 - ``invert(sigma_q x, q T) = sigma_q invert(x, T)``;
 - ``nth_root(sigma_q a, n, q T) = sigma_q nth_root(a, n, T)``;
 - ``hensel_root(sigma_q a, q T) = sigma_q hensel_root(a, T)``, and the
-  trace of residual valuations is the trace scaled by q,
+  trace of residual valuations is the trace scaled by q;
+- ``evaluate_analytic(f, [sigma_q a], q T) = sigma_q evaluate_analytic(f,
+  [a], T)`` for f in exp, sin, cos and log1p, whose coefficients are
+  rational,
 
 value and precision alike, or raise the same class of error on both
-sides.  These relations need no second implementation of any solver.
+sides.  The leading-term structure is carried along: ``rv_lambda(sigma_q
+x, q lam)`` has the valuation of ``rv_lambda(x, lam)`` times q and its jet
+under sigma_q.  These relations need no second implementation of any
+solver.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from hahn_forge.analytic import hensel_root
+from hahn_forge.analytic import default_registry, evaluate_analytic, hensel_root
+from hahn_forge.rv import rv_lambda
 from hahn_forge.series import INFINITE, GroupElement, HahnSeries, TruncatedSeries, invert, nth_root
 
 QS = [Fraction(2), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
@@ -31,10 +38,14 @@ ROOT_LEADS = {2: [Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1, 9), Frac
               3: [Fraction(1), Fraction(8), Fraction(27, 8), Fraction(1, 27), Fraction(2)]}
 
 
+def sigma_approx(h, q):
+    """``sigma_q h`` of an exact series: every exponent times q."""
+    return HahnSeries([(e * q, c) for e, c in h.terms], h.rank)
+
+
 def sigma(x, q):
     """``sigma_q x``: every exponent and the precision times q."""
-    approx = HahnSeries([(e * q, c) for e, c in x.approx.terms], x.rank)
-    return TruncatedSeries(approx, INFINITE if x.is_exact() else x.prec * q)
+    return TruncatedSeries(sigma_approx(x.approx, q), INFINITE if x.is_exact() else x.prec * q)
 
 
 def _exponent(draw, rank, lo, hi, firsts=(-1, 0, 1)):
@@ -46,12 +57,14 @@ def _exponent(draw, rank, lo, hi, firsts=(-1, 0, 1)):
 
 
 @st.composite
-def operands(draw, rank, leads=None):
+def operands(draw, rank, leads=None, lo=-3, firsts=(-1, 0, 1)):
     """``c t^g (1 + h)`` with h of up to three terms, exact or known below a precision above g.
 
-    In rank 2 some of h's exponents have first coordinate 0.
+    g's last coordinate is drawn from ``lo`` to 3 over a small denominator,
+    and in rank 2 its first from ``firsts``.  In rank 2 some of h's
+    exponents have first coordinate 0.
     """
-    g = _exponent(draw, rank, -3, 3)
+    g = _exponent(draw, rank, lo, 3, firsts)
     zero = GroupElement.zero(rank)
     gaps = sorted({e for e in (_exponent(draw, rank, -2 if rank == 2 else 1, 6, (0, 1)) for _ in range(draw(
         st.integers(0, 3)))) if e > zero})
@@ -60,6 +73,12 @@ def operands(draw, rank, leads=None):
     if draw(st.booleans()):
         return TruncatedSeries.exact(approx)
     return TruncatedSeries(approx, approx.terms[-1][0] + _exponent(draw, rank, 1, 4, (0, 1)))
+
+
+def _depth(draw, rank, lo):
+    """A depth of ``lo`` to 6 half units, plus 0 to 2 in the last coordinate in rank 2."""
+    depth = GroupElement.scalar(Fraction(draw(st.integers(lo, 6)), 2), rank)
+    return depth + GroupElement([0, draw(st.integers(0, 2))]) if rank == 2 else depth
 
 
 def _target(draw, x):
@@ -138,3 +157,24 @@ class TestHenselRoot:
 
         _check(solve, q)
         assert traces[q] == [v if v is INFINITE else v * q for v in traces[Fraction(1)]]
+
+
+class TestRvLambda:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2).flatmap(operands), st.sampled_from(QS), st.data())
+    def test_scales_gamma_and_jet(self, x, q, data):
+        lam = _depth(data.draw, x.rank, 0)
+        image, plain = _outcome(lambda: rv_lambda(sigma(x, q), lam * q)), _outcome(lambda: rv_lambda(x, lam))
+        if isinstance(plain, type):
+            assert image is plain
+        else:
+            assert (image.lam, image.gamma, image.jet) == (lam * q, plain.gamma * q, sigma_approx(plain.jet, q))
+
+
+class TestAnalyticFunctions:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda rank: operands(rank, lo=0, firsts=(0, 1))),
+           st.sampled_from(["exp", "sin", "cos", "log1p"]), st.sampled_from(QS), st.data())
+    def test_commute_with_sigma(self, a, name, q, data):
+        fn, target = default_registry().get(name), _depth(data.draw, a.rank, -2)
+        _check(lambda r: evaluate_analytic(fn, [sigma(a, r)], target * r), q)

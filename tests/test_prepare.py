@@ -9,11 +9,11 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from hahn_forge import algebraic as alg
 from hahn_forge.algebraic import AlgebraicContext, RealAlgebraic
-from hahn_forge.analytic import FunctionRegistry, evaluate_analytic, register_function
+from hahn_forge.analytic import FunctionRegistry, evaluate_analytic, hensel_root, register_function
 import hahn_forge.prepare as preparation
 from hahn_forge.errors import (
     DepthExhausted,
@@ -21,6 +21,8 @@ from hahn_forge.errors import (
     DomainViolation,
     HahnForgeError,
     InsufficientPrecision,
+    NotInfinitesimal,
+    PrecisionStall,
     UndecidableAtPrecision,
     UndecidedSign,
 )
@@ -50,7 +52,10 @@ from hahn_forge.series import (
     HahnSeries,
     INFINITE,
     TruncatedSeries,
+    _exponent,
+    _first_difference,
     compare_sign,
+    format_exponent,
     format_rational,
     format_series,
     invert,
@@ -58,6 +63,8 @@ from hahn_forge.series import (
     poly_eval,
     valuation,
 )
+from hahn_forge.terms import App, Mono, Mul, eval_term, print_term
+from test_terms import term_trees
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
 s = parse_series
@@ -559,6 +566,137 @@ class TestJacobianProbeAgainstItsReference:
         prep = [s(c) for c in centers]
         got = jacobian_probe(_JACOBIAN_MAPS[fn], prep, trials=8, rng_seed=seed)
         assert got.to_json() == _reference_jacobian_probe(_JACOBIAN_MAPS[fn], prep, 8, seed).to_json()
+
+
+def _t10_jacobian_probe(fn, prep, trials, rng_seed):
+    """``jacobian_probe`` with one rung: every point of a check valued once, at t^10, and both distances read
+    off the grids."""
+    centers = list(prep)
+    rank = centers[0].rank
+    lam, base_prec = GroupElement.scalar(1, rank), GroupElement.scalar(10, rank)
+    shifts = []
+
+    def check(x0, mates, _gamma):
+        points = [x0, *mates]
+        values = [fn(x, base_prec) for x in points]
+        shift = bad = None
+        for (x, fx), (y, fy) in itertools.combinations(zip(points, values), 2):
+            gap = _first_difference(x, y)
+            if gap is None:
+                continue
+            image = _first_difference(fx, fy)
+            if image is None:
+                raise UndecidableAtPrecision("image gap vanished")
+            delta = _exponent(*image[:2]) - _exponent(*gap[:2])
+            if shift is None:
+                shift = delta
+            elif delta != shift:
+                bad = (x, y)
+                break
+        if shift is not None:
+            shifts.append({"ball": format_series(x0), "shift": format_exponent(shift)})
+        return bad
+
+    report = VerificationReport("jacobian_probe", lam, trials, rng_seed, extra={"shifts": shifts})
+    draw = lambda rng: near_sample(rng, centers, lam, (-4, 6), steps=2, count=3)
+    return run_trials(report, "jacobian", centers, draw, check, preparation._SKIP)
+
+
+def _hensel_coefficient_map(a, prec):
+    """The lifted root of 1 + y + a y^2, as a function of the coefficient a."""
+    v = valuation(a)
+    if not (v is not INFINITE and v > GroupElement.zero(a.rank)):
+        raise NotInfinitesimal("coefficient must be infinitesimal")
+    return hensel_root([a], prec, a.rank)
+
+
+def _below_t10_raises(x, prec):
+    if prec < GroupElement.scalar(10, x.rank):
+        raise InsufficientPrecision("only t^10 is served")
+    return x * x
+
+
+def _probe_outcome(probe, fn, centers, seed):
+    """The report's JSON, or the class and message of the error the probe raised."""
+    try:
+        return probe(fn, centers, 8, seed).to_json()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def ladder_maps(draw, rank):
+    """``(name, map)``: a map of the table (rank 1), the Hensel coefficient map, a map that raises below
+    t^10, or ``eval_term`` of a random term, at times under exp, sin, cos or log1p of t times the term."""
+    kind = draw(st.sampled_from(["table", "hensel", "term", "term", "applied"] if rank == 1 else
+                                ["hensel", "term", "term", "applied"]))
+    if kind == "table":
+        name = draw(st.sampled_from(sorted(_JACOBIAN_MAPS)))
+        return name, _JACOBIAN_MAPS[name]
+    if kind == "hensel":
+        return draw(st.sampled_from([("hensel", _hensel_coefficient_map), ("raises below t^10", _below_t10_raises)]))
+    node = draw(term_trees(rank))
+    if kind == "applied":
+        name = draw(st.sampled_from(["exp", "sin", "cos", "log1p"]))
+        node = App(name, (Mul(Mono(GroupElement.scalar(1, rank)), node),))
+    return print_term(node), lambda x, prec: eval_term(node, x, prec)
+
+
+class TestJacobianProbeLadder:
+    """The probe that values exact points just above their deepest gap first against the one that values
+    every point at t^10 alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ladder_maps(1),
+           st.sampled_from([["0"], ["1"], ["1", "-1"], ["1*t^(1/2)", "1 + O(t^(4))"], ["0", "1*t^(2)"],
+                            ["1 + O(t^(4))"], ["-2*t^(-1) + 1*t^(1/3)"], ["1*t^(1) + O(t^(3))", "0"]]),
+           st.integers(0, 10**6))
+    @example(("1/x", _JACOBIAN_MAPS["1/x"]), ["1*t^(1/2)", "1 + O(t^(4))"], 0)
+    def test_same_report_or_error_in_rank_one(self, named, centers, seed):
+        _, fn = named
+        prep = [s(c) for c in centers]
+        assert _probe_outcome(jacobian_probe, fn, prep, seed) == _probe_outcome(_t10_jacobian_probe, fn, prep, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ladder_maps(2),
+           st.sampled_from([["0"], ["1"], ["1*t^(0,1)", "-1"], ["1 + O(t^(2,0))"], ["1*t^(1,0)", "0"]]),
+           st.integers(0, 10**6))
+    def test_same_report_in_rank_two_where_the_t10_probe_reports(self, named, centers, seed):
+        _, fn = named
+        prep = [s(c, rank=2) for c in centers]
+        want, got = _probe_outcome(_t10_jacobian_probe, fn, prep, seed), _probe_outcome(jacobian_probe, fn, prep, seed)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            event("t^10 raises; " + ("the ladder reports" if isinstance(got, str) else
+                                     "the ladder raises the same" if got == want else "the ladder raises another"))
+
+    def test_exact_points_call_the_map_below_t10_and_inexact_ones_at_t10(self):
+        calls = []
+
+        # a stall on a blurry coefficient is skipped, so that every trial runs
+        def recorded(a, prec):
+            calls.append(prec)
+            try:
+                return _hensel_coefficient_map(a, prec)
+            except PrecisionStall as exc:
+                raise InsufficientPrecision(str(exc)) from exc
+
+        report = jacobian_probe(recorded, [s("0")], trials=20, rng_seed=23)
+        assert report.passed()
+        below = [p for p in calls if p < ge(10)]
+        assert below and len(below) > len(calls) - len(below)
+        calls.clear()
+        jacobian_probe(recorded, [s("1 + O(t^(4))")], trials=20, rng_seed=23)
+        assert calls and set(calls) == {ge(10)}
+
+    @pytest.mark.parametrize("fn", [_below_t10_raises, lambda x, prec: (x * x).truncate(prec - ge(7))],
+                             ids=["raises below t^10", "gap undetermined below t^10"])
+    def test_a_lower_rung_that_decides_nothing_leaves_t10_to_decide(self, fn):
+        prep = [s("0")]
+        want = _t10_jacobian_probe(fn, prep, 20, 5)
+        assert want.checked == 20 and want.extra["shifts"]
+        assert jacobian_probe(fn, prep, 20, 5).to_json() == want.to_json()
 
 
 class TestStrongUnitProbe:

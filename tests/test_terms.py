@@ -14,6 +14,7 @@ from hahn_forge.errors import (
     BudgetExhausted,
     DivisionByZero,
     DomainError,
+    HahnForgeError,
     NotInfinitesimal,
     TermSyntaxError,
     UndecidableAtPrecision,
@@ -615,6 +616,20 @@ class TestPrepareTerm:
             prepare_term(parse_term("inv(x-x)"), ge(0), budget=3, trials=20, rng_seed=11)
         assert len(calls) == 1
         assert info.value.report.verdict == "undecided"
+
+    def test_a_rank_two_term_gets_candidates_of_its_rank(self, monkeypatch):
+        # root expansion is rank 1 only, so it still raises; the candidates it gets are all of rank 2
+        seen = []
+        deepen = preparation.deepen
+
+        def recording(polys, *args):
+            seen.extend(polys)
+            return deepen(polys, *args)
+
+        monkeypatch.setattr(preparation, "deepen", recording)
+        with pytest.raises(HahnForgeError, match="^root expansion works over exponent rank 1$"):
+            prepare_term(parse_term("x^2 - t^(1,0)", rank=2), GroupElement([0, 0]), trials=20, rng_seed=11)
+        assert seen and {c.rank for p in seen for c in p} == {2}
 
 
 class TestLiteralZeroDenominator:
