@@ -118,7 +118,7 @@ def _build_parser():
 
     p = add_parser("jacobian")
     p.add_argument("term")
-    p.add_argument("--with-C", dest="with_c", default=None)
+    p.add_argument("--with-C", dest="with_c", default="")
 
     p = add_parser("probe-unit")
     p.add_argument("--center", required=True)
@@ -183,10 +183,12 @@ def _dispatch(args, registry):
         raise ValueError(f"{args.command} supports rank 1 only, got --rank {rank}")
     prec = GroupElement.scalar(_rational("--prec", args.prec), rank)
     lam = GroupElement.scalar(_rational("--lambda", args.lam), rank)
-    if args.command == "eval":
+    if hasattr(args, "term"):
+        # the one evaluation of the term that every term command uses
         node = parse_term(args.term, registry, rank)
-        x = parse_series(args.at, rank)
-        value = eval_term(node, x, prec, registry, args.inv_zero_is_zero)
+        term = functools.partial(eval_term, node, registry=registry, inv_zero_is_zero=args.inv_zero_is_zero)
+    if args.command == "eval":
+        value = term(parse_series(args.at, rank), prec)
         _emit({"value": format_series(value)}, f"eval ok at precision {args.prec}")
         return 0
 
@@ -246,9 +248,7 @@ def _dispatch(args, registry):
         return 0
 
     if args.command == "prepare":
-        node = parse_term(args.term, registry, rank)
-        prep, report = prepare_term(node, lam, args.budget, args.trials, args.seed, registry,
-                                    args.inv_zero_is_zero)
+        prep, report = prepare_term(node, lam, args.budget, args.trials, args.seed, term)
         _emit(
             {"preparing_set": prep.to_dict(), "report": report.to_dict()},
             f"prepared with {len(prep.points)} points: {report.verdict}",
@@ -256,17 +256,12 @@ def _dispatch(args, registry):
         return _VERDICT_EXIT[report.verdict]
 
     if args.command in ("verify", "jacobian"):
-        node = parse_term(args.term, registry, rank)
-        # verify requires --with-C, even an empty one; jacobian prepares the term without it
-        if args.with_c or args.command == "verify":
-            centers = [parse_series(c.strip(), rank) for c in args.with_c.split(";") if c.strip()]
-        else:
-            centers = prepare_term(node, lam, 3, args.trials, args.seed, registry,
-                                   args.inv_zero_is_zero)[0].centers()
-        term_fn = lambda x, p: eval_term(node, x, p, registry, args.inv_zero_is_zero)
+        centers = [parse_series(c.strip(), rank) for c in args.with_c.split(";") if c.strip()]
+        # verify checks the set it is given, even an empty one; jacobian prepares the term when it names no center
         if args.command == "jacobian":
-            return _report(jacobian_probe(term_fn, centers, args.trials, args.seed), "jacobian probe")
-        return _report(preparation.verify_preparation(term_fn, centers, lam, args.trials, args.seed), "verification")
+            centers = centers or prepare_term(node, lam, 3, args.trials, args.seed, term)[0].centers()
+            return _report(jacobian_probe(term, centers, args.trials, args.seed), "jacobian probe")
+        return _report(preparation.verify_preparation(term, centers, lam, args.trials, args.seed), "verification")
 
     # probe-unit: argparse admits no other command
     parts = {}

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import prepare as preparation
 from .analytic import default_registry, evaluate_analytic
@@ -442,7 +443,7 @@ def candidate_polynomials(node, rank=1):
     return _parts([_skeleton(node, rank)], rank)
 
 
-def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None, inv_zero_is_zero=False):
+def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, term=None):
     """Preparing set for a term: candidate points from its polynomial parts.
 
     The candidate set is the union of the polynomial preparing sets of all
@@ -450,14 +451,18 @@ def prepare_term(node, lam, budget=3, trials=300, rng_seed=0, registry=None, inv
     is returned only with a passing verification report, deepening within
     the budget otherwise; a budget below 1 attempt is a ValueError.  An
     ``undecided`` report (no sample checked) ends the search at once:
-    deeper branch points cannot make skipped samples checkable.  The term
-    is evaluated under ``eval_term``'s ``inv_zero_is_zero`` convention.
+    deeper branch points cannot make skipped samples checkable.
+
+    ``term`` is the callable ``term(x, prec)`` that the verification
+    samples, and it must evaluate ``node``; it carries the evaluation
+    settings, such as a registry or ``eval_term``'s ``inv_zero_is_zero``
+    convention.  By default it is ``eval_term`` of ``node`` under the
+    default registry, with the convention off.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got budget {budget}")
-    registry = registry if registry is not None else default_registry()
-    term_fn = lambda x, prec: eval_term(node, x, prec, registry, inv_zero_is_zero)
-    prep, report, _ = preparation.deepen(candidate_polynomials(node, lam.rank), term_fn, lam, budget, trials, rng_seed)
+    term = term if term is not None else partial(eval_term, node)
+    prep, report, _ = preparation.deepen(candidate_polynomials(node, lam.rank), term, lam, budget, trials, rng_seed)
     if report.passed():
         return prep, report
     raise BudgetExhausted("preparation budget exhausted", report=report)

@@ -18,17 +18,34 @@ satisfy
 value and precision alike, or raise the same class of error on both
 sides.  The leading-term structure is carried along: ``rv_lambda(sigma_q
 x, q lam)`` has the valuation of ``rv_lambda(x, lam)`` times q and its jet
-under sigma_q.  These relations need no second implementation of any
-solver.
+under sigma_q.  The same holds one level up, with every exponent argument
+scaled and every count left alone:
+
+- ``eval_term`` of a term whose ``t^(e)`` atoms become ``t^(q e)``, at the
+  image point and target;
+- ``puiseux_roots`` at depth q d: each branch exponent and the depth of
+  each branch times q, the coefficients unchanged;
+- ``newton_polygon``: each edge's valuation times q, its multiplicity
+  unchanged;
+- ``weierstrass_divide`` at precision q p and the same degree bound, as
+  sigma_q acts on the coefficients and fixes the variables.
+
+These relations need no second implementation of any solver.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from test_multiseries import _random_division_instance
+from test_terms import eval_points, term_trees
 
 from hahn_forge.analytic import default_registry, evaluate_analytic, hensel_root
+from hahn_forge.multiseries import MultiSeries, weierstrass_divide
+from hahn_forge.prepare import newton_polygon, puiseux_roots
 from hahn_forge.rv import rv_lambda
 from hahn_forge.series import INFINITE, GroupElement, HahnSeries, TruncatedSeries, invert, nth_root
+from hahn_forge.terms import Add, App, Lit, Mono, Mul, Neg, Pow, Sub, Var, eval_term
 
 QS = [Fraction(2), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
 DENS = [1, 2, 3, 5]
@@ -97,13 +114,14 @@ def _outcome(solve):
         return type(exc)
 
 
-def _check(solve, q):
-    """``solve(q)`` is the solver on the sigma_q image; it must equal sigma_q of ``solve(1)``."""
+def _check(solve, q, transport=sigma):
+    """``solve(q)`` is the solver on the sigma_q image; it must equal ``transport(solve(1), q)``, by default
+    sigma_q of the series."""
     image, plain = _outcome(lambda: solve(q)), _outcome(lambda: solve(Fraction(1)))
     if isinstance(plain, type):
         assert image is plain
     else:
-        assert image == sigma(plain, q)
+        assert image == transport(plain, q)
 
 
 class TestInvert:
@@ -178,3 +196,102 @@ class TestAnalyticFunctions:
     def test_commute_with_sigma(self, a, name, q, data):
         fn, target = default_registry().get(name), _depth(data.draw, a.rank, -2)
         _check(lambda r: evaluate_analytic(fn, [sigma(a, r)], target * r), q)
+
+
+def sigma_term(node, q):
+    """``sigma_q`` of a term: every ``t^(e)`` atom becomes ``t^(q e)``."""
+    if isinstance(node, Mono):
+        return Mono(node.exponent * q)
+    if isinstance(node, (Lit, Var)):
+        return node
+    if isinstance(node, Neg):
+        return Neg(sigma_term(node.operand, q))
+    if isinstance(node, Pow):
+        return Pow(sigma_term(node.base, q), node.exponent)
+    if isinstance(node, App):
+        return App(node.name, tuple(sigma_term(a, q) for a in node.args))
+    return type(node)(sigma_term(node.left, q), sigma_term(node.right, q))
+
+
+@st.composite
+def analytic_terms(draw, rank):
+    """A ``term_trees`` tree joined to one or two applications of exp, sin, cos or log1p.
+
+    Half of the arguments are multiplied by ``t^(1)``, so that many of them
+    are infinitesimal at the drawn point.
+    """
+    node = draw(term_trees(rank, 2))
+    for _ in range(draw(st.integers(1, 2))):
+        arg = draw(term_trees(rank, 2))
+        if draw(st.booleans()):
+            arg = Mul(Mono(GroupElement.scalar(1, rank)), arg)
+        app = App(draw(st.sampled_from(["exp", "sin", "cos", "log1p"])), (arg,))
+        node = draw(st.sampled_from([Add, Sub, Mul]))(node, app)
+    return node
+
+
+class TestEvalTerm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2), st.sampled_from(QS), st.data())
+    def test_commutes_with_sigma(self, rank, q, data):
+        node, x = data.draw(analytic_terms(rank)), data.draw(eval_points(rank))
+        target = GroupElement([Fraction(data.draw(st.integers(-2, 8)), data.draw(st.sampled_from([1, 2, 3])))]
+                              + [Fraction(data.draw(st.integers(-4, 4)), 2) for _ in range(rank - 1)])
+        _check(lambda r: eval_term(sigma_term(node, r), sigma(x, r), target * r), q)
+
+
+@st.composite
+def polynomials(draw, rank, exact=False):
+    """Coefficients of a polynomial of degree 2 to 4: ``operands``, some exact zeros, a nonzero leading one."""
+    zero = TruncatedSeries.zero(rank)
+    coeffs = [draw(st.one_of(st.just(zero), operands(rank))) for _ in range(draw(st.integers(2, 4)))]
+    coeffs.append(draw(operands(rank)))
+    return [TruncatedSeries.exact(c.approx) for c in coeffs] if exact else coeffs
+
+
+def _branches(roots):
+    """Each root's branch, depth and conjugacy; the ramification is the lcm of the branch exponents'
+    denominators, so it is left out."""
+    return [(r.branch, r.depth, r.conjugacy_tag) for r in roots]
+
+
+def _scaled_branches(branches, q):
+    """``_branches`` under sigma_q: every branch exponent and finite depth times q."""
+    return [(tuple((e * q, c) for e, c in b), d if d is INFINITE else d * q, tag) for b, d, tag in branches]
+
+
+class TestPuiseuxRoots:
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(1, exact=True), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]),
+           st.sampled_from(QS))
+    def test_commutes_with_sigma(self, coeffs, depth, q):
+        _check(lambda r: _branches(puiseux_roots([sigma(c, r) for c in coeffs], depth * r)), q, _scaled_branches)
+
+
+class TestNewtonPolygon:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2).flatmap(polynomials), st.sampled_from(QS), st.booleans())
+    def test_scales_the_edge_valuations(self, coeffs, q, blur):
+        if blur:
+            # a coefficient known only as O(t^(1)) has no determined valuation
+            coeffs = [TruncatedSeries(HahnSeries([], coeffs[0].rank), GroupElement.scalar(1, coeffs[0].rank))] + coeffs
+        _check(lambda r: newton_polygon([sigma(c, r) for c in coeffs]), q,
+               lambda edges, r: [(nu * r, m) for nu, m in edges])
+
+
+def sigma_multiseries(f, q):
+    """``sigma_q`` of a multiseries: on each coefficient, leaving the variables and degrees alone."""
+    return MultiSeries(f.nvars, f.degree, {i: sigma(c, q) for i, c in f.coeffs.items()}, rank=f.rank)
+
+
+class TestWeierstrassDivide:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 12), st.sampled_from(QS))
+    def test_commutes_with_sigma(self, seed, prec, q):
+        f, g, var, d_out = _random_division_instance(random.Random(seed))
+        target = GroupElement.scalar(Fraction(prec, 2))
+
+        def divide(r):
+            return weierstrass_divide(sigma_multiseries(f, r), sigma_multiseries(g, r), var, d_out, target * r)
+
+        _check(divide, q, lambda out, r: (sigma_multiseries(out[0], r), [sigma_multiseries(h, r) for h in out[1]]))

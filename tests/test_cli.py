@@ -138,6 +138,18 @@ class TestVerificationCommands:
         assert payload["report"]["verdict"] == "pass"
         assert payload["report"]["shifts"]
 
+    @pytest.mark.parametrize("blank", ["", " ", ";", " ; "])
+    def test_jacobian_prepares_when_with_c_names_no_center(self, capsys, blank):
+        argv = ("jacobian", "x^2", "--trials", "20")
+        prepared = run(capsys, *argv)
+        assert prepared[0] == 0
+        assert run(capsys, *argv, "--with-C", blank) == prepared
+
+    @pytest.mark.parametrize("blank", ["", " ", ";", " ; "])
+    def test_verify_of_a_with_c_that_names_no_center_is_a_usage_error(self, capsys, blank):
+        assert run_cli(["verify", "x^2", "--with-C", blank, "--trials", "20"]) == 2
+        assert capsys.readouterr() == ("", "error: the preparing set must be nonempty\n")
+
     def test_probe_unit(self, capsys):
         code, payload, _ = run(
             capsys,
@@ -186,10 +198,10 @@ class TestMoreSurface:
         code, payload, _ = run(capsys, "eval", "--inv-zero-is-zero", "1/x", "--at", "0")
         assert code == 0 and payload == {"value": "0"}
 
-    @pytest.mark.parametrize("command", ["prepare", "jacobian"])
+    @pytest.mark.parametrize("command", ["prepare", "jacobian", "verify --with-C 0", "jacobian --with-C 0"])
     def test_inv_zero_convention_reaches_preparation(self, capsys, command):
         # inv(x - x) has no value without the convention, so no sample can be checked
-        argv = (command, "inv(x - x) + x", "--trials", "20")
+        argv = (*command.split(), "inv(x - x) + x", "--trials", "20")
         code, _, _ = run(capsys, *argv)
         assert code == 3
         code, payload, _ = run(capsys, *argv, "--inv-zero-is-zero")

@@ -26,6 +26,7 @@ VARIANTS = [
     ["--rank", "2"],
     *([flag, value] for flag in ("--prec", "--lambda") for value in ("0", "-1", "1/0", "abc")),
     ["--trials", "0"],
+    ["--inv-zero-is-zero"],
 ]
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -616,6 +617,14 @@ class TestPrepareTerm:
             prepare_term(parse_term("inv(x-x)"), ge(0), budget=3, trials=20, rng_seed=11)
         assert len(calls) == 1
         assert info.value.report.verdict == "undecided"
+
+    def test_the_term_callable_carries_the_convention(self):
+        # without the convention no sample of this term can be checked, as for inv(x-x) above
+        node = parse_term("inv(x-x) + x")
+        term = partial(eval_term, node, inv_zero_is_zero=True)
+        prep, report = prepare_term(node, ge(0), trials=20, rng_seed=11, term=term)
+        assert report.passed()
+        assert [format_series(p.series) for p in prep.points] == ["0"]
 
     def test_a_rank_two_term_gets_candidates_of_its_rank(self, monkeypatch):
         # root expansion is rank 1 only, so it still raises; the candidates it gets are all of rank 2
