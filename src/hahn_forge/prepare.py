@@ -46,8 +46,8 @@ from .errors import (
 from .rv import (
     VerificationReport,
     _mates_at,
+    _point_pairs,
     near_sample,
-    random_point,
     run_trials,
     rv_lambda,
 )
@@ -58,6 +58,9 @@ from .series import (
     TruncatedSeries,
     _exponent,
     _first_difference,
+    _half_steps,
+    _key_of,
+    _key_sum,
     compare_sign,
     format_exponent,
     format_rational,
@@ -720,7 +723,11 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
     it is first evaluated at P1 = g + (1/2, 0, ..., 0), g the largest
     point gap, if P1 lies below t^10.  That rung decides the sample when
     every image gap it reads, up to the first disagreeing pair, is
-    determined.  At an exact point the package's maps return the unique
+    determined.  It values the points in the order the pairs read them
+    and goes to t^10 at the first undetermined image gap, leaving the
+    points after it unvalued there; it decides only once every point is
+    valued at P1, so that an error at P1 still sends the sample to t^10.
+    At an exact point the package's maps return the unique
     truncation of f(x), so the values at P1 and at t^10 agree below P1,
     and an image gap determined below P1 is the one t^10 gives: the shift,
     the witness and the report are those of t^10 alone.  An inexact point
@@ -739,12 +746,12 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
     half = GroupElement.scalar(Fraction(1, 2), rank)
     shifts = []
 
-    # (shift, disagreeing pair) from the values, or None at the first
-    # undetermined image gap
-    def compare(points, values, gaps):
+    # (shift, disagreeing pair) from the value of each point, or None at
+    # the first undetermined image gap
+    def compare(points, value, gaps):
         shift = bad = None
         for i, j, gap in gaps:
-            image = _first_difference(values[i], values[j])
+            image = _first_difference(value(i), value(j))
             if image is None:
                 return None
             delta = _exponent(*image[:2]) - gap
@@ -763,12 +770,15 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
         if gaps and all(x.is_exact() for x in points):
             low = max(gap for _, _, gap in gaps) + half
             if low < base_prec:
+                at_low = cache(lambda i: fn(points[i], low))
                 try:
-                    outcome = compare(points, [fn(x, low) for x in points], gaps)
+                    outcome = compare(points, at_low, gaps)
+                    if outcome is not None:
+                        list(map(at_low, range(len(points))))
                 except HahnForgeError:
-                    pass
+                    outcome = None
         if outcome is None:
-            outcome = compare(points, [fn(x, base_prec) for x in points], gaps)
+            outcome = compare(points, [fn(x, base_prec) for x in points].__getitem__, gaps)
             if outcome is None:
                 raise UndecidableAtPrecision("image gap vanished")
         shift, bad = outcome
@@ -881,15 +891,16 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
     # inside the annulus when their leading coefficient is small enough
     lo, hi = v_out.first(), v_in.first()
     gammas = (GroupElement.scalar(Fraction(k, 4), rank) for k in range(floor(lo * 4), ceil(hi * 4) + 1))
-    rows = [(gamma, decide(gamma), all_constant(gamma)) for gamma in gammas]
+    depth = _key_of(lam)
+    rows = [(key := _key_of(gamma), _key_sum(key, depth), decide(gamma), all_constant(gamma)) for gamma in gammas]
 
     def draw(rng):
-        gamma, verdict, constant = rng.choice(rows)
-        x0 = center + random_point(rng, gamma, steps=2)
+        gamma, base, verdict, constant = rng.choice(rows)
+        x0 = _half_steps(center, gamma, _point_pairs(rng, 2))
         if not inside(x0, verdict):
             return None
         # inside the annulus, x0 - center has a decided sign, so its valuation is gamma
-        mates = [m for m in _mates_at(rng, x0, gamma, lam, 2, 3) if inside(m, verdict)]
+        mates = [m for m in _mates_at(rng, x0, base, 2, 3) if inside(m, verdict)]
         return (x0, mates, constant) if mates else None
 
     def check(x0, mates, constant):

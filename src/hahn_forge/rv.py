@@ -7,12 +7,16 @@ same multiplicative coset ``x (1 + {v > lam})``, so the fibres of
 ``x -> rv_lambda(x - c)`` are the balls lam-next to c.
 
 The sampling utilities below draw reproducible finite-support points from
-these fibres, built on the integer grid of ``series``: the exponents
-``base + k/2`` of a random point or tail go straight onto a grid, in the
-same order of random calls, ``ball_mates`` reads the key of ``v(x0 - c)``
-at the first difference of the two grids and builds the exponent of the
-largest once, and ``rv_lambda`` compares its depth and cuts its jet on the
-grid keys.
+these fibres on the integer grid of ``series``, by one path for every rank
+and every exact or inexact center.  A draw puts gamma and ``depth + lam``
+on int keys once, and ``_half_steps`` merges the few drawn terms
+``c t^(base + k/2)`` straight into the grid of the center (for x0) or of
+x0 (for a mate), cutting them at an inexact center's precision as
+``field_op`` cuts a sum; the ``random`` calls come in the same order as
+when the points were built as series and added.  ``ball_mates`` reads the
+key of ``v(x0 - c)`` at the first difference of the two grids and keeps
+the largest, and ``rv_lambda`` compares its depth and cuts its jet on the
+grid keys.  ``strong_unit_probe`` draws through the same helpers.
 
 ``run_trials`` is the one trial loop of every sampling verifier in the
 package: it seeds each trial from the verifier's tag and seed, so that a
@@ -26,16 +30,18 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InsufficientPrecision, SingletonBall, UndecidableAtPrecision, ZeroInverse
 from .series import (
     GroupElement,
     HahnSeries,
     TruncatedSeries,
-    _exponent,
     _first_difference,
     _half_steps,
     _key_lt,
+    _key_of,
+    _key_sum,
     _unit_jet,
     format_exponent,
     format_series,
@@ -149,16 +155,24 @@ def _tail_steps(rng, steps):
     return [(k, rng.choice(_COEFF_POOL)) for k in range(1, steps + 1) if rng.random() < 0.5]
 
 
+def _tail_pairs(rng, steps):
+    """The ``(k, c)`` of a random tail: ``_tail_steps``, or one drawn term when none is kept."""
+    return _tail_steps(rng, steps) or [(rng.randint(1, steps), rng.choice(_COEFF_POOL))]
+
+
+def _point_pairs(rng, steps):
+    """The ``(k, c)`` of a random point: a head at k = 0, then ``_tail_steps``."""
+    return [(0, rng.choice(_COEFF_POOL)), *_tail_steps(rng, steps)]
+
+
 def random_tail(rng, base, steps=4):
     """Random terms at exponents ``base + {1/2, 1, ...}``; one drawn term when none is kept."""
-    pairs = _tail_steps(rng, steps) or [(rng.randint(1, steps), rng.choice(_COEFF_POOL))]
-    return _half_steps(base, pairs)
+    return _half_steps(TruncatedSeries.zero(len(base)), _key_of(base), _tail_pairs(rng, steps)).approx
 
 
 def random_point(rng, lead, steps=4):
     """Random finite-support point with valuation exactly ``lead``."""
-    head = (0, rng.choice(_COEFF_POOL))
-    return TruncatedSeries.exact(_half_steps(lead, [head, *_tail_steps(rng, steps)]))
+    return _half_steps(TruncatedSeries.zero(len(lead)), _key_of(lead), _point_pairs(rng, steps))
 
 
 def sample_in_ball(ball, rng_seed, extra_depth=Fraction(2)):
@@ -190,16 +204,12 @@ def ball_mates(rng, x0, centers, lam, count=2, steps=3):
             return None
         if depth is None or _key_lt(depth, first):
             depth = first
-    return _mates_at(rng, x0, _exponent(*depth[:2]), lam, count, steps)
+    return _mates_at(rng, x0, _key_sum(depth[:2], _key_of(lam)), count, steps)
 
 
-def _mates_at(rng, x0, depth, lam, count, steps):
-    """``count`` points x0 + tail, each tail random at exponents above ``depth + lam``."""
-    mates = []
-    for _ in range(count):
-        tail = random_tail(rng, depth + lam, steps=steps)
-        mates.append(x0 + TruncatedSeries.exact(tail))
-    return mates
+def _mates_at(rng, x0, base, count, steps):
+    """``count`` points x0 + tail, each tail random at exponents above the key ``base``, merged onto x0's grid."""
+    return [_half_steps(x0, base, _tail_pairs(rng, steps)) for _ in range(count)]
 
 
 @dataclass
@@ -278,6 +288,12 @@ def run_trials(report, tag, centers, draw, check, skip):
     return report
 
 
+@lru_cache(maxsize=256)
+def _half_unit(k, rank):
+    """The exponent ``(k/2, 0, ..., 0)`` and its key; immutable, so one of each serves every draw of k."""
+    return (gamma := GroupElement.scalar(Fraction(k, 2), rank)), _key_of(gamma)
+
+
 def near_sample(rng, centers, lam, grid, steps, count, mate_steps=3):
     """A point x0 near a random center, and its ball-mates.
 
@@ -286,8 +302,8 @@ def near_sample(rng, centers, lam, grid, steps, count, mate_steps=3):
     with a center.
     """
     anchor = rng.choice(centers)
-    gamma = GroupElement.scalar(Fraction(rng.randint(*grid), 2), anchor.rank)
-    x0 = anchor + random_point(rng, gamma, steps=steps)
+    gamma, key = _half_unit(rng.randint(*grid), anchor.rank)
+    x0 = _half_steps(anchor, key, _point_pairs(rng, steps))
     mates = ball_mates(rng, x0, centers, lam, count=count, steps=mate_steps)
     return None if mates is None else (x0, mates, gamma)
 

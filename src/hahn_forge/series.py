@@ -23,8 +23,9 @@ The grid is the only stored form: ``HahnSeries.terms`` is the same value
 as ``(GroupElement, Fraction)`` pairs, built on each read and never kept,
 and ``format_series`` writes each term from its key and numerator over
 ``eden`` and ``cden``; no int key leaves this module.
-Only the key helpers, from ``_key_of`` to ``_half_steps``, tell the
-ranks apart, once per call.
+Only the key helpers, from ``_key_of`` to ``_half_steps``, and
+``_int_products``, which hands rank-d keys to ``_rank_d_products``, tell
+the ranks apart, once per call.
 
 Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
 < p (the open bound of a precision), and ``truncate_through(hi)`` keeps
@@ -48,8 +49,9 @@ of ``_key_of``, least like a grid and None for INFINITE; ``prec`` is built
 from it on each read.  Every bound meets the grid as a key, so the
 precision of a product, ``min(p_a + v(b), p_b + v(a))``, is an int sum and
 an int comparison, with ``v`` read off the first key of a grid.  The parts
-of a verifier trial read the grid too: ``_half_steps`` puts sample
-exponents ``base + k/2`` on a grid, ``_first_difference`` reads the key and
+of a verifier trial read the grid too: ``_half_steps`` merges the drawn
+terms ``c t^(base + k/2)`` into a point's grid, cut at its precision as
+``field_op`` cuts a sum, ``_first_difference`` reads the key and
 sign of the lowest term of ``a - b`` at the first difference of two grids,
 below both precisions, and ``_unit_jet`` cuts the jet of ``rv_lambda`` in
 one pass.  Every comparison of the samplers, a distance ``v(a - b)`` or an
@@ -104,8 +106,8 @@ import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, product
-from math import factorial, gcd, lcm
-from operator import itemgetter
+from math import factorial, gcd, inf, lcm
+from operator import add, itemgetter
 
 from .errors import (
     InsufficientPrecision,
@@ -249,7 +251,10 @@ def _int_products(ka, na, kb, nb, bound):
     ``(keys, nums)``.  A bound above the top pair cuts nothing, so no pair
     is compared with it.  Otherwise ``kb`` ascends, so the key ascends along
     the inner loop, which stops at the first key at or above ``bound``.
+    Rank-d keys go to ``_rank_d_products``.
     """
+    if type(ka[0]) is not int:
+        return _rank_d_products(ka, na, kb, nb, bound)
     if bound is INFINITE or ka[-1] + kb[-1] < bound:
         pairs = [(x + y, ca * cb) for x, ca in zip(ka, na) for y, cb in zip(kb, nb)]
     else:
@@ -264,6 +269,21 @@ def _int_products(ka, na, kb, nb, bound):
     pairs.sort(key=_first)
     merged = _collect(pairs)
     return tuple(map(_first, merged)), tuple(c for _, c in merged)
+
+
+def _rank_d_products(ka, na, kb, nb, bound):
+    """``_int_products`` of rank-d keys, each pair key a plain tuple of the int coordinate sums.
+
+    ``map`` adds the coordinates, with no ``GroupElement.__add__``; plain
+    tuples order and compare as the keys do, so a pair is kept when its key
+    lies below ``bound`` (below ``(inf,)`` for no cut), and only the merged
+    keys become ``GroupElement``s.
+    """
+    top = (inf,) if bound is INFINITE or ka[-1] + kb[-1] < bound else bound
+    pairs = [(k, ca * cb) for x, ca in zip(ka, na) for y, cb in zip(kb, nb) if (k := tuple(map(add, x, y))) < top]
+    pairs.sort(key=_first)
+    merged = _collect(pairs)
+    return tuple(tuple.__new__(GroupElement, k) for k, _ in merged), tuple(c for _, c in merged)
 
 
 # -- the rank decision: exponents and bounds on the grid of keys -------------
@@ -366,22 +386,36 @@ def _key_lt(a, b):
     return a[1] * b[0] < b[1] * a[0]
 
 
-def _half_steps(base, pairs):
-    """The series ``sum c t^(base + k/2)`` of one or more ``(k, c)`` pairs, put on the grid directly.
+def _half_steps(x, base, pairs):
+    """``x + sum c t^(base + k/2)`` for the key ``base`` and one or more ``(k, c)`` pairs, merged onto x's grid.
 
     The ints ``k >= 0`` ascend and the int coefficients ``c`` are nonzero,
-    so the keys ``base + k/2`` over the lcm of 2 and the denominator of
-    ``base`` ascend too.
+    so the keys ``base + k/2``, over the lcm of 2, the denominator of
+    ``base`` and that of x, ascend too; each is put into x's keys by one
+    bisection.  The sum is ``field_op``'s: an inexact x keeps its precision
+    key, and the terms at or above it are cut.
     """
-    rank = len(base)
-    bden, bkey = _key_of(base)
-    eden = bden if bden % 2 == 0 else 2 * bden
-    half, bkey = eden // 2, bkey * (eden // bden)
-    if rank == 1:
-        keys = tuple(bkey + k * half for k, _ in pairs)
+    eden, keys, cden, nums = x.approx._grid
+    bden, bkey = base
+    new = lcm(eden, bden, 2)
+    half, bkey = new // 2, bkey * (new // bden)
+    if type(bkey) is int:
+        steps = [bkey + k * half for k, _ in pairs]
     else:
-        keys = tuple(tuple.__new__(GroupElement, (bkey[0] + k * half, *bkey[1:])) for k, _ in pairs)
-    return _on_grid((*_least(eden, keys), 1, tuple(c for _, c in pairs)), rank)
+        steps = [tuple.__new__(GroupElement, (bkey[0] + k * half, *bkey[1:])) for k, _ in pairs]
+    if x._pkey is not None:
+        del steps[bisect_left(steps, _below_key(x._pkey, new)):]
+    keys, nums = list(_over(eden, new, keys)), list(nums)
+    for key, (_, c) in zip(steps, pairs):
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            nums[i] += c * cden
+            if not nums[i]:
+                del keys[i], nums[i]
+        else:
+            keys.insert(i, key)
+            nums.insert(i, c * cden)
+    return _truncated(_on_grid((*_least(new, tuple(keys)), *_least(cden, tuple(nums))), x.rank), x._pkey)
 
 
 def _over(den, new, nums):

@@ -34,17 +34,22 @@ These relations need no second implementation of any solver.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from test_multiseries import _random_division_instance
 from test_terms import eval_points, term_trees
 
 from hahn_forge.analytic import default_registry, evaluate_analytic, hensel_root
 from hahn_forge.multiseries import MultiSeries, weierstrass_divide
-from hahn_forge.prepare import newton_polygon, puiseux_roots
+from hahn_forge.prepare import newton_polygon, puiseux_roots, verify_preparation
 from hahn_forge.rv import rv_lambda
-from hahn_forge.series import INFINITE, GroupElement, HahnSeries, TruncatedSeries, invert, nth_root
+from hahn_forge.series import (INFINITE, GroupElement, HahnSeries, TruncatedSeries, invert, nth_root, parse_series,
+                               poly_eval, power)
 from hahn_forge.terms import Add, App, Lit, Mono, Mul, Neg, Pow, Sub, Var, eval_term
 
 QS = [Fraction(2), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
@@ -295,3 +300,72 @@ class TestWeierstrassDivide:
             return weierstrass_divide(sigma_multiseries(f, r), sigma_multiseries(g, r), var, d_out, target * r)
 
         _check(divide, q, lambda out, r: (sigma_multiseries(out[0], r), [sigma_multiseries(h, r) for h in out[1]]))
+
+
+# ---------------------------------------------------------------------------
+# witness transport: a violation of verify_preparation(p, C, lam) is a pair
+# (x, y) in one ball lam-next to C whose rv_lam(p(.)) differ.  Both facts are
+# exact, so each automorphism carries the pair to a violation of the image,
+# checked here by evaluating rv_lambda, with no sampling.
+
+# x^n - s^n t^e of ROADMAP item 19's family, {0} preparing none of them: where the
+# verifier draws a ball next to a root, it records violations to carry
+FAMILY = [(n, s, e) for n in (2, 3) for s in (1, 2, 3) for e in (1, 2, 3, 4, Fraction(3, 2))]
+# (a, b) of x -> a x + b per rank; a is a monomial, so (z - b)/a is exact
+AFFINE = {1: [("2", "0"), ("-1/3", "1"), ("1*t^(1)", "-2*t^(1/2)"), ("-2*t^(-1/2)", "1 + 1*t^(1)")],
+          2: [("2", "0"), ("-1/3*t^(0,1)", "1"), ("1*t^(1,-1)", "-2*t^(1/2,0)"), ("-2*t^(0,-1)", "1 + 1*t^(1,0)")]}
+
+
+def family_polynomial(n, s, e, rank):
+    """The coefficients of x^n - s^n t^e, lowest first."""
+    zero = TruncatedSeries.zero(rank)
+    return [TruncatedSeries.monomial(-Fraction(s) ** n, GroupElement.scalar(e, rank))] + [zero] * (n - 1) + [
+        TruncatedSeries.one(rank)]
+
+
+def _is_violation(coeffs, centers, lam, x, y):
+    """x and y share every ball lam-next to the centers, and rv_lam(p(x)) differs from rv_lam(p(y))."""
+    same_balls = all(rv_lambda(x - c, lam) == rv_lambda(y - c, lam) for c in centers)
+    return same_balls and rv_lambda(poly_eval(coeffs, x), lam) != rv_lambda(poly_eval(coeffs, y), lam)
+
+
+def _violations(coeffs, centers, lam):
+    report = verify_preparation(lambda x, prec: poly_eval(coeffs, x, prec), centers, lam, trials=120, rng_seed=5)
+    return [(parse_series(v["x"], lam.rank), parse_series(v["y"], lam.rank)) for v in report.violations]
+
+
+def _composed(coeffs, a, b):
+    """The coefficients of p(a x + b), expanded: sum over i >= j of c_i binom(i, j) a^j b^(i-j) at x^j."""
+    rank = a.rank
+    out = []
+    for j in range(len(coeffs)):
+        total = TruncatedSeries.zero(rank)
+        for i in range(j, len(coeffs)):
+            total = total + coeffs[i] * power(a, j) * power(b, i - j).scale(comb(i, j))
+        out.append(total)
+    return out
+
+
+class TestWitnessTransport:
+    """Under sigma_q the image pair (sigma x, sigma y) violates the preparation of sigma p by sigma C at
+    q lam; under x -> a x + b the pair ((x - b)/a, (y - b)/a) violates that of p(a x + b), its coefficients
+    expanded, by (C - b)/a at lam."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_violations_map_to_violations(self, rank):
+        centers, checked = [TruncatedSeries.zero(rank)], Counter()
+        for member, lam in product(FAMILY, (GroupElement.scalar(0, rank), GroupElement.scalar(1, rank))):
+            coeffs = family_polynomial(*member, rank)
+            for x, y in _violations(coeffs, centers, lam):
+                assert _is_violation(coeffs, centers, lam, x, y)
+                for q in QS:
+                    image = [sigma(c, q) for c in coeffs]
+                    assert _is_violation(image, [sigma(c, q) for c in centers], lam * q, sigma(x, q), sigma(y, q))
+                for a_text, b_text in AFFINE[rank]:
+                    a, b = (parse_series(text, rank) for text in (a_text, b_text))
+                    inverse = invert(a, GroupElement.scalar(0, rank))
+                    back = lambda z: (z - b) * inverse  # noqa: E731 - the preimage under x -> a x + b
+                    assert _is_violation(_composed(coeffs, a, b), [back(c) for c in centers], lam, back(x), back(y))
+                checked[member] += 1
+        # the on-grid members of both degrees give pairs to carry
+        assert len(checked) >= 6 and {n for n, _, _ in checked} == {2, 3}

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import zlib
 from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -697,6 +698,45 @@ class TestJacobianProbeLadder:
         want = _t10_jacobian_probe(fn, prep, 20, 5)
         assert want.checked == 20 and want.extra["shifts"]
         assert jacobian_probe(fn, prep, 20, 5).to_json() == want.to_json()
+
+    def test_an_undetermined_image_gap_at_p1_stops_the_rung(self):
+        """Around 0, ``invert(x, P)`` is known below P - 3 gamma and 1/x - 1/y has valuation g - 2 gamma for
+        the gap g of x and y.  The gaps of a sample lie in gamma + [3/2, 5/2], so at gamma >= 3/2 the first
+        image gap, g - 2 gamma >= P1 - 3 gamma, is undetermined at P1: the rung values the two points of
+        that pair only, then t^10 values all four."""
+        calls = []
+
+        def recorded(x, prec):
+            calls.append((x, prec))
+            return invert(x, prec)
+
+        ten, seen = ge(10), 0
+        for seed in range(40):
+            calls.clear()
+            jacobian_probe(recorded, [s("0")], trials=1, rng_seed=seed)
+            x0 = calls[0][0]
+            if x0.approx.valuation() < ge(Fraction(3, 2)):
+                continue
+            seen += 1
+            precs = [prec for _, prec in calls]
+            assert precs[0] == precs[1] < ten and precs[2:] == [ten] * 4
+            assert calls[2][0] == x0
+        assert seen >= 5
+
+    def test_every_point_is_valued_at_p1_before_the_rung_decides(self):
+        """A map with no constant shift, raising at every precision on some points: where the rung finds a
+        disagreeing pair before it has valued such a point, the point's error at P1 still sends the sample
+        to t^10, which skips it, as the probe that values every point at t^10 alone does."""
+
+        def erratic(x, prec):
+            mark = zlib.crc32(format_series(x).encode())
+            if mark % 4 == 0:
+                raise InsufficientPrecision("this point is never valued")
+            return x * x * x if mark % 2 else x * x
+
+        for seed in range(30):
+            want = _probe_outcome(_t10_jacobian_probe, erratic, [s("0")], seed)
+            assert _probe_outcome(jacobian_probe, erratic, [s("0")], seed) == want
 
 
 class TestStrongUnitProbe:

@@ -4,15 +4,22 @@ import os
 import random
 import signal
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+import hahn_forge.prepare as preparation
 from hahn_forge.errors import InsufficientPrecision, PrecisionStall, SingletonBall, ZeroInverse
 from hahn_forge.rv import (
+    _mates_at,
     angular_component,
     ball_mates,
     ball_of,
     check_prepares,
+    near_sample,
+    random_point,
+    random_tail,
     rv_combine,
     rv_lambda,
     sample_in_ball,
@@ -21,9 +28,16 @@ from hahn_forge.series import (
     GroupElement,
     HahnSeries,
     TruncatedSeries,
+    _exponent,
+    _first_difference,
+    _key_lt,
+    _key_of,
+    _key_sum,
     compare_sign,
+    format_series,
     parse_series,
     standard_part,
+    valuation,
 )
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
@@ -282,3 +296,183 @@ class TestDocumentedErrors:
     def test_ranks_must_match(self):
         with pytest.raises(ValueError, match="rank mismatch"):
             ball_mates(random.Random(0), s("1"), [parse_series("1", 2)], ge(1))
+
+
+# ---------------------------------------------------------------------------
+# the draw stream: every sampler's draw against copies of the draw as it was
+# built before it went onto one grid, term by term and joined by field_op
+
+_POOL = [c for c in range(-9, 10) if c]
+
+
+def _series_half_steps(base, pairs):
+    rank = len(base)
+    return HahnSeries([(base + GroupElement.scalar(Fraction(k, 2), rank), c) for k, c in pairs], rank)
+
+
+def _series_tail_steps(rng, steps):
+    return [(k, rng.choice(_POOL)) for k in range(1, steps + 1) if rng.random() < 0.5]
+
+
+def series_random_tail(rng, base, steps=4):
+    pairs = _series_tail_steps(rng, steps) or [(rng.randint(1, steps), rng.choice(_POOL))]
+    return _series_half_steps(base, pairs)
+
+
+def series_random_point(rng, lead, steps=4):
+    head = (0, rng.choice(_POOL))
+    return TruncatedSeries.exact(_series_half_steps(lead, [head, *_series_tail_steps(rng, steps)]))
+
+
+def series_ball_mates(rng, x0, centers, lam, count=2, steps=3):
+    depth = None
+    for c in centers:
+        first = _first_difference(x0, c)
+        if first is None:
+            return None
+        if depth is None or _key_lt(depth, first):
+            depth = first
+    return series_mates_at(rng, x0, _exponent(*depth[:2]), lam, count, steps)
+
+
+def series_mates_at(rng, x0, depth, lam, count, steps):
+    return [x0 + TruncatedSeries.exact(series_random_tail(rng, depth + lam, steps=steps)) for _ in range(count)]
+
+
+def series_near_sample(rng, centers, lam, grid, steps, count, mate_steps=3):
+    anchor = rng.choice(centers)
+    gamma = GroupElement.scalar(Fraction(rng.randint(*grid), 2), anchor.rank)
+    x0 = anchor + series_random_point(rng, gamma, steps=steps)
+    mates = series_ball_mates(rng, x0, centers, lam, count=count, steps=mate_steps)
+    return None if mates is None else (x0, mates, gamma)
+
+
+def series_probe_draw(rng, center, rows, lam, inside):
+    """``strong_unit_probe``'s draw; a row is ``(gamma, verdict)``."""
+    gamma, verdict = rng.choice(rows)
+    x0 = center + series_random_point(rng, gamma, steps=2)
+    if not inside(x0, verdict):
+        return None
+    mates = [m for m in series_mates_at(rng, x0, gamma, lam, 2, 3) if inside(m, verdict)]
+    return (x0, mates) if mates else None
+
+
+def same_point(x, y):
+    return x == y and x.prec == y.prec and format_series(x) == format_series(y)
+
+
+def same_points(xs, ys):
+    return len(xs) == len(ys) and all(same_point(x, y) for x, y in zip(xs, ys))
+
+
+def _exponents(draw, rank, lo=-6, hi=9):
+    first = Fraction(draw(st.integers(lo, hi)), draw(st.sampled_from([1, 2, 3])))
+    return GroupElement([first] + [Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2])))
+                                   for _ in range(rank - 1)])
+
+
+@st.composite
+def exact_centers(draw, rank):
+    terms = [(_exponents(draw, rank), Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 3))))
+             for _ in range(draw(st.integers(0, 4)))]
+    return TruncatedSeries.exact(HahnSeries(terms, rank))
+
+
+@st.composite
+def center_sets(draw, rank):
+    """``(kind, centers)``: exact centers; centers known below a precision; two centers at equal distance
+    from every point drawn near either below t^3; or the kind ``collision``, exact centers of which the
+    test turns one into a drawn point."""
+    kind = draw(st.sampled_from(["exact", "inexact", "equal distance", "collision"]))
+    if kind == "equal distance":
+        a, step = draw(exact_centers(rank)), GroupElement.scalar(draw(st.sampled_from([3, 4, 10])), rank)
+        bump = TruncatedSeries.monomial(1, step)
+        return kind, [a + bump, a - bump]
+    centers = draw(st.lists(exact_centers(rank), min_size=1, max_size=3))
+    if kind == "inexact":
+        centers = [c if draw(st.booleans()) else TruncatedSeries(c.approx, _exponents(draw, rank, -4, 12))
+                   for c in centers]
+    if kind == "collision":
+        centers = [centers[0], centers[0]]
+    return kind, centers
+
+
+@st.composite
+def draw_cases(draw):
+    rank = draw(st.sampled_from([1, 2]))
+    kind, centers = draw(center_sets(rank))
+    lam = GroupElement([Fraction(draw(st.integers(0, 4)), 2)] + [draw(st.integers(-1, 2)) for _ in range(rank - 1)])
+    grid = (draw(st.integers(-4, 0)), draw(st.integers(0, 8)))
+    sizes = [draw(st.integers(1, 3)) for _ in range(3)]
+    return kind, centers, lam, grid, sizes, draw(st.integers(0, 10**6))
+
+
+class TestDrawStream:
+    """The draw on one grid gives the points of the draw built from series, with the same ``random`` calls:
+    the same ``(x0, mates, gamma)`` by ``==``, precision and text, or None on both sides, and the same
+    generator state afterwards."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw_cases())
+    def test_near_sample_and_its_parts(self, case):
+        kind, centers, lam, grid, (steps, count, mate_steps), seed = case
+        if kind == "collision":
+            # x0 drawn next to the first center becomes the other one, which the replay draws again
+            first = series_near_sample(random.Random(seed), centers, lam, grid, steps, count, mate_steps)
+            index = random.Random(seed).choice([0, 1])
+            centers = [centers[0], first[0]] if index == 0 else [first[0], centers[0]]
+        new, old = random.Random(seed), random.Random(seed)
+        got = near_sample(new, centers, lam, grid, steps, count, mate_steps)
+        want = series_near_sample(old, centers, lam, grid, steps, count, mate_steps)
+        assert new.getstate() == old.getstate()
+        if kind == "collision":
+            assert want is None
+        event(f"rank {lam.rank}, {kind}: " + ("None" if want is None else "drawn"))
+        if want is None:
+            assert got is None
+        else:
+            assert same_point(got[0], want[0]) and same_points(got[1], want[1]) and got[2] == want[2]
+        # the parts, each on the generator where the draw left it
+        gamma = GroupElement.scalar(Fraction(new.randint(*grid), 2), lam.rank)
+        old.randint(*grid)
+        assert same_point(random_point(new, gamma, steps), series_random_point(old, gamma, steps))
+        tail = random_tail(new, gamma, steps)
+        assert tail == series_random_tail(old, gamma, steps) and not tail.is_zero()
+        x0 = centers[-1] + series_random_point(random.Random(seed), gamma, steps)
+        got, want = ball_mates(new, x0, centers, lam, count, mate_steps), series_ball_mates(old, x0, centers, lam,
+                                                                                            count, mate_steps)
+        assert (got is None and want is None) or same_points(got, want)
+        got = _mates_at(new, x0, _key_sum(_key_of(gamma), _key_of(lam)), count, mate_steps)
+        assert same_points(got, series_mates_at(old, x0, gamma, lam, count, mate_steps))
+        assert new.getstate() == old.getstate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2]), st.data(), st.booleans(), st.integers(0, 10**6))
+    def test_the_probe_unit_draw(self, rank, data, inexact, seed):
+        center = data.draw(exact_centers(rank))
+        if inexact:
+            center = TruncatedSeries(center.approx, _exponents(data.draw, rank, 0, 12))
+        lo = data.draw(st.integers(-2, 2))
+        inner, outer = (TruncatedSeries.monomial(data.draw(st.sampled_from([1, -1, Fraction(1, 2), 3])),
+                                                 GroupElement.scalar(e, rank)) for e in (lo + data.draw(
+                                                     st.integers(1, 3)), lo))
+        lam = GroupElement.scalar(data.draw(st.integers(0, 2)), rank)
+        captured = {}
+
+        def capture(report, tag, centers, draw, check, skip):
+            captured["draw"] = draw
+            return report
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(preparation, "run_trials", capture)
+            preparation.strong_unit_probe(preparation.StrongUnitSpec(), (center, inner, outer), lam)
+        decide, inside = preparation._inside_annulus(center, inner, outer)
+        lo4, hi4 = floor(valuation(outer).first() * 4), ceil(valuation(inner).first() * 4)
+        rows = [(gamma, decide(gamma)) for gamma in (GroupElement.scalar(Fraction(k, 4), rank)
+                                                     for k in range(lo4, hi4 + 1))]
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            got, want = captured["draw"](new), series_probe_draw(old, center, rows, lam, inside)
+            assert new.getstate() == old.getstate()
+            event(f"rank {rank}, " + ("inexact" if inexact else "exact") + (": None" if want is None else ": drawn"))
+            assert (got is None and want is None) or (same_point(got[0], want[0]) and same_points(got[1], want[1]))

@@ -511,6 +511,43 @@ def _check_bounded_mul(a, b, bound):
         assert a.__mul__(b, bound=p) == full.truncate_below(p)
 
 
+@st.composite
+def mixed_denominator_series(draw, rank):
+    """Up to six terms whose exponent coordinates have denominators 1, 2, 3 or 6, so that factors meet over
+    a common denominator."""
+    exps = draw(st.lists(st.tuples(*[st.builds(Fraction, st.integers(-6, 9), st.sampled_from([1, 2, 3, 6]))
+                                     for _ in range(rank)]), max_size=6, unique=True))
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4)),
+                           min_size=len(exps), max_size=len(exps)))
+    return HahnSeries([(GroupElement(e), c) for e, c in zip(exps, coeffs)], rank)
+
+
+@st.composite
+def off_grid_bound(draw, rank):
+    """A bound whose coordinates have denominators the factors do not share, so the cut is rounded after
+    its first coordinate that is not an int on the keys."""
+    return GroupElement([Fraction(draw(st.integers(-12, 18)), draw(st.sampled_from([1, 2, 5, 7])))
+                         for _ in range(rank)])
+
+
+class TestRankDPairKeys:
+    """A rank-d pair key is formed from the int coordinates, not by ``GroupElement.__add__``: products in
+    ranks 2 and 3, bounded and unbounded, against the Fraction-dict product, with ``GroupElement`` keys that
+    add as exponents in a further product."""
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 3).flatmap(lambda rank: st.tuples(
+        mixed_denominator_series(rank), mixed_denominator_series(rank), off_grid_bound(rank))))
+    def test_products_match_the_fraction_dict_product(self, case):
+        a, b, bound = case
+        for p in (bound, INFINITE):
+            got = a.__mul__(b, bound=p)
+            assert [(tuple(e), c) for e, c in got.terms] == _oracle_product(a, b, p)
+            assert all(type(k) is GroupElement for k in got._grid[1])
+        series = lambda terms: HahnSeries([(GroupElement(e), c) for e, c in terms], a.rank)  # noqa: E731
+        assert (a * b) * a == series(_oracle_product(series(_oracle_product(a, b)), a))
+
+
 class TestPrecisionBoundedProducts:
     @given(grid_series(), grid_series(), grid_bound())
     def test_bounded_mul_rank_one(self, a, b, bound):

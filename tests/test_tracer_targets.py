@@ -59,3 +59,24 @@ def test_every_term_command_records_eval_term_spans(monkeypatch, capsys, argv):
         tracer.remove()
         capsys.readouterr()
     assert not hasattr(hahn_forge.terms.eval_term, "__wrapped__")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "x", "--with-C", "0", "--trials", "20"],
+    ["jacobian", "x^2", "--trials", "20"],
+], ids=lambda argv: argv[0])
+def test_the_sampling_commands_record_the_draw_and_rv_lambda_spans(monkeypatch, capsys, argv):
+    """The draw reaches ``ball_mates`` and the check ``rv_lambda`` by their module global names, so the
+    tracer's wrappers see both; no reference to either is kept past ``remove()``."""
+    tracer = _tracer(monkeypatch).Tracer(hahn_forge)
+    try:
+        tracer.install()
+        assert hahn_forge.cli.run_cli(argv) == 0
+        for name in ("rv.ball_mates", "rv.rv_lambda"):
+            assert tracer.labels.index(name) in tracer.name, name
+    finally:
+        tracer.remove()
+        capsys.readouterr()
+    for module in (hahn_forge.rv, hahn_forge.prepare, hahn_forge.cli):
+        for name in ("ball_mates", "rv_lambda"):
+            assert not hasattr(getattr(module, name, None), "__wrapped__"), (module.__name__, name)
