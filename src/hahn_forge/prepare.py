@@ -709,6 +709,18 @@ def verify_preparation(term, prep, lam, trials=300, rng_seed=0):
     return run_trials(report, "verify", centers, draw, check, _SKIP)
 
 
+class _ValuedOnRead(dict):
+    """The value ``fn(points[i], prec)`` under the key i, made on the first read of i."""
+
+    def __init__(self, fn, points, prec):
+        super().__init__()
+        self.fn, self.points, self.prec = fn, points, prec
+
+    def __missing__(self, i):
+        self[i] = value = self.fn(self.points[i], self.prec)
+        return value
+
+
 def jacobian_probe(fn, prep, trials=300, rng_seed=0):
     """Check the constant-shift law for valuative distances on each ball.
 
@@ -746,12 +758,12 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
     half = GroupElement.scalar(Fraction(1, 2), rank)
     shifts = []
 
-    # (shift, disagreeing pair) from the value of each point, or None at
-    # the first undetermined image gap
-    def compare(points, value, gaps):
+    # (shift, disagreeing pair) from the values, or None at the first
+    # undetermined image gap
+    def compare(points, values, gaps):
         shift = bad = None
         for i, j, gap in gaps:
-            image = _first_difference(value(i), value(j))
+            image = _first_difference(values[i], values[j])
             if image is None:
                 return None
             delta = _exponent(*image[:2]) - gap
@@ -770,15 +782,16 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
         if gaps and all(x.is_exact() for x in points):
             low = max(gap for _, _, gap in gaps) + half
             if low < base_prec:
-                at_low = cache(lambda i: fn(points[i], low))
+                values = _ValuedOnRead(fn, points, low)
                 try:
-                    outcome = compare(points, at_low, gaps)
+                    outcome = compare(points, values, gaps)
                     if outcome is not None:
-                        list(map(at_low, range(len(points))))
+                        for i in range(len(points)):
+                            values[i]
                 except HahnForgeError:
                     outcome = None
         if outcome is None:
-            outcome = compare(points, [fn(x, base_prec) for x in points].__getitem__, gaps)
+            outcome = compare(points, [fn(x, base_prec) for x in points], gaps)
             if outcome is None:
                 raise UndecidableAtPrecision("image gap vanished")
         shift, bad = outcome

@@ -30,7 +30,6 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InsufficientPrecision, SingletonBall, UndecidableAtPrecision, ZeroInverse
 from .series import (
@@ -288,12 +287,6 @@ def run_trials(report, tag, centers, draw, check, skip):
     return report
 
 
-@lru_cache(maxsize=256)
-def _half_unit(k, rank):
-    """The exponent ``(k/2, 0, ..., 0)`` and its key; immutable, so one of each serves every draw of k."""
-    return (gamma := GroupElement.scalar(Fraction(k, 2), rank)), _key_of(gamma)
-
-
 def near_sample(rng, centers, lam, grid, steps, count, mate_steps=3):
     """A point x0 near a random center, and its ball-mates.
 
@@ -302,8 +295,8 @@ def near_sample(rng, centers, lam, grid, steps, count, mate_steps=3):
     with a center.
     """
     anchor = rng.choice(centers)
-    gamma, key = _half_unit(rng.randint(*grid), anchor.rank)
-    x0 = _half_steps(anchor, key, _point_pairs(rng, steps))
+    gamma = GroupElement.scalar(Fraction(rng.randint(*grid), 2), anchor.rank)
+    x0 = _half_steps(anchor, _key_of(gamma), _point_pairs(rng, steps))
     mates = ball_mates(rng, x0, centers, lam, count=count, steps=mate_steps)
     return None if mates is None else (x0, mates, gamma)
 

@@ -23,9 +23,8 @@ The grid is the only stored form: ``HahnSeries.terms`` is the same value
 as ``(GroupElement, Fraction)`` pairs, built on each read and never kept,
 and ``format_series`` writes each term from its key and numerator over
 ``eden`` and ``cden``; no int key leaves this module.
-Only the key helpers, from ``_key_of`` to ``_half_steps``, and
-``_int_products``, which hands rank-d keys to ``_rank_d_products``, tell
-the ranks apart, once per call.
+Only the key helpers, from ``_key_of`` to ``_half_steps``, tell the
+ranks apart, once per call.
 
 Truncation comes in two forms: ``truncate_below(p)`` keeps the exponents
 < p (the open bound of a precision), and ``truncate_through(hi)`` keeps
@@ -106,8 +105,8 @@ import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, product
-from math import factorial, gcd, inf, lcm
-from operator import add, itemgetter
+from math import factorial, gcd, lcm
+from operator import itemgetter
 
 from .errors import (
     InsufficientPrecision,
@@ -251,10 +250,7 @@ def _int_products(ka, na, kb, nb, bound):
     ``(keys, nums)``.  A bound above the top pair cuts nothing, so no pair
     is compared with it.  Otherwise ``kb`` ascends, so the key ascends along
     the inner loop, which stops at the first key at or above ``bound``.
-    Rank-d keys go to ``_rank_d_products``.
     """
-    if type(ka[0]) is not int:
-        return _rank_d_products(ka, na, kb, nb, bound)
     if bound is INFINITE or ka[-1] + kb[-1] < bound:
         pairs = [(x + y, ca * cb) for x, ca in zip(ka, na) for y, cb in zip(kb, nb)]
     else:
@@ -269,21 +265,6 @@ def _int_products(ka, na, kb, nb, bound):
     pairs.sort(key=_first)
     merged = _collect(pairs)
     return tuple(map(_first, merged)), tuple(c for _, c in merged)
-
-
-def _rank_d_products(ka, na, kb, nb, bound):
-    """``_int_products`` of rank-d keys, each pair key a plain tuple of the int coordinate sums.
-
-    ``map`` adds the coordinates, with no ``GroupElement.__add__``; plain
-    tuples order and compare as the keys do, so a pair is kept when its key
-    lies below ``bound`` (below ``(inf,)`` for no cut), and only the merged
-    keys become ``GroupElement``s.
-    """
-    top = (inf,) if bound is INFINITE or ka[-1] + kb[-1] < bound else bound
-    pairs = [(k, ca * cb) for x, ca in zip(ka, na) for y, cb in zip(kb, nb) if (k := tuple(map(add, x, y))) < top]
-    pairs.sort(key=_first)
-    merged = _collect(pairs)
-    return tuple(tuple.__new__(GroupElement, k) for k, _ in merged), tuple(c for _, c in merged)
 
 
 # -- the rank decision: exponents and bounds on the grid of keys -------------

@@ -530,10 +530,10 @@ def off_grid_bound(draw, rank):
                          for _ in range(rank)])
 
 
-class TestRankDPairKeys:
-    """A rank-d pair key is formed from the int coordinates, not by ``GroupElement.__add__``: products in
-    ranks 2 and 3, bounded and unbounded, against the Fraction-dict product, with ``GroupElement`` keys that
-    add as exponents in a further product."""
+class TestRankDProducts:
+    """Products in ranks 2 and 3 whose factors meet over a common denominator, bounded off the keys' grid
+    and unbounded, against the Fraction-dict product, with ``GroupElement`` keys that add as exponents in a
+    further product."""
 
     @settings(max_examples=300)
     @given(st.integers(2, 3).flatmap(lambda rank: st.tuples(
