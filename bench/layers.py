@@ -37,10 +37,15 @@ must be the same in every repeat of a side, or the run stops with an
 error.  Per layer the file records each side's count over all calls and
 the change's count over the parent's.
 
-It exits 1, after writing the file, if the two sides' outputs differ; an
-output is a JSON form of the result, or the class and message of the error
-raised.  Children run with ``PYTHONDONTWRITEBYTECODE=1`` in a temporary
-directory, so nothing is written into either checkout.
+An output is a JSON form of the result, or the class and message of the
+error raised; a grouped row's output is the list of its calls' outputs.
+Where the two sides' outputs of a call differ, the call is listed under
+``output_mismatches``, except a grouped call whose two lists differ in
+length: that one made another number of calls, and is listed under
+``call_count_changes`` with both counts.  The script exits 1, after
+writing the file, if any output mismatch is listed.  Children run with
+``PYTHONDONTWRITEBYTECODE=1`` in a temporary directory, so nothing is
+written into either checkout.
 """
 
 from __future__ import annotations
@@ -199,6 +204,22 @@ def show(out, hf):
     return str(out)
 
 
+def compare(layers, parent, change):
+    """``(output_mismatches, call_count_changes)`` of two sides' outputs, each a JSON string per call
+    of ``layers``: a grouped call whose lists differ in length goes to the second, with both lengths."""
+    grouped = {row.layer for row in LAYERS if row.grouped}
+    mismatches, counts = [], []
+    for i, (layer, p, c) in enumerate(zip(layers, parent, change)):
+        if p == c:
+            continue
+        lengths = [len(json.loads(out)) for out in (p, c)] if layer in grouped else [0, 0]
+        if lengths[0] != lengths[1]:
+            counts.append({"call": i, "kind": layer, "parent": lengths[0], "change": lengths[1]})
+        else:
+            mismatches.append({"call": i, "kind": layer, "parent": p, "change": c})
+    return mismatches, counts
+
+
 def profiled_calls(fn, args, kw):
     """The ``call`` and ``c_call`` events of one call ``fn(*args, **kw)`` under ``sys.setprofile``."""
     count = 0
@@ -313,8 +334,7 @@ def main(argv=None):
         counts[side] = seen.pop()
 
     calls = layers["parent"]
-    differ = [{"call": i, "kind": calls[i], "parent": p, "change": c}
-              for i, (p, c) in enumerate(zip(outputs["parent"], outputs["change"])) if p != c]
+    differ, count_changes = compare(calls, outputs["parent"], outputs["change"])
     per_call = {side: [statistics.median(r["ns"][i] for r in runs[side]) for i in range(len(calls))] for side in runs}
     report = {
         "command": f"python3 bench/layers.py PARENT CHANGE --repeats {args.repeats}",
@@ -327,6 +347,7 @@ def main(argv=None):
                           "of every call after the timed passes, the same in every repeat",
         "unit": "microseconds per call; per call the median of its passes, then of its repeats",
         "output_mismatches": differ,
+        "call_count_changes": count_changes,
         "summary": summarize(calls, per_call, counts),
         "per_call_ns": [{"kind": layer, "parent": per_call["parent"][i], "change": per_call["change"][i]}
                         for i, layer in enumerate(calls)],

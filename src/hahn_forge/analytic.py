@@ -67,28 +67,6 @@ class AnalyticFunction:
         q = self.rule(idx)
         return q if isinstance(q, Fraction) else Fraction(q)
 
-    def derivative(self, var=0):
-        """Coefficient-wise partial derivative, as a new function."""
-
-        outer = self.rule
-
-        def rule(idx):
-            shifted = tuple(e + 1 if i == var else e for i, e in enumerate(idx))
-            return outer(shifted) * (idx[var] + 1)
-
-        table = ()
-        if self.polynomial and self.nvars == 1:
-            table = tuple(self.table[k] * k for k in range(1, len(self.table)))
-        return AnalyticFunction(
-            f"{self.name}'",
-            self.nvars,
-            rule,
-            self.radius,
-            norm_bound=False,
-            polynomial=self.polynomial,
-            table=table,
-        )
-
 
 @functools.cache
 def _exp_rule(idx):

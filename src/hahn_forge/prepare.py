@@ -45,6 +45,7 @@ from .errors import (
 )
 from .rv import (
     VerificationReport,
+    _first_disagreement,
     _mates_at,
     _point_pairs,
     near_sample,
@@ -61,7 +62,6 @@ from .series import (
     _half_steps,
     _key_of,
     _key_sum,
-    compare_sign,
     format_exponent,
     format_rational,
     format_series,
@@ -673,14 +673,6 @@ def _rv_of_term(term, x, lam, base_prec, step):
     raise InsufficientPrecision("term value never became sharp enough")
 
 
-def _first_disagreement(value, x0, mates):
-    v0 = value(x0)
-    for y in mates:
-        if value(y) != v0:
-            return x0, y
-    return None
-
-
 def _centers(prep):
     centers = prep.centers() if isinstance(prep, PreparingSet) else list(prep)
     if not centers:
@@ -832,16 +824,16 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
 
     The draw fixes v = v(x - c): x0 = c + d for a random d of valuation
     gamma, and each mate adds to x0 a tail above gamma + lam, so
-    v(x - c) = gamma for all three wherever x - c is determined.  What
-    reads only v is decided once per gamma, in the row that the draw picks:
-    membership (see ``_inside_annulus``), and whether U is constant.  With
-    T = lam + 1 - v(s) the precision that rv_lam reads of a part under
-    scale s (lam + 1 without one), U is constant at v where, in rank 1 with
-    an exact center and outer, every given part has v(A) > 0, T <= v(A) and
-    v(den) < B.  An inexact center or outer could make an inverse raise,
-    and so could ``PrecisionStall`` in rank > 1; here the inverses raise
-    nothing, and A is known above its valuation, as
-    2B - 3 v(den) + v(num) > v(A), so the sum is known below
+    v(x - c) = gamma for all three wherever x - c is determined.  Each
+    point's membership is read on the grids (``_inside_annulus``).  Whether
+    U is constant reads only v, so it is decided once per gamma, in the row
+    that the draw picks.  With T = lam + 1 - v(s) the precision that rv_lam
+    reads of a part under scale s (lam + 1 without one), U is constant at v
+    where, in rank 1 with an exact center and outer, every given part has
+    v(A) > 0, T <= v(A) and v(den) < B.  An inexact center or outer could
+    make an inverse raise, and so could ``PrecisionStall`` in rank > 1;
+    here the inverses raise nothing, and A is known above its valuation,
+    as 2B - 3 v(den) + v(num) > v(A), so the sum is known below
     min(B, v(A)) >= min(T, B), where it is g(0).  The constant
     U = 1 + sum s g(0), each g(0) known below min(T, B), is therefore the
     point's U cut at some precision, and its rv_lam, where it is determined,
@@ -899,21 +891,21 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
         return fast and all(fn is None or zero < v_arg and need <= v_arg and v_den < base_prec
                             for (fn, _), need, v_arg, v_den in zip(given, demands, (v_in - v, v - v_out), (v, v_out)))
 
-    decide, inside = _inside_annulus(center, inner, outer)
+    inside = _inside_annulus(center, inner, outer)
     # include the boundary valuations: points there can still sit strictly
     # inside the annulus when their leading coefficient is small enough
     lo, hi = v_out.first(), v_in.first()
     gammas = (GroupElement.scalar(Fraction(k, 4), rank) for k in range(floor(lo * 4), ceil(hi * 4) + 1))
     depth = _key_of(lam)
-    rows = [(key := _key_of(gamma), _key_sum(key, depth), decide(gamma), all_constant(gamma)) for gamma in gammas]
+    rows = [(key := _key_of(gamma), _key_sum(key, depth), all_constant(gamma)) for gamma in gammas]
 
     def draw(rng):
-        gamma, base, verdict, constant = rng.choice(rows)
+        gamma, base, constant = rng.choice(rows)
         x0 = _half_steps(center, gamma, _point_pairs(rng, 2))
-        if not inside(x0, verdict):
+        if not inside(x0):
             return None
         # inside the annulus, x0 - center has a decided sign, so its valuation is gamma
-        mates = [m for m in _mates_at(rng, x0, base, 2, 3) if inside(m, verdict)]
+        mates = [m for m in _mates_at(rng, x0, base, 2, 3) if inside(m)]
         return (x0, mates, constant) if mates else None
 
     def check(x0, mates, constant):
@@ -925,46 +917,27 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
 
 
 def _inside_annulus(center, inner, outer):
-    """The verdict ``decide(v)`` and the test ``inside(x, verdict)``: inner < |x - c| < outer, for
-    x = c + d with d exact and nonzero of valuation v; False where a sign is not determined.
+    """The test ``inside(x)``: inner < |x - c| < outer, read on the grids; False where a sign is not
+    determined.
 
-    ``decide(v)`` is the answer at every such x where v alone gives it, and
-    None elsewhere.  Where c, inner and outer are exact and of rank 1, so is
-    x, and away from the radii's valuations both signs are read from v, as
-    |x - c| is positive of valuation v: outer - |x - c| has the sign of
-    outer where v > v(outer) and is negative where v < v(outer), and
-    |x - c| - inner is positive where v < v(inner) and has the sign of
-    -inner where v > v(inner).  ``inside(x, verdict)`` returns a verdict
-    that is not None, and reads every other point on the grids: with s the
-    sign of x - c, outer - |x - c| = s (c + s outer - x) and
+    With s the sign of x - c, outer - |x - c| = s (c + s outer - x) and
     |x - c| - inner = s (x - (c + s inner)), so x is inside exactly where
-    both of these differences have the sign s.  The four points c +- inner
-    and c +- outer are formed once, and each difference honours the
-    precisions of its operands as ``field_op`` would.
+    both of these differences have the sign s.  Each sign is read at the
+    first difference of two grids (``_first_difference``), which honours
+    the precisions of its operands as ``field_op`` would.  The four points
+    c +- inner and c +- outer are formed once.
     """
-    by_valuation = center.rank == inner.rank == outer.rank == 1 and all(
-        y.is_exact() for y in (center, inner, outer))
     bounds = {1: (center + outer, center + inner), -1: (center - outer, center - inner)}
 
     def sign(a, b):
         first = _first_difference(a, b)
         return None if first is None else first[2]
 
-    def decide(v):
-        if not by_valuation:
-            return None
-        v_in, v_out = valuation(inner), valuation(outer)
-        if v == v_in or v == v_out:
-            return None
-        return v > v_out and compare_sign(outer) > 0 and (v < v_in or compare_sign(inner) < 0)
-
-    def inside(x, verdict):
-        if verdict is not None:
-            return verdict
+    def inside(x):
         s = sign(x, center)
         if s is None:
             return False
         far, near = bounds[s]
         return sign(far, x) == s == sign(x, near)
 
-    return decide, inside
+    return inside

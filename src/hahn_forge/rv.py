@@ -21,7 +21,11 @@ grid keys.  ``strong_unit_probe`` draws through the same helpers.
 ``run_trials`` is the one trial loop of every sampling verifier in the
 package: it seeds each trial from the verifier's tag and seed, so that a
 seed pins the whole run, resamples undecidable draws, counts the checked
-trials and records witnesses.
+trials and records witnesses.  ``_first_disagreement`` is the one
+comparison of sampled classes that ``check_prepares``,
+``verify_preparation`` and ``strong_unit_probe`` make: it values x0, then
+each mate in turn, and stops at the first mate whose class differs, so a
+point after a disagreement is never valued.
 """
 
 from __future__ import annotations
@@ -256,6 +260,16 @@ def _ball_payload(x0, centers, lam):
     return {"base": format_series(x0), "data": [ball_of(x0, c, lam).to_dict() for c in centers]}
 
 
+def _first_disagreement(value, x0, mates):
+    """``(x0, y)`` for the first mate y whose ``value`` differs from x0's, or None; each point is
+    valued in turn, up to the first disagreement."""
+    v0 = value(x0)
+    for y in mates:
+        if value(y) != v0:
+            return x0, y
+    return None
+
+
 def run_trials(report, tag, centers, draw, check, skip):
     """The seeded trial loop behind every sampling verifier.
 
@@ -313,11 +327,7 @@ def check_prepares(C, membership, lam, trials=200, rng_seed=0, gamma_span=2):
     grid = (-2 * gamma_span, int(2 * (Fraction(2) + lam.first())) + 1)
 
     def check(x0, mates, _gamma):
-        flags = [bool(membership(p)) for p in (x0, *mates)]
-        for y, flag in zip(mates, flags[1:]):
-            if flag != flags[0]:
-                return x0, y
-        return None
+        return _first_disagreement(lambda p: bool(membership(p)), x0, mates)
 
     report = VerificationReport("check_prepares", lam, trials, rng_seed)
     draw = lambda rng: near_sample(rng, C, lam, grid, steps=3, count=2)

@@ -556,9 +556,8 @@ class HahnSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other, *, bound=INFINITE):
-        """Product; with ``bound``, pairs with exponent >= bound are never formed (see ``_times``)."""
-        return self._times(other, _key_of(bound))
+    def __mul__(self, other):
+        return self._times(other, None)
 
     def _times(self, other, bound):
         """The product below the key ``bound``, None for no bound: ``(a * b).truncate_below(p)``

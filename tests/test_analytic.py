@@ -176,19 +176,6 @@ class TestEvaluate:
             fy = evaluate_analytic(fn, [y], gamma + lam + ge(3))
             assert rv_lambda(fx, lam) == rv_lambda(fy, lam)
 
-    def test_derivative_finite_difference(self):
-        # derivative rule against an exact finite difference at step t^6
-        reg = default_registry()
-        for name in ["exp", "sin", "cos", "log1p"]:
-            fn = reg.get(name)
-            dfn = fn.derivative()
-            x0 = s("1*t^(1) + 2*t^(2)")
-            h = s("1*t^(6)")
-            lhs = (evaluate_analytic(fn, [x0 + h], ge(10)) - evaluate_analytic(fn, [x0], ge(10))) * s("1*t^(-6)")
-            rhs = evaluate_analytic(dfn, [x0], ge(4))
-            diff = lhs - rhs
-            assert diff.approx.is_zero() or diff.approx.valuation() >= ge(4)
-
 
 class TestHensel:
     def test_catalan_fixture(self):
@@ -554,12 +541,6 @@ class TestDocumentedErrors:
     def test_norm1_after_a_builtin_rule(self):
         fn = load_registry_line("name e1 vars 1 radius 2 rule exp norm1", FunctionRegistry())
         assert fn.norm_bound and fn.coefficient(2) == Fraction(1, 2)
-
-    def test_derivative_of_a_table(self):
-        fn = register_function({"name": "p", "vars": 1, "radius": 2, "table": [1, 2, 3]}, FunctionRegistry())
-        d = fn.derivative()
-        assert d.polynomial and d.table == (Fraction(2), Fraction(6))
-        assert [d.coefficient(k) for k in range(3)] == [2, 6, 0]
 
     def test_argument_count(self):
         with pytest.raises(ValueError, match="takes 1 arguments"):

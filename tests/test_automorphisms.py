@@ -46,10 +46,10 @@ from test_terms import eval_points, term_trees
 
 from hahn_forge.analytic import default_registry, evaluate_analytic, hensel_root
 from hahn_forge.multiseries import MultiSeries, weierstrass_divide
-from hahn_forge.prepare import newton_polygon, puiseux_roots, verify_preparation
+from hahn_forge.prepare import newton_polygon, preparing_set, puiseux_roots, verify_preparation
 from hahn_forge.rv import rv_lambda
-from hahn_forge.series import (INFINITE, GroupElement, HahnSeries, TruncatedSeries, invert, nth_root, parse_series,
-                               poly_eval, power)
+from hahn_forge.series import (INFINITE, GroupElement, HahnSeries, TruncatedSeries, format_series, invert, nth_root,
+                               parse_series, poly_eval, power)
 from hahn_forge.terms import Add, App, Lit, Mono, Mul, Neg, Pow, Sub, Var, eval_term
 
 QS = [Fraction(2), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
@@ -273,6 +273,47 @@ class TestPuiseuxRoots:
         _check(lambda r: _branches(puiseux_roots([sigma(c, r) for c in coeffs], depth * r)), q, _scaled_branches)
 
 
+def _point_texts(prep, q=Fraction(1)):
+    """Each point of a preparing set under sigma_q: its series' text, its depth times q and its derivative order."""
+    return [(format_series(sigma(p.series, q)), p.depth if p.depth is INFINITE else p.depth * q, p.derivative_order)
+            for p in prep.points]
+
+
+def irrational_branch_polynomial(n, c):
+    """The coefficients of x^n - n x + c t, lowest first: its branches at 0 and +-n^(1/(n-1)) for n = 3, 5."""
+    coeffs = [TruncatedSeries.zero()] * (n + 1)
+    coeffs[0], coeffs[1], coeffs[n] = (TruncatedSeries.monomial(a, GroupElement.scalar(e)) for a, e in (
+        (Fraction(c), 1), (Fraction(-n), 0), (Fraction(1), 0)))
+    return coeffs
+
+
+class TestPreparingSet:
+    """``preparing_set([sigma_q p], q d)`` has exactly the points sigma_q of ``preparing_set([p], d)``, in
+    order: the same text under sigma_q, the depth times q and the same derivative order.  The branches'
+    irrational coefficients enter as the same rational proxies on both sides."""
+
+    @staticmethod
+    def assert_commutes(coeffs, depth, q):
+        image = _outcome(lambda: preparing_set([[sigma(c, q) for c in coeffs]], depth * q))
+        plain = _outcome(lambda: preparing_set([coeffs], depth))
+        if isinstance(plain, type):
+            assert image is plain
+        else:
+            assert _point_texts(image) == _point_texts(plain, q)
+
+    @settings(max_examples=50, deadline=None)
+    @given(polynomials(1, exact=True), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]),
+           st.sampled_from(QS))
+    def test_commutes_with_sigma(self, coeffs, depth, q):
+        self.assert_commutes(coeffs, depth, q)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("c", [1, -2, Fraction(1, 3)])
+    def test_irrational_branches_commute_with_sigma(self, n, c):
+        for depth, q in product((Fraction(4), Fraction(5)), QS):
+            self.assert_commutes(irrational_branch_polynomial(n, c), depth, q)
+
+
 class TestNewtonPolygon:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 2).flatmap(polynomials), st.sampled_from(QS), st.booleans())
@@ -369,3 +410,24 @@ class TestWitnessTransport:
                 checked[member] += 1
         # the on-grid members of both degrees give pairs to carry
         assert len(checked) >= 6 and {n for n, _, _ in checked} == {2, 3}
+
+
+class TestVerdictRelation:
+    """A set prepares p at lam exactly when its image under sigma_q prepares sigma_q p at q lam, so the
+    verifier must fail on one side exactly when it fails on the other.  {0} does not prepare x^2 - t at
+    lam = 0: the verifier fails there, drawing gamma = 1/2 at the roots +-t^(1/2).  The roots t^(q/2) of the
+    images for q in 1/2, 1/3 and 2/3 lie off the samplers' half-integer grid, so no ball next to them is
+    drawn and the images pass."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the samplers draw gamma only on the half-integer grid (ROADMAP item 19)")
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+    def test_one_side_fails_exactly_when_the_other_does(self, q):
+        coeffs, zero = family_polynomial(2, 1, 1, 1), TruncatedSeries.zero()
+
+        def verdict(r):
+            image = [sigma(c, r) for c in coeffs]
+            return verify_preparation(lambda x, prec: poly_eval(image, x, prec), [sigma(zero, r)],
+                                      GroupElement.scalar(0) * r, trials=500, rng_seed=5).verdict
+
+        assert (verdict(Fraction(1)) == "fail") == (verdict(q) == "fail")

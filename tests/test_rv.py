@@ -4,12 +4,14 @@ import os
 import random
 import signal
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import hahn_forge.prepare as preparation
+import hahn_forge.rv as rv
 from hahn_forge.errors import InsufficientPrecision, PrecisionStall, SingletonBall, ZeroInverse
 from hahn_forge.rv import (
     _mates_at,
@@ -39,6 +41,7 @@ from hahn_forge.series import (
     standard_part,
     valuation,
 )
+from test_prepare import _reference_inside_annulus
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
 s = parse_series
@@ -244,6 +247,22 @@ class TestCheckPrepares:
         assert report.verdict == "undecided" and not report.passed()
         assert report.to_dict()["verdict"] == "undecided"
 
+    def test_a_disagreement_before_a_skip_is_recorded(self, monkeypatch):
+        # the points are compared in turn, so the second mate, which would raise, is never asked
+        x0, y1, y2 = s("1"), s("1 + 1*t^(1)"), s("1 + 2*t^(1)")
+        monkeypatch.setattr(rv, "near_sample", lambda *args, **kw: (x0, [y1, y2], ge(0)))
+        asked = []
+
+        def member(x):
+            asked.append(x)
+            if x is y2:
+                raise InsufficientPrecision("undecidable")
+            return x is x0
+
+        report = check_prepares([TruncatedSeries.zero()], member, ge(0), trials=1, rng_seed=1)
+        assert asked == [x0, y1] and report.checked == 1
+        assert [(v["x"], v["y"]) for v in report.violations] == [("1", "1 + 1*t^(1)")]
+
     def test_report_schema(self):
         report = check_prepares([TruncatedSeries.zero()], lambda x: True, ge(0), trials=5, rng_seed=1)
         data = report.to_dict()
@@ -347,13 +366,13 @@ def series_near_sample(rng, centers, lam, grid, steps, count, mate_steps=3):
     return None if mates is None else (x0, mates, gamma)
 
 
-def series_probe_draw(rng, center, rows, lam, inside):
-    """``strong_unit_probe``'s draw; a row is ``(gamma, verdict)``."""
-    gamma, verdict = rng.choice(rows)
+def series_probe_draw(rng, center, gammas, lam, inside):
+    """``strong_unit_probe``'s draw, with membership ``inside(x)`` at every point."""
+    gamma = rng.choice(gammas)
     x0 = center + series_random_point(rng, gamma, steps=2)
-    if not inside(x0, verdict):
+    if not inside(x0):
         return None
-    mates = [m for m in series_mates_at(rng, x0, gamma, lam, 2, 3) if inside(m, verdict)]
+    mates = [m for m in series_mates_at(rng, x0, gamma, lam, 2, 3) if inside(m)]
     return (x0, mates) if mates else None
 
 
@@ -466,13 +485,13 @@ class TestDrawStream:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(preparation, "run_trials", capture)
             preparation.strong_unit_probe(preparation.StrongUnitSpec(), (center, inner, outer), lam)
-        decide, inside = preparation._inside_annulus(center, inner, outer)
+        # the copy reads membership from the differences themselves, not from the grids
+        inside = partial(_reference_inside_annulus, center=center, inner=inner, outer=outer)
         lo4, hi4 = floor(valuation(outer).first() * 4), ceil(valuation(inner).first() * 4)
-        rows = [(gamma, decide(gamma)) for gamma in (GroupElement.scalar(Fraction(k, 4), rank)
-                                                     for k in range(lo4, hi4 + 1))]
+        gammas = [GroupElement.scalar(Fraction(k, 4), rank) for k in range(lo4, hi4 + 1)]
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(6):
-            got, want = captured["draw"](new), series_probe_draw(old, center, rows, lam, inside)
+            got, want = captured["draw"](new), series_probe_draw(old, center, gammas, lam, inside)
             assert new.getstate() == old.getstate()
             event(f"rank {rank}, " + ("inexact" if inexact else "exact") + (": None" if want is None else ": drawn"))
             assert (got is None and want is None) or (same_point(got[0], want[0]) and same_points(got[1], want[1]))

@@ -26,6 +26,7 @@ from hahn_forge.series import (
     GroupElement,
     _first_difference,
     _integer_nth_root,
+    _key_of,
     HahnSeries,
     TruncatedSeries,
     compare_sign,
@@ -470,7 +471,7 @@ def _check_against_oracle(a, b, bound):
     # the drawn bound, no bound, and every exponent of the product as a bound
     for p in [bound, INFINITE] + [GroupElement(e) for e, _ in _oracle_product(a, b)]:
         for x, y in ((a, b), (b, a)):
-            got = x.__mul__(y, bound=p)
+            got = x._times(y, _key_of(p))
             assert [(tuple(e), c) for e, c in got.terms] == _oracle_product(a, b, p)
             assert all(type(e) is GroupElement and type(c) is Fraction for e, c in got.terms)
 
@@ -508,7 +509,7 @@ def _check_bounded_mul(a, b, bound):
     full = a * b
     # the drawn bound, and every exponent of the product as a bound
     for p in [bound] + [e for e, _ in full.terms]:
-        assert a.__mul__(b, bound=p) == full.truncate_below(p)
+        assert a._times(b, _key_of(p)) == full.truncate_below(p)
 
 
 @st.composite
@@ -541,7 +542,7 @@ class TestRankDProducts:
     def test_products_match_the_fraction_dict_product(self, case):
         a, b, bound = case
         for p in (bound, INFINITE):
-            got = a.__mul__(b, bound=p)
+            got = a._times(b, _key_of(p))
             assert [(tuple(e), c) for e, c in got.terms] == _oracle_product(a, b, p)
             assert all(type(k) is GroupElement for k in got._grid[1])
         series = lambda terms: HahnSeries([(GroupElement(e), c) for e, c in terms], a.rank)  # noqa: E731
@@ -582,7 +583,7 @@ class TestPrecisionBoundedProducts:
         b = HahnSeries([(ge(0), c1), (ge(Fraction(1, 3)), -c2)])
         expected = [(ge(0), c1 * c1), (ge(Fraction(2, 3)), -c2 * c2)]
         assert list((a * b).terms) == expected
-        assert list(a.__mul__(b, bound=ge(Fraction(2, 3))).terms) == expected[:1]
+        assert list(a._times(b, _key_of(ge(Fraction(2, 3)))).terms) == expected[:1]
         assert (a * b).coefficient(ge(Fraction(1, 3))) == 0
         _check_against_oracle(a, b, ge(1))
 
@@ -830,7 +831,7 @@ class TestIntegerGrid:
             for p in [INFINITE] + _bounds_near(_dict_mul(a, b), drawn):
                 bound = p if p is INFINITE else GroupElement(p)
                 for u, v in ((x, y), (y, x)):
-                    got = u.__mul__(v, bound=bound)
+                    got = u._times(v, _key_of(bound))
                     _check_value(got, _dict_mul(a, b, p), rank)
                     assert got == (u * v).truncate_below(bound)
 
@@ -845,7 +846,7 @@ class TestIntegerGrid:
             p = tuple(map(Fraction, p))
             below = {e: c for e, c in a.items() if e < p}
             _check_value(x.truncate_below(GroupElement(p)), below, 2)
-            _check_value(x.__mul__(one, bound=GroupElement(p)), below, 2)
+            _check_value(x._times(one, _key_of(GroupElement(p))), below, 2)
             _check_value(x.truncate_through(GroupElement(p)), {e: c for e, c in a.items() if e <= p}, 2)
         kept = x.truncate_below(GroupElement([1, -3])).terms
         assert [tuple(e) for e, _ in kept] == [(Fraction(1, 2), Fraction(4, 3)), (1, -5)]
@@ -853,7 +854,7 @@ class TestIntegerGrid:
     def test_rank_two_cuts_are_ints(self):
         # a rank-d bound meets the keys as ints: the last coordinate rounded
         # in place, an earlier one that is not an int rounded up, ending the cut
-        from hahn_forge.series import _below_key, _key_of, _through_key
+        from hahn_forge.series import _below_key, _through_key
 
         x = _series_of({(Fraction(0), Fraction(0)): Fraction(1), (Fraction(0), Fraction(1)): Fraction(2),
                         (Fraction(1, 2), Fraction(-3)): Fraction(5)}, 2)
@@ -863,7 +864,7 @@ class TestIntegerGrid:
             bound = GroupElement(p)
             assert len(x.truncate_below(bound).terms) == below
             assert len(x.truncate_through(bound).terms) == through
-            assert len(x.__mul__(HahnSeries.constant(1, 2), bound=bound).terms) == below
+            assert len(x._times(HahnSeries.constant(1, 2), _key_of(bound)).terms) == below
             for key in (_below_key(_key_of(bound), 6), _through_key(_key_of(bound), 6)):
                 assert type(key) is tuple and all(type(k) is int for k in key)
         assert _below_key(_key_of(GroupElement([Fraction(1, 4), 3])), 2) == (1,)
@@ -901,7 +902,7 @@ class TestIntegerGrid:
         one_plus = HahnSeries([(ge(0), 1), (ge(Fraction(1, 2)), 1)])
         one_minus = HahnSeries([(ge(0), 1), (ge(Fraction(1, 2)), -1)])
         _check_value(one_plus * one_minus, {(Fraction(0),): Fraction(1), (Fraction(1),): Fraction(-1)}, 1)
-        _check_value(one_plus.__mul__(one_minus, bound=ge(Fraction(1, 2))), {(Fraction(0),): Fraction(1)}, 1)
+        _check_value(one_plus._times(one_minus, _key_of(ge(Fraction(1, 2)))), {(Fraction(0),): Fraction(1)}, 1)
         _check_value((one_plus * one_minus).truncate_below(ge(0)), {}, 1)
 
 
@@ -1422,8 +1423,8 @@ def _newton_inverse_root(unit, n, rel_needed):
         reached = min(reached + reached, rel_needed)
         wn = unit
         for _ in range(n):
-            wn = wn.__mul__(w, bound=reached)
-        step = w.__mul__(one - wn, bound=reached)
+            wn = wn._times(w, _key_of(reached))
+        step = w._times(one - wn, _key_of(reached))
         w = w + (step if n == 1 else step.scale(Fraction(1, n)))
     return w
 
@@ -1471,7 +1472,7 @@ def _newton_nth_root(a, n, target_prec):
     if n > 1:
         w = _newton_inverse_root(y, n, res_target)
         for _ in range(n - 1):
-            y = y.__mul__(w, bound=res_target)
+            y = y._times(w, _key_of(res_target))
     x = b * TruncatedSeries(y, res_target)
     if a.is_exact():
         terms = x.approx.terms
