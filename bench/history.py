@@ -13,7 +13,9 @@ script prints
 - for each ``BENCH_<n>_layers.json`` (``bench/layers.py``): per layer, the
   parent's and the change's ``profiled_calls``, where the record has them;
 - for each ``LINECOV_<n>.json`` (``bench/linecov.py``): the executable and
-  executed line totals.
+  executed line totals;
+- for each ``REACH_<n>.json`` (``bench/reach.py``): per group of cases, the
+  cases caught of the total, overall and per hole.
 
 Other files, such as ``BENCH_<n>_trace.json`` and ``BENCH_<n>_tier1.json``,
 are skipped.  Older records lack some keys (no ``verdict`` before
@@ -30,9 +32,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RECORD = re.compile(r"BENCH_(\d+)(_layers)?\.json|LINECOV_(\d+)\.json")
+RECORD = re.compile(r"BENCH_(\d+)(_layers)?\.json|(LINECOV|REACH)_(\d+)\.json")
 # the order of a number's records
-KINDS = ("pairs", "layers", "linecov")
+KINDS = ("pairs", "layers", "linecov", "reach")
 
 
 def records(directory):
@@ -42,9 +44,9 @@ def records(directory):
         match = RECORD.fullmatch(path.name)
         if match is None:
             continue
-        bench, layers, linecov = match.groups()
-        if linecov is not None:
-            out.append((int(linecov), "linecov", path))
+        bench, layers, other, number = match.groups()
+        if other is not None:
+            out.append((int(number), other.lower(), path))
         else:
             out.append((int(bench), "layers" if layers else "pairs", path))
     return sorted(out, key=lambda r: (r[0], KINDS.index(r[1])))
@@ -74,7 +76,13 @@ def linecov_lines(record):
     yield f"  executable {_number(total.get('executable'))}  executed {_number(total.get('executed'))}"
 
 
-LINES = {"pairs": pairs_lines, "layers": layers_lines, "linecov": linecov_lines}
+def reach_lines(record):
+    for group, tally in record.get("summary", {}).get("group", {}).items():
+        holes = "  ".join(f"{hole} {h['caught']}/{h['total']}" for hole, h in tally.get("holes", {}).items())
+        yield f"  {group:<16} caught {tally['caught']:>4} of {tally['total']:<4} {holes}"
+
+
+LINES = {"pairs": pairs_lines, "layers": layers_lines, "linecov": linecov_lines, "reach": reach_lines}
 
 
 def history(directory):

@@ -52,8 +52,19 @@ _RANK_ONE_COMMANDS = ("roots", "prepare", "verify", "jacobian", "probe-unit")
 
 
 class _CliParser(argparse.ArgumentParser):
+    """argparse with series values that may start with ``-``, and usage errors raised, not printed."""
+
+    def _parse_optional(self, arg_string):
+        # argparse reads a word that starts with "-", holds no space and is
+        # not a plain negative number as an unknown option; a word that names
+        # no option of this parser is a value, such as "-1*t^(1)" or "-1/2";
+        # argparse gives one (action, ...) tuple, or in newer versions a list of them
+        parsed = super()._parse_optional(arg_string)
+        first = parsed[0] if isinstance(parsed, list) else parsed
+        return None if first is not None and first[0] is None else parsed
+
     def error(self, message):
-        raise TermSyntaxError(message)
+        raise ValueError(message)
 
 
 def _add_common(parser, suppress):

@@ -83,7 +83,17 @@ grid, ``u^(a/b)`` of the unit ``u = 1 + h`` by ``_unit_power``, then
 coefficient recurrence (Knuth, *The Art of Computer Programming*, vol. 2,
 4.7) on the grid's ints: each coefficient comes from at most as many
 earlier ones as h has terms, so N output terms cost O(N m) int operations
-for an m-term h, and no series product is formed.
+for an m-term h, and no series product is formed.  The ints stay raw
+from the split to the cut: the unit goes in over x's denominators, the
+power comes back over its own, and ``_split_power`` takes one gcd on the
+keys and one on the numerators after the shift and the scale.  The
+recurrence runs over a set of exponents that holds the power's support;
+in rank 1, where the leading gap of h divides every other exponent of h,
+that set is every multiple of the gap below the target, counted with no
+enumeration.  The recurrence is exact on any such set, so the test of the
+gap guards only the cost: with gaps 1 and 1 + 1/N the multiples of the
+gcd below the target would be about N times as many as the monoid, which
+is enumerated instead.
 
 ``_taylor_sum`` sums a Taylor expansion ``sum c_idx a^idx`` at series
 arguments in one pass on the grid: the monomials are enumerated on the
@@ -876,24 +886,45 @@ def invert(a, target_prec):
     return _split_power(a.approx, 1 / c, -1, 1, rel_needed)
 
 
-def _unit_power(unit, a, b, rel_needed):
-    """``u^(a/b)`` below ``rel_needed`` for a unit ``u = 1 + h`` with v(h) > 0.
+def _unit_power(eden, keys, cden, nums, a, b, rel_needed):
+    """``u^(a/b)`` below ``rel_needed`` for a unit ``u = 1 + h`` with v(h) > 0,
+    on raw ints in and out.
 
-    ``rel_needed`` may be INFINITE for a whole power (b = 1, a >= 0), which
-    is then exact.
+    The unit is ``nums[i]/cden * t^(keys[i]/eden)`` with ``keys[0]`` the
+    zero key and ``nums[0] = cden``; neither denominator need be least.
+    The result ``(eden, keys, den, nums)`` is over the same ``eden``, every
+    coefficient over ``den``, and is not least either: the caller divides
+    out the gcds once.  ``rel_needed`` may be INFINITE for a whole power
+    (b = 1, a >= 0), which is then exact.  A target at or below 0 leaves no
+    term, not even the constant 1.
 
     J. C. P. Miller's recurrence for a power series raised to a rational
     power (Knuth, *The Art of Computer Programming*, vol. 2, 4.7), run on
     the grid.  Let phi be an additive map from exponents to the ints, so
     ``D(t^e) = phi(e) t^e`` is a derivation, and ``w = u^(a/b)`` solves
     ``b u D(w) = a w D(u)``.  At the exponent e this reads
-    ``b phi(e) w_e = sum_j (a phi(j) - b phi(e-j)) h_j w_(e-j)`` over the
-    support of h.  The support of w lies in the monoid that supp(h)
-    generates, and every element of it that is summed has ``phi >= 1``
-    (see below), so each coefficient comes from at most m earlier ones, m
-    the number of terms of h: O(N m) int operations for N output terms.
-    For the inverse, a = -1 and b = 1, the factor is ``-phi(e)`` and the
-    step is long division by u.
+    ``b phi(e) w_e = sum_k (a phi(k) - b phi(e-k)) h_k w_(e-k)`` over the
+    generators k <= e, the support of h.  The support of w lies in the
+    monoid that the generators span, and every element of it that is summed
+    has ``phi >= 1`` (see below), so each coefficient comes from at most m
+    earlier ones, m the number of terms of h: O(N m) int operations for N
+    output terms.  For the inverse, a = -1 and b = 1, the factor is
+    ``-phi(e)`` and the step is long division by u.
+
+    The recurrence runs over a set S of exponents below the bound, in
+    ascending order, and reads ``w_(e-k)`` only where e - k lies in S.  It
+    is exact on any S that holds the support of w below the bound: at an
+    e of S outside that support it gives 0, and a point e - k outside S has
+    ``w = 0``.  So S only sets the cost, which is its size.  S is the
+    monoid below the bound, enumerated from the generators; in rank 1, when
+    the leading gap divides every generator (it is then their gcd), every
+    multiple of it below the bound is a power of the gap, so S is counted as
+    ``range(0, bound, gap)`` with no enumeration.  For a whole power that
+    holds only where no such multiple takes more than a factors, the
+    enumeration's limit below.  Where the gap divides not every generator,
+    as for gaps 1 and 1 + 1/N, the monoid is sparse below the bound and is
+    enumerated; counting every lattice point there would cost about N
+    times as much.
 
     Every w_e is an int over one denominator: ``cden^top`` for every b = 1
     (``cden^min(top, a)`` for a whole power), and ``(cden b)^top top!``
@@ -902,15 +933,16 @@ def _unit_power(unit, a, b, rel_needed):
     ``(cden b)^m m!``, or over ``cden^m`` for b = 1, where the binomial
     ``binomial(a, m)`` is an int for every int a.  Every
     generator's phi is at least that of the leading gap, so m is at most
-    top, the largest phi over the support divided by the gap's, and each
-    step is an exact int division.
+    top, the largest phi over S divided by the gap's, and each step is an
+    exact int division.
 
     A whole power ``u^a`` is a polynomial in h: its support is the sums of
     at most a generators, so the enumeration stops there and m is at most
     a.  Its phi is the weight ``sum e_i W^(d-1-i)`` with W above twice the
     largest |coordinate| of a generator, positive on every generator and so
-    on every sum of them; in rank 1 it is the exponent itself.  That set is
-    finite in every rank.
+    on every sum of them; in rank 1 it is the exponent itself, and
+    ``e // step`` is read with no call per element.  That set is finite in
+    every rank.
 
     Otherwise phi takes an exponent to its coordinate where the leading gap
     v(h) has its first nonzero one.  In rank d > 1 a gap in a later
@@ -920,7 +952,6 @@ def _unit_power(unit, a, b, rel_needed):
     coordinates before the gap's, so its phi is positive and there are
     finitely many of them.
     """
-    eden, keys, cden, nums = unit._grid
     whole = b == 1 and a >= 0
     if not whole and len(keys) > 1:
         reached = _exponent(eden, keys[1])
@@ -930,13 +961,20 @@ def _unit_power(unit, a, b, rel_needed):
                 "leading gap of the unit part lies in a later coordinate than the target; "
                 "Newton doubling cannot reach the requested depth in lexicographic rank > 1"
             )
-    # with no target, a whole power u^a reaches no key above a times the top one
-    bound = keys[-1] * (a + 1) if rel_needed is INFINITE else _below_key(_key_of(rel_needed), eden)
+    zero = keys[0]
+    if rel_needed is INFINITE:
+        # with no target, a whole power u^a reaches no key above a times the top one
+        bound = keys[-1] * (a + 1)
+    else:
+        bound = _below_key(_key_of(rel_needed), eden)
+        if not zero < bound:
+            return eden, (), 1, ()
     gens = [(k, n) for k, n in zip(keys[1:], nums[1:]) if k < bound]
     if not gens:
-        return HahnSeries.constant(1, unit.rank)
+        return eden, (zero,), 1, (1,)
     gap = gens[0][0]
-    if type(gap) is int:
+    rank_one = type(gap) is int
+    if rank_one:
         phi = lambda key: key  # noqa: E731
     elif whole:
         width = 2 * max(abs(q) for k, _ in gens for q in k) + 1
@@ -945,73 +983,77 @@ def _unit_power(unit, a, b, rel_needed):
     else:
         phi = itemgetter(next(i for i, q in enumerate(gap) if q))
     step = gcd(*(phi(k) for k, _ in gens))
-    gens = [(k, n, phi(k) // step) for k, n in gens]
-    # the monoid below the bound (sums of at most a generators for a whole
-    # power), each element with the pairs (element s, generator) that sum
-    # to it, kept as s, the generator's numerator and its phi over step;
-    # gens ascend, so a row stops at the bound
-    zero = keys[0]
-    below = {zero: ()}
-    frontier = [zero]
-    factors = 0
-    while frontier:
-        factors += 1
-        grown = []
-        for s in frontier:
-            for k, n, pj in gens:
-                e = s + k
-                if e >= bound:
-                    break
-                pairs = below.get(e)
-                if pairs is None:
-                    if whole and factors > a:
-                        continue
-                    below[e] = pairs = []
-                    grown.append(e)
-                pairs.append((s, n, pj))
-        frontier = grown
-    support = sorted(below)
+    if rank_one and gap == step and (not whole or (bound - 1 - zero) // gap <= a):
+        support = range(zero, bound, gap)
+    else:
+        # the monoid below the bound (sums of at most a generators for a
+        # whole power); gens ascend, so a row stops at the bound
+        seen = {zero}
+        frontier = [zero]
+        factors = 0
+        while frontier and (not whole or factors < a):
+            factors += 1
+            grown = []
+            for s in frontier:
+                for k, _ in gens:
+                    e = s + k
+                    if e >= bound:
+                        break
+                    if e not in seen:
+                        seen.add(e)
+                        grown.append(e)
+            frontier = grown
+        support = sorted(seen)
     # the weight of a whole power in rank > 1 follows lexicographic order on
     # the generators but not on their sums, so its largest value is searched
     # for; every other phi is largest on the last exponent
-    top = (max(map(phi, support)) if whole and type(gap) is not int else phi(support[-1])) // phi(gap)
+    top = (max(map(phi, support)) if whole and not rank_one else phi(support[-1])) // phi(gap)
     if b == 1:
         den = cden ** (min(top, a) if whole else top)
     else:
         den = (cden * b) ** top * factorial(top)
+    # each generator as its key, numerator and (a + b) phi / step
+    gens = [(k, n, (a + b) * (phi(k) // step)) for k, n in gens]
     w = {zero: den}
     for e in support[1:]:
-        pe = phi(e) // step
+        # phi is the identity in rank 1, read with no call per element
+        bpe = b * (e // step if rank_one else phi(e) // step)
         total = 0
-        for s, n, pj in below[e]:
-            total += (a * pj - b * (pe - pj)) * n * w[s]
-        w[e] = total // (b * cden * pe)
-    out = [(e, w[e]) for e in support if w[e]]
-    return _on_grid((*_least(eden, tuple(map(_first, out))), *_least(den, tuple(c for _, c in out))), unit.rank)
+        for k, n, apj in gens:
+            if e < k:
+                break
+            s = w.get(e - k)
+            if s:
+                total += (apj - bpe) * n * s
+        w[e] = total // (bpe * cden)
+    out = [e for e in support if w[e]]
+    return eden, tuple(out), den, tuple(w[e] for e in out)
 
 
 def _split_power(x, coeff, a, b, rel):
     """``x^(a/b)`` of a nonzero series ``x = c t^v u``, for ``coeff = c^(a/b)``,
     known below ``rel + v a/b``; INFINITE ``rel`` gives an exact whole power.
 
-    The unit ``u = 1 + h`` is put on the grid directly, raised to the power
-    a/b below ``rel`` by ``_unit_power``, and multiplied by ``coeff t^(v a/b)``
-    on the grid.  The result is cut at its precision: with ``rel`` at or
-    below 0, the constant 1 that ``_unit_power`` returns lies at it.
+    The unit ``u = 1 + h`` goes to ``_unit_power`` as raw ints, x's keys
+    less the lead over x's ``eden`` and its numerators signed over
+    ``|c|``'s, with no gcd taken; its power comes back raw, is shifted by
+    ``v a/b`` and scaled by ``coeff`` on the ints, and is put on the grid
+    with one ``_least`` on the keys and one on the numerators.
+    ``_unit_power`` returns no term at or above its target, so the result
+    is cut at its precision already.
     """
     eden, keys, cden, nums = x._grid
     lead, n0 = keys[0], nums[0]
     sign = 1 if n0 > 0 else -1
-    unit = _on_grid((*_least(eden, tuple(key - lead for key in keys)), *_least(sign * n0, tuple(sign * n for n in nums))),
-                    x.rank)
-    wden, wkeys, wcden, wnums = _unit_power(unit, a, b, rel)._grid
-    # the exponents of u^(a/b) are sums of those of u, over a divisor of eden
-    eden, shift = eden * b, lead * a
-    wkeys = tuple(key + shift for key in _over(wden, eden, wkeys))
+    _, wkeys, wcden, wnums = _unit_power(eden, tuple(key - lead for key in keys), sign * n0,
+                                         tuple(sign * n for n in nums), a, b, rel)
+    # the exponents of u^(a/b) are sums of those of u, over eden; over eden b
+    # the shift v a/b is an int
+    shift = lead * a
+    wkeys = tuple(key * b + shift for key in wkeys)
     p, q = coeff.numerator, coeff.denominator
-    out = _on_grid((*_least(eden, wkeys), *_least(wcden * q, tuple(n * p for n in wnums))), x.rank)
-    pkey = None if rel is INFINITE else _key_sum(_key_of(rel), (eden, shift))
-    return _truncated(out._below(pkey), pkey)
+    out = _on_grid((*_least(eden * b, wkeys), *_least(wcden * q, tuple(n * p for n in wnums))), x.rank)
+    return _truncated(out, None if rel is INFINITE else _key_sum(_key_of(rel), (eden * b, shift)))
 
 
 def _taylor_sum(coefficient, args, target_prec, bound):

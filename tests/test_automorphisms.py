@@ -30,6 +30,11 @@ scaled and every count left alone:
 - ``weierstrass_divide`` at precision q p and the same degree bound, as
   sigma_q acts on the coefficients and fixes the variables.
 
+In rank 2 the shear tau: ``t^(a,b) -> t^(a,a+b)`` is an automorphism of
+the lexicographic group Q^2 and so of the field; ``invert``, ``nth_root``,
+``power`` and ``rv_lambda`` commute with it, exponents and precisions
+mapped alike (``TestRankTwoShear``).
+
 These relations need no second implementation of any solver.
 """
 
@@ -201,6 +206,70 @@ class TestAnalyticFunctions:
     def test_commute_with_sigma(self, a, name, q, data):
         fn, target = default_registry().get(name), _depth(data.draw, a.rank, -2)
         _check(lambda r: evaluate_analytic(fn, [sigma(a, r)], target * r), q)
+
+
+def shear(v):
+    """tau: ``t^(a,b) -> t^(a,a+b)`` on a rank-2 exponent (INFINITE stays), or on every exponent and the
+    precision of a series."""
+    if v is INFINITE:
+        return v
+    if isinstance(v, GroupElement):
+        return GroupElement([v[0], v[0] + v[1]])
+    approx = HahnSeries([(shear(e), c) for e, c in v.approx.terms], 2)
+    return TruncatedSeries(approx, shear(v.prec))
+
+
+def _same(v):
+    return v
+
+
+def _check_shear(solve, transport=shear):
+    """``solve(shear)`` runs the solver on the tau images of its operand and its exponents, ``solve(_same)``
+    on them as they are; the first must be ``transport`` of the second, or raise the same class."""
+    image, plain = _outcome(lambda: solve(shear)), _outcome(lambda: solve(_same))
+    if isinstance(plain, type):
+        assert image is plain
+    else:
+        assert image == transport(plain)
+
+
+class TestRankTwoShear:
+    """tau: ``(g1, g2) -> (g1, g1 + g2)`` is an order-preserving automorphism of the lexicographic group Q^2:
+    it keeps the first coordinate, and at equal first coordinates it adds the same g1 to both second ones.
+    So ``sum c_e t^e -> sum c_e t^(tau e)`` is an automorphism of the rank-2 field, precisions included, and
+    ``invert``, ``nth_root``, ``power`` and ``rv_lambda`` commute with it.  It moves a unit gap between the
+    coordinates' weights, so it drives the power kernel's rank-d enumeration and its whole-power weight
+    through a second set of generators with the same answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands(2), st.data())
+    def test_invert(self, x, data):
+        target = _target(data.draw, x)
+        _check_shear(lambda m: invert(m(x), m(target)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_nth_root(self, n, data):
+        a = data.draw(operands(2, ROOT_LEADS[n]))
+        target = _target(data.draw, a)
+        _check_shear(lambda m: nth_root(m(a), n, m(target)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands(2), st.integers(0, 5), st.data())
+    def test_power(self, x, k, data):
+        prec = INFINITE if data.draw(st.booleans()) else _target(data.draw, x)
+        _check_shear(lambda m: power(m(x), k, m(prec)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands(2), st.data())
+    def test_rv_lambda(self, x, data):
+        lam = _depth(data.draw, 2, 0)
+
+        def solve(m):
+            datum = rv_lambda(m(x), m(lam))
+            return datum.lam, datum.gamma, TruncatedSeries.exact(datum.jet)
+
+        _check_shear(solve, lambda out: tuple(map(shear, out)))
 
 
 def sigma_term(node, q):

@@ -31,6 +31,9 @@ def test_the_trajectory_of_each_kind_of_record_in_number_order(tmp_path):
         }},
         "BENCH_9_layers.json": {"summary": {"invert": {"parent": {"median": 7.5}, "change": {"median": 7.0}}}},
         "LINECOV_10.json": {"pytest_exit": 0, "files": {}, "total": {"executable": 3124, "executed": 3114}},
+        "REACH_10.json": {"summary": {"group": {"family": {"caught": 59, "total": 300, "holes": {
+            "grid": {"caught": 59, "total": 72}, "step": {"caught": 0, "total": 156}}}}}, "cases": []},
+        "REACH_9.json": {"summary": {"group": {}}},
         "BENCH_10_trace.json": {"summary": {"cli": {"ops_per_s": _metric(1.0, 2.0)}}},
         "BENCH_10_tier1.json": {"pairs": []},
         "BENCH_10_tier1_2843bbc.json": {"pairs": []},
@@ -42,12 +45,15 @@ def test_the_trajectory_of_each_kind_of_record_in_number_order(tmp_path):
         ["BENCH_7.json"],
         ["newton", "op_p90_ms", "parent", "1.5", "change", "1.25", "-"],
         ["BENCH_9_layers.json"],
+        ["REACH_9.json"],
         ["BENCH_10.json"],
         ["cli", "ops_per_s", "parent", "900", "change", "1000", "within_bound"],
         ["BENCH_10_layers.json"],
         ["invert", "profiled_calls", "parent", "120", "change", "96"],
         ["LINECOV_10.json"],
         ["executable", "3124", "executed", "3114"],
+        ["REACH_10.json"],
+        ["family", "caught", "59", "of", "300", "grid", "59/72", "step", "0/156"],
     ]
     assert sorted(os.listdir(tmp_path)) == before
 

@@ -372,6 +372,52 @@ class TestCountFlags:
         capsys.readouterr()
 
 
+class TestValuesThatStartWithAMinus:
+    """A word that names no option is a value, even when it starts with ``-``: each form prints what its
+    ``=`` form, or its ``--`` form for a positional, prints, with the same exit code."""
+
+    PROBE = ("--inner", "t^(2)", "--outer", "1", "--h", "exp", "--h-scale", "t^(1)", "--trials", "20")
+
+    @pytest.mark.parametrize("argv, same", [
+        (("eval", "--prec", "3", "x", "--at", "-1*t^(1)"), ("eval", "--prec", "3", "x", "--at=-1*t^(1)")),
+        (("eval", "x", "--at", "-1/2*t^(-3/2) + 1"), ("eval", "x", "--at=-1/2*t^(-3/2) + 1")),
+        (("rv", "-1*t^(1)"), ("rv", "--", "-1*t^(1)")),
+        (("--lambda", "1", "rv", "-3*t^(1/2)+t^(1)"), ("--lambda", "1", "rv", "--", "-3*t^(1/2)+t^(1)")),
+        (("eval", "-x", "--at", "1"), ("eval", "--at", "1", "--", "-x")),
+        (("eval", "x", "--prec", "-1/2", "--at", "1"), ("eval", "x", "--prec=-1/2", "--at", "1")),
+        (("--prec", "-3/2", "eval", "x", "--at", "1"), ("--prec=-3/2", "eval", "x", "--at", "1")),
+        (("probe-unit", "--center", "-2*t^(1/2)", *PROBE), ("probe-unit", "--center=-2*t^(1/2)", *PROBE)),
+        (("probe-unit", "--center", "0", "--inner", "-1*t^(3/2)", *PROBE[2:]),
+         ("probe-unit", "--center", "0", "--inner=-1*t^(3/2)", *PROBE[2:])),
+    ])
+    def test_prints_what_its_equals_form_prints(self, capsys, argv, same):
+        code, _, out = run(capsys, *argv)
+        assert out and (code, out) == run(capsys, *same)[::2]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "x", "--bogus", "--at", "1"), "unrecognized arguments: --bogus"),
+        (("eval", "x"), "the following arguments are required: --at"),
+        (("eval", "x", "--at"), "argument --at: expected one argument"),
+    ])
+    def test_a_usage_error_names_no_text_position(self, capsys, argv, message):
+        assert run_cli(list(argv)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_either_form_of_the_option_lookup(self, monkeypatch):
+        # argparse looks an option up as one (action, option, value) tuple, newer versions as a list of them
+        plain = cli.argparse.ArgumentParser._parse_optional
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "_parse_optional",
+                            lambda self, arg: None if (found := plain(self, arg)) is None else [(*found, None)])
+        parser = cli._build_parser()
+        assert parser._parse_optional("-1*t^(1)") is None and parser._parse_optional("-1/2") is None
+        assert parser._parse_optional("--prec")[0][1] == "--prec"
+
+    def test_dash_h_still_prints_the_help(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            run_cli(["eval", "-h"])
+        assert done.value.code == 0 and "--at AT" in capsys.readouterr().out
+
+
 class TestDependencyFree:
     """The package imports the standard library and itself only; pytest, hypothesis and sympy are for tests."""
 

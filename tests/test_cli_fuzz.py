@@ -2,7 +2,8 @@
 
 Each argv of ``golden/commands.json`` runs as recorded, with ``--rank 2``
 appended, with ``--prec`` and ``--lambda`` each set to ``0``, ``-1``,
-``1/0`` and ``abc``, and with ``--trials 0``.  ``run_cli`` must not raise,
+``-1/2``, ``1/0`` and ``abc``, with ``--at`` and ``--center`` set to a
+value of negative leading coefficient, and with ``--trials 0``.  ``run_cli`` must not raise,
 its exit code must be one of 0, 1, 2 and 3, and stderr must hold no
 traceback.  The sampling commands get ``--trials 10`` first, to keep the
 test short.  Every run is in process.
@@ -24,7 +25,9 @@ SAMPLING = {"prepare", "verify", "jacobian", "probe-unit"}
 VARIANTS = [
     [],
     ["--rank", "2"],
-    *([flag, value] for flag in ("--prec", "--lambda") for value in ("0", "-1", "1/0", "abc")),
+    *([flag, value] for flag in ("--prec", "--lambda") for value in ("0", "-1", "-1/2", "1/0", "abc")),
+    ["--at", "-1*t^(1)"],
+    ["--center", "-2*t^(1/2)"],
     ["--trials", "0"],
     ["--inv-zero-is-zero"],
 ]

@@ -1633,6 +1633,7 @@ class TestUnitPowersAgainstNewton:
     @pytest.mark.parametrize("text, target", [
         ("1 + 1*t^(1) + 1/3*t^(1001/1000)", 20),
         ("1 + 1*t^(1) - 2/3*t^(100001/100000)", 12),
+        ("1 + 1*t^(1) - 2/3*t^(1000001/1000000)", 12),
     ])
     def test_close_gaps_stay_cheap(self, text, target):
         # gaps 1 and 1 + 1/N: a coefficient takes at most about target
@@ -1688,6 +1689,176 @@ class TestUnitPowersAgainstNewton:
             _same_as_newton(invert, _newton_invert, a, INFINITE)
             for n in (1, 2):
                 _same_as_newton(nth_root, _newton_nth_root, a, n, INFINITE)
+
+
+def _dict_cut(d, bound):
+    """The nonzero terms of the dict ``d`` below ``bound`` (all of them for INFINITE)."""
+    return {e: c for e, c in d.items() if c and (bound is INFINITE or e < tuple(bound))}
+
+
+def _tuple_dict(series):
+    return {tuple(e): c for e, c in series.terms}
+
+
+def _dict_power(d, k, bound=INFINITE):
+    """``d^k`` by k repeated products, each cut at ``bound``; exact only for factors of nonnegative exponents."""
+    out = {tuple(0 * q for q in next(iter(d))): Fraction(1)}
+    for _ in range(k):
+        out = _dict_cut(_dict_mul(out, d), bound)
+    return out
+
+
+def _long_division(u, rel):
+    """``1/u`` below ``rel`` for a unit dict u with constant term 1: the lowest term c t^e of the rest, from 1
+    down, joins the quotient and c t^e u leaves the rest, until the rest has no term below ``rel``."""
+    quotient, rest = {}, {min(u): Fraction(1)}
+    for _ in range(5000):
+        e = min(rest, default=None)
+        if e is None or not e < tuple(rel):
+            return quotient
+        c = quotient[e] = rest[e]
+        rest = _dict_cut(_dict_add(rest, {_vadd(e, f): -c * d for f, d in u.items()}), INFINITE)
+    raise AssertionError("the long division did not reach the target")
+
+
+def _root_by_products(u, n, rel):
+    """``u^(1/n)`` below ``rel`` for a unit dict u: the lowest term c t^e below ``rel`` of ``u - w^n``, w^n by
+    repeated products, adds ``c/n t^e`` to w, from w = 1, until ``u - w^n`` has no term below ``rel``."""
+    w = {min(u): Fraction(1)}
+    for _ in range(5000):
+        rest = _dict_cut(_dict_add(u, {e: -c for e, c in _dict_power(w, n, rel).items()}), rel)
+        if not rest:
+            return w
+        e = min(rest)
+        w[e] = rest[e] / n
+    raise AssertionError("the root did not reach the target")
+
+
+@st.composite
+def split_power_operands(draw, rank, lead=ORACLE_COEFFS):
+    """``(approx, g, scale)``: ``lead t^g (1 + h)`` with h's exponents on each side of the counted support.
+
+    Rank 1 draws h's exponents as multiples of a gap g0 that include g0
+    (the gap is their gcd: counted), as multiples of g0 without it (the
+    leading gap is the gcd or not) or as g0 and g0 + 1/N (enumerated); rank 2
+    draws them in Q^2, some in the second coordinate alone (enumerated).
+    ``scale`` is g0, or (0, 1) in rank 2, for the targets.
+    """
+    zero = GroupElement.zero(rank)
+    g = _oracle_exponent(draw, rank, -4, 4)
+    if rank == 1:
+        g0 = Fraction(draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3])))
+        side = draw(st.sampled_from(["counted", "multiples", "close"]))
+        if side == "counted":
+            mults = {1, *draw(st.lists(st.integers(2, 5), max_size=2))}
+        elif side == "multiples":
+            mults = set(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+        else:
+            mults = {1, 1 + Fraction(1, draw(st.sampled_from([7, 20])))} | set(draw(st.lists(st.just(2), max_size=1)))
+        gaps, scale = [ge(g0 * m) for m in mults], ge(g0)
+    else:
+        gaps = {GroupElement([Fraction(draw(st.integers(0, 1))), Fraction(draw(st.integers(-2, 3)), draw(
+            st.sampled_from([1, 2])))]) for _ in range(draw(st.integers(1, 3)))}
+        gaps, scale = [e for e in gaps if e > zero], GroupElement([0, 1])
+    unit = HahnSeries([(zero, 1)] + [(e, draw(ORACLE_COEFFS)) for e in gaps], rank)
+    return unit.shift(g).scale(draw(lead)), g, scale
+
+
+def _blurred(draw, approx, guard, scale):
+    """``approx`` exact, or known below ``guard`` moved by -1 to 2 quarter scales, and above its valuation."""
+    if draw(st.booleans()):
+        return TruncatedSeries.exact(approx)
+    return TruncatedSeries(approx, max(guard + scale * Fraction(draw(st.integers(-1, 2)), 4),
+                                       approx.valuation() + scale / 4))
+
+
+def _unit_dict(a):
+    """``(c, g, u)`` of ``a = c t^g u``, u as a dict with constant term 1."""
+    c, g = a.approx.leading_coeff(), a.approx.valuation()
+    return c, g, {tuple(e - g): q / c for e, q in a.approx.terms}
+
+
+def _expect(got, coeff, shift, w, prec):
+    """``got`` is ``coeff t^shift w`` known below ``prec`` (exact for INFINITE)."""
+    want = _dict_cut({_vadd(e, shift): coeff * q for e, q in w.items()}, prec)
+    assert got.prec == prec
+    assert {tuple(e): q for e, q in got.approx.terms} == want
+
+
+def _stalls(a, rel):
+    """A rank-2 target beyond a unit whose leading gap lies in a later coordinate than the target's."""
+    terms = a.approx.terms
+    if len(terms) < 2 or a.rank == 1:
+        return False
+    gap = terms[1][0] - terms[0][0]
+    return gap < rel and any(rel[: next(i for i, q in enumerate(gap) if q)])
+
+
+class TestSplitPowersAgainstDictReference:
+    """``invert``, ``nth_root`` and ``power`` against a Fraction-dict reference: long division, a root
+    grown term by term from repeated products, and the repeated product; value and precision, units on both
+    sides of the counted support."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2).flatmap(split_power_operands), st.data())
+    def test_invert(self, case, data):
+        approx, g, scale = case
+        rel = scale * Fraction(data.draw(st.integers(-1, 8)), 2)
+        if approx.rank == 2 and data.draw(st.booleans()):
+            rel = rel + GroupElement([1, 0])
+        target = g + g + rel
+        a = _blurred(data.draw, approx, target - g, scale)
+        if a.is_exact() and len(a.approx.terms) == 1:
+            assert invert(a, target) == TruncatedSeries.monomial(1 / a.approx.leading_coeff(), -g)
+            return
+        if not a.is_exact() and a.prec - g < rel:
+            with pytest.raises(InsufficientPrecision):
+                invert(a, target)
+            return
+        if _stalls(a, rel):
+            with pytest.raises(PrecisionStall):
+                invert(a, target)
+            return
+        c, g, u = _unit_dict(a)
+        _expect(invert(a, target), 1 / c, tuple(-g), _long_division(u, rel), rel - g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2), st.sampled_from([2, 3]), st.data())
+    def test_nth_root(self, rank, n, data):
+        root_c = data.draw(st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)))
+        approx, g, scale = data.draw(split_power_operands(rank, st.just(root_c**n)))
+        rel = scale * Fraction(data.draw(st.integers(-1, 8)), 2)
+        if rank == 2 and data.draw(st.booleans()):
+            rel = rel + GroupElement([1, 0])
+        target = g + rel
+        a = _blurred(data.draw, approx, target, scale)
+        if a.is_exact() and len(a.approx.terms) == 1:
+            assert nth_root(a, n, target) == TruncatedSeries.monomial(root_c, g / n)
+            return
+        if not a.is_exact() and a.prec - g < rel:
+            with pytest.raises(InsufficientPrecision):
+                nth_root(a, n, target)
+            return
+        if _stalls(a, rel):
+            with pytest.raises(PrecisionStall):
+                nth_root(a, n, target)
+            return
+        _, g, u = _unit_dict(a)
+        w = _root_by_products(u, n, rel)
+        exact = a.is_exact() and _dict_cut(_dict_power(w, n), INFINITE) == u
+        _expect(nth_root(a, n, target), root_c, tuple(g / n), w, INFINITE if exact else rel + g / n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2).flatmap(split_power_operands), st.integers(1, 5), st.data())
+    def test_power(self, case, k, data):
+        # a relative target of -1 to 2k + 3 half gaps puts a whole power on both sides of the counted
+        # support, k gaps at or below the target and above it; INFINITE is the exact power
+        approx, g, scale = case
+        prec = data.draw(st.one_of(st.just(INFINITE), st.builds(
+            lambda j: g * k + scale * Fraction(j, 2), st.integers(-1, 2 * k + 3))))
+        x = _blurred(data.draw, approx, approx.terms[-1][0] + scale, scale)
+        top = prec if x.is_exact() else min(prec, x.prec + g * (k - 1))
+        _expect(power(x, k, prec), 1, tuple(0 * q for q in g), _dict_power(_tuple_dict(x.approx), k), top)
 
 
 @st.composite
