@@ -5,8 +5,9 @@ Usage (from anywhere)::
     python3 bench/history.py [DIR]
 
 ``DIR`` (default: the root of this checkout) holds the records that the
-other scripts of ``bench/`` write.  In the order of their number ``n``, the
-script prints
+other scripts of ``bench/`` write; a ``DIR`` that is not a directory exits
+2 with a usage message, and ``--help`` prints the usage.  In the order of
+their number ``n``, the script prints
 
 - for each ``BENCH_<n>.json`` (``bench/pairs.py``): per workload and
   metric, the parent's and the change's median and the verdict;
@@ -26,6 +27,7 @@ and writes no file.
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import sys
@@ -94,12 +96,17 @@ def history(directory):
     return out
 
 
-def main(argv):
-    directory = argv[0] if argv else ROOT
-    for line in history(directory):
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("directory", metavar="DIR", type=Path, nargs="?", default=ROOT,
+                        help="the directory of the records (default: the root of this checkout)")
+    args = parser.parse_args(argv)
+    if not args.directory.is_dir():
+        parser.error(f"not a directory: {args.directory}")
+    for line in history(args.directory):
         print(line)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

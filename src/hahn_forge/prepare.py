@@ -48,6 +48,7 @@ from .rv import (
     _first_disagreement,
     _mates_at,
     _point_pairs,
+    _schedule,
     near_sample,
     run_trials,
     rv_lambda,
@@ -60,8 +61,6 @@ from .series import (
     _exponent,
     _first_difference,
     _half_steps,
-    _key_of,
-    _key_sum,
     format_exponent,
     format_rational,
     format_series,
@@ -687,7 +686,7 @@ def verify_preparation(term, prep, lam, trials=300, rng_seed=0):
     pairs for every sampled disagreement.
     """
     centers = _centers(prep)
-    grid = (-4, int(2 * lam.first()) + 4)
+    rows = _schedule(-4, int(2 * lam.first()) + 4, 2, lam)
     six, ten = (GroupElement.scalar(c, lam.rank) for c in (6, 10))
 
     def check(x0, mates, gamma):
@@ -697,7 +696,7 @@ def verify_preparation(term, prep, lam, trials=300, rng_seed=0):
         return _first_disagreement(lambda x: _rv_of_term(term, x, lam, base_prec, ten), x0, mates)
 
     report = VerificationReport("verify_preparation", lam, trials, rng_seed)
-    draw = lambda rng: near_sample(rng, centers, lam, grid, steps=2, count=1, mate_steps=2)
+    draw = lambda rng: near_sample(rng, centers, lam, rows, steps=2, count=1, mate_steps=2)
     return run_trials(report, "verify", centers, draw, check, _SKIP)
 
 
@@ -792,7 +791,8 @@ def jacobian_probe(fn, prep, trials=300, rng_seed=0):
         return bad
 
     report = VerificationReport("jacobian_probe", lam, trials, rng_seed, extra={"shifts": shifts})
-    draw = lambda rng: near_sample(rng, centers, lam, (-4, 6), steps=2, count=3)
+    rows = _schedule(-4, 6, 2, lam)
+    draw = lambda rng: near_sample(rng, centers, lam, rows, steps=2, count=3)
     return run_trials(report, "jacobian", centers, draw, check, _SKIP)
 
 
@@ -892,16 +892,16 @@ def strong_unit_probe(spec, annulus, lam, trials=200, rng_seed=0):
                             for (fn, _), need, v_arg, v_den in zip(given, demands, (v_in - v, v - v_out), (v, v_out)))
 
     inside = _inside_annulus(center, inner, outer)
-    # include the boundary valuations: points there can still sit strictly
-    # inside the annulus when their leading coefficient is small enough
-    lo, hi = v_out.first(), v_in.first()
-    gammas = (GroupElement.scalar(Fraction(k, 4), rank) for k in range(floor(lo * 4), ceil(hi * 4) + 1))
-    depth = _key_of(lam)
-    rows = [(key := _key_of(gamma), _key_sum(key, depth), all_constant(gamma)) for gamma in gammas]
+    # the schedule on quarter steps over [v(outer), v(inner)], each row with
+    # its all_constant flag; the boundary valuations are included, as points
+    # there can still sit strictly inside the annulus when their leading
+    # coefficient is small enough
+    rows = [(key, base, all_constant(gamma))
+            for gamma, key, base in _schedule(floor(v_out.first() * 4), ceil(v_in.first() * 4), 4, lam)]
 
     def draw(rng):
-        gamma, base, constant = rng.choice(rows)
-        x0 = _half_steps(center, gamma, _point_pairs(rng, 2))
+        key, base, constant = rng.choice(rows)
+        x0 = _half_steps(center, key, _point_pairs(rng, 2))
         if not inside(x0):
             return None
         # inside the annulus, x0 - center has a decided sign, so its valuation is gamma

@@ -8,15 +8,18 @@ same multiplicative coset ``x (1 + {v > lam})``, so the fibres of
 
 The sampling utilities below draw reproducible finite-support points from
 these fibres on the integer grid of ``series``, by one path for every rank
-and every exact or inexact center.  A draw puts gamma and ``depth + lam``
-on int keys once, and ``_half_steps`` merges the few drawn terms
-``c t^(base + k/2)`` straight into the grid of the center (for x0) or of
-x0 (for a mate), cutting them at an inexact center's precision as
-``field_op`` cuts a sum; the ``random`` calls come in the same order as
-when the points were built as series and added.  ``ball_mates`` reads the
-key of ``v(x0 - c)`` at the first difference of the two grids and keeps
-the largest, and ``rv_lambda`` compares its depth and cuts its jet on the
-grid keys.  ``strong_unit_probe`` draws through the same helpers.
+and every exact or inexact center.  Each sampler builds its schedule once
+per call with ``_schedule``: the rows ``(gamma, key, base)`` of the
+gammas = v(x0 - c) it may draw, each with the grid key of gamma and of
+gamma + lam, so a draw picks a row by ``rng.choice`` and converts nothing.
+``_half_steps`` merges the few drawn terms ``c t^(base + k/2)`` straight
+into the grid of the center (for x0) or of x0 (for a mate), cutting them
+at an inexact center's precision as ``field_op`` cuts a sum; the
+``random`` calls come in the same order as when the points were built as
+series and added.  ``ball_mates`` reads the key of ``v(x0 - c)`` at the
+first difference of the two grids and keeps the largest, and
+``rv_lambda`` compares its depth and cuts its jet on the grid keys.
+``strong_unit_probe`` draws through the same helpers.
 
 ``run_trials`` is the one trial loop of every sampling verifier in the
 package: it seeds each trial from the verifier's tag and seed, so that a
@@ -173,11 +176,6 @@ def random_tail(rng, base, steps=4):
     return _half_steps(TruncatedSeries.zero(len(base)), _key_of(base), _tail_pairs(rng, steps)).approx
 
 
-def random_point(rng, lead, steps=4):
-    """Random finite-support point with valuation exactly ``lead``."""
-    return _half_steps(TruncatedSeries.zero(len(lead)), _key_of(lead), _point_pairs(rng, steps))
-
-
 def sample_in_ball(ball, rng_seed, extra_depth=Fraction(2)):
     """Deterministic random point of the given ball.
 
@@ -279,10 +277,13 @@ def run_trials(report, tag, centers, draw, check, skip):
     disagreeing pair or None, and an exception in ``skip`` resamples.  The
     first attempt whose check completes ends the trial and counts as
     checked; a disagreeing pair is recorded with the balls of x0 lam-next
-    to ``centers``.  A negative trial count is a ValueError.
+    to ``centers``.  A negative trial count or depth ``report.lam`` is a
+    ValueError, raised before any draw.
     """
     if report.trials < 0:
         raise ValueError(f"trials must be at least 0, got trials {report.trials}")
+    if report.lam < (0,) * len(report.lam):
+        raise ValueError("depth must be >= 0")
     for trial in range(report.trials):
         rng = random.Random(f"{tag}:{report.seed}:{trial}")
         for _attempt in range(16):
@@ -301,16 +302,26 @@ def run_trials(report, tag, centers, draw, check, skip):
     return report
 
 
-def near_sample(rng, centers, lam, grid, steps, count, mate_steps=3):
+def _schedule(lo, hi, den, lam):
+    """The rows ``(gamma, key, base)`` a sampler draws gamma = v(x0 - c) from, built once per call.
+
+    gamma is (k/den, 0, ..., 0) in the rank of lam for k in ``lo..hi``,
+    ``key`` its grid key and ``base`` the grid key of gamma + lam.
+    """
+    gammas = (GroupElement.scalar(Fraction(k, den), lam.rank) for k in range(lo, hi + 1))
+    return tuple((gamma, key := _key_of(gamma), _key_sum(key, _key_of(lam))) for gamma in gammas)
+
+
+def near_sample(rng, centers, lam, rows, steps, count, mate_steps=3):
     """A point x0 near a random center, and its ball-mates.
 
-    ``v(x0 - center)`` is gamma = k/2 with k drawn from the closed range
-    ``grid``.  Returns ``(x0, mates, gamma)``, or None when x0 collides
-    with a center.
+    ``v(x0 - center)`` is the gamma of a row drawn from the schedule
+    ``rows`` (``_schedule``).  Returns ``(x0, mates, gamma)``, or None
+    when x0 collides with a center.
     """
     anchor = rng.choice(centers)
-    gamma = GroupElement.scalar(Fraction(rng.randint(*grid), 2), anchor.rank)
-    x0 = _half_steps(anchor, _key_of(gamma), _point_pairs(rng, steps))
+    gamma, key, _ = rng.choice(rows)
+    x0 = _half_steps(anchor, key, _point_pairs(rng, steps))
     mates = ball_mates(rng, x0, centers, lam, count=count, steps=mate_steps)
     return None if mates is None else (x0, mates, gamma)
 
@@ -320,15 +331,19 @@ def check_prepares(C, membership, lam, trials=200, rng_seed=0, gamma_span=2):
 
     ``membership`` is any predicate on finite-support points; a verdict of
     fail carries witness pairs.  Sampling artifacts (undecidable queries)
-    are resampled, never reported.
+    are resampled, never reported.  gamma = v(x0 - c) is drawn as k/2 for
+    k from ``-2 gamma_span`` to ``int(2 (2 + lam)) + 1``; a negative
+    ``gamma_span`` is a ValueError.
     """
     if not C:
         raise ValueError("the preparing set must be nonempty")
-    grid = (-2 * gamma_span, int(2 * (Fraction(2) + lam.first())) + 1)
+    if gamma_span < 0:
+        raise ValueError(f"gamma_span must be at least 0, got gamma_span {gamma_span}")
+    rows = _schedule(-2 * gamma_span, int(2 * (2 + lam.first())) + 1, 2, lam)
 
     def check(x0, mates, _gamma):
         return _first_disagreement(lambda p: bool(membership(p)), x0, mates)
 
     report = VerificationReport("check_prepares", lam, trials, rng_seed)
-    draw = lambda rng: near_sample(rng, C, lam, grid, steps=3, count=2)
+    draw = lambda rng: near_sample(rng, C, lam, rows, steps=3, count=2)
     return run_trials(report, "prepare", C, draw, check, (UndecidableAtPrecision, InsufficientPrecision))

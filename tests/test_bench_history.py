@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 _ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 _spec = importlib.util.spec_from_file_location("bench_history", os.path.join(_ROOT, "bench", "history.py"))
@@ -62,3 +64,19 @@ def test_main_prints_the_trajectory(tmp_path, capsys):
     _write(tmp_path, {"LINECOV_3.json": {"total": {"executable": 10, "executed": 9}}})
     assert history.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "LINECOV_3.json\n  executable 10  executed 9\n"
+
+
+def test_help_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        history.main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+def test_a_missing_directory_exits_2_with_a_message(tmp_path, capsys):
+    missing = tmp_path / "absent"
+    with pytest.raises(SystemExit) as exit_:
+        history.main([str(missing)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"not a directory: {missing}" in err

@@ -53,3 +53,29 @@ def test_a_tiny_corpus_is_measured_and_tallied():
     assert record["summary"]["sampler"]["verify_preparation"] == tiny
     assert record["summary"]["sampler"]["check_prepares"]["caught"] == 1
     assert json.loads(json.dumps(record))["cases"][0]["poly"] == [2, "1", ["1"]]
+
+
+def test_the_ranges_and_the_pool_are_those_the_samplers_draw(monkeypatch):
+    # each sampler runs one trial at lambda 0 through reach.run_case; the recording near_sample keeps the
+    # schedule it is given and draws nothing, so every attempt resamples
+    hf = reach.load_package()
+    schedules = []
+
+    def recording(rng, centers, lam, rows, *args, **kwargs):
+        schedules.append(rows)
+        return None
+
+    for module in (hf.rv, hf.prepare):
+        monkeypatch.setattr(module, "near_sample", recording)
+    data = {"verify_preparation": {"poly": (2, Fraction(1), (Fraction(1),))},
+            "jacobian_probe": {"point": (Fraction(1), Fraction(1, 2))},
+            "check_prepares": {"point": (Fraction(1), Fraction(1, 2))}}
+    assert set(data) == set(reach.RANGES)
+    for sampler, datum in data.items():
+        case = reach._case("schedule", sampler, sampler, 1, (Fraction(1, 2),), 1, 5, **datum)
+        assert reach.run_case(case, hf) == ("undecided", 0)
+        gammas = [gamma for gamma, _key, _base in schedules[-1]]
+        assert all(gamma.rank == 1 for gamma in gammas)
+        assert (gammas[0].first(), gammas[-1].first()) == reach.RANGES[sampler]
+        assert {b.first() - a.first() for a, b in zip(gammas, gammas[1:])} == {Fraction(1, 2)}
+    assert {abs(c) for c in hf.rv._COEFF_POOL} == set(reach.POOL)

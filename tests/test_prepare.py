@@ -41,9 +41,11 @@ from hahn_forge.prepare import (
 )
 from hahn_forge.rv import (
     VerificationReport,
+    _point_pairs,
+    _schedule,
     ball_mates,
+    check_prepares,
     near_sample,
-    random_point,
     run_trials,
     rv_combine,
     rv_lambda,
@@ -55,6 +57,8 @@ from hahn_forge.series import (
     TruncatedSeries,
     _exponent,
     _first_difference,
+    _half_steps,
+    _key_of,
     compare_sign,
     format_exponent,
     format_rational,
@@ -537,7 +541,8 @@ def _reference_jacobian_probe(fn, prep, trials, rng_seed):
         return bad
 
     report = VerificationReport("jacobian_probe", lam, trials, rng_seed, extra={"shifts": shifts})
-    draw = lambda rng: near_sample(rng, centers, lam, (-4, 6), steps=2, count=3)
+    rows = _schedule(-4, 6, 2, lam)
+    draw = lambda rng: near_sample(rng, centers, lam, rows, steps=2, count=3)
     return run_trials(report, "jacobian", centers, draw, check, preparation._SKIP)
 
 
@@ -599,7 +604,8 @@ def _t10_jacobian_probe(fn, prep, trials, rng_seed):
         return bad
 
     report = VerificationReport("jacobian_probe", lam, trials, rng_seed, extra={"shifts": shifts})
-    draw = lambda rng: near_sample(rng, centers, lam, (-4, 6), steps=2, count=3)
+    rows = _schedule(-4, 6, 2, lam)
+    draw = lambda rng: near_sample(rng, centers, lam, rows, steps=2, count=3)
     return run_trials(report, "jacobian", centers, draw, check, preparation._SKIP)
 
 
@@ -868,6 +874,11 @@ def _reference_inside_annulus(x, center, inner, outer):
         return False
 
 
+def _random_point(rng, lead, steps):
+    """A random finite-support point of valuation exactly ``lead``: a head at ``lead``, then a random tail."""
+    return _half_steps(TruncatedSeries.zero(lead.rank), _key_of(lead), _point_pairs(rng, steps))
+
+
 def _reference_strong_unit_probe(spec, annulus, lam, trials, rng_seed):
     """``strong_unit_probe`` as it valued every point before its constant unit: sums at lam + 4, inverses at
     twice that; and as it drew, deciding membership from x - c, |x - c| and both differences at every point."""
@@ -892,7 +903,7 @@ def _reference_strong_unit_probe(spec, annulus, lam, trials, rng_seed):
     gammas = [Fraction(k, 4) for k in range(floor(lo * 4), ceil(hi * 4) + 1)]
 
     def draw(rng):
-        x0 = center + random_point(rng, ge(rng.choice(gammas)), steps=2)
+        x0 = center + _random_point(rng, ge(rng.choice(gammas)), steps=2)
         if not _reference_inside_annulus(x0, center, inner, outer):
             return None
         inside = [m for m in ball_mates(rng, x0, [center], lam, count=2)
@@ -1113,6 +1124,21 @@ class TestDocumentedErrors:
             verify_preparation(lambda x, p: x, [], ge(1))
         with pytest.raises(ValueError, match="nonempty"):
             jacobian_probe(lambda x, p: x, [])
+
+    @pytest.mark.parametrize("trials", [0, 3])
+    @pytest.mark.parametrize("lam", [ge(-5), ge(Fraction(-1, 2)), GroupElement([0, -1])])
+    def test_a_negative_depth_is_rejected_before_any_draw(self, lam, trials):
+        # at -5 the schedules of verify_preparation and check_prepares are empty, so a draw would raise
+        zero = TruncatedSeries.zero(lam.rank)
+        samplers = [
+            lambda: verify_preparation(lambda x, p: x, [zero], lam, trials),
+            lambda: check_prepares([zero], lambda x: True, lam, trials),
+            lambda: strong_unit_probe(StrongUnitSpec(), (zero, TruncatedSeries.monomial(1, GroupElement.scalar(
+                2, lam.rank)), TruncatedSeries.one(lam.rank)), lam, trials),
+        ]
+        for sampler in samplers:
+            with pytest.raises(ValueError, match="depth must be >= 0"):
+                sampler()
 
     def test_a_point_at_an_undetermined_distance_lies_in_no_annulus(self):
         center = s("1 + O(t^(1))")

@@ -15,12 +15,12 @@ import hahn_forge.rv as rv
 from hahn_forge.errors import InsufficientPrecision, PrecisionStall, SingletonBall, ZeroInverse
 from hahn_forge.rv import (
     _mates_at,
+    _schedule,
     angular_component,
     ball_mates,
     ball_of,
     check_prepares,
     near_sample,
-    random_point,
     random_tail,
     rv_combine,
     rv_lambda,
@@ -41,7 +41,7 @@ from hahn_forge.series import (
     standard_part,
     valuation,
 )
-from test_prepare import _reference_inside_annulus
+from test_prepare import _random_point, _reference_inside_annulus
 
 ge = lambda x: GroupElement.scalar(Fraction(x))
 s = parse_series
@@ -208,6 +208,13 @@ class TestBalls:
 
 
 class TestCheckPrepares:
+    def test_a_negative_gamma_span_is_rejected(self):
+        for span in (-1, -3):
+            with pytest.raises(ValueError, match=f"gamma_span must be at least 0, got gamma_span {span}"):
+                check_prepares([TruncatedSeries.zero()], lambda x: True, ge(0), trials=3, gamma_span=span)
+        report = check_prepares([TruncatedSeries.zero()], lambda x: True, ge(0), trials=3, gamma_span=0)
+        assert report.checked == 3 and report.passed()
+
     def test_valuation_ring_is_prepared(self):
         def member(x):
             v = x.approx.valuation()
@@ -441,7 +448,7 @@ class TestDrawStream:
             index = random.Random(seed).choice([0, 1])
             centers = [centers[0], first[0]] if index == 0 else [first[0], centers[0]]
         new, old = random.Random(seed), random.Random(seed)
-        got = near_sample(new, centers, lam, grid, steps, count, mate_steps)
+        got = near_sample(new, centers, lam, _schedule(*grid, 2, lam), steps, count, mate_steps)
         want = series_near_sample(old, centers, lam, grid, steps, count, mate_steps)
         assert new.getstate() == old.getstate()
         if kind == "collision":
@@ -454,7 +461,7 @@ class TestDrawStream:
         # the parts, each on the generator where the draw left it
         gamma = GroupElement.scalar(Fraction(new.randint(*grid), 2), lam.rank)
         old.randint(*grid)
-        assert same_point(random_point(new, gamma, steps), series_random_point(old, gamma, steps))
+        assert same_point(_random_point(new, gamma, steps), series_random_point(old, gamma, steps))
         tail = random_tail(new, gamma, steps)
         assert tail == series_random_tail(old, gamma, steps) and not tail.is_zero()
         x0 = centers[-1] + series_random_point(random.Random(seed), gamma, steps)
