@@ -3,12 +3,13 @@
 Functions are stored as Taylor rules (multi-index to rational coefficient)
 with a declared convergence radius.  In exact mode a function with an
 infinite tail is only evaluated at infinitesimal arguments, where the
-expansion is finite within any precision window; finite tables are
-polynomials and evaluate anywhere.  Either way the expansion is summed by
-one kernel on the integer grid, ``series._taylor_sum``: the powers of the
-arguments are int products, every term is added into one dict of int
-numerators, and the precision of the sum is found in closed form from
-the precisions and valuations of the arguments.
+expansion is finite within any precision window.  There it is summed by
+one kernel on the integer grid, ``series._taylor_sum``: the target alone
+bounds the monomials, the powers of the arguments are int products, every
+term is added into one dict of int numerators, and the precision of the
+sum is found in closed form from the precisions and valuations of the
+arguments.  Finite tables are polynomials and evaluate anywhere, by the
+package's one Horner loop, ``series.poly_eval``.
 
 The solvers are the workhorses built on top: a Newton lift for roots of
 ``1 + y + a_2 y^2 + ... + a_d y^d`` with infinitesimal higher coefficients,
@@ -239,8 +240,9 @@ def evaluate_analytic(fn, args, target_prec):
     """Sum the Taylor expansion at the given point, truncated at target_prec.
 
     Exact mode: arguments must be infinitesimal unless the function is a
-    polynomial.  Termination comes from the argument valuations; the tail
-    beyond the computed degree sits strictly above the target.
+    polynomial.  Every argument valuation must be positive in its first
+    coordinate (``PrecisionStall`` otherwise), so a monomial's valuation
+    grows with its degree and the target alone ends the expansion.
 
     The sum is ``series._taylor_sum``, one int pass on the grid.  Its
     precision is ``P = min(T, min of p_i + V(idx) - v_i)`` over the summed
@@ -248,7 +250,10 @@ def evaluate_analytic(fn, args, target_prec):
     with e_i >= 1, where ``V(idx) = sum e_i v_i`` and a_i has valuation
     v_i and precision p_i; an exact argument adds no term.  With one
     argument this is ``min(T, p + (k0 - 1) v)``, k0 the first index >= 1
-    with a nonzero coefficient.  A polynomial table has no T.
+    with a nonzero coefficient.  A polynomial table has no T: it is
+    ``poly_eval`` of its coefficients at the argument, of any valuation,
+    known below the ``field_op`` fold's precision, the least
+    ``p + (k - 1) v`` over the indices k >= 1 with a nonzero coefficient.
     """
     if len(args) != fn.nvars:
         raise ValueError(f"{fn.name} takes {fn.nvars} arguments")
@@ -260,10 +265,9 @@ def evaluate_analytic(fn, args, target_prec):
             raise NotInfinitesimal(f"{fn.name} needs infinitesimal arguments in exact mode")
         vals.append(v)
     if fn.polynomial:
-        bound = len(fn.table) - 1 if fn.nvars == 1 else None
-        if bound is None:
+        if fn.nvars != 1:
             raise MalformedRule("polynomial evaluation needs a finite table")
-        return _taylor_sum(fn.coefficient, args, None, bound)
+        return poly_eval([TruncatedSeries.constant(fn.coefficient(k), rank) for k in range(len(fn.table))], args[0])
     finite_vals = [v for v in vals if v is not INFINITE]
     if not finite_vals:
         c0 = fn.coefficient((0,) * fn.nvars)
@@ -276,9 +280,7 @@ def evaluate_analytic(fn, args, target_prec):
             "argument valuation has zero first coordinate; "
             "the expansion degree cannot be bounded in lexicographic rank > 1"
         )
-    t1 = target_prec.first()
-    bound = max(0, math.ceil(t1 / min_v.first()))
-    return _taylor_sum(fn.coefficient, args, target_prec, bound)
+    return _taylor_sum(fn.coefficient, args, target_prec)
 
 
 def hensel_root(coeffs, target_prec, rank=1, trace=None):

@@ -2,7 +2,8 @@
 
 The expansion engine follows the Newton polygon: each polygon edge names a
 candidate root valuation, the edge polynomial names the possible leading
-coefficients, and substitution recurses until every branch is separated.
+coefficients, and substitution repeats until every branch is separated, in
+one walk over a stack of centers (see _expand).
 Coefficients stay exact: rational when the branch is rational, otherwise
 elements of a single real-algebraic extension carried per branch (nested
 extensions are rejected; see puiseux_roots).  The expansion starts from the
@@ -69,8 +70,6 @@ from .series import (
     poly_eval,
     valuation,
 )
-
-_LEVEL_CAP = 128
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +405,40 @@ def _field_roots(phi, ctx):
     return roots, pairs
 
 
-def _expand(coeffs, floor, prefix, ctx, depth_target, level, out):
-    if level > _LEVEL_CAP:
-        raise RuntimeError("root expansion recursed too deeply")
+def _expand(xsers, depth_target):
+    """The branches of the squarefree polynomial ``xsers``, by one walk over a stack of centers.
+
+    A center is the polynomial shifted to a partial branch.  The stack
+    holds the path from the origin to the center being expanded, each
+    center as the ``_branches`` generator that expands it: it appends the
+    branches it finishes to the output and yields each new center, which
+    is expanded before it resumes, so the branches come out depth first.
+
+    The walk ends on squarefree input.  A center's hull edges lie strictly
+    above its floor, so the exponents along a branch increase, and their
+    denominators stay bounded (Newton-Puiseux), so a simple root reaches
+    ``depth_target`` after finitely many terms.  Distinct roots separate at
+    finite depth, so a multiple edge root, refined further, splits into
+    simple ones after finitely many terms too.
+    """
+    out = []
+    stack = [_branches(xsers, None, (), None, depth_target, out)]
+    while stack:
+        center = next(stack[-1], None)
+        if center is None:
+            stack.pop()
+        else:
+            stack.append(_branches(*center, depth_target, out))
+    return out
+
+
+def _branches(coeffs, floor, prefix, ctx, depth_target, out):
+    """Expand the center ``coeffs``: append each branch it finishes to ``out`` and yield each new center.
+
+    ``floor`` is the valuation of the last term of the partial branch
+    ``prefix`` and ``ctx`` the extension its coefficients live in; a new
+    center is the tuple of these four.
+    """
     if not coeffs[0]:
         # the current center is an exact root; the polygon edges below
         # still enumerate the branches passing nearby
@@ -423,16 +453,15 @@ def _expand(coeffs, floor, prefix, ctx, depth_target, level, out):
             new_prefix = prefix + ((nu, value),)
             shifted = _substitute(coeffs, value, nu)
             if mult == 1 and nu >= depth_target:
-                nxt = _next_exponent(shifted)
-                out.append(_make_root(new_prefix, nxt if nxt is not None else INFINITE))
+                out.append(_make_root(new_prefix, _next_exponent(shifted)))
             else:
-                _expand(shifted, nu, new_prefix, root_ctx, depth_target, level + 1, out)
+                yield shifted, nu, new_prefix, root_ctx
 
 
 def _next_exponent(coeffs):
-    """Valuation of the Newton correction for a simple root at the origin."""
+    """Valuation of the Newton correction for a simple root at the origin; INFINITE at an exact root."""
     if not coeffs[0] or len(coeffs) < 2 or not coeffs[1]:
-        return None
+        return INFINITE
     return min(coeffs[0]) - min(coeffs[1])
 
 
@@ -567,7 +596,10 @@ def puiseux_roots(coeffs, depth=Fraction(4)):
     in a single algebraic extension); complex pairs record the shared real
     prefix and are tagged.  Each returned branch is simple; together with
     multiplicity-two complex pairs they count the degree of the squarefree
-    part.
+    part.  The branches come from one walk (``_expand``), which ends
+    because the squarefree part's roots are distinct: they separate at
+    finite depth, and every exponent of a branch lies strictly above the
+    one before it on a grid of bounded denominator.
     """
     depth = Fraction(depth)
     coeffs = list(coeffs)
@@ -576,9 +608,7 @@ def puiseux_roots(coeffs, depth=Fraction(4)):
     if len(coeffs) < 2:
         return []
     xsers = _squarefree_series_poly([_xser_from_truncated(c) for c in coeffs])
-    out = []
-    _expand(xsers, None, (), None, depth, 0, out)
-    return out
+    return _expand(xsers, depth)
 
 
 # ---------------------------------------------------------------------------

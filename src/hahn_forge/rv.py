@@ -277,13 +277,16 @@ def run_trials(report, tag, centers, draw, check, skip):
     disagreeing pair or None, and an exception in ``skip`` resamples.  The
     first attempt whose check completes ends the trial and counts as
     checked; a disagreeing pair is recorded with the balls of x0 lam-next
-    to ``centers``.  A negative trial count or depth ``report.lam`` is a
-    ValueError, raised before any draw.
+    to ``centers``.  A negative trial count or depth ``report.lam``, or a
+    center of another rank than ``report.lam``, is a ValueError, raised
+    before any draw.
     """
     if report.trials < 0:
         raise ValueError(f"trials must be at least 0, got trials {report.trials}")
     if report.lam < (0,) * len(report.lam):
         raise ValueError("depth must be >= 0")
+    if any(c.rank != len(report.lam) for c in centers):
+        raise ValueError("rank mismatch")
     for trial in range(report.trials):
         rng = random.Random(f"{tag}:{report.seed}:{trial}")
         for _attempt in range(16):

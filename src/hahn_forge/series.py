@@ -95,12 +95,14 @@ gap guards only the cost: with gaps 1 and 1 + 1/N the multiples of the
 gcd below the target would be about N times as many as the monoid, which
 is enumerated instead.
 
-``_taylor_sum`` sums a Taylor expansion ``sum c_idx a^idx`` at series
-arguments in one pass on the grid: the monomials are enumerated on the
-arguments' leading keys, the precision of the sum is found in closed form
-from the arguments' precisions and valuations, the arguments are cut
-there once, their powers are int products under one bound, and every
-term is added into one dict of int numerators over one denominator.
+``_taylor_sum`` sums a Taylor expansion ``sum c_idx a^idx`` at
+infinitesimal series arguments in one pass on the grid: the monomials are
+enumerated on the arguments' leading keys up to the target, which alone
+bounds them, since every argument's valuation is positive in its first
+coordinate; the precision of the sum is found in closed form from the
+arguments' precisions and valuations, the arguments are cut there once,
+their powers are int products under one bound, and every term is added
+into one dict of int numerators over one denominator.
 
 Products run on ints in every rank.  Each factor's coefficients are put
 over the lcm of their denominators, so the pair loop multiplies and sums
@@ -1056,17 +1058,20 @@ def _split_power(x, coeff, a, b, rel):
     return _truncated(out, None if rel is INFINITE else _key_sum(_key_of(rel), (eden * b, shift)))
 
 
-def _taylor_sum(coefficient, args, target_prec, bound):
-    """``sum c_idx a^idx`` over the monomials an expansion reaches, in one int pass.
+def _taylor_sum(coefficient, args, target_prec):
+    """``sum c_idx a^idx`` over the monomials that reach below the target, in one int pass.
 
     ``coefficient(idx)`` is the Taylor coefficient of a multi-index, and
     each argument a_i is exact or has a nonzero approx, with valuation v_i
-    and precision p_i (INFINITE when exact).
+    and precision p_i (INFINITE when exact); every v_i is positive in its
+    first coordinate.
 
-    Which terms: the monomials of total degree at most ``bound``; with a
-    ``target_prec`` T (infinitesimal arguments, every v_i > 0) only the
-    constant and those whose valuation ``V(idx) = sum e_i v_i`` lies below
-    T.  An exact zero argument takes no power above 0.
+    Which terms: the constant and the monomials whose valuation
+    ``V(idx) = sum e_i v_i`` lies below the target T.  The target alone
+    bounds them: the first coordinate of V(idx) is at least |idx| times
+    the least first coordinate of a v_i, so the powers of each argument
+    leave the target after finitely many steps.  An exact zero argument
+    takes no power above 0.
 
     Their precision, in closed form.  A product ``X a_i`` of a factor X of
     valuation V and precision q is known below ``min(q + v_i, p_i + V)``
@@ -1084,19 +1089,17 @@ def _taylor_sum(coefficient, args, target_prec, bound):
     ``p_i - v_i`` plus the least V(idx) of a summed monomial with
     e_i >= 1; with one variable, ``P = min(T, p + (k0 - 1) v)``, k0 the
     first index >= 1 with a nonzero coefficient.  An exact argument adds no
-    term.  Without a target (a polynomial table) T is dropped.
+    term.
 
     The sum.  The arguments sit over one exponent denominator and one
     coefficient denominator C, so ``A_i^e`` has int numerators over
-    ``C^e``, formed by ``_int_products`` with no gcd per step.  With a
-    target, every v_i > 0, so a term of an argument at or above P reaches
-    only products at or above P: each argument is cut below P once and
-    every product is bounded there.  A table may take arguments of
-    valuation <= 0, where a term above P can reach below it, so there
-    nothing is cut before the sum.  The numerators of each
-    ``c_idx A^idx`` are added into one dict over ``L C^N``, L the lcm of
-    the coefficient denominators and N the largest degree summed; the sum
-    is cut below P and put on the grid with one ``_least``.
+    ``C^e``, formed by ``_int_products`` with no gcd per step.  Every
+    v_i > 0, so a term of an argument at or above P reaches only products
+    at or above P: each argument is cut below P once and every product is
+    bounded there.  The numerators of each ``c_idx A^idx`` are added into
+    one dict over ``L C^N``, L the lcm of the coefficient denominators and
+    N the largest degree summed; the sum is cut below P and put on the grid
+    with one ``_least``.
     """
     rank = args[0].rank
     grids = [a.approx._grid for a in args]
@@ -1106,20 +1109,19 @@ def _taylor_sum(coefficient, args, target_prec, bound):
     nums = [_over(g[2], cden, g[3]) for g in grids]
     leads = [k[0] if k else None for k in keys]
     zero = _key_of(GroupElement.zero(rank))[1]
-    reach = INFINITE if target_prec is None else _below_key(_key_of(target_prec), eden)
+    pkey = _key_of(target_prec)
+    reach = _below_key(pkey, eden)
 
     def top(lead):
-        """The highest power of one argument within the bound and below the target."""
+        """The highest power of one argument below the target."""
         e, key = 0, zero
-        while lead is not None and e < bound and key + lead < reach:
+        while lead is not None and key + lead < reach:
             e, key = e + 1, key + lead
         return e
 
     summed = []  # (idx, coefficient, key of V(idx), degree)
     for idx in product(*(range(top(lead) + 1) for lead in leads)):
         degree = sum(idx)
-        if degree > bound:
-            continue
         key = zero
         for e, lead in zip(idx, leads):
             if e:
@@ -1130,19 +1132,16 @@ def _taylor_sum(coefficient, args, target_prec, bound):
         if c:
             summed.append((idx, c, key, degree))
 
-    pkey = None if target_prec is None else _key_of(target_prec)
     for i, a in enumerate(args):
         least = None if a.is_exact() else min((key for idx, _, key, _ in summed if idx[i]), default=None)
         if least is not None:
             p = _key_sum(a._pkey, (eden, least - leads[i]))
-            if pkey is None or _key_lt(p, pkey):
+            if _key_lt(p, pkey):
                 pkey = p
-    below = INFINITE if pkey is None else _below_key(pkey, eden)
-    cut = INFINITE if target_prec is None else below
-    if cut is not INFINITE:
-        for i, k in enumerate(keys):
-            n = bisect_left(k, cut)
-            keys[i], nums[i] = k[:n], nums[i][:n]
+    cut = _below_key(pkey, eden)
+    for i, k in enumerate(keys):
+        n = bisect_left(k, cut)
+        keys[i], nums[i] = k[:n], nums[i][:n]
 
     one = ((zero,), (1,))
     powers = [[one, (k, n)] for k, n in zip(keys, nums)]
@@ -1166,7 +1165,7 @@ def _taylor_sum(coefficient, args, target_prec, bound):
         for key, num in zip(k, n):
             acc[key] = acc.get(key, 0) + scale * num
     out = sorted(key for key, num in acc.items() if num)
-    out = tuple(out[: bisect_left(out, below)])
+    out = tuple(out[: bisect_left(out, cut)])
     grid = (*_least(eden, out), *_least(lden * cden**most, tuple(acc[k] for k in out)))
     return _truncated(_on_grid(grid, rank), pkey)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hahn_forge.analytic import (
     AnalyticFunction,
@@ -471,12 +471,8 @@ def _target(draw, rank, args):
     return target + GroupElement.scalar(move, rank)
 
 
-@st.composite
-def _rule_function(draw):
-    """A 1-, 2- or 3-variable rule whose coefficients vanish on runs of degrees and first indices."""
-    nvars = draw(st.integers(1, 3))
-    zero_degrees = draw(st.frozensets(st.integers(0, 6)))
-    zero_first = draw(st.frozensets(st.integers(0, 4)))
+def _zero_runs(nvars, zero_degrees=frozenset(), zero_first=frozenset()):
+    """An ``nvars``-variable rule whose coefficients vanish on the given degrees and first indices."""
 
     def rule(idx):
         if sum(idx) in zero_degrees or idx[0] in zero_first:
@@ -484,6 +480,23 @@ def _rule_function(draw):
         return Fraction((-1) ** sum(idx), 1 + idx[0] + 2 * idx[-1])
 
     return register_function({"name": "zeroruns", "vars": nvars, "radius": 2, "rule": rule}, FunctionRegistry())
+
+
+@st.composite
+def _rule_case(draw):
+    """A 1-, 2- or 3-variable rule with runs of zero coefficients, its arguments in rank 1 or 2, and a target."""
+    nvars = draw(st.integers(1, 3))
+    fn = _zero_runs(nvars, draw(st.frozensets(st.integers(0, 6))), draw(st.frozensets(st.integers(0, 4))))
+    rank = draw(st.integers(1, 2))
+    args = [draw(_argument(rank)) for _ in range(nvars)]
+    return fn, args, draw(_target(rank, args))
+
+
+# two variables at t^(1,0) and t^(1,-5) with T = (2,0): the monomials of degree 2 = ceil(T_1 / v_1) tie T in
+# the first coordinate, and the second decides that x2^2 and x1 x2 lie below T and x1^2 does not
+_TIE = (_zero_runs(2),
+        [TruncatedSeries.monomial(1, GroupElement([1, 0])), TruncatedSeries.monomial(1, GroupElement([1, -5]))],
+        GroupElement([2, 0]))
 
 
 class TestTaylorKernelAgainstWalk:
@@ -498,14 +511,15 @@ class TestTaylorKernelAgainstWalk:
         assert _outcome(evaluate_analytic, fn, args, target) == _outcome(_walk_evaluate, fn, args, target)
 
     @settings(max_examples=200)
-    @given(_rule_function(), st.integers(1, 2), st.data())
-    def test_rule_functions(self, fn, rank, data):
-        args = [data.draw(_argument(rank)) for _ in range(fn.nvars)]
-        target = data.draw(_target(rank, args))
+    @given(_rule_case())
+    @example(_TIE)
+    @example((_TIE[0], [_TIE[1][0], TruncatedSeries(_TIE[1][1].approx, GroupElement([Fraction(3, 2), 0]))], _TIE[2]))
+    def test_rule_functions(self, case):
+        fn, args, target = case
         assert _outcome(evaluate_analytic, fn, args, target) == _outcome(_walk_evaluate, fn, args, target)
 
     @settings(max_examples=150)
-    @given(st.lists(st.sampled_from(_COEFFS + [Fraction(0)] * 3), min_size=1, max_size=5), st.integers(1, 2),
+    @given(st.lists(st.sampled_from(_COEFFS + [Fraction(0)] * 3), min_size=0, max_size=5), st.integers(1, 2),
            st.booleans(), st.data())
     def test_polynomial_tables(self, table, rank, exact, data):
         fn = register_function({"name": "table", "vars": 1, "radius": 2, "table": table}, FunctionRegistry())

@@ -115,6 +115,13 @@ class TestAlgebraCommands:
         assert len(payload["roots"]) == 2
         assert {r["branch"][0]["coeff"] for r in payload["roots"]} == {"1", "-1"}
 
+    def test_roots_of_a_branch_of_many_terms(self, capsys):
+        # each branch steps by 1/65 and takes 131 terms to reach the depth
+        code, payload, _ = run(capsys, "roots", "x^2 - 1 - t^(1/65)", "--depth", "2")
+        assert code == 0
+        assert [r["conjugacy"] for r in payload["roots"]] == ["real", "real"]
+        assert [r["branch"][-1]["exponent"] for r in payload["roots"]] == ["2", "2"]
+
 
 class TestVerificationCommands:
     def test_prepare_passes(self, capsys):

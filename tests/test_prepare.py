@@ -8,6 +8,7 @@ import zlib
 from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -16,6 +17,7 @@ from hahn_forge import algebraic as alg
 from hahn_forge.algebraic import AlgebraicContext, RealAlgebraic
 from hahn_forge.analytic import FunctionRegistry, evaluate_analytic, hensel_root, register_function
 import hahn_forge.prepare as preparation
+import hahn_forge.rv as rv_module
 from hahn_forge.errors import (
     DepthExhausted,
     DivisionByZero,
@@ -176,6 +178,69 @@ class TestPuiseuxRoots:
         base[0] = base[0] - s("1*t^(5)")
         with pytest.raises(UndecidedSign):
             puiseux_roots(base, Fraction(4))
+
+
+# -- root expansion against roots known in advance: p = c (x - r_1)...(x - r_n), the r_i drawn off the
+# samplers' grid (exponent denominators up to 6, coefficients that are not the integers 1..9 up to sign).
+# The exponents of one polynomial share a denominator q <= 6: with an lcm up to 60 the squarefree part's
+# subresultants over Z[t^(1/60)] alone took up to 50 s on a degree-7 draw (ROADMAP item 9).
+
+_KNOWN_COEFFS = st.builds(Fraction, st.integers(10, 40), st.integers(1, 6)).filter(
+    lambda q: q.denominator > 1 or q > 9).flatmap(lambda q: st.sampled_from([q, -q]))
+
+
+def _known_series(q):
+    return st.dictionaries(st.builds(Fraction, st.integers(-q, 3 * q), st.just(q)), _KNOWN_COEFFS, max_size=3)
+
+
+def _exact(terms):
+    return TruncatedSeries.exact(HahnSeries([(GroupElement.scalar(e), c) for e, c in terms.items()]))
+
+
+@st.composite
+def known_roots(draw):
+    """``(coeffs, roots, pairs)``: p = c (x - r_1)...(x - r_n), times x^2 + s^2 when ``pairs`` is 1, and
+    now and then times one of its linear factors again; ``roots`` are the distinct r_i as dicts."""
+    series = _known_series(draw(st.integers(1, 6)))
+    roots = draw(st.lists(series, min_size=1, max_size=3, unique_by=lambda r: frozenset(r.items())))
+    factors = [[_exact(r).scale(-1), TruncatedSeries.one()] for r in roots]
+    square = draw(st.none() | series.filter(bool))
+    if square is not None:
+        sq = _exact(square)
+        factors.append([sq * sq, TruncatedSeries.zero(), TruncatedSeries.one()])
+    if draw(st.booleans()):
+        factors.append(draw(st.sampled_from(factors[:len(roots)])))
+    coeffs = [TruncatedSeries.constant(draw(_KNOWN_COEFFS))]
+    for factor in factors:
+        coeffs = _poly_mul(coeffs, factor)
+    return coeffs, roots, int(square is not None)
+
+
+def _branch_follows(root, known):
+    """The branch agrees with the known root through its last exponent and up to its depth:
+    ``known - branch`` has valuation ``root.depth`` (INFINITE where the branch is the root)."""
+    terms = dict(root.branch)
+    last = root.branch[-1][0] if root.branch else None
+    if terms != {e: c for e, c in known.items() if last is not None and e <= last}:
+        return False
+    rest = [e for e in known if last is None or e > last]
+    return root.depth == (min(rest) if rest else INFINITE)
+
+
+class TestRootExpansionFromKnownRoots:
+    @settings(max_examples=150, deadline=None)
+    @given(known_roots(), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]))
+    def test_each_known_root_has_its_branch(self, case, depth):
+        coeffs, roots, pairs = case
+        found = puiseux_roots(coeffs, depth)
+        real = [r for r in found if r.is_real()]
+        assert sum(1 for r in found if r.conjugacy_tag == "complex-pair") == pairs
+        assert len(real) == len(roots)
+        for known in roots:
+            matches = [r for r in real if _branch_follows(r, known)]
+            assert len(matches) == 1
+            branch = matches[0]
+            assert branch.depth is INFINITE or branch.branch[-1][0] >= depth
 
 
 def _poly_mul(a, b):
@@ -1138,6 +1203,26 @@ class TestDocumentedErrors:
         ]
         for sampler in samplers:
             with pytest.raises(ValueError, match="depth must be >= 0"):
+                sampler()
+
+    @pytest.mark.parametrize("trials", [0, 3])
+    def test_centers_of_another_rank_are_rejected_before_any_draw(self, trials, monkeypatch):
+        def no_draw(*_args):
+            raise AssertionError("a trial was seeded")
+
+        monkeypatch.setattr(rv_module, "random", SimpleNamespace(Random=no_draw))
+        one, two = parse_series("1"), parse_series("1", 2)
+        annulus = (TruncatedSeries.zero(2), TruncatedSeries.monomial(1, GroupElement.scalar(2, 2)),
+                   TruncatedSeries.one(2))
+        samplers = [
+            lambda: check_prepares([two], lambda x: True, ge(0), trials),
+            lambda: verify_preparation(lambda x, p: x, [two], ge(0), trials),
+            lambda: jacobian_probe(lambda x, p: x, [one, two], trials),
+            lambda: jacobian_probe(lambda x, p: x, [two, one], trials),
+            lambda: strong_unit_probe(StrongUnitSpec(), annulus, ge(1), trials),
+        ]
+        for sampler in samplers:
+            with pytest.raises(ValueError, match="rank mismatch"):
                 sampler()
 
     def test_a_point_at_an_undetermined_distance_lies_in_no_annulus(self):

@@ -18,10 +18,10 @@ of the power kernel's counted support, ``hensel_root``, ``eval_term`` and
 ``evaluate_analytic`` in ranks 1 and 2; ``rv_lambda``, where two points
 with equal classes at a depth lam' have equal classes at every lam < lam',
 in ranks 1 and 2; and ``puiseux_roots``, whose branches at a depth d are
-prefixes of those at d' > d.  Three relations fail today and are strict
-xfails: ``weierstrass_divide`` and ``implicit_series`` against the wider
-pair (d_out + 4, prec_out + 3), cut to d_out (ROADMAP item 22), and
-``puiseux_roots`` at a d' past its recursion cap (ROADMAP item 9).
+prefixes of those at d' > d, and which returns at d' wherever it returns
+at d.  Two relations fail today and are strict xfails:
+``weierstrass_divide`` and ``implicit_series`` against the wider pair
+(d_out + 4, prec_out + 3), cut to d_out (ROADMAP item 22).
 """
 
 from fractions import Fraction
@@ -225,13 +225,10 @@ class TestPuiseuxRoots:
         fine = _outcome(lambda: puiseux_roots(coeffs, depth + Fraction(more, 2)))
         if isinstance(coarse, type):
             assert fine is coarse
-        elif not isinstance(fine, type):  # the deeper run raising alone is the xfail below
+        elif not isinstance(fine, type):  # the deeper run raising alone is the test below
             assert [f.conjugacy_tag for f in fine] == [c.conjugacy_tag for c in coarse]
             assert all(_prefix(c.branch, f.branch) for c, f in zip(coarse, fine))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a branch needing more than 128 terms to reach the depth raises RuntimeError "
-                              "(ROADMAP item 9)")
     @settings(max_examples=60, deadline=None)
     @given(polynomials(1, exact=True), _DEPTHS, st.integers(1, 6))
     @example([parse_series(c) for c in ("-1 - 1*t^(1/100)", "0", "1")], Fraction(1), 2)
